@@ -148,6 +148,29 @@ func descriptorToArray(f *llvm.Function, rep *Report) error {
 	return nil
 }
 
+// mallocElem is the element type a malloc'd buffer of size bytes becomes an
+// array of: the pointee its result type records or, for opaque-pointer IR
+// parsed back from text (which records none), the type its first GEP
+// indexes — so a module rebuilt from its printed form adapts exactly like
+// the in-memory one. It falls back to bytes.
+func mallocElem(f *llvm.Function, malloc *llvm.Instr, size int64) *llvm.Type {
+	if malloc.Ty.IsPtr() && malloc.Ty.Elem != nil {
+		return malloc.Ty.Elem
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != llvm.OpGEP || len(in.Args) == 0 || in.Args[0] != malloc {
+				continue
+			}
+			if t := in.SrcElem; t != nil && t.SizeBytes() > 0 && size%t.SizeBytes() == 0 {
+				return t
+			}
+			return llvm.I8()
+		}
+	}
+	return llvm.I8()
+}
+
 // mallocToAlloca converts constant-size malloc calls into entry-block static
 // allocas and deletes the matching frees. HLS tools reject dynamic
 // allocation outright.
@@ -167,10 +190,7 @@ func mallocToAlloca(f *llvm.Function, rep *Report) error {
 			if !ok {
 				return fmt.Errorf("dynamic malloc size cannot be staticized")
 			}
-			elem := llvm.I8()
-			if in.Ty.IsPtr() && in.Ty.Elem != nil {
-				elem = in.Ty.Elem
-			}
+			elem := mallocElem(f, in, size.Val)
 			n := size.Val / elem.SizeBytes()
 			arrTy := llvm.ArrayOf(n, elem)
 			alloca := &llvm.Instr{Op: llvm.OpAlloca, Name: in.Name + "_buf",

@@ -216,6 +216,37 @@ func TestIncrementalInvalidation(t *testing.T) {
 	compareRuns(t, "edited config replay", edited, warm)
 }
 
+// withoutAdaptorRecords hides the adaptor's records (the only ones with
+// both rewritten IR and an auxiliary report) from the store it wraps.
+type withoutAdaptorRecords struct{ incr.Store }
+
+func (s withoutAdaptorRecords) Get(key string) (incr.Record, bool) {
+	rec, ok := s.Store.Get(key)
+	if ok && rec.IR != "" && len(rec.Aux) > 0 {
+		return incr.Record{}, false
+	}
+	return rec, ok
+}
+
+// TestIncrementalRebuildsTranslateRecord replays translation but not the
+// adaptor, so the live adaptor runs on a module parsed back from the stored
+// translate record. With partition directives in its attributes, that
+// module must parse, and the run must match a cold one for every kernel.
+func TestIncrementalRebuildsTranslateRecord(t *testing.T) {
+	d := Directives{Pipeline: true, II: 1, Partition: &passes.PartitionSpec{Kind: "cyclic", Factor: 2, Dim: 0}}
+	for _, k := range polybench.All() {
+		cold := runFlow(t, "adaptor", k, d, Options{})
+		store := incr.NewMemStore()
+		runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: store})
+		warm := runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: withoutAdaptorRecords{store}})
+		if warm.UnitHits == 0 || warm.UnitMisses == 0 {
+			t.Fatalf("%s: %d hits / %d misses, want translate replayed and the adaptor live",
+				k.Name, warm.UnitHits, warm.UnitMisses)
+		}
+		compareRuns(t, k.Name, cold, warm)
+	}
+}
+
 // TestIncrementalDiskStoreWarmStart proves the cross-process path: a fresh
 // DiskStore handle over a directory populated by a previous handle replays
 // the whole flow.

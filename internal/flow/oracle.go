@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -25,6 +27,9 @@ type semOracle struct {
 	// immediately after that unit completes and before its oracle check —
 	// the fixture that proves detection, localization, and replay.
 	inject string
+	// ctx is the flow's context (Options.Ctx); a running check stops when
+	// it is done.
+	ctx context.Context
 
 	// Lazy capture state (incremental runs): pristine holds the module
 	// text the reference execution derives from, parsed and executed only
@@ -47,7 +52,7 @@ func newSemOracle(m *mlir.Module, top string, opts Options) (*semOracle, error) 
 	if opts.SemanticULP > 0 {
 		h.MaxULP = opts.SemanticULP
 	}
-	return &semOracle{h: h, inject: opts.InjectMiscompile}, nil
+	return &semOracle{h: h, inject: opts.InjectMiscompile, ctx: checkContext(opts)}, nil
 }
 
 // newLazySemOracle defers the reference execution until the first live
@@ -56,10 +61,19 @@ func newSemOracle(m *mlir.Module, top string, opts Options) (*semOracle, error) 
 func newLazySemOracle(pristine, top string, opts Options) *semOracle {
 	return &semOracle{
 		inject:   opts.InjectMiscompile,
+		ctx:      checkContext(opts),
 		pristine: pristine,
 		top:      top,
 		ulp:      opts.SemanticULP,
 	}
+}
+
+// checkContext is the context oracle checks run under.
+func checkContext(opts Options) context.Context {
+	if opts.Ctx != nil {
+		return opts.Ctx
+	}
+	return context.TODO()
 }
 
 // harness returns the reference harness, capturing it on first use for a
@@ -95,8 +109,14 @@ func (s *semOracle) harness() (*oracle.Harness, error) {
 // failure types an oracle check error: wrong answers (divergence, trap,
 // fuel exhaustion) are KindMiscompile; an artifact the oracle cannot
 // execute is an oracle limitation, reported as KindError so it is never
-// mistaken for a verified miscompile.
+// mistaken for a verified miscompile; a check the flow's context stopped
+// is the transient timeout or cancellation of the unit it checked.
 func (s *semOracle) failure(stage, pass string, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if ierr := resilience.Interrupted(s.ctx, stage, pass); ierr != nil {
+			return ierr
+		}
+	}
 	kind := resilience.KindError
 	if oracle.IsMiscompile(err) {
 		kind = resilience.KindMiscompile
@@ -117,7 +137,7 @@ func (s *semOracle) afterMLIR(stage, pass string, m *mlir.Module) error {
 	if err != nil {
 		return err
 	}
-	if err := h.CheckMLIR(m); err != nil {
+	if err := h.CheckMLIRContext(s.ctx, m); err != nil {
 		return s.failure(stage, pass, err)
 	}
 	return nil
@@ -135,7 +155,7 @@ func (s *semOracle) afterLLVM(stage, pass string, lm *llvm.Module) error {
 	if err != nil {
 		return err
 	}
-	if err := h.CheckLLVM(lm); err != nil {
+	if err := h.CheckLLVMContext(s.ctx, lm); err != nil {
 		return s.failure(stage, pass, err)
 	}
 	return nil

@@ -1,9 +1,14 @@
 package flow
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hls"
+	lparser "repro/internal/llvm/parser"
 	"repro/internal/mlir"
 	mlirparser "repro/internal/mlir/parser"
 	"repro/internal/polybench"
@@ -165,5 +170,63 @@ func TestMiscompileBisectAndReplay(t *testing.T) {
 	}
 	if rb.Failure.Kind != resilience.KindMiscompile {
 		t.Errorf("replay failure kind = %s, want miscompile", rb.Failure.Kind)
+	}
+}
+
+// TestOracleCheckHonoursDeadline runs a check of a fuel-heavy loop under a
+// 50 ms flow deadline, at both IR levels: the check must stop with the
+// transient timeout of the unit it checks, long before its 200M steps of
+// fuel would run out, and never read as a miscompile.
+func TestOracleCheckHonoursDeadline(t *testing.T) {
+	k := polybench.Get("gemm")
+	s, err := k.SizeOf("MINI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var params []string
+	var ports []string
+	for i, ty := range k.ArgTypes(s) {
+		params = append(params, fmt.Sprintf("%%arg%d: %s", i, ty))
+		ports = append(ports, fmt.Sprintf("ptr %%p%d", i))
+	}
+	spin, err := mlirparser.Parse(fmt.Sprintf(`module {
+  func.func @gemm(%s) {
+    affine.for %%0 = 0 to 1000000000 step 1 {
+    }
+    func.return
+  }
+}
+`, strings.Join(params, ", ")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lspin, err := lparser.Parse(fmt.Sprintf("; ModuleID = 't'\n; Flavor: modern\n\ndefine void @gemm(%s) {\nentry:\n  br label %%loop\nloop:\n  br label %%loop\n}\n",
+		strings.Join(ports, ", ")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		level string
+		check func(*semOracle) error
+	}{
+		{"mlir", func(sem *semOracle) error { return sem.afterMLIR("mlir-opt", "canonicalize", spin) }},
+		{"llvm", func(sem *semOracle) error { return sem.afterLLVM("llvm-opt", "dce", lspin) }},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		sem, err := newSemOracle(k.Build(s), k.Name, Options{Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		err = c.check(sem)
+		elapsed := time.Since(start)
+		cancel()
+		f, ok := resilience.AsPassFailure(err)
+		if !ok || f.Kind != resilience.KindTimeout || !resilience.Transient(err) {
+			t.Fatalf("%s: check under a 50 ms deadline = %v, want a transient timeout failure", c.level, err)
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("%s: timed-out check took %v to stop", c.level, elapsed)
+		}
 	}
 }

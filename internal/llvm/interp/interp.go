@@ -1,6 +1,11 @@
 // Package interp executes llvm.Module functions on a byte-addressable memory
 // model. Both HLS flows' final IR is run through it and compared against the
 // Go reference implementations, standing in for RTL co-simulation.
+//
+// Execution is compile-then-run: Compile turns a function and its defined
+// callees into a Program of plain values (dense SSA slots, resolved widths,
+// GEP strides, phi moves per edge), which then runs over a register slice
+// with no map lookups and no per-instruction allocation.
 package interp
 
 import (
@@ -22,9 +27,9 @@ var ErrFuel = errors.New("interp: out of fuel")
 // TrapKind classifies a typed runtime trap.
 type TrapKind string
 
-// Trap kinds. Every fault the machine can hit at runtime maps to one of
-// these, so the oracle can distinguish "the rewritten IR crashed" from "the
-// oracle itself cannot model this IR".
+// Trap kinds. Every fault a compiled LLVM or MLIR program can hit at
+// runtime maps to one of these, so the oracle can distinguish "the
+// rewritten IR crashed" from "the oracle itself cannot model this IR".
 const (
 	TrapOOB         TrapKind = "out-of-bounds"
 	TrapDivZero     TrapKind = "division-by-zero"
@@ -32,6 +37,7 @@ const (
 	TrapUnreachable TrapKind = "unreachable"
 	TrapCallDepth   TrapKind = "call-depth"
 	TrapUndef       TrapKind = "undefined-value"
+	TrapLoopStep    TrapKind = "non-positive-step"
 )
 
 // Trap is a typed runtime fault: the executed IR performed an operation
@@ -126,10 +132,14 @@ func FloatArg(x float64) Arg { return Arg{val{f: x}} }
 // PtrArg passes a pointer to offset off within m.
 func PtrArg(m *Mem, off int64) Arg { return Arg{val{mem: m, off: off}} }
 
+// DefaultFuel is a new machine's instruction budget.
+const DefaultFuel = 500_000_000
+
 // Machine executes functions of one module.
 type Machine struct {
 	Mod *llvm.Module
-	// Fuel bounds the executed instruction count (default 500M).
+	// Fuel bounds the executed instruction count (DefaultFuel). Run
+	// leaves the unspent budget here.
 	Fuel int64
 
 	// Observe, when non-nil, is called with every instruction result the
@@ -137,531 +147,410 @@ type Machine struct {
 	// float results report 0). Property tests hook it to compare dynamic
 	// values against static analysis claims.
 	Observe func(in *llvm.Instr, v int64)
-
-	// ctx is the Run context, checked at block boundaries.
-	ctx context.Context
 }
 
 // NewMachine returns a machine for mod.
 func NewMachine(mod *llvm.Module) *Machine {
-	return &Machine{Mod: mod, Fuel: 500_000_000}
+	return &Machine{Mod: mod, Fuel: DefaultFuel}
 }
 
-// Run executes the named function. The returned value is meaningful only
-// for non-void functions (i or f depending on the return type). ctx is
-// honored cooperatively at basic-block boundaries — matching the pass
-// managers' interrupt contract — so a cancelled or timed-out caller
-// reclaims the machine at the next branch rather than after the run.
+// Run compiles the named function and executes it. The returned value is
+// meaningful only for non-void functions (i or f depending on the return
+// type). ctx is polled cooperatively at block entries, so a cancelled or
+// timed-out caller reclaims the machine within a bounded number of steps
+// rather than after the run.
 func (mc *Machine) Run(ctx context.Context, name string, args ...Arg) (int64, float64, error) {
-	f := mc.Mod.FindFunc(name)
-	if f == nil {
-		return 0, 0, fmt.Errorf("interp: function @%s not found", name)
+	p, srcs, err := compile(mc.Mod, name, mc.Observe != nil)
+	if err != nil {
+		return 0, 0, err
 	}
-	if len(args) != len(f.Params) {
-		return 0, 0, fmt.Errorf("interp: @%s takes %d params, got %d", name, len(f.Params), len(args))
+	r := &runner{p: p, fuel: NewMeter(ctx, mc.Fuel, ErrFuel)}
+	if mc.Observe != nil {
+		r.obs, r.srcs = mc.Observe, srcs
 	}
-	vals := make([]val, len(args))
+	i, f, err := r.run(args)
+	mc.Fuel = r.fuel.Left()
+	return i, f, err
+}
+
+// Run executes the compiled program on args under a fuel budget; ctx (nil
+// for none) is polled at block entries.
+func (p *Program) Run(ctx context.Context, fuel int64, args ...Arg) (int64, float64, error) {
+	r := &runner{p: p, fuel: NewMeter(ctx, fuel, ErrFuel)}
+	return r.run(args)
+}
+
+// fuelQuantum is how many steps run between context polls.
+const fuelQuantum = 1 << 16
+
+// Meter meters a run's fuel. The budget is handed to the run loop in
+// quanta and each refill polls the context, so a done context stops the
+// run within one quantum at no per-step cost.
+type Meter struct {
+	rest, left int64 // unspent budget = rest + left; left is the current quantum
+	ctx        context.Context
+	done       <-chan struct{}
+	spent      error
+}
+
+// NewMeter meters fuel steps under ctx (nil for none); running out returns
+// spent.
+func NewMeter(ctx context.Context, fuel int64, spent error) Meter {
+	m := Meter{rest: fuel, ctx: ctx, spent: spent}
+	if ctx != nil {
+		m.done = ctx.Done()
+	}
+	return m
+}
+
+// Charge spends n steps. The first charge always refuels, so a context
+// that is already done stops the run before its first step.
+func (m *Meter) Charge(n int64) error {
+	m.left -= n
+	if m.left < 0 {
+		return m.refuel()
+	}
+	return nil
+}
+
+// Left returns the unspent budget (negative once spent).
+func (m *Meter) Left() int64 { return m.rest + m.left }
+
+// refuel runs when the current quantum is spent: it fails once the whole
+// budget is gone, polls the context, and hands out the next quantum.
+func (m *Meter) refuel() error {
+	total := m.rest + m.left
+	if total < 0 {
+		return m.spent
+	}
+	if m.done != nil {
+		select {
+		case <-m.done:
+			return m.ctx.Err()
+		default:
+		}
+	}
+	m.left = min(total, fuelQuantum)
+	m.rest = total - m.left
+	return nil
+}
+
+// runner is one execution of a program.
+type runner struct {
+	p    *Program
+	fuel Meter
+
+	obs  func(*llvm.Instr, int64)
+	srcs [][]*llvm.Instr // per function, slot → defining instruction
+}
+
+func (r *runner) run(args []Arg) (int64, float64, error) {
+	entry := &r.p.funcs[0]
+	if len(args) != int(entry.nparams) {
+		return 0, 0, fmt.Errorf("interp: @%s takes %d params, got %d", entry.name, entry.nparams, len(args))
+	}
+	regs := make([]val, entry.nslots)
 	for i, a := range args {
-		vals[i] = a.v
+		regs[i] = a.v
 	}
-	mc.ctx = ctx
-	r, err := mc.call(f, vals, 0)
-	return r.i, r.f, err
+	v, err := r.call(0, regs, 0)
+	return v.i, v.f, err
 }
 
-func (mc *Machine) call(f *llvm.Function, args []val, depth int) (val, error) {
+// call executes function fi on a frame whose parameter slots are filled.
+func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
+	f := &r.p.funcs[fi]
 	if depth > 100 {
-		return val{}, trapf(TrapCallDepth, "call depth exceeded in @%s", f.Name)
+		return val{}, trapf(TrapCallDepth, "call depth exceeded in @%s", f.name)
 	}
-	env := map[llvm.Value]val{}
-	for i, p := range f.Params {
-		env[p] = args[i]
+	for _, c := range f.consts {
+		regs[c.slot] = val{i: c.i, f: math.Float64frombits(c.f)}
 	}
-	blk := f.Entry()
-	var prev *llvm.Block
-	for {
-		if mc.ctx != nil {
-			if err := mc.ctx.Err(); err != nil {
+	var defd []bool
+	if f.ntracked > 0 {
+		defd = make([]bool, f.ntracked)
+	}
+	var srcs []*llvm.Instr
+	if r.obs != nil {
+		srcs = r.srcs[fi]
+	}
+	code, steps := f.code, f.steps
+	for pc := int32(0); ; {
+		in := &code[pc]
+		pc++
+		switch in.op {
+		case opEnter:
+			if err := r.fuel.Charge(in.imm); err != nil {
 				return val{}, err
 			}
-		}
-		// Phi nodes first, evaluated simultaneously.
-		var phiVals []val
-		var phis []*llvm.Instr
-		for _, in := range blk.Instrs {
-			if in.Op != llvm.OpPhi {
-				break
+		case opJmp:
+			pc = in.a
+		case opCondBr:
+			if regs[in.a].i != 0 {
+				pc = in.b
+			} else {
+				pc = in.c
 			}
-			idx := -1
-			for i, b := range in.Blocks {
-				if b == prev {
-					idx = i
-					break
-				}
+		case opRet:
+			if in.a < 0 {
+				return val{}, nil
 			}
-			if idx < 0 {
-				return val{}, fmt.Errorf("interp: phi in %%%s has no incoming for %%%s",
-					blk.Name, blockName(prev))
+			return regs[in.a], nil
+		case opMov:
+			regs[in.dst] = regs[in.a]
+		case opMark:
+			defd[in.imm] = true
+		case opCheck:
+			if !defd[in.imm] {
+				return val{}, f.fail(pc-1, trapf(TrapUndef, "use of undefined value %s", f.undef[in.imm]))
 			}
-			v, err := mc.eval(env, in.Args[idx])
+		case opError:
+			return val{}, f.fail(pc-1, f.errs[in.c])
+
+		case opAdd:
+			regs[in.dst] = val{i: (regs[in.a].i + regs[in.b].i) << in.sub >> in.sub}
+		case opSub:
+			regs[in.dst] = val{i: (regs[in.a].i - regs[in.b].i) << in.sub >> in.sub}
+		case opMul:
+			regs[in.dst] = val{i: (regs[in.a].i * regs[in.b].i) << in.sub >> in.sub}
+		case opSDiv:
+			d := regs[in.b].i
+			if d == 0 {
+				return val{}, f.fail(pc-1, trapf(TrapDivZero, "sdiv by zero"))
+			}
+			regs[in.dst] = val{i: (regs[in.a].i / d) << in.sub >> in.sub}
+		case opSRem:
+			d := regs[in.b].i
+			if d == 0 {
+				return val{}, f.fail(pc-1, trapf(TrapDivZero, "srem by zero"))
+			}
+			regs[in.dst] = val{i: (regs[in.a].i % d) << in.sub >> in.sub}
+		case opAnd:
+			regs[in.dst] = val{i: (regs[in.a].i & regs[in.b].i) << in.sub >> in.sub}
+		case opOr:
+			regs[in.dst] = val{i: (regs[in.a].i | regs[in.b].i) << in.sub >> in.sub}
+		case opXor:
+			regs[in.dst] = val{i: (regs[in.a].i ^ regs[in.b].i) << in.sub >> in.sub}
+		case opShl:
+			regs[in.dst] = val{i: (regs[in.a].i << uint(regs[in.b].i)) << in.sub >> in.sub}
+		case opLShr:
+			u := uint64(regs[in.a].i) & uint64(in.imm)
+			regs[in.dst] = val{i: int64(u>>uint(regs[in.b].i)) << in.sub >> in.sub}
+		case opAShr:
+			regs[in.dst] = val{i: (regs[in.a].i >> uint(regs[in.b].i)) << in.sub >> in.sub}
+
+		case opFAdd32:
+			regs[in.dst] = val{f: float64(float32(regs[in.a].f + regs[in.b].f))}
+		case opFAdd64:
+			regs[in.dst] = val{f: regs[in.a].f + regs[in.b].f}
+		case opFSub32:
+			regs[in.dst] = val{f: float64(float32(regs[in.a].f - regs[in.b].f))}
+		case opFSub64:
+			regs[in.dst] = val{f: regs[in.a].f - regs[in.b].f}
+		case opFMul32:
+			regs[in.dst] = val{f: float64(float32(regs[in.a].f * regs[in.b].f))}
+		case opFMul64:
+			regs[in.dst] = val{f: regs[in.a].f * regs[in.b].f}
+		case opFDiv32:
+			regs[in.dst] = val{f: float64(float32(regs[in.a].f / regs[in.b].f))}
+		case opFDiv64:
+			regs[in.dst] = val{f: regs[in.a].f / regs[in.b].f}
+		case opFNeg:
+			regs[in.dst] = val{f: -regs[in.a].f}
+
+		case opICmp:
+			regs[in.dst] = val{i: b2i(icmp(in.sub, regs[in.a].i, regs[in.b].i))}
+		case opFCmp:
+			regs[in.dst] = val{i: b2i(fcmp(in.sub, regs[in.a].f, regs[in.b].f))}
+		case opSelect:
+			if regs[in.a].i != 0 {
+				regs[in.dst] = regs[in.b]
+			} else {
+				regs[in.dst] = regs[in.c]
+			}
+		case opSelectChecked:
+			// imm packs the tracked index+1 of the true (high half) and
+			// false (low half) arm; 0 means the arm needs no check.
+			arm, k := in.c, in.imm&0xffffffff
+			if regs[in.a].i != 0 {
+				arm, k = in.b, in.imm>>32
+			}
+			if k != 0 && !defd[k-1] {
+				return val{}, f.fail(pc-1, trapf(TrapUndef, "use of undefined value %s", f.undef[k-1]))
+			}
+			regs[in.dst] = regs[arm]
+
+		case opZExt:
+			regs[in.dst] = val{i: regs[in.a].i & in.imm}
+		case opIntOnly:
+			regs[in.dst] = val{i: regs[in.a].i}
+		case opTrunc:
+			regs[in.dst] = val{i: regs[in.a].i << in.sub >> in.sub}
+		case opSIToFP32:
+			regs[in.dst] = val{f: float64(float32(float64(regs[in.a].i)))}
+		case opSIToFP64:
+			regs[in.dst] = val{f: float64(regs[in.a].i)}
+		case opFPToSI:
+			regs[in.dst] = val{i: int64(regs[in.a].f)}
+		case opFRound32:
+			regs[in.dst] = val{f: float64(float32(regs[in.a].f))}
+		case opFloatOnly:
+			regs[in.dst] = val{f: regs[in.a].f}
+
+		case opAlloca:
+			regs[in.dst] = val{mem: NewMem(in.imm)}
+		case opGEP:
+			base := regs[in.a]
+			if base.mem == nil {
+				return val{}, f.fail(pc-1, trapf(TrapNilPtr, "gep on non-pointer value"))
+			}
+			off := base.off + in.imm
+			for _, s := range steps[in.b : in.b+in.c] {
+				off += regs[s.slot].i * s.stride
+			}
+			regs[in.dst] = val{mem: base.mem, off: off}
+		case opLoad:
+			v, err := load(regs[in.a], in)
+			if err == nil && in.sub == memBad {
+				err = f.errs[in.c]
+			}
 			if err != nil {
-				return val{}, err
+				return val{}, f.fail(pc-1, err)
 			}
-			phis = append(phis, in)
-			phiVals = append(phiVals, v)
-		}
-		for i, p := range phis {
-			env[p] = phiVals[i]
-			if mc.Observe != nil {
-				mc.Observe(p, phiVals[i].i)
+			regs[in.dst] = v
+		case opStore:
+			err := store(regs[in.b], in, regs[in.a])
+			if err == nil && (in.sub == memBad || in.sub == memPtr) {
+				err = f.errs[in.c]
 			}
-		}
-
-		for _, in := range blk.Instrs[len(phis):] {
-			mc.Fuel--
-			if mc.Fuel < 0 {
-				return val{}, ErrFuel
-			}
-			switch in.Op {
-			case llvm.OpBr:
-				prev, blk = blk, in.Blocks[0]
-			case llvm.OpCondBr:
-				c, err := mc.eval(env, in.Args[0])
-				if err != nil {
-					return val{}, err
-				}
-				if c.i != 0 {
-					prev, blk = blk, in.Blocks[0]
-				} else {
-					prev, blk = blk, in.Blocks[1]
-				}
-			case llvm.OpRet:
-				if len(in.Args) == 0 {
-					return val{}, nil
-				}
-				return mc.eval(env, in.Args[0])
-			case llvm.OpUnreachable:
-				return val{}, trapf(TrapUnreachable, "reached unreachable in @%s", f.Name)
-			default:
-				v, err := mc.exec(env, in, depth)
-				if err != nil {
-					return val{}, fmt.Errorf("in @%s %%%s: %w", f.Name, in.Name, err)
-				}
-				if in.HasResult() {
-					env[in] = v
-					if mc.Observe != nil {
-						mc.Observe(in, v.i)
-					}
-				}
-			}
-			if in.IsTerminator() {
-				break
-			}
-		}
-		if blk == nil {
-			return val{}, fmt.Errorf("interp: fell off block")
-		}
-	}
-}
-
-func blockName(b *llvm.Block) string {
-	if b == nil {
-		return "<nil>"
-	}
-	return b.Name
-}
-
-func (mc *Machine) eval(env map[llvm.Value]val, v llvm.Value) (val, error) {
-	switch c := v.(type) {
-	case *llvm.ConstInt:
-		return val{i: c.Val}, nil
-	case *llvm.ConstFloat:
-		return val{f: c.Val}, nil
-	case *llvm.Undef:
-		return val{}, nil
-	}
-	x, ok := env[v]
-	if !ok {
-		return val{}, trapf(TrapUndef, "use of undefined value %s", v.Ident())
-	}
-	return x, nil
-}
-
-func (mc *Machine) exec(env map[llvm.Value]val, in *llvm.Instr, depth int) (val, error) {
-	ev := func(i int) (val, error) { return mc.eval(env, in.Args[i]) }
-
-	switch in.Op {
-	case llvm.OpAdd, llvm.OpSub, llvm.OpMul, llvm.OpSDiv, llvm.OpSRem,
-		llvm.OpAnd, llvm.OpOr, llvm.OpXor, llvm.OpShl, llvm.OpLShr, llvm.OpAShr:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		var x int64
-		switch in.Op {
-		case llvm.OpAdd:
-			x = l.i + r.i
-		case llvm.OpSub:
-			x = l.i - r.i
-		case llvm.OpMul:
-			x = l.i * r.i
-		case llvm.OpSDiv:
-			if r.i == 0 {
-				return val{}, trapf(TrapDivZero, "sdiv by zero")
-			}
-			x = l.i / r.i
-		case llvm.OpSRem:
-			if r.i == 0 {
-				return val{}, trapf(TrapDivZero, "srem by zero")
-			}
-			x = l.i % r.i
-		case llvm.OpAnd:
-			x = l.i & r.i
-		case llvm.OpOr:
-			x = l.i | r.i
-		case llvm.OpXor:
-			x = l.i ^ r.i
-		case llvm.OpShl:
-			x = l.i << uint(r.i)
-		case llvm.OpLShr:
-			// Logical shift acts on the type-width unsigned value: clear the
-			// sign-extended high bits first, then shift in zeros.
-			u := uint64(l.i)
-			if t := in.Ty; t != nil && t.IsInt() && t.Bits < 64 {
-				u &= (uint64(1) << uint(t.Bits)) - 1
-			}
-			x = int64(u >> uint(r.i))
-		case llvm.OpAShr:
-			x = l.i >> uint(r.i)
-		}
-		return val{i: truncInt(x, in.Ty)}, nil
-
-	case llvm.OpFAdd, llvm.OpFSub, llvm.OpFMul, llvm.OpFDiv:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		var x float64
-		switch in.Op {
-		case llvm.OpFAdd:
-			x = l.f + r.f
-		case llvm.OpFSub:
-			x = l.f - r.f
-		case llvm.OpFMul:
-			x = l.f * r.f
-		case llvm.OpFDiv:
-			x = l.f / r.f
-		}
-		return val{f: roundFP(x, in.Ty)}, nil
-
-	case llvm.OpFNeg:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{f: -x.f}, nil
-
-	case llvm.OpICmp:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: b2i(icmp(in.Pred, l.i, r.i))}, nil
-
-	case llvm.OpFCmp:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: b2i(fcmp(in.Pred, l.f, r.f))}, nil
-
-	case llvm.OpSelect:
-		c, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		if c.i != 0 {
-			return ev(1)
-		}
-		return ev(2)
-
-	case llvm.OpZExt:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		// Zero-extension must clear high bits of the (sign-represented)
-		// source value.
-		if t := in.Args[0].Type(); t.IsInt() && t.Bits < 64 {
-			x.i &= (int64(1) << uint(t.Bits)) - 1
-		}
-		return val{i: x.i}, nil
-
-	case llvm.OpSExt:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: x.i}, nil
-
-	case llvm.OpTrunc:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: truncInt(x.i, in.Ty)}, nil
-
-	case llvm.OpSIToFP:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{f: roundFP(float64(x.i), in.Ty)}, nil
-
-	case llvm.OpFPToSI:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: int64(x.f)}, nil
-
-	case llvm.OpFPExt:
-		return ev(0)
-
-	case llvm.OpFPTrunc:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{f: roundFP(x.f, in.Ty)}, nil
-
-	case llvm.OpBitcast, llvm.OpIntToPtr, llvm.OpPtrToInt:
-		return ev(0)
-
-	case llvm.OpAlloca:
-		return val{mem: NewMem(in.SrcElem.SizeBytes())}, nil
-
-	case llvm.OpGEP:
-		base, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		if base.mem == nil {
-			return val{}, trapf(TrapNilPtr, "gep on non-pointer value")
-		}
-		off := base.off
-		t := in.SrcElem
-		for k := 1; k < len(in.Args); k++ {
-			idx, err := ev(k)
 			if err != nil {
-				return val{}, err
+				return val{}, f.fail(pc-1, err)
 			}
-			if k == 1 {
-				off += idx.i * t.SizeBytes()
-				continue
+
+		case opCall:
+			callee := &r.p.funcs[in.a]
+			frame := make([]val, callee.nslots)
+			for k, s := range f.args[in.b : in.b+int32(callee.nparams)] {
+				frame[k] = regs[s]
 			}
-			switch {
-			case t.IsArray():
-				t = t.Elem
-				off += idx.i * t.SizeBytes()
-			case t.IsStruct():
-				fi := idx.i
-				for j := int64(0); j < fi; j++ {
-					off += t.Fields[j].SizeBytes()
-				}
-				t = t.Fields[fi]
-			default:
-				return val{}, fmt.Errorf("gep steps through scalar type")
+			v, err := r.call(in.a, frame, depth+1)
+			if err != nil {
+				return val{}, f.fail(pc-1, err)
+			}
+			regs[in.dst] = v
+		case opSqrt64:
+			regs[in.dst] = val{f: math.Sqrt(regs[in.a].f)}
+		case opSqrt32:
+			regs[in.dst] = val{f: float64(float32(math.Sqrt(regs[in.a].f)))}
+		case opExp64:
+			regs[in.dst] = val{f: math.Exp(regs[in.a].f)}
+		case opExp32:
+			regs[in.dst] = val{f: float64(float32(math.Exp(regs[in.a].f)))}
+		case opFma64:
+			regs[in.dst] = val{f: regs[in.a].f*regs[in.b].f + regs[in.c].f}
+		case opFma32:
+			regs[in.dst] = val{f: float64(float32(regs[in.a].f*regs[in.b].f + regs[in.c].f))}
+		case opFabs64:
+			regs[in.dst] = val{f: math.Abs(regs[in.a].f)}
+		case opFabs32:
+			regs[in.dst] = val{f: float64(float32(math.Abs(regs[in.a].f)))}
+		case opMalloc:
+			regs[in.dst] = val{mem: NewMem(regs[in.a].i)}
+		case opNop:
+			regs[in.dst] = val{}
+		case opMemset:
+			p, n := regs[in.a], regs[in.c].i
+			name := memIntrinsicNames[in.sub]
+			if p.mem == nil {
+				return val{}, f.fail(pc-1, trapf(TrapNilPtr, "%s through nil pointer", name))
+			}
+			if p.off < 0 || p.off+n > int64(len(p.mem.Bytes)) {
+				return val{}, f.fail(pc-1, trapf(TrapOOB, "%s out of bounds (off %d, n %d, alloc %d)", name, p.off, n, len(p.mem.Bytes)))
+			}
+			b := byte(regs[in.b].i)
+			for i := int64(0); i < n; i++ {
+				p.mem.Bytes[p.off+i] = b
+			}
+			regs[in.dst] = val{}
+		case opMemcpy:
+			dst, src, n := regs[in.a], regs[in.b], regs[in.c].i
+			name := memIntrinsicNames[in.sub]
+			if dst.mem == nil || src.mem == nil {
+				return val{}, f.fail(pc-1, trapf(TrapNilPtr, "%s through nil pointer", name))
+			}
+			if dst.off < 0 || dst.off+n > int64(len(dst.mem.Bytes)) ||
+				src.off < 0 || src.off+n > int64(len(src.mem.Bytes)) {
+				return val{}, f.fail(pc-1, trapf(TrapOOB, "%s out of bounds (n %d)", name, n))
+			}
+			copy(dst.mem.Bytes[dst.off:dst.off+n], src.mem.Bytes[src.off:src.off+n])
+			regs[in.dst] = val{}
+		default:
+			panic(fmt.Sprintf("interp: unknown program opcode %d", in.op))
+		}
+		if srcs != nil && in.dst >= 0 {
+			if src := srcs[in.dst]; src != nil {
+				r.obs(src, regs[in.dst].i)
 			}
 		}
-		return val{mem: base.mem, off: off}, nil
-
-	case llvm.OpLoad:
-		p, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return loadTyped(p, in.SrcElem)
-
-	case llvm.OpStore:
-		v, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		p, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		return val{}, storeTyped(p, in.Args[0].Type(), v)
-
-	case llvm.OpExtractValue:
-		// Aggregates are modeled as pointers here; extractvalue appears only
-		// in descriptor manipulation which the flows do not execute.
-		return val{}, fmt.Errorf("extractvalue is not executable in this model")
-
-	case llvm.OpCall:
-		return mc.execCall(env, in, depth)
-
-	case llvm.OpPhi:
-		return val{}, fmt.Errorf("phi executed out of order")
 	}
-	return val{}, fmt.Errorf("unsupported opcode %s", in.Op)
 }
 
-func (mc *Machine) execCall(env map[llvm.Value]val, in *llvm.Instr, depth int) (val, error) {
-	args := make([]val, len(in.Args))
-	for i := range in.Args {
-		v, err := mc.eval(env, in.Args[i])
-		if err != nil {
-			return val{}, err
-		}
-		args[i] = v
-	}
-	switch in.Callee {
-	case "llvm.sqrt.f64", "sqrt":
-		return val{f: math.Sqrt(args[0].f)}, nil
-	case "llvm.sqrt.f32", "sqrtf":
-		return val{f: float64(float32(math.Sqrt(args[0].f)))}, nil
-	case "llvm.exp.f64", "exp":
-		return val{f: math.Exp(args[0].f)}, nil
-	case "llvm.exp.f32", "expf":
-		return val{f: float64(float32(math.Exp(args[0].f)))}, nil
-	case "llvm.fmuladd.f64", "fma":
-		return val{f: args[0].f*args[1].f + args[2].f}, nil
-	case "llvm.fmuladd.f32", "fmaf":
-		return val{f: float64(float32(args[0].f*args[1].f + args[2].f))}, nil
-	case "llvm.fabs.f64", "fabs":
-		return val{f: math.Abs(args[0].f)}, nil
-	case "llvm.fabs.f32", "fabsf":
-		return val{f: float64(float32(math.Abs(args[0].f)))}, nil
-	case "malloc":
-		return val{mem: NewMem(args[0].i)}, nil
-	case "free", "llvm.lifetime.start.p0", "llvm.lifetime.end.p0":
-		return val{}, nil
-	case "llvm.memset.p0.i64", "memset":
-		m, off, n := args[0].mem, args[0].off, args[2].i
-		if m == nil {
-			return val{}, trapf(TrapNilPtr, "%s through nil pointer", in.Callee)
-		}
-		if off < 0 || off+n > int64(len(m.Bytes)) {
-			return val{}, trapf(TrapOOB, "%s out of bounds (off %d, n %d, alloc %d)", in.Callee, off, n, len(m.Bytes))
-		}
-		for i := int64(0); i < n; i++ {
-			m.Bytes[off+i] = byte(args[1].i)
-		}
-		return val{}, nil
-	case "llvm.memcpy.p0.p0.i64", "memcpy":
-		dst, src, n := args[0], args[1], args[2].i
-		if dst.mem == nil || src.mem == nil {
-			return val{}, trapf(TrapNilPtr, "%s through nil pointer", in.Callee)
-		}
-		if dst.off < 0 || dst.off+n > int64(len(dst.mem.Bytes)) ||
-			src.off < 0 || src.off+n > int64(len(src.mem.Bytes)) {
-			return val{}, trapf(TrapOOB, "%s out of bounds (n %d)", in.Callee, n)
-		}
-		copy(dst.mem.Bytes[dst.off:dst.off+n], src.mem.Bytes[src.off:src.off+n])
-		return val{}, nil
-	}
-	callee := mc.Mod.FindFunc(in.Callee)
-	if callee == nil || callee.IsDecl {
-		return val{}, fmt.Errorf("call to unknown function @%s", in.Callee)
-	}
-	return mc.call(callee, args, depth+1)
-}
+// memIntrinsicNames spells the memset/memcpy callee an instruction's sub
+// field selects, for trap details.
+var memIntrinsicNames = [...]string{"llvm.memset.p0.i64", "memset", "llvm.memcpy.p0.p0.i64", "memcpy"}
 
-func loadTyped(p val, t *llvm.Type) (val, error) {
+// load reads the typed value p points at; a memBad kind passes the nil and
+// bounds checks and leaves the error to the caller.
+func load(p val, in *inst) (val, error) {
 	if p.mem == nil {
 		return val{}, trapf(TrapNilPtr, "load through nil pointer")
 	}
-	b := p.mem.Bytes
-	o := p.off
-	if o < 0 || o+t.SizeBytes() > int64(len(b)) {
-		return val{}, trapf(TrapOOB, "load out of bounds (off %d, size %d, alloc %d)", o, t.SizeBytes(), len(b))
+	b, o := p.mem.Bytes, p.off
+	if o < 0 || o+in.imm > int64(len(b)) {
+		return val{}, trapf(TrapOOB, "load out of bounds (off %d, size %d, alloc %d)", o, in.imm, len(b))
 	}
-	switch {
-	case t.Kind == llvm.KindFloat:
+	switch in.sub {
+	case memF32:
 		return val{f: float64(math.Float32frombits(binary.LittleEndian.Uint32(b[o:])))}, nil
-	case t.Kind == llvm.KindDouble:
+	case memF64:
 		return val{f: math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))}, nil
-	case t.IsInt():
-		switch t.SizeBytes() {
-		case 1:
-			return val{i: int64(int8(b[o]))}, nil
-		case 2:
-			return val{i: int64(int16(binary.LittleEndian.Uint16(b[o:])))}, nil
-		case 4:
-			return val{i: int64(int32(binary.LittleEndian.Uint32(b[o:])))}, nil
-		default:
-			return val{i: int64(binary.LittleEndian.Uint64(b[o:]))}, nil
-		}
+	case memI8:
+		return val{i: int64(int8(b[o]))}, nil
+	case memI16:
+		return val{i: int64(int16(binary.LittleEndian.Uint16(b[o:])))}, nil
+	case memI32:
+		return val{i: int64(int32(binary.LittleEndian.Uint32(b[o:])))}, nil
+	case memI64:
+		return val{i: int64(binary.LittleEndian.Uint64(b[o:]))}, nil
 	}
-	return val{}, fmt.Errorf("load of unsupported type %s", t)
+	return val{}, nil
 }
 
-func storeTyped(p val, t *llvm.Type, v val) error {
+// store writes v through p at the instruction's value width; memBad and
+// memPtr kinds pass the nil and bounds checks and write nothing.
+func store(p val, in *inst, v val) error {
 	if p.mem == nil {
 		return trapf(TrapNilPtr, "store through nil pointer")
 	}
-	b := p.mem.Bytes
-	o := p.off
-	if o < 0 || o+t.SizeBytes() > int64(len(b)) {
-		return trapf(TrapOOB, "store out of bounds (off %d, size %d, alloc %d)", o, t.SizeBytes(), len(b))
+	b, o := p.mem.Bytes, p.off
+	if o < 0 || o+in.imm > int64(len(b)) {
+		return trapf(TrapOOB, "store out of bounds (off %d, size %d, alloc %d)", o, in.imm, len(b))
 	}
-	switch {
-	case t.Kind == llvm.KindFloat:
+	switch in.sub {
+	case memF32:
 		binary.LittleEndian.PutUint32(b[o:], math.Float32bits(float32(v.f)))
-		return nil
-	case t.Kind == llvm.KindDouble:
+	case memF64:
 		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(v.f))
-		return nil
-	case t.IsInt():
-		switch t.SizeBytes() {
-		case 1:
-			b[o] = byte(v.i)
-		case 2:
-			binary.LittleEndian.PutUint16(b[o:], uint16(v.i))
-		case 4:
-			binary.LittleEndian.PutUint32(b[o:], uint32(v.i))
-		default:
-			binary.LittleEndian.PutUint64(b[o:], uint64(v.i))
-		}
-		return nil
-	case t.IsPtr():
-		// Pointers are not persisted to memory in this model.
-		return fmt.Errorf("storing pointers to memory is unsupported")
+	case memI8:
+		b[o] = byte(v.i)
+	case memI16:
+		binary.LittleEndian.PutUint16(b[o:], uint16(v.i))
+	case memI32:
+		binary.LittleEndian.PutUint32(b[o:], uint32(v.i))
+	case memI64:
+		binary.LittleEndian.PutUint64(b[o:], uint64(v.i))
 	}
-	return fmt.Errorf("store of unsupported type %s", t)
-}
-
-func truncInt(x int64, t *llvm.Type) int64 {
-	if t == nil || !t.IsInt() || t.Bits >= 64 {
-		return x
-	}
-	shift := uint(64 - t.Bits)
-	return x << shift >> shift
-}
-
-func roundFP(x float64, t *llvm.Type) float64 {
-	if t != nil && t.Kind == llvm.KindFloat {
-		return float64(float32(x))
-	}
-	return x
+	return nil
 }
 
 func b2i(b bool) int64 {
@@ -671,50 +560,48 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func icmp(pred string, l, r int64) bool {
+func icmp(pred uint8, l, r int64) bool {
 	switch pred {
-	case "eq":
+	case predEQ:
 		return l == r
-	case "ne":
+	case predNE:
 		return l != r
-	case "slt":
+	case predSLT:
 		return l < r
-	case "sle":
+	case predSLE:
 		return l <= r
-	case "sgt":
+	case predSGT:
 		return l > r
-	case "sge":
+	case predSGE:
 		return l >= r
-	case "ult":
+	case predULT:
 		return uint64(l) < uint64(r)
-	case "ule":
+	case predULE:
 		return uint64(l) <= uint64(r)
-	case "ugt":
+	case predUGT:
 		return uint64(l) > uint64(r)
-	case "uge":
+	default: // predUGE; the compiler admits no other predicate
 		return uint64(l) >= uint64(r)
 	}
-	return false
 }
 
-func fcmp(pred string, l, r float64) bool {
+func fcmp(pred uint8, l, r float64) bool {
 	switch pred {
-	case "oeq":
+	case predOEQ:
 		return l == r
-	case "one":
+	case predONE:
 		return l != r
-	case "olt":
+	case predOLT:
 		return l < r
-	case "ole":
+	case predOLE:
 		return l <= r
-	case "ogt":
+	case predOGT:
 		return l > r
-	case "oge":
+	case predOGE:
 		return l >= r
-	case "ord":
+	case predORD:
 		return !math.IsNaN(l) && !math.IsNaN(r)
-	case "uno":
+	default: // predUNO; the compiler admits no other predicate
 		return math.IsNaN(l) || math.IsNaN(r)
 	}
-	return false
 }

@@ -5,6 +5,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 )
 
 type tokKind int
@@ -80,13 +81,32 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{tMDRef, readName(), line})
 		case c == '"':
-			i++
+			// Attribute strings are printed Go-quoted (%q), so a value may
+			// carry backslash escapes; the string ends at the first
+			// unescaped quote and decodes with the inverse of the printer.
 			start := i
+			i++
+			escaped := false
 			for i < n && src[i] != '"' {
+				if src[i] == '\\' {
+					escaped = true
+					i++
+				}
 				i++
 			}
-			toks = append(toks, token{tString, src[start:i], line})
+			if i >= n {
+				return nil, fmt.Errorf("llvm parser: line %d: unterminated string", line)
+			}
 			i++
+			text := src[start+1 : i-1]
+			if escaped {
+				s, err := strconv.Unquote(src[start:i])
+				if err != nil {
+					return nil, fmt.Errorf("llvm parser: line %d: bad string %s: %v", line, src[start:i], err)
+				}
+				text = s
+			}
+			toks = append(toks, token{tString, text, line})
 		case isLetter(c):
 			toks = append(toks, token{tIdent, readName(), line})
 		case isDigit(c) || (c == '-' && i+1 < n && isDigit(src[i+1])):

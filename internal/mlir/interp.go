@@ -1,9 +1,13 @@
 package mlir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/llvm/interp"
 )
 
 // ErrFuel is returned when an interpretation exceeds its step budget —
@@ -39,28 +43,6 @@ func NewMemBuf(ty *Type) *MemBuf {
 	return b
 }
 
-// linearIndex converts multi-dimensional indices to a row-major offset.
-func (b *MemBuf) linearIndex(idxs []int64) (int64, error) {
-	if len(idxs) != len(b.Ty.Shape) {
-		return 0, fmt.Errorf("index rank %d != memref rank %d", len(idxs), len(b.Ty.Shape))
-	}
-	off := int64(0)
-	for i, x := range idxs {
-		if x < 0 || x >= b.Ty.Shape[i] {
-			return 0, fmt.Errorf("index %d out of bounds [0,%d) in dim %d", x, b.Ty.Shape[i], i)
-		}
-		off = off*b.Ty.Shape[i] + x
-	}
-	return off, nil
-}
-
-// interpVal is a dynamically-typed interpreter value.
-type interpVal struct {
-	i   int64
-	f   float64
-	buf *MemBuf
-}
-
 // Interpret executes the named function on the given memref arguments,
 // mutating them in place. Scalar arguments and results are not supported
 // (the HLS kernels communicate exclusively through memrefs). Both
@@ -73,374 +55,834 @@ func (m *Module) Interpret(funcName string, args ...*MemBuf) error {
 // InterpretWithFuel is Interpret with an explicit step budget; exceeding
 // it returns an error satisfying errors.Is(err, ErrFuel).
 func (m *Module) InterpretWithFuel(funcName string, fuel int64, args ...*MemBuf) error {
+	p, err := m.Compile(funcName)
+	if err != nil {
+		return err
+	}
+	return p.Run(context.TODO(), fuel, args...)
+}
+
+// Program is a function compiled for execution. It is made only of plain
+// values: ops become instructions over dense value slots, predicates are
+// enums, float element widths are resolved, affine maps are flattened into
+// slot arithmetic, structured loops into counted jumps, and cf branches
+// into moves onto their successors' block arguments. Two programs that
+// compare Equal execute identically on identical buffers.
+type Program struct {
+	args   []*Type // entry ABI: the argument types
+	nslots int32
+	code   []minst
+	idx    []int32  // index slot lists of loads and stores
+	consts []mconst // affine constants, loaded before the run
+	types  []*Type  // allocation types
+
+	// Diagnostics only; never part of program identity.
+	name string
+	errs []error
+}
+
+// Equal reports whether p and q execute identically: the same code, slots,
+// constants (floats by bit pattern), allocation types and argument types.
+// Attributes the interpreter never reads (hls.* directives) and value names
+// never reach a program.
+func (p *Program) Equal(q *Program) bool {
+	if p == q {
+		return true
+	}
+	return p != nil && q != nil && p.nslots == q.nslots &&
+		slices.EqualFunc(p.args, q.args, (*Type).Equal) &&
+		slices.Equal(p.code, q.code) && slices.Equal(p.idx, q.idx) &&
+		slices.Equal(p.consts, q.consts) && slices.EqualFunc(p.types, q.types, (*Type).Equal)
+}
+
+type mop uint8
+
+const (
+	mCharge  mop = iota // charge imm fuel
+	mJmp                // pc = a
+	mBrFalse            // pc = b if regs[a].i == 0
+	mCondBr             // pc = b if regs[a].i != 0 else c
+	mRet
+	mMov   // regs[dst] = regs[a]
+	mError // fail with errs[c]
+
+	mConstI // {i: imm}
+	mConstF // {f: bits imm}
+	mAddI
+	mSubI
+	mMulI
+	mDivSI
+	mRemSI
+	mMinSI
+	mMaxSI
+	mAddImm // affine arithmetic against a constant: {i: a op imm}
+	mMulImm
+	mModImm
+	mFloorDivImm
+	mCeilDivImm
+	mMod // affine arithmetic between slots
+	mFloorDiv
+	mCeilDiv
+
+	mAddF32
+	mAddF64
+	mSubF32
+	mSubF64
+	mMulF32
+	mMulF64
+	mDivF32
+	mDivF64
+	mNegF
+	mSqrt
+	mExp32
+	mExp64
+	mCmpI // sub: predicate
+	mCmpF
+	mSelect
+	mIntOnly   // {i}
+	mSIToFP    // {f: float64(i)}
+	mFPToSI    // {i: int64(f)}
+	mTruncF32  // {f rounded to f32}
+	mFloatOnly // {f}
+	mAlloc     // buffer of types[c]
+	mLoad      // dst ← memref b at indices idx[c:c+imm]; sub: op name
+	mStore     // value a → memref b at indices idx[c:c+imm]; sub: op name
+	mLoop      // counter a < bound b: iv dst = counter, charge imm; else pc = c
+	mNextImm   // counter a += imm; pc = b
+	mNext      // counter a += regs[c].i; pc = b
+	mCheckStep // trap unless regs[a].i > 0
+)
+
+// Predicates.
+const (
+	pEQ uint8 = iota
+	pNE
+	pSLT
+	pSLE
+	pSGT
+	pSGE
+)
+
+const (
+	pOEQ uint8 = iota
+	pONE
+	pOLT
+	pOLE
+	pOGT
+	pOGE
+)
+
+var intPreds = map[string]uint8{PredEQ: pEQ, PredNE: pNE, PredSLT: pSLT, PredSLE: pSLE, PredSGT: pSGT, PredSGE: pSGE}
+
+var floatPreds = map[string]uint8{PredOEQ: pOEQ, PredONE: pONE, PredOLT: pOLT, PredOLE: pOLE, PredOGT: pOGT, PredOGE: pOGE}
+
+// accessNames spells a load or store instruction's op for diagnostics.
+var accessNames = [...]string{OpLoad, OpStore, OpAffineLoad, OpAffineStore}
+
+// minst is one program instruction.
+type minst struct {
+	op           mop
+	sub          uint8
+	dst, a, b, c int32
+	imm          int64
+}
+
+// mconst is an integer constant loaded into its slot before the run.
+type mconst struct {
+	slot int32
+	v    int64
+}
+
+// interpVal is a dynamically-typed interpreter value.
+type interpVal struct {
+	i   int64
+	f   float64
+	buf *MemBuf
+}
+
+// Compile compiles the named function. It fails only when the function or
+// its body does not exist; an op the interpreter cannot execute compiles
+// to an instruction that reports the error when it is reached.
+func (m *Module) Compile(funcName string) (*Program, error) {
 	f := m.FindFunc(funcName)
 	if f == nil {
-		return fmt.Errorf("interp: function %q not found", funcName)
+		return nil, fmt.Errorf("interp: function %q not found", funcName)
 	}
 	body := FuncBody(f)
-	if len(args) != len(body.Args) {
-		return fmt.Errorf("interp: %q takes %d args, got %d", funcName, len(body.Args), len(args))
+	if body == nil {
+		return nil, fmt.Errorf("interp: function %q has no body", funcName)
 	}
-	env := map[*Value]interpVal{}
-	for i, a := range body.Args {
-		if !a.Type().IsMemRef() {
-			return fmt.Errorf("interp: argument %d is not a memref", i)
-		}
-		if !a.Type().Equal(args[i].Ty) {
-			return fmt.Errorf("interp: argument %d type mismatch: %s vs %s", i, a.Type(), args[i].Ty)
-		}
-		env[a] = interpVal{buf: args[i]}
+	// Size the tables once: an op defines about one slot and compiles to
+	// about one instruction.
+	n := countOps(f)
+	c := &compiler{p: &Program{name: funcName, code: make([]minst, 0, n+n/2)},
+		slots: make(map[*Value]int32, n), consts: map[int64]int32{}}
+	for _, a := range body.Args {
+		c.p.args = append(c.p.args, a.Type())
+		c.slot(a)
 	}
-	it := &interpreter{m: m, env: env, fuel: fuel}
-	if len(f.Regions[0].Blocks) == 1 {
-		return it.runBlock(body)
+	if blocks := f.Regions[0].Blocks; len(blocks) == 1 {
+		c.charge(len(body.Ops))
+		c.ops(body.Ops)
+		c.emit(minst{op: mRet})
+	} else {
+		c.cfg(blocks)
 	}
-	return it.runCF(f.Regions[0].Blocks)
+	return c.p, nil
 }
 
-type interpreter struct {
-	m    *Module
-	env  map[*Value]interpVal
-	fuel int64
-}
-
-// runCF executes a cf-lowered multi-block function body: straight-line ops
-// run in order, and branch terminators transfer control, binding their
-// operands to the successor's block arguments (the SSA form of phi nodes).
-func (it *interpreter) runCF(blocks []*Block) error {
-	cur := blocks[0]
-	for {
-		n := len(cur.Ops)
-		if n == 0 {
-			return fmt.Errorf("interp: block without terminator")
-		}
-		for _, op := range cur.Ops[:n-1] {
-			if err := it.runOp(op); err != nil {
-				return err
+// countOps counts the ops nested in op.
+func countOps(op *Op) int {
+	n := 0
+	for _, r := range op.Regions {
+		for _, b := range r.Blocks {
+			n += len(b.Ops)
+			for _, o := range b.Ops {
+				if len(o.Regions) > 0 {
+					n += countOps(o)
+				}
 			}
 		}
-		term := cur.Ops[n-1]
-		if it.fuel--; it.fuel < 0 {
-			return ErrFuel
-		}
-		switch term.Name {
-		case OpReturn:
-			return nil
-		case OpBr:
-			if len(term.Succs) != 1 {
-				return fmt.Errorf("interp: cf.br with %d successors", len(term.Succs))
-			}
-			it.bindBlockArgs(term.Succs[0], term.Operands)
-			cur = term.Succs[0]
-		case OpCondBr:
-			if len(term.Succs) != 2 {
-				return fmt.Errorf("interp: cf.cond_br with %d successors", len(term.Succs))
-			}
-			tc, _ := term.IntAttr(AttrTrueCount)
-			fc, _ := term.IntAttr(AttrFalseCount)
-			if int64(len(term.Operands)) != 1+tc+fc {
-				return fmt.Errorf("interp: cf.cond_br operand segments disagree with operand count")
-			}
-			if it.intVal(term.Operands[0]) != 0 {
-				it.bindBlockArgs(term.Succs[0], term.Operands[1:1+tc])
-				cur = term.Succs[0]
-			} else {
-				it.bindBlockArgs(term.Succs[1], term.Operands[1+tc:])
-				cur = term.Succs[1]
-			}
-		default:
-			return fmt.Errorf("interp: unsupported cf terminator %s", term.Name)
-		}
+	}
+	return n
+}
+
+// compiler builds one Program.
+type compiler struct {
+	p      *Program
+	slots  map[*Value]int32
+	consts map[int64]int32
+}
+
+// slot returns v's value slot, allocating it on first sight.
+func (c *compiler) slot(v *Value) int32 {
+	if s, ok := c.slots[v]; ok {
+		return s
+	}
+	s := c.fresh()
+	c.slots[v] = s
+	return s
+}
+
+// fresh allocates an anonymous slot.
+func (c *compiler) fresh() int32 {
+	c.p.nslots++
+	return c.p.nslots - 1
+}
+
+// constant returns a slot preloaded with v.
+func (c *compiler) constant(v int64) int32 {
+	if s, ok := c.consts[v]; ok {
+		return s
+	}
+	s := c.fresh()
+	c.consts[v] = s
+	c.p.consts = append(c.p.consts, mconst{slot: s, v: v})
+	return s
+}
+
+func (c *compiler) pc() int32 { return int32(len(c.p.code)) }
+
+func (c *compiler) emit(in minst) int32 {
+	c.p.code = append(c.p.code, in)
+	return c.pc() - 1
+}
+
+// fail emits an instruction that fails with err when reached.
+func (c *compiler) fail(format string, args ...any) {
+	c.p.errs = append(c.p.errs, fmt.Errorf(format, args...))
+	c.emit(minst{op: mError, c: int32(len(c.p.errs) - 1)})
+}
+
+// charge emits the fuel cost of n ops.
+func (c *compiler) charge(n int) {
+	if n > 0 {
+		c.emit(minst{op: mCharge, imm: int64(n)})
 	}
 }
 
-// bindBlockArgs copies branch operand values into the successor's block
-// arguments. Values are snapshotted before any argument is overwritten so
-// a branch whose operands read the target's current arguments (a loop
-// latch) binds from the pre-branch state.
-func (it *interpreter) bindBlockArgs(dst *Block, operands []*Value) {
-	vals := make([]interpVal, len(operands))
-	for i, v := range operands {
-		vals[i] = it.val(v)
+func (c *compiler) ops(ops []*Op) {
+	for _, op := range ops {
+		c.op(op)
 	}
-	for i, a := range dst.Args {
-		if i < len(vals) {
-			it.env[a] = vals[i]
+}
+
+// shape lists, per op, the operand and result counts the interpreter
+// reads; an op with fewer compiles to an error.
+var shape = map[string][2]int{
+	OpConstant: {0, 1}, OpAddI: {2, 1}, OpSubI: {2, 1}, OpMulI: {2, 1}, OpDivSI: {2, 1}, OpRemSI: {2, 1},
+	OpMinSI: {2, 1}, OpMaxSI: {2, 1}, OpAddF: {2, 1}, OpSubF: {2, 1}, OpMulF: {2, 1}, OpDivF: {2, 1},
+	OpNegF: {1, 1}, OpMathSqrt: {1, 1}, OpMathExp: {1, 1}, OpCmpI: {2, 1}, OpCmpF: {2, 1}, OpSelect: {3, 1},
+	OpIndexCast: {1, 1}, OpSIToFP: {1, 1}, OpFPToSI: {1, 1}, OpExtF: {1, 1}, OpTruncF: {1, 1},
+	OpAlloc: {0, 1}, OpAlloca: {0, 1}, OpLoad: {1, 1}, OpStore: {2, 0}, OpAffineLoad: {1, 1},
+	OpAffineStore: {2, 0}, OpAffineApply: {0, 1}, OpSCFFor: {3, 0}, OpSCFIf: {1, 0},
+}
+
+var intOps = map[string]mop{OpAddI: mAddI, OpSubI: mSubI, OpMulI: mMulI, OpDivSI: mDivSI, OpRemSI: mRemSI, OpMinSI: mMinSI, OpMaxSI: mMaxSI}
+
+var floatOps = map[string][2]mop{OpAddF: {mAddF64, mAddF32}, OpSubF: {mSubF64, mSubF32}, OpMulF: {mMulF64, mMulF32}, OpDivF: {mDivF64, mDivF32}}
+
+// isF32 reports whether results of type t round to single precision.
+func isF32(t *Type) bool { return t != nil && t.IsFloat() && t.Width == 32 }
+
+// op compiles one op of a structured block.
+func (c *compiler) op(op *Op) {
+	if n, ok := shape[op.Name]; ok && (len(op.Operands) < n[0] || len(op.Results) < n[1]) {
+		c.fail("interp: %s with %d operands and %d results", op.Name, len(op.Operands), len(op.Results))
+		return
+	}
+	operand := func(i int) int32 { return c.slot(op.Operands[i]) }
+	result := func() int32 { return c.slot(op.Results[0]) }
+	unary := func(o mop) { c.emit(minst{op: o, dst: result(), a: operand(0)}) }
+	if o, ok := intOps[op.Name]; ok {
+		c.emit(minst{op: o, dst: result(), a: operand(0), b: operand(1)})
+		return
+	}
+	if pair, ok := floatOps[op.Name]; ok {
+		o := pair[0]
+		if isF32(op.Results[0].Type()) {
+			o = pair[1]
 		}
-	}
-}
-
-func (it *interpreter) val(v *Value) interpVal { return it.env[v] }
-
-func (it *interpreter) intVal(v *Value) int64 { return it.env[v].i }
-
-func (it *interpreter) runBlock(b *Block) error {
-	for _, op := range b.Ops {
-		if err := it.runOp(op); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (it *interpreter) evalMap(m *AffineMap, operands []*Value) []int64 {
-	vals := make([]int64, len(operands))
-	for i, v := range operands {
-		vals[i] = it.intVal(v)
-	}
-	return m.Eval(vals[:m.NumDims], vals[m.NumDims:])
-}
-
-func (it *interpreter) runOp(op *Op) error {
-	if it.fuel--; it.fuel < 0 {
-		return ErrFuel
+		c.emit(minst{op: o, dst: result(), a: operand(0), b: operand(1)})
+		return
 	}
 	switch op.Name {
 	case OpConstant:
 		switch a := op.Attrs[AttrValue].(type) {
 		case IntAttr:
-			it.env[op.Result(0)] = interpVal{i: a.Value}
+			c.emit(minst{op: mConstI, dst: result(), imm: a.Value})
 		case FloatAttr:
-			it.env[op.Result(0)] = interpVal{f: a.Value}
+			c.emit(minst{op: mConstF, dst: result(), imm: int64(math.Float64bits(a.Value))})
 		}
-		return nil
-
-	case OpAddI, OpSubI, OpMulI, OpDivSI, OpRemSI, OpMinSI, OpMaxSI:
-		l, r := it.intVal(op.Operands[0]), it.intVal(op.Operands[1])
-		var v int64
-		switch op.Name {
-		case OpAddI:
-			v = l + r
-		case OpSubI:
-			v = l - r
-		case OpMulI:
-			v = l * r
-		case OpDivSI:
-			if r == 0 {
-				return fmt.Errorf("interp: division by zero")
-			}
-			v = l / r
-		case OpRemSI:
-			if r == 0 {
-				return fmt.Errorf("interp: remainder by zero")
-			}
-			v = l % r
-		case OpMinSI:
-			v = l
-			if r < l {
-				v = r
-			}
-		case OpMaxSI:
-			v = l
-			if r > l {
-				v = r
-			}
-		}
-		it.env[op.Result(0)] = interpVal{i: v}
-		return nil
-
-	case OpAddF, OpSubF, OpMulF, OpDivF:
-		l, r := it.val(op.Operands[0]).f, it.val(op.Operands[1]).f
-		var v float64
-		switch op.Name {
-		case OpAddF:
-			v = l + r
-		case OpSubF:
-			v = l - r
-		case OpMulF:
-			v = l * r
-		case OpDivF:
-			v = l / r
-		}
-		v = truncToElem(v, op.Result(0).Type())
-		it.env[op.Result(0)] = interpVal{f: v}
-		return nil
-
 	case OpNegF:
-		it.env[op.Result(0)] = interpVal{f: -it.val(op.Operands[0]).f}
-		return nil
-
+		unary(mNegF)
 	case OpMathSqrt:
-		it.env[op.Result(0)] = interpVal{f: math.Sqrt(it.val(op.Operands[0]).f)}
-		return nil
-
+		unary(mSqrt)
 	case OpMathExp:
-		it.env[op.Result(0)] = interpVal{f: truncToElem(math.Exp(it.val(op.Operands[0]).f), op.Result(0).Type())}
-		return nil
-
-	case OpCmpI:
-		pred, _ := op.StringAttr(AttrPredicate)
-		l, r := it.intVal(op.Operands[0]), it.intVal(op.Operands[1])
-		it.env[op.Result(0)] = interpVal{i: boolToInt(evalIntPred(pred, l, r))}
-		return nil
-
-	case OpCmpF:
-		pred, _ := op.StringAttr(AttrPredicate)
-		l, r := it.val(op.Operands[0]).f, it.val(op.Operands[1]).f
-		it.env[op.Result(0)] = interpVal{i: boolToInt(evalFloatPred(pred, l, r))}
-		return nil
-
-	case OpSelect:
-		if it.intVal(op.Operands[0]) != 0 {
-			it.env[op.Result(0)] = it.val(op.Operands[1])
+		if isF32(op.Results[0].Type()) {
+			unary(mExp32)
 		} else {
-			it.env[op.Result(0)] = it.val(op.Operands[2])
+			unary(mExp64)
 		}
-		return nil
-
+	case OpCmpI, OpCmpF:
+		preds, o := intPreds, mCmpI
+		if op.Name == OpCmpF {
+			preds, o = floatPreds, mCmpF
+		}
+		name, _ := op.StringAttr(AttrPredicate)
+		pred, ok := preds[name]
+		if !ok {
+			c.fail("interp: unsupported %s predicate %q", op.Name, name)
+			return
+		}
+		c.emit(minst{op: o, sub: pred, dst: result(), a: operand(0), b: operand(1)})
+	case OpSelect:
+		c.emit(minst{op: mSelect, dst: result(), a: operand(0), b: operand(1), c: operand(2)})
 	case OpIndexCast:
-		it.env[op.Result(0)] = interpVal{i: it.intVal(op.Operands[0])}
-		return nil
-
+		unary(mIntOnly)
 	case OpSIToFP:
-		it.env[op.Result(0)] = interpVal{f: float64(it.intVal(op.Operands[0]))}
-		return nil
-
+		unary(mSIToFP)
 	case OpFPToSI:
-		it.env[op.Result(0)] = interpVal{i: int64(it.val(op.Operands[0]).f)}
-		return nil
-
+		unary(mFPToSI)
 	case OpExtF:
-		it.env[op.Result(0)] = it.val(op.Operands[0])
-		return nil
-
+		unary(mMov)
 	case OpTruncF:
-		it.env[op.Result(0)] = interpVal{f: truncToElem(it.val(op.Operands[0]).f, op.Result(0).Type())}
-		return nil
-
+		if isF32(op.Results[0].Type()) {
+			unary(mTruncF32)
+		} else {
+			unary(mFloatOnly)
+		}
 	case OpAlloc, OpAlloca:
-		it.env[op.Result(0)] = interpVal{buf: NewMemBuf(op.Result(0).Type())}
-		return nil
-
-	case OpDealloc:
-		return nil
-
+		c.p.types = append(c.p.types, op.Results[0].Type())
+		c.emit(minst{op: mAlloc, dst: result(), c: int32(len(c.p.types) - 1)})
+	case OpDealloc, OpAffineYield, OpSCFYield, OpReturn:
 	case OpLoad:
-		return it.doLoad(op, op.Operands[0], op.Operands[1:], nil)
-
+		c.access(mLoad, 0, result(), -1, operand(0), op.Operands[1:], nil)
 	case OpStore:
-		return it.doStore(op, op.Operands[0], op.Operands[1], op.Operands[2:], nil)
-
+		c.access(mStore, 1, -1, operand(0), operand(1), op.Operands[2:], nil)
 	case OpAffineLoad:
 		v := AffineAccessView{op}
-		return it.doLoad(op, v.MemRef(), v.MapOperands(), v.Map())
-
+		c.access(mLoad, 2, result(), -1, c.slot(v.MemRef()), v.MapOperands(), v.Map())
 	case OpAffineStore:
 		v := AffineAccessView{op}
-		return it.doStore(op, v.StoredValue(), v.MemRef(), v.MapOperands(), v.Map())
-
+		c.access(mStore, 3, -1, c.slot(v.StoredValue()), c.slot(v.MemRef()), v.MapOperands(), v.Map())
 	case OpAffineApply:
 		m, _ := op.MapAttr(AttrMap)
-		it.env[op.Result(0)] = interpVal{i: it.evalMap(m, op.Operands)[0]}
-		return nil
-
+		if s, ok := c.mapResult(m, 0, op.Operands); ok {
+			c.emit(minst{op: mMov, dst: result(), a: s})
+		}
 	case OpAffineFor:
-		fv := AffineForView{Op: op}
-		lo := it.evalMap(fv.LowerMap(), fv.LowerOperands())[0]
-		hi := it.evalMap(fv.UpperMap(), fv.UpperOperands())[0]
-		step := fv.Step()
-		body := fv.Body()
-		for i := lo; i < hi; i += step {
-			it.env[body.Args[0]] = interpVal{i: i}
-			if err := it.runBlock(body); err != nil {
-				return err
-			}
-		}
-		return nil
-
+		c.affineFor(op)
 	case OpSCFFor:
-		lo := it.intVal(op.Operands[0])
-		hi := it.intVal(op.Operands[1])
-		step := it.intVal(op.Operands[2])
-		if step <= 0 {
-			return fmt.Errorf("interp: non-positive scf.for step")
+		body, ok := c.loopBody(op)
+		if !ok {
+			return
 		}
-		body := op.Regions[0].Blocks[0]
-		for i := lo; i < hi; i += step {
-			it.env[body.Args[0]] = interpVal{i: i}
-			if err := it.runBlock(body); err != nil {
-				return err
+		ctr, hi, step := c.fresh(), c.fresh(), c.fresh()
+		c.emit(minst{op: mMov, dst: ctr, a: operand(0)})
+		c.emit(minst{op: mMov, dst: hi, a: operand(1)})
+		c.emit(minst{op: mMov, dst: step, a: operand(2)})
+		c.emit(minst{op: mCheckStep, a: step})
+		c.loop(ctr, hi, body, minst{op: mNext, a: ctr, c: step})
+	case OpSCFIf:
+		c.scfIf(op)
+	case OpCall:
+		c.fail("interp: func.call is not supported")
+	default:
+		c.fail("interp: unsupported op %s", op.Name)
+	}
+}
+
+// access compiles a load or store: the index slots (map results, or the
+// operands themselves without a map) then the access.
+func (c *compiler) access(o mop, name uint8, dst, v, mem int32, operands []*Value, m *AffineMap) {
+	var idx []int32
+	if m == nil {
+		for _, x := range operands {
+			idx = append(idx, c.slot(x))
+		}
+	} else {
+		for k := range m.Exprs {
+			s, ok := c.mapResult(m, k, operands)
+			if !ok {
+				return
+			}
+			idx = append(idx, s)
+		}
+	}
+	c.emit(minst{op: o, sub: name, dst: dst, a: v, b: mem, c: int32(len(c.p.idx)), imm: int64(len(idx))})
+	c.p.idx = append(c.p.idx, idx...)
+}
+
+// mapResult flattens result k of m over operands into slot arithmetic and
+// returns the slot holding it.
+func (c *compiler) mapResult(m *AffineMap, k int, operands []*Value) (int32, bool) {
+	switch {
+	case m == nil:
+		c.fail("interp: affine op without a map")
+		return 0, false
+	case len(operands) != m.NumDims+m.NumSyms:
+		c.fail("interp: affine map %s applied to %d operands", m, len(operands))
+		return 0, false
+	case k >= len(m.Exprs):
+		c.fail("interp: affine map %s has no result %d", m, k)
+		return 0, false
+	}
+	return c.expr(m.Exprs[k], m.NumDims, operands), true
+}
+
+// expr compiles one affine expression; dims and symbols read the operand
+// slots directly, constants are preloaded.
+func (c *compiler) expr(e *AffineExpr, numDims int, operands []*Value) int32 {
+	switch e.Kind {
+	case AffineDim:
+		return c.slot(operands[e.Pos])
+	case AffineSym:
+		return c.slot(operands[numDims+e.Pos])
+	case AffineConst:
+		return c.constant(e.Val)
+	}
+	l := c.expr(e.LHS, numDims, operands)
+	dst := c.fresh()
+	if e.RHS.IsConst() {
+		c.emit(minst{op: affineImmOps[e.Kind], dst: dst, a: l, imm: e.RHS.Val})
+		return dst
+	}
+	r := c.expr(e.RHS, numDims, operands)
+	c.emit(minst{op: affineOps[e.Kind], dst: dst, a: l, b: r})
+	return dst
+}
+
+// affineImmOps and affineOps implement the binary affine expression kinds
+// against a constant and between two slots.
+var (
+	affineImmOps = map[AffineExprKind]mop{AffineAdd: mAddImm, AffineMul: mMulImm, AffineMod: mModImm,
+		AffineFloorDiv: mFloorDivImm, AffineCeilDiv: mCeilDivImm}
+	affineOps = map[AffineExprKind]mop{AffineAdd: mAddI, AffineMul: mMulI, AffineMod: mMod,
+		AffineFloorDiv: mFloorDiv, AffineCeilDiv: mCeilDiv}
+)
+
+// loopBody returns a loop op's body block, which must bind the induction
+// variable.
+func (c *compiler) loopBody(op *Op) (*Block, bool) {
+	if len(op.Regions) == 0 || len(op.Regions[0].Blocks) == 0 || len(op.Regions[0].Blocks[0].Args) == 0 {
+		c.fail("interp: %s without a body binding its induction variable", op.Name)
+		return nil, false
+	}
+	return op.Regions[0].Blocks[0], true
+}
+
+func (c *compiler) affineFor(op *Op) {
+	fv := AffineForView{Op: op}
+	n, _ := op.IntAttr(AttrLBCount)
+	if n < 0 || n > int64(len(op.Operands)) {
+		c.fail("interp: affine.for lower-bound operand count %d out of range", n)
+		return
+	}
+	body, ok := c.loopBody(op)
+	if !ok {
+		return
+	}
+	lo, ok := c.mapResult(fv.LowerMap(), 0, fv.LowerOperands())
+	if !ok {
+		return
+	}
+	hi, ok := c.mapResult(fv.UpperMap(), 0, fv.UpperOperands())
+	if !ok {
+		return
+	}
+	// The bounds are read once, on entry, as the loop header evaluates them.
+	ctr, bound := c.fresh(), c.fresh()
+	c.emit(minst{op: mMov, dst: ctr, a: lo})
+	c.emit(minst{op: mMov, dst: bound, a: hi})
+	c.loop(ctr, bound, body, minst{op: mNextImm, a: ctr, imm: fv.Step()})
+}
+
+// loop emits a counted loop over body: the header binds the induction
+// variable and charges one iteration (at least one step, so fuel and the
+// context bound even a body without ops), next advances the counter and
+// jumps back.
+func (c *compiler) loop(ctr, bound int32, body *Block, next minst) {
+	head := c.emit(minst{op: mLoop, dst: c.slot(body.Args[0]), a: ctr, b: bound, imm: int64(max(len(body.Ops), 1))})
+	c.ops(body.Ops)
+	next.b = head
+	c.emit(next)
+	c.p.code[head].c = c.pc()
+}
+
+func (c *compiler) scfIf(op *Op) {
+	branch := func(r int) *Block {
+		if r >= len(op.Regions) || len(op.Regions[r].Blocks) == 0 {
+			return nil
+		}
+		return op.Regions[r].Blocks[0]
+	}
+	then, els := branch(0), branch(1)
+	if then == nil || (len(op.Regions) > 1 && els == nil) {
+		c.fail("interp: scf.if without its branch blocks")
+		return
+	}
+	br := c.emit(minst{op: mBrFalse, a: c.slot(op.Operands[0])})
+	c.charge(len(then.Ops))
+	c.ops(then.Ops)
+	if els == nil {
+		c.p.code[br].b = c.pc()
+		return
+	}
+	jmp := c.emit(minst{op: mJmp})
+	c.p.code[br].b = c.pc()
+	c.charge(len(els.Ops))
+	c.ops(els.Ops)
+	c.p.code[jmp].a = c.pc()
+}
+
+// cfg compiles a cf-lowered multi-block body: every op of a block but the
+// last runs in order, and the last transfers control, binding its operands
+// to the successor's block arguments (the SSA form of phi nodes).
+func (c *compiler) cfg(blocks []*Block) {
+	type patch struct {
+		pc    int32
+		field int
+		to    *Block
+	}
+	var patches []patch
+	index := make(map[*Block]int, len(blocks))
+	for i, b := range blocks {
+		index[b] = i
+	}
+	// edge binds the operands to the target's arguments and jumps there.
+	edge := func(to *Block, operands []*Value) {
+		if _, ok := index[to]; !ok {
+			c.fail("interp: branch to a block outside the function")
+			return
+		}
+		n := min(len(operands), len(to.Args))
+		srcs := make([]int32, n)
+		dsts := make([]int32, n)
+		for i := range srcs {
+			srcs[i], dsts[i] = c.slot(operands[i]), c.slot(to.Args[i])
+		}
+		// Operands are read before any argument is overwritten, so a latch
+		// that passes the target's current arguments binds the pre-branch
+		// values.
+		for _, d := range dsts {
+			if slices.Contains(srcs, d) {
+				for i, s := range srcs {
+					srcs[i] = c.fresh()
+					c.emit(minst{op: mMov, dst: srcs[i], a: s})
+				}
+				break
 			}
 		}
-		return nil
-
-	case OpSCFIf:
-		if it.intVal(op.Operands[0]) != 0 {
-			return it.runBlock(op.Regions[0].Blocks[0])
+		for i, d := range dsts {
+			c.emit(minst{op: mMov, dst: d, a: srcs[i]})
 		}
-		if len(op.Regions) > 1 {
-			return it.runBlock(op.Regions[1].Blocks[0])
-		}
-		return nil
-
-	case OpAffineYield, OpSCFYield, OpReturn:
-		return nil
-
-	case OpCall:
-		return fmt.Errorf("interp: func.call is not supported")
+		patches = append(patches, patch{c.emit(minst{op: mJmp}), 0, to})
 	}
-	return fmt.Errorf("interp: unsupported op %s", op.Name)
+	labels := make([]int32, len(blocks))
+	for i, b := range blocks {
+		labels[i] = c.pc()
+		n := len(b.Ops)
+		if n == 0 {
+			c.fail("interp: block without terminator")
+			continue
+		}
+		c.charge(n)
+		c.ops(b.Ops[:n-1])
+		term := b.Ops[n-1]
+		switch term.Name {
+		case OpReturn:
+			c.emit(minst{op: mRet})
+		case OpBr:
+			if len(term.Succs) != 1 {
+				c.fail("interp: cf.br with %d successors", len(term.Succs))
+				continue
+			}
+			edge(term.Succs[0], term.Operands)
+		case OpCondBr:
+			if len(term.Succs) != 2 {
+				c.fail("interp: cf.cond_br with %d successors", len(term.Succs))
+				continue
+			}
+			tc, _ := term.IntAttr(AttrTrueCount)
+			fc, _ := term.IntAttr(AttrFalseCount)
+			if tc < 0 || fc < 0 || int64(len(term.Operands)) != 1+tc+fc {
+				c.fail("interp: cf.cond_br operand segments disagree with operand count")
+				continue
+			}
+			br := c.emit(minst{op: mCondBr, a: c.slot(term.Operands[0])})
+			c.p.code[br].b = c.pc()
+			edge(term.Succs[0], term.Operands[1:1+tc])
+			c.p.code[br].c = c.pc()
+			edge(term.Succs[1], term.Operands[1+tc:])
+		default:
+			c.fail("interp: unsupported cf terminator %s", term.Name)
+		}
+	}
+	for _, pt := range patches {
+		c.p.code[pt.pc].a = labels[index[pt.to]]
+	}
 }
 
-func (it *interpreter) doLoad(op *Op, mem *Value, idxOperands []*Value, m *AffineMap) error {
-	buf := it.val(mem).buf
-	if buf == nil {
-		return fmt.Errorf("interp: load from unmaterialized memref")
+// Run executes the program on args, mutating them in place, under a step
+// budget; exceeding it returns an error satisfying errors.Is(err,
+// ErrFuel). ctx (nil for none) is polled at loop back-edges and block
+// entries once per fuel quantum; a done context stops the run with its
+// error.
+func (p *Program) Run(ctx context.Context, fuel int64, args ...*MemBuf) error {
+	if len(args) != len(p.args) {
+		return fmt.Errorf("interp: %q takes %d args, got %d", p.name, len(p.args), len(args))
 	}
-	var idxs []int64
-	if m != nil {
-		idxs = it.evalMap(m, idxOperands)
-	} else {
-		idxs = make([]int64, len(idxOperands))
-		for i, v := range idxOperands {
-			idxs[i] = it.intVal(v)
+	for i, t := range p.args {
+		if !t.IsMemRef() {
+			return fmt.Errorf("interp: argument %d is not a memref", i)
+		}
+		if !t.Equal(args[i].Ty) {
+			return fmt.Errorf("interp: argument %d type mismatch: %s vs %s", i, t, args[i].Ty)
 		}
 	}
-	off, err := buf.linearIndex(idxs)
-	if err != nil {
-		return fmt.Errorf("interp: %s: %w", op.Name, err)
-	}
-	if buf.Ty.Elem.IsFloat() {
-		it.env[op.Result(0)] = interpVal{f: buf.F[off]}
-	} else {
-		it.env[op.Result(0)] = interpVal{i: buf.I[off]}
-	}
-	return nil
+	r := runner{p: p, fuel: interp.NewMeter(ctx, fuel, ErrFuel)}
+	return r.run(args)
 }
 
-func (it *interpreter) doStore(op *Op, val, mem *Value, idxOperands []*Value, m *AffineMap) error {
-	buf := it.val(mem).buf
-	if buf == nil {
-		return fmt.Errorf("interp: store to unmaterialized memref")
+type runner struct {
+	p    *Program
+	fuel interp.Meter
+}
+
+func trap(kind interp.TrapKind, format string, args ...any) error {
+	return &interp.Trap{Kind: kind, Detail: fmt.Sprintf(format, args...)}
+}
+
+func (r *runner) run(args []*MemBuf) error {
+	p := r.p
+	regs := make([]interpVal, p.nslots)
+	for i, a := range args {
+		regs[i] = interpVal{buf: a}
 	}
-	var idxs []int64
-	if m != nil {
-		idxs = it.evalMap(m, idxOperands)
-	} else {
-		idxs = make([]int64, len(idxOperands))
-		for i, v := range idxOperands {
-			idxs[i] = it.intVal(v)
+	for _, k := range p.consts {
+		regs[k.slot] = interpVal{i: k.v}
+	}
+	code, idx := p.code, p.idx
+	for pc := int32(0); ; {
+		in := &code[pc]
+		pc++
+		switch in.op {
+		case mCharge:
+			if err := r.fuel.Charge(in.imm); err != nil {
+				return err
+			}
+		case mJmp:
+			pc = in.a
+		case mBrFalse:
+			if regs[in.a].i == 0 {
+				pc = in.b
+			}
+		case mCondBr:
+			if regs[in.a].i != 0 {
+				pc = in.b
+			} else {
+				pc = in.c
+			}
+		case mRet:
+			return nil
+		case mMov:
+			regs[in.dst] = regs[in.a]
+		case mError:
+			return p.errs[in.c]
+
+		case mConstI:
+			regs[in.dst] = interpVal{i: in.imm}
+		case mConstF:
+			regs[in.dst] = interpVal{f: math.Float64frombits(uint64(in.imm))}
+		case mAddI:
+			regs[in.dst] = interpVal{i: regs[in.a].i + regs[in.b].i}
+		case mSubI:
+			regs[in.dst] = interpVal{i: regs[in.a].i - regs[in.b].i}
+		case mMulI:
+			regs[in.dst] = interpVal{i: regs[in.a].i * regs[in.b].i}
+		case mDivSI:
+			d := regs[in.b].i
+			if d == 0 {
+				return trap(interp.TrapDivZero, "division by zero")
+			}
+			regs[in.dst] = interpVal{i: regs[in.a].i / d}
+		case mRemSI:
+			d := regs[in.b].i
+			if d == 0 {
+				return trap(interp.TrapDivZero, "remainder by zero")
+			}
+			regs[in.dst] = interpVal{i: regs[in.a].i % d}
+		case mMinSI:
+			regs[in.dst] = interpVal{i: min(regs[in.a].i, regs[in.b].i)}
+		case mMaxSI:
+			regs[in.dst] = interpVal{i: max(regs[in.a].i, regs[in.b].i)}
+		case mAddImm:
+			regs[in.dst] = interpVal{i: regs[in.a].i + in.imm}
+		case mMulImm:
+			regs[in.dst] = interpVal{i: regs[in.a].i * in.imm}
+		case mModImm, mFloorDivImm, mCeilDivImm, mMod, mFloorDiv, mCeilDiv:
+			l, d := regs[in.a].i, in.imm
+			if in.op >= mMod {
+				d = regs[in.b].i
+			}
+			if d == 0 {
+				return trap(interp.TrapDivZero, "affine division by zero")
+			}
+			switch in.op {
+			case mModImm, mMod:
+				regs[in.dst] = interpVal{i: floorMod(l, d)}
+			case mFloorDivImm, mFloorDiv:
+				regs[in.dst] = interpVal{i: floorDiv(l, d)}
+			default:
+				regs[in.dst] = interpVal{i: ceilDiv(l, d)}
+			}
+
+		case mAddF32:
+			regs[in.dst] = interpVal{f: float64(float32(regs[in.a].f + regs[in.b].f))}
+		case mAddF64:
+			regs[in.dst] = interpVal{f: regs[in.a].f + regs[in.b].f}
+		case mSubF32:
+			regs[in.dst] = interpVal{f: float64(float32(regs[in.a].f - regs[in.b].f))}
+		case mSubF64:
+			regs[in.dst] = interpVal{f: regs[in.a].f - regs[in.b].f}
+		case mMulF32:
+			regs[in.dst] = interpVal{f: float64(float32(regs[in.a].f * regs[in.b].f))}
+		case mMulF64:
+			regs[in.dst] = interpVal{f: regs[in.a].f * regs[in.b].f}
+		case mDivF32:
+			regs[in.dst] = interpVal{f: float64(float32(regs[in.a].f / regs[in.b].f))}
+		case mDivF64:
+			regs[in.dst] = interpVal{f: regs[in.a].f / regs[in.b].f}
+		case mNegF:
+			regs[in.dst] = interpVal{f: -regs[in.a].f}
+		case mSqrt:
+			regs[in.dst] = interpVal{f: math.Sqrt(regs[in.a].f)}
+		case mExp32:
+			regs[in.dst] = interpVal{f: float64(float32(math.Exp(regs[in.a].f)))}
+		case mExp64:
+			regs[in.dst] = interpVal{f: math.Exp(regs[in.a].f)}
+		case mCmpI:
+			regs[in.dst] = interpVal{i: boolToInt(intPred(in.sub, regs[in.a].i, regs[in.b].i))}
+		case mCmpF:
+			regs[in.dst] = interpVal{i: boolToInt(floatPred(in.sub, regs[in.a].f, regs[in.b].f))}
+		case mSelect:
+			if regs[in.a].i != 0 {
+				regs[in.dst] = regs[in.b]
+			} else {
+				regs[in.dst] = regs[in.c]
+			}
+		case mIntOnly:
+			regs[in.dst] = interpVal{i: regs[in.a].i}
+		case mSIToFP:
+			regs[in.dst] = interpVal{f: float64(regs[in.a].i)}
+		case mFPToSI:
+			regs[in.dst] = interpVal{i: int64(regs[in.a].f)}
+		case mTruncF32:
+			regs[in.dst] = interpVal{f: float64(float32(regs[in.a].f))}
+		case mFloatOnly:
+			regs[in.dst] = interpVal{f: regs[in.a].f}
+		case mAlloc:
+			regs[in.dst] = interpVal{buf: NewMemBuf(p.types[in.c])}
+
+		case mLoad, mStore:
+			buf := regs[in.b].buf
+			if buf == nil {
+				if in.op == mLoad {
+					return fmt.Errorf("interp: load from unmaterialized memref")
+				}
+				return fmt.Errorf("interp: store to unmaterialized memref")
+			}
+			ix := idx[in.c : in.c+int32(in.imm)]
+			shape := buf.Ty.Shape
+			if len(ix) != len(shape) {
+				return fmt.Errorf("interp: %s: index rank %d != memref rank %d", accessNames[in.sub], len(ix), len(shape))
+			}
+			off := int64(0)
+			for k, s := range ix {
+				x := regs[s].i
+				if x < 0 || x >= shape[k] {
+					return trap(interp.TrapOOB, "%s: index %d out of bounds [0,%d) in dim %d", accessNames[in.sub], x, shape[k], k)
+				}
+				off = off*shape[k] + x
+			}
+			float := buf.Ty.Elem.IsFloat()
+			switch {
+			case in.op == mLoad && float:
+				regs[in.dst] = interpVal{f: buf.F[off]}
+			case in.op == mLoad:
+				regs[in.dst] = interpVal{i: buf.I[off]}
+			case float && buf.Ty.Elem.Width == 32:
+				buf.F[off] = float64(float32(regs[in.a].f))
+			case float:
+				buf.F[off] = regs[in.a].f
+			default:
+				buf.I[off] = regs[in.a].i
+			}
+
+		case mLoop:
+			if i := regs[in.a].i; i < regs[in.b].i {
+				regs[in.dst] = interpVal{i: i}
+				if err := r.fuel.Charge(in.imm); err != nil {
+					return err
+				}
+			} else {
+				pc = in.c
+			}
+		case mNextImm:
+			regs[in.a].i += in.imm
+			pc = in.b
+		case mNext:
+			regs[in.a].i += regs[in.c].i
+			pc = in.b
+		case mCheckStep:
+			if regs[in.a].i <= 0 {
+				return trap(interp.TrapLoopStep, "non-positive scf.for step %d", regs[in.a].i)
+			}
+		default:
+			panic(fmt.Sprintf("mlir: unknown program opcode %d", in.op))
 		}
 	}
-	off, err := buf.linearIndex(idxs)
-	if err != nil {
-		return fmt.Errorf("interp: %s: %w", op.Name, err)
-	}
-	if buf.Ty.Elem.IsFloat() {
-		buf.F[off] = truncToElem(it.val(val).f, buf.Ty.Elem)
-	} else {
-		buf.I[off] = it.intVal(val)
-	}
-	return nil
-}
-
-// truncToElem rounds a float64 through the precision of the element type so
-// f32 kernels behave like f32 hardware.
-func truncToElem(v float64, ty *Type) float64 {
-	if ty != nil && ty.IsFloat() && ty.Width == 32 {
-		return float64(float32(v))
-	}
-	return v
 }
 
 func boolToInt(b bool) int64 {
@@ -450,38 +892,36 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
-func evalIntPred(pred string, l, r int64) bool {
+func intPred(pred uint8, l, r int64) bool {
 	switch pred {
-	case PredEQ:
+	case pEQ:
 		return l == r
-	case PredNE:
+	case pNE:
 		return l != r
-	case PredSLT:
+	case pSLT:
 		return l < r
-	case PredSLE:
+	case pSLE:
 		return l <= r
-	case PredSGT:
+	case pSGT:
 		return l > r
-	case PredSGE:
+	default: // pSGE; the compiler admits no other predicate
 		return l >= r
 	}
-	return false
 }
 
-func evalFloatPred(pred string, l, r float64) bool {
+func floatPred(pred uint8, l, r float64) bool {
 	switch pred {
-	case PredOEQ:
+	case pOEQ:
 		return l == r
-	case PredONE:
+	case pONE:
 		return l != r
-	case PredOLT:
+	case pOLT:
 		return l < r
-	case PredOLE:
+	case pOLE:
 		return l <= r
-	case PredOGT:
+	case pOGT:
 		return l > r
-	case PredOGE:
+	default: // pOGE; the compiler admits no other predicate
 		return l >= r
 	}
-	return false
 }

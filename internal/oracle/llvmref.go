@@ -58,20 +58,19 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 		}
 	}
 	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel, shapes: shapes}
-	f := ref.FindFunc(top)
-	if f == nil {
+	if ref.FindFunc(top) == nil {
 		return nil, fmt.Errorf("oracle: function @%s not found in reference module", top)
 	}
-	mems := h.freshMems()
-	args, err := h.llvmArgs(f, mems)
+	p, err := interp.Compile(ref, top)
 	if err != nil {
 		return nil, err
 	}
-	mc := interp.NewMachine(ref)
-	if h.Fuel > 0 {
-		mc.Fuel = h.Fuel
+	mems := h.freshMems()
+	args, err := h.llvmArgs(p.Params(), mems)
+	if err != nil {
+		return nil, err
 	}
-	if _, _, err := mc.Run(context.Background(), top, args...); err != nil {
+	if _, _, err := p.Run(context.TODO(), h.Fuel, args...); err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
 	h.refF = make([][]float64, len(mems))
@@ -79,6 +78,7 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 	for ai, mem := range mems {
 		h.captureMem(ai, mem)
 	}
+	h.llvmPassed.remember(p, h.MaxULP, h.Fuel)
 	return h, nil
 }
 

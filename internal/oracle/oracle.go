@@ -9,6 +9,15 @@
 // flow.Bisect: where bisection localizes the first unit that crashes or
 // breaks a structural invariant, the oracle localizes the first unit that
 // computes the wrong answer while the IR still verifies and schedules.
+//
+// Each check first compiles the module into an execution program
+// (mlir.Program, interp.Program). The harness remembers, per IR level, the
+// last program that passed, and a check whose program equals it returns
+// without executing: an equal program run on the harness's fixed inputs
+// under the same fuel and tolerance computes the same memory, so its
+// verdict cannot differ. Units that leave the executed program unchanged —
+// directive passes, no-op cleanups, synthesis — so cost one compile and
+// one comparison.
 package oracle
 
 import (
@@ -16,7 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
+	"sync"
 
 	"repro/internal/llvm"
 	"repro/internal/llvm/interp"
@@ -55,12 +64,12 @@ func (d *Divergence) Error() string {
 		d.Arg, d.Index, d.Got, d.Want, d.ULP)
 }
 
-// IsMiscompile classifies an oracle check error: a divergence, a trap
-// (out-of-bounds, division by zero), or fuel exhaustion all mean the
-// pipeline changed what the program computes — a miscompile. Anything else
-// (an op the oracle cannot execute, an ABI it does not recognize) is an
-// oracle limitation and must surface as an ordinary error, never as a
-// false miscompile verdict.
+// IsMiscompile classifies an oracle check error: a divergence, a typed
+// trap (out-of-bounds, division by zero, a non-positive loop step), or fuel
+// exhaustion all mean the pipeline changed what the program computes — a
+// miscompile. Anything else (an op or predicate the oracle cannot execute,
+// an ABI it does not recognize) is an oracle limitation and must surface as
+// an ordinary error, never as a false miscompile verdict.
 func IsMiscompile(err error) bool {
 	var d *Divergence
 	if errors.As(err, &d) {
@@ -69,23 +78,15 @@ func IsMiscompile(err error) bool {
 	if errors.Is(err, interp.ErrFuel) || errors.Is(err, mlir.ErrFuel) {
 		return true
 	}
-	if _, ok := interp.AsTrap(err); ok {
-		return true
-	}
-	// The MLIR interpreter reports runtime faults as plain errors.
-	msg := err.Error()
-	for _, s := range []string{"out of bounds", "division by zero", "remainder by zero", "non-positive scf.for step"} {
-		if strings.Contains(msg, s) {
-			return true
-		}
-	}
-	return false
+	_, ok := interp.AsTrap(err)
+	return ok
 }
 
 // Harness holds one kernel's reference execution. It is built from the
-// pristine module before any pass runs and is immutable afterwards, so a
-// single harness checks every stage of a flow — and both flows of a
-// differential pair, since they share the pre-pipeline semantics.
+// pristine module before any pass runs; afterwards only its memory of
+// passed programs changes, under a lock, so a single harness checks every
+// stage of a flow — and both flows of a differential pair, since they share
+// the pre-pipeline semantics — concurrently if need be.
 type Harness struct {
 	// Top is the kernel function under test.
 	Top string
@@ -98,6 +99,37 @@ type Harness struct {
 	shapes []*mlir.Type // memref type of each top-function argument
 	refF   [][]float64  // reference output, float-element arguments
 	refI   [][]int64    // reference output, integer-element arguments
+
+	// The last program per IR level that passed, starting with the
+	// reference run's.
+	mlirPassed passed[*mlir.Program]
+	llvmPassed passed[*interp.Program]
+}
+
+// passed remembers the last program of one IR level that passed a check,
+// with the tolerance and fuel it passed under: it vouches for an equal
+// program only under those same settings.
+type passed[P interface{ Equal(P) bool }] struct {
+	mu     sync.Mutex
+	prog   P
+	ok     bool
+	maxULP uint64
+	fuel   int64
+}
+
+// covers reports whether p equals the remembered program and the settings
+// are the ones it passed under.
+func (v *passed[P]) covers(p P, maxULP uint64, fuel int64) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.ok && v.maxULP == maxULP && v.fuel == fuel && v.prog.Equal(p)
+}
+
+// remember records p as passed under the given settings.
+func (v *passed[P]) remember(p P, maxULP uint64, fuel int64) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.prog, v.ok, v.maxULP, v.fuel = p, true, maxULP, fuel
 }
 
 // New captures the reference execution of top in m. The module must be in
@@ -116,8 +148,12 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 		}
 		h.shapes = append(h.shapes, t)
 	}
+	p, err := m.Compile(top)
+	if err != nil {
+		return nil, fmt.Errorf("oracle: reference execution: %w", err)
+	}
 	bufs := h.freshMLIRBufs()
-	if err := m.InterpretWithFuel(top, h.Fuel, bufs...); err != nil {
+	if err := p.Run(context.TODO(), h.Fuel, bufs...); err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
 	h.refF = make([][]float64, len(bufs))
@@ -126,6 +162,7 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 		h.refF[i] = b.F
 		h.refI[i] = b.I
 	}
+	h.mlirPassed.remember(p, h.MaxULP, h.Fuel)
 	return h, nil
 }
 
@@ -161,10 +198,34 @@ func (h *Harness) freshMLIRBufs() []*mlir.MemBuf {
 // CheckMLIR executes the staged MLIR module (structured or cf-lowered) on
 // fresh inputs and compares the resulting memory against the reference.
 func (h *Harness) CheckMLIR(m *mlir.Module) error {
-	bufs := h.freshMLIRBufs()
-	if err := m.InterpretWithFuel(h.Top, h.Fuel, bufs...); err != nil {
+	return h.CheckMLIRContext(context.TODO(), m)
+}
+
+// CheckMLIRContext is CheckMLIR under ctx: a done context stops the
+// execution and the check returns the context's error. It returns without
+// executing when the compiled program equals the last one that passed.
+func (h *Harness) CheckMLIRContext(ctx context.Context, m *mlir.Module) error {
+	p, err := m.Compile(h.Top)
+	if err != nil {
 		return err
 	}
+	maxULP, fuel := h.MaxULP, h.Fuel
+	if h.mlirPassed.covers(p, maxULP, fuel) {
+		return nil
+	}
+	bufs := h.freshMLIRBufs()
+	if err := p.Run(ctx, fuel, bufs...); err != nil {
+		return err
+	}
+	if err := h.compareMLIR(bufs); err != nil {
+		return err
+	}
+	h.mlirPassed.remember(p, maxULP, fuel)
+	return nil
+}
+
+// compareMLIR checks executed MLIR buffers against the reference.
+func (h *Harness) compareMLIR(bufs []*mlir.MemBuf) error {
 	for ai, b := range bufs {
 		elem := h.shapes[ai].Elem
 		for i := range b.F {
@@ -187,20 +248,35 @@ func (h *Harness) CheckMLIR(m *mlir.Module) error {
 // descriptor ABI (base/aligned/offset/sizes/strides per argument) and the
 // post-adaptor / C-frontend one-pointer-per-array-port ABI.
 func (h *Harness) CheckLLVM(lm *llvm.Module) error {
-	f := lm.FindFunc(h.Top)
-	if f == nil {
+	return h.CheckLLVMContext(context.TODO(), lm)
+}
+
+// CheckLLVMContext is CheckLLVM under ctx: a done context stops the
+// execution and the check returns the context's error. It returns without
+// executing when the compiled program — which includes the entry ABI the
+// arguments are synthesized for — equals the last one that passed.
+func (h *Harness) CheckLLVMContext(ctx context.Context, lm *llvm.Module) error {
+	if lm.FindFunc(h.Top) == nil {
 		return fmt.Errorf("oracle: function @%s not found in LLVM module", h.Top)
 	}
-	mems := h.freshMems()
-	args, err := h.llvmArgs(f, mems)
+	p, err := interp.Compile(lm, h.Top)
 	if err != nil {
 		return err
 	}
-	mc := interp.NewMachine(lm)
-	if h.Fuel > 0 {
-		mc.Fuel = h.Fuel
+	maxULP, fuel := h.MaxULP, h.Fuel
+	if h.llvmPassed.covers(p, maxULP, fuel) {
+		return nil
 	}
-	if _, _, err := mc.Run(context.Background(), h.Top, args...); err != nil {
+	mems := h.freshMems()
+	args, err := h.llvmArgs(p.Params(), mems)
+	if err != nil {
+		return err
+	}
+	runFuel := fuel
+	if runFuel <= 0 {
+		runFuel = interp.DefaultFuel
+	}
+	if _, _, err := p.Run(ctx, runFuel, args...); err != nil {
 		return err
 	}
 	for ai, mem := range mems {
@@ -208,6 +284,7 @@ func (h *Harness) CheckLLVM(lm *llvm.Module) error {
 			return err
 		}
 	}
+	h.llvmPassed.remember(p, maxULP, fuel)
 	return nil
 }
 
@@ -243,14 +320,15 @@ func (h *Harness) freshMems() []*interp.Mem {
 	return mems
 }
 
-// llvmArgs synthesizes the call arguments for f over mems, dispatching on
-// the parameter count to pick the ABI.
-func (h *Harness) llvmArgs(f *llvm.Function, mems []*interp.Mem) ([]interp.Arg, error) {
+// llvmArgs synthesizes the call arguments for a function with the given
+// parameter classes over mems, dispatching on the parameter count to pick
+// the ABI.
+func (h *Harness) llvmArgs(params []interp.ParamKind, mems []*interp.Mem) ([]interp.Arg, error) {
 	descParams := 0
 	for _, t := range h.shapes {
 		descParams += translate.DescriptorParams(len(t.Shape))
 	}
-	switch len(f.Params) {
+	switch len(params) {
 	case len(h.shapes):
 		args := make([]interp.Arg, len(mems))
 		for i, m := range mems {
@@ -283,33 +361,33 @@ func (h *Harness) llvmArgs(f *llvm.Function, mems []*interp.Mem) ([]interp.Arg, 
 	// offset/size/stride scalars, and the generated code bakes static
 	// strides in, so the scalar values are immaterial — only the slot count
 	// matters.
-	if args, ok := h.descriptorArgsByPattern(f, mems); ok {
+	if args, ok := h.descriptorArgsByPattern(params, mems); ok {
 		return args, nil
 	}
 	return nil, fmt.Errorf("oracle: @%s has %d params, matching neither the direct ABI (%d) nor the descriptor ABI (%d)",
-		h.Top, len(f.Params), len(h.shapes), descParams)
+		h.Top, len(params), len(h.shapes), descParams)
 }
 
 // descriptorArgsByPattern synthesizes descriptor-ABI call arguments from
-// the parameter type pattern alone. It reports false when the pattern does
-// not spell exactly one (ptr, ptr) pair per harness argument.
-func (h *Harness) descriptorArgsByPattern(f *llvm.Function, mems []*interp.Mem) ([]interp.Arg, bool) {
-	args := make([]interp.Arg, 0, len(f.Params))
+// the parameter class pattern alone. It reports false when the pattern
+// does not spell exactly one (ptr, ptr) pair per harness argument.
+func (h *Harness) descriptorArgsByPattern(params []interp.ParamKind, mems []*interp.Mem) ([]interp.Arg, bool) {
+	args := make([]interp.Arg, 0, len(params))
 	port := 0
 	expectAligned := false
-	for _, p := range f.Params {
+	for _, p := range params {
 		switch {
-		case p.Ty.IsPtr() && expectAligned:
+		case p == interp.ParamPtr && expectAligned:
 			args = append(args, interp.PtrArg(mems[port], 0))
 			port++
 			expectAligned = false
-		case p.Ty.IsPtr():
+		case p == interp.ParamPtr:
 			if port >= len(mems) {
 				return nil, false
 			}
 			args = append(args, interp.PtrArg(mems[port], 0))
 			expectAligned = true
-		case p.Ty.IsInt() && !expectAligned:
+		case p == interp.ParamInt && !expectAligned:
 			args = append(args, interp.IntArg(0))
 		default:
 			return nil, false
