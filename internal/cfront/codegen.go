@@ -12,8 +12,6 @@ import (
 type Options struct {
 	// Top marks the named function as the HLS top (attribute hls.top).
 	Top string
-	// SkipCleanup leaves the raw alloca-form IR (for tests).
-	SkipCleanup bool
 }
 
 // Compile parses and lowers C-subset source into an HLS-flavored LLVM
@@ -36,10 +34,8 @@ func Compile(src string, opts Options) (*llvm.Module, error) {
 		}
 		m.AddFunc(f)
 	}
-	if !opts.SkipCleanup {
-		for _, f := range m.Funcs {
-			lpasses.Cleanup(f)
-		}
+	for _, f := range m.Funcs {
+		lpasses.Cleanup(f)
 	}
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("cfront: generated invalid IR: %w", err)
@@ -84,7 +80,7 @@ func arrayType(ct string, dims []int64) *llvm.Type {
 
 func (g *codegen) newBlock(prefix string) *llvm.Block {
 	g.blk++
-	return g.f.AddBlock(fmt.Sprintf("%s%d", prefix, g.blk))
+	return g.f.AddBlock(prefix + strconv.Itoa(g.blk))
 }
 
 func (g *codegen) genFunc(fd *FuncDecl) (*llvm.Function, error) {

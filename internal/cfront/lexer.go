@@ -29,7 +29,8 @@ type token struct {
 }
 
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Emitted C runs three to four and a half bytes per token.
+	toks := make([]token, 0, len(src)/3+1)
 	line := 1
 	i := 0
 	n := len(src)

@@ -431,9 +431,9 @@ func interfaceAnnotate(f *llvm.Function, rep *Report) {
 	rep.add(FixInterface, f.Name, "annotated interface ports", count)
 }
 
+// partitionPunct strips the printed MLIR ArrayAttr punctuation.
+var partitionPunct = strings.NewReplacer("[", "", "]", "", `"`, "", " ", "")
+
 // normalizePartition converts the printed MLIR ArrayAttr payload into the
 // compact form the backend parses.
-func normalizePartition(raw string) string {
-	s := strings.NewReplacer("[", "", "]", "", `"`, "", " ", "").Replace(raw)
-	return s
-}
+func normalizePartition(raw string) string { return partitionPunct.Replace(raw) }

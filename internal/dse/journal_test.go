@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -46,15 +47,14 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First run: every odd-indexed configuration dies before evaluating —
-	// the journal captures only the survivors, write-ahead.
-	n := 0
-	killed := 0
+	// the journal captures only the survivors, write-ahead. Engine workers
+	// call the hook concurrently, so the counters are atomic.
+	var n, killed atomic.Int64
 	eng := engine.New(engine.Options{
 		ContinueOnError: true,
 		InjectFault: func(job engine.Job) error {
-			n++
-			if n%2 == 0 {
-				killed++
+			if n.Add(1)%2 == 0 {
+				killed.Add(1)
 				return errors.New("injected crash")
 			}
 			return nil
@@ -64,8 +64,8 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.Errors) != killed || killed == 0 {
-		t.Fatalf("first run: %d errors, injected %d", len(r1.Errors), killed)
+	if k := int(killed.Load()); len(r1.Errors) != k || k == 0 {
+		t.Fatalf("first run: %d errors, injected %d", len(r1.Errors), k)
 	}
 	if j1.Len() != len(r1.Points) {
 		t.Fatalf("journal holds %d entries, run produced %d points", j1.Len(), len(r1.Points))

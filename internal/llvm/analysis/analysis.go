@@ -18,30 +18,47 @@ type CFG struct {
 
 // NewCFG computes the CFG for f.
 func NewCFG(f *llvm.Function) *CFG {
-	c := &CFG{F: f, Preds: map[*llvm.Block][]*llvm.Block{}, index: map[*llvm.Block]int{}}
+	n := len(f.Blocks)
+	c := &CFG{F: f, Preds: make(map[*llvm.Block][]*llvm.Block, n), index: make(map[*llvm.Block]int, n)}
+	// Count each block's predecessors in index, then lay the predecessor
+	// lists out in one array.
+	edges := 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			c.index[s]++
+			edges++
+		}
+	}
+	all := make([]*llvm.Block, edges)
+	for s, k := range c.index {
+		c.Preds[s] = all[:0:k]
+		all = all[k:]
+	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
 			c.Preds[s] = append(c.Preds[s], b)
 		}
 	}
-	// Reverse postorder via iterative DFS.
-	seen := map[*llvm.Block]bool{}
-	var post []*llvm.Block
+	clear(c.index)
+	// Reverse postorder via iterative DFS; index marks the blocks seen
+	// until the numbering below overwrites it.
+	post := make([]*llvm.Block, 0, n)
 	type frame struct {
 		b *llvm.Block
 		i int
 	}
-	if f.Entry() != nil {
-		stack := []frame{{f.Entry(), 0}}
-		seen[f.Entry()] = true
+	if entry := f.Entry(); entry != nil {
+		stack := make([]frame, 1, n)
+		stack[0] = frame{entry, 0}
+		c.index[entry] = -1
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
 			succs := top.b.Succs()
 			if top.i < len(succs) {
 				s := succs[top.i]
 				top.i++
-				if !seen[s] {
-					seen[s] = true
+				if _, seen := c.index[s]; !seen {
+					c.index[s] = -1
 					stack = append(stack, frame{s, 0})
 				}
 				continue
@@ -50,9 +67,11 @@ func NewCFG(f *llvm.Function) *CFG {
 			stack = stack[:len(stack)-1]
 		}
 	}
-	for i := len(post) - 1; i >= 0; i-- {
-		c.index[post[i]] = len(c.Order)
-		c.Order = append(c.Order, post[i])
+	c.Order = make([]*llvm.Block, len(post))
+	for i, b := range post {
+		j := len(post) - 1 - i
+		c.Order[j] = b
+		c.index[b] = j
 	}
 	return c
 }
@@ -63,37 +82,50 @@ func (c *CFG) Reachable(b *llvm.Block) bool {
 	return ok
 }
 
+// Index returns b's position in Order, or -1 when b is unreachable.
+func (c *CFG) Index(b *llvm.Block) int {
+	if i, ok := c.index[b]; ok {
+		return i
+	}
+	return -1
+}
+
 // DomTree is a dominator tree (Cooper-Harvey-Kennedy).
 type DomTree struct {
-	cfg  *CFG
-	idom map[*llvm.Block]*llvm.Block
+	cfg *CFG
+	// idom holds each reachable block's immediate dominator, both as
+	// positions in cfg.Order.
+	idom []int
 }
 
 // NewDomTree computes the dominator tree for f's CFG.
 func NewDomTree(c *CFG) *DomTree {
-	d := &DomTree{cfg: c, idom: map[*llvm.Block]*llvm.Block{}}
+	d := &DomTree{cfg: c, idom: make([]int, len(c.Order))}
 	if len(c.Order) == 0 {
 		return d
 	}
-	entry := c.Order[0]
-	d.idom[entry] = entry
+	for i := range d.idom {
+		d.idom[i] = -1
+	}
+	d.idom[0] = 0
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range c.Order[1:] {
-			var newIdom *llvm.Block
+		for i, b := range c.Order[1:] {
+			newIdom := -1
 			for _, p := range c.Preds[b] {
-				if _, ok := d.idom[p]; !ok {
+				pi, ok := c.index[p]
+				if !ok || d.idom[pi] < 0 {
 					continue
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom < 0 {
+					newIdom = pi
 					continue
 				}
-				newIdom = d.intersect(p, newIdom)
+				newIdom = d.intersect(pi, newIdom)
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom >= 0 && d.idom[i+1] != newIdom {
+				d.idom[i+1] = newIdom
 				changed = true
 			}
 		}
@@ -101,12 +133,12 @@ func NewDomTree(c *CFG) *DomTree {
 	return d
 }
 
-func (d *DomTree) intersect(a, b *llvm.Block) *llvm.Block {
+func (d *DomTree) intersect(a, b int) int {
 	for a != b {
-		for d.cfg.index[a] > d.cfg.index[b] {
+		for a > b {
 			a = d.idom[a]
 		}
-		for d.cfg.index[b] > d.cfg.index[a] {
+		for b > a {
 			b = d.idom[b]
 		}
 	}
@@ -114,20 +146,31 @@ func (d *DomTree) intersect(a, b *llvm.Block) *llvm.Block {
 }
 
 // IDom returns the immediate dominator (entry's idom is itself).
-func (d *DomTree) IDom(b *llvm.Block) *llvm.Block { return d.idom[b] }
+func (d *DomTree) IDom(b *llvm.Block) *llvm.Block {
+	i, ok := d.cfg.index[b]
+	if !ok || d.idom[i] < 0 {
+		return nil
+	}
+	return d.cfg.Order[d.idom[i]]
+}
 
 // Dominates reports whether a dominates b (reflexive).
 func (d *DomTree) Dominates(a, b *llvm.Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		i, ok := d.idom[b]
-		if !ok || i == b {
-			return false
-		}
-		b = i
+	if a == b {
+		return true
 	}
+	ia, ok := d.cfg.index[a]
+	if !ok {
+		return false
+	}
+	ib, ok := d.cfg.index[b]
+	if !ok {
+		return false
+	}
+	for ib > ia {
+		ib = d.idom[ib]
+	}
+	return ib == ia
 }
 
 // Loop is a natural loop.

@@ -5,29 +5,72 @@ import (
 	"repro/internal/llvm/analysis"
 )
 
-// DCE removes side-effect-free instructions without uses, iterating to a
-// fixpoint.
+// DCE removes side-effect-free instructions without uses, and then the
+// instructions only they used, until none is left. Uses are counted once
+// and a worklist follows the removals.
 func DCE(f *llvm.Function) {
-	for changed := true; changed; {
-		changed = false
-		used := map[llvm.Value]bool{}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					used[a] = true
+	// uses counts the operand uses of each pure instruction; -1 marks one
+	// removed.
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	uses := make(map[*llvm.Instr]int, n)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if isPure(in) {
+				uses[in] = 0
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if ai, ok := a.(*llvm.Instr); ok {
+					if c, ok := uses[ai]; ok {
+						uses[ai] = c + 1
+					}
 				}
 			}
 		}
-		for _, b := range f.Blocks {
-			instrs := append([]*llvm.Instr(nil), b.Instrs...)
-			for _, in := range instrs {
-				if used[in] || !isPure(in) {
-					continue
-				}
-				b.Remove(in)
-				changed = true
+	}
+	var work []*llvm.Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if c, ok := uses[in]; ok && c == 0 {
+				work = append(work, in)
 			}
 		}
+	}
+	if len(work) == 0 {
+		return
+	}
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		uses[in] = -1
+		for _, a := range in.Args {
+			if ai, ok := a.(*llvm.Instr); ok {
+				if c, ok := uses[ai]; ok && c > 0 {
+					uses[ai] = c - 1
+					if c == 1 {
+						work = append(work, ai)
+					}
+				}
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		keep := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if uses[in] == -1 {
+				in.Parent = nil
+				continue
+			}
+			keep = append(keep, in)
+		}
+		clear(b.Instrs[len(keep):])
+		b.Instrs = keep
 	}
 }
 
@@ -40,37 +83,18 @@ func isPure(in *llvm.Instr) bool {
 	return true
 }
 
-// SimplifyCFG removes unreachable blocks, merges straight-line block pairs,
-// and folds branches on constant conditions.
+// SimplifyCFG folds branches on constant conditions, removes unreachable
+// blocks, and merges each block into its predecessor when that is the
+// block's only predecessor and the block its only successor. One sweep
+// computes one CFG and merges whole straight-line chains in place: a merge
+// leaves every other block's predecessor count unchanged. Only inlining a
+// phi of an absorbed block, which can make a branch condition constant,
+// starts another sweep.
 func SimplifyCFG(f *llvm.Function) {
-	for changed := true; changed; {
-		changed = false
-
-		// Fold constant conditional branches.
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != llvm.OpCondBr {
-				continue
-			}
-			c, ok := t.Args[0].(*llvm.ConstInt)
-			if !ok {
-				continue
-			}
-			dest := t.Blocks[0]
-			dead := t.Blocks[1]
-			if c.Val == 0 {
-				dest, dead = dead, dest
-			}
-			removePhiIncoming(dead, b)
-			b.Remove(t)
-			br := &llvm.Instr{Op: llvm.OpBr, Blocks: []*llvm.Block{dest}, Loop: t.Loop}
-			b.Append(br)
-			changed = true
-		}
-
-		// Drop unreachable blocks.
+	for {
+		foldConstantBranches(f)
 		cfg := analysis.NewCFG(f)
-		var live []*llvm.Block
+		live := f.Blocks[:0]
 		for _, b := range f.Blocks {
 			if cfg.Reachable(b) {
 				live = append(live, b)
@@ -79,66 +103,128 @@ func SimplifyCFG(f *llvm.Function) {
 			for _, s := range b.Succs() {
 				removePhiIncoming(s, b)
 			}
-			changed = true
 		}
+		clear(f.Blocks[len(live):])
 		f.Blocks = live
-
-		// Merge b -> s when b's only successor is s and s's only
-		// predecessor is b.
-		cfg = analysis.NewCFG(f)
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != llvm.OpBr {
-				continue
-			}
-			s := t.Blocks[0]
-			if s == b || len(cfg.Preds[s]) != 1 || s == f.Entry() {
-				continue
-			}
-			// Phis in s with one predecessor are trivial; inline them.
-			for len(s.Instrs) > 0 && s.Instrs[0].Op == llvm.OpPhi {
-				phi := s.Instrs[0]
-				f.ReplaceAllUses(phi, phi.Args[0])
-				s.Remove(phi)
-			}
-			// Keep loop metadata on the merged terminator.
-			loopMD := t.Loop
-			b.Remove(t)
-			for _, in := range s.Instrs {
-				in.Parent = b
-				b.Instrs = append(b.Instrs, in)
-			}
-			if loopMD != nil {
-				if nt := b.Terminator(); nt != nil && nt.Loop == nil {
-					nt.Loop = loopMD
-				}
-			}
-			// Phis elsewhere referencing s as an incoming block now come
-			// from b.
-			for _, ob := range f.Blocks {
-				for _, in := range ob.Instrs {
-					if in.Op != llvm.OpPhi {
-						continue
-					}
-					for i, blk := range in.Blocks {
-						if blk == s {
-							in.Blocks[i] = b
-						}
-					}
-				}
-			}
-			// Delete s.
-			var rest []*llvm.Block
-			for _, x := range f.Blocks {
-				if x != s {
-					rest = append(rest, x)
-				}
-			}
-			f.Blocks = rest
-			changed = true
-			break // CFG changed; recompute
+		if !mergeChains(f, cfg) {
+			return
 		}
 	}
+}
+
+// foldConstantBranches rewrites each conditional branch on a constant into
+// an unconditional one.
+func foldConstantBranches(f *llvm.Function) {
+	for _, b := range f.Blocks {
+		t := b.Terminator()
+		if t == nil || t.Op != llvm.OpCondBr {
+			continue
+		}
+		c, ok := t.Args[0].(*llvm.ConstInt)
+		if !ok {
+			continue
+		}
+		dest := t.Blocks[0]
+		dead := t.Blocks[1]
+		if c.Val == 0 {
+			dest, dead = dead, dest
+		}
+		removePhiIncoming(dead, b)
+		t.Parent = nil
+		b.Instrs[len(b.Instrs)-1] = &llvm.Instr{Op: llvm.OpBr, Blocks: []*llvm.Block{dest},
+			Loop: t.Loop, Parent: b}
+	}
+}
+
+// mergeChains merges, in block order, every block with the chain of
+// single-predecessor blocks its unconditional branches lead to. cfg is the
+// CFG from before the unreachable blocks were dropped, so predecessor
+// counts skip their edges. It stops after the first merge that inlines a
+// phi and reports whether it did.
+func mergeChains(f *llvm.Function, cfg *analysis.CFG) (inlinedPhi bool) {
+	entry := f.Entry()
+	merged := false
+	for _, b := range f.Blocks {
+		for !inlinedPhi {
+			t := b.Terminator()
+			if t == nil || t.Op != llvm.OpBr {
+				break
+			}
+			s := t.Blocks[0]
+			if s == b || s == entry || livePreds(cfg, s) != 1 {
+				break
+			}
+			inlinedPhi = absorb(f, b, s, t)
+			merged = true
+		}
+		if inlinedPhi {
+			break
+		}
+	}
+	if merged {
+		kept := f.Blocks[:0]
+		for _, b := range f.Blocks {
+			if b.Parent == f {
+				kept = append(kept, b)
+			}
+		}
+		clear(f.Blocks[len(kept):])
+		f.Blocks = kept
+	}
+	return inlinedPhi
+}
+
+// livePreds counts the edges into s from reachable blocks.
+func livePreds(cfg *analysis.CFG, s *llvm.Block) int {
+	n := 0
+	for _, p := range cfg.Preds[s] {
+		if cfg.Reachable(p) {
+			n++
+		}
+	}
+	return n
+}
+
+// absorb appends s to b, whose terminator t branches to s alone, and
+// detaches s. It reports whether s opened with phis, which it inlines.
+func absorb(f *llvm.Function, b, s *llvm.Block, t *llvm.Instr) bool {
+	// Phis in s have one predecessor and so one incoming.
+	k := 0
+	for k < len(s.Instrs) && s.Instrs[k].Op == llvm.OpPhi {
+		phi := s.Instrs[k]
+		f.ReplaceAllUses(phi, phi.Args[0])
+		phi.Parent = nil
+		k++
+	}
+	// Keep loop metadata on the merged terminator.
+	loopMD := t.Loop
+	t.Parent = nil
+	b.Instrs = append(b.Instrs[:len(b.Instrs)-1], s.Instrs[k:]...)
+	for _, in := range s.Instrs[k:] {
+		in.Parent = b
+	}
+	if loopMD != nil {
+		if nt := b.Terminator(); nt != nil && nt.Loop == nil {
+			nt.Loop = loopMD
+		}
+	}
+	s.Instrs = nil
+	s.Parent = nil
+	// Phis that named s as an incoming block now come from b; only s's
+	// successors, now b's, can have such phis.
+	for _, x := range b.Succs() {
+		for _, in := range x.Instrs {
+			if in.Op != llvm.OpPhi {
+				continue
+			}
+			for i, blk := range in.Blocks {
+				if blk == s {
+					in.Blocks[i] = b
+				}
+			}
+		}
+	}
+	return k > 0
 }
 
 func removePhiIncoming(b *llvm.Block, pred *llvm.Block) {

@@ -6,244 +6,334 @@
 package passes
 
 import (
+	"strconv"
+
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 )
 
-// Mem2Reg promotes scalar allocas whose only uses are loads and stores into
-// SSA values, inserting phis at joins (dense insertion + trivial-phi
-// pruning).
-func Mem2Reg(f *llvm.Function) {
-	cfg := analysis.NewCFG(f)
+// phiSlot is one phi of the dense placement while pruning decides whether
+// it survives. It stands in for the phi as a value and never reaches the
+// IR: the final rewrite replaces it with its materialized instruction or
+// with the value it folded to.
+type phiSlot struct {
+	v     int // variable index
+	name  int // the _p<n> suffix: join ordinal × variables + v
+	block *llvm.Block
+	ty    *llvm.Type
+	// args holds one incoming per predecessor of block; nil is undef.
+	args  []llvm.Value
+	repl  llvm.Value  // the value a trivial phi folds to
+	instr *llvm.Instr // the phi once something is found to use it
+}
 
-	// Find promotable allocas.
-	var allocas []*llvm.Instr
-	promotable := map[*llvm.Instr]bool{}
+func (p *phiSlot) Type() *llvm.Type { return p.ty }
+func (p *phiSlot) Ident() string    { return "%" + strconv.Itoa(p.name) }
+
+// resolvePhi follows folded phis to the value that replaces them.
+func resolvePhi(x llvm.Value) llvm.Value {
+	for {
+		p, ok := x.(*phiSlot)
+		if !ok || p.repl == nil {
+			return x
+		}
+		x = p.repl
+	}
+}
+
+func isUndef(x llvm.Value) bool {
+	_, ok := x.(*llvm.Undef)
+	return x == nil || ok
+}
+
+// uniqueIncoming returns the one value among p's incomings other than
+// undef and p itself, and whether it skipped an undef; uniq is nil when
+// there is no such value or more than one.
+func (p *phiSlot) uniqueIncoming() (uniq llvm.Value, sawUndef bool) {
+	for _, a := range p.args {
+		a = resolvePhi(a)
+		switch {
+		case a == llvm.Value(p):
+		case isUndef(a):
+			sawUndef = true
+		case uniq == nil:
+			uniq = a
+		case a != uniq:
+			return nil, sawUndef
+		}
+	}
+	return uniq, sawUndef
+}
+
+// Mem2Reg promotes scalar allocas whose only uses are loads and stores into
+// SSA values. It places a phi per variable at every join (dense insertion),
+// renames over reverse postorder, then folds trivial phis and drops dead
+// ones. Replaced loads and folded phis go into one substitution table that
+// every operand is resolved through in a single final rewrite, and each
+// block is compacted once, so no step rescans the function per change.
+func Mem2Reg(f *llvm.Function) {
+	// Number the promotable variables: scalar allocas whose address is only
+	// loaded from or stored to.
+	varOf := map[*llvm.Instr]int{}
+	promoted := func(ptr llvm.Value) (int, bool) {
+		al, ok := ptr.(*llvm.Instr)
+		if !ok || al.Op != llvm.OpAlloca {
+			return 0, false
+		}
+		v, ok := varOf[al]
+		return v, ok
+	}
+	var vars []*llvm.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == llvm.OpAlloca && !in.SrcElem.IsArray() && !in.SrcElem.IsStruct() {
-				allocas = append(allocas, in)
-				promotable[in] = true
+				varOf[in] = len(vars)
+				vars = append(vars, in)
 			}
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for ai, a := range in.Args {
-				al, ok := a.(*llvm.Instr)
-				if !ok || al.Op != llvm.OpAlloca || !promotable[al] {
-					continue
-				}
-				switch {
-				case in.Op == llvm.OpLoad && ai == 0:
-				case in.Op == llvm.OpStore && ai == 1:
-				default:
-					promotable[al] = false // address escapes
-				}
-			}
-		}
-	}
-	var vars []*llvm.Instr
-	for _, a := range allocas {
-		if promotable[a] {
-			vars = append(vars, a)
 		}
 	}
 	if len(vars) == 0 {
 		return
 	}
-
-	// Dense phi insertion: one phi per variable per multi-pred block.
-	phiFor := map[*llvm.Block]map[*llvm.Instr]*llvm.Instr{}
-	phiCtr := 0
+	escaped := make([]bool, len(vars))
+	loads := 0
 	for _, b := range f.Blocks {
-		if len(cfg.Preds[b]) < 2 && b != f.Entry() {
-			continue
-		}
-		if len(cfg.Preds[b]) < 2 {
-			continue
-		}
-		phiFor[b] = map[*llvm.Instr]*llvm.Instr{}
-		for _, v := range vars {
-			phi := &llvm.Instr{Op: llvm.OpPhi, Ty: v.SrcElem,
-				Name: v.Name + "_p" + itoa(phiCtr)}
-			phiCtr++
-			phiFor[b][v] = phi
-		}
-	}
-
-	// Rename pass over reverse postorder.
-	endVal := map[*llvm.Block]map[*llvm.Instr]llvm.Value{}
-	for _, b := range cfg.Order {
-		cur := map[*llvm.Instr]llvm.Value{}
-		if phis, ok := phiFor[b]; ok {
-			for v, phi := range phis {
-				cur[v] = phi
-			}
-		} else if len(cfg.Preds[b]) == 1 {
-			// Single predecessor: inherit (preds appear before b in RPO for
-			// reducible CFGs except back edges; back edges only target
-			// multi-pred headers, which got phis).
-			if pv, ok := endVal[cfg.Preds[b][0]]; ok {
-				for v, x := range pv {
-					cur[v] = x
+		for _, in := range b.Instrs {
+			for ai, a := range in.Args {
+				v, ok := promoted(a)
+				switch {
+				case !ok:
+				case in.Op == llvm.OpLoad && ai == 0:
+					loads++
+				case in.Op == llvm.OpStore && ai == 1:
+				default:
+					escaped[v] = true
 				}
 			}
 		}
-		var toRemove []*llvm.Instr
+	}
+	kept := vars[:0]
+	for v, a := range vars {
+		if escaped[v] {
+			delete(varOf, a)
+			continue
+		}
+		varOf[a] = len(kept)
+		kept = append(kept, a)
+	}
+	vars = kept
+	if len(vars) == 0 {
+		return
+	}
+	nv := len(vars)
+
+	// Dense placement: one phi per variable at every block with two or more
+	// predecessors. Joins are numbered in block order, and the numbering
+	// names the phis. An unreachable join keeps its ordinal but gets no
+	// slots: its phis could only merge undefs, and nothing would use them.
+	cfg := analysis.NewCFG(f)
+	joinAt := make([]int, len(cfg.Order)) // RPO position → join index, or -1
+	for i := range joinAt {
+		joinAt[i] = -1
+	}
+	var joins []*llvm.Block
+	var ordinals []int
+	nargs := 0
+	ordinal := 0
+	for _, b := range f.Blocks {
+		preds := cfg.Preds[b]
+		if len(preds) < 2 {
+			continue
+		}
+		if r := cfg.Index(b); r >= 0 {
+			joinAt[r] = len(joins)
+			joins = append(joins, b)
+			ordinals = append(ordinals, ordinal)
+			nargs += len(preds) * nv
+		}
+		ordinal++
+	}
+	slots := make([]phiSlot, len(joins)*nv)
+	argSlab := make([]llvm.Value, nargs)
+	for k, b := range joins {
+		n := len(cfg.Preds[b])
+		for v, a := range vars {
+			slots[k*nv+v] = phiSlot{v: v, name: ordinals[k]*nv + v, block: b, ty: a.SrcElem,
+				args: argSlab[:n:n]}
+			argSlab = argSlab[n:]
+		}
+	}
+
+	// Rename over reverse postorder, keeping each block's variable
+	// environment in one slice of env; what a block leaves there is its end
+	// state. A single-predecessor block inherits its predecessor's end
+	// state (back edges only reach joins, which start from their phis).
+	env := make([]llvm.Value, len(cfg.Order)*nv)
+	sub := make(map[*llvm.Instr]llvm.Value, loads) // promoted load → value
+	loaded := func(x llvm.Value) llvm.Value {
+		if l, ok := x.(*llvm.Instr); ok && l.Op == llvm.OpLoad {
+			if y, ok := sub[l]; ok {
+				return y
+			}
+		}
+		return x
+	}
+	for r, b := range cfg.Order {
+		cur := env[r*nv : (r+1)*nv]
+		if k := joinAt[r]; k >= 0 {
+			for v := range cur {
+				cur[v] = &slots[k*nv+v]
+			}
+		} else if preds := cfg.Preds[b]; len(preds) == 1 {
+			if pr := cfg.Index(preds[0]); pr >= 0 && pr < r {
+				copy(cur, env[pr*nv:(pr+1)*nv])
+			}
+		}
+		keep := b.Instrs[:0]
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case llvm.OpLoad:
-				if al, ok := in.Args[0].(*llvm.Instr); ok && al.Op == llvm.OpAlloca && promotable[al] {
-					repl := cur[al]
-					if repl == nil {
-						repl = &llvm.Undef{Ty: al.SrcElem}
+				if v, ok := promoted(in.Args[0]); ok {
+					x := cur[v]
+					if x == nil {
+						x = &llvm.Undef{Ty: vars[v].SrcElem}
 					}
-					f.ReplaceAllUses(in, repl)
-					toRemove = append(toRemove, in)
+					sub[in] = x
+					in.Parent = nil
+					continue
 				}
 			case llvm.OpStore:
-				if al, ok := in.Args[1].(*llvm.Instr); ok && al.Op == llvm.OpAlloca && promotable[al] {
-					cur[al] = in.Args[0]
-					toRemove = append(toRemove, in)
+				if v, ok := promoted(in.Args[1]); ok {
+					cur[v] = loaded(in.Args[0])
+					in.Parent = nil
+					continue
+				}
+			case llvm.OpAlloca:
+				if _, ok := varOf[in]; ok {
+					in.Parent = nil
+					continue
 				}
 			}
+			keep = append(keep, in)
 		}
-		for _, in := range toRemove {
-			b.Remove(in)
-		}
-		endVal[b] = cur
+		clear(b.Instrs[len(keep):])
+		b.Instrs = keep
 	}
-
-	// Wire phi incomings and insert the phis.
-	for b, phis := range phiFor {
-		for v, phi := range phis {
-			for _, p := range cfg.Preds[b] {
-				inc := endVal[p][v]
-				if inc == nil {
-					inc = &llvm.Undef{Ty: v.SrcElem}
-				}
-				phi.AddIncoming(inc, p)
-			}
-		}
-		// Insert in deterministic order (by variable position).
-		for _, v := range vars {
-			if phi, ok := phis[v]; ok {
-				if len(b.Instrs) == 0 {
-					b.Append(phi)
-				} else {
-					b.InsertBefore(phi, b.Instrs[0])
-				}
-			}
+	for _, a := range vars {
+		if a.Parent != nil { // an alloca in an unreachable block
+			a.Parent.Remove(a)
 		}
 	}
-
-	// Remove the promoted allocas.
-	for _, v := range vars {
-		if v.Parent != nil {
-			v.Parent.Remove(v)
+	for k, b := range joins {
+		for i, p := range cfg.Preds[b] {
+			pr := cfg.Index(p)
+			if pr < 0 {
+				continue // undef from an unreachable predecessor
+			}
+			for v := 0; v < nv; v++ {
+				slots[k*nv+v].args[i] = env[pr*nv+v]
+			}
 		}
 	}
 
-	pruneTrivialPhis(f)
-}
-
-// pruneTrivialPhis removes phis whose incoming values are all identical (or
-// the phi itself), then eliminates dead phi webs: phis used only by other
-// phis that are themselves dead.
-func pruneTrivialPhis(f *llvm.Function) {
+	// Fold trivial phis, those whose incomings other than undef and the
+	// phi itself are one value, sweeping in the order the phis sit in the
+	// IR (block order, variables reversed) until nothing folds. Undef may
+	// only be ignored when the value strictly dominates the phi's block, as
+	// LLVM's phi simplification requires; otherwise a loop-carried
+	// uninitialized scalar would fold into a use ahead of its definition.
+	var dom *analysis.DomTree
+	strictlyDominates := func(x llvm.Value, b *llvm.Block) bool {
+		var xb *llvm.Block
+		switch x := x.(type) {
+		case *phiSlot:
+			xb = x.block
+		case *llvm.Instr:
+			xb = x.Parent
+		default:
+			return true // parameters and constants dominate everything
+		}
+		if xb == b {
+			return false
+		}
+		if dom == nil {
+			dom = analysis.NewDomTree(cfg)
+		}
+		return dom.Dominates(xb, b)
+	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			instrs := append([]*llvm.Instr(nil), b.Instrs...)
-			for _, in := range instrs {
-				if in.Op != llvm.OpPhi {
+		for k := range joins {
+			for v := nv - 1; v >= 0; v-- {
+				p := &slots[k*nv+v]
+				if p.repl != nil {
 					continue
 				}
-				var uniq llvm.Value
-				trivial := true
-				for _, a := range in.Args {
-					if a == in {
-						continue
-					}
-					if _, isUndef := a.(*llvm.Undef); isUndef {
-						continue
-					}
-					if uniq == nil {
-						uniq = a
-						continue
-					}
-					if a != uniq {
-						trivial = false
-						break
-					}
-				}
-				if !trivial || uniq == nil {
+				uniq, sawUndef := p.uniqueIncoming()
+				if uniq == nil || sawUndef && !strictlyDominates(uniq, p.block) {
 					continue
 				}
-				f.ReplaceAllUses(in, uniq)
-				b.Remove(in)
+				p.repl = uniq
 				changed = true
 			}
 		}
-		if removeDeadPhiWebs(f) {
-			changed = true
-		}
 	}
-}
 
-// removeDeadPhiWebs deletes phis that no non-phi instruction (transitively)
-// uses: liveness seeds at non-phi uses and propagates backward through phi
-// operands.
-func removeDeadPhiWebs(f *llvm.Function) bool {
-	live := map[*llvm.Instr]bool{}
-	var queue []*llvm.Instr
+	// Rewrite every operand through the substitution table. A phi slot an
+	// operand resolves to is live: materialize it, then its incomings are
+	// uses too. Phis nothing reaches this way are dropped.
+	var work []*phiSlot
+	use := func(x llvm.Value) llvm.Value {
+		x = resolvePhi(loaded(x))
+		p, ok := x.(*phiSlot)
+		if !ok {
+			return x
+		}
+		if p.instr == nil {
+			p.instr = &llvm.Instr{Op: llvm.OpPhi, Ty: p.ty, Parent: p.block,
+				Name: vars[p.v].Name + "_p" + strconv.Itoa(p.name)}
+			work = append(work, p)
+		}
+		return p.instr
+	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == llvm.OpPhi {
+			for i, a := range in.Args {
+				in.Args[i] = use(a)
+			}
+		}
+	}
+	for len(work) > 0 {
+		p := work[len(work)-1]
+		work = work[:len(work)-1]
+		in := p.instr
+		in.Args = make([]llvm.Value, len(p.args))
+		in.Blocks = append([]*llvm.Block(nil), cfg.Preds[p.block]...)
+		for i, a := range p.args {
+			if a == nil {
+				in.Args[i] = &llvm.Undef{Ty: p.ty}
 				continue
 			}
-			for _, a := range in.Args {
-				if phi, ok := a.(*llvm.Instr); ok && phi.Op == llvm.OpPhi && !live[phi] {
-					live[phi] = true
-					queue = append(queue, phi)
-				}
-			}
+			in.Args[i] = use(a)
 		}
 	}
-	for len(queue) > 0 {
-		phi := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, a := range phi.Args {
-			if p2, ok := a.(*llvm.Instr); ok && p2.Op == llvm.OpPhi && !live[p2] {
-				live[p2] = true
-				queue = append(queue, p2)
+	// Live phis open their block in reverse variable order.
+	for k, b := range joins {
+		n := 0
+		for v := 0; v < nv; v++ {
+			if slots[k*nv+v].instr != nil {
+				n++
 			}
 		}
-	}
-	changed := false
-	for _, b := range f.Blocks {
-		instrs := append([]*llvm.Instr(nil), b.Instrs...)
-		for _, in := range instrs {
-			if in.Op == llvm.OpPhi && !live[in] {
-				b.Remove(in)
-				changed = true
+		if n == 0 {
+			continue
+		}
+		instrs := make([]*llvm.Instr, 0, n+len(b.Instrs))
+		for v := nv - 1; v >= 0; v-- {
+			if in := slots[k*nv+v].instr; in != nil {
+				instrs = append(instrs, in)
 			}
 		}
+		b.Instrs = append(instrs, b.Instrs...)
 	}
-	return changed
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

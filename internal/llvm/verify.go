@@ -22,14 +22,18 @@ func (f *Function) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	names := map[string]bool{}
+	n := len(f.Params)
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	names := make(map[string]bool, n)
 	for _, p := range f.Params {
 		if names[p.Name] {
 			return fmt.Errorf("duplicate parameter name %%%s", p.Name)
 		}
 		names[p.Name] = true
 	}
-	preds := map[*Block][]*Block{}
+	preds := make(map[*Block][]*Block, len(f.Blocks))
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
 			preds[s] = append(preds[s], b)
