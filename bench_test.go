@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/flow"
 	"repro/internal/hls"
+	"repro/internal/llvm"
 	"repro/internal/llvm/interp"
 	llparser "repro/internal/llvm/parser"
 	"repro/internal/mlir"
@@ -318,17 +320,54 @@ func BenchmarkCFrontend(b *testing.B) {
 	}
 }
 
+// synthMix holds the final modules of the perfbench compile-pairs job mix:
+// every polybench kernel at SMALL under every dse.Space() configuration and
+// both flows. It is built once per test binary, outside any timer.
+var synthMix struct {
+	once sync.Once
+	mods []*llvm.Module
+	tops []string
+	err  error
+}
+
+func loadSynthMix() error {
+	synthMix.once.Do(func() {
+		for _, k := range polybench.All() {
+			s, err := k.SizeOf("SMALL")
+			if err != nil {
+				synthMix.err = err
+				return
+			}
+			for _, c := range dse.Space() {
+				for _, run := range []func(*mlir.Module, string, flow.Directives, hls.Target) (*flow.Result, error){
+					flow.AdaptorFlow, flow.CxxFlow,
+				} {
+					res, err := run(k.Build(s), k.Name, c.D, hls.DefaultTarget())
+					if err != nil {
+						synthMix.err = fmt.Errorf("%s %s: %w", k.Name, c.Label, err)
+						return
+					}
+					synthMix.mods = append(synthMix.mods, res.LLVM)
+					synthMix.tops = append(synthMix.tops, k.Name)
+				}
+			}
+		}
+	})
+	return synthMix.err
+}
+
+// BenchmarkSynthesize measures one synthesis of a module from the
+// compile-pairs mix, cycling through all of them; ns/op and allocs/op are
+// per-synthesis averages over the mix.
 func BenchmarkSynthesize(b *testing.B) {
-	k := polybench.Get("gemm")
-	s, _ := k.SizeOf("SMALL")
-	res, err := flow.AdaptorFlow(k.Build(s), "gemm",
-		flow.Directives{Pipeline: true, II: 1}, hls.DefaultTarget())
-	if err != nil {
+	if err := loadSynthMix(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hls.Synthesize(res.LLVM, "gemm", hls.DefaultTarget()); err != nil {
+		j := i % len(synthMix.mods)
+		if _, err := hls.Synthesize(synthMix.mods[j], synthMix.tops[j], hls.DefaultTarget()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -264,17 +264,20 @@ func (r *PointsToResult) Targets(v llvm.Value) ([]Loc, bool) {
 // model). Same-root locations alias unless both element indices are known
 // and different.
 func (r *PointsToResult) MayAlias(a, b llvm.Value) bool {
-	sa, oka := r.Targets(a)
-	sb, okb := r.Targets(b)
-	if !oka || !okb {
+	sa, sb := r.sets[a], r.sets[b]
+	if r.unknown[a] || r.unknown[b] || len(sa) == 0 || len(sb) == 0 {
 		return true // unknown pointer: assume the worst
 	}
-	for _, la := range sa {
-		for _, lb := range sb {
-			if la.Root != lb.Root {
-				continue
+	for la := range sa {
+		if la.Elem != ElemUnknown {
+			// A known element meets the same element or the whole root.
+			if sb[la] || sb[Loc{Root: la.Root, Elem: ElemUnknown}] {
+				return true
 			}
-			if la.Elem == ElemUnknown || lb.Elem == ElemUnknown || la.Elem == lb.Elem {
+			continue
+		}
+		for lb := range sb {
+			if lb.Root == la.Root {
 				return true
 			}
 		}

@@ -169,6 +169,8 @@ type Engine struct {
 	ivLoops map[*llvm.Instr]loopIV
 	// trips maps each loop to its constant trip count, -1 when unknown.
 	trips map[*analysis.Loop]int64
+	// nests and pos (each instruction's position in f) are filled on
+	// first use.
 	nests map[*llvm.Block][]*analysis.Loop
 	pos   map[*llvm.Instr]int
 	acc   map[llvm.Value]accessInfo
@@ -184,7 +186,6 @@ func New(f *llvm.Function, li *analysis.LoopInfo, mayAlias func(a, b llvm.Value)
 		ivLoops: map[*llvm.Instr]loopIV{},
 		trips:   map[*analysis.Loop]int64{},
 		nests:   map[*llvm.Block][]*analysis.Loop{},
-		pos:     map[*llvm.Instr]int{},
 		acc:     map[llvm.Value]accessInfo{},
 		cache:   map[carriedKey]CarriedDep{},
 	}
@@ -196,14 +197,6 @@ func New(f *llvm.Function, li *analysis.LoopInfo, mayAlias func(a, b llvm.Value)
 			e.trips[l] = -1
 		}
 	}
-	n := 0
-	for _, b := range f.Blocks {
-		e.nests[b] = li.NestOf(b)
-		for _, in := range b.Instrs {
-			e.pos[in] = n
-			n++
-		}
-	}
 	return e
 }
 
@@ -212,7 +205,27 @@ func (e *Engine) nestOf(in *llvm.Instr) []*analysis.Loop {
 	if in.Parent == nil {
 		return nil
 	}
-	return e.nests[in.Parent]
+	nest, ok := e.nests[in.Parent]
+	if !ok {
+		nest = e.li.NestOf(in.Parent)
+		e.nests[in.Parent] = nest
+	}
+	return nest
+}
+
+// before reports whether instruction a comes strictly before b in f.
+func (e *Engine) before(a, b *llvm.Instr) bool {
+	if e.pos == nil {
+		e.pos = map[*llvm.Instr]int{}
+		n := 0
+		for _, blk := range e.f.Blocks {
+			for _, in := range blk.Instrs {
+				e.pos[in] = n
+				n++
+			}
+		}
+	}
+	return e.pos[a] < e.pos[b]
 }
 
 // pairCtx is the loop context of one access pair: the common nest (loops
@@ -508,7 +521,7 @@ func (e *Engine) edge(src, dst *llvm.Instr) Edge {
 			if !lexNonNegative(cfg) {
 				return
 			}
-			if allEq(cfg) && (src == dst || e.pos[src] >= e.pos[dst]) {
+			if allEq(cfg) && (src == dst || !e.before(src, dst)) {
 				return // same-iteration dep needs source before sink
 			}
 			feasible := true

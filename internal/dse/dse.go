@@ -319,22 +319,14 @@ func pruneInfeasible(space []Config, build func() *mlir.Module, top string, tgt 
 	if !ok {
 		return space, nil
 	}
-	// portsFor mirrors hls.Target.PartitionPorts for the sweep's uniform
-	// all-parameter partition directive; local allocas always run at the
-	// default width.
+	// portsFor prices the sweep's uniform all-parameter partition directive
+	// with the scheduler's rule; local allocas always run at the default
+	// width.
 	portsFor := func(d flow.Directives) int {
 		if d.Partition == nil {
 			return tgt.MemPorts
 		}
-		switch d.Partition.Kind {
-		case "complete":
-			return 1 << 20
-		case "cyclic", "block":
-			if d.Partition.Factor > 1 {
-				return tgt.MemPorts * d.Partition.Factor
-			}
-		}
-		return tgt.MemPorts
+		return tgt.PartitionPorts(d.Partition.Kind, d.Partition.Factor)
 	}
 	// groupFloor returns min over pipelined loops of max(RecMII, ResMII)
 	// under the group's ports, plus that loop's two components for the

@@ -1,7 +1,6 @@
 package hls
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -23,7 +22,7 @@ import (
 // discard load/store pairs that provably address disjoint memory.
 func (t Target) RecMII(instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
 	mayAlias func(a, b llvm.Value) bool) int {
-	return t.recMII(nil, nil, instrs, ivDependent, mayAlias)
+	return recMII(nil, nil, instrs, ivDependent, mayAlias, t.latency)
 }
 
 // RecMIIWith is RecMII with an affine dependence engine: eng's exact
@@ -35,60 +34,51 @@ func (t Target) RecMII(instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
 func (t Target) RecMIIWith(eng *deptest.Engine, l *analysis.Loop,
 	instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
 	mayAlias func(a, b llvm.Value) bool) int {
-	return t.recMII(eng, l, instrs, ivDependent, mayAlias)
+	return recMII(eng, l, instrs, ivDependent, mayAlias, t.latency)
 }
+
+// latency prices an instruction's latency in cycles with CostOf.
+func (t Target) latency(in *llvm.Instr) int { return t.CostOf(in).Latency }
 
 // MemAccessCounts returns the per-base load/store counts of one iteration's
 // instruction sequence, exactly as the port-constrained scheduler tallies
-// them (access counts are independent of port widths and partitioning).
+// them: every sequential (non-zero latency) access. Access counts are
+// independent of port widths and partitioning.
 func (t Target) MemAccessCounts(instrs []*llvm.Instr) map[llvm.Value]int {
-	return t.scheduleInstrsPorts(instrs, nil).MemAccesses
+	counts := map[llvm.Value]int{}
+	for _, in := range instrs {
+		var base llvm.Value
+		switch in.Op {
+		case llvm.OpLoad:
+			base = baseOf(in.Args[0])
+		case llvm.OpStore:
+			base = baseOf(in.Args[1])
+		default:
+			continue
+		}
+		if t.CostOf(in).Latency != 0 {
+			counts[base]++
+		}
+	}
+	return counts
 }
 
-// ResMII computes the resource-constrained minimum initiation interval from
-// per-base access counts: the maximum over bases of ceil(accesses/ports).
-// portsOf (may be nil) overrides the default per-base port count.
-func (t Target) ResMII(counts map[llvm.Value]int, portsOf func(llvm.Value) int) int {
-	resMII := 1
-	for base, n := range counts {
-		ports := t.MemPorts
-		if portsOf != nil {
-			if p := portsOf(base); p > 0 {
-				ports = p
-			}
-		}
-		if m := (n + ports - 1) / ports; m > resMII {
-			resMII = m
+// PartitionPorts returns the effective port count of an array partitioned
+// by kind and factor, as in an hls.array_partition.argN directive: complete
+// partitioning leaves registers with effectively unlimited ports, cyclic and
+// block partitioning by a factor above one multiply the dual ports, and
+// anything else keeps MemPorts. The synthesis estimator and the DSE
+// feasibility pre-check both price partition directives with it.
+func (t Target) PartitionPorts(kind string, factor int) int {
+	switch kind {
+	case "complete":
+		return 1 << 20
+	case "cyclic", "block":
+		if factor > 1 {
+			return t.MemPorts * factor
 		}
 	}
-	return resMII
-}
-
-// PartitionPorts builds the effective-port-count oracle for f's parameter
-// arrays from its hls.array_partition.argN attributes — the same closure the
-// synthesis estimator schedules with, exported so the lint layer and the DSE
-// pre-check price partition directives identically.
-func (t Target) PartitionPorts(f *llvm.Function) func(llvm.Value) int {
-	paramIdx := map[llvm.Value]int{}
-	for i, p := range f.Params {
-		paramIdx[p] = i
-	}
-	return func(base llvm.Value) int {
-		i, ok := paramIdx[base]
-		if !ok {
-			return 0
-		}
-		kind, factor := parsePartition(f.Attrs[fmt.Sprintf("hls.array_partition.arg%d", i)])
-		switch kind {
-		case "complete":
-			return 1 << 20 // registers: effectively unlimited ports
-		case "cyclic", "block":
-			if factor > 1 {
-				return t.MemPorts * factor
-			}
-		}
-		return 0
-	}
+	return t.MemPorts
 }
 
 // SameAddress reports whether two pointer operands are provably the same

@@ -44,11 +44,6 @@ type Target struct {
 	// bitwidth analysis (see ResolveWidths).
 	CostModel CostModel
 
-	// addrOnly marks instructions that only feed address or loop-control
-	// computations; the address generation units absorb them (set by the
-	// synthesizer, nil outside a synthesis run).
-	addrOnly map[*llvm.Instr]bool
-
 	// widths holds per-instruction inferred operator widths, consulted only
 	// under CostInferred (set by ResolveWidths / WithInferredWidths).
 	widths map[*llvm.Instr]int
@@ -84,13 +79,17 @@ func DefaultTarget() Target {
 }
 
 // CostOf returns the operator cost for an instruction under the target.
-func (t Target) CostOf(in *llvm.Instr) OpCost {
+func (t Target) CostOf(in *llvm.Instr) OpCost { return t.costOf(in, false) }
+
+// costOf is CostOf for an instruction the synthesizer may have classified as
+// address-only (see addrOnly): the address generation units absorb it.
+func (t Target) costOf(in *llvm.Instr, addrOnly bool) OpCost {
 	if t.CostModel == CostInferred {
-		if c, ok := t.inferredCostOf(in); ok {
+		if c, ok := t.inferredCostOf(in, addrOnly); ok {
 			return c
 		}
 	}
-	if t.addrOnly[in] {
+	if addrOnly {
 		// Folded into address generation / loop control: combinational,
 		// LUT-only, regardless of the nominal operator cost.
 		return OpCost{Latency: 0, Delay: 1.8, LUT: intWidthLUT(in.Ty)}

@@ -167,12 +167,13 @@ func TestPropertyMorePortsNeverSlower(t *testing.T) {
 		tgt := DefaultTarget()
 		var widePorts = tgt
 		widePorts.MemPorts = tgt.MemPorts * 4
-		for _, blk := range f.Blocks {
-			narrow := tgt.scheduleInstrs(blk.Instrs)
-			wide := widePorts.scheduleInstrs(blk.Instrs)
-			if wide.Cycles > narrow.Cycles {
+		narrowSynth, wideSynth := newSynth(f, tgt), newSynth(f, widePorts)
+		for b := range f.Blocks {
+			narrow, _ := narrowSynth.schedule([]int32{int32(b)}, 1)
+			wide, _ := wideSynth.schedule([]int32{int32(b)}, 1)
+			if wide > narrow {
 				t.Fatalf("seed %d: wider ports slowed a block: %d -> %d",
-					seed, narrow.Cycles, wide.Cycles)
+					seed, narrow, wide)
 			}
 		}
 	}
@@ -186,15 +187,14 @@ func TestPropertyCriticalPathBound(t *testing.T) {
 		m := randomKernel(r)
 		lm := adapted(t, m)
 		f := lm.FindFunc("rk")
-		tgt := DefaultTarget()
-		tgt.addrOnly = computeAddrOnly(f)
-		for _, blk := range f.Blocks {
-			sched := tgt.scheduleInstrs(blk.Instrs)
+		s := newSynth(f, DefaultTarget())
+		for b, blk := range f.Blocks {
+			cycles, _ := s.schedule([]int32{int32(b)}, 1)
 			// Longest chain in cycles via per-instruction latencies.
 			chain := map[interface{}]int64{}
 			var longest int64
 			for _, in := range blk.Instrs {
-				c := tgt.CostOf(in)
+				c := s.cost[s.instrID[in]]
 				best := int64(0)
 				for _, a := range in.Args {
 					if v, ok := chain[a]; ok && v > best {
@@ -207,9 +207,9 @@ func TestPropertyCriticalPathBound(t *testing.T) {
 					longest = mine
 				}
 			}
-			if sched.Cycles < longest {
+			if cycles < longest {
 				t.Fatalf("seed %d: schedule (%d) shorter than critical path (%d)",
-					seed, sched.Cycles, longest)
+					seed, cycles, longest)
 			}
 		}
 	}

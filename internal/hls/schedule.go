@@ -25,137 +25,138 @@ func baseOf(v llvm.Value) llvm.Value {
 	}
 }
 
-// blockSchedule is the result of scheduling one straight-line instruction
-// sequence.
-type blockSchedule struct {
-	// Cycles is the schedule length.
-	Cycles int64
-	// MemAccesses counts load/store operations per base array.
-	MemAccesses map[llvm.Value]int
-	// MaxChainNs is the longest combinational chain packed into one cycle
-	// (the critical path bounding the achievable clock).
-	MaxChainNs float64
-	// finish records each instruction's finish time in ns.
-	finish map[*llvm.Instr]float64
-}
-
-// scheduleInstrs is scheduleInstrsPorts with the default port width for
-// every array.
-func (t Target) scheduleInstrs(instrs []*llvm.Instr) blockSchedule {
-	return t.scheduleInstrsPorts(instrs, nil)
-}
-
-// scheduleInstrsPorts runs chaining-aware, memory-port-constrained list
-// scheduling over an instruction sequence (one block, or a loop iteration's
-// blocks concatenated). Values defined outside the sequence are ready at
-// time zero. portsOf overrides the per-array port count (array
-// partitioning multiplies the default dual ports); nil uses the default.
-func (t Target) scheduleInstrsPorts(instrs []*llvm.Instr, portsOf func(llvm.Value) int) blockSchedule {
-	clk := t.ClockNs
-	finish := map[*llvm.Instr]float64{}
-	inSeq := map[*llvm.Instr]bool{}
-	for _, in := range instrs {
-		inSeq[in] = true
-	}
-	// Memory ordering state per base.
-	lastStoreFinish := map[llvm.Value]float64{}
-	lastAccessFinish := map[llvm.Value]float64{}
-	// Port occupancy per base per cycle.
-	ports := map[llvm.Value]map[int64]int{}
-	mem := map[llvm.Value]int{}
-	portWidth := func(base llvm.Value) int {
-		if portsOf != nil {
-			if n := portsOf(base); n > 0 {
-				return n
-			}
-		}
-		return t.MemPorts
-	}
-
+// schedule runs chaining-aware, memory-port-constrained list scheduling
+// over the instructions of blocks in order (one block, or a loop iteration's
+// blocks concatenated) and returns the schedule length in cycles and the
+// port-implied minimum II: the maximum over bases of ceil(accesses/ports).
+// Values defined outside the sequence are ready at time zero. copies > 1
+// schedules the sequence that many times without its phis and terminators,
+// as materialized unrolling presents the body: a copy reads its own earlier
+// values, while port occupancy and memory ordering carry across copies.
+// Every stage's delay and every chain packed into one cycle feed maxChain.
+func (s *synth) schedule(blocks []int32, copies int) (cycles int64, resMII int) {
+	s.call++
+	s.bases = s.bases[:0]
 	var maxFinish float64
-	var maxChain float64
-	for _, in := range instrs {
-		cost := t.CostOf(in)
-		// Any single stage's delay bounds the achievable clock.
-		if cost.Delay > maxChain {
-			maxChain = cost.Delay
-		}
-		ready := 0.0
-		for _, a := range in.Args {
-			if d, ok := a.(*llvm.Instr); ok && inSeq[d] {
-				if f, ok := finish[d]; ok && f > ready {
-					ready = f
+	scheduled := 0
+	for c := 0; c < copies; c++ {
+		s.gen++
+		for _, b := range blocks {
+			for i := s.first[b]; i < s.first[b+1]; i++ {
+				if !s.inCopy(i, copies) {
+					continue
 				}
-			}
-		}
-		var base llvm.Value
-		switch in.Op {
-		case llvm.OpLoad:
-			base = baseOf(in.Args[0])
-			if f := lastStoreFinish[base]; f > ready {
-				ready = f
-			}
-		case llvm.OpStore:
-			base = baseOf(in.Args[1])
-			if f := lastAccessFinish[base]; f > ready {
-				ready = f
-			}
-		}
-
-		var end float64
-		if cost.Latency == 0 {
-			// Combinational: chain if the delay fits in the current cycle.
-			start := ready
-			cycleEnd := (math.Floor(start/clk) + 1) * clk
-			if start+cost.Delay > cycleEnd {
-				start = math.Ceil(start/clk) * clk
-				if start == ready && start+cost.Delay > start+clk {
-					// Single op longer than a cycle: takes one full cycle.
-					cost.Delay = clk
+				if end := s.place(i); end > maxFinish {
+					maxFinish = end
 				}
-			}
-			end = start + cost.Delay
-			if chain := end - math.Floor(end/clk)*clk; chain > maxChain && chain <= clk {
-				maxChain = chain
-			}
-		} else {
-			// Sequential: starts at a cycle boundary.
-			startCycle := int64(math.Ceil(ready / clk))
-			if base != nil {
-				if ports[base] == nil {
-					ports[base] = map[int64]int{}
-				}
-				for ports[base][startCycle] >= portWidth(base) {
-					startCycle++
-				}
-				ports[base][startCycle]++
-				mem[base]++
-			}
-			end = float64(startCycle+int64(cost.Latency)) * clk
-		}
-		finish[in] = end
-		if end > maxFinish {
-			maxFinish = end
-		}
-		switch in.Op {
-		case llvm.OpLoad:
-			if end > lastAccessFinish[base] {
-				lastAccessFinish[base] = end
-			}
-		case llvm.OpStore:
-			if end > lastStoreFinish[base] {
-				lastStoreFinish[base] = end
-			}
-			if end > lastAccessFinish[base] {
-				lastAccessFinish[base] = end
+				scheduled++
 			}
 		}
 	}
-	cycles := int64(math.Ceil(maxFinish / clk))
-	if cycles == 0 && len(instrs) > 0 {
+	cycles = int64(math.Ceil(maxFinish / s.tgt.ClockNs))
+	if cycles == 0 && scheduled > 0 {
 		cycles = 1
 	}
-	return blockSchedule{Cycles: cycles, MemAccesses: mem, MaxChainNs: maxChain, finish: finish}
+	resMII = 1
+	for _, b := range s.bases {
+		if m := (s.accesses[b] + s.ports[b] - 1) / s.ports[b]; m > resMII {
+			resMII = m
+		}
+	}
+	return cycles, resMII
+}
+
+// place schedules instruction i at the earliest time its operands, memory
+// ordering and ports allow, and returns its finish time in ns.
+func (s *synth) place(i int32) float64 {
+	clk := s.tgt.ClockNs
+	in := s.instrs[i]
+	cost := s.cost[i]
+	// Any single stage's delay bounds the achievable clock.
+	if cost.Delay > s.maxChain {
+		s.maxChain = cost.Delay
+	}
+	ready := 0.0
+	for _, a := range s.operands(i) {
+		if a >= 0 && s.stamp[a] == s.gen && s.finish[a] > ready {
+			ready = s.finish[a]
+		}
+	}
+	base := s.base[i]
+	if base >= 0 && s.baseCall[base] != s.call {
+		s.baseCall[base] = s.call
+		s.lastStore[base], s.lastAccess[base] = 0, 0
+		s.occupied[base] = s.occupied[base][:0]
+		s.accesses[base] = 0
+		s.bases = append(s.bases, base)
+	}
+	switch in.Op {
+	case llvm.OpLoad:
+		if f := s.lastStore[base]; f > ready {
+			ready = f
+		}
+	case llvm.OpStore:
+		if f := s.lastAccess[base]; f > ready {
+			ready = f
+		}
+	}
+
+	var end float64
+	if cost.Latency == 0 {
+		// Combinational: chain if the delay fits in the current cycle.
+		start := ready
+		cycleEnd := (math.Floor(start/clk) + 1) * clk
+		if start+cost.Delay > cycleEnd {
+			start = math.Ceil(start/clk) * clk
+			if start == ready && start+cost.Delay > start+clk {
+				// Single op longer than a cycle: takes one full cycle.
+				cost.Delay = clk
+			}
+		}
+		end = start + cost.Delay
+		if chain := end - math.Floor(end/clk)*clk; chain > s.maxChain && chain <= clk {
+			s.maxChain = chain
+		}
+	} else {
+		// Sequential: starts at a cycle boundary, on a free port.
+		startCycle := int64(math.Ceil(ready / clk))
+		if base >= 0 {
+			occ := s.occupied[base]
+			for startCycle < int64(len(occ)) && occ[startCycle] >= int32(s.ports[base]) {
+				startCycle++
+			}
+			if n := startCycle + 1 - int64(len(occ)); n > 0 {
+				occ = append(occ, make([]int32, n)...)
+			}
+			occ[startCycle]++
+			s.occupied[base] = occ
+			s.accesses[base]++
+		}
+		end = float64(startCycle+int64(cost.Latency)) * clk
+	}
+	s.finish[i], s.stamp[i] = end, s.gen
+	switch in.Op {
+	case llvm.OpLoad:
+		if end > s.lastAccess[base] {
+			s.lastAccess[base] = end
+		}
+	case llvm.OpStore:
+		if end > s.lastStore[base] {
+			s.lastStore[base] = end
+		}
+		if end > s.lastAccess[base] {
+			s.lastAccess[base] = end
+		}
+	}
+	return end
+}
+
+// inCopy reports whether instruction i belongs to each copy of a body
+// replicated copies times: materialized unrolling keeps no phis or
+// terminators in the copies.
+func (s *synth) inCopy(i int32, copies int) bool {
+	in := s.instrs[i]
+	return copies == 1 || in.Op != llvm.OpPhi && !in.IsTerminator()
 }
 
 // recMII computes the recurrence-constrained minimum initiation interval of
@@ -172,9 +173,10 @@ func (t Target) scheduleInstrsPorts(instrs []*llvm.Instr, portsOf func(llvm.Valu
 // ivDependent reports whether a value depends on the loop's induction phi.
 // mayAlias (may be nil) is a points-to oracle: pairs it disproves carry no
 // dependence and are skipped before any dependence test.
-func (t Target) recMII(eng *deptest.Engine, l *analysis.Loop,
+// lat prices an instruction's latency in cycles.
+func recMII(eng *deptest.Engine, l *analysis.Loop,
 	instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
-	mayAlias func(a, b llvm.Value) bool) int {
+	mayAlias func(a, b llvm.Value) bool, lat func(*llvm.Instr) int) int {
 	rec := 1
 	for _, ld := range instrs {
 		if ld.Op != llvm.OpLoad {
@@ -209,7 +211,7 @@ func (t Target) recMII(eng *deptest.Engine, l *analysis.Loop,
 				dist = 1
 			}
 			// Path from the load to the stored value through def-use edges.
-			if depth, ok := t.pathLatency(ld, st.Args[0], instrs); ok {
+			if depth, ok := pathLatency(ld, st.Args[0], lat); ok {
 				// The recurrence is load -> compute -> store -> (next load),
 				// closed every dist iterations.
 				total := (int64(depth) + 1 + dist - 1) / dist // +1 for the store write
@@ -284,13 +286,12 @@ func sameIndexValue(a, b llvm.Value, depth int) bool {
 // result to dst (inclusive of src's own latency), with ok=false when dst
 // does not depend on src. Phi operands are not traversed: a path through a
 // phi crosses iterations and is not part of this same-iteration recurrence.
-func (t Target) pathLatency(src *llvm.Instr, dst llvm.Value, instrs []*llvm.Instr) (int, bool) {
+func pathLatency(src *llvm.Instr, dst llvm.Value, lat func(*llvm.Instr) int) (int, bool) {
 	visiting := map[*llvm.Instr]bool{}
 	var walk func(v llvm.Value) (int, bool)
 	walk = func(v llvm.Value) (int, bool) {
 		if v == src {
-			c := t.CostOf(src)
-			return maxInt(c.Latency, 1), true
+			return maxInt(lat(src), 1), true
 		}
 		din, ok := v.(*llvm.Instr)
 		if !ok || din.Op == llvm.OpPhi || visiting[din] {
@@ -307,8 +308,7 @@ func (t Target) pathLatency(src *llvm.Instr, dst llvm.Value, instrs []*llvm.Inst
 		if best < 0 {
 			return 0, false
 		}
-		c := t.CostOf(din)
-		return best + c.Latency, true
+		return best + lat(din), true
 	}
 	return walk(dst)
 }

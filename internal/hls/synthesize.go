@@ -2,7 +2,7 @@ package hls
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -106,10 +106,12 @@ func Synthesize(m *llvm.Module, top string, tgt Target) (*Report, error) {
 	if f == nil {
 		return nil, fmt.Errorf("hls: top function @%s not found", top)
 	}
-	s := &synth{tgt: tgt, f: f}
-	return s.run()
+	return newSynth(f, tgt).run(), nil
 }
 
+// synth is one synthesis run. newSynth numbers the function's blocks and
+// instructions once, and every later step works on dense tables indexed by
+// those numbers.
 type synth struct {
 	tgt Target
 	f   *llvm.Function
@@ -117,61 +119,248 @@ type synth struct {
 	cfg *analysis.CFG
 	li  *analysis.LoopInfo
 
-	// portsOf returns the effective port count of an array base (partition
-	// directives widen the default dual-port BRAM).
-	portsOf func(llvm.Value) int
-	// pts disproves load/store dependences at provably disjoint addresses
-	// before the recurrence-II search considers them.
-	pts *absint.PointsToResult
-	// dep refines the recurrence-II search with exact affine
-	// distance/direction verdicts wherever both accesses are affine.
-	dep *deptest.Engine
+	// Block b (numbered over f.Blocks) holds instructions first[b] through
+	// first[b+1]-1, numbered in f.Blocks order.
+	blockID map[*llvm.Block]int32
+	instrID map[*llvm.Instr]int32
+	instrs  []*llvm.Instr
+	first   []int32
+	// Per instruction: its cost with address folding and inferred widths
+	// applied, its operands' numbers (-1 for anything but an instruction of
+	// f) in args[argOff[i]:argOff[i+1]], its load/store base number (-1
+	// otherwise) and its interned area key (-1 when it has no area).
+	cost   []OpCost
+	argOff []int32
+	args   []int32
+	base   []int32
+	area   []int32
+	// part holds each parameter's partition directive; ports is each base's
+	// effective port count.
+	part  []partition
+	ports []int
 
-	loopLat map[*analysis.Loop]int64
-	repOf   map[*analysis.Loop]*LoopReport
+	// Per loop, numbered in li.Loops order.
+	loopIdx map[*analysis.Loop]int32
+	loopLat []int64
+	loopRep []LoopReport
 	reports []LoopReport
 
-	// Area accumulation.
+	// pts disproves load/store dependences at provably disjoint addresses
+	// before the recurrence-II search considers them; dep refines that
+	// search with exact affine distance/direction verdicts wherever both
+	// accesses are affine. Both are built for the first pipelined loop.
+	pts *absint.PointsToResult
+	dep *deptest.Engine
+
+	// Scheduler state: finish times valid when stamped with the current
+	// generation, and per-base memory state valid when stamped with the
+	// current call.
+	gen, call  uint32
+	stamp      []uint32
+	finish     []float64
+	baseCall   []uint32
+	lastStore  []float64
+	lastAccess []float64
+	occupied   [][]int32 // port uses per base per cycle
+	accesses   []int
+	bases      []int32 // bases touched by the current call
+
+	// Longest-path state over node numbers (a block number, or the block
+	// count plus a loop number), valid when stamped with the current pass.
+	pass     uint32
+	memoPass []uint32
+	memo     []int64
+	visiting []bool
+	exits    []int32
+
+	// Area accumulation per interned key, valid when stamped with the
+	// current call.
+	areaCall  []uint32
+	areaCount []int
+	areaCost  []OpCost
+	kinds     []int32 // keys touched by the current call
+
+	body []int32
+	mems []*llvm.Instr
+
 	lut, ff, dsp int
 
 	// maxChain tracks the longest single-cycle combinational chain seen.
 	maxChain float64
 }
 
-// sched runs port-aware scheduling and accumulates the critical path.
-func (s *synth) sched(instrs []*llvm.Instr) blockSchedule {
-	bs := s.tgt.scheduleInstrsPorts(instrs, s.portsOf)
-	if bs.MaxChainNs > s.maxChain {
-		s.maxChain = bs.MaxChainNs
-	}
-	return bs
+// partition is a parameter's parsed hls.array_partition.argN directive.
+type partition struct {
+	kind   string
+	factor int
 }
 
-func (s *synth) run() (*Report, error) {
-	s.cfg = analysis.NewCFG(s.f)
-	dt := analysis.NewDomTree(s.cfg)
-	s.li = analysis.FindLoops(s.cfg, dt)
-	s.loopLat = map[*analysis.Loop]int64{}
-	s.repOf = map[*analysis.Loop]*LoopReport{}
-	if !s.tgt.DisableAddrFolding {
-		s.tgt.addrOnly = computeAddrOnly(s.f)
+// areaKey groups operators that share one datapath unit kind: calls by
+// callee, everything else by opcode and double precision.
+type areaKey struct {
+	op     llvm.Opcode
+	callee string
+	double bool
+}
+
+func newSynth(f *llvm.Function, tgt Target) *synth {
+	s := &synth{tgt: tgt.ResolveWidths(f), f: f}
+	s.cfg = analysis.NewCFG(f)
+	s.li = analysis.FindLoops(s.cfg, analysis.NewDomTree(s.cfg))
+
+	n, nargs := 0, 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+		for _, in := range b.Instrs {
+			nargs += len(in.Args)
+		}
 	}
-	s.tgt = s.tgt.ResolveWidths(s.f)
+	nb := len(f.Blocks)
+	s.blockID = make(map[*llvm.Block]int32, nb)
+	s.instrID = make(map[*llvm.Instr]int32, n)
+	s.instrs = make([]*llvm.Instr, 0, n)
+	s.first = make([]int32, nb+1)
+	s.argOff = make([]int32, n+1)
+	s.args = make([]int32, 0, nargs)
+	for bi, b := range f.Blocks {
+		s.blockID[b] = int32(bi)
+		s.first[bi] = int32(len(s.instrs))
+		for _, in := range b.Instrs {
+			s.instrID[in] = int32(len(s.instrs))
+			s.instrs = append(s.instrs, in)
+		}
+	}
+	s.first[nb] = int32(n)
+	for i, in := range s.instrs {
+		s.argOff[i] = int32(len(s.args))
+		for _, a := range in.Args {
+			j := int32(-1)
+			if ai, ok := a.(*llvm.Instr); ok {
+				if id, ok := s.instrID[ai]; ok {
+					j = id
+				}
+			}
+			s.args = append(s.args, j)
+		}
+	}
+	s.argOff[n] = int32(len(s.args))
 
-	s.portsOf = s.tgt.PartitionPorts(s.f)
-	s.pts = absint.PointsTo(s.f)
-	s.dep = deptest.New(s.f, s.li, s.pts.MayAlias)
+	s.part = make([]partition, len(f.Params))
+	for i := range f.Params {
+		if spec := f.Attrs["hls.array_partition.arg"+strconv.Itoa(i)]; spec != "" {
+			s.part[i].kind, s.part[i].factor = parsePartition(spec)
+		}
+	}
+	s.price()
 
+	nl := len(s.li.Loops)
+	s.loopIdx = make(map[*analysis.Loop]int32, nl)
+	for i, l := range s.li.Loops {
+		s.loopIdx[l] = int32(i)
+	}
+	s.loopLat = make([]int64, nl)
+	s.loopRep = make([]LoopReport, nl)
+	if nl > 0 {
+		s.reports = make([]LoopReport, 0, nl)
+	}
+	s.stamp = make([]uint32, n)
+	s.finish = make([]float64, n)
+	s.memoPass = make([]uint32, nb+nl)
+	s.memo = make([]int64, nb+nl)
+	s.visiting = make([]bool, nb+nl)
+	return s
+}
+
+// price fills the per-instruction cost, base and area-key tables and the
+// per-base port counts.
+func (s *synth) price() {
+	addrOnly := s.addrOnly()
+	s.cost = make([]OpCost, len(s.instrs))
+	s.base = make([]int32, len(s.instrs))
+	s.area = make([]int32, len(s.instrs))
+	bases := map[llvm.Value]int32{}
+	baseNum := func(v llvm.Value) int32 {
+		v = baseOf(v)
+		if b, ok := bases[v]; ok {
+			return b
+		}
+		b := int32(len(s.ports))
+		bases[v] = b
+		ports := s.tgt.MemPorts
+		for i, p := range s.f.Params {
+			if v == llvm.Value(p) {
+				ports = s.tgt.PartitionPorts(s.part[i].kind, s.part[i].factor)
+			}
+		}
+		s.ports = append(s.ports, ports)
+		return b
+	}
+	areaKeys := map[areaKey]int32{}
+	for i, in := range s.instrs {
+		c := s.tgt.costOf(in, addrOnly[i])
+		s.cost[i] = c
+		switch in.Op {
+		case llvm.OpLoad:
+			s.base[i] = baseNum(in.Args[0])
+		case llvm.OpStore:
+			s.base[i] = baseNum(in.Args[1])
+		default:
+			s.base[i] = -1
+		}
+		s.area[i] = -1
+		if c.DSP == 0 && c.LUT == 0 && c.FF == 0 {
+			continue
+		}
+		k := areaKey{op: in.Op}
+		if in.Op == llvm.OpCall {
+			k.callee = in.Callee
+		} else {
+			k.double = in.Ty != nil && in.Ty.Kind == llvm.KindDouble
+		}
+		a, ok := areaKeys[k]
+		if !ok {
+			a = int32(len(areaKeys))
+			areaKeys[k] = a
+		}
+		s.area[i] = a
+	}
+	nb := len(s.ports)
+	s.baseCall = make([]uint32, nb)
+	s.lastStore = make([]float64, nb)
+	s.lastAccess = make([]float64, nb)
+	s.occupied = make([][]int32, nb)
+	s.accesses = make([]int, nb)
+	na := len(areaKeys)
+	s.areaCall = make([]uint32, na)
+	s.areaCount = make([]int, na)
+	s.areaCost = make([]OpCost, na)
+}
+
+// operands returns the numbers of instruction i's operands.
+func (s *synth) operands(i int32) []int32 { return s.args[s.argOff[i]:s.argOff[i+1]] }
+
+// latency is an instruction's pipeline depth from the cost table.
+func (s *synth) latency(in *llvm.Instr) int {
+	if i, ok := s.instrID[in]; ok {
+		return s.cost[i].Latency
+	}
+	return s.tgt.CostOf(in).Latency
+}
+
+func (s *synth) run() *Report {
 	// Synthesize loops innermost-first.
-	ordered := append([]*analysis.Loop(nil), s.li.Loops...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].Depth() > ordered[j].Depth()
+	ordered := make([]int32, len(s.li.Loops))
+	for i := range ordered {
+		ordered[i] = int32(i)
+	}
+	slices.SortStableFunc(ordered, func(a, b int32) int {
+		return s.li.Loops[b].Depth() - s.li.Loops[a].Depth()
 	})
 	for _, l := range ordered {
 		s.synthLoop(l)
 	}
 
-	latency := s.functionLatency()
+	latency := s.longestPath(-1, s.f.Entry())
 	if s.f.Attrs["hls.dataflow"] != "" {
 		if dfLat, ok := s.dataflowLatency(latency); ok {
 			latency = dfLat
@@ -189,8 +378,8 @@ func (s *synth) run() (*Report, error) {
 	}
 	s.estimateMemories(rep)
 	s.estimateControl(rep)
-	sort.SliceStable(rep.Loops, func(i, j int) bool { return rep.Loops[i].Header < rep.Loops[j].Header })
-	return rep, nil
+	slices.SortStableFunc(rep.Loops, func(a, b LoopReport) int { return strings.Compare(a.Header, b.Header) })
+	return rep
 }
 
 // dataflowLatency models #pragma HLS dataflow: when every pair of top-level
@@ -200,10 +389,10 @@ func (s *synth) run() (*Report, error) {
 // directive is not legal (dependent tasks), matching the tool behavior of
 // silently keeping the sequential schedule.
 func (s *synth) dataflowLatency(seqLatency int64) (int64, bool) {
-	var tops []*analysis.Loop
-	for _, l := range s.li.Loops {
+	var tops []int32
+	for i, l := range s.li.Loops {
 		if l.Parent == nil {
-			tops = append(tops, l)
+			tops = append(tops, int32(i))
 		}
 	}
 	if len(tops) < 2 {
@@ -226,7 +415,7 @@ func (s *synth) dataflowLatency(seqLatency int64) (int64, bool) {
 	}
 	accs := make([]access, len(tops))
 	for i, l := range tops {
-		accs[i] = accOf(l)
+		accs[i] = accOf(s.li.Loops[l])
 	}
 	for i := range tops {
 		for j := range tops {
@@ -271,32 +460,29 @@ func (s *synth) tripOf(l *analysis.Loop) (int64, bool) {
 	return 16, true
 }
 
-// iterInstrs returns the instructions of one loop iteration, excluding
-// nested loops' bodies (which are collapsed separately).
-func (s *synth) iterInstrs(l *analysis.Loop, excludeNested bool) []*llvm.Instr {
-	var out []*llvm.Instr
+// ownBlocks returns the numbers of the blocks of one iteration of l,
+// excluding nested loops' bodies (which are collapsed separately), in
+// reverse postorder. The slice is reused by the next call.
+func (s *synth) ownBlocks(l *analysis.Loop) []int32 {
+	body := s.body[:0]
+outer:
 	for _, b := range s.cfg.Order {
 		if !l.Contains(b) {
 			continue
 		}
-		if excludeNested && s.inNestedLoop(l, b) {
-			continue
+		for _, c := range l.Children {
+			if c.Contains(b) {
+				continue outer
+			}
 		}
-		out = append(out, b.Instrs...)
+		body = append(body, s.blockID[b])
 	}
-	return out
+	s.body = body
+	return body
 }
 
-func (s *synth) inNestedLoop(l *analysis.Loop, b *llvm.Block) bool {
-	for _, c := range l.Children {
-		if c.Contains(b) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *synth) synthLoop(l *analysis.Loop) {
+func (s *synth) synthLoop(idx int32) {
+	l := s.li.Loops[idx]
 	trip, estimated := s.tripOf(l)
 	md := l.MD
 	pipelined := md != nil && md.Pipeline && l.IsInnermost()
@@ -309,35 +495,31 @@ func (s *synth) synthLoop(l *analysis.Loop) {
 	// when the nest level is perfect — the inner pipeline keeps issuing
 	// across outer iterations instead of refilling.
 	if !pipelined && md != nil && md.Flatten && len(l.Children) == 1 {
-		child := s.repOf[l.Children[0]]
-		if child != nil && (child.Pipelined || child.Flattened) &&
+		child := &s.loopRep[s.loopIdx[l.Children[0]]]
+		if (child.Pipelined || child.Flattened) &&
 			s.perfectNestLevel(l, l.Children[0]) && trip > 0 && child.Trip > 0 {
 			flattened = true
 			ii = child.II
 			iterLat = child.IterLatency
 			totalTrip := trip * child.Trip
 			totalLat = iterLat + (totalTrip-1)*int64(ii)
-			s.loopLat[l] = totalLat
+			s.loopLat[idx] = totalLat
 			rep := LoopReport{
 				Header: l.Header.Name, Depth: l.Depth(), Trip: totalTrip,
 				TripEstimated: estimated || child.TripEstimated,
 				Flattened:     true, II: ii, IterLatency: iterLat, Latency: totalLat,
 			}
-			s.repOf[l] = &rep
+			s.loopRep[idx] = rep
 			s.reports = append(s.reports, rep)
 			return
 		}
 	}
 
 	if pipelined {
-		instrs := s.iterInstrs(l, true)
-		sched := s.sched(instrs)
-		iterLat = sched.Cycles
-
-		resMII := s.tgt.ResMII(sched.MemAccesses, s.portsOf)
-		rec := s.tgt.recMII(s.dep, l, instrs, func(v llvm.Value) bool {
-			return dependsOnHeaderPhi(v, l.Header, map[llvm.Value]bool{})
-		}, s.pts.MayAlias)
+		body := s.ownBlocks(l)
+		cycles, resMII := s.schedule(body, 1)
+		iterLat = cycles
+		rec := s.recMII(l, body)
 		target := 1
 		if md.II > 0 {
 			target = md.II
@@ -349,11 +531,12 @@ func (s *synth) synthLoop(l *analysis.Loop) {
 			totalLat = iterLat + (trip-1)*int64(ii)
 		}
 		// Pipelined ops replicate: unit count = ops per iteration / II.
-		s.accumulateArea(instrs, ii)
+		s.addReplicatedArea(body, 1, ii)
 	} else {
-		iterLat = s.loopBodyLatency(l)
-		// Loop control adds one cycle per iteration (exit test).
-		iterLat++
+		// One iteration's latency is the longest path over the loop's
+		// collapsed body DAG (nested loops count as single nodes with their
+		// synthesized latency), plus one cycle of loop control (exit test).
+		iterLat = s.longestPath(idx, l.Header) + 1
 		unroll := int64(1)
 		if md != nil && md.Unroll > 0 {
 			unroll = int64(md.Unroll)
@@ -363,21 +546,19 @@ func (s *synth) synthLoop(l *analysis.Loop) {
 				unroll = 1
 			}
 		}
+		body := s.ownBlocks(l)
 		if unroll > 1 {
 			// Backend unroll (the pragma path): schedule the body replicated
 			// unroll times, exactly as materialized unrolling would present
 			// it — copies share ports and keep conservative same-array
 			// store/load ordering.
-			instrs := s.iterInstrs(l, true)
-			cloned := s.cloneForUnroll(instrs, int(unroll))
-			sched := s.sched(cloned)
-			iterLat = sched.Cycles + 1 // loop exit test
+			cycles, _ := s.schedule(body, int(unroll))
+			iterLat = cycles + 1 // loop exit test
 			trip = (trip + unroll - 1) / unroll
-			s.accumulateArea(cloned, 1) // replicated datapath
+			s.addReplicatedArea(body, int(unroll), 1) // replicated datapath
 		} else {
-			instrs := s.iterInstrs(l, true)
 			// Shared datapath: units amortized over the iteration.
-			s.accumulateAreaShared(instrs)
+			s.addSharedArea(body)
 		}
 		if trip <= 0 {
 			totalLat = 1
@@ -386,7 +567,7 @@ func (s *synth) synthLoop(l *analysis.Loop) {
 		}
 	}
 
-	s.loopLat[l] = totalLat
+	s.loopLat[idx] = totalLat
 	rep := LoopReport{
 		Header:        l.Header.Name,
 		Depth:         l.Depth(),
@@ -398,8 +579,29 @@ func (s *synth) synthLoop(l *analysis.Loop) {
 		IterLatency:   iterLat,
 		Latency:       totalLat,
 	}
-	s.repOf[l] = &rep
+	s.loopRep[idx] = rep
 	s.reports = append(s.reports, rep)
+}
+
+// recMII is the recurrence-constrained II of pipelined loop l, whose own
+// blocks are body, priced from the cost table.
+func (s *synth) recMII(l *analysis.Loop, body []int32) int {
+	if s.dep == nil {
+		s.pts = absint.PointsTo(s.f)
+		s.dep = deptest.New(s.f, s.li, s.pts.MayAlias)
+	}
+	mems := s.mems[:0]
+	for _, b := range body {
+		for i := s.first[b]; i < s.first[b+1]; i++ {
+			if s.base[i] >= 0 {
+				mems = append(mems, s.instrs[i])
+			}
+		}
+	}
+	s.mems = mems
+	return recMII(s.dep, l, mems, func(v llvm.Value) bool {
+		return dependsOnHeaderPhi(v, l.Header, map[llvm.Value]bool{})
+	}, s.pts.MayAlias, s.latency)
 }
 
 // perfectNestLevel reports whether l's body consists only of the child loop
@@ -443,201 +645,167 @@ func dependsOnHeaderPhi(v llvm.Value, header *llvm.Block, seen map[llvm.Value]bo
 	return false
 }
 
-// cloneForUnroll replicates an instruction list u times with intra-copy
-// value remapping, so the scheduler sees what materialized unrolling would
-// produce. Clones inherit the originals' address-only classification.
-func (s *synth) cloneForUnroll(instrs []*llvm.Instr, u int) []*llvm.Instr {
-	out := make([]*llvm.Instr, 0, len(instrs)*u)
-	for c := 0; c < u; c++ {
-		vmap := map[llvm.Value]llvm.Value{}
-		for _, in := range instrs {
-			if in.IsTerminator() || in.Op == llvm.OpPhi {
-				continue
-			}
-			ni := &llvm.Instr{Op: in.Op, Name: fmt.Sprintf("%s.u%d", in.Name, c),
-				Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
-				SrcElem: in.SrcElem, Indices: in.Indices, Align: in.Align}
-			for _, a := range in.Args {
-				if m, ok := vmap[a]; ok {
-					ni.Args = append(ni.Args, m)
-				} else {
-					ni.Args = append(ni.Args, a)
-				}
-			}
-			vmap[in] = ni
-			if s.tgt.addrOnly[in] {
-				s.tgt.addrOnly[ni] = true
-			}
-			if w, ok := s.tgt.widths[in]; ok {
-				s.tgt.widths[ni] = w
-			}
-			out = append(out, ni)
-		}
-	}
-	return out
-}
-
-// loopBodyLatency computes one iteration's latency as the longest path over
-// the loop's collapsed body DAG (nested loops count as single nodes with
-// their synthesized latency).
-func (s *synth) loopBodyLatency(l *analysis.Loop) int64 {
-	return s.longestPath(func(b *llvm.Block) bool { return l.Contains(b) }, l.Children, l.Header, l)
-}
-
-// functionLatency is the longest path through the function with top-level
-// loops collapsed.
-func (s *synth) functionLatency() int64 {
-	var tops []*analysis.Loop
-	for _, l := range s.li.Loops {
-		if l.Parent == nil {
-			tops = append(tops, l)
-		}
-	}
-	return s.longestPath(func(b *llvm.Block) bool { return true }, tops, s.f.Entry(), nil)
-}
-
-// longestPath computes the longest latency path over the collapsed DAG of
-// blocks satisfying in(), with each loop in loops collapsed to one node.
-// start is the entry node; self (may be nil) identifies the enclosing loop
-// whose back edge is ignored.
-func (s *synth) longestPath(in func(*llvm.Block) bool, loops []*analysis.Loop,
-	start *llvm.Block, self *analysis.Loop) int64 {
-
-	// node is either a block or a collapsed loop (keyed by header).
-	loopOf := map[*llvm.Block]*analysis.Loop{}
-	for _, l := range loops {
-		for b := range l.Blocks {
-			loopOf[b] = l
-		}
-	}
-	type node struct {
-		blk  *llvm.Block
-		loop *analysis.Loop
-	}
-	nodeOf := func(b *llvm.Block) node {
-		if l, ok := loopOf[b]; ok {
-			return node{loop: l}
-		}
-		return node{blk: b}
-	}
-	latOf := func(n node) int64 {
-		if n.loop != nil {
-			return s.loopLat[n.loop]
-		}
-		sched := s.sched(n.blk.Instrs)
-		return maxInt64(sched.Cycles, 1)
-	}
-	succsOf := func(n node) []node {
-		seen := map[node]bool{}
-		var out []node
-		add := func(b *llvm.Block) {
-			if !in(b) {
-				return
-			}
-			if self != nil && b == self.Header {
-				return // ignore enclosing back edge
-			}
-			sn := nodeOf(b)
-			if sn == n || seen[sn] {
-				return
-			}
-			seen[sn] = true
-			out = append(out, sn)
-		}
-		if n.loop != nil {
-			for b := range n.loop.Blocks {
-				for _, sb := range b.Succs() {
-					if !n.loop.Contains(sb) {
-						add(sb)
-					}
-				}
-			}
-		} else {
-			for _, sb := range n.blk.Succs() {
-				add(sb)
-			}
-		}
-		return out
-	}
-
-	memo := map[node]int64{}
-	visiting := map[node]bool{}
-	var dfs func(n node) int64
-	dfs = func(n node) int64 {
-		if v, ok := memo[n]; ok {
-			return v
-		}
-		if visiting[n] {
-			return 0 // defensive: should not happen on a proper DAG
-		}
-		visiting[n] = true
-		best := int64(0)
-		for _, sn := range succsOf(n) {
-			if v := dfs(sn); v > best {
-				best = v
-			}
-		}
-		visiting[n] = false
-		v := latOf(n) + best
-		memo[n] = v
-		return v
-	}
+// longestPath computes the longest latency path from start over the DAG of
+// the blocks of loop self (-1: the whole function), with each loop nested
+// directly in it collapsed to one node of its synthesized latency. The back
+// edge to self's header is ignored.
+func (s *synth) longestPath(self int32, start *llvm.Block) int64 {
 	if start == nil {
 		return 0
 	}
-	return dfs(nodeOf(start))
+	s.pass++
+	return s.longestFrom(s.nodeOf(s.blockID[start], self), self)
 }
 
-// accumulateArea adds replicated datapath area (pipelined/unrolled regions):
-// unit count = ops of a kind divided by the initiation interval.
-func (s *synth) accumulateArea(instrs []*llvm.Instr, ii int) {
-	counts := map[llvm.Opcode]int{}
-	costs := map[llvm.Opcode]OpCost{}
-	for _, in := range instrs {
-		c := s.tgt.CostOf(in)
-		if c.DSP == 0 && c.LUT == 0 && c.FF == 0 {
+// nodeOf returns block b's node in self's DAG: the last loop nested directly
+// in self that holds b, else b itself.
+func (s *synth) nodeOf(b, self int32) int32 {
+	blk := s.f.Blocks[b]
+	node := b
+	if self >= 0 {
+		for _, c := range s.li.Loops[self].Children {
+			if c.Contains(blk) {
+				node = int32(len(s.f.Blocks)) + s.loopIdx[c]
+			}
+		}
+		return node
+	}
+	for i, l := range s.li.Loops {
+		if l.Parent == nil && l.Contains(blk) {
+			node = int32(len(s.f.Blocks) + i)
+		}
+	}
+	return node
+}
+
+func (s *synth) longestFrom(n, self int32) int64 {
+	if s.memoPass[n] == s.pass {
+		return s.memo[n]
+	}
+	if s.visiting[n] {
+		return 0 // defensive: should not happen on a proper DAG
+	}
+	s.visiting[n] = true
+	best := int64(0)
+	nb := int32(len(s.f.Blocks))
+	var lat int64
+	if n < nb {
+		for _, sb := range s.f.Blocks[n].Succs() {
+			if v := s.edgeTo(n, sb, self); v > best {
+				best = v
+			}
+		}
+		cycles, _ := s.schedule([]int32{n}, 1)
+		lat = maxInt64(cycles, 1)
+	} else {
+		for _, sb := range s.exitsOf(s.li.Loops[n-nb]) {
+			if v := s.edgeTo(n, s.f.Blocks[sb], self); v > best {
+				best = v
+			}
+		}
+		lat = s.loopLat[n-nb]
+	}
+	s.visiting[n] = false
+	v := lat + best
+	s.memoPass[n] = s.pass
+	s.memo[n] = v
+	return v
+}
+
+// edgeTo returns the longest path from the node of sb, a successor of node
+// n, or 0 when sb lies outside self's body, is self's header, or is part
+// of n itself.
+func (s *synth) edgeTo(n int32, sb *llvm.Block, self int32) int64 {
+	if self >= 0 {
+		if l := s.li.Loops[self]; !l.Contains(sb) || sb == l.Header {
+			return 0
+		}
+	}
+	sn := s.nodeOf(s.blockID[sb], self)
+	if sn == n {
+		return 0
+	}
+	return s.longestFrom(sn, self)
+}
+
+// exitsOf returns the numbers of the blocks outside l that its blocks
+// branch to. Each loop node is expanded once per synthesis, so the lists
+// are appended to one buffer as they are needed.
+func (s *synth) exitsOf(l *analysis.Loop) []int32 {
+	start := len(s.exits)
+	for _, b := range s.f.Blocks {
+		if !l.Contains(b) {
 			continue
 		}
-		counts[opKey(in)]++
-		costs[opKey(in)] = c
+		for _, sb := range b.Succs() {
+			if !l.Contains(sb) {
+				s.exits = append(s.exits, s.blockID[sb])
+			}
+		}
 	}
-	for k, n := range counts {
-		units := (n + ii - 1) / ii
-		c := costs[k]
+	return s.exits[start:len(s.exits):len(s.exits)]
+}
+
+// addReplicatedArea adds replicated datapath area (pipelined/unrolled
+// regions) for copies of body (see inCopy): unit count = ops of a kind
+// divided by the initiation interval, each kind priced at its last op's
+// cost.
+func (s *synth) addReplicatedArea(body []int32, copies, ii int) {
+	s.call++
+	touched := s.kinds[:0]
+	for _, b := range body {
+		for i := s.first[b]; i < s.first[b+1]; i++ {
+			k := s.area[i]
+			if k < 0 || !s.inCopy(i, copies) {
+				continue
+			}
+			if s.areaCall[k] != s.call {
+				s.areaCall[k] = s.call
+				s.areaCount[k] = 0
+				touched = append(touched, k)
+			}
+			s.areaCount[k]++
+			s.areaCost[k] = s.cost[i]
+		}
+	}
+	for _, k := range touched {
+		units := (s.areaCount[k]*copies + ii - 1) / ii
+		c := s.areaCost[k]
 		s.dsp += units * c.DSP
 		s.lut += units * c.LUT
 		s.ff += units * c.FF
 	}
+	s.kinds = touched
 }
 
-// accumulateAreaShared adds shared-datapath area: one unit per operator
-// kind present (the default sharing HLS applies outside pipelined regions).
-func (s *synth) accumulateAreaShared(instrs []*llvm.Instr) {
-	seen := map[llvm.Opcode]OpCost{}
-	for _, in := range instrs {
-		c := s.tgt.CostOf(in)
-		if c.DSP == 0 && c.LUT == 0 && c.FF == 0 {
-			continue
-		}
-		if old, ok := seen[opKey(in)]; !ok || c.DSP > old.DSP {
-			seen[opKey(in)] = c
+// addSharedArea adds shared-datapath area: one unit per operator kind
+// present (the default sharing HLS applies outside pipelined regions),
+// priced at the first op of the kind unless a later one needs more DSPs.
+func (s *synth) addSharedArea(body []int32) {
+	s.call++
+	touched := s.kinds[:0]
+	for _, b := range body {
+		for i := s.first[b]; i < s.first[b+1]; i++ {
+			k := s.area[i]
+			if k < 0 {
+				continue
+			}
+			if c := s.cost[i]; s.areaCall[k] != s.call {
+				s.areaCall[k] = s.call
+				s.areaCost[k] = c
+				touched = append(touched, k)
+			} else if c.DSP > s.areaCost[k].DSP {
+				s.areaCost[k] = c
+			}
 		}
 	}
-	for _, c := range seen {
+	for _, k := range touched {
+		c := s.areaCost[k]
 		s.dsp += c.DSP
 		s.lut += c.LUT
 		s.ff += c.FF
 	}
-}
-
-func opKey(in *llvm.Instr) llvm.Opcode {
-	if in.Op == llvm.OpCall {
-		return llvm.Opcode("call." + in.Callee)
-	}
-	if in.Ty != nil && in.Ty.Kind == llvm.KindDouble {
-		return in.Op + ".d"
-	}
-	return in.Op
+	s.kinds = touched
 }
 
 // estimateMemories sizes BRAM for array ports and local allocas, applying
@@ -645,12 +813,12 @@ func opKey(in *llvm.Instr) llvm.Opcode {
 func (s *synth) estimateMemories(rep *Report) {
 	addArray := func(argIdx int, ty *llvm.Type) {
 		bits := ty.SizeBytes() * 8
-		spec := ""
+		var p partition
 		if argIdx >= 0 {
-			spec = s.f.Attrs[fmt.Sprintf("hls.array_partition.arg%d", argIdx)]
+			p = s.part[argIdx]
 		}
-		kind, factor := parsePartition(spec)
-		switch kind {
+		factor := p.factor
+		switch p.kind {
 		case "complete":
 			// Fully partitioned into registers.
 			rep.FF += int(bits)

@@ -52,7 +52,7 @@ func (t Target) opWidth(in *llvm.Instr) int {
 
 // inferredCostOf prices the integer ops the width analysis can narrow;
 // ok=false defers every other opcode to the declared model.
-func (t Target) inferredCostOf(in *llvm.Instr) (OpCost, bool) {
+func (t Target) inferredCostOf(in *llvm.Instr, addrOnly bool) (OpCost, bool) {
 	switch in.Op {
 	case llvm.OpAdd, llvm.OpSub, llvm.OpMul,
 		llvm.OpAnd, llvm.OpOr, llvm.OpXor,
@@ -65,7 +65,7 @@ func (t Target) inferredCostOf(in *llvm.Instr) (OpCost, bool) {
 		return OpCost{}, false // float selects etc. keep declared pricing
 	}
 	w := lutWidth(t.opWidth(in))
-	if t.addrOnly[in] {
+	if addrOnly {
 		// Folded into address generation: LUT-only, but still width-priced.
 		return OpCost{Latency: 0, Delay: 1.8, LUT: w}, true
 	}

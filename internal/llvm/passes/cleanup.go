@@ -367,7 +367,11 @@ func b2i(b bool) int64 {
 }
 
 // CSE deduplicates pure instructions with identical opcode/operands within
-// dominating scopes (a GVN-lite).
+// dominating scopes (a GVN-lite). An eliminated instruction goes into a
+// substitution table that later keys read their operands through; each
+// block is compacted once, and one final pass over every block rewrites the
+// operands that name an eliminated instruction, phis in earlier blocks
+// included.
 func CSE(f *llvm.Function) {
 	cfg := analysis.NewCFG(f)
 	dt := analysis.NewDomTree(cfg)
@@ -378,39 +382,74 @@ func CSE(f *llvm.Function) {
 		a1   llvm.Value
 		a2   llvm.Value
 	}
-	avail := map[key][]*llvm.Instr{}
-	// Constants are not interned in the IR; canonicalize them so equal
-	// literals compare equal in keys.
+	n := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if cseKeyable(in) {
+				n++
+			}
+		}
+	}
+	// kept lists the instructions kept under some key; avail maps a key to
+	// the first and last of its instructions, chained through next in the
+	// order they were kept.
+	type link struct {
+		in   *llvm.Instr
+		next int32
+	}
+	type chain struct{ first, last int32 }
+	kept := make([]link, 0, n)
+	avail := make(map[key]chain, n)
+	// subst maps each eliminated instruction to the dominating equivalent
+	// that replaces it, which is never eliminated itself.
+	subst := map[*llvm.Instr]*llvm.Instr{}
+	// canon gives an operand its key form: an eliminated instruction its
+	// replacement, and a constant the first equal literal seen, since
+	// constants are not interned in the IR. Literals are told apart by
+	// value and by the type their printed form names.
 	type constKey struct {
-		ty string
-		i  int64
-		f  float64
+		kind llvm.TypeKind
+		bits int
+		ty   string // printed type, for aggregates only
+		i    int64
+		f    float64
+	}
+	typeKey := func(ty *llvm.Type) constKey {
+		switch {
+		case ty == nil:
+			return constKey{kind: llvm.KindVoid}
+		case ty.Kind == llvm.KindInt:
+			return constKey{kind: ty.Kind, bits: ty.Bits}
+		case ty.Kind == llvm.KindArray || ty.Kind == llvm.KindStruct:
+			return constKey{kind: ty.Kind, ty: ty.String()}
+		}
+		return constKey{kind: ty.Kind}
 	}
 	canonConsts := map[constKey]llvm.Value{}
 	canon := func(v llvm.Value) llvm.Value {
+		var k constKey
 		switch c := v.(type) {
-		case *llvm.ConstInt:
-			k := constKey{ty: c.Ty.String(), i: c.Val}
-			if prev, ok := canonConsts[k]; ok {
-				return prev
+		case *llvm.Instr:
+			if r, ok := subst[c]; ok {
+				return r
 			}
-			canonConsts[k] = v
 			return v
+		case *llvm.ConstInt:
+			k = typeKey(c.Ty)
+			k.i = c.Val
 		case *llvm.ConstFloat:
-			k := constKey{ty: c.Ty.String(), f: c.Val}
-			if prev, ok := canonConsts[k]; ok {
-				return prev
-			}
-			canonConsts[k] = v
+			k = typeKey(c.Ty)
+			k.f = c.Val
+		default:
 			return v
 		}
+		if prev, ok := canonConsts[k]; ok {
+			return prev
+		}
+		canonConsts[k] = v
 		return v
 	}
-	mk := func(in *llvm.Instr) (key, bool) {
-		if !isPure(in) || in.Op == llvm.OpPhi || in.Op == llvm.OpAlloca ||
-			in.Op == llvm.OpLoad || len(in.Args) > 3 {
-			return key{}, false
-		}
+	mk := func(in *llvm.Instr) key {
 		k := key{op: in.Op, pred: in.Pred}
 		if len(in.Args) > 0 {
 			k.a0 = canon(in.Args[0])
@@ -421,30 +460,59 @@ func CSE(f *llvm.Function) {
 		if len(in.Args) > 2 {
 			k.a2 = canon(in.Args[2])
 		}
-		return k, true
+		return k
 	}
 	for _, b := range cfg.Order {
-		instrs := append([]*llvm.Instr(nil), b.Instrs...)
-		for _, in := range instrs {
-			k, ok := mk(in)
-			if !ok {
-				continue
-			}
-			replaced := false
-			for _, prev := range avail[k] {
-				if prev.Parent != nil && dt.Dominates(prev.Parent, b) &&
-					prev.SrcElem.Equal(in.SrcElem) && typesEqual(prev.Ty, in.Ty) {
-					f.ReplaceAllUses(in, prev)
-					b.Remove(in)
-					replaced = true
-					break
+		keep := b.Instrs[:0]
+	next:
+		for _, in := range b.Instrs {
+			if cseKeyable(in) {
+				k := mk(in)
+				c, seen := avail[k]
+				if seen {
+					for j := c.first; j >= 0; j = kept[j].next {
+						prev := kept[j].in
+						if prev.Parent != nil && dt.Dominates(prev.Parent, b) &&
+							prev.SrcElem.Equal(in.SrcElem) && typesEqual(prev.Ty, in.Ty) {
+							subst[in] = prev
+							in.Parent = nil
+							continue next
+						}
+					}
+					kept[c.last].next = int32(len(kept))
+					c.last = int32(len(kept))
+				} else {
+					c = chain{int32(len(kept)), int32(len(kept))}
 				}
+				avail[k] = c
+				kept = append(kept, link{in, -1})
 			}
-			if !replaced {
-				avail[k] = append(avail[k], in)
+			keep = append(keep, in)
+		}
+		clear(b.Instrs[len(keep):])
+		b.Instrs = keep
+	}
+	if len(subst) == 0 {
+		return
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for i, a := range in.Args {
+				if ai, ok := a.(*llvm.Instr); ok {
+					if r, ok := subst[ai]; ok {
+						in.Args[i] = r
+					}
+				}
 			}
 		}
 	}
+}
+
+// cseKeyable reports whether CSE may merge in with an equal instruction:
+// pure, not a phi, alloca or load, and with at most three operands.
+func cseKeyable(in *llvm.Instr) bool {
+	return isPure(in) && in.Op != llvm.OpPhi && in.Op != llvm.OpAlloca &&
+		in.Op != llvm.OpLoad && len(in.Args) <= 3
 }
 
 func typesEqual(a, b *llvm.Type) bool {

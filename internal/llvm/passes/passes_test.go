@@ -268,6 +268,62 @@ func TestCSEDedupes(t *testing.T) {
 	}
 }
 
+// An eliminated instruction in a loop latch feeds a phi of the header,
+// which comes earlier in reverse postorder than the latch: the operand
+// rewrite must still reach that phi.
+func TestCSERewritesPhiInEarlierBlock(t *testing.T) {
+	m := llvm.NewModule("t")
+	f := llvm.NewFunction("carry", llvm.Void(), &llvm.Param{Name: "p", Ty: llvm.Ptr(llvm.I32())},
+		&llvm.Param{Name: "x", Ty: llvm.I32()})
+	m.AddFunc(f)
+	entry := f.AddBlock("entry")
+	header := f.AddBlock("header")
+	latch := f.AddBlock("latch")
+	exit := f.AddBlock("exit")
+	b := llvm.NewBuilder(f)
+	b.SetBlock(entry)
+	twice := b.Add(f.Params[1], f.Params[1])
+	b.Br(header)
+	b.SetBlock(header)
+	s := b.Phi(llvm.I32())
+	i := b.Phi(llvm.I32())
+	b.CondBr(b.ICmp("slt", i, llvm.CI(llvm.I32(), 4)), latch, exit)
+	b.SetBlock(latch)
+	dup := b.Add(f.Params[1], f.Params[1]) // duplicate of twice
+	inext := b.Add(i, llvm.CI(llvm.I32(), 1))
+	b.Br(header)
+	s.AddIncoming(llvm.CI(llvm.I32(), 0), entry)
+	s.AddIncoming(dup, latch)
+	i.AddIncoming(llvm.CI(llvm.I32(), 0), entry)
+	i.AddIncoming(inext, latch)
+	b.SetBlock(exit)
+	b.Store(s, f.Params[0])
+	b.Ret(nil)
+
+	CSE(f)
+	if dup.Parent != nil {
+		t.Fatal("the duplicate add in the latch was not eliminated")
+	}
+	if s.Args[1] != llvm.Value(twice) {
+		t.Errorf("header phi still reads %s from the latch, want %s", s.Args[1].Ident(), twice.Ident())
+	}
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
+			if in == dup {
+				t.Fatalf("eliminated add left in block %s", blk.Name)
+			}
+			for _, a := range in.Args {
+				if a == llvm.Value(dup) {
+					t.Fatalf("%s still uses the eliminated add", in.Ident())
+				}
+			}
+		}
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStrengthReduce(t *testing.T) {
 	m := llvm.NewModule("t")
 	f := llvm.NewFunction("sr", llvm.Void(), &llvm.Param{Name: "p", Ty: llvm.Ptr(llvm.I64())},
