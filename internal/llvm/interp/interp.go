@@ -5,7 +5,9 @@
 // Execution is compile-then-run: Compile turns a function and its defined
 // callees into a Program of plain values (dense SSA slots, resolved widths,
 // GEP strides, phi moves per edge), which then runs over a register slice
-// with no map lookups and no per-instruction allocation.
+// with no map lookups and no per-instruction allocation. Registers hold no
+// Go pointers: a pointer is an index into the run's allocation table plus
+// a byte offset.
 package interp
 
 import (
@@ -14,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/llvm"
 )
@@ -112,25 +116,30 @@ func (m *Mem) SetInt32(i int, v int32) {
 	binary.LittleEndian.PutUint32(m.Bytes[i*4:], uint32(v))
 }
 
-// val is a runtime value.
+// val is a runtime value. A pointer is mem, an index into the run's
+// allocation table (0: null), plus a byte offset. A value holds no Go
+// pointer, so writing a register needs no GC write barrier.
 type val struct {
 	i   int64
 	f   float64
-	mem *Mem
 	off int64
+	mem int32
 }
 
 // Arg is a function-call argument.
-type Arg struct{ v val }
+type Arg struct {
+	v   val
+	mem *Mem // a pointer argument's allocation, entered into the table by the run
+}
 
 // IntArg passes an integer.
-func IntArg(x int64) Arg { return Arg{val{i: x}} }
+func IntArg(x int64) Arg { return Arg{v: val{i: x}} }
 
 // FloatArg passes a float/double.
-func FloatArg(x float64) Arg { return Arg{val{f: x}} }
+func FloatArg(x float64) Arg { return Arg{v: val{f: x}} }
 
 // PtrArg passes a pointer to offset off within m.
-func PtrArg(m *Mem, off int64) Arg { return Arg{val{mem: m, off: off}} }
+func PtrArg(m *Mem, off int64) Arg { return Arg{v: val{off: off}, mem: m} }
 
 // DefaultFuel is a new machine's instruction budget.
 const DefaultFuel = 500_000_000
@@ -160,7 +169,8 @@ func NewMachine(mod *llvm.Module) *Machine {
 // timed-out caller reclaims the machine within a bounded number of steps
 // rather than after the run.
 func (mc *Machine) Run(ctx context.Context, name string, args ...Arg) (int64, float64, error) {
-	p, srcs, err := compile(mc.Mod, name, mc.Observe != nil)
+	p := new(Program)
+	srcs, err := p.compile(mc.Mod, name, mc.Observe != nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -239,21 +249,74 @@ func (m *Meter) refuel() error {
 type runner struct {
 	p    *Program
 	fuel Meter
+	st   *runState
 
 	obs  func(*llvm.Instr, int64)
 	srcs [][]*llvm.Instr // per function, slot → defining instruction
 }
+
+// runState is the storage a run works in: the register frames and
+// definedness flags of the active calls, stacked, and the allocation
+// table. Runs reuse it through runStates.
+type runState struct {
+	regs []val
+	defd []bool
+	mems []*Mem // mems[0] is null
+}
+
+var runStates sync.Pool
+
+// grow appends n zero elements to s, reusing its storage when it has room.
+// Register frames and definedness flags are stacked this way: a frame keeps
+// its backing array while deeper frames grow the stack.
+func grow[T any](s []T, n int) []T {
+	top := len(s)
+	s = slices.Grow(s, n)[:top+n]
+	clear(s[top:])
+	return s
+}
+
+// alloc enters m into the allocation table and returns its index.
+func (st *runState) alloc(m *Mem) int32 {
+	st.mems = append(st.mems, m)
+	return int32(len(st.mems) - 1)
+}
+
+// mem returns the allocation p points into, nil for a null pointer.
+func (r *runner) mem(p val) *Mem { return r.st.mems[p.mem] }
 
 func (r *runner) run(args []Arg) (int64, float64, error) {
 	entry := &r.p.funcs[0]
 	if len(args) != int(entry.nparams) {
 		return 0, 0, fmt.Errorf("interp: @%s takes %d params, got %d", entry.name, entry.nparams, len(args))
 	}
-	regs := make([]val, entry.nslots)
+	st, _ := runStates.Get().(*runState)
+	if st == nil {
+		st = &runState{}
+	}
+	r.st = st
+	st.mems = append(st.mems[:0], nil)
+	st.regs = grow(st.regs[:0], int(entry.nslots))
+	regs := st.regs
 	for i, a := range args {
 		regs[i] = a.v
+		if a.mem == nil {
+			continue
+		}
+		// One memory passed twice (a descriptor's base and aligned
+		// pointers) is one allocation.
+		k := slices.Index(st.mems, a.mem)
+		if k < 0 {
+			k = int(st.alloc(a.mem))
+		}
+		regs[i].mem = int32(k)
 	}
 	v, err := r.call(0, regs, 0)
+	// The table must not pin the caller's memory while pooled.
+	clear(st.mems)
+	st.mems, st.regs, st.defd = st.mems[:0], st.regs[:0], st.defd[:0]
+	runStates.Put(st)
+	r.st = nil
 	return v.i, v.f, err
 }
 
@@ -268,7 +331,10 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 	}
 	var defd []bool
 	if f.ntracked > 0 {
-		defd = make([]bool, f.ntracked)
+		base := len(r.st.defd)
+		r.st.defd = grow(r.st.defd, int(f.ntracked))
+		defd = r.st.defd[base:]
+		defer func() { r.st.defd = r.st.defd[:base] }()
 	}
 	var srcs []*llvm.Instr
 	if r.obs != nil {
@@ -360,6 +426,12 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 
 		case opICmp:
 			regs[in.dst] = val{i: b2i(icmp(in.sub, regs[in.a].i, regs[in.b].i))}
+		case opPCmp:
+			c, err := pcmp(in.sub, regs[in.a], regs[in.b])
+			if err != nil {
+				return val{}, f.fail(pc-1, err)
+			}
+			regs[in.dst] = val{i: b2i(c)}
 		case opFCmp:
 			regs[in.dst] = val{i: b2i(fcmp(in.sub, regs[in.a].f, regs[in.b].f))}
 		case opSelect:
@@ -398,10 +470,10 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 			regs[in.dst] = val{f: regs[in.a].f}
 
 		case opAlloca:
-			regs[in.dst] = val{mem: NewMem(in.imm)}
+			regs[in.dst] = val{mem: r.st.alloc(NewMem(in.imm))}
 		case opGEP:
 			base := regs[in.a]
-			if base.mem == nil {
+			if base.mem == 0 {
 				return val{}, f.fail(pc-1, trapf(TrapNilPtr, "gep on non-pointer value"))
 			}
 			off := base.off + in.imm
@@ -410,7 +482,7 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 			}
 			regs[in.dst] = val{mem: base.mem, off: off}
 		case opLoad:
-			v, err := load(regs[in.a], in)
+			v, err := load(r.mem(regs[in.a]), regs[in.a].off, in)
 			if err == nil && in.sub == memBad {
 				err = f.errs[in.c]
 			}
@@ -419,7 +491,7 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 			}
 			regs[in.dst] = v
 		case opStore:
-			err := store(regs[in.b], in, regs[in.a])
+			err := store(r.mem(regs[in.b]), regs[in.b].off, in, regs[in.a])
 			if err == nil && (in.sub == memBad || in.sub == memPtr) {
 				err = f.errs[in.c]
 			}
@@ -429,11 +501,14 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 
 		case opCall:
 			callee := &r.p.funcs[in.a]
-			frame := make([]val, callee.nslots)
+			base := len(r.st.regs)
+			r.st.regs = grow(r.st.regs, int(callee.nslots))
+			frame := r.st.regs[base:]
 			for k, s := range f.args[in.b : in.b+int32(callee.nparams)] {
 				frame[k] = regs[s]
 			}
 			v, err := r.call(in.a, frame, depth+1)
+			r.st.regs = r.st.regs[:base]
 			if err != nil {
 				return val{}, f.fail(pc-1, err)
 			}
@@ -455,34 +530,36 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 		case opFabs32:
 			regs[in.dst] = val{f: float64(float32(math.Abs(regs[in.a].f)))}
 		case opMalloc:
-			regs[in.dst] = val{mem: NewMem(regs[in.a].i)}
+			regs[in.dst] = val{mem: r.st.alloc(NewMem(regs[in.a].i))}
 		case opNop:
 			regs[in.dst] = val{}
 		case opMemset:
 			p, n := regs[in.a], regs[in.c].i
 			name := memIntrinsicNames[in.sub]
-			if p.mem == nil {
+			m := r.mem(p)
+			if m == nil {
 				return val{}, f.fail(pc-1, trapf(TrapNilPtr, "%s through nil pointer", name))
 			}
-			if p.off < 0 || p.off+n > int64(len(p.mem.Bytes)) {
-				return val{}, f.fail(pc-1, trapf(TrapOOB, "%s out of bounds (off %d, n %d, alloc %d)", name, p.off, n, len(p.mem.Bytes)))
+			if p.off < 0 || p.off+n > int64(len(m.Bytes)) {
+				return val{}, f.fail(pc-1, trapf(TrapOOB, "%s out of bounds (off %d, n %d, alloc %d)", name, p.off, n, len(m.Bytes)))
 			}
 			b := byte(regs[in.b].i)
 			for i := int64(0); i < n; i++ {
-				p.mem.Bytes[p.off+i] = b
+				m.Bytes[p.off+i] = b
 			}
 			regs[in.dst] = val{}
 		case opMemcpy:
 			dst, src, n := regs[in.a], regs[in.b], regs[in.c].i
 			name := memIntrinsicNames[in.sub]
-			if dst.mem == nil || src.mem == nil {
+			dm, sm := r.mem(dst), r.mem(src)
+			if dm == nil || sm == nil {
 				return val{}, f.fail(pc-1, trapf(TrapNilPtr, "%s through nil pointer", name))
 			}
-			if dst.off < 0 || dst.off+n > int64(len(dst.mem.Bytes)) ||
-				src.off < 0 || src.off+n > int64(len(src.mem.Bytes)) {
+			if dst.off < 0 || dst.off+n > int64(len(dm.Bytes)) ||
+				src.off < 0 || src.off+n > int64(len(sm.Bytes)) {
 				return val{}, f.fail(pc-1, trapf(TrapOOB, "%s out of bounds (n %d)", name, n))
 			}
-			copy(dst.mem.Bytes[dst.off:dst.off+n], src.mem.Bytes[src.off:src.off+n])
+			copy(dm.Bytes[dst.off:dst.off+n], sm.Bytes[src.off:src.off+n])
 			regs[in.dst] = val{}
 		default:
 			panic(fmt.Sprintf("interp: unknown program opcode %d", in.op))
@@ -499,13 +576,13 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 // field selects, for trap details.
 var memIntrinsicNames = [...]string{"llvm.memset.p0.i64", "memset", "llvm.memcpy.p0.p0.i64", "memcpy"}
 
-// load reads the typed value p points at; a memBad kind passes the nil and
-// bounds checks and leaves the error to the caller.
-func load(p val, in *inst) (val, error) {
-	if p.mem == nil {
+// load reads the typed value at offset o of m; a memBad kind passes the nil
+// and bounds checks and leaves the error to the caller.
+func load(m *Mem, o int64, in *inst) (val, error) {
+	if m == nil {
 		return val{}, trapf(TrapNilPtr, "load through nil pointer")
 	}
-	b, o := p.mem.Bytes, p.off
+	b := m.Bytes
 	if o < 0 || o+in.imm > int64(len(b)) {
 		return val{}, trapf(TrapOOB, "load out of bounds (off %d, size %d, alloc %d)", o, in.imm, len(b))
 	}
@@ -526,13 +603,13 @@ func load(p val, in *inst) (val, error) {
 	return val{}, nil
 }
 
-// store writes v through p at the instruction's value width; memBad and
-// memPtr kinds pass the nil and bounds checks and write nothing.
-func store(p val, in *inst, v val) error {
-	if p.mem == nil {
+// store writes v at offset o of m at the instruction's value width; memBad
+// and memPtr kinds pass the nil and bounds checks and write nothing.
+func store(m *Mem, o int64, in *inst, v val) error {
+	if m == nil {
 		return trapf(TrapNilPtr, "store through nil pointer")
 	}
-	b, o := p.mem.Bytes, p.off
+	b := m.Bytes
 	if o < 0 || o+in.imm > int64(len(b)) {
 		return trapf(TrapOOB, "store out of bounds (off %d, size %d, alloc %d)", o, in.imm, len(b))
 	}
@@ -582,6 +659,37 @@ func icmp(pred uint8, l, r int64) bool {
 		return uint64(l) > uint64(r)
 	default: // predUGE; the compiler admits no other predicate
 		return uint64(l) >= uint64(r)
+	}
+}
+
+// errPtrOrder reports an ordered comparison of pointers that do not point
+// into one allocation: this model places allocations nowhere in relation
+// to each other, so it cannot order them.
+var errPtrOrder = errors.New("interp: ordered comparison of pointers into different allocations")
+
+// pcmp compares two pointers. eq and ne compare allocation and offset (and
+// the integer a pointer made by inttoptr carries); the ordered predicates
+// compare offsets within one allocation, where unsigned and signed order
+// agree as they do for addresses.
+func pcmp(pred uint8, l, r val) (bool, error) {
+	switch pred {
+	case predEQ:
+		return l.mem == r.mem && l.off == r.off && l.i == r.i, nil
+	case predNE:
+		return l.mem != r.mem || l.off != r.off || l.i != r.i, nil
+	}
+	if l.mem == 0 || l.mem != r.mem {
+		return false, errPtrOrder
+	}
+	switch pred {
+	case predSLT, predULT:
+		return l.off < r.off, nil
+	case predSLE, predULE:
+		return l.off <= r.off, nil
+	case predSGT, predUGT:
+		return l.off > r.off, nil
+	default: // predSGE, predUGE
+		return l.off >= r.off, nil
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/llvm"
 )
@@ -35,6 +36,17 @@ const (
 // Params returns the entry function's parameter classes — the ABI a caller
 // synthesizes arguments for.
 func (p *Program) Params() []ParamKind { return p.params }
+
+// programs holds released programs; Compile fills their storage.
+var programs sync.Pool
+
+// Release hands the program's storage to a later Compile. The caller must
+// hold the only reference: a released program must not be used again.
+func (p *Program) Release() {
+	if p != nil {
+		programs.Put(p)
+	}
+}
 
 // Equal reports whether p and q execute identically: the same code, slots,
 // constants (floats by bit pattern), GEP strides, call graph and entry ABI.
@@ -92,6 +104,7 @@ const (
 	opFNeg
 
 	opICmp // sub: predicate
+	opPCmp // icmp on pointers, sub: predicate
 	opFCmp
 	opSelect
 	opSelectChecked // select with tracked arms, see the runner
@@ -162,14 +175,53 @@ const (
 	predUNO
 )
 
-var icmpPreds = map[string]uint8{
-	"eq": predEQ, "ne": predNE, "slt": predSLT, "sle": predSLE, "sgt": predSGT,
-	"sge": predSGE, "ult": predULT, "ule": predULE, "ugt": predUGT, "uge": predUGE,
+// icmpPred and fcmpPred resolve a comparison predicate's spelling.
+func icmpPred(name string) (uint8, bool) {
+	switch name {
+	case "eq":
+		return predEQ, true
+	case "ne":
+		return predNE, true
+	case "slt":
+		return predSLT, true
+	case "sle":
+		return predSLE, true
+	case "sgt":
+		return predSGT, true
+	case "sge":
+		return predSGE, true
+	case "ult":
+		return predULT, true
+	case "ule":
+		return predULE, true
+	case "ugt":
+		return predUGT, true
+	case "uge":
+		return predUGE, true
+	}
+	return 0, false
 }
 
-var fcmpPreds = map[string]uint8{
-	"oeq": predOEQ, "one": predONE, "olt": predOLT, "ole": predOLE, "ogt": predOGT,
-	"oge": predOGE, "ord": predORD, "uno": predUNO,
+func fcmpPred(name string) (uint8, bool) {
+	switch name {
+	case "oeq":
+		return predOEQ, true
+	case "one":
+		return predONE, true
+	case "olt":
+		return predOLT, true
+	case "ole":
+		return predOLE, true
+	case "ogt":
+		return predOGT, true
+	case "oge":
+		return predOGE, true
+	case "ord":
+		return predORD, true
+	case "uno":
+		return predUNO, true
+	}
+	return 0, false
 }
 
 // inst is one program instruction.
@@ -229,42 +281,95 @@ func (f *function) fail(pc int32, err error) error {
 	return fmt.Errorf("in @%s %%%s: %w", f.name, f.sites[i].name, err)
 }
 
+// reset empties f for a function with the given name and parameter count,
+// keeping its storage. Every field is reset: the ones Equal reads and the
+// diagnostics alike.
+func (f *function) reset(name string, nparams int32) {
+	// Diagnostics past the length still reference an old module's values.
+	clear(f.errs[:cap(f.errs)])
+	clear(f.undef[:cap(f.undef)])
+	clear(f.sites[:cap(f.sites)])
+	*f = function{
+		nparams: nparams, nslots: nparams,
+		code: f.code[:0], consts: f.consts[:0], steps: f.steps[:0], args: f.args[:0],
+		name: name, errs: f.errs[:0], undef: f.undef[:0], sites: f.sites[:0],
+	}
+}
+
 // Compile compiles the named function of mod and every defined function it
 // calls. Compilation fails only when the function does not exist; an
 // instruction the machine cannot execute compiles to one that reports the
-// error when it is reached.
+// error when it is reached. The program reuses the storage of a released
+// one when there is some.
 func Compile(mod *llvm.Module, name string) (*Program, error) {
-	p, _, err := compile(mod, name, false)
-	return p, err
+	p, _ := programs.Get().(*Program)
+	if p == nil {
+		p = new(Program)
+	}
+	if _, err := p.compile(mod, name, false); err != nil {
+		programs.Put(p)
+		return nil, err
+	}
+	return p, nil
 }
 
-// compile is Compile that optionally also returns, per function, the
-// instruction defining each slot (for Machine.Observe).
-func compile(mod *llvm.Module, name string, withSrcs bool) (*Program, [][]*llvm.Instr, error) {
+// compile fills p with the named function of mod and its callees. With
+// withSrcs it also returns, per function, the instruction defining each
+// slot (for Machine.Observe).
+func (p *Program) compile(mod *llvm.Module, name string, withSrcs bool) ([][]*llvm.Instr, error) {
 	f := mod.FindFunc(name)
 	if f == nil {
-		return nil, nil, fmt.Errorf("interp: function @%s not found", name)
+		return nil, fmt.Errorf("interp: function @%s not found", name)
 	}
-	p := &Program{params: make([]ParamKind, len(f.Params))}
-	for i, prm := range f.Params {
+	// Every class is written, ParamOther included: it is the zero value, so
+	// reused storage would otherwise keep a stale class.
+	p.params = p.params[:0]
+	for _, prm := range f.Params {
+		k := ParamOther
 		switch {
 		case prm.Ty.IsPtr():
-			p.params[i] = ParamPtr
+			k = ParamPtr
 		case prm.Ty.IsInt():
-			p.params[i] = ParamInt
+			k = ParamInt
 		case prm.Ty.IsFP():
-			p.params[i] = ParamFloat
+			k = ParamFloat
 		}
+		p.params = append(p.params, k)
 	}
-	mc := &modCompiler{mod: mod, index: map[*llvm.Function]int32{f: 0}, queue: []*llvm.Function{f}}
+	fc, _ := compilers.Get().(*funcCompiler)
+	if fc == nil {
+		fc = &funcCompiler{bidx: map[*llvm.Block]int32{}, slots: map[*llvm.Instr]int32{},
+			track: map[llvm.Value]int32{}, consts: map[[2]uint64]int32{},
+			mc: modCompiler{index: map[*llvm.Function]int32{}}}
+	}
+	defer fc.release()
+	mc := &fc.mc
+	mc.mod = mod
+	mc.index[f] = 0
+	mc.queue = append(mc.queue, f)
+	p.funcs = p.funcs[:0]
 	var srcs [][]*llvm.Instr
 	for i := 0; i < len(mc.queue); i++ {
-		fc := newFuncCompiler(mc, mc.queue[i], withSrcs)
+		fn := p.nextFunc()
+		fc.start(mc.queue[i], fn, withSrcs)
 		fc.compile()
-		p.funcs = append(p.funcs, fc.fn)
-		srcs = append(srcs, fc.srcs)
+		if withSrcs {
+			srcs = append(srcs, fc.srcs)
+		}
 	}
-	return p, srcs, nil
+	return srcs, nil
+}
+
+// nextFunc appends a function to p, reusing the storage of one a released
+// program held in that position.
+func (p *Program) nextFunc() *function {
+	n := len(p.funcs)
+	if n < cap(p.funcs) {
+		p.funcs = p.funcs[:n+1]
+	} else {
+		p.funcs = append(p.funcs, function{})
+	}
+	return &p.funcs[n]
 }
 
 // modCompiler numbers the functions a program calls.
@@ -284,11 +389,16 @@ func (mc *modCompiler) funcIndex(f *llvm.Function) int32 {
 	return i
 }
 
-// funcCompiler compiles one function.
+// compilers holds function compilers whose tables the next compile reuses.
+var compilers sync.Pool
+
+// funcCompiler compiles the functions of one program, one at a time. Its
+// tables are scratch: start resets them for each function, and release
+// empties them before pooling so they pin no module.
 type funcCompiler struct {
-	mc *modCompiler
+	mc modCompiler
 	f  *llvm.Function
-	fn function
+	fn *function
 
 	bidx map[*llvm.Block]int32
 	nphi []int   // leading phis per block
@@ -302,11 +412,22 @@ type funcCompiler struct {
 	consts map[[2]uint64]int32
 	junk   int32
 
-	blockPC []int32
+	blockPC []int32 // empty until the blocks are compiled
 	patches []patch
 	srcs    []*llvm.Instr
 	wantSrc bool
 	ops     []int32 // operand slots of the instruction being compiled
+	idx     []int32 // index slots of the gep being compiled
+	dsts    []int32 // phi moves of the edge being compiled: destinations
+	movs    []int32 // and sources
+
+	// dominators' graph: the successors of block b are succ[succOff[b]:
+	// succOff[b+1]], likewise its predecessors.
+	succ, succOff []int32
+	pred, predOff []int32
+	cursor        []int32 // next free pred entry per block while filling
+	seen          []bool
+	post, num     []int32
 }
 
 // patch records a branch field to fill with an edge's program counter.
@@ -317,34 +438,47 @@ type patch struct {
 	to    *llvm.Block
 }
 
-func newFuncCompiler(mc *modCompiler, f *llvm.Function, withSrcs bool) *funcCompiler {
+// start resets the compiler's tables to compile f into fn.
+func (fc *funcCompiler) start(f *llvm.Function, fn *function, withSrcs bool) {
+	fc.f, fc.fn, fc.wantSrc = f, fn, withSrcs
+	fn.reset(f.Name, int32(len(f.Params)))
+	clear(fc.bidx)
+	clear(fc.slots)
+	clear(fc.track)
+	clear(fc.consts)
 	// Size the tables once: every instruction defines at most one slot and
 	// compiles to a handful of program instructions.
 	n := len(f.Params)
 	for _, b := range f.Blocks {
 		n += len(b.Instrs)
 	}
-	fc := &funcCompiler{
-		mc: mc, f: f,
-		bidx:    make(map[*llvm.Block]int32, len(f.Blocks)),
-		slots:   make(map[*llvm.Instr]int32, n),
-		defBlk:  make([]int32, 0, n),
-		defIdx:  make([]int, 0, n),
-		consts:  map[[2]uint64]int32{},
-		wantSrc: withSrcs,
-	}
-	fc.fn.code = make([]inst, 0, n+2*len(f.Blocks))
-	fc.fn.name = f.Name
-	fc.fn.nparams = int32(len(f.Params))
+	fn.code = slices.Grow(fn.code, n+2*len(f.Blocks))
+	fc.defBlk, fc.defIdx = slices.Grow(fc.defBlk[:0], n), slices.Grow(fc.defIdx[:0], n)
 	for range f.Params {
 		fc.defBlk = append(fc.defBlk, -1)
 		fc.defIdx = append(fc.defIdx, -1)
 	}
-	fc.fn.nslots = fc.fn.nparams
+	fc.blockPC = fc.blockPC[:0]
+	fc.patches = fc.patches[:0]
+	fc.srcs = nil
 	if withSrcs {
-		fc.srcs = make([]*llvm.Instr, fc.fn.nparams)
+		// Each function keeps its own list, so it is never reused.
+		fc.srcs = make([]*llvm.Instr, fn.nparams)
 	}
-	return fc
+}
+
+// release empties the compiler's tables of everything that references the
+// compiled module and pools it.
+func (fc *funcCompiler) release() {
+	clear(fc.bidx)
+	clear(fc.slots)
+	clear(fc.track)
+	clear(fc.mc.index)
+	clear(fc.mc.queue[:cap(fc.mc.queue)])
+	clear(fc.patches[:cap(fc.patches)])
+	fc.mc.queue, fc.patches = fc.mc.queue[:0], fc.patches[:0]
+	fc.mc.mod, fc.f, fc.fn, fc.srcs = nil, nil, nil, nil
+	compilers.Put(fc)
 }
 
 // newSlot allocates a register slot, recording its defining instruction.
@@ -366,8 +500,8 @@ func (fc *funcCompiler) compile() {
 	for i, b := range f.Blocks {
 		fc.bidx[b] = int32(i)
 	}
-	fc.nphi = make([]int, len(f.Blocks))
-	fc.term = make([]int, len(f.Blocks))
+	fc.nphi = grow(fc.nphi[:0], len(f.Blocks))
+	fc.term = grow(fc.term[:0], len(f.Blocks))
 	for bi, b := range f.Blocks {
 		for fc.nphi[bi] < len(b.Instrs) && b.Instrs[fc.nphi[bi]].Op == llvm.OpPhi {
 			fc.nphi[bi]++
@@ -400,7 +534,7 @@ func (fc *funcCompiler) compile() {
 	if fc.nphi[0] > 0 {
 		fc.edge(-1, f.Blocks[0])
 	}
-	fc.blockPC = make([]int32, len(f.Blocks))
+	fc.blockPC = grow(fc.blockPC[:0], len(f.Blocks))
 	for bi, b := range f.Blocks {
 		fc.blockPC[bi] = fc.pc()
 		fc.block(int32(bi), b)
@@ -419,67 +553,79 @@ func (fc *funcCompiler) compile() {
 	}
 }
 
-// succs returns the in-function successors of block bi.
-func (fc *funcCompiler) succs(bi int) []int32 {
-	b := fc.f.Blocks[bi]
-	if fc.term[bi] >= len(b.Instrs) {
-		return nil
-	}
-	var out []int32
-	for _, s := range b.Instrs[fc.term[bi]].Blocks {
-		if si, ok := fc.bidx[s]; ok {
-			out = append(out, si)
+// succs returns the in-function successors of block b.
+func (fc *funcCompiler) succs(b int32) []int32 { return fc.succ[fc.succOff[b]:fc.succOff[b+1]] }
+
+// dfs numbers the blocks reachable from b in postorder.
+func (fc *funcCompiler) dfs(b int32) {
+	fc.seen[b] = true
+	for _, s := range fc.succs(b) {
+		if !fc.seen[s] {
+			fc.dfs(s)
 		}
 	}
-	return out
+	fc.post = append(fc.post, b)
 }
 
 // dominators computes immediate dominators of the reachable blocks
 // (Cooper, Harvey and Kennedy's iterative algorithm over reverse postorder).
 func (fc *funcCompiler) dominators() {
 	n := len(fc.f.Blocks)
-	succ := make([][]int32, n)
-	for bi := range succ {
-		succ[bi] = fc.succs(bi)
-	}
-	seen := make([]bool, n)
-	var post []int32
-	var dfs func(b int32)
-	dfs = func(b int32) {
-		seen[b] = true
-		for _, s := range succ[b] {
-			if !seen[s] {
-				dfs(s)
+	// Successor lists, flat: in-function targets of each block's terminator.
+	fc.succ, fc.succOff = fc.succ[:0], append(fc.succOff[:0], 0)
+	for bi, b := range fc.f.Blocks {
+		if fc.term[bi] < len(b.Instrs) {
+			for _, s := range b.Instrs[fc.term[bi]].Blocks {
+				if si, ok := fc.bidx[s]; ok {
+					fc.succ = append(fc.succ, si)
+				}
 			}
 		}
-		post = append(post, b)
+		fc.succOff = append(fc.succOff, int32(len(fc.succ)))
 	}
-	dfs(0)
+	fc.seen = grow(fc.seen[:0], n)
+	fc.post = fc.post[:0]
+	fc.dfs(0)
 	// Postorder numbers order the walk up two dominator chains to their
 	// meeting point.
-	num := make([]int32, n)
-	for i, b := range post {
+	num := grow(fc.num[:0], n)
+	fc.num = num
+	for i, b := range fc.post {
 		num[b] = int32(i)
 	}
-	preds := make([][]int32, n)
-	for b := range succ {
-		if seen[b] {
-			for _, s := range succ[b] {
-				preds[s] = append(preds[s], int32(b))
+	// Predecessor lists, flat, in the order the reachable blocks name them.
+	fc.predOff = grow(fc.predOff[:0], n+1)
+	for b := 0; b < n; b++ {
+		if fc.seen[b] {
+			for _, s := range fc.succs(int32(b)) {
+				fc.predOff[s+1]++
 			}
 		}
 	}
-	fc.idom = make([]int32, n)
+	for b := 0; b < n; b++ {
+		fc.predOff[b+1] += fc.predOff[b]
+	}
+	fc.pred = grow(fc.pred[:0], int(fc.predOff[n]))
+	fc.cursor = append(fc.cursor[:0], fc.predOff[:n]...)
+	for b := 0; b < n; b++ {
+		if fc.seen[b] {
+			for _, s := range fc.succs(int32(b)) {
+				fc.pred[fc.cursor[s]] = int32(b)
+				fc.cursor[s]++
+			}
+		}
+	}
+	fc.idom = grow(fc.idom[:0], n)
 	for i := range fc.idom {
 		fc.idom[i] = -1
 	}
 	fc.idom[0] = 0
 	for changed := true; changed; {
 		changed = false
-		for i := len(post) - 2; i >= 0; i-- { // reverse postorder, entry excluded
-			b := post[i]
+		for i := len(fc.post) - 2; i >= 0; i-- { // reverse postorder, entry excluded
+			b := fc.post[i]
 			nd := int32(-1)
-			for _, p := range preds[b] {
+			for _, p := range fc.pred[fc.predOff[b]:fc.predOff[b+1]] {
 				if fc.idom[p] < 0 {
 					continue
 				}
@@ -551,9 +697,6 @@ func (fc *funcCompiler) findTracked() {
 		if fc.defined(v, b, j) {
 			return
 		}
-		if fc.track == nil {
-			fc.track = map[llvm.Value]int32{}
-		}
 		if _, ok := fc.track[v]; !ok {
 			fc.track[v] = fc.fn.ntracked
 			fc.fn.ntracked++
@@ -614,7 +757,7 @@ func (fc *funcCompiler) emitError(err error, wrap bool, name string) int32 {
 // a definedness check when the read may precede the definition. in, when
 // non-nil, is the instruction whose failures the check names.
 func (fc *funcCompiler) operand(v llvm.Value, b int32, j int, in *llvm.Instr) int32 {
-	if k, ok := fc.track[v]; ok && !fc.defined(v, b, j) {
+	if k, ok := fc.tracked(v); ok && !fc.defined(v, b, j) {
 		x := inst{op: opCheck, dst: -1, imm: int64(k)}
 		if in != nil {
 			fc.emitSite(x, in)
@@ -627,6 +770,16 @@ func (fc *funcCompiler) operand(v llvm.Value, b int32, j int, in *llvm.Instr) in
 		return fc.junk
 	}
 	return fc.value(v)
+}
+
+// tracked returns the tracked index of v when its reads may need a
+// definedness check.
+func (fc *funcCompiler) tracked(v llvm.Value) (int32, bool) {
+	if fc.fn.ntracked == 0 {
+		return 0, false
+	}
+	k, ok := fc.track[v]
+	return k, ok
 }
 
 // slotOf returns the slot of a parameter or instruction result of this
@@ -692,7 +845,7 @@ func (fc *funcCompiler) result(in *llvm.Instr) int32 {
 
 // markIfTracked emits the flag update a tracked value's definition needs.
 func (fc *funcCompiler) markIfTracked(v llvm.Value) {
-	if k, ok := fc.track[v]; ok {
+	if k, ok := fc.tracked(v); ok {
 		fc.emit(inst{op: opMark, dst: -1, imm: int64(k)})
 	}
 }
@@ -764,7 +917,7 @@ func (fc *funcCompiler) edge(from int32, to *llvm.Block) int32 {
 		}
 		return fc.emitError(fmt.Errorf("interp: branch to %%%s outside @%s", to.Name, fc.f.Name), false, "")
 	}
-	if fc.nphi[ti] == 0 && fc.blockPC != nil && from >= 0 {
+	if fc.nphi[ti] == 0 && len(fc.blockPC) > 0 && from >= 0 {
 		return fc.blockPC[ti]
 	}
 	start := fc.pc()
@@ -774,7 +927,7 @@ func (fc *funcCompiler) edge(from int32, to *llvm.Block) int32 {
 		pred = fc.f.Blocks[from]
 		predEnd = len(pred.Instrs)
 	}
-	var dsts, srcs []int32
+	dsts, srcs := fc.dsts[:0], fc.movs[:0]
 	for _, phi := range to.Instrs[:fc.nphi[ti]] {
 		k := slices.Index(phi.Blocks, pred)
 		if k < 0 || k >= len(phi.Args) {
@@ -793,6 +946,7 @@ func (fc *funcCompiler) edge(from int32, to *llvm.Block) int32 {
 		srcs = append(srcs, fc.operand(phi.Args[k], b, j, nil))
 		dsts = append(dsts, fc.result(phi))
 	}
+	fc.dsts, fc.movs = dsts, srcs
 	// A move whose destination another move still reads goes through a
 	// temporary, so every phi sees the values from before the edge.
 	overlap := false
@@ -802,12 +956,10 @@ func (fc *funcCompiler) edge(from int32, to *llvm.Block) int32 {
 		}
 	}
 	if overlap {
-		tmps := make([]int32, len(srcs))
 		for i, s := range srcs {
-			tmps[i] = fc.newSlot(nil)
-			fc.emit(inst{op: opMov, dst: tmps[i], a: s})
+			srcs[i] = fc.newSlot(nil)
+			fc.emit(inst{op: opMov, dst: srcs[i], a: s})
 		}
-		srcs = tmps
 	}
 	for i, d := range dsts {
 		fc.emit(inst{op: opMov, dst: d, a: srcs[i]})
@@ -815,7 +967,7 @@ func (fc *funcCompiler) edge(from int32, to *llvm.Block) int32 {
 	for _, phi := range to.Instrs[:fc.nphi[ti]] {
 		fc.markIfTracked(phi)
 	}
-	if fc.blockPC == nil {
+	if len(fc.blockPC) == 0 {
 		// The entry edge is compiled before the blocks: it falls through.
 		return start
 	}
@@ -876,21 +1028,51 @@ type opShape struct {
 	isInt, isFlt bool
 }
 
-var shapes = map[llvm.Opcode]opShape{
-	llvm.OpAdd: {n: 2, isInt: true, intOp: opAdd}, llvm.OpSub: {n: 2, isInt: true, intOp: opSub},
-	llvm.OpMul: {n: 2, isInt: true, intOp: opMul}, llvm.OpSDiv: {n: 2, isInt: true, intOp: opSDiv},
-	llvm.OpSRem: {n: 2, isInt: true, intOp: opSRem}, llvm.OpAnd: {n: 2, isInt: true, intOp: opAnd},
-	llvm.OpOr: {n: 2, isInt: true, intOp: opOr}, llvm.OpXor: {n: 2, isInt: true, intOp: opXor},
-	llvm.OpShl: {n: 2, isInt: true, intOp: opShl}, llvm.OpLShr: {n: 2, isInt: true, intOp: opLShr},
-	llvm.OpAShr: {n: 2, isInt: true, intOp: opAShr},
-	llvm.OpFAdd: {n: 2, isFlt: true, floatOp: [2]opcode{opFAdd64, opFAdd32}},
-	llvm.OpFSub: {n: 2, isFlt: true, floatOp: [2]opcode{opFSub64, opFSub32}},
-	llvm.OpFMul: {n: 2, isFlt: true, floatOp: [2]opcode{opFMul64, opFMul32}},
-	llvm.OpFDiv: {n: 2, isFlt: true, floatOp: [2]opcode{opFDiv64, opFDiv32}},
-	llvm.OpFNeg: {n: 1}, llvm.OpICmp: {n: 2}, llvm.OpFCmp: {n: 2}, llvm.OpSelect: {n: 3}, llvm.OpZExt: {n: 1},
-	llvm.OpSExt: {n: 1}, llvm.OpTrunc: {n: 1}, llvm.OpSIToFP: {n: 1}, llvm.OpFPToSI: {n: 1}, llvm.OpFPExt: {n: 1},
-	llvm.OpFPTrunc: {n: 1}, llvm.OpBitcast: {n: 1}, llvm.OpIntToPtr: {n: 1}, llvm.OpPtrToInt: {n: 1},
-	llvm.OpGEP: {n: 1}, llvm.OpLoad: {n: 1}, llvm.OpStore: {n: 2},
+// shapeOf returns the shape of an executable opcode (the zero shape for
+// the rest).
+func shapeOf(op llvm.Opcode) opShape {
+	integer := func(o opcode) opShape { return opShape{n: 2, isInt: true, intOp: o} }
+	float := func(o64, o32 opcode) opShape { return opShape{n: 2, isFlt: true, floatOp: [2]opcode{o64, o32}} }
+	switch op {
+	case llvm.OpAdd:
+		return integer(opAdd)
+	case llvm.OpSub:
+		return integer(opSub)
+	case llvm.OpMul:
+		return integer(opMul)
+	case llvm.OpSDiv:
+		return integer(opSDiv)
+	case llvm.OpSRem:
+		return integer(opSRem)
+	case llvm.OpAnd:
+		return integer(opAnd)
+	case llvm.OpOr:
+		return integer(opOr)
+	case llvm.OpXor:
+		return integer(opXor)
+	case llvm.OpShl:
+		return integer(opShl)
+	case llvm.OpLShr:
+		return integer(opLShr)
+	case llvm.OpAShr:
+		return integer(opAShr)
+	case llvm.OpFAdd:
+		return float(opFAdd64, opFAdd32)
+	case llvm.OpFSub:
+		return float(opFSub64, opFSub32)
+	case llvm.OpFMul:
+		return float(opFMul64, opFMul32)
+	case llvm.OpFDiv:
+		return float(opFDiv64, opFDiv32)
+	case llvm.OpFNeg, llvm.OpZExt, llvm.OpSExt, llvm.OpTrunc, llvm.OpSIToFP, llvm.OpFPToSI, llvm.OpFPExt,
+		llvm.OpFPTrunc, llvm.OpBitcast, llvm.OpIntToPtr, llvm.OpPtrToInt, llvm.OpGEP, llvm.OpLoad:
+		return opShape{n: 1}
+	case llvm.OpICmp, llvm.OpFCmp, llvm.OpStore:
+		return opShape{n: 2}
+	case llvm.OpSelect:
+		return opShape{n: 3}
+	}
+	return opShape{}
 }
 
 // instr compiles one non-terminator instruction at index j of block bi.
@@ -900,7 +1082,7 @@ func (fc *funcCompiler) instr(bi int32, j int, in *llvm.Instr) {
 	}
 	// Read exactly the operands the instruction evaluates, in order, so an
 	// undefined one traps where it did; select and gep read their own.
-	sh := shapes[in.Op]
+	sh := shapeOf(in.Op)
 	n := sh.n
 	if len(in.Args) < n {
 		fail("%s takes %d operands, has %d", in.Op, n, len(in.Args))
@@ -943,14 +1125,18 @@ func (fc *funcCompiler) instr(bi int32, j int, in *llvm.Instr) {
 	case llvm.OpFNeg:
 		unary(opFNeg)
 	case llvm.OpICmp:
-		p, ok := icmpPreds[in.Pred]
+		p, ok := icmpPred(in.Pred)
 		if !ok {
 			fail("interp: unsupported icmp predicate %q", in.Pred)
 			return
 		}
+		if t := in.Args[0].Type(); t != nil && t.IsPtr() {
+			fc.emitSite(inst{op: opPCmp, sub: p, dst: dst, a: ops[0], b: ops[1]}, in)
+			return
+		}
 		fc.emit(inst{op: opICmp, sub: p, dst: dst, a: ops[0], b: ops[1]})
 	case llvm.OpFCmp:
-		p, ok := fcmpPreds[in.Pred]
+		p, ok := fcmpPred(in.Pred)
 		if !ok {
 			fail("interp: unsupported fcmp predicate %q", in.Pred)
 			return
@@ -961,7 +1147,7 @@ func (fc *funcCompiler) instr(bi int32, j int, in *llvm.Instr) {
 		x := inst{op: opSelect, dst: dst, a: c, b: fc.value(in.Args[1]), c: fc.value(in.Args[2])}
 		for arm, shift := range [2]int64{32, 0} {
 			v := in.Args[1+arm]
-			if k, ok := fc.track[v]; ok && !fc.defined(v, bi, j) {
+			if k, ok := fc.tracked(v); ok && !fc.defined(v, bi, j) {
 				x.op = opSelectChecked
 				x.imm |= (int64(k) + 1) << shift
 			}
@@ -1045,10 +1231,11 @@ func (fc *funcCompiler) instr(bi int32, j int, in *llvm.Instr) {
 // step per non-constant index.
 func (fc *funcCompiler) gep(bi int32, j int, in *llvm.Instr, dst int32) {
 	base := fc.operand(in.Args[0], bi, j, in)
-	var idx []int32
+	idx := fc.idx[:0]
 	for _, v := range in.Args[1:] {
 		idx = append(idx, fc.operand(v, bi, j, in))
 	}
+	fc.idx = idx
 	x := inst{op: opGEP, dst: dst, a: base, b: int32(len(fc.fn.steps))}
 	t := in.SrcElem
 	for k, v := range in.Args[1:] {

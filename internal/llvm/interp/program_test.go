@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/llvm"
 	"repro/internal/llvm/parser"
 )
 
@@ -147,5 +148,119 @@ join:
 	_, _, err = NewMachine(m).Run(context.Background(), "k", IntArg(-1))
 	if tr, ok := AsTrap(err); !ok || tr.Kind != TrapUndef || !strings.Contains(err.Error(), "%r") {
 		t.Fatalf("k(-1) = %v, want an undefined-value trap at %%r (the select must not trap)", err)
+	}
+}
+
+// pointerCompare is a function comparing pointers into its two arguments.
+const pointerCompare = `; ModuleID = 't'
+; Flavor: modern
+
+define i64 @f(ptr %a, ptr %b) {
+entry:
+  %q = getelementptr float, ptr %a, i64 1
+  %c = icmp PRED ptr LHS, RHS
+  %r = zext i1 %c to i64
+  ret i64 %r
+}
+`
+
+// TestPointerICmp compares pointers as (allocation, offset): eq and ne see
+// both, ordered predicates order offsets within one allocation, and an
+// ordered comparison across allocations is an ordinary error, not a trap.
+func TestPointerICmp(t *testing.T) {
+	run := func(pred, lhs, rhs string, a, b Arg) (int64, error) {
+		t.Helper()
+		src := strings.NewReplacer("PRED", pred, "LHS", lhs, "RHS", rhs).Replace(pointerCompare)
+		m, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, src)
+		}
+		got, _, err := NewMachine(m).Run(context.Background(), "f", a, b)
+		return got, err
+	}
+	one, other := NewMem(16), NewMem(16)
+	for _, c := range []struct {
+		pred, lhs, rhs string
+		a, b           Arg
+		want           int64
+	}{
+		{"eq", "%a", "%q", PtrArg(one, 0), PtrArg(one, 4), 0},
+		{"ne", "%a", "%q", PtrArg(one, 0), PtrArg(one, 4), 1},
+		{"eq", "%b", "%q", PtrArg(one, 0), PtrArg(one, 4), 1},
+		{"eq", "%a", "%b", PtrArg(one, 0), PtrArg(one, 0), 1},
+		{"eq", "%a", "%b", PtrArg(one, 0), PtrArg(other, 0), 0},
+		{"ne", "%a", "%b", PtrArg(one, 4), PtrArg(other, 4), 1},
+		{"ult", "%a", "%q", PtrArg(one, 0), PtrArg(one, 4), 1},
+		{"slt", "%q", "%a", PtrArg(one, 0), PtrArg(one, 4), 0},
+		{"uge", "%b", "%q", PtrArg(one, 0), PtrArg(one, 4), 1},
+		{"ugt", "%b", "%a", PtrArg(one, 0), PtrArg(one, 8), 1},
+	} {
+		got, err := run(c.pred, c.lhs, c.rhs, c.a, c.b)
+		if err != nil || got != c.want {
+			t.Errorf("icmp %s ptr %s, %s = %d, %v; want %d", c.pred, c.lhs, c.rhs, got, err, c.want)
+		}
+	}
+	_, err := run("ult", "%a", "%b", PtrArg(one, 0), PtrArg(other, 0))
+	if err == nil || !strings.Contains(err.Error(), "%c") {
+		t.Fatalf("ordered compare across allocations = %v, want an error naming %%c", err)
+	}
+	if _, ok := AsTrap(err); ok {
+		t.Errorf("ordered compare across allocations is an oracle limitation, got the trap %v", err)
+	}
+}
+
+// diagnosticsBase has a tracked value, a located error and an unknown
+// callee: every diagnostic table of a program is non-empty.
+const diagnosticsBase = `; ModuleID = 't'
+; Flavor: modern
+
+declare void @mystery()
+
+define i64 @k(i64 %x) {
+entry:
+  %c = icmp sgt i64 %x, 0
+  br i1 %c, label %then, label %join
+then:
+  %v = add i64 %x, 10
+  br label %join
+join:
+  call void @mystery()
+  %s = select i1 %c, i64 %v, i64 7
+  %r = sdiv i64 %v, %s
+  ret i64 %r
+}
+`
+
+// TestRecycledDiagnostics: a program compiled into a released program's
+// storage carries its own diagnostics — undefined-value names, errors and
+// located sites — never the released program's.
+func TestRecycledDiagnostics(t *testing.T) {
+	parse := func(src string) *llvm.Module {
+		t.Helper()
+		m, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, src)
+		}
+		return m
+	}
+	a := parse(diagnosticsBase)
+	b := parse(strings.NewReplacer("%v", "%w", "mystery", "enigma", "%r", "%q").Replace(diagnosticsBase))
+	for _, m := range [][2]*llvm.Module{{a, b}, {b, a}} {
+		prev, err := Compile(m[0], "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev.Release()
+		got, err := Compile(m[1], "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := CompileFresh(m[1], "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := Diff(got, fresh); d != "" {
+			t.Errorf("recycled program differs from a fresh compile: %s", d)
+		}
 	}
 }

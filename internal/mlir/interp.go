@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/llvm/interp"
 )
@@ -79,6 +80,17 @@ type Program struct {
 	// Diagnostics only; never part of program identity.
 	name string
 	errs []error
+}
+
+// programs holds released programs; Compile fills their storage.
+var programs sync.Pool
+
+// Release hands the program's storage to a later Compile. The caller must
+// hold the only reference: a released program must not be used again.
+func (p *Program) Release() {
+	if p != nil {
+		programs.Put(p)
+	}
 }
 
 // Equal reports whether p and q execute identically: the same code, slots,
@@ -172,9 +184,42 @@ const (
 	pOGE
 )
 
-var intPreds = map[string]uint8{PredEQ: pEQ, PredNE: pNE, PredSLT: pSLT, PredSLE: pSLE, PredSGT: pSGT, PredSGE: pSGE}
+// cmpIPred and cmpFPred resolve a comparison predicate's spelling.
+func cmpIPred(name string) (uint8, bool) {
+	switch name {
+	case PredEQ:
+		return pEQ, true
+	case PredNE:
+		return pNE, true
+	case PredSLT:
+		return pSLT, true
+	case PredSLE:
+		return pSLE, true
+	case PredSGT:
+		return pSGT, true
+	case PredSGE:
+		return pSGE, true
+	}
+	return 0, false
+}
 
-var floatPreds = map[string]uint8{PredOEQ: pOEQ, PredONE: pONE, PredOLT: pOLT, PredOLE: pOLE, PredOGT: pOGT, PredOGE: pOGE}
+func cmpFPred(name string) (uint8, bool) {
+	switch name {
+	case PredOEQ:
+		return pOEQ, true
+	case PredONE:
+		return pONE, true
+	case PredOLT:
+		return pOLT, true
+	case PredOLE:
+		return pOLE, true
+	case PredOGT:
+		return pOGT, true
+	case PredOGE:
+		return pOGE, true
+	}
+	return 0, false
+}
 
 // accessNames spells a load or store instruction's op for diagnostics.
 var accessNames = [...]string{OpLoad, OpStore, OpAffineLoad, OpAffineStore}
@@ -193,32 +238,44 @@ type mconst struct {
 	v    int64
 }
 
-// interpVal is a dynamically-typed interpreter value.
+// interpVal is a dynamically-typed interpreter value. A memref is buf, an
+// index into the run's buffer table (0: none); a value holds no Go
+// pointer, so writing a register needs no GC write barrier.
 type interpVal struct {
 	i   int64
 	f   float64
-	buf *MemBuf
+	buf int32
 }
 
 // Compile compiles the named function. It fails only when the function or
 // its body does not exist; an op the interpreter cannot execute compiles
 // to an instruction that reports the error when it is reached.
 func (m *Module) Compile(funcName string) (*Program, error) {
+	p, _ := programs.Get().(*Program)
+	if p == nil {
+		p = new(Program)
+	}
+	if err := m.compile(p, funcName); err != nil {
+		programs.Put(p)
+		return nil, err
+	}
+	return p, nil
+}
+
+// compile fills p with the named function, reusing p's storage.
+func (m *Module) compile(p *Program, funcName string) error {
 	f := m.FindFunc(funcName)
 	if f == nil {
-		return nil, fmt.Errorf("interp: function %q not found", funcName)
+		return fmt.Errorf("interp: function %q not found", funcName)
 	}
 	body := FuncBody(f)
 	if body == nil {
-		return nil, fmt.Errorf("interp: function %q has no body", funcName)
+		return fmt.Errorf("interp: function %q has no body", funcName)
 	}
-	// Size the tables once: an op defines about one slot and compiles to
-	// about one instruction.
-	n := countOps(f)
-	c := &compiler{p: &Program{name: funcName, code: make([]minst, 0, n+n/2)},
-		slots: make(map[*Value]int32, n), consts: map[int64]int32{}}
+	c := newCompiler(p, funcName, countOps(f))
+	defer c.release()
 	for _, a := range body.Args {
-		c.p.args = append(c.p.args, a.Type())
+		p.args = append(p.args, a.Type())
 		c.slot(a)
 	}
 	if blocks := f.Regions[0].Blocks; len(blocks) == 1 {
@@ -228,7 +285,7 @@ func (m *Module) Compile(funcName string) (*Program, error) {
 	} else {
 		c.cfg(blocks)
 	}
-	return c.p, nil
+	return nil
 }
 
 // countOps counts the ops nested in op.
@@ -247,11 +304,58 @@ func countOps(op *Op) int {
 	return n
 }
 
-// compiler builds one Program.
+// compiler builds one Program. Its tables are scratch, reused through
+// compilers.
 type compiler struct {
 	p      *Program
 	slots  map[*Value]int32
 	consts map[int64]int32
+
+	// cfg's tables: block indices, branch fields to patch, block labels,
+	// and the moves of the edge being compiled.
+	index      map[*Block]int
+	patches    []cfgPatch
+	labels     []int32
+	srcs, dsts []int32
+}
+
+// cfgPatch records a jump to fill with a block's label.
+type cfgPatch struct {
+	pc int32
+	to *Block
+}
+
+var compilers sync.Pool
+
+// newCompiler returns a compiler filling p, emptied, for the named
+// function of about n ops.
+func newCompiler(p *Program, name string, n int) *compiler {
+	// Every field is reset: the ones Equal reads and the diagnostics alike.
+	// Size the code once: an op compiles to about one instruction. Entries
+	// past the length still reference an old module's values.
+	clear(p.args[:cap(p.args)])
+	clear(p.types[:cap(p.types)])
+	clear(p.errs[:cap(p.errs)])
+	*p = Program{
+		args: p.args[:0], code: slices.Grow(p.code[:0], n+n/2), idx: p.idx[:0],
+		consts: p.consts[:0], types: p.types[:0], name: name, errs: p.errs[:0],
+	}
+	c, _ := compilers.Get().(*compiler)
+	if c == nil {
+		c = &compiler{slots: map[*Value]int32{}, consts: map[int64]int32{}, index: map[*Block]int{}}
+	}
+	c.p = p
+	return c
+}
+
+// release empties the compiler's tables and pools it.
+func (c *compiler) release() {
+	clear(c.slots)
+	clear(c.consts)
+	clear(c.index)
+	clear(c.patches[:cap(c.patches)])
+	c.p, c.patches = nil, c.patches[:0]
+	compilers.Put(c)
 }
 
 // slot returns v's value slot, allocating it on first sight.
@@ -307,38 +411,82 @@ func (c *compiler) ops(ops []*Op) {
 	}
 }
 
-// shape lists, per op, the operand and result counts the interpreter
-// reads; an op with fewer compiles to an error.
-var shape = map[string][2]int{
-	OpConstant: {0, 1}, OpAddI: {2, 1}, OpSubI: {2, 1}, OpMulI: {2, 1}, OpDivSI: {2, 1}, OpRemSI: {2, 1},
-	OpMinSI: {2, 1}, OpMaxSI: {2, 1}, OpAddF: {2, 1}, OpSubF: {2, 1}, OpMulF: {2, 1}, OpDivF: {2, 1},
-	OpNegF: {1, 1}, OpMathSqrt: {1, 1}, OpMathExp: {1, 1}, OpCmpI: {2, 1}, OpCmpF: {2, 1}, OpSelect: {3, 1},
-	OpIndexCast: {1, 1}, OpSIToFP: {1, 1}, OpFPToSI: {1, 1}, OpExtF: {1, 1}, OpTruncF: {1, 1},
-	OpAlloc: {0, 1}, OpAlloca: {0, 1}, OpLoad: {1, 1}, OpStore: {2, 0}, OpAffineLoad: {1, 1},
-	OpAffineStore: {2, 0}, OpAffineApply: {0, 1}, OpSCFFor: {3, 0}, OpSCFIf: {1, 0},
+// shape returns the operand and result counts the interpreter reads of an
+// op; an op with fewer compiles to an error.
+func shape(name string) (operands, results int, ok bool) {
+	switch name {
+	case OpAlloc, OpAlloca, OpAffineApply, OpConstant:
+		return 0, 1, true
+	case OpNegF, OpMathSqrt, OpMathExp, OpIndexCast, OpSIToFP, OpFPToSI, OpExtF, OpTruncF, OpLoad, OpAffineLoad:
+		return 1, 1, true
+	case OpAddI, OpSubI, OpMulI, OpDivSI, OpRemSI, OpMinSI, OpMaxSI, OpAddF, OpSubF, OpMulF, OpDivF, OpCmpI, OpCmpF:
+		return 2, 1, true
+	case OpSelect:
+		return 3, 1, true
+	case OpStore, OpAffineStore:
+		return 2, 0, true
+	case OpSCFFor:
+		return 3, 0, true
+	case OpSCFIf:
+		return 1, 0, true
+	}
+	return 0, 0, false
 }
 
-var intOps = map[string]mop{OpAddI: mAddI, OpSubI: mSubI, OpMulI: mMulI, OpDivSI: mDivSI, OpRemSI: mRemSI, OpMinSI: mMinSI, OpMaxSI: mMaxSI}
+// intOp returns the program opcode of an integer binary op.
+func intOp(name string) (mop, bool) {
+	switch name {
+	case OpAddI:
+		return mAddI, true
+	case OpSubI:
+		return mSubI, true
+	case OpMulI:
+		return mMulI, true
+	case OpDivSI:
+		return mDivSI, true
+	case OpRemSI:
+		return mRemSI, true
+	case OpMinSI:
+		return mMinSI, true
+	case OpMaxSI:
+		return mMaxSI, true
+	}
+	return 0, false
+}
 
-var floatOps = map[string][2]mop{OpAddF: {mAddF64, mAddF32}, OpSubF: {mSubF64, mSubF32}, OpMulF: {mMulF64, mMulF32}, OpDivF: {mDivF64, mDivF32}}
+// floatOp returns the program opcodes of a float binary op, at double then
+// single precision.
+func floatOp(name string) ([2]mop, bool) {
+	switch name {
+	case OpAddF:
+		return [2]mop{mAddF64, mAddF32}, true
+	case OpSubF:
+		return [2]mop{mSubF64, mSubF32}, true
+	case OpMulF:
+		return [2]mop{mMulF64, mMulF32}, true
+	case OpDivF:
+		return [2]mop{mDivF64, mDivF32}, true
+	}
+	return [2]mop{}, false
+}
 
 // isF32 reports whether results of type t round to single precision.
 func isF32(t *Type) bool { return t != nil && t.IsFloat() && t.Width == 32 }
 
 // op compiles one op of a structured block.
 func (c *compiler) op(op *Op) {
-	if n, ok := shape[op.Name]; ok && (len(op.Operands) < n[0] || len(op.Results) < n[1]) {
+	if nops, nres, ok := shape(op.Name); ok && (len(op.Operands) < nops || len(op.Results) < nres) {
 		c.fail("interp: %s with %d operands and %d results", op.Name, len(op.Operands), len(op.Results))
 		return
 	}
 	operand := func(i int) int32 { return c.slot(op.Operands[i]) }
 	result := func() int32 { return c.slot(op.Results[0]) }
 	unary := func(o mop) { c.emit(minst{op: o, dst: result(), a: operand(0)}) }
-	if o, ok := intOps[op.Name]; ok {
+	if o, ok := intOp(op.Name); ok {
 		c.emit(minst{op: o, dst: result(), a: operand(0), b: operand(1)})
 		return
 	}
-	if pair, ok := floatOps[op.Name]; ok {
+	if pair, ok := floatOp(op.Name); ok {
 		o := pair[0]
 		if isF32(op.Results[0].Type()) {
 			o = pair[1]
@@ -365,12 +513,12 @@ func (c *compiler) op(op *Op) {
 			unary(mExp64)
 		}
 	case OpCmpI, OpCmpF:
-		preds, o := intPreds, mCmpI
+		resolve, o := cmpIPred, mCmpI
 		if op.Name == OpCmpF {
-			preds, o = floatPreds, mCmpF
+			resolve, o = cmpFPred, mCmpF
 		}
 		name, _ := op.StringAttr(AttrPredicate)
-		pred, ok := preds[name]
+		pred, ok := resolve(name)
 		if !ok {
 			c.fail("interp: unsupported %s predicate %q", op.Name, name)
 			return
@@ -436,22 +584,22 @@ func (c *compiler) op(op *Op) {
 // access compiles a load or store: the index slots (map results, or the
 // operands themselves without a map) then the access.
 func (c *compiler) access(o mop, name uint8, dst, v, mem int32, operands []*Value, m *AffineMap) {
-	var idx []int32
+	start := len(c.p.idx)
 	if m == nil {
 		for _, x := range operands {
-			idx = append(idx, c.slot(x))
+			c.p.idx = append(c.p.idx, c.slot(x))
 		}
 	} else {
 		for k := range m.Exprs {
 			s, ok := c.mapResult(m, k, operands)
 			if !ok {
+				c.p.idx = c.p.idx[:start]
 				return
 			}
-			idx = append(idx, s)
+			c.p.idx = append(c.p.idx, s)
 		}
 	}
-	c.emit(minst{op: o, sub: name, dst: dst, a: v, b: mem, c: int32(len(c.p.idx)), imm: int64(len(idx))})
-	c.p.idx = append(c.p.idx, idx...)
+	c.emit(minst{op: o, sub: name, dst: dst, a: v, b: mem, c: int32(start), imm: int64(len(c.p.idx) - start)})
 }
 
 // mapResult flattens result k of m over operands into slot arithmetic and
@@ -580,28 +728,20 @@ func (c *compiler) scfIf(op *Op) {
 // last runs in order, and the last transfers control, binding its operands
 // to the successor's block arguments (the SSA form of phi nodes).
 func (c *compiler) cfg(blocks []*Block) {
-	type patch struct {
-		pc    int32
-		field int
-		to    *Block
-	}
-	var patches []patch
-	index := make(map[*Block]int, len(blocks))
 	for i, b := range blocks {
-		index[b] = i
+		c.index[b] = i
 	}
 	// edge binds the operands to the target's arguments and jumps there.
 	edge := func(to *Block, operands []*Value) {
-		if _, ok := index[to]; !ok {
+		if _, ok := c.index[to]; !ok {
 			c.fail("interp: branch to a block outside the function")
 			return
 		}
-		n := min(len(operands), len(to.Args))
-		srcs := make([]int32, n)
-		dsts := make([]int32, n)
-		for i := range srcs {
-			srcs[i], dsts[i] = c.slot(operands[i]), c.slot(to.Args[i])
+		srcs, dsts := c.srcs[:0], c.dsts[:0]
+		for i := range min(len(operands), len(to.Args)) {
+			srcs, dsts = append(srcs, c.slot(operands[i])), append(dsts, c.slot(to.Args[i]))
 		}
+		c.srcs, c.dsts = srcs, dsts
 		// Operands are read before any argument is overwritten, so a latch
 		// that passes the target's current arguments binds the pre-branch
 		// values.
@@ -617,11 +757,11 @@ func (c *compiler) cfg(blocks []*Block) {
 		for i, d := range dsts {
 			c.emit(minst{op: mMov, dst: d, a: srcs[i]})
 		}
-		patches = append(patches, patch{c.emit(minst{op: mJmp}), 0, to})
+		c.patches = append(c.patches, cfgPatch{c.emit(minst{op: mJmp}), to})
 	}
-	labels := make([]int32, len(blocks))
+	c.labels = slices.Grow(c.labels[:0], len(blocks))[:len(blocks)]
 	for i, b := range blocks {
-		labels[i] = c.pc()
+		c.labels[i] = c.pc()
 		n := len(b.Ops)
 		if n == 0 {
 			c.fail("interp: block without terminator")
@@ -659,8 +799,8 @@ func (c *compiler) cfg(blocks []*Block) {
 			c.fail("interp: unsupported cf terminator %s", term.Name)
 		}
 	}
-	for _, pt := range patches {
-		c.p.code[pt.pc].a = labels[index[pt.to]]
+	for _, pt := range c.patches {
+		c.p.code[pt.pc].a = c.labels[c.index[pt.to]]
 	}
 }
 
@@ -688,6 +828,22 @@ func (p *Program) Run(ctx context.Context, fuel int64, args ...*MemBuf) error {
 type runner struct {
 	p    *Program
 	fuel interp.Meter
+	st   *runState
+}
+
+// runState is the storage a run works in: the register file and the
+// buffer table. Runs reuse it through runStates.
+type runState struct {
+	regs []interpVal
+	bufs []*MemBuf // bufs[0] is none
+}
+
+var runStates sync.Pool
+
+// alloc enters b into the buffer table and returns its index.
+func (st *runState) alloc(b *MemBuf) int32 {
+	st.bufs = append(st.bufs, b)
+	return int32(len(st.bufs) - 1)
 }
 
 func trap(kind interp.TrapKind, format string, args ...any) error {
@@ -695,10 +851,28 @@ func trap(kind interp.TrapKind, format string, args ...any) error {
 }
 
 func (r *runner) run(args []*MemBuf) error {
-	p := r.p
-	regs := make([]interpVal, p.nslots)
+	st, _ := runStates.Get().(*runState)
+	if st == nil {
+		st = &runState{}
+	}
+	r.st = st
+	err := r.exec(args)
+	// The table must not pin the caller's buffers while pooled.
+	clear(st.bufs)
+	st.bufs = st.bufs[:0]
+	runStates.Put(st)
+	r.st = nil
+	return err
+}
+
+func (r *runner) exec(args []*MemBuf) error {
+	p, st := r.p, r.st
+	st.regs = slices.Grow(st.regs[:0], int(p.nslots))[:p.nslots]
+	regs := st.regs
+	clear(regs)
+	st.bufs = append(st.bufs[:0], nil)
 	for i, a := range args {
-		regs[i] = interpVal{buf: a}
+		regs[i] = interpVal{buf: st.alloc(a)}
 	}
 	for _, k := range p.consts {
 		regs[k.slot] = interpVal{i: k.v}
@@ -823,10 +997,10 @@ func (r *runner) run(args []*MemBuf) error {
 		case mFloatOnly:
 			regs[in.dst] = interpVal{f: regs[in.a].f}
 		case mAlloc:
-			regs[in.dst] = interpVal{buf: NewMemBuf(p.types[in.c])}
+			regs[in.dst] = interpVal{buf: st.alloc(NewMemBuf(p.types[in.c]))}
 
 		case mLoad, mStore:
-			buf := regs[in.b].buf
+			buf := st.bufs[regs[in.b].buf]
 			if buf == nil {
 				if in.op == mLoad {
 					return fmt.Errorf("interp: load from unmaterialized memref")

@@ -333,8 +333,8 @@ func (m *Module) Funcs() []*Op {
 
 // FindFunc returns the func.func with the given symbol name, or nil.
 func (m *Module) FindFunc(name string) *Op {
-	for _, f := range m.Funcs() {
-		if n, _ := f.StringAttr(AttrSymName); n == name {
+	for _, f := range m.Body().Ops {
+		if n, _ := f.StringAttr(AttrSymName); f.Name == OpFunc && n == name {
 			return f
 		}
 	}

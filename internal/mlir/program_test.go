@@ -94,3 +94,35 @@ func TestProgramIgnoresNonExecutedDetails(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledDiagnostics: a program compiled into a released program's
+// storage carries its own errors, never the released program's.
+func TestRecycledDiagnostics(t *testing.T) {
+	a, b := edit(t, "cmpf olt", "cmpf une"), programBase
+	parse := func(src string) *mlir.Module {
+		t.Helper()
+		m, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, src)
+		}
+		return m
+	}
+	for _, m := range [][2]*mlir.Module{{parse(a), parse(b)}, {parse(b), parse(a)}} {
+		prev, err := m[0].Compile("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev.Release()
+		got, err := m[1].Compile("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := m[1].CompileFresh("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := mlir.Diff(got, fresh); d != "" {
+			t.Errorf("recycled program differs from a fresh compile: %s", d)
+		}
+	}
+}

@@ -57,27 +57,28 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 			return nil, fmt.Errorf("oracle: shape %d is not a static memref", i)
 		}
 	}
-	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel, shapes: shapes}
 	if ref.FindFunc(top) == nil {
 		return nil, fmt.Errorf("oracle: function @%s not found in reference module", top)
 	}
+	h := newHarness(top, shapes)
 	p, err := interp.Compile(ref, top)
 	if err != nil {
 		return nil, err
 	}
-	mems := h.freshMems()
-	args, err := h.llvmArgs(p.Params(), mems)
+	in := h.freshMems()
+	args, err := h.llvmArgs(p.Params(), in.mems, nil)
 	if err != nil {
 		return nil, err
 	}
 	if _, _, err := p.Run(context.TODO(), h.Fuel, args...); err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
-	h.refF = make([][]float64, len(mems))
-	h.refI = make([][]int64, len(mems))
-	for ai, mem := range mems {
+	h.refF = make([][]float64, len(in.mems))
+	h.refI = make([][]int64, len(in.mems))
+	for ai, mem := range in.mems {
 		h.captureMem(ai, mem)
 	}
+	h.llvmMem.put(in)
 	h.llvmPassed.remember(p, h.MaxULP, h.Fuel)
 	return h, nil
 }

@@ -16,8 +16,18 @@
 // without executing: an equal program run on the harness's fixed inputs
 // under the same fuel and tolerance computes the same memory, so its
 // verdict cannot differ. Units that leave the executed program unchanged —
-// directive passes, no-op cleanups, synthesis — so cost one compile and
-// one comparison.
+// directive passes, no-op cleanups, synthesis — skip execution.
+//
+// Checks reuse storage instead of allocating it. The harness recycles
+// compiled programs: it calls Release on exactly two kinds, a candidate
+// that equals the remembered program (the check returns without running
+// it) and the remembered program a newly passed one displaces, so the next
+// compile fills their storage. A program is released only once nothing
+// references it: never one the harness still remembers, since Equal's
+// identity shortcut would then compare a program with itself, and never
+// one a caller holds. Inputs are copied from templates the constructors
+// fill once, into buffers the harness hands from check to check, and
+// outputs are compared in place.
 package oracle
 
 import (
@@ -25,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/llvm"
@@ -100,10 +111,50 @@ type Harness struct {
 	refF   [][]float64  // reference output, float-element arguments
 	refI   [][]int64    // reference output, integer-element arguments
 
+	// Input templates, filled once by the constructor and only read after:
+	// each argument's deterministic input in MLIR buffer and LLVM memory
+	// form. Checks copy them into recycled buffers.
+	mlirIn  []*mlir.MemBuf
+	llvmIn  []*interp.Mem
+	mlirBuf spare[[]*mlir.MemBuf]
+	llvmMem spare[*llvmInputs]
+
 	// The last program per IR level that passed, starting with the
 	// reference run's.
 	mlirPassed passed[*mlir.Program]
 	llvmPassed passed[*interp.Program]
+}
+
+// llvmInputs is one LLVM check's argument memory and the call arguments
+// pointing into it.
+type llvmInputs struct {
+	mems []*interp.Mem
+	args []interp.Arg
+}
+
+// spare holds the input buffers of finished checks for later checks to
+// refill; concurrent checks each take their own.
+type spare[T any] struct {
+	mu   sync.Mutex
+	sets []T
+}
+
+func (s *spare[T]) get() (T, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var x T
+	n := len(s.sets)
+	if n == 0 {
+		return x, false
+	}
+	x, s.sets = s.sets[n-1], s.sets[:n-1]
+	return x, true
+}
+
+func (s *spare[T]) put(x T) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sets = append(s.sets, x)
 }
 
 // passed remembers the last program of one IR level that passed a check,
@@ -125,11 +176,14 @@ func (v *passed[P]) covers(p P, maxULP uint64, fuel int64) bool {
 	return v.ok && v.maxULP == maxULP && v.fuel == fuel && v.prog.Equal(p)
 }
 
-// remember records p as passed under the given settings.
-func (v *passed[P]) remember(p P, maxULP uint64, fuel int64) {
+// remember records p as passed under the given settings and returns the
+// program it displaced, if any, which nothing in v references any more.
+func (v *passed[P]) remember(p P, maxULP uint64, fuel int64) (old P, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	old, ok = v.prog, v.ok
 	v.prog, v.ok, v.maxULP, v.fuel = p, true, maxULP, fuel
+	return old, ok
 }
 
 // New captures the reference execution of top in m. The module must be in
@@ -140,14 +194,15 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 	if f == nil {
 		return nil, fmt.Errorf("oracle: function %q not found", top)
 	}
-	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel}
+	var shapes []*mlir.Type
 	for i, a := range mlir.FuncBody(f).Args {
 		t := a.Type()
 		if !t.IsMemRef() || !t.HasStaticShape() {
 			return nil, fmt.Errorf("oracle: argument %d of %q is not a static memref", i, top)
 		}
-		h.shapes = append(h.shapes, t)
+		shapes = append(shapes, t)
 	}
+	h := newHarness(top, shapes)
 	p, err := m.Compile(top)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
@@ -156,6 +211,8 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 	if err := p.Run(context.TODO(), h.Fuel, bufs...); err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
+	// The reference run's buffers become the reference; they are never
+	// handed to a check.
 	h.refF = make([][]float64, len(bufs))
 	h.refI = make([][]int64, len(bufs))
 	for i, b := range bufs {
@@ -164,6 +221,43 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 	}
 	h.mlirPassed.remember(p, h.MaxULP, h.Fuel)
 	return h, nil
+}
+
+// newHarness returns a harness for the given argument shapes with its
+// input templates filled. The templates are filled here, before the
+// harness is shared: checks on several goroutines only read them.
+func newHarness(top string, shapes []*mlir.Type) *Harness {
+	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel, shapes: shapes}
+	h.mlirIn = make([]*mlir.MemBuf, len(shapes))
+	h.llvmIn = make([]*interp.Mem, len(shapes))
+	for ai, t := range shapes {
+		b := mlir.NewMemBuf(t)
+		for i := range b.F {
+			b.F[i] = fillFloat(ai, i, t.Elem)
+		}
+		for i := range b.I {
+			b.I[i] = fillInt(ai, i)
+		}
+		h.mlirIn[ai] = b
+
+		n := t.NumElements()
+		eb := elemBytes(t)
+		mem := interp.NewMem(n * eb)
+		for i := int64(0); i < n; i++ {
+			switch {
+			case t.Elem.IsFloat() && eb == 4:
+				mem.SetFloat32(int(i), float32(fillFloat(ai, int(i), t.Elem)))
+			case t.Elem.IsFloat():
+				mem.SetFloat64(int(i), fillFloat(ai, int(i), t.Elem))
+			case eb == 4:
+				mem.SetInt32(int(i), int32(fillInt(ai, int(i))))
+			default:
+				binary.LittleEndian.PutUint64(mem.Bytes[i*8:], uint64(fillInt(ai, int(i))))
+			}
+		}
+		h.llvmIn[ai] = mem
+	}
+	return h
 }
 
 // fill writes the deterministic input pattern (the polybench initializer)
@@ -178,19 +272,20 @@ func fillFloat(ai, i int, ty *mlir.Type) float64 {
 
 func fillInt(ai, i int) int64 { return int64((i*7 + ai*13) % 17) }
 
-// freshMLIRBufs allocates and deterministically fills one MemBuf per
-// argument.
+// freshMLIRBufs returns one MemBuf per argument holding its input: a
+// finished check's buffers when there are some, refilled from the
+// templates.
 func (h *Harness) freshMLIRBufs() []*mlir.MemBuf {
-	bufs := make([]*mlir.MemBuf, len(h.shapes))
-	for ai, t := range h.shapes {
-		b := mlir.NewMemBuf(t)
-		for i := range b.F {
-			b.F[i] = fillFloat(ai, i, t.Elem)
+	bufs, ok := h.mlirBuf.get()
+	if !ok {
+		bufs = make([]*mlir.MemBuf, len(h.shapes))
+		for ai, t := range h.shapes {
+			bufs[ai] = mlir.NewMemBuf(t)
 		}
-		for i := range b.I {
-			b.I[i] = fillInt(ai, i)
-		}
-		bufs[ai] = b
+	}
+	for ai, b := range bufs {
+		copy(b.F, h.mlirIn[ai].F)
+		copy(b.I, h.mlirIn[ai].I)
 	}
 	return bufs
 }
@@ -211,16 +306,21 @@ func (h *Harness) CheckMLIRContext(ctx context.Context, m *mlir.Module) error {
 	}
 	maxULP, fuel := h.MaxULP, h.Fuel
 	if h.mlirPassed.covers(p, maxULP, fuel) {
+		p.Release()
 		return nil
 	}
 	bufs := h.freshMLIRBufs()
-	if err := p.Run(ctx, fuel, bufs...); err != nil {
+	err = p.Run(ctx, fuel, bufs...)
+	if err == nil {
+		err = h.compareMLIR(bufs)
+	}
+	h.mlirBuf.put(bufs)
+	if err != nil {
 		return err
 	}
-	if err := h.compareMLIR(bufs); err != nil {
-		return err
+	if old, ok := h.mlirPassed.remember(p, maxULP, fuel); ok {
+		old.Release()
 	}
-	h.mlirPassed.remember(p, maxULP, fuel)
 	return nil
 }
 
@@ -265,26 +365,40 @@ func (h *Harness) CheckLLVMContext(ctx context.Context, lm *llvm.Module) error {
 	}
 	maxULP, fuel := h.MaxULP, h.Fuel
 	if h.llvmPassed.covers(p, maxULP, fuel) {
+		p.Release()
 		return nil
 	}
-	mems := h.freshMems()
-	args, err := h.llvmArgs(p.Params(), mems)
+	in := h.freshMems()
+	err = h.runLLVM(ctx, p, fuel, in)
+	h.llvmMem.put(in)
 	if err != nil {
 		return err
 	}
-	runFuel := fuel
-	if runFuel <= 0 {
-		runFuel = interp.DefaultFuel
+	if old, ok := h.llvmPassed.remember(p, maxULP, fuel); ok {
+		old.Release()
 	}
-	if _, _, err := p.Run(ctx, runFuel, args...); err != nil {
+	return nil
+}
+
+// runLLVM executes p on the inputs and compares the outputs with the
+// reference.
+func (h *Harness) runLLVM(ctx context.Context, p *interp.Program, fuel int64, in *llvmInputs) error {
+	args, err := h.llvmArgs(p.Params(), in.mems, in.args[:0])
+	if err != nil {
 		return err
 	}
-	for ai, mem := range mems {
+	in.args = args
+	if fuel <= 0 {
+		fuel = interp.DefaultFuel
+	}
+	if _, _, err := p.Run(ctx, fuel, args...); err != nil {
+		return err
+	}
+	for ai, mem := range in.mems {
 		if err := h.compareMem(ai, mem); err != nil {
 			return err
 		}
 	}
-	h.llvmPassed.remember(p, maxULP, fuel)
 	return nil
 }
 
@@ -296,61 +410,51 @@ func elemBytes(t *mlir.Type) int64 {
 	return 8
 }
 
-// freshMems allocates and fills one flat allocation per argument.
-func (h *Harness) freshMems() []*interp.Mem {
-	mems := make([]*interp.Mem, len(h.shapes))
-	for ai, t := range h.shapes {
-		n := t.NumElements()
-		eb := elemBytes(t)
-		mem := interp.NewMem(n * eb)
-		for i := int64(0); i < n; i++ {
-			switch {
-			case t.Elem.IsFloat() && eb == 4:
-				mem.SetFloat32(int(i), float32(fillFloat(ai, int(i), t.Elem)))
-			case t.Elem.IsFloat():
-				mem.SetFloat64(int(i), fillFloat(ai, int(i), t.Elem))
-			case eb == 4:
-				mem.SetInt32(int(i), int32(fillInt(ai, int(i))))
-			default:
-				binary.LittleEndian.PutUint64(mem.Bytes[i*8:], uint64(fillInt(ai, int(i))))
-			}
+// freshMems returns one flat allocation per argument holding its input: a
+// finished check's memory when there is some, refilled from the
+// templates.
+func (h *Harness) freshMems() *llvmInputs {
+	in, ok := h.llvmMem.get()
+	if !ok {
+		in = &llvmInputs{mems: make([]*interp.Mem, len(h.shapes))}
+		for ai, t := range h.llvmIn {
+			in.mems[ai] = interp.NewMem(int64(len(t.Bytes)))
 		}
-		mems[ai] = mem
 	}
-	return mems
+	for ai, mem := range in.mems {
+		copy(mem.Bytes, h.llvmIn[ai].Bytes)
+	}
+	return in
 }
 
-// llvmArgs synthesizes the call arguments for a function with the given
-// parameter classes over mems, dispatching on the parameter count to pick
-// the ABI.
-func (h *Harness) llvmArgs(params []interp.ParamKind, mems []*interp.Mem) ([]interp.Arg, error) {
+// llvmArgs appends to args the call arguments for a function with the
+// given parameter classes over mems, dispatching on the parameter count to
+// pick the ABI.
+func (h *Harness) llvmArgs(params []interp.ParamKind, mems []*interp.Mem, args []interp.Arg) ([]interp.Arg, error) {
 	descParams := 0
 	for _, t := range h.shapes {
 		descParams += translate.DescriptorParams(len(t.Shape))
 	}
 	switch len(params) {
 	case len(h.shapes):
-		args := make([]interp.Arg, len(mems))
-		for i, m := range mems {
-			args[i] = interp.PtrArg(m, 0)
+		for _, m := range mems {
+			args = append(args, interp.PtrArg(m, 0))
 		}
 		return args, nil
 	case descParams:
-		var args []interp.Arg
 		for ai, t := range h.shapes {
 			m := mems[ai]
 			args = append(args, interp.PtrArg(m, 0), interp.PtrArg(m, 0), interp.IntArg(0))
 			for _, d := range t.Shape {
 				args = append(args, interp.IntArg(d))
 			}
-			stride := int64(1)
-			strides := make([]int64, len(t.Shape))
-			for d := len(t.Shape) - 1; d >= 0; d-- {
-				strides[d] = stride
-				stride *= t.Shape[d]
-			}
-			for _, s := range strides {
-				args = append(args, interp.IntArg(s))
+			// Row-major strides: each dimension steps over the ones after it.
+			for d := range t.Shape {
+				stride := int64(1)
+				for _, e := range t.Shape[d+1:] {
+					stride *= e
+				}
+				args = append(args, interp.IntArg(stride))
 			}
 		}
 		return args, nil
@@ -361,18 +465,19 @@ func (h *Harness) llvmArgs(params []interp.ParamKind, mems []*interp.Mem) ([]int
 	// offset/size/stride scalars, and the generated code bakes static
 	// strides in, so the scalar values are immaterial — only the slot count
 	// matters.
-	if args, ok := h.descriptorArgsByPattern(params, mems); ok {
+	var ok bool
+	if args, ok = h.descriptorArgsByPattern(params, mems, args); ok {
 		return args, nil
 	}
 	return nil, fmt.Errorf("oracle: @%s has %d params, matching neither the direct ABI (%d) nor the descriptor ABI (%d)",
 		h.Top, len(params), len(h.shapes), descParams)
 }
 
-// descriptorArgsByPattern synthesizes descriptor-ABI call arguments from
-// the parameter class pattern alone. It reports false when the pattern
-// does not spell exactly one (ptr, ptr) pair per harness argument.
-func (h *Harness) descriptorArgsByPattern(params []interp.ParamKind, mems []*interp.Mem) ([]interp.Arg, bool) {
-	args := make([]interp.Arg, 0, len(params))
+// descriptorArgsByPattern appends to args the descriptor-ABI call
+// arguments synthesized from the parameter class pattern alone. It reports
+// false when the pattern does not spell exactly one (ptr, ptr) pair per
+// harness argument.
+func (h *Harness) descriptorArgsByPattern(params []interp.ParamKind, mems []*interp.Mem, args []interp.Arg) ([]interp.Arg, bool) {
 	port := 0
 	expectAligned := false
 	for _, p := range params {
@@ -383,52 +488,54 @@ func (h *Harness) descriptorArgsByPattern(params []interp.ParamKind, mems []*int
 			expectAligned = false
 		case p == interp.ParamPtr:
 			if port >= len(mems) {
-				return nil, false
+				return args, false
 			}
 			args = append(args, interp.PtrArg(mems[port], 0))
 			expectAligned = true
 		case p == interp.ParamInt && !expectAligned:
 			args = append(args, interp.IntArg(0))
 		default:
-			return nil, false
+			return args, false
 		}
 	}
 	return args, port == len(mems) && !expectAligned
 }
 
-// compareMem checks one output allocation against the reference argument.
+// compareMem checks one output allocation against the reference argument,
+// decoding its elements in place.
 func (h *Harness) compareMem(ai int, mem *interp.Mem) error {
 	t := h.shapes[ai]
 	n := int(t.NumElements())
+	b := mem.Bytes
 	switch {
 	case t.Elem.IsFloat() && t.Elem.Width == 32:
-		got := mem.Float32Slice()
 		for i := 0; i < n; i++ {
+			got := math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
 			want := float32(h.refF[ai][i])
-			if !interp.ULPEqual32(got[i], want, h.MaxULP) {
-				return &Divergence{Arg: ai, Index: i, Got: float64(got[i]), Want: float64(want),
-					ULP: interp.ULPDiff32(got[i], want)}
+			if !interp.ULPEqual32(got, want, h.MaxULP) {
+				return &Divergence{Arg: ai, Index: i, Got: float64(got), Want: float64(want),
+					ULP: interp.ULPDiff32(got, want)}
 			}
 		}
 	case t.Elem.IsFloat():
-		got := mem.Float64Slice()
 		for i := 0; i < n; i++ {
+			got := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 			want := h.refF[ai][i]
-			if !interp.ULPEqual(got[i], want, h.MaxULP) {
-				return &Divergence{Arg: ai, Index: i, Got: got[i], Want: want,
-					ULP: interp.ULPDiff64(got[i], want)}
+			if !interp.ULPEqual(got, want, h.MaxULP) {
+				return &Divergence{Arg: ai, Index: i, Got: got, Want: want,
+					ULP: interp.ULPDiff64(got, want)}
 			}
 		}
 	case t.Elem.Width == 32:
-		got := mem.Int32Slice()
 		for i := 0; i < n; i++ {
-			if int64(got[i]) != h.refI[ai][i] {
-				return &Divergence{Arg: ai, Index: i, Got: float64(got[i]), Want: float64(h.refI[ai][i]), Int: true}
+			got := int32(binary.LittleEndian.Uint32(b[i*4:]))
+			if int64(got) != h.refI[ai][i] {
+				return &Divergence{Arg: ai, Index: i, Got: float64(got), Want: float64(h.refI[ai][i]), Int: true}
 			}
 		}
 	default:
 		for i := 0; i < n; i++ {
-			got := int64(binary.LittleEndian.Uint64(mem.Bytes[i*8:]))
+			got := int64(binary.LittleEndian.Uint64(b[i*8:]))
 			if got != h.refI[ai][i] {
 				return &Divergence{Arg: ai, Index: i, Got: float64(got), Want: float64(h.refI[ai][i]), Int: true}
 			}

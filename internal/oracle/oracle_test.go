@@ -301,7 +301,10 @@ func corruptFirstFAdd(lm *llvm.Module) {
 
 // TestHarnessConcurrentChecks runs every IR level's checks on one harness
 // from several goroutines; under -race it proves the memory of passed
-// programs is the only shared mutable state and is guarded.
+// programs is the only shared mutable state and is guarded. Each check is
+// made twice in a row, so covered checks (which release their candidate)
+// interleave with executed ones (which release the program they displace)
+// and with compiles that take released storage.
 func TestHarnessConcurrentChecks(t *testing.T) {
 	h, err := New(gemmModule(t), "gemm")
 	if err != nil {
@@ -328,9 +331,16 @@ func TestHarnessConcurrentChecks(t *testing.T) {
 		wg.Add(1)
 		go func(w work) {
 			defer wg.Done()
-			for i := 0; i < 2; i++ {
-				for _, err := range []error{h.CheckMLIR(w.structured), h.CheckMLIR(w.lowered), h.CheckLLVM(w.lm)} {
-					if err != nil {
+			for i := 0; i < 4; i++ {
+				for _, check := range []func() error{
+					func() error { return h.CheckMLIR(w.structured) },
+					func() error { return h.CheckMLIR(w.structured) },
+					func() error { return h.CheckMLIR(w.lowered) },
+					func() error { return h.CheckMLIR(w.lowered) },
+					func() error { return h.CheckLLVM(w.lm) },
+					func() error { return h.CheckLLVM(w.lm) },
+				} {
+					if err := check(); err != nil {
 						errs <- err
 						return
 					}
