@@ -12,8 +12,8 @@ import (
 // the deepest loop structure (seidel2d): the known-bits fixpoint with branch
 // refinement, the interval fixpoint it fuses with, the backward
 // demanded-bits pass, and every per-instruction OpWidth query the inferred
-// cost model issues during synthesis. cmd/benchjson folds the result into
-// the BENCH_micro.json artifact.
+// cost model issues during synthesis. CI appends the result to the
+// parseprint-bench.txt artifact.
 func BenchmarkBitwidth(b *testing.B) {
 	k := polybench.Get("seidel2d")
 	s, err := k.SizeOf("MINI")

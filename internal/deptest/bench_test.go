@@ -15,8 +15,8 @@ import (
 // that exercises the engine hardest (seidel2d: a 3-deep nest with nine
 // may-alias stencil accesses): engine construction, every per-level Carried
 // query the lint and scheduler issue, and the complete direction-vector
-// enumeration of the nest. cmd/benchjson folds the result into the
-// BENCH_micro.json artifact.
+// enumeration of the nest. CI appends the result to the
+// parseprint-bench.txt artifact.
 func BenchmarkDepTest(b *testing.B) {
 	k := polybench.Get("seidel2d")
 	s, err := k.SizeOf("MINI")

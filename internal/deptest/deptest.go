@@ -7,12 +7,11 @@
 // pair, whether a dependence exists — and when it does, its distance or
 // direction vector per loop level.
 //
-// Three layers consume the verdicts: lint's loop-carried-dep and gep-bounds
+// Two layers consume the verdicts: lint's loop-carried-dep and gep-bounds
 // checks (provably independent pairs stop firing and diagnostics report
-// exact distances), the scheduler's distance-aware RecMII
+// exact distances), and the scheduler's distance-aware RecMII
 // (hls.Target.RecMIIWith: a distance-d recurrence bounds the II at
-// ceil(latency/d) instead of the latency itself), and the Legality API that
-// answers loop interchange/tiling questions from direction vectors.
+// ceil(latency/d) instead of the latency itself).
 //
 // The engine is strictly conservative: whenever an access is not affine
 // (unrecognized induction variable, chained GEPs, products of variables) the

@@ -402,51 +402,6 @@ func TestEdgesVectors(t *testing.T) {
 	}
 }
 
-// TestLegalityInterchange: A[i][j] = A[i-1][j+1] carries the vector (1, -1);
-// interchanging i and j turns it into (-1, 1), lexicographically negative —
-// illegal. A[i][j] = A[i-1][j-1] carries (1, 1) and interchanges fine; its
-// band is fully permutable (tilable).
-func TestLegalityInterchange(t *testing.T) {
-	bad := doubleLoop(t, 8, keepI, keepJ,
-		func(b *llvm.Builder, i, j llvm.Value) llvm.Value { return b.Sub(i, ci(1)) },
-		func(b *llvm.Builder, i, j llvm.Value) llvm.Value { return b.Add(j, ci(1)) })
-	lg := bad.eng.LegalityOf(bad.outer)
-	if v := lg.Interchange(bad.outer, bad.inner); v.Legal {
-		t.Error("interchange over a (1, -1) dependence must be illegal")
-	} else if !strings.Contains(v.Reason, "negative") {
-		t.Errorf("unexpected reason: %s", v.Reason)
-	}
-	if v := lg.PermutableBand([]*analysis.Loop{bad.outer, bad.inner}); v.Legal {
-		t.Error("a (1, -1) dependence is not fully permutable")
-	}
-
-	good := doubleLoop(t, 8, keepI, keepJ,
-		func(b *llvm.Builder, i, j llvm.Value) llvm.Value { return b.Sub(i, ci(1)) },
-		func(b *llvm.Builder, i, j llvm.Value) llvm.Value { return b.Sub(j, ci(1)) })
-	lg = good.eng.LegalityOf(good.outer)
-	if v := lg.Interchange(good.outer, good.inner); !v.Legal {
-		t.Errorf("interchange over (1, 1) must be legal: %s", v.Reason)
-	}
-	if v := lg.Tilable([]*analysis.Loop{good.outer, good.inner}); !v.Legal {
-		t.Errorf("a (1, 1) band is tilable: %s", v.Reason)
-	}
-}
-
-// TestLegalityUnknownConservative: a non-affine access (IV multiplied by
-// itself) must push every legality answer to illegal.
-func TestLegalityUnknownConservative(t *testing.T) {
-	fx := doubleLoop(t, 8, keepI, keepJ,
-		func(b *llvm.Builder, i, j llvm.Value) llvm.Value { return b.Mul(i, i) },
-		keepJ)
-	lg := fx.eng.LegalityOf(fx.outer)
-	if v := lg.Interchange(fx.outer, fx.inner); v.Legal {
-		t.Error("unknown dependence must make interchange illegal")
-	}
-	if v := lg.PermutableBand([]*analysis.Loop{fx.outer, fx.inner}); v.Legal {
-		t.Error("unknown dependence must make the band non-permutable")
-	}
-}
-
 // TestAccessForm: the rendered access functions drive diagnostics; check
 // the shape on a shifted access.
 func TestAccessForm(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package diag is the shared diagnostics core of the static-analysis layer:
 // a severity-tagged, source-located diagnostic record, a deterministic
 // ordering over collections of them, and text/JSON renderers. Producers
-// (internal/lint, the pass managers' verify-each mode) build Diagnostics;
+// (internal/lint, the verify-each mode) build Diagnostics;
 // consumers (cmd/hls-lint, tests, the DSE pre-check) sort and render them.
 package diag
 

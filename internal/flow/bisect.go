@@ -17,67 +17,18 @@ type PipelineUnit struct {
 // String renders the unit as "stage/pass" — the form bundles store.
 func (u PipelineUnit) String() string { return u.Stage + "/" + u.Pass }
 
-// mlirPassNames mirrors mlirPrep's pipeline construction: the registry and
-// the runner must agree, and TestPipelineUnitsMatchObserver holds them
-// together.
-func mlirPassNames(d Directives, materializeUnroll bool) []string {
-	names := []string{"hls-mark-top"}
-	if d.Pipeline {
-		names = append(names, "hls-pipeline-innermost")
-	}
-	if d.Unroll > 1 {
-		names = append(names, "hls-mark-unroll")
-		if materializeUnroll {
-			names = append(names, "affine-loop-unroll")
-		}
-	}
-	if d.Partition != nil {
-		names = append(names, "hls-array-partition-all")
-	}
-	if d.Flatten {
-		names = append(names, "hls-mark-flatten")
-	}
-	if d.Dataflow {
-		names = append(names, "hls-mark-dataflow")
-	}
-	return append(names, "canonicalize", "cse")
-}
-
-// llvmPassNames is the adaptor flow's LLVM cleanup pipeline.
-func llvmPassNames() []string {
-	return []string{"simplifycfg", "constfold", "strength-reduce", "cse", "dce"}
-}
-
 // PipelineUnits enumerates every pipeline unit the named flow kind runs
-// under the given directives, in execution order. The resilience tests
-// iterate it to prove a panic injected into any single unit is isolated,
-// bisected, and degraded rather than fatal.
+// under the given directives, in execution order. It reads the unit list
+// the flow itself runs. The resilience tests iterate it to prove a panic
+// injected into any single unit is isolated, bisected, and degraded rather
+// than fatal.
 func PipelineUnits(kind string, d Directives) []PipelineUnit {
-	var units []PipelineUnit
-	add := func(stage string, passes ...string) {
-		for _, p := range passes {
-			units = append(units, PipelineUnit{Stage: stage, Pass: p})
-		}
+	units := (&runner{}).units(kind, d, hls.Target{})
+	names := make([]PipelineUnit, len(units))
+	for i, u := range units {
+		names[i] = u.PipelineUnit
 	}
-	switch kind {
-	case "cxx":
-		add("mlir-opt", mlirPassNames(d, false)...)
-		add("emit-hlscpp", "emit-hlscpp")
-		add("c-frontend", "c-frontend")
-		add("synthesis", "synthesis")
-	case "raw":
-		add("mlir-opt", mlirPassNames(d, true)...)
-		add("lowering", "affine-to-scf", "scf-to-cf")
-		add("translate", "translate")
-	default: // adaptor
-		add("mlir-opt", mlirPassNames(d, true)...)
-		add("lowering", "affine-to-scf", "scf-to-cf")
-		add("translate", "translate")
-		add("adaptor", "adaptor")
-		add("llvm-opt", llvmPassNames()...)
-		add("synthesis", "synthesis")
-	}
-	return units
+	return names
 }
 
 // Bisect replays a failed flow to localize the first offending pipeline

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/llvm"
 	"repro/internal/llvm/interp"
-	lpasses "repro/internal/llvm/passes"
 	"repro/internal/mlir"
 	"repro/internal/mlir/lower"
 	"repro/internal/mlir/parser"
@@ -202,7 +201,8 @@ func execGoldenReport(t *testing.T) string {
 
 			m := k.build()
 			line("mlir-pristine", digestMLIR(t, m, top))
-			if err := mlirPrep(m, top, c.d, true, "adaptor", Options{}); err != nil {
+			r := newRunner("adaptor", m, top, Options{})
+			if err := r.run(r.mlirOpt(nil, c.d, true)); err != nil {
 				fail("mlir-opt", err)
 			}
 			line("mlir-affine", digestMLIR(t, m, top))
@@ -223,15 +223,15 @@ func execGoldenReport(t *testing.T) string {
 				fail("adaptor", err)
 			}
 			line("llvm-adapted", digestLLVM(t, lm, top, shapes, false))
-			pm := lpasses.NewPassManager().Add(lpasses.PassSimplifyCFG, lpasses.PassConstFold,
-				lpasses.PassStrengthReduce, lpasses.PassCSE, lpasses.PassDCE)
-			if err := pm.Run(lm); err != nil {
+			r.lm = lm
+			if err := r.run(r.llvmOpt(nil)); err != nil {
 				fail("llvm-opt", err)
 			}
 			line("llvm-final", digestLLVM(t, lm, top, shapes, false))
 
 			cm := k.build()
-			if err := mlirPrep(cm, top, c.d, false, "cxx", Options{}); err != nil {
+			cr := newRunner("cxx", cm, top, Options{})
+			if err := cr.run(cr.mlirOpt(nil, c.d, false)); err != nil {
 				fail("cxx mlir-opt", err)
 			}
 			line("mlir-cxx", digestMLIR(t, cm, top))

@@ -7,11 +7,18 @@
 //     (Vitis Clang stand-in) → HLS synthesis.
 //   - RawFlow: translation without the adaptor, to demonstrate the gate
 //     failure the adaptor exists to fix.
+//
+// Each flow is an ordered list of units, one per pass, lowering,
+// translation, adaptor, emission, frontend or synthesis step, named by a
+// PipelineUnit. One runner executes every list and applies each
+// cross-cutting concern once per unit, in a fixed order: the context check,
+// panic isolation, the Observer and FaultHook, memoized replay, the unit's
+// checks (verify-each, the semantic oracle) and phase timing. PipelineUnits
+// is derived from the same lists.
 package flow
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -20,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hls"
 	"repro/internal/incr"
-	"repro/internal/lint"
 	"repro/internal/llvm"
 	"repro/internal/llvm/interp"
 	lpasses "repro/internal/llvm/passes"
@@ -33,24 +39,24 @@ import (
 
 // Options tunes how a flow runs beyond the HLS directives.
 type Options struct {
-	// VerifyEach re-checks the IR invariants after every pass of both pass
-	// managers (verifier plus the lint invariant subset), and additionally
-	// at each inter-layer boundary (post-translate, post-adaptor, post-C-
-	// frontend). A violation fails the flow naming the offending pass or
-	// boundary — the -verify-each flag of the cmd tools.
+	// VerifyEach re-checks the IR invariants (verifier plus the lint
+	// invariant subset) after every MLIR and LLVM pass and after the
+	// translation, the adaptor and the C frontend. A violation fails the
+	// flow naming the offending unit — the -verify-each flag of the cmd
+	// tools.
 	VerifyEach bool
 
 	// Ctx, when non-nil, is checked cooperatively at every pipeline-unit
-	// boundary (each pass of both pass managers, plus every inter-stage
-	// boundary): once done, the flow stops at the next boundary with a
+	// boundary: once done, the flow stops at the next boundary with a
 	// typed timeout/cancellation failure instead of running to completion
 	// in a leaked goroutine.
 	Ctx context.Context
 
-	// Isolate runs every pipeline unit inside a recovery boundary: a panic
-	// anywhere in a pass, the translation, the adaptor, or synthesis comes
-	// back as a *resilience.PassFailure (stage, pass, kind, stack) instead
-	// of killing the process.
+	// Isolate runs every pipeline unit, with the checks that follow it,
+	// inside a recovery boundary: a panic anywhere in a pass, the
+	// translation, the adaptor, synthesis or a check comes back as a
+	// *resilience.PassFailure (stage, pass, kind, stack) instead of killing
+	// the process.
 	Isolate bool
 
 	// FaultHook, when non-nil, is called inside each unit's recovery
@@ -122,21 +128,11 @@ type Options struct {
 	// disjoint record chains.
 	IncrSeed string
 
-	// ParallelFuncs fans function-local passes across a module's
-	// functions concurrently in both pass managers. Off by default; the
-	// kernel suite is single-function, so this pays off only for
-	// multi-function modules.
-	ParallelFuncs bool
-
 	// sem is the constructed per-run oracle, populated by the flow entry
 	// points when VerifySemantics is set and shared across the run's
 	// stages (including the degraded C++ rerun, whose kernel has the same
 	// reference semantics).
 	sem *semOracle
-
-	// memo is the per-run incremental cursor, populated by the flow entry
-	// points when memoEnabled; nil disables memoization for the run.
-	memo *memoRun
 }
 
 // Directives selects the HLS optimization configuration applied before the
@@ -184,285 +180,152 @@ type Result struct {
 	UnitHits, UnitMisses int
 }
 
-// mlirPrep runs the shared MLIR-level preparation. flowName tags the
-// resilience hooks so fault injection can target one flow's run of the
-// shared MLIR stage.
-func mlirPrep(m *mlir.Module, top string, d Directives, materializeUnroll bool, flowName string, opts Options) error {
-	pm := passes.NewPassManager()
-	pm.Ctx = opts.Ctx
-	pm.Isolate = opts.Isolate
-	pm.Parallel = opts.ParallelFuncs
-	if opts.memo != nil {
-		mat := mlirMaterializer(m)
-		pm.Wrap = func(passName, params string, run func() error) (bool, error) {
-			return opts.memo.do(step{
-				stage: "mlir-opt", pass: passName, params: params,
-				materialize: mat, print: m.Print,
-			}, run)
-		}
+// maxUnits is the length of the longest unit list, the adaptor flow's with
+// every directive set. A list is built in one allocation of this capacity.
+const maxUnits = 19
+
+// mlirOpt appends the MLIR preparation both flows share: the directive
+// passes, then canonicalize and CSE. The C++ flow hands unrolling to the
+// backend as a pragma, so it omits affine-loop-unroll.
+func (r *runner) mlirOpt(units []unit, d Directives, materializeUnroll bool) []unit {
+	add := func(p passes.Pass) {
+		units = append(units, unit{PipelineUnit: PipelineUnit{"mlir-opt", p.Name()}, params: passes.PassParams(p),
+			in: mlirIR, out: mlirIR, checks: checkVerify | checkEach | checkOracle,
+			run: func() error { return p.Run(r.m) }})
 	}
-	if opts.Observer != nil || opts.FaultHook != nil {
-		pm.BeforePass = func(name string, mm *mlir.Module) {
-			if opts.Observer != nil {
-				opts.Observer("mlir-opt", name, mm.Print())
-			}
-			if opts.FaultHook != nil {
-				opts.FaultHook(flowName, "mlir-opt", name)
-			}
-		}
-	}
-	if opts.VerifyEach || opts.sem != nil {
-		pm.AfterPass = func(name string, mm *mlir.Module) error {
-			if opts.VerifyEach {
-				if err := lint.MLIRInvariants(mm); err != nil {
-					return err
-				}
-			}
-			return opts.sem.afterMLIR("mlir-opt", name, mm)
-		}
-	}
-	pm.Add(passes.MarkTop(top))
+	add(passes.MarkTop(r.top))
 	if d.Pipeline {
 		ii := d.II
 		if ii <= 0 {
 			ii = 1
 		}
-		pm.Add(passes.PipelineInnermost(ii))
+		add(passes.PipelineInnermost(ii))
 	}
 	if d.Unroll > 1 {
-		pm.Add(passes.MarkUnroll(d.Unroll))
+		add(passes.MarkUnroll(d.Unroll))
 		if materializeUnroll {
-			pm.Add(passes.LoopUnroll(0, true))
+			add(passes.LoopUnroll(0, true))
 		}
 	}
 	if d.Partition != nil {
-		pm.Add(passes.PartitionAllArgs(*d.Partition))
+		add(passes.PartitionAllArgs(*d.Partition))
 	}
 	if d.Flatten {
-		pm.Add(passes.MarkFlatten())
+		add(passes.MarkFlatten())
 	}
 	if d.Dataflow {
-		pm.Add(passes.MarkDataflow(top))
+		add(passes.MarkDataflow(r.top))
 	}
-	pm.Add(passes.Canonicalize(), passes.CSE())
-	return pm.Run(m)
+	add(passes.Canonicalize())
+	add(passes.CSE())
+	return units
 }
 
-// boundaryCheck runs the inter-layer invariant check under VerifyEach: the
-// module verifier plus the lint invariant subset, attributed to the named
-// flow boundary (typed under Isolate so bisection can pin it).
-func boundaryCheck(opts Options, where string, lm *llvm.Module) error {
-	if !opts.VerifyEach {
-		return nil
-	}
-	if err := lm.Verify(); err != nil {
-		if opts.Isolate {
-			return resilience.NewFailure(where, where, resilience.KindVerify, err)
-		}
-		return fmt.Errorf("verification after %s: %w", where, err)
-	}
-	if err := lint.Invariants(lm); err != nil {
-		if opts.Isolate {
-			return resilience.NewFailure(where, where, resilience.KindVerify, err)
-		}
-		return fmt.Errorf("invariant violation after %s: %w", where, err)
-	}
-	return nil
+// lowering appends the lowering from affine to scf to cf. Lowering is
+// checked by the oracle alone.
+func (r *runner) lowering(units []unit) []unit {
+	return append(units,
+		unit{PipelineUnit: PipelineUnit{"lowering", "affine-to-scf"}, in: mlirIR, out: mlirIR,
+			checks: checkOracle, run: func() error { return lower.AffineToSCF(r.m) }},
+		unit{PipelineUnit: PipelineUnit{"lowering", "scf-to-cf"}, in: mlirIR, out: mlirIR,
+			checks: checkOracle, run: func() error { return lower.SCFToCF(r.m) }})
 }
 
-// unit runs one named pipeline unit under the options' resilience policy:
-// cooperative context check at the boundary, snapshot/fault hooks inside
-// the recovery boundary, panic isolation when requested. snap renders the
-// IR entering the unit for the Observer (nil when there is none).
-func unit(opts Options, flowName, stage, pass string, snap func() string, fn func() error) error {
-	if err := resilience.Interrupted(opts.Ctx, stage, pass); err != nil {
-		return err
-	}
-	body := func() error {
-		if opts.Observer != nil && snap != nil {
-			opts.Observer(stage, pass, snap())
-		}
-		if opts.FaultHook != nil {
-			opts.FaultHook(flowName, stage, pass)
-		}
-		return fn()
-	}
-	if opts.Isolate {
-		return resilience.Guard(stage, pass, body)
-	}
-	return body()
-}
-
-// prepareLLVM runs the adaptor flow's front half — MLIR preparation,
-// lowering, translation, adaptation, LLVM cleanup — producing the module
-// synthesis would consume. phase wraps each stage for timing; adaptorRep
-// receives the adaptor report when non-nil.
-func prepareLLVM(m *mlir.Module, top string, d Directives, opts Options,
-	phase func(name string, fn func() error) error, adaptorRep **core.Report) (*llvm.Module, error) {
-
-	const flowName = "adaptor"
-	mlirSnap := func() string { return m.Print() }
-	if err := phase("mlir-opt", func() error { return mlirPrep(m, top, d, true, flowName, opts) }); err != nil {
-		return nil, err
-	}
-	mlirMat := mlirMaterializer(m)
-	if err := phase("lowering", func() error {
-		if err := memoUnit(opts, flowName,
-			step{stage: "lowering", pass: "affine-to-scf", materialize: mlirMat, print: m.Print},
-			mlirSnap, func() error {
-				if err := lower.AffineToSCF(m); err != nil {
-					return err
-				}
-				return opts.sem.afterMLIR("lowering", "affine-to-scf", m)
-			}); err != nil {
+func (r *runner) translate() unit {
+	return unit{PipelineUnit: PipelineUnit{"translate", "translate"}, in: mlirIR, out: llvmIR,
+		checks: checkEach | checkOracle, run: func() (err error) {
+			r.lm, err = translate.Translate(r.m, translate.Options{EmitLifetimeMarkers: true})
 			return err
-		}
-		return memoUnit(opts, flowName,
-			step{stage: "lowering", pass: "scf-to-cf", materialize: mlirMat, print: m.Print},
-			mlirSnap, func() error {
-				if err := lower.SCFToCF(m); err != nil {
-					return err
+		}}
+}
+
+// adaptorFront appends the adaptor flow up to synthesis: MLIR preparation,
+// lowering, translation, the adaptor and LLVM cleanup, ending with the
+// llvm-opt stage's verify and the conformance gate.
+func (r *runner) adaptorFront(units []unit, d Directives) []unit {
+	units = r.lowering(r.mlirOpt(units, d, true))
+	units = append(units, r.translate(), unit{PipelineUnit: PipelineUnit{"adaptor", "adaptor"},
+		in: llvmIR, out: llvmIR, checks: checkEach | checkOracle, aux: jsonAux(&r.adaptor),
+		run: func() (err error) {
+			r.adaptor, err = core.Adapt(r.lm, core.Options{TopFunc: r.top})
+			return err
+		}})
+	return r.llvmOpt(units)
+}
+
+// llvmOptPasses is the adaptor flow's LLVM cleanup, in order.
+var llvmOptPasses = [...]lpasses.Pass{lpasses.PassSimplifyCFG, lpasses.PassConstFold,
+	lpasses.PassStrengthReduce, lpasses.PassCSE, lpasses.PassDCE}
+
+// llvmOpt appends the LLVM cleanup, each pass applied to every defined
+// function. The stage ends with leaveLLVMOpt.
+func (r *runner) llvmOpt(units []unit) []unit {
+	for _, p := range llvmOptPasses {
+		units = append(units, unit{PipelineUnit: PipelineUnit{"llvm-opt", p.Name}, in: llvmIR, out: llvmIR,
+			checks: checkEach | checkOracle, run: func() error {
+				for _, f := range r.lm.Funcs {
+					if !f.IsDecl {
+						p.Run(f)
+					}
 				}
-				return opts.sem.afterMLIR("lowering", "scf-to-cf", m)
-			})
-	}); err != nil {
-		return nil, err
+				return nil
+			}})
 	}
-	var lm *llvm.Module
-	llvmSnap := func() string { return lm.Print() }
-	llvmMat := llvmMaterializer(&lm)
-	if err := phase("translate", func() error {
-		return memoUnit(opts, flowName,
-			step{stage: "translate", pass: "translate", materialize: mlirMat, print: llvmSnap},
-			mlirSnap, func() error {
-				var err error
-				lm, err = translate.Translate(m, translate.Options{EmitLifetimeMarkers: true})
-				if err != nil {
+	units[len(units)-1].leave = r.leaveLLVMOpt
+	return units
+}
+
+// synthesis schedules the final module. It rewrites nothing: its product is
+// the report, which its record carries, and the target is its key.
+func (r *runner) synthesis(tgt hls.Target) unit {
+	return unit{PipelineUnit: PipelineUnit{"synthesis", "synthesis"}, params: tgt.Canon(),
+		in: llvmIR, out: noIR, checks: checkOracle, aux: jsonAux(&r.report),
+		run: func() (err error) {
+			r.report, err = hls.Synthesize(r.lm, r.top, tgt)
+			return err
+		}}
+}
+
+// units is the unit list of a flow kind ("adaptor", "cxx" or "raw").
+func (r *runner) units(kind string, d Directives, tgt hls.Target) []unit {
+	units := make([]unit, 0, maxUnits)
+	switch kind {
+	case "cxx":
+		return append(r.mlirOpt(units, d, false),
+			unit{PipelineUnit: PipelineUnit{"emit-hlscpp", "emit-hlscpp"}, in: mlirIR, out: cSource,
+				run: func() (err error) {
+					r.src, err = cgen.Emit(r.m)
 					return err
-				}
-				if err := boundaryCheck(opts, "translate", lm); err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("translate", "translate", lm)
-			})
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("adaptor", func() error {
-		return memoUnit(opts, flowName,
-			step{stage: "adaptor", pass: "adaptor", materialize: llvmMat, print: llvmSnap,
-				auxOut: func() (json.RawMessage, error) {
-					if adaptorRep == nil || *adaptorRep == nil {
-						return nil, nil
-					}
-					return json.Marshal(*adaptorRep)
-				},
-				auxIn: func(rec incr.Record) error {
-					if adaptorRep == nil {
-						return nil
-					}
-					if len(rec.Aux) == 0 {
-						return fmt.Errorf("record lacks adaptor report")
-					}
-					rep := new(core.Report)
-					if err := json.Unmarshal(rec.Aux, rep); err != nil {
-						return err
-					}
-					*adaptorRep = rep
-					return nil
 				}},
-			llvmSnap, func() error {
-				rep, err := core.Adapt(lm, core.Options{TopFunc: top})
-				if adaptorRep != nil {
-					*adaptorRep = rep
-				}
-				if err != nil {
+			unit{PipelineUnit: PipelineUnit{"c-frontend", "c-frontend"}, in: cSource, out: llvmIR,
+				checks: checkEach | checkOracle, run: func() (err error) {
+					r.lm, err = cfront.Compile(r.src, cfront.Options{Top: r.top})
 					return err
-				}
-				if err := boundaryCheck(opts, "adaptor", lm); err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("adaptor", "adaptor", lm)
-			})
-	}); err != nil {
-		return nil, err
+				}},
+			r.synthesis(tgt))
+	case "raw":
+		// The raw flow's product is the gate's violation list: nothing in
+		// it is oracle-checked, and the translation it hands the gate is
+		// not verified first.
+		units = append(r.lowering(r.mlirOpt(units, d, true)), r.translate())
+		for i := range units {
+			units[i].checks &^= checkOracle
+		}
+		units[len(units)-1].checks = 0
+		return units
 	}
-	if err := phase("llvm-opt", func() error {
-		pm := lpasses.NewPassManager().Add(
-			lpasses.PassSimplifyCFG,
-			lpasses.PassConstFold,
-			lpasses.PassStrengthReduce,
-			lpasses.PassCSE,
-			lpasses.PassDCE,
-		)
-		pm.Ctx = opts.Ctx
-		pm.Isolate = opts.Isolate
-		pm.Parallel = opts.ParallelFuncs
-		if opts.memo != nil {
-			if lm == nil {
-				// Every upstream unit replayed; give the manager a module
-				// object to point at, filled in by materialization before
-				// the first pass that actually runs.
-				lm = &llvm.Module{}
-			}
-			pm.Wrap = func(passName string, run func() error) (bool, error) {
-				return opts.memo.do(step{
-					stage: "llvm-opt", pass: passName,
-					materialize: llvmMat, print: llvmSnap,
-				}, run)
-			}
-		}
-		if opts.Observer != nil || opts.FaultHook != nil {
-			pm.BeforePass = func(name string, mm *llvm.Module) {
-				if opts.Observer != nil {
-					opts.Observer("llvm-opt", name, mm.Print())
-				}
-				if opts.FaultHook != nil {
-					opts.FaultHook(flowName, "llvm-opt", name)
-				}
-			}
-		}
-		if opts.VerifyEach {
-			pm.VerifyEach = true
-			pm.Invariants = lint.Invariants
-		}
-		if opts.sem != nil {
-			pm.AfterPass = func(name string, mm *llvm.Module) error {
-				return opts.sem.afterLLVM("llvm-opt", name, mm)
-			}
-		}
-		return pm.Run(lm)
-	}); err != nil {
-		return nil, err
-	}
-	// The conformance gate is the adaptor flow's final static stage: every
-	// module leaving the pipeline must sit inside the old Vitis LLVM's
-	// accepted subset, or the adaptor has a bug. The gate always runs on
-	// the real module — a replayed tail is materialized first (and
-	// verified, mirroring the pass manager's end-of-pipeline verify the
-	// replay skipped), so warm runs cannot slip past a gate failure the
-	// cold run would have reported.
-	if opts.memo != nil {
-		if err := opts.memo.finalize(&lm, true); err != nil {
-			return nil, err
-		}
-	}
-	if err := conformanceGate(opts, lm); err != nil {
-		return nil, err
-	}
-	return lm, nil
+	return append(r.adaptorFront(units, d), r.synthesis(tgt))
 }
 
 // PrepareLLVM runs the adaptor flow up to (but not including) synthesis and
 // returns the cleaned LLVM module — the input the DSE feasibility pre-check
 // lints without paying for a schedule.
 func PrepareLLVM(m *mlir.Module, top string, d Directives) (*llvm.Module, error) {
-	noPhases := func(_ string, fn func() error) error { return fn() }
-	lm, err := prepareLLVM(m, top, d, Options{}, noPhases, nil)
-	if err != nil {
+	r := newRunner("adaptor", m, top, Options{})
+	if err := r.run(r.adaptorFront(make([]unit, 0, maxUnits), d)); err != nil {
 		return nil, fmt.Errorf("prepare: %w", err)
 	}
-	return lm, nil
+	return r.lm, nil
 }
 
 // AdaptorFlow runs the paper's direct-IR flow end to end.
@@ -472,61 +335,14 @@ func AdaptorFlow(m *mlir.Module, top string, d Directives, tgt hls.Target) (*Res
 
 // AdaptorFlowWith is AdaptorFlow with explicit options.
 func AdaptorFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts Options) (*Result, error) {
-	res := &Result{Flow: "adaptor", Phases: Phases{}}
-	t0 := time.Now()
-
-	phase := func(name string, fn func() error) error {
-		start := time.Now()
-		err := fn()
-		res.Phases[name] = time.Since(start)
-		return err
+	r := newRunner("adaptor", m, top, opts)
+	if err := r.arm(); err != nil {
+		return nil, fmt.Errorf("adaptor flow: %w", err)
 	}
-
-	if opts.memoEnabled() {
-		opts.memo = newMemoRun(opts.incrStore(), "adaptor", top, opts, m)
+	if err := r.run(r.units("adaptor", d, tgt)); err != nil {
+		return degradeOrFail(r.opts, top, d, tgt, err)
 	}
-	if opts.VerifySemantics && opts.sem == nil {
-		if opts.memo != nil {
-			// Defer the reference execution: a fully replayed run never
-			// reaches a live check, so it never pays for one. A seeded
-			// cursor skipped the pristine print, so take the snapshot here.
-			pristine := opts.memo.bytes
-			if pristine == "" {
-				pristine = m.Print()
-			}
-			opts.sem = newLazySemOracle(pristine, top, opts)
-		} else {
-			sem, err := newSemOracle(m, top, opts)
-			if err != nil {
-				return nil, fmt.Errorf("adaptor flow: %w", err)
-			}
-			opts.sem = sem
-		}
-	}
-
-	lm, err := prepareLLVM(m, top, d, opts, phase, &res.Adaptor)
-	if err != nil {
-		return degradeOrFail(opts, top, d, tgt, err)
-	}
-	if err := phase("synthesis", func() error {
-		return memoUnit(opts, "adaptor", synthesisStep(&lm, tgt, &res.Report),
-			func() string { return lm.Print() }, func() error {
-				rep, err := hls.Synthesize(lm, top, tgt)
-				res.Report = rep
-				if err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("synthesis", "synthesis", lm)
-			})
-	}); err != nil {
-		return degradeOrFail(opts, top, d, tgt, err)
-	}
-	res.LLVM = lm
-	res.Total = time.Since(t0)
-	if opts.memo != nil {
-		res.UnitHits, res.UnitMisses = opts.memo.hits, opts.memo.misses
-	}
-	return res, nil
+	return r.result(), nil
 }
 
 // degradeOrFail implements graceful degradation: with a Fallback builder
@@ -549,9 +365,9 @@ func degradeOrFail(opts Options, top string, d Directives, tgt hls.Target, cause
 	}
 	fopts := opts
 	fopts.Fallback = nil
-	// The fallback rerun gets its own cursor (CxxFlowWith builds one under
-	// the cxx configuration); the adaptor run's cursor is meaningless to it.
-	fopts.memo = nil
+	// The rerun shares the oracle (its kernel has the same reference
+	// semantics) and starts its own memo cursor under the cxx
+	// configuration.
 	res, err := CxxFlowWith(m2, top, d, tgt, fopts)
 	if err != nil {
 		return nil, fmt.Errorf("adaptor flow: %w (C++ fallback also failed: %v)", cause, err)
@@ -569,101 +385,21 @@ func CxxFlow(m *mlir.Module, top string, d Directives, tgt hls.Target) (*Result,
 
 // CxxFlowWith is CxxFlow with explicit options.
 func CxxFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts Options) (*Result, error) {
-	res := &Result{Flow: "cxx", Phases: Phases{}}
-	t0 := time.Now()
-	phase := func(name string, fn func() error) error {
-		start := time.Now()
-		err := fn()
-		res.Phases[name] = time.Since(start)
-		return err
+	r := newRunner("cxx", m, top, opts)
+	err := r.arm()
+	if err == nil {
+		err = r.run(r.units("cxx", d, tgt))
 	}
-
-	const flowName = "cxx"
-	if opts.memoEnabled() {
-		opts.memo = newMemoRun(opts.incrStore(), flowName, top, opts, m)
-	}
-	if opts.VerifySemantics && opts.sem == nil {
-		if opts.memo != nil {
-			pristine := opts.memo.bytes
-			if pristine == "" {
-				pristine = m.Print()
-			}
-			opts.sem = newLazySemOracle(pristine, top, opts)
-		} else {
-			sem, err := newSemOracle(m, top, opts)
-			if err != nil {
-				return nil, fmt.Errorf("cxx flow: %w", err)
-			}
-			opts.sem = sem
-		}
-	}
-	if err := phase("mlir-opt", func() error { return mlirPrep(m, top, d, false, flowName, opts) }); err != nil {
-		return nil, fmt.Errorf("cxx flow: %w", err)
-	}
-	if err := phase("emit-hlscpp", func() error {
-		return memoUnit(opts, flowName,
-			step{stage: "emit-hlscpp", pass: "emit-hlscpp",
-				materialize: mlirMaterializer(m),
-				print:       func() string { return res.CSource },
-				auxIn: func(rec incr.Record) error {
-					res.CSource = rec.IR
-					return nil
-				}},
-			func() string { return m.Print() }, func() error {
-				src, err := cgen.Emit(m)
-				res.CSource = src
-				return err
-			})
-	}); err != nil {
-		return nil, fmt.Errorf("cxx flow: %w", err)
-	}
-	var lm *llvm.Module
-	if err := phase("c-frontend", func() error {
-		return memoUnit(opts, flowName,
-			// The C frontend consumes the emitted source directly, which
-			// the cursor and res.CSource both hold — nothing to
-			// materialize even after a replayed prefix.
-			step{stage: "c-frontend", pass: "c-frontend",
-				print: func() string { return lm.Print() }},
-			func() string { return res.CSource }, func() error {
-				var err error
-				lm, err = cfront.Compile(res.CSource, cfront.Options{Top: top})
-				if err != nil {
-					return err
-				}
-				if err := boundaryCheck(opts, "c-frontend", lm); err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("c-frontend", "c-frontend", lm)
-			})
-	}); err != nil {
-		return nil, fmt.Errorf("cxx flow: %w", err)
-	}
-	if err := phase("synthesis", func() error {
-		return memoUnit(opts, flowName, synthesisStep(&lm, tgt, &res.Report),
-			func() string { return lm.Print() }, func() error {
-				rep, err := hls.Synthesize(lm, top, tgt)
-				res.Report = rep
-				if err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("synthesis", "synthesis", lm)
-			})
-	}); err != nil {
-		return nil, fmt.Errorf("cxx flow: %w", err)
-	}
-	if opts.memo != nil {
+	if err == nil && r.memo != nil {
 		// A replayed tail leaves the module behind the cursor; the Result
-		// must carry the real final module. No post-frontend verify to
-		// mirror here — the cold path never ran one.
-		if err := opts.memo.finalize(&lm, false); err != nil {
-			return nil, fmt.Errorf("cxx flow: %w", err)
-		}
-		res.UnitHits, res.UnitMisses = opts.memo.hits, opts.memo.misses
+		// must carry the real final module. The cold path runs no verify
+		// after the C frontend, so neither does this.
+		err = r.memo.finalize(&r.lm, false)
 	}
-	res.LLVM = lm
-	res.Total = time.Since(t0)
-	return res, nil
+	if err != nil {
+		return nil, fmt.Errorf("cxx flow: %w", err)
+	}
+	return r.result(), nil
 }
 
 // RawFlow translates without adapting and returns the gate violations (nil
@@ -673,30 +409,14 @@ func RawFlow(m *mlir.Module, top string, d Directives) ([]hls.Violation, *llvm.M
 }
 
 // RawFlowWith is RawFlow with explicit options (resilience boundaries
-// included, so engine-run raw jobs cannot crash the process either).
+// included, so engine-run raw jobs cannot crash the process either). It is
+// never memoized: its product is the violation list, not pipeline IR.
 func RawFlowWith(m *mlir.Module, top string, d Directives, opts Options) ([]hls.Violation, *llvm.Module, error) {
-	const flowName = "raw"
-	mlirSnap := func() string { return m.Print() }
-	if err := mlirPrep(m, top, d, true, flowName, opts); err != nil {
+	r := newRunner("raw", m, top, opts)
+	if err := r.run(r.units("raw", d, hls.Target{})); err != nil {
 		return nil, nil, err
 	}
-	if err := unit(opts, flowName, "lowering", "affine-to-scf", mlirSnap,
-		func() error { return lower.AffineToSCF(m) }); err != nil {
-		return nil, nil, err
-	}
-	if err := unit(opts, flowName, "lowering", "scf-to-cf", mlirSnap,
-		func() error { return lower.SCFToCF(m) }); err != nil {
-		return nil, nil, err
-	}
-	var lm *llvm.Module
-	if err := unit(opts, flowName, "translate", "translate", mlirSnap, func() error {
-		var err error
-		lm, err = translate.Translate(m, translate.Options{EmitLifetimeMarkers: true})
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	return hls.Check(lm), lm, nil
+	return hls.Check(r.lm), r.lm, nil
 }
 
 // Execute runs the flow's final LLVM module on the given buffers (one per

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/hls"
 	"repro/internal/incr"
 	"repro/internal/llvm"
 	lparser "repro/internal/llvm/parser"
@@ -26,9 +25,8 @@ type memoRun struct {
 	store incr.Store
 	// cfg is the flow-wide key salt: flow kind, top function, and the
 	// verification options. Verification activation must participate in
-	// the key because replayed units skip their after-pass checks — a
-	// record is only valid under the exact checking regime that ran when
-	// it was stored.
+	// the key because replayed units skip their checks — a record is only
+	// valid under the exact checking regime that ran when it was stored.
 	cfg string
 
 	bytes string
@@ -72,83 +70,125 @@ func newMemoRun(store incr.Store, flowName, top string, opts Options, m *mlir.Mo
 	return &memoRun{store: store, cfg: cfg, bytes: bytes, hash: incr.HashBytes(bytes)}
 }
 
-// step describes one memoizable pipeline unit to the cursor.
-type step struct {
-	stage, pass, params string
-	// materialize brings the live IR object up to date with the cursor
-	// bytes before a live run; nil when the unit consumes the cursor text
-	// directly (the C frontend reads the emitted source).
-	materialize func(src string) error
-	// print renders the live object after a live run; nil when the unit
-	// does not rewrite the artifact (synthesis, whose product is only the
-	// report in the record's Aux).
-	print func() string
-	// auxOut encodes the unit's non-IR product after a live run; auxIn
-	// applies a stored record's product on replay.
-	auxOut func() (json.RawMessage, error)
-	auxIn  func(rec incr.Record) error
+// lookup keys the unit on the cursor and replays its record when the store
+// holds a usable one. Otherwise it brings the IR the unit reads up to date
+// with the cursor, so the unit can run live.
+func (r *runner) lookup(u *unit) (key string, replayed bool, err error) {
+	c := r.memo
+	key = incr.UnitKey(c.cfg, u.String(), u.params, c.hash)
+	if rec, ok := c.store.Get(key); ok && r.replay(u, rec) {
+		c.hits++
+		return key, true, nil
+	}
+	if c.stale {
+		if err := r.materialize(u.in, c.bytes); err != nil {
+			return key, false, fmt.Errorf("incr: materialize before %s: %w", u, err)
+		}
+		c.stale = false
+	}
+	return key, false, nil
 }
 
-// do runs one unit through the cursor: a store hit replays the record and
-// returns replayed=true without executing run; a miss materializes the
-// live IR if it lags the cursor, executes run, and stores the outcome.
-func (r *memoRun) do(s step, run func() error) (replayed bool, err error) {
-	key := incr.UnitKey(r.cfg, s.stage+"/"+s.pass, s.params, r.hash)
-	if rec, ok := r.store.Get(key); ok && r.replay(s, rec) {
-		r.hits++
-		return true, nil
+// replay applies one stored record. A record that cannot be applied (torn
+// Aux, empty IR where the unit rewrites it) reports false and the unit
+// runs live instead — corruption degrades to a miss, never an error. The
+// live IR is left behind (stale) until a unit has to run, except C source,
+// which is its own text.
+func (r *runner) replay(u *unit, rec incr.Record) bool {
+	if u.out != noIR && (rec.IR == "" || rec.Hash == "") {
+		return false
 	}
-	if r.stale && s.materialize != nil {
-		if err := s.materialize(r.bytes); err != nil {
-			return false, fmt.Errorf("incr: materialize before %s/%s: %w", s.stage, s.pass, err)
+	if u.aux != nil && u.aux.load(rec.Aux) != nil {
+		return false
+	}
+	if u.out != noIR {
+		c := r.memo
+		c.bytes, c.hash = rec.IR, rec.Hash
+		c.stale = u.out != cSource
+		if u.out == cSource {
+			r.src = rec.IR
 		}
-		r.stale = false
 	}
-	if err := run(); err != nil {
-		return false, err
-	}
+	return true
+}
+
+// record advances the cursor past a unit that ran live and passed its
+// checks, and stores the outcome under key.
+func (r *runner) record(u *unit, key string) {
+	c := r.memo
+	c.misses++
 	rec := incr.Record{}
-	if s.print != nil {
-		r.bytes = s.print()
-		r.hash = incr.HashBytes(r.bytes)
-		r.stale = false
-		rec.IR, rec.Hash = r.bytes, r.hash
+	if u.out != noIR {
+		c.bytes = r.print(u.out)
+		c.hash = incr.HashBytes(c.bytes)
+		rec.IR, rec.Hash = c.bytes, c.hash
 	}
-	if s.auxOut != nil {
-		aux, err := s.auxOut()
+	if u.aux != nil {
+		aux, err := u.aux.save()
 		if err != nil {
 			// The unit ran fine; only the record is unencodable. Skip
 			// storing rather than failing the flow.
-			r.misses++
-			return false, nil
+			return
 		}
 		rec.Aux = aux
 	}
 	// A failed persist degrades durability, never the flow: the store
 	// counts the error (engine stats surface it as StoreErrors) and the
 	// unit simply recomputes next time.
-	_ = r.store.Put(key, rec)
-	r.misses++
-	return false, nil
+	_ = c.store.Put(key, rec)
 }
 
-// replay applies one stored record. A record that cannot be applied (torn
-// Aux, empty IR where the unit rewrites it) reports false and the unit
-// runs live instead — corruption degrades to a miss, never an error.
-func (r *memoRun) replay(s step, rec incr.Record) bool {
-	if s.print != nil && (rec.IR == "" || rec.Hash == "") {
-		return false
-	}
-	if s.auxIn != nil {
-		if err := s.auxIn(rec); err != nil {
-			return false
+// materialize rebuilds the IR at level l from cursor text. The MLIR module
+// is refilled in place: it is the caller's module.
+func (r *runner) materialize(l level, src string) error {
+	switch l {
+	case mlirIR:
+		p, err := parser.Parse(src)
+		if err != nil {
+			return err
 		}
+		r.m.Op = p.Op
+	case llvmIR:
+		p, err := lparser.Parse(src)
+		if err != nil {
+			return err
+		}
+		r.lm = p
+	case cSource:
+		r.src = src
 	}
-	if s.print != nil {
-		r.bytes, r.hash = rec.IR, rec.Hash
-		r.stale = true
+	return nil
+}
+
+// auxCodec encodes a unit's non-IR product into its record and restores it
+// on replay.
+type auxCodec struct {
+	save func() (json.RawMessage, error)
+	load func(json.RawMessage) error
+}
+
+// jsonAux stores *dst as JSON. Only a unit that succeeded is recorded, and
+// it always leaves a non-nil product.
+func jsonAux[T any](dst **T) *auxCodec {
+	return &auxCodec{
+		save: func() (json.RawMessage, error) {
+			if *dst == nil {
+				return nil, fmt.Errorf("no %T to record", *dst)
+			}
+			return json.Marshal(*dst)
+		},
+		load: func(raw json.RawMessage) error {
+			if len(raw) == 0 {
+				return fmt.Errorf("record lacks its %T", *dst)
+			}
+			v := new(T)
+			if err := json.Unmarshal(raw, v); err != nil {
+				return err
+			}
+			*dst = v
+			return nil
+		},
 	}
-	return true
 }
 
 // finalModules caches parsed (and, where requested, verified) final
@@ -160,11 +200,11 @@ func (r *memoRun) replay(s step, rec incr.Record) bool {
 var finalModules sync.Map // digest|verify -> *llvm.Module
 
 // finalize re-materializes the live LLVM module after a replayed tail so
-// the flow's Result carries a real module. verify mirrors the LLVM pass
-// manager's unconditional end-of-pipeline verification, which a replayed
-// tail skipped (the adaptor flow sets it; the baseline flow never had a
-// post-frontend verify to mirror). The pointer is replaced, never filled
-// in place: a cache hit aliases a shared module that must stay pristine.
+// the flow's Result carries a real module. verify stands in for the
+// llvm-opt stage's closing verify, which a replayed tail skipped (the
+// adaptor flow sets it; the baseline flow runs no post-frontend verify).
+// The pointer is replaced, never filled in place: a cache hit aliases a
+// shared module that must stay pristine.
 func (r *memoRun) finalize(lmp **llvm.Module, verify bool) error {
 	if !r.stale && *lmp != nil {
 		return nil
@@ -188,86 +228,4 @@ func (r *memoRun) finalize(lmp **llvm.Module, verify bool) error {
 	*lmp = m.(*llvm.Module)
 	r.stale = false
 	return nil
-}
-
-// mlirMaterializer parses cursor bytes back into the existing module
-// object in place, so every closure holding the module sees the new state.
-func mlirMaterializer(m *mlir.Module) func(src string) error {
-	return func(src string) error {
-		p, err := parser.Parse(src)
-		if err != nil {
-			return err
-		}
-		m.Op = p.Op
-		return nil
-	}
-}
-
-// llvmMaterializer is mlirMaterializer for the LLVM cursor phase. The
-// double pointer lets it both create the module the first time (a fully
-// replayed translate left it nil) and refill it in place afterwards.
-func llvmMaterializer(lmp **llvm.Module) func(src string) error {
-	return func(src string) error {
-		p, err := lparser.Parse(src)
-		if err != nil {
-			return err
-		}
-		if *lmp == nil {
-			*lmp = p
-		} else {
-			**lmp = *p
-		}
-		return nil
-	}
-}
-
-// synthesisStep describes the synthesis unit to the cursor: it rewrites
-// nothing (the cursor bytes stand), and its whole product is the HLS
-// report carried in the record's Aux. The target's cost-model parameters
-// are the unit's key parameters — two DSE sweeps over different targets
-// never share a schedule.
-func synthesisStep(lmp **llvm.Module, tgt hls.Target, rep **hls.Report) step {
-	return step{
-		stage: "synthesis", pass: "synthesis",
-		params:      tgt.Canon(),
-		materialize: llvmMaterializer(lmp),
-		auxOut: func() (json.RawMessage, error) {
-			if *rep == nil {
-				return nil, fmt.Errorf("no synthesis report")
-			}
-			return json.Marshal(*rep)
-		},
-		auxIn: func(rec incr.Record) error {
-			if len(rec.Aux) == 0 {
-				return fmt.Errorf("record lacks synthesis report")
-			}
-			r := new(hls.Report)
-			if err := json.Unmarshal(rec.Aux, r); err != nil {
-				return err
-			}
-			*rep = r
-			return nil
-		},
-	}
-}
-
-// memoUnit is unit() under memoization: the unit is keyed on the cursor
-// and may replay instead of executing. With no memo cursor it falls back
-// to the plain resilience wrapper. snap feeds the Observer, which is
-// mutually exclusive with memoization (memoEnabled).
-func memoUnit(opts Options, flowName string, s step, snap func() string, fn func() error) error {
-	if opts.memo == nil {
-		return unit(opts, flowName, s.stage, s.pass, snap, fn)
-	}
-	if err := resilience.Interrupted(opts.Ctx, s.stage, s.pass); err != nil {
-		return err
-	}
-	body := func() error {
-		_, err := opts.memo.do(s, fn)
-		return err
-	}
-	if opts.Isolate {
-		return resilience.Guard(s.stage, s.pass, body)
-	}
-	return body()
 }

@@ -353,20 +353,3 @@ func TestWarmReplaySpeedup(t *testing.T) {
 	}
 	t.Logf("cold %v, warm %v (%.1fx)", coldT, warmT, float64(coldT)/float64(warmT))
 }
-
-// TestParallelFuncsMatchesSerial runs every kernel through both flows with
-// function-parallel pass execution and requires byte-identical results: the
-// parallel path must be an invisible scheduling change, never a semantic one.
-func TestParallelFuncsMatchesSerial(t *testing.T) {
-	d := Directives{Pipeline: true, II: 1, Unroll: 2}
-	for _, kind := range []string{"adaptor", "cxx"} {
-		for _, k := range polybench.All() {
-			kind, k := kind, k
-			t.Run(kind+"/"+k.Name, func(t *testing.T) {
-				serial := runFlow(t, kind, k, d, Options{})
-				par := runFlow(t, kind, k, d, Options{ParallelFuncs: true})
-				compareRuns(t, "parallel func-local passes", serial, par)
-			})
-		}
-	}
-}

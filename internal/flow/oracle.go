@@ -100,10 +100,23 @@ func (s *semOracle) harness() (*oracle.Harness, error) {
 		}
 		s.h = h
 	})
-	if s.initErr != nil {
-		return nil, resilience.NewFailure("oracle", "reference", resilience.KindError, s.initErr)
+	if s.h == nil {
+		err := s.initErr
+		if err == nil {
+			// The capture panicked, and sync.Once counts a panicking
+			// function as done: every later check fails here instead of
+			// using a nil harness.
+			err = errors.New("reference capture panicked")
+		}
+		return nil, resilience.NewFailure("oracle", "reference", resilience.KindError, err)
 	}
 	return s.h, nil
+}
+
+// capture takes the reference execution if it is not yet taken.
+func (s *semOracle) capture() error {
+	_, err := s.harness()
+	return err
 }
 
 // failure types an oracle check error: wrong answers (divergence, trap,
@@ -217,17 +230,13 @@ func corruptLLVM(lm *llvm.Module) {
 // HLS-readable-IR subset check. Any post-adaptor construct outside the old
 // Vitis LLVM's accepted subset is an adaptor bug, reported as a located
 // diagnostic; the gate converts a non-empty report into a typed verify
-// failure attributed to the "conformance" stage. It is a boundary-style
-// check (like boundaryCheck), not a registered pipeline unit, so the
-// PipelineUnits registry stays pinned.
-func conformanceGate(opts Options, lm *llvm.Module) error {
+// failure attributed to the "conformance" stage. It runs when the llvm-opt
+// stage ends and is not a pipeline unit.
+func conformanceGate(lm *llvm.Module) error {
 	ds := hls.Conformance(lm)
 	if len(ds) == 0 {
 		return nil
 	}
 	err := fmt.Errorf("%d HLS conformance violation(s); first: %s", len(ds), ds[0].String())
-	if opts.Isolate {
-		return resilience.NewFailure("conformance", "conformance", resilience.KindVerify, err)
-	}
-	return fmt.Errorf("conformance gate: %w", err)
+	return resilience.NewFailure("conformance", "conformance", resilience.KindVerify, err)
 }

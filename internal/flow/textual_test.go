@@ -32,7 +32,8 @@ func TestTextualToolPipeline(t *testing.T) {
 
 	// Stage 1: mlir-opt (directive passes) -> text.
 	m := k.Build(s)
-	if err := mlirPrep(m, k.Name, d, true, "adaptor", Options{}); err != nil {
+	r := newRunner("adaptor", m, k.Name, Options{})
+	if err := r.run(r.mlirOpt(nil, d, true)); err != nil {
 		t.Fatal(err)
 	}
 	mlirText := m.Print()

@@ -10,9 +10,9 @@ import (
 
 // TestVerifyEachAllKernelsBothFlows is the pass-pipeline property test: every
 // polybench kernel through both full flows with VerifyEach on must report
-// zero invariant violations — i.e. every pass of both pass managers, and
-// every inter-layer boundary, leaves the IR satisfying the verifier and the
-// lint invariant subset. Directives are enabled so the directive-carrying
+// zero invariant violations — i.e. every MLIR and LLVM pass, and every
+// inter-layer unit, leaves the IR satisfying the verifier and the lint
+// invariant subset. Directives are enabled so the directive-carrying
 // paths are exercised too.
 func TestVerifyEachAllKernelsBothFlows(t *testing.T) {
 	kernels := polybench.All()

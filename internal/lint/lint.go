@@ -7,9 +7,9 @@
 // agree with what synthesis will actually do.
 //
 // The package is consumed three ways: cmd/hls-lint reports all checks, the
-// pass managers' verify-each mode runs the invariant subset after every
-// pass, and the DSE feasibility pre-check (MinPipelineFloor) prunes
-// II-infeasible directive points before scheduling.
+// verify-each mode runs the invariant subset after every pass, and the DSE
+// feasibility pre-check (MinPipelineFloor) prunes II-infeasible directive
+// points before scheduling.
 package lint
 
 import (
@@ -330,8 +330,8 @@ func Module(m *llvm.Module, opts Options) diag.Diagnostics {
 }
 
 // Invariants runs the invariant subset and converts error-severity findings
-// into a single error (nil when the module is clean). This is the hook the
-// pass managers call between passes.
+// into a single error (nil when the module is clean). This is the check the
+// flows' verify-each mode runs after every LLVM-level unit.
 func Invariants(m *llvm.Module) error {
 	return Module(m, Options{InvariantsOnly: true}).AsError()
 }

@@ -71,8 +71,8 @@ func MLIRDirectives(m *mlir.Module) diag.Diagnostics {
 }
 
 // MLIRInvariants converts MLIRDirectives' error-severity findings into a
-// single error (nil when clean) — the hook the MLIR pass manager's
-// verify-each mode calls after every pass.
+// single error (nil when clean) — the check verify-each runs after every
+// MLIR pass (the flows and mlir-opt -verify-each).
 func MLIRInvariants(m *mlir.Module) error {
 	return MLIRDirectives(m).AsError()
 }

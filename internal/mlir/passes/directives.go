@@ -148,3 +148,23 @@ func MarkTop(funcName string) Pass {
 		return nil
 	}}
 }
+
+// onlyNestedLoop returns the single affine.for making up outer's body (plus
+// the terminator), or nil when the nest is not perfect.
+func onlyNestedLoop(outer *mlir.Op) *mlir.Op {
+	body := mlir.AffineForView{Op: outer}.Body()
+	var inner *mlir.Op
+	for _, op := range body.Ops {
+		switch {
+		case op.Name == mlir.OpAffineFor:
+			if inner != nil {
+				return nil
+			}
+			inner = op
+		case op.IsTerminator():
+		default:
+			return nil
+		}
+	}
+	return inner
+}

@@ -364,80 +364,6 @@ func TestPartitionAllArgs(t *testing.T) {
 	}
 }
 
-func TestLoopInterchange(t *testing.T) {
-	// Use a rectangular iteration space to catch bound swapping: copy
-	// kernel over 4x8.
-	build := func() *mlir.Module {
-		m := mlir.NewModule()
-		ty := mlir.MemRef([]int64{4, 8}, mlir.F64())
-		_, args := m.AddFunc("copy", []*mlir.Type{ty, ty}, nil)
-		b := mlir.NewBuilder(mlir.FuncBody(m.FindFunc("copy")))
-		b.AffineForConst(0, 4, 1, func(b *mlir.Builder, i *mlir.Value) {
-			b.AffineForConst(0, 8, 1, func(b *mlir.Builder, j *mlir.Value) {
-				v := b.AffineLoad(args[0], i, j)
-				b.AffineStore(v, args[1], i, j)
-			})
-		})
-		b.Return()
-		return m
-	}
-	m := build()
-	if err := LoopInterchange("copy").Run(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// After interchange the outer loop must run to 8.
-	outer, _ := mlir.AsAffineFor(mlir.FuncBody(m.FindFunc("copy")).Ops[0])
-	if _, hi, _ := outer.ConstantBounds(); hi != 8 {
-		t.Errorf("outer bound after interchange = %d, want 8", hi)
-	}
-	// Semantics preserved.
-	ty := mlir.MemRef([]int64{4, 8}, mlir.F64())
-	in, out := mlir.NewMemBuf(ty), mlir.NewMemBuf(ty)
-	for i := range in.F {
-		in.F[i] = float64(i)
-	}
-	if err := m.Interpret("copy", in, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range in.F {
-		if out.F[i] != in.F[i] {
-			t.Fatalf("interchange broke copy at %d", i)
-		}
-	}
-}
-
-func TestLoopTile(t *testing.T) {
-	const n = 8
-	ref := runMatMul(t, buildMatMul(n), n, 3)
-	m := buildMatMul(n)
-	if err := LoopTile("matmul", 4, 4).Run(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// i/j tiled: ii, jj, i, j + k = 5 loops.
-	if c := countOps(m, mlir.OpAffineFor); c != 5 {
-		t.Errorf("want 5 loops after tiling, got %d", c)
-	}
-	got := runMatMul(t, m, n, 3)
-	sameFloats(t, ref, got)
-}
-
-func TestLoopTileErrors(t *testing.T) {
-	m := buildMatMul(6)
-	if err := LoopTile("matmul", 4, 4).Run(m); err == nil {
-		t.Error("non-divisible tiling should error")
-	}
-	m2 := buildMatMul(4)
-	if err := LoopTile("nosuch", 2, 2).Run(m2); err != nil {
-		t.Error("tiling a missing function should be a no-op for other funcs")
-	}
-}
-
 func TestPassManagerVerifies(t *testing.T) {
 	breaker := funcPass{name: "breaker", fn: func(f *mlir.Op) error {
 		// Corrupt the IR: remove the terminator.
