@@ -103,7 +103,8 @@ func BenchmarkDSEParallel(b *testing.B) {
 	// Serial baseline for the speedup metric (median-free, but the sweep
 	// is long enough to be stable).
 	t0 := time.Now()
-	serialRes, err := dse.ExploreWith(build, k.Name, tgt, dse.Options{Workers: 1, Precheck: base.Precheck})
+	serialRes, err := dse.ExploreWith(build, k.Name, tgt,
+		dse.Options{Engine: engine.New(engine.Options{Workers: 1}), Precheck: base.Precheck})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func BenchmarkDSEParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			opts := base
-			opts.Workers = w
+			opts.Engine = engine.New(engine.Options{Workers: w})
 			for i := 0; i < b.N; i++ {
 				if _, err := dse.ExploreWith(build, k.Name, tgt, opts); err != nil {
 					b.Fatal(err)

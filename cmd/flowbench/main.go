@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/flow"
 	"repro/internal/incr"
 	"repro/internal/prof"
 	"repro/internal/serve"
@@ -54,22 +53,24 @@ func main() {
 
 	cfg := experiments.Default()
 	cfg.SizeName = strings.ToUpper(*size)
+	cfg.Verify = *verify
 	eopts := engine.Options{
-		Workers:     *workers,
-		Cache:       *cache,
-		Retries:     *retries,
-		Fallback:    *fallback,
-		Quarantine:  *quarantine,
-		Incremental: *incremental || *incrStore != "",
-		Flow:        flow.Options{VerifySemantics: *verify},
+		Workers:    *workers,
+		Cache:      *cache,
+		Retries:    *retries,
+		Fallback:   *fallback,
+		Quarantine: *quarantine,
 	}
-	if *incrStore != "" {
+	switch {
+	case *incrStore != "":
 		st, err := incr.OpenDiskStore(*incrStore)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flowbench:", err)
 			os.Exit(1)
 		}
 		eopts.IncrStore = st
+	case *incremental:
+		eopts.IncrStore = incr.NewMemStore()
 	}
 	if *server != "" {
 		client := serve.NewClient(*server, "flowbench")

@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -134,69 +133,63 @@ func main() {
 		fatal(fmt.Errorf("pass -kernel NAME or an input.mlir with -top"))
 	}
 
-	opts := dse.Options{
-		Workers:     *workers,
-		Cache:       *cache,
-		FailFast:    *failfast,
-		Timeout:     *timeout,
-		CacheScope:  scope,
-		Precheck:    *precheck,
-		Oracle:      *oracleRate,
-		Incremental: *incremental || *incrStore != "",
+	eopts := engine.Options{
+		Workers:    *workers,
+		Cache:      *cache,
+		Retries:    *retries,
+		Seed:       *seed,
+		Fallback:   *fallback,
+		Quarantine: *quarantine,
 	}
-	if *incrStore != "" {
+	switch {
+	case *incrStore != "":
 		st, err := incr.OpenDiskStore(*incrStore)
 		if err != nil {
 			fatal(err)
 		}
-		opts.IncrStore = st
+		eopts.IncrStore = st
+	case *incremental:
+		eopts.IncrStore = incr.NewMemStore()
+	}
+	if spec := *injectPanic; spec != "" {
+		label, unit, ok := strings.Cut(spec, ":")
+		if !ok {
+			fatal(fmt.Errorf("-inject-panic wants config:stage/pass, got %q", spec))
+		}
+		eopts.FlowFaultHook = func(job engine.Job, flowName, stage, pass string) {
+			if flowName == "adaptor" && job.Label == label && stage+"/"+pass == unit {
+				panic("injected panic at " + spec)
+			}
+		}
+	}
+	if spec := *injectMiscompile; spec != "" {
+		label, unit, ok := strings.Cut(spec, ":")
+		if !ok {
+			fatal(fmt.Errorf("-inject-miscompile wants config:stage/pass, got %q", spec))
+		}
+		eopts.MiscompileHook = func(job engine.Job) string {
+			if job.Label == label {
+				return unit
+			}
+			return ""
+		}
+	}
+	opts := dse.Options{
+		FailFast:   *failfast,
+		Timeout:    *timeout,
+		CacheScope: scope,
+		Precheck:   *precheck,
+		Oracle:     *oracleRate,
 	}
 	if *server != "" {
+		client := serve.NewClient(*server, "hls-dse")
+		if !client.Ready() {
+			fmt.Fprintf(os.Stderr, "hls-dse: server %s not ready; evaluating embedded\n", *server)
+		}
+		eopts.Remote = client.Remote()
 		opts.RemoteSpec = spec
 	}
-	if *fallback || *quarantine != "" || *retries > 0 || *injectPanic != "" || *injectMiscompile != "" || *server != "" {
-		eopts := engine.Options{
-			Workers:     *workers,
-			Cache:       *cache,
-			Retries:     *retries,
-			Seed:        *seed,
-			Fallback:    *fallback,
-			Quarantine:  *quarantine,
-			Incremental: opts.Incremental,
-			IncrStore:   opts.IncrStore,
-		}
-		if spec := *injectPanic; spec != "" {
-			label, unit, ok := strings.Cut(spec, ":")
-			if !ok {
-				fatal(fmt.Errorf("-inject-panic wants config:stage/pass, got %q", spec))
-			}
-			eopts.FlowFaultHook = func(job engine.Job, flowName, stage, pass string) {
-				if flowName == "adaptor" && job.Label == label && stage+"/"+pass == unit {
-					panic("injected panic at " + spec)
-				}
-			}
-		}
-		if *server != "" {
-			client := serve.NewClient(*server, "hls-dse")
-			if !client.Ready() {
-				fmt.Fprintf(os.Stderr, "hls-dse: server %s not ready; evaluating embedded\n", *server)
-			}
-			eopts.Remote = client.Remote()
-		}
-		if spec := *injectMiscompile; spec != "" {
-			label, unit, ok := strings.Cut(spec, ":")
-			if !ok {
-				fatal(fmt.Errorf("-inject-miscompile wants config:stage/pass, got %q", spec))
-			}
-			eopts.MiscompileHook = func(job engine.Job) string {
-				if job.Label == label {
-					return unit
-				}
-				return ""
-			}
-		}
-		opts.Engine = engine.New(eopts)
-	}
+	opts.Engine = engine.New(eopts)
 	var journal *resilience.Journal
 	if *journalPath != "" {
 		j, err := resilience.OpenJournal(*journalPath)
@@ -257,7 +250,7 @@ func main() {
 	fmt.Printf("\nPareto frontier (latency vs area):\n%s", res)
 	if *stats {
 		fmt.Printf("\nengine: wall=%s workers=%d\n%s",
-			wall.Round(time.Microsecond), effectiveWorkers(*workers), res.Stats)
+			wall.Round(time.Microsecond), opts.Engine.Workers(), res.Stats)
 	}
 	if journal != nil {
 		journal.Close()
@@ -287,13 +280,6 @@ func main() {
 // stopProfile flushes the -cpuprofile/-memprofile outputs; replaced in
 // main once profiling starts.
 var stopProfile = func() error { return nil }
-
-func effectiveWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 func fatal(err error) {
 	stopProfile()

@@ -4,14 +4,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestCLISmoke builds the real binary and drives the incremental and
-// profiling flags end to end: a sweep against an on-disk store, then a
-// warm re-run from a fresh process, must print identical tables, and both
-// profile files must land non-empty.
+// profiling flags end to end: a sweep against an on-disk store, then warm
+// re-runs from fresh processes (one with an engine flag, -retries), must
+// print identical tables, both profile files must land non-empty, and
+// -incremental alone must memoize into an in-memory store.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
@@ -56,5 +59,20 @@ func TestCLISmoke(t *testing.T) {
 	warm := run("-kernel", "gemm", "-size", "MINI", "-incr-store", store)
 	if warm != cold {
 		t.Fatalf("warm CLI run diverges from cold\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	retried := run("-kernel", "gemm", "-size", "MINI", "-incr-store", store, "-retries", "1")
+	if retried != cold {
+		t.Fatalf("warm -retries run diverges from cold\ncold:\n%s\nwarm:\n%s", cold, retried)
+	}
+
+	// Without -incr-store, -incremental memoizes into a fresh in-memory
+	// store: the sweep's points share their first units, so one run hits.
+	stats := run("-kernel", "gemm", "-size", "MINI", "-incremental", "-stats")
+	m := regexp.MustCompile(`incr unit hits=(\d+)`).FindStringSubmatch(stats)
+	if m == nil {
+		t.Fatalf("-incremental -stats printed no incr line:\n%s", stats)
+	}
+	if hits, _ := strconv.Atoi(m[1]); hits == 0 {
+		t.Fatalf("-incremental sweep replayed no unit:\n%s", stats)
 	}
 }

@@ -110,7 +110,7 @@ func run() int {
 		}
 		var jobs []engine.Job
 		for i := 0; i < n; i++ {
-			k := kgen.Generate(next, kgen.Config{})
+			k := kgen.Generate(next)
 			next++
 			kernels++
 			if *verbose {

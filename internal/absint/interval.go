@@ -60,9 +60,6 @@ func typeTop(ty *llvm.Type) Interval {
 	}
 }
 
-// IsTop reports whether the interval is unbounded on both ends.
-func (iv Interval) IsTop() bool { return !iv.Empty && iv.Lo == negInf && iv.Hi == posInf }
-
 // Bounded reports whether both ends are finite (the precondition for every
 // lint check that fires on an interval: unbounded means "unknown", and
 // unknown must stay silent).

@@ -77,9 +77,6 @@ func (a *Analysis) ValueWidth(in *llvm.Instr) Width {
 // KnownAt returns the solved known-bits fact of v at block b.
 func (a *Analysis) KnownAt(b *llvm.Block, v llvm.Value) KnownBits { return a.kb.At(b, v) }
 
-// IntervalAt returns the solved interval of v at block b.
-func (a *Analysis) IntervalAt(b *llvm.Block, v llvm.Value) absint.Interval { return a.iv.At(b, v) }
-
 // Demanded returns the demanded-bits mask of an instruction's result.
 func (a *Analysis) Demanded(in *llvm.Instr) uint64 {
 	d, ok := a.demanded[in]

@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/hls"
-	"repro/internal/incr"
 	"repro/internal/lint"
 	"repro/internal/mlir"
 	"repro/internal/mlir/passes"
@@ -122,13 +121,10 @@ type Result struct {
 	Stats engine.Stats
 }
 
-// Options tunes how Explore fans the space across the evaluation engine.
+// Options selects which jobs a sweep issues and how it runs and collects
+// them. How each job is evaluated — pool size, caches, the incremental
+// store, fault hooks, remote daemon — is the Engine's configuration.
 type Options struct {
-	// Workers bounds the pool size; <= 0 means GOMAXPROCS.
-	Workers int
-	// Cache reuses results for configurations already evaluated (only
-	// useful with a shared Engine or repeated exploration).
-	Cache bool
 	// FailFast restores the legacy abort-on-first-error policy; the
 	// default records the failing label and keeps sweeping.
 	FailFast bool
@@ -137,18 +133,8 @@ type Options struct {
 	// CacheScope salts the cache key for inputs whose identity is not
 	// captured by the top name alone (size presets, file hashes).
 	CacheScope string
-	// Incremental threads the per-unit incremental store through the
-	// evaluation engine: repeated sweeps replay unchanged pipeline
-	// prefixes from stored unit snapshots, so a re-exploration after a
-	// directive or space change recompiles only what the change touched.
-	// The -incremental flag of hls-dse.
-	Incremental bool
-	// IncrStore is the record store used under Incremental; nil uses the
-	// process-wide default. An incr.DiskStore (-incr-store) makes sweeps
-	// warm-start across processes.
-	IncrStore incr.Store
-	// Engine, when non-nil, evaluates the jobs (sharing its cache and
-	// stats); Workers/Cache/Incremental/IncrStore are then ignored.
+	// Engine evaluates the jobs, sharing its caches and stats with every
+	// other batch it runs; nil means engine.New(engine.Options{}).
 	Engine *engine.Engine
 	// Journal, when non-nil, is the write-ahead log for crash-resumable
 	// sweeps: every completed point is appended (and synced) the moment its
@@ -176,7 +162,7 @@ type Options struct {
 	RemoteSpec *engine.RemoteSpec
 	// Oracle samples the differential semantic oracle across the sweep:
 	// when N > 0, every Nth configuration by space index (idx % N == 0)
-	// runs with flow.Options.VerifySemantics, re-executing the IR after
+	// runs with Job.VerifySemantics, re-executing the IR after
 	// every pipeline unit against the pristine kernel's reference run. A
 	// 1-in-N spot check catches a directive-dependent miscompile without
 	// paying the oracle on the whole space; Oracle = 1 verifies every
@@ -194,12 +180,11 @@ func Explore(build func() *mlir.Module, top string, tgt hls.Target) (*Result, er
 	return ExploreWith(build, top, tgt, Options{})
 }
 
-// ExploreWith is Explore with explicit engine options.
+// ExploreWith is Explore with explicit options.
 func ExploreWith(build func() *mlir.Module, top string, tgt hls.Target, opts Options) (*Result, error) {
 	eng := opts.Engine
 	if eng == nil {
-		eng = engine.New(engine.Options{Workers: opts.Workers, Cache: opts.Cache,
-			Incremental: opts.Incremental, IncrStore: opts.IncrStore})
+		eng = engine.New(engine.Options{})
 	}
 	space := Space()
 	var pruned []PrunedPoint

@@ -134,7 +134,7 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 4} {
-		got, err := ExploreWith(build, k.Name, tgt, Options{Workers: w})
+		got, err := ExploreWith(build, k.Name, tgt, Options{Engine: engine.New(engine.Options{Workers: w})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestExplorePartialFailure(t *testing.T) {
 		}
 		return k.Build(s)
 	}
-	res, err := ExploreWith(build, k.Name, hls.DefaultTarget(), Options{Workers: 1})
+	res, err := ExploreWith(build, k.Name, hls.DefaultTarget(), Options{Engine: engine.New(engine.Options{Workers: 1})})
 	if err != nil {
 		t.Fatalf("partial failure must not abort the sweep: %v", err)
 	}

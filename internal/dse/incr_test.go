@@ -14,7 +14,7 @@ import (
 func TestIncrementalWarmSweepMatchesCold(t *testing.T) {
 	store := incr.NewMemStore()
 	sweep := func() (string, engine.Stats) {
-		eng := engine.New(engine.Options{Workers: 1, Incremental: true, IncrStore: store})
+		eng := engine.New(engine.Options{Workers: 1, IncrStore: store})
 		res := exploreOpts(t, "jacobi1d", Options{Engine: eng, CacheScope: "MINI", FailFast: true, Precheck: true})
 		return paretoSig(res), eng.Stats()
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/flow"
+	"repro/internal/resilience"
 )
 
 // openResultStore opens a castore in a fresh temp dir for one test.
@@ -256,6 +257,39 @@ func TestRemoteErrorIsVerbatim(t *testing.T) {
 	}
 	if !rs[0].Remote || !errors.Is(rs[0].Err, remoteErr) {
 		t.Fatalf("remote error not verbatim: %+v", rs[0])
+	}
+}
+
+// TestFaultHookedJobsStayLocal: a daemon cannot run this process's fault
+// hooks, so an engine with one never offers a job to Remote. A miscompile
+// armed on a verified job is caught here instead of hidden behind the
+// clean result the daemon would serve.
+func TestFaultHookedJobsStayLocal(t *testing.T) {
+	clean, err := New(Options{}).Run(context.Background(), []Job{kernelJob(t, "gemm", flow.Directives{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := kernelJob(t, "gemm", flow.Directives{})
+	job.Spec = &RemoteSpec{Kernel: "gemm", Size: "MINI"}
+	job.VerifySemantics = true
+	var calls int
+	e := New(Options{
+		ContinueOnError: true,
+		Remote: func(Job) (JobResult, bool) {
+			calls++
+			return clean[0], true
+		},
+		MiscompileHook: func(Job) string { return "llvm-opt/cse" },
+	})
+	rs, err := e.Run(context.Background(), []Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("remote hook calls = %d, want 0", calls)
+	}
+	if f := rs[0].Failure; rs[0].Remote || f == nil || f.Kind != resilience.KindMiscompile {
+		t.Fatalf("armed miscompile not caught locally: remote=%v failure=%+v", rs[0].Remote, f)
 	}
 }
 

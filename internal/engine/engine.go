@@ -155,20 +155,17 @@ type Options struct {
 	// snapshots) and written as a self-contained repro bundle that
 	// `hls-adaptor -replay` re-executes.
 	Quarantine string
-	// Incremental threads the per-unit memo store (internal/incr) through
-	// every job: repeated design points replay their unchanged pipeline
-	// prefix from stored unit snapshots instead of recompiling, and a
-	// directive edit re-runs only from the first affected unit. Unlike
-	// the whole-flow Cache, the incremental store persists across engines
-	// (and, with a DiskStore, across processes) and accelerates *changed*
-	// points, not just repeated ones. The per-job identity seed derives
-	// from Top and CacheScope — the same input-identity contract the
-	// whole-flow cache rests on, so callers whose modules are not fully
-	// determined by (Top, CacheScope) must disambiguate via CacheScope.
-	Incremental bool
-	// IncrStore is the record store used under Incremental; nil uses the
-	// process-wide incr.Default. Point it at an incr.DiskStore for
-	// cross-process warm starts.
+	// IncrStore, when non-nil, is the per-unit memo store (internal/incr)
+	// every job runs against: repeated design points replay their
+	// unchanged pipeline prefix from stored unit snapshots instead of
+	// recompiling, and a directive edit re-runs only from the first
+	// affected unit. Unlike the whole-flow Cache, the store outlives the
+	// engine (an incr.DiskStore, the process too) and accelerates
+	// *changed* points, not just repeated ones. The per-job identity seed
+	// derives from Top and CacheScope — the same input-identity contract
+	// the whole-flow cache rests on, so callers whose modules are not
+	// fully determined by (Top, CacheScope) must disambiguate via
+	// CacheScope.
 	IncrStore incr.Store
 
 	// ResultStore, when non-nil, is the persistent whole-flow result
@@ -185,15 +182,14 @@ type Options struct {
 	// ok=false — the server is unreachable or shedding load — falls back
 	// to embedded execution; ok=true uses the returned result verbatim
 	// (including a server-side evaluation error, which is the job's
-	// genuine outcome and must not be retried locally).
+	// genuine outcome and must not be retried locally). An engine with a
+	// fault hook (InjectFault, FlowFaultHook, MiscompileHook) never
+	// consults it: the daemon cannot run this process's hooks.
 	Remote func(Job) (JobResult, bool)
 
-	// Flow is the base flow options applied to every job (VerifyEach,
-	// FaultHook for pass-level fault injection). The engine overrides
-	// Ctx/Isolate/Fallback per job.
-	Flow flow.Options
-	// FlowFaultHook, when non-nil, replaces Flow.FaultHook with a
-	// job-aware hook, so tests can target one kernel's run of one pass.
+	// FlowFaultHook, when non-nil, is every job's flow.Options.FaultHook,
+	// told which job it runs in, so tests can target one kernel's run of
+	// one pass.
 	FlowFaultHook func(job Job, flowName, stage, pass string)
 	// MiscompileHook, when non-nil, is consulted per job; a non-empty
 	// "stage/pass" return arms a deterministic IR corruption inside that
@@ -491,7 +487,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]st
 			return r
 		}
 	}
-	if e.opts.Remote != nil && job.Spec != nil && job.Kind != KindRaw {
+	if e.opts.Remote != nil && job.Spec != nil && job.Kind != KindRaw && !e.faultHooked() {
 		if r, ok := e.opts.Remote(job); ok {
 			r.Label = job.Label
 			r.Kind = job.Kind
@@ -514,6 +510,12 @@ func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]st
 		}
 	}
 	return res
+}
+
+// faultHooked reports whether a fault hook is set: its jobs must run in
+// this process, where the hook can fire.
+func (e *Engine) faultHooked() bool {
+	return e.opts.InjectFault != nil || e.opts.FlowFaultHook != nil || e.opts.MiscompileHook != nil
 }
 
 // execute runs a job's attempt loop: transient failures (timeouts,
@@ -591,15 +593,12 @@ func (e *Engine) attempt(job Job, timeout time.Duration, seen map[*mlir.Module]s
 	}
 }
 
-// flowOptions assembles the per-job flow options from the engine-wide
-// base: isolation is always on (a panic in one job must never take down
-// the batch), and FlowFaultHook specializes the pass-level fault hook to
-// this job.
+// flowOptions assembles the job's flow options: isolation is always on (a
+// panic in one job must never take down the batch), the oracle follows the
+// job, and FlowFaultHook specializes the pass-level fault hook to this job.
 func (e *Engine) flowOptions(job Job) flow.Options {
-	fopts := e.opts.Flow
-	fopts.Isolate = true
-	if e.opts.Incremental {
-		fopts.Incremental = true
+	fopts := flow.Options{Isolate: true, VerifySemantics: job.VerifySemantics}
+	if e.opts.IncrStore != nil {
 		fopts.IncrStore = e.opts.IncrStore
 		// The seed spares every job its pristine module print; it is sound
 		// exactly when (Top, CacheScope) determines the built module — the
@@ -609,9 +608,6 @@ func (e *Engine) flowOptions(job Job) flow.Options {
 	if e.opts.FlowFaultHook != nil {
 		hook := e.opts.FlowFaultHook
 		fopts.FaultHook = func(flowName, stage, pass string) { hook(job, flowName, stage, pass) }
-	}
-	if job.VerifySemantics {
-		fopts.VerifySemantics = true
 	}
 	if e.opts.MiscompileHook != nil {
 		if inject := e.opts.MiscompileHook(job); inject != "" {

@@ -31,6 +31,11 @@ type Config struct {
 	// Table3/Table4 share every pair, Fig6/Fig8 share sweep points —
 	// are served from the cache instead of re-synthesized.
 	Engine *engine.Engine
+	// Verify runs every adaptor and C++ evaluation under the differential
+	// semantic oracle: it sets Job.VerifySemantics, so it reaches the
+	// cache key and a compile-service daemon too. Raw jobs never run the
+	// oracle.
+	Verify bool
 }
 
 // sharedEngine backs Config.Engine == nil. Cached results are read-only
@@ -119,13 +124,14 @@ func pairJobs(k *polybench.Kernel, cfg Config, d flow.Directives) ([]engine.Job,
 	build := func() *mlir.Module { return k.Build(s) }
 	mk := func(kind engine.Kind, tag string) engine.Job {
 		return engine.Job{
-			Label:      k.Name + " " + tag,
-			Kind:       kind,
-			Build:      build,
-			Top:        k.Name,
-			Directives: d,
-			Target:     cfg.Target,
-			CacheScope: cfg.SizeName,
+			Label:           k.Name + " " + tag,
+			Kind:            kind,
+			Build:           build,
+			Top:             k.Name,
+			Directives:      d,
+			Target:          cfg.Target,
+			CacheScope:      cfg.SizeName,
+			VerifySemantics: cfg.Verify,
 			// The kernel+size pair is the job's full input identity, so
 			// every table evaluation can ship to a compile-service daemon.
 			Spec: &engine.RemoteSpec{Kernel: k.Name, Size: cfg.SizeName},
@@ -142,19 +148,6 @@ func pairsFromResults(kernels []*polybench.Kernel, rs []engine.JobResult) []*Pai
 		out[i] = &Pair{Kernel: k.Name, Adaptor: rs[2*i].Res, Cxx: rs[2*i+1].Res}
 	}
 	return out
-}
-
-// RunPair runs both flows for one kernel under the given directives.
-func RunPair(k *polybench.Kernel, cfg Config, d flow.Directives) (*Pair, error) {
-	jobs, err := pairJobs(k, cfg, d)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := cfg.engine().RunBatch(context.Background(), jobs, engine.BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return pairsFromResults([]*polybench.Kernel{k}, rs)[0], nil
 }
 
 // RunAllPairs fans both flows for every kernel across the engine's worker
@@ -239,7 +232,7 @@ func Table2(cfg Config) (*Table, error) {
 			engine.Job{Label: k.Name + " raw", Kind: engine.KindRaw, Build: build,
 				Top: k.Name, Target: cfg.Target, CacheScope: cfg.SizeName},
 			engine.Job{Label: k.Name + " adaptor", Kind: engine.KindAdaptor, Build: build,
-				Top: k.Name, Target: cfg.Target, CacheScope: cfg.SizeName})
+				Top: k.Name, Target: cfg.Target, CacheScope: cfg.SizeName, VerifySemantics: cfg.Verify})
 	}
 	rs, err := cfg.engine().RunBatch(context.Background(), jobs, engine.BatchOptions{})
 	if err != nil {
@@ -511,9 +504,12 @@ func Fig8(cfg Config) (*Table, error) {
 		// Precheck prunes pipeline points whose requested II sits below the
 		// kernel's dependence-implied floor; the frontier is provably
 		// unchanged, so the golden table is too.
-		res, err := dse.ExploreWith(func() *mlir.Module { return k.Build(s) }, k.Name, cfg.Target,
-			dse.Options{Engine: cfg.engine(), CacheScope: cfg.SizeName, FailFast: true, Precheck: true,
-				RemoteSpec: &engine.RemoteSpec{Kernel: k.Name, Size: cfg.SizeName}})
+		opts := dse.Options{Engine: cfg.engine(), CacheScope: cfg.SizeName, FailFast: true, Precheck: true,
+			RemoteSpec: &engine.RemoteSpec{Kernel: k.Name, Size: cfg.SizeName}}
+		if cfg.Verify {
+			opts.Oracle = 1
+		}
+		res, err := dse.ExploreWith(func() *mlir.Module { return k.Build(s) }, k.Name, cfg.Target, opts)
 		if err != nil {
 			return nil, err
 		}

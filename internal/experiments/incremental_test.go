@@ -26,7 +26,7 @@ func TestFig8IncrementalWarmGolden(t *testing.T) {
 
 	store := incr.NewMemStore()
 	newEng := func() *engine.Engine {
-		return engine.New(engine.Options{Workers: 1, Incremental: true, IncrStore: store})
+		return engine.New(engine.Options{Workers: 1, IncrStore: store})
 	}
 
 	coldEng := newEng()

@@ -42,8 +42,8 @@ type Options struct {
 	// VerifyEach re-checks the IR invariants (verifier plus the lint
 	// invariant subset) after every MLIR and LLVM pass and after the
 	// translation, the adaptor and the C frontend. A violation fails the
-	// flow naming the offending unit — the -verify-each flag of the cmd
-	// tools.
+	// flow naming the offending unit. Bisect sets it for its replay; the
+	// -verify-each flag of mlir-opt drives passes.PassManager instead.
 	VerifyEach bool
 
 	// Ctx, when non-nil, is checked cooperatively at every pipeline-unit
@@ -88,10 +88,6 @@ type Options struct {
 	// -verify-semantics flag of the cmd tools.
 	VerifySemantics bool
 
-	// SemanticULP overrides the oracle's float tolerance in units in the
-	// last place at the element width; 0 uses oracle.DefaultMaxULP.
-	SemanticULP uint64
-
 	// InjectMiscompile, when set to "stage/pass", deterministically
 	// corrupts the IR immediately after the named unit completes (first
 	// float add becomes a subtract), so the unit's own oracle check — and
@@ -100,25 +96,20 @@ type Options struct {
 	// have any observable effect beyond the corruption itself.
 	InjectMiscompile string
 
-	// Incremental enables per-unit memoization: every pipeline unit is
-	// keyed by SHA-256 of the flow configuration, the unit's name and
-	// parameters, and its exact input-IR bytes, and a hit replays the
+	// IncrStore, when non-nil, memoizes the run per unit: every pipeline
+	// unit is keyed by SHA-256 of the flow configuration, the unit's name
+	// and parameters, and its exact input-IR bytes, and a hit replays the
 	// stored output bytes instead of executing the unit — so a directive
 	// change re-runs the flow only from the first affected unit, and a
-	// repeated design point replays its whole prefix. Runs with an
-	// Observer, FaultHook, or InjectMiscompile execute live regardless:
-	// those hooks observe or perturb live units. RawFlow is never
-	// memoized (its product is the violation list, not pipeline IR).
-	// The -incremental flag of the cmd tools.
-	Incremental bool
-
-	// IncrStore is the record store consulted under Incremental. Nil uses
-	// incr.Default, the process-wide in-memory store; point it at an
-	// incr.DiskStore for cross-process warm starts. Engines share one
-	// store across all jobs of a DSE run.
+	// repeated design point replays its whole prefix. An incr.DiskStore
+	// warm-starts across processes; an engine shares one store across all
+	// its jobs. Runs with an Observer, FaultHook, or InjectMiscompile
+	// execute live regardless: those hooks observe or perturb live units.
+	// RawFlow is never memoized (its product is the violation list, not
+	// pipeline IR).
 	IncrStore incr.Store
 
-	// IncrSeed, when non-empty under Incremental, identifies the input
+	// IncrSeed, when non-empty on a memoized run, identifies the input
 	// module without printing it: the memo cursor starts from the seed's
 	// digest instead of the module text, saving the pristine Print on
 	// every warm run. The caller must guarantee the seed uniquely
@@ -175,8 +166,8 @@ type Result struct {
 	Failure  *resilience.PassFailure
 
 	// UnitHits and UnitMisses count pipeline units replayed from the
-	// incremental store vs executed live (both zero when Incremental is
-	// off or suppressed by an observation hook).
+	// incremental store vs executed live (both zero when the run has no
+	// IncrStore or an observation hook suppresses memoization).
 	UnitHits, UnitMisses int
 }
 

@@ -44,15 +44,7 @@ type memoRun struct {
 // real per-unit IR (bisection replay depends on it), and a FaultHook or
 // InjectMiscompile must actually perturb a running unit.
 func (o Options) memoEnabled() bool {
-	return o.Incremental && o.Observer == nil && o.FaultHook == nil && o.InjectMiscompile == ""
-}
-
-// incrStore resolves the record store for this run.
-func (o Options) incrStore() incr.Store {
-	if o.IncrStore != nil {
-		return o.IncrStore
-	}
-	return incr.Default
+	return o.IncrStore != nil && o.Observer == nil && o.FaultHook == nil && o.InjectMiscompile == ""
 }
 
 // newMemoRun starts the cursor on a pristine module. With an IncrSeed the
@@ -60,14 +52,14 @@ func (o Options) incrStore() incr.Store {
 // (domain-separated from content digests) and bytes stay empty until the
 // first replay or live print fills them. Without a seed, the one Print
 // here doubles as the pristine snapshot the lazy semantic oracle captures.
-func newMemoRun(store incr.Store, flowName, top string, opts Options, m *mlir.Module) *memoRun {
-	cfg := fmt.Sprintf("flow=%s|top=%s|verify=%t|sem=%t|ulp=%d",
-		flowName, top, opts.VerifyEach, opts.VerifySemantics, opts.SemanticULP)
+func newMemoRun(flowName, top string, opts Options, m *mlir.Module) *memoRun {
+	cfg := fmt.Sprintf("flow=%s|top=%s|verify=%t|sem=%t",
+		flowName, top, opts.VerifyEach, opts.VerifySemantics)
 	if opts.IncrSeed != "" {
-		return &memoRun{store: store, cfg: cfg, hash: incr.HashBytes("seed:" + opts.IncrSeed)}
+		return &memoRun{store: opts.IncrStore, cfg: cfg, hash: incr.HashBytes("seed:" + opts.IncrSeed)}
 	}
 	bytes := m.Print()
-	return &memoRun{store: store, cfg: cfg, bytes: bytes, hash: incr.HashBytes(bytes)}
+	return &memoRun{store: opts.IncrStore, cfg: cfg, bytes: bytes, hash: incr.HashBytes(bytes)}
 }
 
 // lookup keys the unit on the cursor and replays its record when the store
@@ -194,7 +186,7 @@ func jsonAux[T any](dst **T) *auxCodec {
 // finalModules caches parsed (and, where requested, verified) final
 // modules by content digest, so repeated warm runs of the same design
 // point skip the one parse a replayed tail otherwise costs. Entries are
-// shared across Results: under Incremental, a Result's LLVM module must be
+// shared across Results: on a memoized run, a Result's LLVM module must be
 // treated as read-only — the same sharing contract the engine's whole-flow
 // cache already imposes on its hits.
 var finalModules sync.Map // digest|verify -> *llvm.Module

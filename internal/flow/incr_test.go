@@ -82,12 +82,12 @@ func TestIncrementalMatchesColdAllKernels(t *testing.T) {
 			t.Run(kind+"/"+k.Name, func(t *testing.T) {
 				cold := runFlow(t, kind, k, d, Options{})
 				store := incr.NewMemStore()
-				first := runFlow(t, kind, k, d, Options{Incremental: true, IncrStore: store})
+				first := runFlow(t, kind, k, d, Options{IncrStore: store})
 				compareRuns(t, "first incremental run", cold, first)
 				if first.UnitHits != 0 || first.UnitMisses == 0 {
 					t.Fatalf("first run against empty store: hits=%d misses=%d", first.UnitHits, first.UnitMisses)
 				}
-				warm := runFlow(t, kind, k, d, Options{Incremental: true, IncrStore: store})
+				warm := runFlow(t, kind, k, d, Options{IncrStore: store})
 				compareRuns(t, "fully replayed run", cold, warm)
 				if warm.UnitMisses != 0 || warm.UnitHits != first.UnitMisses {
 					t.Fatalf("warm run: hits=%d misses=%d, want %d hits 0 misses",
@@ -128,7 +128,7 @@ func TestIncrementalRandomDirectiveEdits(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				d := randDirectives()
 				cold := runFlow(t, kind, k, d, Options{})
-				warm := runFlow(t, kind, k, d, Options{Incremental: true, IncrStore: store})
+				warm := runFlow(t, kind, k, d, Options{IncrStore: store})
 				compareRuns(t, kind+"/"+name, cold, warm)
 			}
 		}
@@ -145,14 +145,14 @@ func TestIncrementalOracleVerdictsMatch(t *testing.T) {
 	d := Directives{Pipeline: true, II: 1}
 	store := incr.NewMemStore()
 
-	plain := runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: store})
+	plain := runFlow(t, "adaptor", k, d, Options{IncrStore: store})
 	if plain.UnitHits != 0 {
 		t.Fatalf("empty store produced %d hits", plain.UnitHits)
 	}
 
 	// Same directives with the oracle on must not reuse the unchecked
 	// records: every unit re-runs under the stricter regime.
-	opts := Options{Incremental: true, IncrStore: store, VerifySemantics: true, Isolate: true}
+	opts := Options{IncrStore: store, VerifySemantics: true, Isolate: true}
 	checked := runFlow(t, "adaptor", k, d, opts)
 	if checked.UnitHits != 0 {
 		t.Fatalf("oracle-checked run replayed %d units recorded without checks", checked.UnitHits)
@@ -197,10 +197,10 @@ func TestIncrementalInvalidation(t *testing.T) {
 	k := polybench.Get("gemm")
 	store := incr.NewMemStore()
 	d1 := Directives{Pipeline: true, II: 1}
-	first := runFlow(t, "adaptor", k, d1, Options{Incremental: true, IncrStore: store})
+	first := runFlow(t, "adaptor", k, d1, Options{IncrStore: store})
 
 	d2 := Directives{Pipeline: true, II: 2}
-	edited := runFlow(t, "adaptor", k, d2, Options{Incremental: true, IncrStore: store})
+	edited := runFlow(t, "adaptor", k, d2, Options{IncrStore: store})
 	if edited.UnitHits != 1 {
 		t.Fatalf("II edit: %d units replayed, want exactly the pre-edit prefix (1)", edited.UnitHits)
 	}
@@ -209,7 +209,7 @@ func TestIncrementalInvalidation(t *testing.T) {
 			edited.UnitMisses, want)
 	}
 	// The edited configuration must itself replay cleanly now.
-	warm := runFlow(t, "adaptor", k, d2, Options{Incremental: true, IncrStore: store})
+	warm := runFlow(t, "adaptor", k, d2, Options{IncrStore: store})
 	if warm.UnitMisses != 0 {
 		t.Fatalf("edited config not fully recorded: %d misses", warm.UnitMisses)
 	}
@@ -237,8 +237,8 @@ func TestIncrementalRebuildsTranslateRecord(t *testing.T) {
 	for _, k := range polybench.All() {
 		cold := runFlow(t, "adaptor", k, d, Options{})
 		store := incr.NewMemStore()
-		runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: store})
-		warm := runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: withoutAdaptorRecords{store}})
+		runFlow(t, "adaptor", k, d, Options{IncrStore: store})
+		warm := runFlow(t, "adaptor", k, d, Options{IncrStore: withoutAdaptorRecords{store}})
 		if warm.UnitHits == 0 || warm.UnitMisses == 0 {
 			t.Fatalf("%s: %d hits / %d misses, want translate replayed and the adaptor live",
 				k.Name, warm.UnitHits, warm.UnitMisses)
@@ -259,13 +259,13 @@ func TestIncrementalDiskStoreWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: s1})
+	cold := runFlow(t, "adaptor", k, d, Options{IncrStore: s1})
 
 	s2, err := incr.OpenDiskStore(dir) // fresh handle = new process
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: s2})
+	warm := runFlow(t, "adaptor", k, d, Options{IncrStore: s2})
 	if warm.UnitMisses != 0 {
 		t.Fatalf("disk warm start executed %d units", warm.UnitMisses)
 	}
@@ -283,7 +283,7 @@ func TestIncrementalSeededRuns(t *testing.T) {
 	for _, kind := range []string{"adaptor", "cxx"} {
 		for _, sem := range []bool{false, true} {
 			store := incr.NewMemStore()
-			opts := Options{Incremental: true, IncrStore: store,
+			opts := Options{IncrStore: store,
 				IncrSeed: "gemm|MINI", VerifySemantics: sem, Isolate: sem}
 			cold := runFlow(t, kind, k, d, Options{VerifySemantics: sem, Isolate: sem})
 			first := runFlow(t, kind, k, d, opts)
@@ -328,7 +328,7 @@ func TestWarmReplaySpeedup(t *testing.T) {
 	k := polybench.Get("gemm")
 	d := Directives{Pipeline: true, II: 1, Unroll: 2}
 	store := incr.NewMemStore()
-	runFlow(t, "adaptor", k, d, Options{Incremental: true, IncrStore: store}) // populate
+	runFlow(t, "adaptor", k, d, Options{IncrStore: store}) // populate
 
 	best := func(opts Options) time.Duration {
 		bestD := time.Duration(1<<63 - 1)
@@ -346,7 +346,7 @@ func TestWarmReplaySpeedup(t *testing.T) {
 		return bestD
 	}
 	coldT := best(Options{})
-	warmT := best(Options{Incremental: true, IncrStore: store})
+	warmT := best(Options{IncrStore: store})
 	if warmT*3 > coldT {
 		t.Fatalf("warm replay %v vs cold %v: speedup %.1fx < 3x",
 			warmT, coldT, float64(coldT)/float64(warmT))

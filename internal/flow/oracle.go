@@ -37,7 +37,6 @@ type semOracle struct {
 	// never pays for the reference execution.
 	pristine string
 	top      string
-	ulp      uint64
 	once     sync.Once
 	initErr  error
 }
@@ -48,9 +47,6 @@ func newSemOracle(m *mlir.Module, top string, opts Options) (*semOracle, error) 
 	h, err := oracle.New(m, top)
 	if err != nil {
 		return nil, resilience.NewFailure("oracle", "reference", resilience.KindError, err)
-	}
-	if opts.SemanticULP > 0 {
-		h.MaxULP = opts.SemanticULP
 	}
 	return &semOracle{h: h, inject: opts.InjectMiscompile, ctx: checkContext(opts)}, nil
 }
@@ -64,7 +60,6 @@ func newLazySemOracle(pristine, top string, opts Options) *semOracle {
 		ctx:      checkContext(opts),
 		pristine: pristine,
 		top:      top,
-		ulp:      opts.SemanticULP,
 	}
 }
 
@@ -90,15 +85,7 @@ func (s *semOracle) harness() (*oracle.Harness, error) {
 			s.initErr = err
 			return
 		}
-		h, err := oracle.New(m, s.top)
-		if err != nil {
-			s.initErr = err
-			return
-		}
-		if s.ulp > 0 {
-			h.MaxULP = s.ulp
-		}
-		s.h = h
+		s.h, s.initErr = oracle.New(m, s.top)
 	})
 	if s.h == nil {
 		err := s.initErr

@@ -83,7 +83,7 @@ func newRunner(flowName string, m *mlir.Module, top string, opts Options) *runne
 // memoizes, at the first live check: a fully replayed run never pays for it.
 func (r *runner) arm() error {
 	if r.opts.memoEnabled() {
-		r.memo = newMemoRun(r.opts.incrStore(), r.flow, r.top, r.opts, r.m)
+		r.memo = newMemoRun(r.flow, r.top, r.opts, r.m)
 	}
 	if !r.opts.VerifySemantics || r.opts.sem != nil {
 		return nil

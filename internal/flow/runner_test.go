@@ -292,7 +292,7 @@ func TestRunnerHooksRunInsideGuard(t *testing.T) {
 // so the cursor's first key does not depend on the module's bytes.
 func memoRunner(t *testing.T, store incr.Store, opts Options) *runner {
 	t.Helper()
-	opts.Incremental, opts.IncrStore, opts.IncrSeed = true, store, "gemm|MINI"
+	opts.IncrStore, opts.IncrSeed = store, "gemm|MINI"
 	r := gemmRunner(t, opts)
 	if err := r.arm(); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Package incr is the per-unit incremental-compilation store behind
-// flow.Options.Incremental: a content-addressed memo of pipeline-unit
+// flow.Options.IncrStore: a content-addressed memo of pipeline-unit
 // outputs keyed by SHA-256 of (flow configuration, unit name and
 // parameters, canonical input-IR bytes). A flow run consults it before
 // every unit; a hit replays the stored output bytes instead of executing
@@ -17,9 +17,9 @@
 //     run would have produced (proven by the incremental-vs-cold
 //     equivalence property test over every kernel and both flows).
 //
-// Two stores are provided: MemStore (per-process, used by default) and
-// DiskStore (digest-verified content-addressed files via castore, shared
-// across processes and restarts — the warm-start path for CLIs and the
+// Two stores are provided: MemStore (per-process) and DiskStore
+// (digest-verified content-addressed files via castore, shared across
+// processes and restarts — the warm-start path for CLIs and the
 // compile-service daemon).
 package incr
 
@@ -68,12 +68,6 @@ type Store interface {
 	// Len returns the number of distinct records stored.
 	Len() int
 }
-
-// Default is the process-wide in-memory store used when a flow is run
-// Incremental without an explicit store — the zero-configuration path for
-// CLIs and tests. Content-addressed keys make sharing across unrelated
-// runs sound by construction.
-var Default Store = NewMemStore()
 
 // keyVersion invalidates every stored record when the key derivation or
 // record layout changes incompatibly (v2: digest-verified castore

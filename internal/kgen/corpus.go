@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// The checked-in corpus: minimal kgen kernels under the default Config,
+// The checked-in corpus: minimal kgen kernels,
 // one file per seed (corpus/k<seed>.mlir). It is the shared seed set for
 // the repo's fuzz targets (parser round-trip, differential flows, journal
 // recovery) and a drift alarm — TestCorpusMatchesGenerator fails the
@@ -66,13 +66,13 @@ func CorpusKernels() []Kernel {
 	seeds := CorpusSeeds()
 	ks := make([]Kernel, len(seeds))
 	for i, s := range seeds {
-		ks[i] = Generate(s, Config{})
+		ks[i] = Generate(s)
 	}
 	return ks
 }
 
-// WriteCorpus regenerates dir from the given seeds under the default
-// config (the UPDATE_KGEN_CORPUS path), removing stale k*.mlir files.
+// WriteCorpus regenerates dir from the given seeds (the
+// UPDATE_KGEN_CORPUS path), removing stale k*.mlir files.
 func WriteCorpus(dir string, seeds []int64) error {
 	stale, _ := filepath.Glob(filepath.Join(dir, "k*.mlir"))
 	for _, f := range stale {
@@ -84,7 +84,7 @@ func WriteCorpus(dir string, seeds []int64) error {
 		return err
 	}
 	for _, s := range seeds {
-		k := Generate(s, Config{})
+		k := Generate(s)
 		path := filepath.Join(dir, fmt.Sprintf("k%d.mlir", s))
 		if err := os.WriteFile(path, []byte(k.MLIR), 0o644); err != nil {
 			return err

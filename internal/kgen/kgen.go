@@ -36,44 +36,21 @@ import (
 	"repro/internal/mlir/passes"
 )
 
-// Config bounds the generated program shapes. The zero value selects the
-// defaults (the corpus configuration).
-type Config struct {
-	// MaxArrays bounds the memref argument count (default 3; min 1).
-	MaxArrays int
-	// MinExtent/MaxExtent bound every array dimension (defaults 4 and 8).
-	MinExtent, MaxExtent int64
-	// MaxNests bounds the top-level loop nests (default 2).
-	MaxNests int
-	// MaxStmts bounds the statements per innermost body (default 2).
-	MaxStmts int
-	// MaxRedStmts budgets gemm-style true-accumulation statements per
+// The bounds on generated program shapes (the corpus shapes).
+const (
+	// maxArrays bounds the memref argument count.
+	maxArrays = 3
+	// minExtent and maxExtent bound every array dimension.
+	minExtent, maxExtent = 4, 8
+	// maxNests bounds the top-level loop nests.
+	maxNests = 2
+	// maxStmts bounds the statements per innermost body.
+	maxStmts = 2
+	// maxRedStmts budgets gemm-style true-accumulation statements per
 	// kernel; each one can square the value bound, so the budget is what
-	// keeps the overflow-freedom argument closed (default 3).
-	MaxRedStmts int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxArrays <= 0 {
-		c.MaxArrays = 3
-	}
-	if c.MinExtent <= 0 {
-		c.MinExtent = 4
-	}
-	if c.MaxExtent < c.MinExtent {
-		c.MaxExtent = c.MinExtent + 4
-	}
-	if c.MaxNests <= 0 {
-		c.MaxNests = 2
-	}
-	if c.MaxStmts <= 0 {
-		c.MaxStmts = 2
-	}
-	if c.MaxRedStmts <= 0 {
-		c.MaxRedStmts = 3
-	}
-	return c
-}
+	// keeps the overflow-freedom argument closed.
+	maxRedStmts = 3
+)
 
 // Kernel is one generated program: the pristine module text (the
 // deterministic artifact), plus a directive configuration sampled from
@@ -82,7 +59,7 @@ type Kernel struct {
 	// Name is the top function ("kg<seed>"), a valid C identifier so the
 	// C++ flow emits it unchanged.
 	Name string
-	// Seed reproduces the kernel: Generate(Seed, cfg) is byte-identical.
+	// Seed reproduces the kernel: Generate(Seed) is byte-identical.
 	Seed int64
 	// MLIR is the pristine module text; Build parses it.
 	MLIR string
@@ -104,12 +81,11 @@ func (k Kernel) Build() *mlir.Module {
 	return m
 }
 
-// Generate produces the kernel for one seed under the given config.
-func Generate(seed int64, cfg Config) Kernel {
-	cfg = cfg.withDefaults()
+// Generate produces the kernel for one seed.
+func Generate(seed int64) Kernel {
 	rng := rand.New(rand.NewSource(seed))
 	name := fmt.Sprintf("kg%d", uint64(seed))
-	g := &gen{rng: rng, cfg: cfg}
+	g := &gen{rng: rng}
 	m := g.module(name)
 	d, label := sampleDirectives(rng)
 	return Kernel{
@@ -121,22 +97,9 @@ func Generate(seed int64, cfg Config) Kernel {
 	}
 }
 
-// Corpus generates n kernels from consecutive seeds starting at base.
-func Corpus(base int64, n int, cfg Config) []Kernel {
-	out := make([]Kernel, n)
-	for i := range out {
-		out[i] = Generate(base+int64(i), cfg)
-	}
-	return out
-}
-
-// SampleDirectives draws one random-but-valid directive configuration
+// sampleDirectives draws one random-but-valid directive configuration
 // from the DSE space axes (pipeline II, unroll, partition, flatten) using
 // the caller's source, mirroring dse.Space's value ranges.
-func SampleDirectives(rng *rand.Rand) (flow.Directives, string) {
-	return sampleDirectives(rng)
-}
-
 func sampleDirectives(rng *rand.Rand) (flow.Directives, string) {
 	var d flow.Directives
 	label := "base"
@@ -181,16 +144,15 @@ type scopeIV struct {
 
 type gen struct {
 	rng      *rand.Rand
-	cfg      Config
 	arrs     []*arr
 	redStmts int           // reduction statements emitted so far
 	written  map[*arr]bool // arrays already targeted by an earlier nest
 }
 
-// module builds the whole program: argument arrays, then 1..MaxNests
+// module builds the whole program: argument arrays, then 1..maxNests
 // top-level nests, then return.
 func (g *gen) module(name string) *mlir.Module {
-	narr := 1 + g.rng.Intn(g.cfg.MaxArrays)
+	narr := 1 + g.rng.Intn(maxArrays)
 	types := make([]*mlir.Type, narr)
 	shapes := make([][]int64, narr)
 	for i := range types {
@@ -209,7 +171,7 @@ func (g *gen) module(name string) *mlir.Module {
 		g.arrs = append(g.arrs, &arr{v: a, dims: shapes[i]})
 	}
 	g.written = make(map[*arr]bool)
-	nests := 1 + g.rng.Intn(g.cfg.MaxNests)
+	nests := 1 + g.rng.Intn(maxNests)
 	for i := 0; i < nests; i++ {
 		g.nest(b)
 	}
@@ -218,7 +180,7 @@ func (g *gen) module(name string) *mlir.Module {
 }
 
 func (g *gen) extent() int64 {
-	return g.cfg.MinExtent + g.rng.Int63n(g.cfg.MaxExtent-g.cfg.MinExtent+1)
+	return minExtent + g.rng.Int63n(maxExtent-minExtent+1)
 }
 
 // nest emits one top-level loop nest writing a randomly chosen
@@ -233,7 +195,7 @@ func (g *gen) nest(b *mlir.Builder) {
 		margin = 1 // leave room for ±1 stencil offsets on every axis
 	}
 	kind := g.rng.Intn(3) // 0 = map, 1 = reduce, 2 = stencil-flavored map
-	if kind == 1 && g.redStmts >= g.cfg.MaxRedStmts {
+	if kind == 1 && g.redStmts >= maxRedStmts {
 		kind = 0
 	}
 
@@ -251,7 +213,7 @@ func (g *gen) nest(b *mlir.Builder) {
 		case 1:
 			g.reduceStmt(bb, dst, ivs, rewrite)
 		default:
-			n := 1 + g.rng.Intn(g.cfg.MaxStmts)
+			n := 1 + g.rng.Intn(maxStmts)
 			for i := 0; i < n; i++ {
 				g.mapStmt(bb, dst, ivs, margin, rewrite || i > 0)
 			}
@@ -404,8 +366,8 @@ func (g *gen) leaf(b *mlir.Builder, ivs []scopeIV, margin int64) *mlir.Value {
 		if g.rng.Intn(2) == 0 {
 			x = b.MulI(x, b.ConstantInt(int64(1+g.rng.Intn(4)), mlir.I64()))
 		}
-		// iv < MaxExtent, so |x| <= (MaxExtent+7)*4 < 64 under the default
-		// extents; 1/64 normalizes the term under the damping bound.
+		// iv < maxExtent, so |x| <= (maxExtent+7)*4 < 64; 1/64 normalizes
+		// the term under the damping bound.
 		return b.MulF(b.SIToFP(x, mlir.F32()), b.ConstantFloat(1.0/64, mlir.F32()))
 	default:
 		return g.load(b, ivs, margin)

@@ -14,8 +14,8 @@ import (
 // kernel — module text, directives, and label.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		a := kgen.Generate(seed, kgen.Config{})
-		b := kgen.Generate(seed, kgen.Config{})
+		a := kgen.Generate(seed)
+		b := kgen.Generate(seed)
 		if a.MLIR != b.MLIR {
 			t.Fatalf("seed %d: module text differs between runs", seed)
 		}
@@ -35,7 +35,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // Every generated kernel must satisfy the engine's fresh-module contract:
 // two Build calls return distinct, verifier-clean modules.
 func TestBuildFreshModules(t *testing.T) {
-	k := kgen.Generate(42, kgen.Config{})
+	k := kgen.Generate(42)
 	m1, m2 := k.Build(), k.Build()
 	if m1 == nil || m2 == nil {
 		t.Fatal("Build returned nil")
@@ -67,7 +67,7 @@ func TestCorpusMatchesGenerator(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d listed but unreadable", s)
 		}
-		got := kgen.Generate(s, kgen.Config{}).MLIR
+		got := kgen.Generate(s).MLIR
 		if got != want {
 			t.Errorf("seed %d: generator output drifted from checked-in corpus (regen with UPDATE_KGEN_CORPUS=1)", s)
 		}
@@ -87,7 +87,7 @@ func TestCorpusSmokeBothFlows(t *testing.T) {
 	tgt := hls.DefaultTarget()
 	opts := flow.Options{VerifySemantics: true}
 	for seed := 0; seed < n; seed++ {
-		k := kgen.Generate(int64(seed), kgen.Config{})
+		k := kgen.Generate(int64(seed))
 		if _, err := flow.AdaptorFlowWith(k.Build(), k.Name, k.Directives, tgt, opts); err != nil {
 			t.Fatalf("seed %d (%s): adaptor flow failed under %s: %v", seed, k.Name, k.DirectiveLabel, err)
 		}
@@ -101,7 +101,7 @@ func TestCorpusSmokeBothFlows(t *testing.T) {
 // campaign's findings channel. The failure must localize as KindMiscompile
 // (or KindInjected when the corruption site reports itself).
 func TestInjectedMiscompileDetected(t *testing.T) {
-	k := kgen.Generate(1, kgen.Config{})
+	k := kgen.Generate(1)
 	tgt := hls.DefaultTarget()
 	opts := flow.Options{VerifySemantics: true, InjectMiscompile: "mlir-opt/canonicalize"}
 	_, err := flow.AdaptorFlowWith(k.Build(), k.Name, k.Directives, tgt, opts)

@@ -212,19 +212,6 @@ func (t *Type) SizeBytes() int64 {
 	return 0
 }
 
-// BitWidth returns the scalar bit width (0 for aggregates/void).
-func (t *Type) BitWidth() int {
-	switch t.Kind {
-	case KindInt:
-		return t.Bits
-	case KindFloat:
-		return 32
-	case KindDouble, KindPtr:
-		return 64
-	}
-	return 0
-}
-
 // str renders the type; opaque selects pointer spelling.
 func (t *Type) str(opaque bool) string {
 	if t == nil {

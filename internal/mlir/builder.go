@@ -11,9 +11,6 @@ type Builder struct {
 // NewBuilder returns a builder appending into blk.
 func NewBuilder(blk *Block) *Builder { return &Builder{block: blk} }
 
-// SetInsertionPointToEnd retargets the builder.
-func (b *Builder) SetInsertionPointToEnd(blk *Block) { b.block = blk }
-
 // Block returns the current insertion block.
 func (b *Builder) Block() *Block { return b.block }
 

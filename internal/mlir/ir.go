@@ -20,9 +20,6 @@ type Value struct {
 // Type returns the value's type.
 func (v *Value) Type() *Type { return v.Ty }
 
-// IsBlockArg reports whether v is a block argument.
-func (v *Value) IsBlockArg() bool { return v.Owner != nil }
-
 // Op is a generic operation: a name, SSA operands and results, an attribute
 // dictionary, nested regions, and CFG successors for terminators.
 type Op struct {

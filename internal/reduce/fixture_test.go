@@ -24,7 +24,7 @@ const fixturePath = "testdata/known-bad-bundle.json"
 
 func regenFixture(t *testing.T) {
 	t.Helper()
-	k := kgen.Generate(1, kgen.Config{})
+	k := kgen.Generate(1)
 	opts := flow.Options{InjectMiscompile: "mlir-opt/canonicalize", VerifySemantics: true}
 	_, ferr := flow.AdaptorFlowWith(k.Build(), k.Name, k.Directives, hls.DefaultTarget(), opts)
 	if ferr == nil {

@@ -28,7 +28,7 @@ func injectedOracle(k kgen.Kernel) reduce.FlowOracle {
 // kernel reduces to a strictly smaller kernel that still miscompiles
 // with the same failure kind.
 func TestMLIRReducesInjectedMiscompile(t *testing.T) {
-	k := kgen.Generate(3, kgen.Config{})
+	k := kgen.Generate(3)
 	oracle := injectedOracle(k)
 	match := reduce.Match{Kind: resilience.KindMiscompile}
 	keep := oracle.Keep(match)
@@ -56,7 +56,7 @@ func TestMLIRReducesInjectedMiscompile(t *testing.T) {
 // A predicate nothing satisfies must be rejected up front, not reduced
 // toward: reducing a non-reproducing input would fabricate a repro.
 func TestMLIRRejectsUninterestingInput(t *testing.T) {
-	k := kgen.Generate(4, kgen.Config{})
+	k := kgen.Generate(4)
 	_, err := reduce.MLIR(k.MLIR, func(string) bool { return false }, reduce.Options{})
 	if err != reduce.ErrNotInteresting {
 		t.Fatalf("want ErrNotInteresting, got %v", err)
@@ -85,7 +85,7 @@ func TestReduceDirectives(t *testing.T) {
 // reduce it, and check provenance, shrinkage, and that the reduced
 // bundle reproduces the same failure kind.
 func TestBundleReduction(t *testing.T) {
-	k := kgen.Generate(3, kgen.Config{})
+	k := kgen.Generate(3)
 	oracle := injectedOracle(k)
 	out := oracle.Run(k.MLIR)
 	if out.Failure == nil || out.Failure.Kind != resilience.KindMiscompile {
@@ -134,7 +134,7 @@ func TestBundleReduction(t *testing.T) {
 
 // Measure counts the sizes reduction is judged by.
 func TestMeasure(t *testing.T) {
-	k := kgen.Generate(7, kgen.Config{})
+	k := kgen.Generate(7)
 	s, err := reduce.Measure(k.MLIR)
 	if err != nil {
 		t.Fatal(err)

@@ -118,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 		s.store = store
 		s.pending = pending
 		eopts.ResultStore = store
-		eopts.Incremental = true
 		eopts.IncrStore = units
 	}
 	s.eng = engine.New(eopts)

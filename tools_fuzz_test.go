@@ -118,7 +118,7 @@ func TestReplayExitCodeTable(t *testing.T) {
 	}
 	tools := buildTools(t, "hls-adaptor")
 	dir := t.TempDir()
-	k := kgen.Generate(3, kgen.Config{})
+	k := kgen.Generate(3)
 	tgt := hls.DefaultTarget()
 
 	// Reproduced: a bisected injected miscompile.
@@ -197,7 +197,7 @@ func TestHLSReduceCLIMLIRModeTrailingFlags(t *testing.T) {
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("hls-reduce exit = %d, want 0 (trailing flags dropped?)\n%s", code, errOut)
 	}
-	so, err := reduce.Measure(kgen.Generate(1, kgen.Config{}).MLIR)
+	so, err := reduce.Measure(kgen.Generate(1).MLIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestHLSReduceCLIBundleMode(t *testing.T) {
 	}
 	tools := buildTools(t, "hls-reduce")
 	dir := t.TempDir()
-	k := kgen.Generate(3, kgen.Config{})
+	k := kgen.Generate(3)
 	opts := flow.Options{InjectMiscompile: "mlir-opt/canonicalize", VerifySemantics: true}
 	_, ferr := flow.AdaptorFlowWith(k.Build(), k.Name, k.Directives, hls.DefaultTarget(), opts)
 	b := flow.Bisect(k.Build, "adaptor", k.Name, k.Name, k.Directives, hls.DefaultTarget(), opts, ferr)
