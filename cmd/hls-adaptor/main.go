@@ -27,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -99,7 +98,7 @@ func main() {
 // oracle cannot set up — no recoverable static shapes, an op the
 // interpreter lacks — is an oracle limitation, reported as a warning.
 func verifySemantics(src string, adapted *llvm.Module, topFlag string) {
-	topFn := resolveTop(adapted, topFlag)
+	topFn := core.FindTop(adapted, topFlag)
 	if topFn == nil {
 		fmt.Fprintln(os.Stderr, "hls-adaptor: verify-semantics: cannot resolve the top function; skipping")
 		return
@@ -135,23 +134,6 @@ func verifySemantics(src string, adapted *llvm.Module, topFlag string) {
 	fmt.Fprintln(os.Stderr, "hls-adaptor: verify-semantics: adapted module matches the input (and clears the conformance gate)")
 }
 
-// resolveTop mirrors the adaptor's own top-function resolution: explicit
-// name, else the hls.top attribute, else the only function in the module.
-func resolveTop(m *llvm.Module, name string) *llvm.Function {
-	if name != "" {
-		return m.FindFunc(name)
-	}
-	for _, f := range m.Funcs {
-		if _, ok := f.Attrs["hls.top"]; ok {
-			return f
-		}
-	}
-	if len(m.Funcs) == 1 {
-		return m.Funcs[0]
-	}
-	return nil
-}
-
 // runReplay re-executes a repro bundle through the bisector: the recorded
 // input MLIR replays through the recorded flow kind with isolation,
 // verify-each, and per-pass snapshots, so a reproducing failure is pinned
@@ -166,19 +148,10 @@ func runReplay(path string) int {
 		fmt.Fprintln(os.Stderr, "hls-adaptor: replay: bundle has no input MLIR")
 		return resilience.ReplayExitUnusable
 	}
-	var d flow.Directives
-	if len(b.Directives) > 0 {
-		if err := json.Unmarshal(b.Directives, &d); err != nil {
-			fmt.Fprintln(os.Stderr, "hls-adaptor: replay: bad directives:", err)
-			return resilience.ReplayExitUnusable
-		}
-	}
-	tgt := hls.DefaultTarget()
-	if len(b.Target) > 0 {
-		if err := json.Unmarshal(b.Target, &tgt); err != nil {
-			fmt.Fprintln(os.Stderr, "hls-adaptor: replay: bad target:", err)
-			return resilience.ReplayExitUnusable
-		}
+	d, tgt, err := flow.BundleConfig(b)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hls-adaptor: replay:", err)
+		return resilience.ReplayExitUnusable
 	}
 	if _, err := mlirparser.Parse(b.InputMLIR); err != nil {
 		fmt.Fprintln(os.Stderr, "hls-adaptor: replay: bundle input does not parse:", err)
@@ -193,8 +166,8 @@ func runReplay(path string) int {
 	}
 	fmt.Fprintf(os.Stderr, "hls-adaptor: replaying %s (%s flow, top %s)\n", b.Label, b.Flow, b.Top)
 	fmt.Fprintf(os.Stderr, "hls-adaptor: recorded failure: %v\n", &b.Failure)
-	// Re-arm the bundle's recorded corruption; Bisect itself forces the
-	// semantic oracle on for miscompile-kind failures.
+	// Re-arm the bundle's recorded corruption, which arms the semantic
+	// oracle; Bisect itself arms it for miscompile-kind failures.
 	nb := flow.Bisect(build, b.Flow, b.Label, b.Top, d, tgt,
 		flow.Options{InjectMiscompile: b.Inject}, &b.Failure)
 	if !nb.Reproduced {

@@ -156,10 +156,11 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("-inject-panic wants config:stage/pass, got %q", spec))
 		}
-		eopts.FlowFaultHook = func(job engine.Job, flowName, stage, pass string) {
+		eopts.FlowFaultHook = func(job engine.Job, flowName, stage, pass string) error {
 			if flowName == "adaptor" && job.Label == label && stage+"/"+pass == unit {
 				panic("injected panic at " + spec)
 			}
+			return nil
 		}
 	}
 	if spec := *injectMiscompile; spec != "" {

@@ -17,7 +17,7 @@
 // MLIR mode builds the predicate from flags:
 //
 //	-kind K           failure kind that must be preserved
-//	                  (panic|error|verify|timeout|miscompile|injected;
+//	                  (panic|error|verify|timeout|miscompile;
 //	                  empty = any failure)
 //	-stage S -pass P  pin the failing pipeline unit (default: any)
 //	-diag-check NAME  failure message must contain this diagnostic
@@ -163,7 +163,7 @@ func runMLIR(src string, c mlirConfig) int {
 		Directives: d,
 		Opts: flow.Options{
 			InjectMiscompile: c.inject,
-			VerifySemantics:  c.inject != "" || c.kind == string(resilience.KindMiscompile),
+			VerifySemantics:  c.kind == string(resilience.KindMiscompile),
 		},
 	}
 	m := reduce.Match{

@@ -119,7 +119,7 @@ type Options struct {
 // Adapt rewrites m in place into HLS-readable IR and reports the fixes.
 func Adapt(m *llvm.Module, opts Options) (*Report, error) {
 	rep := &Report{}
-	top := findTop(m, opts.TopFunc)
+	top := FindTop(m, opts.TopFunc)
 	for _, f := range m.Funcs {
 		if f.IsDecl {
 			continue
@@ -149,7 +149,10 @@ func Adapt(m *llvm.Module, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-func findTop(m *llvm.Module, name string) *llvm.Function {
+// FindTop resolves the top function the way Adapt does: the named one,
+// else the function carrying the hls.top attribute, else the module's only
+// function; nil when none fits.
+func FindTop(m *llvm.Module, name string) *llvm.Function {
 	if name != "" {
 		return m.FindFunc(name)
 	}

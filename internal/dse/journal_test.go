@@ -46,13 +46,16 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First run: every odd-indexed configuration dies before evaluating —
+	// First run: every odd-indexed configuration dies at its first unit —
 	// the journal captures only the survivors, write-ahead. Engine workers
 	// call the hook concurrently, so the counters are atomic.
 	var n, killed atomic.Int64
 	eng := engine.New(engine.Options{
 		ContinueOnError: true,
-		InjectFault: func(job engine.Job) error {
+		FlowFaultHook: func(job engine.Job, flowName, stage, pass string) error {
+			if stage != "mlir-opt" || pass != "hls-mark-top" {
+				return nil
+			}
 			if n.Add(1)%2 == 0 {
 				killed.Add(1)
 				return errors.New("injected crash")
@@ -132,10 +135,11 @@ func TestDegradedPointsAreMarked(t *testing.T) {
 	eng := engine.New(engine.Options{
 		ContinueOnError: true,
 		Fallback:        true,
-		FlowFaultHook: func(job engine.Job, flowName, stage, pass string) {
+		FlowFaultHook: func(job engine.Job, flowName, stage, pass string) error {
 			if job.Label == "base" && flowName == "adaptor" && pass == "adaptor" {
 				panic("injected")
 			}
+			return nil
 		},
 	})
 	res, err := ExploreWith(build, "gemm", hls.DefaultTarget(), Options{Engine: eng})

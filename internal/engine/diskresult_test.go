@@ -303,15 +303,15 @@ func TestDegradedNeverPersisted(t *testing.T) {
 	e := New(Options{
 		ResultStore: openResultStore(t, dir),
 		Fallback:    true,
-		InjectFault: func(Job) error {
-			if fail {
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
+			if fail && firstUnit(stage, pass) {
 				return boom
 			}
 			return nil
 		},
 	})
-	// InjectFault fires before the flow runs, so Fallback cannot rescue it:
-	// the job errors, and nothing must persist.
+	// The hook fails the first unit of both flows, so Fallback cannot
+	// rescue the job: it errors, and nothing must persist.
 	rs, err := e.Run(context.Background(), []Job{job})
 	if err == nil {
 		t.Fatal("expected injected failure")

@@ -133,19 +133,12 @@ type Options struct {
 	// Retries is the number of re-executions granted to a job whose
 	// failure is transient (timeout, cancellation, or an injected fault
 	// wrapping one); deterministic failures (panics, verify violations,
-	// ordinary errors) never retry.
+	// ordinary errors) never retry. Retries back off from
+	// resilience.DefaultBase, doubling per attempt with seeded jitter.
 	Retries int
-	// RetryBackoff is the base delay before the first retry, doubling per
-	// attempt with seeded jitter (0 = resilience.DefaultBase).
-	RetryBackoff time.Duration
 	// Seed makes the retry jitter (and anything else randomized in the
 	// engine) reproducible across runs.
 	Seed int64
-	// InjectFault, when non-nil, is consulted at the start of every
-	// execution attempt; a non-nil error becomes that attempt's outcome
-	// without running the flow. Tests drive every recovery path through
-	// it deterministically.
-	InjectFault func(Job) error
 	// Fallback degrades failed adaptor jobs to the C++ baseline flow:
 	// instead of a job error, the result carries the C++ report tagged
 	// Degraded with the direct-path failure attached.
@@ -183,19 +176,20 @@ type Options struct {
 	// to embedded execution; ok=true uses the returned result verbatim
 	// (including a server-side evaluation error, which is the job's
 	// genuine outcome and must not be retried locally). An engine with a
-	// fault hook (InjectFault, FlowFaultHook, MiscompileHook) never
-	// consults it: the daemon cannot run this process's hooks.
+	// fault hook (FlowFaultHook, MiscompileHook) never consults it: the
+	// daemon cannot run this process's hooks.
 	Remote func(Job) (JobResult, bool)
 
 	// FlowFaultHook, when non-nil, is every job's flow.Options.FaultHook,
 	// told which job it runs in, so tests can target one kernel's run of
-	// one pass.
-	FlowFaultHook func(job Job, flowName, stage, pass string)
+	// one pass. A returned error fails that unit, and so the attempt.
+	FlowFaultHook func(job Job, flowName, stage, pass string) error
 	// MiscompileHook, when non-nil, is consulted per job; a non-empty
-	// "stage/pass" return arms a deterministic IR corruption inside that
-	// unit and forces the semantic oracle on for the job, so CI chaos
-	// suites can prove a miscompile in any single job is detected,
-	// localized, and quarantined without poisoning the batch.
+	// "stage/pass" return is the job's flow.Options.InjectMiscompile,
+	// which arms the semantic oracle and a deterministic IR corruption
+	// inside that unit, so CI chaos suites can prove a miscompile in any
+	// single job is detected, localized, and quarantined without
+	// poisoning the batch.
 	MiscompileHook func(Job) string
 }
 
@@ -302,7 +296,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	e := &Engine{
 		opts:    opts,
-		backoff: &resilience.Backoff{Base: opts.RetryBackoff, Seed: opts.Seed},
+		backoff: &resilience.Backoff{Seed: opts.Seed},
 	}
 	if opts.Cache {
 		e.cache = newCache()
@@ -515,7 +509,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]st
 // faultHooked reports whether a fault hook is set: its jobs must run in
 // this process, where the hook can fire.
 func (e *Engine) faultHooked() bool {
-	return e.opts.InjectFault != nil || e.opts.FlowFaultHook != nil || e.opts.MiscompileHook != nil
+	return e.opts.FlowFaultHook != nil || e.opts.MiscompileHook != nil
 }
 
 // execute runs a job's attempt loop: transient failures (timeouts,
@@ -569,11 +563,6 @@ func (e *Engine) quarantine(job Job, res *JobResult) {
 // to reclaim the job's goroutine — on timeout the flow observes
 // cancellation at its next pass boundary and unwinds instead of leaking.
 func (e *Engine) attempt(job Job, timeout time.Duration, seen map[*mlir.Module]string, seenMu *sync.Mutex) JobResult {
-	if e.opts.InjectFault != nil {
-		if err := e.opts.InjectFault(job); err != nil {
-			return JobResult{Label: job.Label, Kind: job.Kind, Err: err}
-		}
-	}
 	if timeout <= 0 {
 		return e.runFlow(context.Background(), job, seen, seenMu)
 	}
@@ -593,11 +582,11 @@ func (e *Engine) attempt(job Job, timeout time.Duration, seen map[*mlir.Module]s
 	}
 }
 
-// flowOptions assembles the job's flow options: isolation is always on (a
-// panic in one job must never take down the batch), the oracle follows the
-// job, and FlowFaultHook specializes the pass-level fault hook to this job.
+// flowOptions assembles the job's flow options: the oracle follows the
+// job, FlowFaultHook specializes the pass-level fault hook to this job, and
+// MiscompileHook names the job's injected miscompile.
 func (e *Engine) flowOptions(job Job) flow.Options {
-	fopts := flow.Options{Isolate: true, VerifySemantics: job.VerifySemantics}
+	fopts := flow.Options{VerifySemantics: job.VerifySemantics}
 	if e.opts.IncrStore != nil {
 		fopts.IncrStore = e.opts.IncrStore
 		// The seed spares every job its pristine module print; it is sound
@@ -607,13 +596,10 @@ func (e *Engine) flowOptions(job Job) flow.Options {
 	}
 	if e.opts.FlowFaultHook != nil {
 		hook := e.opts.FlowFaultHook
-		fopts.FaultHook = func(flowName, stage, pass string) { hook(job, flowName, stage, pass) }
+		fopts.FaultHook = func(flowName, stage, pass string) error { return hook(job, flowName, stage, pass) }
 	}
 	if e.opts.MiscompileHook != nil {
-		if inject := e.opts.MiscompileHook(job); inject != "" {
-			fopts.VerifySemantics = true
-			fopts.InjectMiscompile = inject
-		}
+		fopts.InjectMiscompile = e.opts.MiscompileHook(job)
 	}
 	return fopts
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,18 +14,21 @@ import (
 	"repro/internal/resilience"
 )
 
+// firstUnit reports whether (stage, pass) is the job's first unit, where
+// the fault-hook tests fail an attempt before the flow does any work.
+func firstUnit(stage, pass string) bool { return stage == "mlir-opt" && pass == "hls-mark-top" }
+
 // TestRetryRecoversTransientFault: an injected transient fault consumes
 // attempts until it clears; the job succeeds and the retries are counted.
 func TestRetryRecoversTransientFault(t *testing.T) {
 	jobs := []Job{kernelJob(t, "gemm", flow.Directives{})}
 	var calls atomic.Int32
 	e := New(Options{
-		Retries:      3,
-		RetryBackoff: time.Microsecond,
-		Seed:         1,
-		InjectFault: func(j Job) error {
-			if calls.Add(1) <= 2 {
-				return context.DeadlineExceeded
+		Retries: 3,
+		Seed:    1,
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
+			if firstUnit(stage, pass) && calls.Add(1) <= 2 {
+				return fmt.Errorf("injected: %w", context.DeadlineExceeded)
 			}
 			return nil
 		},
@@ -51,7 +55,10 @@ func TestDeterministicFailureDoesNotRetry(t *testing.T) {
 	var calls atomic.Int32
 	e := New(Options{
 		Retries: 5,
-		InjectFault: func(j Job) error {
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
+			if !firstUnit(stage, pass) {
+				return nil
+			}
 			calls.Add(1)
 			return boom
 		},
@@ -76,7 +83,7 @@ func TestTimeoutInterruptsAtPassBoundary(t *testing.T) {
 	var passesAfter atomic.Int32
 	e := New(Options{
 		Timeout: 50 * time.Millisecond,
-		FlowFaultHook: func(job Job, flowName, stage, pass string) {
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
 			if stage == "llvm-opt" && pass == "constfold" {
 				close(entered)
 				<-release
@@ -84,6 +91,7 @@ func TestTimeoutInterruptsAtPassBoundary(t *testing.T) {
 			if stage == "llvm-opt" && pass == "dce" {
 				passesAfter.Add(1)
 			}
+			return nil
 		},
 	})
 	start := time.Now()
@@ -123,10 +131,11 @@ func TestFallbackAndQuarantine(t *testing.T) {
 	e := New(Options{
 		Fallback:   true,
 		Quarantine: dir,
-		FlowFaultHook: func(job Job, flowName, stage, pass string) {
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
 			if job.Label == "gemm" && flowName == "adaptor" && pass == "adaptor" {
 				panic("injected adaptor crash")
 			}
+			return nil
 		},
 	})
 	jobs := []Job{
@@ -178,10 +187,11 @@ func TestDegradedResultsAreNotCached(t *testing.T) {
 	e := New(Options{
 		Cache:    true,
 		Fallback: true,
-		FlowFaultHook: func(job Job, flowName, stage, pass string) {
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
 			if arm.Load() && flowName == "adaptor" && pass == "adaptor" {
 				panic("injected")
 			}
+			return nil
 		},
 	})
 	job := kernelJob(t, "gemm", flow.Directives{})
@@ -214,19 +224,16 @@ func TestConcurrentStatsUnderDegradedAndRetriedJobs(t *testing.T) {
 		Workers:         4,
 		ContinueOnError: true,
 		Retries:         2,
-		RetryBackoff:    time.Microsecond,
 		Seed:            7,
 		Fallback:        true,
-		InjectFault: func(j Job) error {
-			if v, ok := faults.Load(j.Label); ok && v.(*atomic.Int32).Add(-1) >= 0 {
+		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
+			if v, ok := faults.Load(job.Label); ok && firstUnit(stage, pass) && v.(*atomic.Int32).Add(-1) >= 0 {
 				return context.DeadlineExceeded
 			}
-			return nil
-		},
-		FlowFaultHook: func(job Job, flowName, stage, pass string) {
 			if strings.HasSuffix(job.Label, "#1") && flowName == "adaptor" && pass == "adaptor" {
 				panic("injected degrade")
 			}
+			return nil
 		},
 	})
 	mkJobs := func(tag string) []Job {

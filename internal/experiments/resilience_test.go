@@ -45,11 +45,12 @@ func TestEveryPassPanicIsolatedBisectedDegraded(t *testing.T) {
 			eng := engine.New(engine.Options{
 				Fallback:   true,
 				Quarantine: dir,
-				FlowFaultHook: func(job engine.Job, flowName, stage, pass string) {
+				FlowFaultHook: func(job engine.Job, flowName, stage, pass string) error {
 					if job.Label == "gemm adaptor" && flowName == "adaptor" &&
 						stage == u.Stage && pass == u.Pass {
 						panic("injected panic in " + u.String())
 					}
+					return nil
 				},
 			})
 			cfg := cfgBase

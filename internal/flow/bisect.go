@@ -2,6 +2,8 @@ package flow
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 
 	"repro/internal/hls"
 	"repro/internal/mlir"
@@ -16,6 +18,12 @@ type PipelineUnit struct {
 
 // String renders the unit as "stage/pass" — the form bundles store.
 func (u PipelineUnit) String() string { return u.Stage + "/" + u.Pass }
+
+// named reports whether name is the unit's String form, without building it.
+func (u PipelineUnit) named(name string) bool {
+	return len(name) == len(u.Stage)+1+len(u.Pass) && name[len(u.Stage)] == '/' &&
+		strings.HasPrefix(name, u.Stage) && strings.HasSuffix(name, u.Pass)
+}
 
 // PipelineUnits enumerates every pipeline unit the named flow kind runs
 // under the given directives, in execution order. It reads the unit list
@@ -32,15 +40,14 @@ func PipelineUnits(kind string, d Directives) []PipelineUnit {
 }
 
 // Bisect replays a failed flow to localize the first offending pipeline
-// unit. The replay runs with panic isolation, verify-each (so a pass that
-// silently broke the IR is caught where it ran, not at the downstream
-// symptom), and per-unit IR snapshotting; the result is a self-contained
-// repro bundle carrying the pristine input, the directive configuration,
-// the observed pass list, the pinned failure, and the IR entering the
-// offending unit. orig is the original run's failure, kept when the
-// replay does not reproduce (a transient failure). base carries the
-// caller's hooks — notably FaultHook, so injected faults reproduce — and
-// an optional Ctx bounding the replay.
+// unit. The replay runs with verify-each (so a pass that silently broke the
+// IR is caught where it ran, not at the downstream symptom) and per-unit
+// IR snapshotting; the result is a self-contained repro bundle carrying
+// the pristine input, the directive configuration, the observed pass list,
+// the pinned failure, and the IR entering the offending unit. orig is the
+// original run's failure, kept when the replay does not reproduce (a
+// transient failure). base carries the caller's hooks — notably FaultHook,
+// so injected faults reproduce — and an optional Ctx bounding the replay.
 func Bisect(build func() *mlir.Module, kind, label, top string, d Directives,
 	tgt hls.Target, base Options, orig error) *resilience.Bundle {
 
@@ -70,11 +77,10 @@ func Bisect(build func() *mlir.Module, kind, label, top string, d Directives,
 	b.InputMLIR = input.Print()
 
 	ropts := base
-	ropts.Isolate = true
 	ropts.VerifyEach = true
 	ropts.Fallback = nil
-	// A miscompile only reproduces under the oracle; arm it (and any
-	// recorded deterministic corruption) for the replay.
+	// A miscompile the oracle caught only reproduces under the oracle; a
+	// recorded injection arms it by itself.
 	if b.Failure.Kind == resilience.KindMiscompile {
 		ropts.VerifySemantics = true
 	}
@@ -107,4 +113,22 @@ func Bisect(build func() *mlir.Module, kind, label, top string, d Directives,
 	b.Reproduced = true
 	b.SnapshotIR = snaps[pf.Stage+"/"+pf.Pass]
 	return b
+}
+
+// BundleConfig decodes the directives and synthesis target a repro bundle
+// recorded; a bundle without a target ran at hls.DefaultTarget().
+func BundleConfig(b *resilience.Bundle) (Directives, hls.Target, error) {
+	var d Directives
+	if len(b.Directives) > 0 {
+		if err := json.Unmarshal(b.Directives, &d); err != nil {
+			return d, hls.Target{}, fmt.Errorf("bundle directives: %w", err)
+		}
+	}
+	tgt := hls.DefaultTarget()
+	if len(b.Target) > 0 {
+		if err := json.Unmarshal(b.Target, &tgt); err != nil {
+			return d, tgt, fmt.Errorf("bundle target: %w", err)
+		}
+	}
+	return d, tgt, nil
 }

@@ -52,18 +52,13 @@ type Options struct {
 	// in a leaked goroutine.
 	Ctx context.Context
 
-	// Isolate runs every pipeline unit, with the checks that follow it,
-	// inside a recovery boundary: a panic anywhere in a pass, the
-	// translation, the adaptor, synthesis or a check comes back as a
-	// *resilience.PassFailure (stage, pass, kind, stack) instead of killing
-	// the process.
-	Isolate bool
-
 	// FaultHook, when non-nil, is called inside each unit's recovery
 	// boundary just before the unit body with (flow, stage, pass) — the
-	// deterministic fault-injection point the resilience tests use (a
-	// panicking hook is attributed to the unit it targeted).
-	FaultHook func(flow, stage, pass string)
+	// deterministic fault-injection point the resilience tests use. A
+	// returned error fails the unit, typed like any error a unit returns
+	// (a wrapped context.DeadlineExceeded is a transient timeout), and a
+	// panicking hook is a panic failure of the unit it targeted.
+	FaultHook func(flow, stage, pass string) error
 
 	// Observer, when non-nil, receives the IR entering every pipeline unit
 	// as (stage, pass, ir) — MLIR text through the MLIR stages, LLVM text
@@ -80,20 +75,20 @@ type Options struct {
 	Fallback func() *mlir.Module
 
 	// VerifySemantics runs the differential-execution oracle: a reference
-	// execution of the pristine kernel is captured before the first pass,
-	// and the evolving IR is re-executed and compared against it after
-	// every pipeline unit (integers bitwise, floats within a ULP
-	// tolerance). The first divergence fails the flow with a typed
-	// KindMiscompile failure naming the unit that introduced it — the
-	// -verify-semantics flag of the cmd tools.
+	// execution of the kernel is captured from the run's own module just
+	// before the first unit that executes live, and the evolving IR is
+	// re-executed and compared against it after every pipeline unit
+	// (integers bitwise, floats within a ULP tolerance). The first
+	// divergence fails the flow with a typed KindMiscompile failure naming
+	// the unit that introduced it — the -verify-semantics flag of the cmd
+	// tools.
 	VerifySemantics bool
 
-	// InjectMiscompile, when set to "stage/pass", deterministically
-	// corrupts the IR immediately after the named unit completes (first
-	// float add becomes a subtract), so the unit's own oracle check — and
-	// only it — must catch the wrong answer. Recorded in repro bundles so
-	// -replay re-arms the same corruption. Requires VerifySemantics to
-	// have any observable effect beyond the corruption itself.
+	// InjectMiscompile, when set to "stage/pass", arms the oracle and
+	// deterministically corrupts the IR immediately after the named unit
+	// completes (first float add becomes a subtract), so the unit's own
+	// oracle check — and only it — must catch the wrong answer. Recorded
+	// in repro bundles so -replay re-arms the same corruption.
 	InjectMiscompile string
 
 	// IncrStore, when non-nil, memoizes the run per unit: every pipeline
@@ -119,8 +114,8 @@ type Options struct {
 	// disjoint record chains.
 	IncrSeed string
 
-	// sem is the constructed per-run oracle, populated by the flow entry
-	// points when VerifySemantics is set and shared across the run's
+	// sem is the per-run oracle, armed by the flow entry points under
+	// VerifySemantics or InjectMiscompile and shared across the run's
 	// stages (including the degraded C++ rerun, whose kernel has the same
 	// reference semantics).
 	sem *semOracle
@@ -327,9 +322,7 @@ func AdaptorFlow(m *mlir.Module, top string, d Directives, tgt hls.Target) (*Res
 // AdaptorFlowWith is AdaptorFlow with explicit options.
 func AdaptorFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts Options) (*Result, error) {
 	r := newRunner("adaptor", m, top, opts)
-	if err := r.arm(); err != nil {
-		return nil, fmt.Errorf("adaptor flow: %w", err)
-	}
+	r.arm()
 	if err := r.run(r.units("adaptor", d, tgt)); err != nil {
 		return degradeOrFail(r.opts, top, d, tgt, err)
 	}
@@ -377,10 +370,8 @@ func CxxFlow(m *mlir.Module, top string, d Directives, tgt hls.Target) (*Result,
 // CxxFlowWith is CxxFlow with explicit options.
 func CxxFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts Options) (*Result, error) {
 	r := newRunner("cxx", m, top, opts)
-	err := r.arm()
-	if err == nil {
-		err = r.run(r.units("cxx", d, tgt))
-	}
+	r.arm()
+	err := r.run(r.units("cxx", d, tgt))
 	if err == nil && r.memo != nil {
 		// A replayed tail leaves the module behind the cursor; the Result
 		// must carry the real final module. The cold path runs no verify
@@ -399,9 +390,9 @@ func RawFlow(m *mlir.Module, top string, d Directives) ([]hls.Violation, *llvm.M
 	return RawFlowWith(m, top, d, Options{})
 }
 
-// RawFlowWith is RawFlow with explicit options (resilience boundaries
-// included, so engine-run raw jobs cannot crash the process either). It is
-// never memoized: its product is the violation list, not pipeline IR.
+// RawFlowWith is RawFlow with explicit options. It is never memoized and
+// never oracle-checked: its product is the violation list, not pipeline
+// IR.
 func RawFlowWith(m *mlir.Module, top string, d Directives, opts Options) ([]hls.Violation, *llvm.Module, error) {
 	r := newRunner("raw", m, top, opts)
 	if err := r.run(r.units("raw", d, hls.Target{})); err != nil {

@@ -50,8 +50,7 @@ func (o Options) memoEnabled() bool {
 // newMemoRun starts the cursor on a pristine module. With an IncrSeed the
 // module is never printed — the cursor starts from the seed's digest
 // (domain-separated from content digests) and bytes stay empty until the
-// first replay or live print fills them. Without a seed, the one Print
-// here doubles as the pristine snapshot the lazy semantic oracle captures.
+// first replay or live print fills them.
 func newMemoRun(flowName, top string, opts Options, m *mlir.Module) *memoRun {
 	cfg := fmt.Sprintf("flow=%s|top=%s|verify=%t|sem=%t",
 		flowName, top, opts.VerifyEach, opts.VerifySemantics)
@@ -63,22 +62,29 @@ func newMemoRun(flowName, top string, opts Options, m *mlir.Module) *memoRun {
 }
 
 // lookup keys the unit on the cursor and replays its record when the store
-// holds a usable one. Otherwise it brings the IR the unit reads up to date
-// with the cursor, so the unit can run live.
-func (r *runner) lookup(u *unit) (key string, replayed bool, err error) {
+// holds a usable one.
+func (r *runner) lookup(u *unit) (key string, replayed bool) {
 	c := r.memo
 	key = incr.UnitKey(c.cfg, u.String(), u.params, c.hash)
 	if rec, ok := c.store.Get(key); ok && r.replay(u, rec) {
 		c.hits++
-		return key, true, nil
+		return key, true
 	}
-	if c.stale {
-		if err := r.materialize(u.in, c.bytes); err != nil {
-			return key, false, fmt.Errorf("incr: materialize before %s: %w", u, err)
-		}
-		c.stale = false
+	return key, false
+}
+
+// catchUp brings the IR a unit reads up to date with the cursor after
+// replayed units left it behind, so the unit can run live.
+func (r *runner) catchUp(u *unit) error {
+	c := r.memo
+	if c == nil || !c.stale {
+		return nil
 	}
-	return key, false, nil
+	if err := r.materialize(u.in, c.bytes); err != nil {
+		return fmt.Errorf("incr: materialize before %s: %w", u, err)
+	}
+	c.stale = false
+	return nil
 }
 
 // replay applies one stored record. A record that cannot be applied (torn

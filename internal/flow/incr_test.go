@@ -2,7 +2,9 @@ package flow
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/mlir/passes"
 	"repro/internal/polybench"
 	"repro/internal/raceflag"
+	"repro/internal/resilience"
 )
 
 // compareRuns asserts a warm (incremental) result is observably identical
@@ -152,12 +155,12 @@ func TestIncrementalOracleVerdictsMatch(t *testing.T) {
 
 	// Same directives with the oracle on must not reuse the unchecked
 	// records: every unit re-runs under the stricter regime.
-	opts := Options{IncrStore: store, VerifySemantics: true, Isolate: true}
+	opts := Options{IncrStore: store, VerifySemantics: true}
 	checked := runFlow(t, "adaptor", k, d, opts)
 	if checked.UnitHits != 0 {
 		t.Fatalf("oracle-checked run replayed %d units recorded without checks", checked.UnitHits)
 	}
-	cold := runFlow(t, "adaptor", k, d, Options{VerifySemantics: true, Isolate: true})
+	cold := runFlow(t, "adaptor", k, d, Options{VerifySemantics: true})
 	compareRuns(t, "oracle cold vs first incremental", cold, checked)
 
 	warm := runFlow(t, "adaptor", k, d, opts)
@@ -186,6 +189,72 @@ func TestIncrementalOracleVerdictsMatch(t *testing.T) {
 	again := runFlow(t, "adaptor", k, d, opts)
 	if again.UnitMisses != 0 {
 		t.Fatalf("store poisoned: clean rerun executed %d units", again.UnitMisses)
+	}
+}
+
+// orderedStore remembers the keys a run stores, in unit order.
+type orderedStore struct {
+	incr.Store
+	keys []string
+}
+
+func (s *orderedStore) Put(key string, rec incr.Record) error {
+	s.keys = append(s.keys, key)
+	return s.Store.Put(key, rec)
+}
+
+// poisonedStore serves the records of units before cut with every
+// arith.addf turned into arith.subf, and hides the records from cut on.
+type poisonedStore struct {
+	incr.Store
+	unit          map[string]int // key -> index of the unit that stored it
+	cut, poisoned int
+}
+
+func (s *poisonedStore) Get(key string) (incr.Record, bool) {
+	if i, ok := s.unit[key]; !ok || i >= s.cut {
+		return incr.Record{}, false
+	}
+	rec, ok := s.Store.Get(key)
+	if ok && strings.Contains(rec.IR, "arith.addf") {
+		rec.IR = strings.ReplaceAll(rec.IR, "arith.addf", "arith.subf")
+		s.poisoned++
+	}
+	return rec, ok
+}
+
+// TestOracleReferenceIsPristineUnderPoisonedReplay pins where a memoized
+// run takes the oracle's reference: from the module the run started from,
+// never from a replayed record. The warm run replays corrupted affine-level
+// records up to lowering/affine-to-scf, which runs live on them, and its
+// check must report the miscompile there. A reference taken from the
+// materialized records would agree with the corruption and pass the run.
+func TestOracleReferenceIsPristineUnderPoisonedReplay(t *testing.T) {
+	k := polybench.Get("gemm")
+	d := Directives{Pipeline: true, II: 1}
+	cut := -1
+	for i, u := range PipelineUnits("adaptor", d) {
+		if u.String() == "lowering/affine-to-scf" {
+			cut = i
+		}
+	}
+	for _, seed := range []string{"", "gemm|MINI"} {
+		cold := &orderedStore{Store: incr.NewMemStore()}
+		runFlow(t, "adaptor", k, d, Options{IncrStore: cold, IncrSeed: seed, VerifySemantics: true})
+		store := &poisonedStore{Store: cold.Store, unit: map[string]int{}, cut: cut}
+		for i, key := range cold.keys {
+			store.unit[key] = i
+		}
+		s, err := k.SizeOf("MINI")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{IncrStore: store, IncrSeed: seed, VerifySemantics: true}
+		_, err = AdaptorFlowWith(k.Build(s), k.Name, d, hls.DefaultTarget(), opts)
+		if store.poisoned == 0 {
+			t.Fatalf("seed %q: fixture: no replayed record held an arith.addf", seed)
+		}
+		wantFailure(t, fmt.Sprintf("seed %q", seed), err, resilience.KindMiscompile, "lowering", "affine-to-scf")
 	}
 }
 
@@ -275,8 +344,8 @@ func TestIncrementalDiskStoreWarmStart(t *testing.T) {
 // TestIncrementalSeededRuns covers the printless cursor: a caller-supplied
 // IncrSeed (the engine derives one per job) skips the pristine print, keys
 // a chain disjoint from content-addressed runs, and still produces results
-// byte-identical to cold — with the oracle on too, since the lazy harness
-// must fall back to printing the pristine snapshot itself.
+// byte-identical to cold — with the oracle on too, whose reference the
+// first live unit takes from the unprinted module itself.
 func TestIncrementalSeededRuns(t *testing.T) {
 	k := polybench.Get("gemm")
 	d := Directives{Pipeline: true, II: 1, Unroll: 2}
@@ -284,8 +353,8 @@ func TestIncrementalSeededRuns(t *testing.T) {
 		for _, sem := range []bool{false, true} {
 			store := incr.NewMemStore()
 			opts := Options{IncrStore: store,
-				IncrSeed: "gemm|MINI", VerifySemantics: sem, Isolate: sem}
-			cold := runFlow(t, kind, k, d, Options{VerifySemantics: sem, Isolate: sem})
+				IncrSeed: "gemm|MINI", VerifySemantics: sem}
+			cold := runFlow(t, kind, k, d, Options{VerifySemantics: sem})
 			first := runFlow(t, kind, k, d, opts)
 			compareRuns(t, kind+" seeded first", cold, first)
 			if first.UnitHits != 0 {

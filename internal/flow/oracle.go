@@ -4,64 +4,37 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/hls"
 	"repro/internal/llvm"
 	"repro/internal/mlir"
-	"repro/internal/mlir/parser"
 	"repro/internal/oracle"
 	"repro/internal/resilience"
 )
 
 // semOracle is the per-run differential-execution state behind
-// Options.VerifySemantics: one reference execution captured from the
-// pristine module, checked against the evolving IR after every pipeline
-// unit. A divergence comes back as a typed *resilience.PassFailure with
-// KindMiscompile naming the unit that introduced it — the semantic twin of
-// Bisect's crash localization — so it flows into the quarantine /
-// repro-bundle / -replay machinery unchanged.
+// Options.VerifySemantics and Options.InjectMiscompile: one reference
+// execution of the module the run started from, checked against the
+// evolving IR after every pipeline unit. A divergence comes back as a typed
+// *resilience.PassFailure with KindMiscompile naming the unit that
+// introduced it — the semantic twin of Bisect's crash localization — so it
+// flows into the quarantine / repro-bundle / -replay machinery unchanged.
 type semOracle struct {
-	h *oracle.Harness
-	// inject, when "stage/pass", deterministically corrupts the IR
-	// immediately after that unit completes and before its oracle check —
-	// the fixture that proves detection, localization, and replay.
-	inject string
+	// h is the reference harness, nil until the first live unit captures
+	// it; err is a failed capture's error, which every later capture on
+	// the oracle returns.
+	h   *oracle.Harness
+	err error
 	// ctx is the flow's context (Options.Ctx); a running check stops when
 	// it is done.
 	ctx context.Context
-
-	// Lazy capture state (incremental runs): pristine holds the module
-	// text the reference execution derives from, parsed and executed only
-	// when a live unit actually asks for a check — a fully replayed run
-	// never pays for the reference execution.
-	pristine string
-	top      string
-	once     sync.Once
-	initErr  error
 }
 
-// newSemOracle captures the reference execution. The module must still be
-// pristine; flows construct it before the first pass runs.
-func newSemOracle(m *mlir.Module, top string, opts Options) (*semOracle, error) {
-	h, err := oracle.New(m, top)
-	if err != nil {
-		return nil, resilience.NewFailure("oracle", "reference", resilience.KindError, err)
-	}
-	return &semOracle{h: h, inject: opts.InjectMiscompile, ctx: checkContext(opts)}, nil
-}
-
-// newLazySemOracle defers the reference execution until the first live
-// unit check. pristine is the module text before any pass ran — the same
-// snapshot the incremental cursor starts from.
-func newLazySemOracle(pristine, top string, opts Options) *semOracle {
-	return &semOracle{
-		inject:   opts.InjectMiscompile,
-		ctx:      checkContext(opts),
-		pristine: pristine,
-		top:      top,
-	}
-}
+// errCapturePanicked is what a capture that panicked leaves behind: the
+// panic itself fails the unit it preceded, and every later capture on the
+// oracle (the C++ fallback shares it) fails with this error instead of
+// checking against a nil harness.
+var errCapturePanicked = errors.New("reference capture panicked")
 
 // checkContext is the context oracle checks run under.
 func checkContext(opts Options) context.Context {
@@ -71,39 +44,17 @@ func checkContext(opts Options) context.Context {
 	return context.TODO()
 }
 
-// harness returns the reference harness, capturing it on first use for a
-// lazily constructed oracle. Failures keep the eager path's attribution
-// (oracle/reference, KindError): an uncapturable reference is an oracle
-// limitation, never a miscompile.
-func (s *semOracle) harness() (*oracle.Harness, error) {
-	s.once.Do(func() {
-		if s.h != nil { // eagerly constructed
-			return
-		}
-		m, err := parser.Parse(s.pristine)
-		if err != nil {
-			s.initErr = err
-			return
-		}
-		s.h, s.initErr = oracle.New(m, s.top)
-	})
-	if s.h == nil {
-		err := s.initErr
-		if err == nil {
-			// The capture panicked, and sync.Once counts a panicking
-			// function as done: every later check fails here instead of
-			// using a nil harness.
-			err = errors.New("reference capture panicked")
-		}
-		return nil, resilience.NewFailure("oracle", "reference", resilience.KindError, err)
+// capture takes the reference execution of top from m, which must be the
+// module before any unit rewrote it, unless the oracle already holds one.
+// A failure is kept and returned again by every later capture. The caller
+// runs it inside the oracle/reference boundary, which types the error: an
+// uncapturable reference is an oracle limitation, never a miscompile.
+func (s *semOracle) capture(m *mlir.Module, top string) error {
+	if s.h == nil && s.err == nil {
+		s.err = errCapturePanicked
+		s.h, s.err = oracle.New(m, top)
 	}
-	return s.h, nil
-}
-
-// capture takes the reference execution if it is not yet taken.
-func (s *semOracle) capture() error {
-	_, err := s.harness()
-	return err
+	return s.err
 }
 
 // failure types an oracle check error: wrong answers (divergence, trap,
@@ -124,20 +75,9 @@ func (s *semOracle) failure(stage, pass string, err error) error {
 	return resilience.NewFailure(stage, pass, kind, err)
 }
 
-// afterMLIR checks the module after an MLIR-level unit (nil receiver = the
-// oracle is off).
+// afterMLIR checks the module after an MLIR-level unit.
 func (s *semOracle) afterMLIR(stage, pass string, m *mlir.Module) error {
-	if s == nil {
-		return nil
-	}
-	if s.inject == stage+"/"+pass {
-		corruptMLIR(m)
-	}
-	h, err := s.harness()
-	if err != nil {
-		return err
-	}
-	if err := h.CheckMLIRContext(s.ctx, m); err != nil {
+	if err := s.h.CheckMLIRContext(s.ctx, m); err != nil {
 		return s.failure(stage, pass, err)
 	}
 	return nil
@@ -145,23 +85,13 @@ func (s *semOracle) afterMLIR(stage, pass string, m *mlir.Module) error {
 
 // afterLLVM checks the module after an LLVM-level unit.
 func (s *semOracle) afterLLVM(stage, pass string, lm *llvm.Module) error {
-	if s == nil {
-		return nil
-	}
-	if s.inject == stage+"/"+pass {
-		corruptLLVM(lm)
-	}
-	h, err := s.harness()
-	if err != nil {
-		return err
-	}
-	if err := h.CheckLLVMContext(s.ctx, lm); err != nil {
+	if err := s.h.CheckLLVMContext(s.ctx, lm); err != nil {
 		return s.failure(stage, pass, err)
 	}
 	return nil
 }
 
-// corruptMLIR applies a deterministic wrong-rewrite to the module: the
+// corruptMLIR is Options.InjectMiscompile's deterministic wrong rewrite: the
 // first arith.addf becomes arith.subf (falling back to mulf→addf), a
 // change that keeps the IR verifiable while changing what it computes.
 func corruptMLIR(m *mlir.Module) {

@@ -95,7 +95,6 @@ func TestInjectedMiscompileSweep(t *testing.T) {
 		t.Run(u.String(), func(t *testing.T) {
 			opts := Options{
 				VerifySemantics:  true,
-				Isolate:          true,
 				InjectMiscompile: u.String(),
 			}
 			_, err := AdaptorFlowWith(build(), "gemm", d, tgt, opts)
@@ -116,6 +115,29 @@ func TestInjectedMiscompileSweep(t *testing.T) {
 	}
 }
 
+// TestInjectedMiscompileArmsOracle: an injected miscompile arms the oracle
+// by itself. Without VerifySemantics it is still caught as a miscompile at
+// the unit it names, in both flows.
+func TestInjectedMiscompileArmsOracle(t *testing.T) {
+	build := gemmBuilder(t)
+	tgt := hls.DefaultTarget()
+	for _, c := range []struct{ kind, unit string }{
+		{"adaptor", "llvm-opt/cse"},
+		{"adaptor", "mlir-opt/canonicalize"},
+		{"cxx", "c-frontend/c-frontend"},
+	} {
+		opts := Options{InjectMiscompile: c.unit}
+		var err error
+		if c.kind == "cxx" {
+			_, err = CxxFlowWith(build(), "gemm", Directives{}, tgt, opts)
+		} else {
+			_, err = AdaptorFlowWith(build(), "gemm", Directives{}, tgt, opts)
+		}
+		stage, pass, _ := strings.Cut(c.unit, "/")
+		wantFailure(t, c.kind+" "+c.unit, err, resilience.KindMiscompile, stage, pass)
+	}
+}
+
 // TestMiscompileBisectAndReplay closes the quarantine loop: a miscompile
 // bisects into a bundle that records the injection, reproduces, and
 // replays to the same unit — the path hls-adaptor -replay drives.
@@ -124,7 +146,7 @@ func TestMiscompileBisectAndReplay(t *testing.T) {
 	d := richDirectives()
 	tgt := hls.DefaultTarget()
 	const target = "llvm-opt/strength-reduce"
-	opts := Options{VerifySemantics: true, Isolate: true, InjectMiscompile: target}
+	opts := Options{VerifySemantics: true, InjectMiscompile: target}
 	_, err := AdaptorFlowWith(build(), "gemm", d, tgt, opts)
 	if err == nil {
 		t.Fatal("injected miscompile went undetected")
@@ -213,8 +235,8 @@ func TestOracleCheckHonoursDeadline(t *testing.T) {
 		{"llvm", func(sem *semOracle) error { return sem.afterLLVM("llvm-opt", "dce", lspin) }},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		sem, err := newSemOracle(k.Build(s), k.Name, Options{Ctx: ctx})
-		if err != nil {
+		sem := &semOracle{ctx: ctx}
+		if err := sem.capture(k.Build(s), k.Name); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()

@@ -2,6 +2,8 @@ package flow
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,16 +73,16 @@ func TestPipelineUnitsMatchObserver(t *testing.T) {
 	}
 }
 
-// TestIsolateConvertsPanic: with Isolate, an injected panic in any unit
-// surfaces as a typed failure naming that unit.
+// TestIsolateConvertsPanic: an injected panic in any unit surfaces as a
+// typed failure naming that unit.
 func TestIsolateConvertsPanic(t *testing.T) {
 	build := gemmBuilder(t)
 	opts := Options{
-		Isolate: true,
-		FaultHook: func(flow, stage, pass string) {
+		FaultHook: func(flow, stage, pass string) error {
 			if flow == "adaptor" && pass == "strength-reduce" {
 				panic("injected: slice bounds out of range")
 			}
+			return nil
 		},
 	}
 	_, err := AdaptorFlowWith(build(), "gemm", Directives{}, hls.DefaultTarget(), opts)
@@ -93,6 +95,61 @@ func TestIsolateConvertsPanic(t *testing.T) {
 	}
 }
 
+// TestFaultHookFailuresAreTyped: every flow entry point runs its units
+// isolated, with no option to ask for it. A FaultHook that panics, returns
+// a wrapped deadline or returns a plain error at a unit fails exactly that
+// unit with a typed panic, transient timeout or deterministic error, and
+// no later unit runs.
+func TestFaultHookFailuresAreTyped(t *testing.T) {
+	build := gemmBuilder(t)
+	boom := errors.New("injected hook error")
+	for _, c := range []struct {
+		name      string
+		fault     func() error
+		kind      resilience.FailureKind
+		transient bool
+	}{
+		{"panic", func() error { panic("injected hook panic") }, resilience.KindPanic, false},
+		{"deadline", func() error { return fmt.Errorf("injected: %w", context.DeadlineExceeded) }, resilience.KindTimeout, true},
+		{"error", func() error { return boom }, resilience.KindError, false},
+	} {
+		for _, kind := range []string{"adaptor", "cxx", "raw"} {
+			var fired bool
+			var after []string
+			opts := Options{FaultHook: func(flow, stage, pass string) error {
+				switch {
+				case fired:
+					after = append(after, stage+"/"+pass)
+				case stage == "mlir-opt" && pass == "canonicalize":
+					fired = true
+					return c.fault()
+				}
+				return nil
+			}}
+			var err error
+			switch kind {
+			case "adaptor":
+				_, err = AdaptorFlowWith(build(), "gemm", Directives{}, hls.DefaultTarget(), opts)
+			case "cxx":
+				_, err = CxxFlowWith(build(), "gemm", Directives{}, hls.DefaultTarget(), opts)
+			default:
+				_, _, err = RawFlowWith(build(), "gemm", Directives{}, opts)
+			}
+			label := kind + " " + c.name
+			wantFailure(t, label, err, c.kind, "mlir-opt", "canonicalize")
+			if resilience.Transient(err) != c.transient {
+				t.Errorf("%s: transient = %t, want %t", label, !c.transient, c.transient)
+			}
+			if c.name == "error" && !errors.Is(err, boom) {
+				t.Errorf("%s: cause chain lost the hook's error: %v", label, err)
+			}
+			if len(after) > 0 {
+				t.Errorf("%s: units after the failed one ran: %v", label, after)
+			}
+		}
+	}
+}
+
 // TestFallbackDegradesToCxx: a deterministic direct-path failure degrades
 // to the C++ flow; the degraded report is identical to a plain C++ run and
 // the direct-path failure rides along.
@@ -101,12 +158,12 @@ func TestFallbackDegradesToCxx(t *testing.T) {
 	d := Directives{Pipeline: true, II: 1}
 	tgt := hls.DefaultTarget()
 	opts := Options{
-		Isolate:  true,
 		Fallback: build,
-		FaultHook: func(flow, stage, pass string) {
+		FaultHook: func(flow, stage, pass string) error {
 			if flow == "adaptor" && pass == "adaptor" {
 				panic("injected adaptor crash")
 			}
+			return nil
 		},
 	}
 	res, err := AdaptorFlowWith(build(), "gemm", d, tgt, opts)
@@ -134,7 +191,7 @@ func TestNoFallbackOnTransientFailure(t *testing.T) {
 	build := gemmBuilder(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := Options{Isolate: true, Ctx: ctx, Fallback: build}
+	opts := Options{Ctx: ctx, Fallback: build}
 	res, err := AdaptorFlowWith(build(), "gemm", Directives{}, hls.DefaultTarget(), opts)
 	if err == nil || res != nil {
 		t.Fatalf("canceled flow must error, got res=%v err=%v", res, err)
@@ -150,12 +207,13 @@ func TestBisectPinsInjectedPass(t *testing.T) {
 	build := gemmBuilder(t)
 	d := richDirectives()
 	tgt := hls.DefaultTarget()
-	hook := func(flow, stage, pass string) {
+	hook := func(flow, stage, pass string) error {
 		if flow == "adaptor" && pass == "affine-loop-unroll" {
 			panic("injected unroll crash")
 		}
+		return nil
 	}
-	_, orig := AdaptorFlowWith(build(), "gemm", d, tgt, Options{Isolate: true, FaultHook: hook})
+	_, orig := AdaptorFlowWith(build(), "gemm", d, tgt, Options{FaultHook: hook})
 	if orig == nil {
 		t.Fatal("fault did not fire")
 	}

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -78,29 +77,16 @@ func newRunner(flowName string, m *mlir.Module, top string, opts Options) *runne
 	return &runner{flow: flowName, top: top, opts: opts, m: m, phases: Phases{}, start: time.Now()}
 }
 
-// arm starts the run's memo cursor and semantic oracle. The reference
-// execution is captured here from the pristine module, or, when the run
-// memoizes, at the first live check: a fully replayed run never pays for it.
-func (r *runner) arm() error {
+// arm starts the run's memo cursor, and arms the semantic oracle under
+// VerifySemantics or an InjectMiscompile. The reference execution is taken
+// later, before the first unit that executes live.
+func (r *runner) arm() {
 	if r.opts.memoEnabled() {
 		r.memo = newMemoRun(r.flow, r.top, r.opts, r.m)
 	}
-	if !r.opts.VerifySemantics || r.opts.sem != nil {
-		return nil
+	if r.opts.sem == nil && (r.opts.VerifySemantics || r.opts.InjectMiscompile != "") {
+		r.opts.sem = &semOracle{ctx: checkContext(r.opts)}
 	}
-	if r.memo != nil {
-		// A seeded cursor skipped the pristine print; take it here.
-		pristine := r.memo.bytes
-		if pristine == "" {
-			pristine = r.m.Print()
-		}
-		r.opts.sem = newLazySemOracle(pristine, r.top, r.opts)
-		return nil
-	}
-	return r.guard("oracle", "reference", func() (err error) {
-		r.opts.sem, err = newSemOracle(r.m, r.top, r.opts)
-		return err
-	})
 }
 
 // run executes the units in order and stops at the first failure.
@@ -122,27 +108,36 @@ func (r *runner) run(units []unit) error {
 // unit applies every cross-cutting concern to one unit, in a fixed order:
 // the context check at the boundary; then, inside one recovery boundary,
 // the Observer snapshot, the FaultHook, the memo lookup (a replay skips
-// everything after it), the body and the unit's checks; last, the memo
-// store, so only a unit that passed its checks leaves a record. Its time
-// accumulates into the unit's stage.
+// everything after it), the oracle's reference capture, the catch-up of
+// IR a replayed prefix left behind, the body and the unit's checks; last,
+// the memo store, so only a unit that passed its checks leaves a record.
+// Its time accumulates into the unit's stage.
 func (r *runner) unit(u *unit) error {
 	start := time.Now()
 	err := resilience.Interrupted(r.opts.Ctx, u.Stage, u.Pass)
 	if err == nil {
-		err = r.guard(u.Stage, u.Pass, func() error {
+		err = resilience.Guard(u.Stage, u.Pass, func() error {
 			if r.opts.Observer != nil {
 				r.opts.Observer(u.Stage, u.Pass, r.print(u.in))
 			}
 			if r.opts.FaultHook != nil {
-				r.opts.FaultHook(r.flow, u.Stage, u.Pass)
+				if err := r.opts.FaultHook(r.flow, u.Stage, u.Pass); err != nil {
+					return err
+				}
 			}
 			var key string
 			if r.memo != nil {
-				k, replayed, err := r.lookup(u)
-				if replayed || err != nil {
-					return err
+				k, replayed := r.lookup(u)
+				if replayed {
+					return nil
 				}
 				key = k
+			}
+			if err := r.reference(); err != nil {
+				return err
+			}
+			if err := r.catchUp(u); err != nil {
+				return err
 			}
 			if err := u.run(); err != nil {
 				return err
@@ -160,22 +155,16 @@ func (r *runner) unit(u *unit) error {
 	return err
 }
 
-// guard runs fn inside the recovery boundary under Options.Isolate, where
-// every failure comes back as a *resilience.PassFailure attributed to
-// (stage, pass). Without Isolate a panic propagates, and an untyped error
-// is wrapped with the unit's name.
-func (r *runner) guard(stage, pass string, fn func() error) error {
-	if r.opts.Isolate {
-		return resilience.Guard(stage, pass, fn)
-	}
-	err := fn()
-	if err == nil {
+// reference takes the oracle's reference execution before the first unit
+// that executes live, inside its own boundary. Replayed units never touch
+// r.m and catchUp has not yet refilled it, so it is still the module the
+// run started from.
+func (r *runner) reference() error {
+	sem := r.opts.sem
+	if sem == nil || sem.h != nil {
 		return nil
 	}
-	if _, typed := resilience.AsPassFailure(err); typed {
-		return err
-	}
-	return fmt.Errorf("%s/%s: %w", stage, pass, err)
+	return resilience.Guard("oracle", "reference", func() error { return sem.capture(r.m, r.top) })
 }
 
 // check runs the unit's checks on the IR it leaves, or on the IR it read
@@ -201,11 +190,15 @@ func (r *runner) check(u *unit) error {
 	if u.checks&checkOracle == 0 || sem == nil {
 		return nil
 	}
-	if err := r.guard("oracle", "reference", sem.capture); err != nil {
-		return err
-	}
+	inject := u.named(r.opts.InjectMiscompile)
 	if at == mlirIR {
+		if inject {
+			corruptMLIR(r.m)
+		}
 		return sem.afterMLIR(u.Stage, u.Pass, r.m)
+	}
+	if inject {
+		corruptLLVM(r.lm)
 	}
 	return sem.afterLLVM(u.Stage, u.Pass, r.lm)
 }
@@ -245,7 +238,7 @@ func (r *runner) print(l level) string {
 // accepted subset, or the adaptor has a bug.
 func (r *runner) leaveLLVMOpt() error {
 	start := time.Now()
-	err := r.guard("llvm-opt", "verify", func() error {
+	err := resilience.Guard("llvm-opt", "verify", func() error {
 		if r.memo != nil && r.memo.stale {
 			return r.memo.finalize(&r.lm, true)
 		}
@@ -258,7 +251,7 @@ func (r *runner) leaveLLVMOpt() error {
 	if err != nil {
 		return err
 	}
-	return r.guard("conformance", "conformance", func() error { return conformanceGate(r.lm) })
+	return resilience.Guard("conformance", "conformance", func() error { return conformanceGate(r.lm) })
 }
 
 // result assembles the flow's Result.

@@ -90,27 +90,25 @@ var passStages = []string{"mlir-opt", "llvm-opt"}
 func TestRunnerStopsAtBoundaryWhenCanceled(t *testing.T) {
 	for _, stage := range passStages {
 		t.Run(stage, func(t *testing.T) {
-			for _, isolate := range []bool{false, true} {
-				var ran []string
-				ctx, cancel := context.WithCancel(context.Background())
-				r, at := levelRunner(t, stage, Options{Ctx: ctx, Isolate: isolate})
-				mark := func(name string, then func()) unit {
-					return synthetic(stage, name, at, at, 0, func() error {
-						ran = append(ran, name)
-						if then != nil {
-							then()
-						}
-						return nil
-					})
-				}
-				err := r.run([]unit{mark("first", nil), mark("canceler", cancel), mark("after", nil)})
-				wantFailure(t, fmt.Sprintf("isolate=%t", isolate), err, resilience.KindCanceled, stage, "after")
-				if !errors.Is(err, context.Canceled) {
-					t.Errorf("isolate=%t: cause chain must expose context.Canceled", isolate)
-				}
-				if len(ran) != 2 || ran[1] != "canceler" {
-					t.Errorf("isolate=%t: units past the cancellation boundary ran: %v", isolate, ran)
-				}
+			var ran []string
+			ctx, cancel := context.WithCancel(context.Background())
+			r, at := levelRunner(t, stage, Options{Ctx: ctx})
+			mark := func(name string, then func()) unit {
+				return synthetic(stage, name, at, at, 0, func() error {
+					ran = append(ran, name)
+					if then != nil {
+						then()
+					}
+					return nil
+				})
+			}
+			err := r.run([]unit{mark("first", nil), mark("canceler", cancel), mark("after", nil)})
+			wantFailure(t, stage, err, resilience.KindCanceled, stage, "after")
+			if !errors.Is(err, context.Canceled) {
+				t.Error("cause chain must expose context.Canceled")
+			}
+			if len(ran) != 2 || ran[1] != "canceler" {
+				t.Errorf("units past the cancellation boundary ran: %v", ran)
 			}
 		})
 	}
@@ -126,7 +124,7 @@ func TestRunnerIsolatesPanickingBody(t *testing.T) {
 	}
 	for _, stage := range passStages {
 		t.Run(stage, func(t *testing.T) {
-			r, at := levelRunner(t, stage, Options{Isolate: true})
+			r, at := levelRunner(t, stage, Options{})
 			err := r.run([]unit{synthetic(stage, "ok", at, at, 0, noop), synthetic(stage, "bomb", at, at, 0, bomb)})
 			if f := wantFailure(t, stage, err, resilience.KindPanic, stage, "bomb"); f.Stack == "" {
 				t.Error("panic stack not captured")
@@ -140,7 +138,7 @@ func TestRunnerIsolatesPanickingBody(t *testing.T) {
 // recovery boundary — for the verifier, verify-each and the oracle at
 // either IR level, and for the reference capture.
 func TestRunnerIsolatesPanickingCheck(t *testing.T) {
-	opts := Options{Isolate: true, VerifyEach: true, VerifySemantics: true}
+	opts := Options{VerifyEach: true, VerifySemantics: true}
 	dropMLIR := func(r *runner) func() error { return func() error { r.m.Op = nil; return nil } }
 	dropLLVM := func(r *runner) func() error { return func() error { r.lm = nil; return nil } }
 	for _, c := range []struct {
@@ -163,8 +161,8 @@ func TestRunnerIsolatesPanickingCheck(t *testing.T) {
 		}, true},
 	} {
 		if c.oracle {
-			sem, err := newSemOracle(gemmRunner(t, Options{}).m, "gemm", opts)
-			if err != nil {
+			sem := &semOracle{ctx: context.TODO()}
+			if err := sem.capture(gemmRunner(t, Options{}).m, "gemm"); err != nil {
 				t.Fatal(err)
 			}
 			c.r.opts.sem = sem
@@ -174,76 +172,61 @@ func TestRunnerIsolatesPanickingCheck(t *testing.T) {
 		wantFailure(t, c.name, err, resilience.KindPanic, u.Stage, u.Pass)
 	}
 
-	// The eager reference capture runs inside its own boundary.
+	// The reference capture before the first live unit runs inside its own
+	// boundary. A capture that panicked is kept, so the next unit on the
+	// same oracle (the C++ fallback shares it) fails at oracle/reference
+	// too instead of checking against a nil harness.
 	r := gemmRunner(t, opts)
+	r.arm()
+	sem := r.opts.sem
 	r.m.Op = nil
-	wantFailure(t, "reference", r.arm(), resilience.KindPanic, "oracle", "reference")
-
-	// So does the lazy capture, here on a module whose reference execution
-	// allocates a buffer of dynamic shape. sync.Once counts the panicking
-	// capture as done, so the next check on the same oracle (the C++
-	// fallback shares it) must fail at oracle/reference instead of checking
-	// against a nil harness.
-	const dynamicAlloc = "module {\n  func.func @gemm(%arg0: memref<4xf32>) {\n" +
-		"    %a = memref.alloc() : memref<?xf32>\n    func.return\n  }\n}\n"
-	sem := newLazySemOracle(dynamicAlloc, "gemm", opts)
-	for _, kind := range []resilience.FailureKind{resilience.KindPanic, resilience.KindError} {
-		r := gemmRunner(t, opts)
-		r.opts.sem = sem
-		err := r.run([]unit{synthetic("mlir-opt", "noop", mlirIR, mlirIR, checkOracle, noop)})
-		wantFailure(t, "lazy reference", err, kind, "oracle", "reference")
-	}
+	u := synthetic("mlir-opt", "noop", mlirIR, mlirIR, checkOracle, noop)
+	wantFailure(t, "reference", r.run([]unit{u}), resilience.KindPanic, "oracle", "reference")
+	r = gemmRunner(t, opts)
+	r.opts.sem = sem
+	wantFailure(t, "shared reference", r.run([]unit{u}), resilience.KindError, "oracle", "reference")
 }
 
 // TestRunnerTypesVerifyFailures: a verifier or lint-invariant violation is
-// a verify failure naming the unit that left it, with or without Isolate.
+// a verify failure naming the unit that left it.
 func TestRunnerTypesVerifyFailures(t *testing.T) {
-	for _, isolate := range []bool{false, true} {
-		opts := Options{Isolate: isolate, VerifyEach: true}
-		label := fmt.Sprintf("isolate=%t", isolate)
+	opts := Options{VerifyEach: true}
+	r := gemmRunner(t, opts)
+	dropTerminator := synthetic("mlir-opt", "breaker", mlirIR, mlirIR, checkVerify, func() error {
+		breakMLIR(r.m)
+		return nil
+	})
+	wantFailure(t, "mlir", r.run([]unit{dropTerminator}), resilience.KindVerify, "mlir-opt", "breaker")
 
-		r := gemmRunner(t, opts)
-		dropTerminator := synthetic("mlir-opt", "breaker", mlirIR, mlirIR, checkVerify, func() error {
-			breakMLIR(r.m)
-			return nil
-		})
-		wantFailure(t, label+" mlir", r.run([]unit{dropTerminator}), resilience.KindVerify, "mlir-opt", "breaker")
-
-		// Swapping an instruction above the definition it uses breaks
-		// dominance, which the verifier misses and the lint invariants
-		// catch.
-		r = llvmRunner(t, opts)
-		breakSSA := synthetic("llvm-opt", "break-ssa", llvmIR, llvmIR, checkEach, func() error {
-			for _, b := range r.lm.FindFunc("gemm").Blocks {
-				for i := 1; i < len(b.Instrs); i++ {
-					for _, a := range b.Instrs[i].Args {
-						if a == b.Instrs[i-1] {
-							b.Instrs[i-1], b.Instrs[i] = b.Instrs[i], b.Instrs[i-1]
-							return nil
-						}
+	// Swapping an instruction above the definition it uses breaks
+	// dominance, which the verifier misses and the lint invariants catch.
+	r = llvmRunner(t, opts)
+	breakSSA := synthetic("llvm-opt", "break-ssa", llvmIR, llvmIR, checkEach, func() error {
+		for _, b := range r.lm.FindFunc("gemm").Blocks {
+			for i := 1; i < len(b.Instrs); i++ {
+				for _, a := range b.Instrs[i].Args {
+					if a == b.Instrs[i-1] {
+						b.Instrs[i-1], b.Instrs[i] = b.Instrs[i], b.Instrs[i-1]
+						return nil
 					}
 				}
 			}
-			return errors.New("no adjacent def-use pair to swap")
-		})
-		wantFailure(t, label+" llvm", r.run([]unit{breakSSA}), resilience.KindVerify, "llvm-opt", "break-ssa")
-	}
+		}
+		return errors.New("no adjacent def-use pair to swap")
+	})
+	wantFailure(t, "llvm", r.run([]unit{breakSSA}), resilience.KindVerify, "llvm-opt", "break-ssa")
 }
 
 // TestRunnerPassesTypedOracleFailureThrough: a miscompile the oracle
 // reports is already typed, and keeps its kind and attribution through the
 // recovery boundary.
 func TestRunnerPassesTypedOracleFailureThrough(t *testing.T) {
-	for _, isolate := range []bool{false, true} {
-		r := gemmRunner(t, Options{Isolate: isolate, VerifySemantics: true, InjectMiscompile: "mlir-opt/noop"})
-		if err := r.arm(); err != nil {
-			t.Fatal(err)
-		}
-		err := r.run([]unit{synthetic("mlir-opt", "noop", mlirIR, mlirIR, checkOracle, noop)})
-		wantFailure(t, fmt.Sprintf("isolate=%t", isolate), err, resilience.KindMiscompile, "mlir-opt", "noop")
-		if _, direct := err.(*resilience.PassFailure); !direct {
-			t.Errorf("isolate=%t: oracle failure was wrapped: %v", isolate, err)
-		}
+	r := gemmRunner(t, Options{VerifySemantics: true, InjectMiscompile: "mlir-opt/noop"})
+	r.arm()
+	err := r.run([]unit{synthetic("mlir-opt", "noop", mlirIR, mlirIR, checkOracle, noop)})
+	wantFailure(t, "oracle", err, resilience.KindMiscompile, "mlir-opt", "noop")
+	if _, direct := err.(*resilience.PassFailure); !direct {
+		t.Errorf("oracle failure was wrapped: %v", err)
 	}
 }
 
@@ -255,18 +238,18 @@ func TestRunnerHooksRunInsideGuard(t *testing.T) {
 		t.Run(stage, func(t *testing.T) {
 			var events []string
 			opts := Options{
-				Isolate: true,
 				Observer: func(stage, pass, ir string) {
 					events = append(events, "observe "+pass)
 					if pass == "observer-bomb" {
 						panic("injected observer fault")
 					}
 				},
-				FaultHook: func(flow, stage, pass string) {
+				FaultHook: func(flow, stage, pass string) error {
 					events = append(events, "fault "+pass)
 					if pass == "hook-bomb" {
 						panic("injected fault")
 					}
+					return nil
 				},
 			}
 			body := func(name string) func() error {
@@ -294,9 +277,7 @@ func memoRunner(t *testing.T, store incr.Store, opts Options) *runner {
 	t.Helper()
 	opts.IncrStore, opts.IncrSeed = store, "gemm|MINI"
 	r := gemmRunner(t, opts)
-	if err := r.arm(); err != nil {
-		t.Fatal(err)
-	}
+	r.arm()
 	return r
 }
 
@@ -307,7 +288,7 @@ func TestRunnerRecordsOnlyCheckedUnits(t *testing.T) {
 	store := incr.NewMemStore()
 	for run := 1; run <= 2; run++ {
 		bodies := 0
-		r := memoRunner(t, store, Options{Isolate: true})
+		r := memoRunner(t, store, Options{})
 		clean := synthetic("mlir-opt", "clean", mlirIR, mlirIR, checkVerify, noop)
 		broken := synthetic("mlir-opt", "breaker", mlirIR, mlirIR, checkVerify, func() error {
 			bodies++

@@ -98,8 +98,7 @@ func TestCorpusSmokeBothFlows(t *testing.T) {
 }
 
 // Injected miscompiles must be observable on kgen kernels — the fuzz
-// campaign's findings channel. The failure must localize as KindMiscompile
-// (or KindInjected when the corruption site reports itself).
+// campaign's findings channel. The failure must localize as KindMiscompile.
 func TestInjectedMiscompileDetected(t *testing.T) {
 	k := kgen.Generate(1)
 	tgt := hls.DefaultTarget()
@@ -112,7 +111,7 @@ func TestInjectedMiscompileDetected(t *testing.T) {
 	if !ok {
 		t.Fatalf("want PassFailure, got %T: %v", err, err)
 	}
-	if pf.Kind != resilience.KindMiscompile && pf.Kind != resilience.KindInjected {
-		t.Fatalf("want miscompile/injected kind, got %s: %v", pf.Kind, err)
+	if pf.Kind != resilience.KindMiscompile {
+		t.Fatalf("want miscompile kind, got %s: %v", pf.Kind, err)
 	}
 }

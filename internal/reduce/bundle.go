@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/flow"
-	"repro/internal/hls"
 	"repro/internal/mlir"
 	"repro/internal/mlir/parser"
 	"repro/internal/resilience"
@@ -27,25 +26,15 @@ func Bundle(b *resilience.Bundle, o Options) (*resilience.Bundle, Result, error)
 	if b.InputMLIR == "" {
 		return nil, Result{}, fmt.Errorf("reduce: bundle has no input MLIR")
 	}
-	var d flow.Directives
-	if len(b.Directives) > 0 {
-		if err := json.Unmarshal(b.Directives, &d); err != nil {
-			return nil, Result{}, fmt.Errorf("reduce: bundle directives: %w", err)
-		}
-	}
-	tgt := hls.DefaultTarget()
-	if len(b.Target) > 0 {
-		if err := json.Unmarshal(b.Target, &tgt); err != nil {
-			return nil, Result{}, fmt.Errorf("reduce: bundle target: %w", err)
-		}
+	d, tgt, err := flow.BundleConfig(b)
+	if err != nil {
+		return nil, Result{}, fmt.Errorf("reduce: %w", err)
 	}
 	// Re-arm everything the original failure needed: the recorded
-	// injection, and the semantic oracle for miscompile-kind failures
+	// injection, and the semantic oracle for a miscompile it caught
 	// (Bisect does the same when replaying).
-	base := flow.Options{InjectMiscompile: b.Inject}
-	if b.Failure.Kind == resilience.KindMiscompile || b.Inject != "" {
-		base.VerifySemantics = true
-	}
+	base := flow.Options{InjectMiscompile: b.Inject,
+		VerifySemantics: b.Failure.Kind == resilience.KindMiscompile}
 	oracle := FlowOracle{Flow: b.Flow, Top: b.Top, Directives: d, Target: tgt, Opts: base}
 	match := Match{Kind: b.Failure.Kind}
 

@@ -64,8 +64,8 @@ func TestKnownBadFixture(t *testing.T) {
 	if b.Inject == "" {
 		t.Fatal("fixture lost its recorded injection")
 	}
-	if b.Failure.Kind != resilience.KindMiscompile && b.Failure.Kind != resilience.KindInjected {
-		t.Fatalf("fixture failure kind = %s, want miscompile/injected", b.Failure.Kind)
+	if b.Failure.Kind != resilience.KindMiscompile {
+		t.Fatalf("fixture failure kind = %s, want miscompile", b.Failure.Kind)
 	}
 	if testing.Short() {
 		t.Skip("fixture reduction in short mode")

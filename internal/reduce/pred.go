@@ -18,7 +18,7 @@ type Outcome struct {
 }
 
 // FlowOracle runs a candidate module through one flow and classifies the
-// result — the predicate backend for flow-failure reduction. Runs are
+// result — the predicate backend for flow-failure reduction. Flow runs are
 // isolated (panics become typed failures, conformance diagnostics become
 // verify failures at the "conformance" stage) so every way a flow can go
 // wrong surfaces as a matchable Outcome.
@@ -33,7 +33,7 @@ type FlowOracle struct {
 	Target hls.Target
 	// Opts carries base flow options — notably InjectMiscompile and
 	// VerifySemantics, so injected and oracle-caught failures reproduce
-	// during reduction. Isolate is forced on.
+	// during reduction.
 	Opts flow.Options
 }
 
@@ -48,7 +48,6 @@ func (fo FlowOracle) Run(text string) Outcome {
 		tgt = hls.DefaultTarget()
 	}
 	opts := fo.Opts
-	opts.Isolate = true
 	opts.Fallback = nil
 	var ferr error
 	switch fo.Flow {

@@ -6,14 +6,11 @@ import (
 	"time"
 )
 
-// Backoff computes retry delays: exponential doubling from Base with a
-// deterministic seeded jitter in [0, 50%) of the step, capped at Max. A
-// zero value is usable and yields DefaultBase/DefaultMax. Seeding makes
-// retry schedules reproducible across runs — the same property the
-// engine's fault-injection tests rely on.
+// Backoff computes retry delays: exponential doubling from DefaultBase
+// with a deterministic seeded jitter in [0, 50%) of the step, capped at
+// DefaultMax. Seeding makes retry schedules reproducible across runs — the
+// same property the engine's fault-injection tests rely on.
 type Backoff struct {
-	Base time.Duration
-	Max  time.Duration
 	Seed int64
 
 	mu  sync.Mutex
@@ -29,22 +26,15 @@ const (
 // Delay returns the pause before retry attempt (1-based): attempt 1 is the
 // first retry after the initial failure.
 func (b *Backoff) Delay(attempt int) time.Duration {
-	base, max := b.Base, b.Max
-	if base <= 0 {
-		base = DefaultBase
-	}
-	if max <= 0 {
-		max = DefaultMax
-	}
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	d := DefaultBase
+	for i := 1; i < attempt && d < DefaultMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > DefaultMax {
+		d = DefaultMax
 	}
 	b.mu.Lock()
 	if b.rng == nil {

@@ -29,8 +29,6 @@ const (
 	KindTimeout FailureKind = "timeout"
 	// KindCanceled is an external cancellation observed at a unit boundary.
 	KindCanceled FailureKind = "canceled"
-	// KindInjected is a deterministic test-injected fault.
-	KindInjected FailureKind = "injected"
 	// KindMiscompile is a semantic divergence caught by the differential
 	// oracle: the unit completed, the IR verifies and schedules, and it
 	// computes the wrong answer. Deterministic — never retried, always

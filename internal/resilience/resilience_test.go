@@ -132,21 +132,20 @@ func TestBundleRejectsFutureVersion(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	mk := func() *Backoff {
-		return &Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 42}
-	}
+	mk := func() *Backoff { return &Backoff{Seed: 42} }
 	a, b := mk(), mk()
-	for attempt := 1; attempt <= 6; attempt++ {
+	// DefaultBase doubles past DefaultMax by attempt 9, so the later
+	// attempts exercise the cap.
+	for attempt := 1; attempt <= 10; attempt++ {
 		da, db := a.Delay(attempt), b.Delay(attempt)
 		if da != db {
 			t.Fatalf("attempt %d: same seed diverged: %s vs %s", attempt, da, db)
 		}
-		if da < time.Millisecond || da > 12*time.Millisecond {
+		if da < DefaultBase || da > DefaultMax*3/2 {
 			t.Errorf("attempt %d: delay %s outside [base, 1.5*max]", attempt, da)
 		}
 	}
-	if mk().Delay(1) == (&Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 7}).Delay(3) &&
-		mk().Delay(1) == (&Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 7}).Delay(1) {
+	if mk().Delay(1) == (&Backoff{Seed: 7}).Delay(3) && mk().Delay(1) == (&Backoff{Seed: 7}).Delay(1) {
 		t.Log("seeds may collide on one sample; not a failure")
 	}
 	var zero Backoff
