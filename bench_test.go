@@ -25,6 +25,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/hls"
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 	"repro/internal/llvm/interp"
 	llparser "repro/internal/llvm/parser"
 	"repro/internal/mlir"
@@ -372,6 +373,47 @@ func BenchmarkSynthesize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIRChecks measures the checks every flow repeats per function:
+// the LLVM verifier plus the CFG, dominator and loop analyses over the
+// compile-pairs module mix, and the MLIR verifier over the 18 kernels'
+// SMALL modules. ns/op and allocs/op are per-module averages.
+func BenchmarkIRChecks(b *testing.B) {
+	if err := loadSynthMix(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("llvm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := synthMix.mods[i%len(synthMix.mods)]
+			if err := m.Verify(); err != nil {
+				b.Fatal(err)
+			}
+			for _, f := range m.Funcs {
+				if !f.IsDecl {
+					cfg := analysis.NewCFG(f)
+					analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
+				}
+			}
+		}
+	})
+	var mods []*mlir.Module
+	for _, k := range polybench.All() {
+		s, err := k.SizeOf("SMALL")
+		if err != nil {
+			b.Fatal(err)
+		}
+		mods = append(mods, k.Build(s))
+	}
+	b.Run("mlir", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := mods[i%len(mods)].Verify(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkInterpGemm(b *testing.B) {

@@ -221,11 +221,19 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 
 	case mlir.OpAddI, mlir.OpAddF, mlir.OpSubI, mlir.OpSubF, mlir.OpMulI,
 		mlir.OpMulF, mlir.OpDivSI, mlir.OpDivF, mlir.OpRemSI:
-		sym := map[string]string{
-			mlir.OpAddI: "+", mlir.OpAddF: "+", mlir.OpSubI: "-", mlir.OpSubF: "-",
-			mlir.OpMulI: "*", mlir.OpMulF: "*", mlir.OpDivSI: "/", mlir.OpDivF: "/",
-			mlir.OpRemSI: "%",
-		}[op.Name]
+		var sym string
+		switch op.Name {
+		case mlir.OpAddI, mlir.OpAddF:
+			sym = "+"
+		case mlir.OpSubI, mlir.OpSubF:
+			sym = "-"
+		case mlir.OpMulI, mlir.OpMulF:
+			sym = "*"
+		case mlir.OpDivSI, mlir.OpDivF:
+			sym = "/"
+		case mlir.OpRemSI:
+			sym = "%"
+		}
 		ct, err := ctype(op.Result(0).Type())
 		if err != nil {
 			return err

@@ -54,7 +54,7 @@ func singleLoop(t *testing.T, trip, n int64,
 	}
 	cfg := analysis.NewCFG(f)
 	li := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
-	l := li.ByHeader[h]
+	l := li.ByHeader(h)
 	if l == nil {
 		t.Fatal("fixture loop not recovered")
 	}
@@ -277,7 +277,7 @@ func doubleLoop(t *testing.T, trip int64,
 	}
 	cfg := analysis.NewCFG(f)
 	li := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
-	outer, inner := li.ByHeader[hi], li.ByHeader[hj]
+	outer, inner := li.ByHeader(hi), li.ByHeader(hj)
 	if outer == nil || inner == nil {
 		t.Fatal("fixture nest not recovered")
 	}
@@ -366,7 +366,7 @@ func singleLoopMIV(t *testing.T) nestFixture {
 	li := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
 	return nestFixture{
 		eng:   deptest.New(f, li, nil),
-		outer: li.ByHeader[hi], inner: li.ByHeader[hj], st: st, ld: ld,
+		outer: li.ByHeader(hi), inner: li.ByHeader(hj), st: st, ld: ld,
 	}
 }
 

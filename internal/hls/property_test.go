@@ -194,7 +194,7 @@ func TestPropertyCriticalPathBound(t *testing.T) {
 			chain := map[interface{}]int64{}
 			var longest int64
 			for _, in := range blk.Instrs {
-				c := s.cost[s.instrID[in]]
+				c := s.cost[s.instrNum(in)]
 				best := int64(0)
 				for _, a := range in.Args {
 					if v, ok := chain[a]; ok && v > best {

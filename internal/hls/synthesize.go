@@ -119,12 +119,11 @@ type synth struct {
 	cfg *analysis.CFG
 	li  *analysis.LoopInfo
 
-	// Block b (numbered over f.Blocks) holds instructions first[b] through
-	// first[b+1]-1, numbered in f.Blocks order.
-	blockID map[*llvm.Block]int32
-	instrID map[*llvm.Instr]int32
-	instrs  []*llvm.Instr
-	first   []int32
+	// Blocks and instructions carry the layout numbers the CFG had f
+	// write: block b holds instructions first[b] through first[b+1]-1,
+	// and instrs[i] is instruction i.
+	instrs []*llvm.Instr
+	first  []int32
 	// Per instruction: its cost with address folding and inferred widths
 	// applied, its operands' numbers (-1 for anything but an instruction of
 	// f) in args[argOff[i]:argOff[i+1]], its load/store base number (-1
@@ -216,19 +215,13 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 		}
 	}
 	nb := len(f.Blocks)
-	s.blockID = make(map[*llvm.Block]int32, nb)
-	s.instrID = make(map[*llvm.Instr]int32, n)
 	s.instrs = make([]*llvm.Instr, 0, n)
 	s.first = make([]int32, nb+1)
 	s.argOff = make([]int32, n+1)
 	s.args = make([]int32, 0, nargs)
 	for bi, b := range f.Blocks {
-		s.blockID[b] = int32(bi)
 		s.first[bi] = int32(len(s.instrs))
-		for _, in := range b.Instrs {
-			s.instrID[in] = int32(len(s.instrs))
-			s.instrs = append(s.instrs, in)
-		}
+		s.instrs = append(s.instrs, b.Instrs...)
 	}
 	s.first[nb] = int32(n)
 	for i, in := range s.instrs {
@@ -236,9 +229,7 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 		for _, a := range in.Args {
 			j := int32(-1)
 			if ai, ok := a.(*llvm.Instr); ok {
-				if id, ok := s.instrID[ai]; ok {
-					j = id
-				}
+				j = s.instrNum(ai)
 			}
 			s.args = append(s.args, j)
 		}
@@ -336,12 +327,29 @@ func (s *synth) price() {
 	s.areaCost = make([]OpCost, na)
 }
 
+// instrNum returns in's number, or -1 when f does not hold it.
+func (s *synth) instrNum(in *llvm.Instr) int32 {
+	if i := in.ID; i >= 0 && int(i) < len(s.instrs) && s.instrs[i] == in {
+		return i
+	}
+	return -1
+}
+
+// blockNum returns b's number, or 0 for a block f does not hold (a branch
+// target outside f, which the verifier rejects).
+func (s *synth) blockNum(b *llvm.Block) int32 {
+	if i := b.ID; i >= 0 && int(i) < len(s.f.Blocks) && s.f.Blocks[i] == b {
+		return i
+	}
+	return 0
+}
+
 // operands returns the numbers of instruction i's operands.
 func (s *synth) operands(i int32) []int32 { return s.args[s.argOff[i]:s.argOff[i+1]] }
 
 // latency is an instruction's pipeline depth from the cost table.
 func (s *synth) latency(in *llvm.Instr) int {
-	if i, ok := s.instrID[in]; ok {
+	if i := s.instrNum(in); i >= 0 {
 		return s.cost[i].Latency
 	}
 	return s.tgt.CostOf(in).Latency
@@ -401,7 +409,7 @@ func (s *synth) dataflowLatency(seqLatency int64) (int64, bool) {
 	type access struct{ reads, writes map[llvm.Value]bool }
 	accOf := func(l *analysis.Loop) access {
 		a := access{reads: map[llvm.Value]bool{}, writes: map[llvm.Value]bool{}}
-		for b := range l.Blocks {
+		for _, b := range l.Blocks() {
 			for _, in := range b.Instrs {
 				switch in.Op {
 				case llvm.OpLoad:
@@ -475,7 +483,7 @@ outer:
 				continue outer
 			}
 		}
-		body = append(body, s.blockID[b])
+		body = append(body, s.blockNum(b))
 	}
 	s.body = body
 	return body
@@ -607,7 +615,7 @@ func (s *synth) recMII(l *analysis.Loop, body []int32) int {
 // perfectNestLevel reports whether l's body consists only of the child loop
 // plus loop control (the condition for loop_flatten to apply).
 func (s *synth) perfectNestLevel(l, child *analysis.Loop) bool {
-	for b := range l.Blocks {
+	for _, b := range l.Blocks() {
 		if child.Contains(b) {
 			continue
 		}
@@ -654,7 +662,7 @@ func (s *synth) longestPath(self int32, start *llvm.Block) int64 {
 		return 0
 	}
 	s.pass++
-	return s.longestFrom(s.nodeOf(s.blockID[start], self), self)
+	return s.longestFrom(s.nodeOf(s.blockNum(start), self), self)
 }
 
 // nodeOf returns block b's node in self's DAG: the last loop nested directly
@@ -721,7 +729,7 @@ func (s *synth) edgeTo(n int32, sb *llvm.Block, self int32) int64 {
 			return 0
 		}
 	}
-	sn := s.nodeOf(s.blockID[sb], self)
+	sn := s.nodeOf(s.blockNum(sb), self)
 	if sn == n {
 		return 0
 	}
@@ -739,7 +747,7 @@ func (s *synth) exitsOf(l *analysis.Loop) []int32 {
 		}
 		for _, sb := range b.Succs() {
 			if !l.Contains(sb) {
-				s.exits = append(s.exits, s.blockID[sb])
+				s.exits = append(s.exits, s.blockNum(sb))
 			}
 		}
 	}

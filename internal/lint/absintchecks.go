@@ -107,7 +107,7 @@ func checkUnreachableCode(ctx *FuncContext) diag.Diagnostics {
 		d := ctx.diag(diag.SevWarning, check, b, nil,
 			fmt.Sprintf("block %%%s can never execute: every branch to it has a constant condition selecting the other arm", b.Name),
 			"delete the dead block or fix the branch condition")
-		for _, p := range ctx.CFG.Preds[b] {
+		for _, p := range ctx.CFG.Preds(b) {
 			if c, ok := sccp.BranchConst(p); ok {
 				d.Explanation = fmt.Sprintf("the branch condition in predecessor %%%s is the constant %d", p.Name, c)
 				break

@@ -86,7 +86,7 @@ func checkUninitLoad(ctx *FuncContext) diag.Diagnostics {
 			changed = false
 			for _, b := range ctx.CFG.Order {
 				inb := false
-				for _, p := range ctx.CFG.Preds[b] {
+				for _, p := range ctx.CFG.Preds(b) {
 					if outB[p] {
 						inb = true
 						break

@@ -8,84 +8,153 @@ import (
 	"repro/internal/llvm"
 )
 
-// CFG caches predecessor/successor relations of a function.
+// CFG caches predecessor/successor relations of a function. Its tables are
+// indexed by block number: f's blocks carry the layout numbers NewCFG has
+// f.Renumber write, and any block outside f that the CFG meets (a branch
+// target that f does not hold, or a block reached through one) is numbered
+// after them in the order it is met. A lookup trusts a block's ID only when
+// the CFG's snapshot holds that block under it, and otherwise scans the
+// snapshot, so every block gets the answer it had when the CFG was built:
+// a detached or foreign block, and one f dropped or renumbered since.
+//
+// NewCFG renumbers f, so building a CFG needs the same exclusive access to
+// the module as a pass.
 type CFG struct {
 	F     *llvm.Function
-	Preds map[*llvm.Block][]*llvm.Block
 	Order []*llvm.Block // reverse postorder from entry
-	index map[*llvm.Block]int
+
+	// blocks[i] is the block numbered i: f.Blocks as of NewCFG, then the
+	// blocks outside f.
+	blocks []*llvm.Block
+	// Block i's predecessors are preds[predOff[i]:predOff[i+1]]; blocks
+	// numbered at or past len(predOff)-1 have none.
+	predOff []int32
+	preds   []*llvm.Block
+	// rpo holds each block's position in Order, or -1 when it is
+	// unreachable.
+	rpo []int32
 }
 
 // NewCFG computes the CFG for f.
 func NewCFG(f *llvm.Function) *CFG {
+	f.Renumber()
 	n := len(f.Blocks)
-	c := &CFG{F: f, Preds: make(map[*llvm.Block][]*llvm.Block, n), index: make(map[*llvm.Block]int, n)}
-	// Count each block's predecessors in index, then lay the predecessor
-	// lists out in one array.
+	c := &CFG{F: f, blocks: make([]*llvm.Block, n)}
+	copy(c.blocks, f.Blocks)
+	// Number the branch targets outside f, then lay the predecessor lists
+	// out in one array.
 	edges := 0
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			c.index[s]++
+			if c.num(s) < 0 {
+				c.blocks = append(c.blocks, s)
+			}
 			edges++
 		}
 	}
-	all := make([]*llvm.Block, edges)
-	for s, k := range c.index {
-		c.Preds[s] = all[:0:k]
-		all = all[k:]
-	}
+	nb := len(c.blocks)
+	slab := make([]int32, 2*nb+1)
+	c.predOff, c.rpo = slab[:nb+1], slab[nb+1:]
+	// Count each list's length at its index, sum the counts into list ends,
+	// then fill every list backwards from its end, so it starts in block
+	// order.
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			c.Preds[s] = append(c.Preds[s], b)
+			c.predOff[c.num(s)]++
 		}
 	}
-	clear(c.index)
-	// Reverse postorder via iterative DFS; index marks the blocks seen
-	// until the numbering below overwrites it.
-	post := make([]*llvm.Block, 0, n)
-	type frame struct {
-		b *llvm.Block
-		i int
+	for i := 1; i <= nb; i++ {
+		c.predOff[i] += c.predOff[i-1]
 	}
+	c.preds = make([]*llvm.Block, edges)
+	for bi := n - 1; bi >= 0; bi-- {
+		b := f.Blocks[bi]
+		succs := b.Succs()
+		for si := len(succs) - 1; si >= 0; si-- {
+			i := c.num(succs[si])
+			c.predOff[i]--
+			c.preds[c.predOff[i]] = b
+		}
+	}
+	for i := range c.rpo {
+		c.rpo[i] = -1
+	}
+	// Reverse postorder via iterative DFS; rpo marks the blocks seen with
+	// -2 until the numbering below overwrites it.
+	const seen = -2
+	post := make([]*llvm.Block, 0, nb)
+	type frame struct{ b, i int32 }
 	if entry := f.Entry(); entry != nil {
-		stack := make([]frame, 1, n)
-		stack[0] = frame{entry, 0}
-		c.index[entry] = -1
+		stack := make([]frame, 1, nb)
+		stack[0] = frame{int32(c.num(entry)), 0}
+		c.rpo[stack[0].b] = seen
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
-			succs := top.b.Succs()
-			if top.i < len(succs) {
+			b := c.blocks[top.b]
+			succs := b.Succs()
+			if int(top.i) < len(succs) {
 				s := succs[top.i]
 				top.i++
-				if _, seen := c.index[s]; !seen {
-					c.index[s] = -1
-					stack = append(stack, frame{s, 0})
+				i := c.num(s)
+				if i < 0 {
+					// A block reached only through a block outside f.
+					i = len(c.blocks)
+					c.blocks = append(c.blocks, s)
+					c.rpo = append(c.rpo, -1)
+				}
+				if c.rpo[i] != seen {
+					c.rpo[i] = seen
+					stack = append(stack, frame{int32(i), 0})
 				}
 				continue
 			}
-			post = append(post, top.b)
+			post = append(post, b)
 			stack = stack[:len(stack)-1]
 		}
 	}
-	c.Order = make([]*llvm.Block, len(post))
-	for i, b := range post {
-		j := len(post) - 1 - i
-		c.Order[j] = b
-		c.index[b] = j
+	c.Order = post
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	for j, b := range c.Order {
+		c.rpo[c.num(b)] = int32(j)
 	}
 	return c
 }
 
-// Reachable reports whether b is reachable from entry.
-func (c *CFG) Reachable(b *llvm.Block) bool {
-	_, ok := c.index[b]
-	return ok
+// num returns b's number in c, or -1 when c does not know b. The scan runs
+// backwards because a block f lists twice keeps its later number.
+func (c *CFG) num(b *llvm.Block) int {
+	if b != nil {
+		if i := int(b.ID); i >= 0 && i < len(c.blocks) && c.blocks[i] == b {
+			return i
+		}
+	}
+	for i := len(c.blocks) - 1; i >= 0; i-- {
+		if c.blocks[i] == b {
+			return i
+		}
+	}
+	return -1
 }
+
+// Preds returns b's predecessors among f's blocks, in block order, with
+// one entry per edge; nil when there are none.
+func (c *CFG) Preds(b *llvm.Block) []*llvm.Block {
+	i := c.num(b)
+	if i < 0 || i >= len(c.predOff)-1 || c.predOff[i] == c.predOff[i+1] {
+		return nil
+	}
+	return c.preds[c.predOff[i]:c.predOff[i+1]:c.predOff[i+1]]
+}
+
+// Reachable reports whether b is reachable from entry.
+func (c *CFG) Reachable(b *llvm.Block) bool { return c.Index(b) >= 0 }
 
 // Index returns b's position in Order, or -1 when b is unreachable.
 func (c *CFG) Index(b *llvm.Block) int {
-	if i, ok := c.index[b]; ok {
-		return i
+	if i := c.num(b); i >= 0 {
+		return int(c.rpo[i])
 	}
 	return -1
 }
@@ -113,9 +182,9 @@ func NewDomTree(c *CFG) *DomTree {
 		changed = false
 		for i, b := range c.Order[1:] {
 			newIdom := -1
-			for _, p := range c.Preds[b] {
-				pi, ok := c.index[p]
-				if !ok || d.idom[pi] < 0 {
+			for _, p := range c.Preds(b) {
+				pi := c.Index(p)
+				if pi < 0 || d.idom[pi] < 0 {
 					continue
 				}
 				if newIdom < 0 {
@@ -147,8 +216,8 @@ func (d *DomTree) intersect(a, b int) int {
 
 // IDom returns the immediate dominator (entry's idom is itself).
 func (d *DomTree) IDom(b *llvm.Block) *llvm.Block {
-	i, ok := d.cfg.index[b]
-	if !ok || d.idom[i] < 0 {
+	i := d.cfg.Index(b)
+	if i < 0 || d.idom[i] < 0 {
 		return nil
 	}
 	return d.cfg.Order[d.idom[i]]
@@ -159,12 +228,12 @@ func (d *DomTree) Dominates(a, b *llvm.Block) bool {
 	if a == b {
 		return true
 	}
-	ia, ok := d.cfg.index[a]
-	if !ok {
+	ia := d.cfg.Index(a)
+	if ia < 0 {
 		return false
 	}
-	ib, ok := d.cfg.index[b]
-	if !ok {
+	ib := d.cfg.Index(b)
+	if ib < 0 {
 		return false
 	}
 	for ib > ia {
@@ -181,7 +250,6 @@ type Loop struct {
 	Latch *llvm.Block
 	// Latches lists every back-edge source, in reverse postorder.
 	Latches []*llvm.Block
-	Blocks  map[*llvm.Block]bool
 	Parent  *Loop
 	// Children are loops nested directly inside this one.
 	Children []*Loop
@@ -189,6 +257,11 @@ type Loop struct {
 	// latches carry distinct metadata the loop's intent is ambiguous and MD
 	// is nil (the hls-directives lint diagnoses this).
 	MD *llvm.LoopMD
+
+	// body holds one bit per block number of cfg; size counts the bits set.
+	cfg  *CFG
+	body []uint64
+	size int
 }
 
 // Depth returns the nesting depth (outermost = 1).
@@ -201,7 +274,35 @@ func (l *Loop) Depth() int {
 }
 
 // Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *llvm.Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *llvm.Block) bool {
+	i := l.cfg.num(b)
+	return i >= 0 && l.has(i)
+}
+
+func (l *Loop) has(i int) bool { return l.body[i>>6]&(1<<(i&63)) != 0 }
+
+// add puts block number i in the loop and reports whether it was new.
+func (l *Loop) add(i int) bool {
+	if l.has(i) {
+		return false
+	}
+	l.body[i>>6] |= 1 << (i & 63)
+	l.size++
+	return true
+}
+
+// Blocks returns the loop's blocks in layout order: in the order of
+// f.Blocks when the CFG was built, then any blocks outside f in the order
+// the CFG met them.
+func (l *Loop) Blocks() []*llvm.Block {
+	bs := make([]*llvm.Block, 0, l.size)
+	for i, b := range l.cfg.blocks {
+		if l.has(i) {
+			bs = append(bs, b)
+		}
+	}
+	return bs
+}
 
 // IsInnermost reports whether the loop has no children.
 func (l *Loop) IsInnermost() bool { return len(l.Children) == 0 }
@@ -209,38 +310,45 @@ func (l *Loop) IsInnermost() bool { return len(l.Children) == 0 }
 // LoopInfo is the set of natural loops of a function.
 type LoopInfo struct {
 	Loops []*Loop // all loops, outer before inner
-	// ByHeader maps header blocks to their loop.
-	ByHeader map[*llvm.Block]*Loop
+}
+
+// ByHeader returns the loop headed by h, or nil.
+func (li *LoopInfo) ByHeader(h *llvm.Block) *Loop {
+	for _, l := range li.Loops {
+		if l.Header == h {
+			return l
+		}
+	}
+	return nil
 }
 
 // FindLoops detects natural loops via back edges (latch -> header where
 // header dominates latch) and nests them by block containment.
 func FindLoops(c *CFG, d *DomTree) *LoopInfo {
-	li := &LoopInfo{ByHeader: map[*llvm.Block]*Loop{}}
+	li := &LoopInfo{}
+	words := (len(c.blocks) + 63) / 64
+	var stack []int
 	for _, b := range c.Order {
 		for _, s := range b.Succs() {
 			if d.Dominates(s, b) {
 				// back edge b -> s
-				l := li.ByHeader[s]
+				l := li.ByHeader(s)
 				if l == nil {
-					l = &Loop{Header: s, Blocks: map[*llvm.Block]bool{s: true}}
-					li.ByHeader[s] = l
+					l = &Loop{Header: s, cfg: c, body: make([]uint64, words)}
+					l.add(c.num(s))
 					li.Loops = append(li.Loops, l)
 				}
 				l.Latches = append(l.Latches, b)
 				// Collect body: reverse reachability from latch to header.
-				var stack []*llvm.Block
-				if !l.Blocks[b] {
-					l.Blocks[b] = true
-					stack = append(stack, b)
+				if i := c.num(b); l.add(i) {
+					stack = append(stack, i)
 				}
 				for len(stack) > 0 {
-					x := stack[len(stack)-1]
+					x := c.blocks[stack[len(stack)-1]]
 					stack = stack[:len(stack)-1]
-					for _, p := range c.Preds[x] {
-						if !l.Blocks[p] {
-							l.Blocks[p] = true
-							stack = append(stack, p)
+					for _, p := range c.Preds(x) {
+						if i := c.num(p); l.add(i) {
+							stack = append(stack, i)
 						}
 					}
 				}
@@ -275,10 +383,10 @@ func FindLoops(c *CFG, d *DomTree) *LoopInfo {
 	for _, l := range li.Loops {
 		var best *Loop
 		for _, o := range li.Loops {
-			if o == l || !o.Blocks[l.Header] {
+			if o == l || !o.Contains(l.Header) {
 				continue
 			}
-			if best == nil || len(o.Blocks) < len(best.Blocks) {
+			if best == nil || o.size < best.size {
 				best = o
 			}
 		}
@@ -312,10 +420,10 @@ func FindLoops(c *CFG, d *DomTree) *LoopInfo {
 func (li *LoopInfo) NestOf(b *llvm.Block) []*Loop {
 	var innermost *Loop
 	for _, l := range li.Loops {
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			continue
 		}
-		if innermost == nil || len(l.Blocks) < len(innermost.Blocks) {
+		if innermost == nil || l.size < innermost.size {
 			innermost = l
 		}
 	}
@@ -419,7 +527,7 @@ func InductionVar(l *Loop) (IndVar, bool) {
 	var start *llvm.ConstInt
 	var step *llvm.ConstInt
 	for i, inc := range phi.Args {
-		if l.Blocks[phi.Blocks[i]] && phi.Blocks[i] != l.Header {
+		if l.Contains(phi.Blocks[i]) && phi.Blocks[i] != l.Header {
 			// Back-edge value: expect add(iv, step).
 			add, ok := inc.(*llvm.Instr)
 			if !ok || add.Op != llvm.OpAdd {

@@ -68,10 +68,10 @@ func TestCFGOrderAndPreds(t *testing.T) {
 	if cfg.Order[0] != blocks["entry"] {
 		t.Error("RPO must start at entry")
 	}
-	if got := len(cfg.Preds[blocks["oh"]]); got != 2 {
+	if got := len(cfg.Preds(blocks["oh"])); got != 2 {
 		t.Errorf("outer header should have 2 preds, got %d", got)
 	}
-	if got := len(cfg.Preds[blocks["ih"]]); got != 2 {
+	if got := len(cfg.Preds(blocks["ih"])); got != 2 {
 		t.Errorf("inner header should have 2 preds, got %d", got)
 	}
 	if !cfg.Reachable(blocks["exit"]) {
@@ -123,8 +123,8 @@ func TestLoopDetection(t *testing.T) {
 	if len(li.Loops) != 2 {
 		t.Fatalf("want 2 loops, got %d", len(li.Loops))
 	}
-	outer := li.ByHeader[blocks["oh"]]
-	inner := li.ByHeader[blocks["ih"]]
+	outer := li.ByHeader(blocks["oh"])
+	inner := li.ByHeader(blocks["ih"])
 	if outer == nil || inner == nil {
 		t.Fatal("loops not keyed by header")
 	}
@@ -158,10 +158,10 @@ func TestTripCount(t *testing.T) {
 	cfg := NewCFG(f)
 	dt := NewDomTree(cfg)
 	li := FindLoops(cfg, dt)
-	if tc, ok := TripCount(li.ByHeader[blocks["oh"]]); !ok || tc != 4 {
+	if tc, ok := TripCount(li.ByHeader(blocks["oh"])); !ok || tc != 4 {
 		t.Errorf("outer trip = %d ok=%v, want 4", tc, ok)
 	}
-	if tc, ok := TripCount(li.ByHeader[blocks["ih"]]); !ok || tc != 8 {
+	if tc, ok := TripCount(li.ByHeader(blocks["ih"])); !ok || tc != 8 {
 		t.Errorf("inner trip = %d ok=%v, want 8", tc, ok)
 	}
 }
@@ -180,7 +180,7 @@ func TestTripCountNonCanonical(t *testing.T) {
 		}
 	}
 	cmp.Args[1] = blocks["oh"].Instrs[0] // outer phi
-	if _, ok := TripCount(li.ByHeader[ih]); ok {
+	if _, ok := TripCount(li.ByHeader(ih)); ok {
 		t.Error("variable-bound loop should not report a constant trip count")
 	}
 }
@@ -239,7 +239,7 @@ func TestFindLoopsMultiLatch(t *testing.T) {
 	if len(li.Loops) != 1 {
 		t.Fatalf("want 1 loop, got %d", len(li.Loops))
 	}
-	l := li.ByHeader[blocks["h"]]
+	l := li.ByHeader(blocks["h"])
 	if l == nil {
 		t.Fatal("loop not keyed by header")
 	}
@@ -266,7 +266,7 @@ func TestFindLoopsSingleLatchStillExposed(t *testing.T) {
 	cfg := NewCFG(f)
 	dt := NewDomTree(cfg)
 	li := FindLoops(cfg, dt)
-	inner := li.ByHeader[blocks["ih"]]
+	inner := li.ByHeader(blocks["ih"])
 	if inner.Latch != blocks["ib"] {
 		t.Errorf("single-latch loop must keep Latch, got %v", inner.Latch)
 	}
@@ -398,7 +398,7 @@ func TestTripCountZero(t *testing.T) {
 		}
 	}
 	cmp.Args[1] = llvm.CI(llvm.I64(), 0) // bound below start
-	if tc, ok := TripCount(li.ByHeader[blocks["ih"]]); !ok || tc != 0 {
+	if tc, ok := TripCount(li.ByHeader(blocks["ih"])); !ok || tc != 0 {
 		t.Errorf("empty loop trip = %d ok=%v, want 0", tc, ok)
 	}
 	_ = f
@@ -408,8 +408,8 @@ func TestNestOf(t *testing.T) {
 	f, blocks := buildNestedLoops(t)
 	cfg := NewCFG(f)
 	li := FindLoops(cfg, NewDomTree(cfg))
-	outer := li.ByHeader[blocks["oh"]]
-	inner := li.ByHeader[blocks["ih"]]
+	outer := li.ByHeader(blocks["oh"])
+	inner := li.ByHeader(blocks["ih"])
 	cases := []struct {
 		block string
 		want  []*Loop

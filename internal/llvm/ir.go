@@ -165,7 +165,10 @@ type Instr struct {
 	Loop *LoopMD
 
 	// Align in bytes (0 = natural).
-	Align int
+	Align int32
+	// ID is the instruction's layout number, written by its function's
+	// Renumber.
+	ID int32
 
 	Parent *Block
 }
@@ -195,6 +198,8 @@ type Block struct {
 	Name   string
 	Instrs []*Instr
 	Parent *Function
+	// ID is the block's layout number, written by its function's Renumber.
+	ID int32
 }
 
 // Append adds an instruction at the end of the block.
@@ -301,6 +306,35 @@ func (f *Function) FindBlock(name string) *Block {
 		}
 	}
 	return nil
+}
+
+// Renumber writes layout numbers into f: block i of f.Blocks gets ID i,
+// and the instructions get 0 through n-1 in block order; it returns n. A
+// number is valid only until f's layout changes, and only for what f
+// holds, so a table indexed by these numbers keeps the layout it was built
+// from and checks identity (snap[x.ID] == x) before it trusts one: a
+// detached, foreign or newly created block or instruction carries a stale
+// or zero number.
+//
+// Renumber writes the IR, so it needs the same exclusive access to the
+// module as a pass; so do the analyses and the verifier, which call it. It
+// stores only the numbers that differ, so on a function whose numbering is
+// current (one the parser returned, or one verified since its last
+// change) it only reads.
+func (f *Function) Renumber() int {
+	n := int32(0)
+	for i, b := range f.Blocks {
+		if b.ID != int32(i) {
+			b.ID = int32(i)
+		}
+		for _, in := range b.Instrs {
+			if in.ID != n {
+				in.ID = n
+			}
+			n++
+		}
+	}
+	return int(n)
 }
 
 // SetAttr sets a function attribute.

@@ -6,7 +6,9 @@ import (
 	"repro/internal/flow"
 	"repro/internal/hls"
 	"repro/internal/kgen"
+	"repro/internal/llvm/analysis"
 	"repro/internal/llvm/parser"
+	"repro/internal/llvm/passes"
 	"repro/internal/polybench"
 )
 
@@ -65,7 +67,11 @@ entry:
 // FuzzParseRoundTrip drives Parse with arbitrary input. Inputs the parser
 // accepts must verify, print, and re-parse to a module that prints
 // identically (print is the parser's inverse on its own output); inputs it
-// rejects must produce an error, never a panic.
+// rejects must produce an error, never a panic. An accepted module then
+// goes through the CFG, dominator, loop and induction-variable analyses,
+// the cleanup pipeline on each defined function, and the verifier, none of
+// which may panic: their tables are indexed by block and instruction
+// numbers, and a stale number would index out of range.
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -89,6 +95,17 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if text2 := m2.Print(); text2 != text {
 			t.Fatalf("print is not a fixpoint after one round trip:\n--- first\n%s\n--- second\n%s", text, text2)
 		}
+		for _, fn := range m.Funcs {
+			if fn.IsDecl {
+				continue
+			}
+			cfg := analysis.NewCFG(fn)
+			for _, l := range analysis.FindLoops(cfg, analysis.NewDomTree(cfg)).Loops {
+				analysis.InductionVar(l)
+			}
+			passes.Cleanup(fn)
+		}
+		_ = m.Verify()
 	})
 }
 

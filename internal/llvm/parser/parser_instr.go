@@ -392,8 +392,8 @@ func (p *llParser) maybeAlignBare(in *llvm.Instr) {
 	if p.isIdent("align") {
 		p.next()
 		if p.cur().kind == tInt {
-			v, _ := strconv.Atoi(p.next().text)
-			in.Align = v
+			v, _ := strconv.ParseInt(p.next().text, 10, 32)
+			in.Align = int32(v)
 		}
 	}
 }

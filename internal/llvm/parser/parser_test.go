@@ -3,6 +3,7 @@ package parser_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -82,6 +83,39 @@ func TestRoundTripAdaptedIR(t *testing.T) {
 	}
 }
 
+// TestParsedModuleSharedReadOnly synthesizes and verifies one parsed
+// module from several goroutines at once, as warm runs do with a module
+// from the flow's final-module cache. The parser leaves the module
+// numbered and Renumber stores only numbers that differ, so under the race
+// detector this shows that analyses of such a module only read it.
+func TestParsedModuleSharedReadOnly(t *testing.T) {
+	k := polybench.Get("gemm")
+	s, _ := k.SizeOf("MINI")
+	res, err := flow.AdaptorFlow(k.Build(s), k.Name, flow.Directives{Pipeline: true, II: 1},
+		hls.DefaultTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := parser.Parse(res.LLVM.Print())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.Verify(); err != nil {
+				t.Error(err)
+			}
+			if _, err := hls.Synthesize(m, k.Name, hls.DefaultTarget()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestParsedModuleExecutes(t *testing.T) {
 	k := polybench.Get("gemm")
 	s, _ := k.SizeOf("MINI")
@@ -140,6 +174,7 @@ func TestParseErrors(t *testing.T) {
 		{"missing block", "define void @f() {\n  ret void\n}"},
 		{"undefined value", "define void @f() {\nentry:\n  %x = add i32 %y, 1\n  ret void\n}"},
 		{"unterminated", "define void @f() {\nentry:\n"},
+		{"branch to undefined label", "define void @f() {\nentry:\n  br label %nowhere\n}\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,37 +9,29 @@ import (
 // instructions only they used, until none is left. Uses are counted once
 // and a worklist follows the removals.
 func DCE(f *llvm.Function) {
-	// uses counts the operand uses of each pure instruction; -1 marks one
-	// removed.
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Instrs)
-	}
-	uses := make(map[*llvm.Instr]int, n)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if isPure(in) {
-				uses[in] = 0
-			}
+	// uses counts the operand uses of each pure instruction, by number;
+	// removed marks one removed and impure one that is not pure.
+	const removed, impure = -1, -2
+	instrs := numberInstrs(f)
+	uses := make([]int32, len(instrs))
+	for _, in := range instrs {
+		if !isPure(in) {
+			uses[in.ID] = impure
 		}
 	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if ai, ok := a.(*llvm.Instr); ok {
-					if c, ok := uses[ai]; ok {
-						uses[ai] = c + 1
-					}
+	for _, in := range instrs {
+		for _, a := range in.Args {
+			if ai, ok := a.(*llvm.Instr); ok {
+				if j := instrNum(instrs, ai); j >= 0 && uses[j] != impure {
+					uses[j]++
 				}
 			}
 		}
 	}
 	var work []*llvm.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if c, ok := uses[in]; ok && c == 0 {
-				work = append(work, in)
-			}
+	for _, in := range instrs {
+		if uses[in.ID] == 0 {
+			work = append(work, in)
 		}
 	}
 	if len(work) == 0 {
@@ -48,12 +40,12 @@ func DCE(f *llvm.Function) {
 	for len(work) > 0 {
 		in := work[len(work)-1]
 		work = work[:len(work)-1]
-		uses[in] = -1
+		uses[in.ID] = removed
 		for _, a := range in.Args {
 			if ai, ok := a.(*llvm.Instr); ok {
-				if c, ok := uses[ai]; ok && c > 0 {
-					uses[ai] = c - 1
-					if c == 1 {
+				if j := instrNum(instrs, ai); j >= 0 && uses[j] > 0 {
+					uses[j]--
+					if uses[j] == 0 {
 						work = append(work, ai)
 					}
 				}
@@ -63,7 +55,7 @@ func DCE(f *llvm.Function) {
 	for _, b := range f.Blocks {
 		keep := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if uses[in] == -1 {
+			if uses[in.ID] == removed {
 				in.Parent = nil
 				continue
 			}
@@ -72,6 +64,25 @@ func DCE(f *llvm.Function) {
 		clear(b.Instrs[len(keep):])
 		b.Instrs = keep
 	}
+}
+
+// numberInstrs renumbers f and returns its instructions indexed by number:
+// the snapshot a table over instruction numbers checks identity against.
+func numberInstrs(f *llvm.Function) []*llvm.Instr {
+	instrs := make([]*llvm.Instr, 0, f.Renumber())
+	for _, b := range f.Blocks {
+		instrs = append(instrs, b.Instrs...)
+	}
+	return instrs
+}
+
+// instrNum returns in's number in the snapshot instrs, or -1 when instrs
+// does not hold it (a detached, foreign or newly created instruction).
+func instrNum(instrs []*llvm.Instr, in *llvm.Instr) int {
+	if i := int(in.ID); i >= 0 && i < len(instrs) && instrs[i] == in {
+		return i
+	}
+	return -1
 }
 
 func isPure(in *llvm.Instr) bool {
@@ -177,7 +188,7 @@ func mergeChains(f *llvm.Function, cfg *analysis.CFG) (inlinedPhi bool) {
 // livePreds counts the edges into s from reachable blocks.
 func livePreds(cfg *analysis.CFG, s *llvm.Block) int {
 	n := 0
-	for _, p := range cfg.Preds[s] {
+	for _, p := range cfg.Preds(s) {
 		if cfg.Reachable(p) {
 			n++
 		}
@@ -375,6 +386,7 @@ func b2i(b bool) int64 {
 func CSE(f *llvm.Function) {
 	cfg := analysis.NewCFG(f)
 	dt := analysis.NewDomTree(cfg)
+	instrs := numberInstrs(f)
 	type key struct {
 		op   llvm.Opcode
 		pred string
@@ -383,11 +395,9 @@ func CSE(f *llvm.Function) {
 		a2   llvm.Value
 	}
 	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if cseKeyable(in) {
-				n++
-			}
+	for _, in := range instrs {
+		if cseKeyable(in) {
+			n++
 		}
 	}
 	// kept lists the instructions kept under some key; avail maps a key to
@@ -400,9 +410,10 @@ func CSE(f *llvm.Function) {
 	type chain struct{ first, last int32 }
 	kept := make([]link, 0, n)
 	avail := make(map[key]chain, n)
-	// subst maps each eliminated instruction to the dominating equivalent
-	// that replaces it, which is never eliminated itself.
-	subst := map[*llvm.Instr]*llvm.Instr{}
+	// subst maps each eliminated instruction, by number, to the dominating
+	// equivalent that replaces it, which is never eliminated itself.
+	subst := make([]*llvm.Instr, len(instrs))
+	eliminated := false
 	// canon gives an operand its key form: an eliminated instruction its
 	// replacement, and a constant the first equal literal seen, since
 	// constants are not interned in the IR. Literals are told apart by
@@ -430,8 +441,8 @@ func CSE(f *llvm.Function) {
 		var k constKey
 		switch c := v.(type) {
 		case *llvm.Instr:
-			if r, ok := subst[c]; ok {
-				return r
+			if j := instrNum(instrs, c); j >= 0 && subst[j] != nil {
+				return subst[j]
 			}
 			return v
 		case *llvm.ConstInt:
@@ -466,7 +477,9 @@ func CSE(f *llvm.Function) {
 		keep := b.Instrs[:0]
 	next:
 		for _, in := range b.Instrs {
-			if cseKeyable(in) {
+			// An instruction outside the table sits in a block outside f
+			// that a branch reaches (IR the verifier rejects): leave it.
+			if cseKeyable(in) && instrNum(instrs, in) >= 0 {
 				k := mk(in)
 				c, seen := avail[k]
 				if seen {
@@ -474,7 +487,8 @@ func CSE(f *llvm.Function) {
 						prev := kept[j].in
 						if prev.Parent != nil && dt.Dominates(prev.Parent, b) &&
 							prev.SrcElem.Equal(in.SrcElem) && typesEqual(prev.Ty, in.Ty) {
-							subst[in] = prev
+							subst[in.ID] = prev
+							eliminated = true
 							in.Parent = nil
 							continue next
 						}
@@ -492,15 +506,15 @@ func CSE(f *llvm.Function) {
 		clear(b.Instrs[len(keep):])
 		b.Instrs = keep
 	}
-	if len(subst) == 0 {
+	if !eliminated {
 		return
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for i, a := range in.Args {
 				if ai, ok := a.(*llvm.Instr); ok {
-					if r, ok := subst[ai]; ok {
-						in.Args[i] = r
+					if j := instrNum(instrs, ai); j >= 0 && subst[j] != nil {
+						in.Args[i] = subst[j]
 					}
 				}
 			}

@@ -73,52 +73,55 @@ func (p *phiSlot) uniqueIncoming() (uniq llvm.Value, sawUndef bool) {
 // block is compacted once, so no step rescans the function per change.
 func Mem2Reg(f *llvm.Function) {
 	// Number the promotable variables: scalar allocas whose address is only
-	// loaded from or stored to.
-	varOf := map[*llvm.Instr]int{}
-	promoted := func(ptr llvm.Value) (int, bool) {
-		al, ok := ptr.(*llvm.Instr)
-		if !ok || al.Op != llvm.OpAlloca {
-			return 0, false
-		}
-		v, ok := varOf[al]
-		return v, ok
-	}
+	// loaded from or stored to. slot holds, by instruction number, an
+	// alloca's variable and, once renaming replaces it, a load's entry in
+	// sub; -1 otherwise.
+	instrs := numberInstrs(f)
+	slot := make([]int32, len(instrs))
 	var vars []*llvm.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == llvm.OpAlloca && !in.SrcElem.IsArray() && !in.SrcElem.IsStruct() {
-				varOf[in] = len(vars)
-				vars = append(vars, in)
-			}
+	for _, in := range instrs {
+		slot[in.ID] = -1
+		if in.Op == llvm.OpAlloca && !in.SrcElem.IsArray() && !in.SrcElem.IsStruct() {
+			slot[in.ID] = int32(len(vars))
+			vars = append(vars, in)
 		}
 	}
 	if len(vars) == 0 {
 		return
 	}
+	promoted := func(ptr llvm.Value) (int, bool) {
+		al, ok := ptr.(*llvm.Instr)
+		if !ok || al.Op != llvm.OpAlloca {
+			return 0, false
+		}
+		j := instrNum(instrs, al)
+		if j < 0 || slot[j] < 0 {
+			return 0, false
+		}
+		return int(slot[j]), true
+	}
 	escaped := make([]bool, len(vars))
 	loads := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for ai, a := range in.Args {
-				v, ok := promoted(a)
-				switch {
-				case !ok:
-				case in.Op == llvm.OpLoad && ai == 0:
-					loads++
-				case in.Op == llvm.OpStore && ai == 1:
-				default:
-					escaped[v] = true
-				}
+	for _, in := range instrs {
+		for ai, a := range in.Args {
+			v, ok := promoted(a)
+			switch {
+			case !ok:
+			case in.Op == llvm.OpLoad && ai == 0:
+				loads++
+			case in.Op == llvm.OpStore && ai == 1:
+			default:
+				escaped[v] = true
 			}
 		}
 	}
 	kept := vars[:0]
 	for v, a := range vars {
 		if escaped[v] {
-			delete(varOf, a)
+			slot[a.ID] = -1
 			continue
 		}
-		varOf[a] = len(kept)
+		slot[a.ID] = int32(len(kept))
 		kept = append(kept, a)
 	}
 	vars = kept
@@ -141,7 +144,7 @@ func Mem2Reg(f *llvm.Function) {
 	nargs := 0
 	ordinal := 0
 	for _, b := range f.Blocks {
-		preds := cfg.Preds[b]
+		preds := cfg.Preds(b)
 		if len(preds) < 2 {
 			continue
 		}
@@ -156,7 +159,7 @@ func Mem2Reg(f *llvm.Function) {
 	slots := make([]phiSlot, len(joins)*nv)
 	argSlab := make([]llvm.Value, nargs)
 	for k, b := range joins {
-		n := len(cfg.Preds[b])
+		n := len(cfg.Preds(b))
 		for v, a := range vars {
 			slots[k*nv+v] = phiSlot{v: v, name: ordinals[k]*nv + v, block: b, ty: a.SrcElem,
 				args: argSlab[:n:n]}
@@ -169,11 +172,11 @@ func Mem2Reg(f *llvm.Function) {
 	// state. A single-predecessor block inherits its predecessor's end
 	// state (back edges only reach joins, which start from their phis).
 	env := make([]llvm.Value, len(cfg.Order)*nv)
-	sub := make(map[*llvm.Instr]llvm.Value, loads) // promoted load → value
+	sub := make([]llvm.Value, 0, loads) // promoted load → value
 	loaded := func(x llvm.Value) llvm.Value {
 		if l, ok := x.(*llvm.Instr); ok && l.Op == llvm.OpLoad {
-			if y, ok := sub[l]; ok {
-				return y
+			if j := instrNum(instrs, l); j >= 0 && slot[j] >= 0 {
+				return sub[slot[j]]
 			}
 		}
 		return x
@@ -184,7 +187,7 @@ func Mem2Reg(f *llvm.Function) {
 			for v := range cur {
 				cur[v] = &slots[k*nv+v]
 			}
-		} else if preds := cfg.Preds[b]; len(preds) == 1 {
+		} else if preds := cfg.Preds(b); len(preds) == 1 {
 			if pr := cfg.Index(preds[0]); pr >= 0 && pr < r {
 				copy(cur, env[pr*nv:(pr+1)*nv])
 			}
@@ -193,12 +196,15 @@ func Mem2Reg(f *llvm.Function) {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case llvm.OpLoad:
-				if v, ok := promoted(in.Args[0]); ok {
+				// A load outside the table sits in a block outside f that
+				// a branch reaches (IR the verifier rejects): leave it.
+				if v, ok := promoted(in.Args[0]); ok && instrNum(instrs, in) >= 0 {
 					x := cur[v]
 					if x == nil {
 						x = &llvm.Undef{Ty: vars[v].SrcElem}
 					}
-					sub[in] = x
+					slot[in.ID] = int32(len(sub))
+					sub = append(sub, x)
 					in.Parent = nil
 					continue
 				}
@@ -209,7 +215,7 @@ func Mem2Reg(f *llvm.Function) {
 					continue
 				}
 			case llvm.OpAlloca:
-				if _, ok := varOf[in]; ok {
+				if _, ok := promoted(in); ok {
 					in.Parent = nil
 					continue
 				}
@@ -225,7 +231,7 @@ func Mem2Reg(f *llvm.Function) {
 		}
 	}
 	for k, b := range joins {
-		for i, p := range cfg.Preds[b] {
+		for i, p := range cfg.Preds(b) {
 			pr := cfg.Index(p)
 			if pr < 0 {
 				continue // undef from an unreachable predecessor
@@ -308,7 +314,7 @@ func Mem2Reg(f *llvm.Function) {
 		work = work[:len(work)-1]
 		in := p.instr
 		in.Args = make([]llvm.Value, len(p.args))
-		in.Blocks = append([]*llvm.Block(nil), cfg.Preds[p.block]...)
+		in.Blocks = append([]*llvm.Block(nil), cfg.Preds(p.block)...)
 		for i, a := range p.args {
 			if a == nil {
 				in.Args[i] = &llvm.Undef{Ty: p.ty}

@@ -2,9 +2,11 @@ package llvm
 
 import "fmt"
 
-// Verify checks structural invariants: every block has a terminator, phis
-// match their predecessors, operand types line up for known ops, and every
-// instruction with a result has a unique name.
+// Verify checks structural invariants: every block has a terminator,
+// branches stay inside the function, phis match their predecessors,
+// operand types line up for known ops, and every instruction with a result
+// has a unique name. It renumbers each function, so it needs the same
+// exclusive access to the module as a pass.
 func (m *Module) Verify() error {
 	for _, f := range m.Funcs {
 		if f.IsDecl {
@@ -22,10 +24,7 @@ func (f *Function) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	n := len(f.Params)
-	for _, b := range f.Blocks {
-		n += len(b.Instrs)
-	}
+	n := len(f.Params) + f.Renumber()
 	names := make(map[string]bool, n)
 	for _, p := range f.Params {
 		if names[p.Name] {
@@ -33,12 +32,7 @@ func (f *Function) Verify() error {
 		}
 		names[p.Name] = true
 	}
-	preds := make(map[*Block][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
+	preds := newPredTable(f)
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil {
@@ -57,7 +51,7 @@ func (f *Function) Verify() error {
 				}
 				names[in.Name] = true
 			}
-			if err := verifyInstr(in, preds); err != nil {
+			if err := verifyInstr(in, &preds); err != nil {
 				return fmt.Errorf("block %%%s: %s: %w", b.Name, in.Op, err)
 			}
 		}
@@ -65,7 +59,79 @@ func (f *Function) Verify() error {
 	return nil
 }
 
-func verifyInstr(in *Instr, preds map[*Block][]*Block) error {
+// predTable lists the predecessors of a function's blocks by block number:
+// block i's are preds[off[i]:off[i+1]], in block order. A number is
+// trusted only when the function's block list holds that block under it.
+type predTable struct {
+	blocks []*Block
+	off    []int32
+	preds  []*Block
+}
+
+// newPredTable builds f's predecessor lists; f must be numbered. An edge
+// to a block outside f is left out: verifyInstr rejects its branch.
+func newPredTable(f *Function) predTable {
+	t := predTable{blocks: f.Blocks, off: make([]int32, len(f.Blocks)+1)}
+	// Count each list's length at its index, sum the counts into list ends,
+	// then fill every list backwards from its end, so it starts in block
+	// order.
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if i := t.num(s); i >= 0 {
+				t.off[i]++
+			}
+		}
+	}
+	for i := 1; i < len(t.off); i++ {
+		t.off[i] += t.off[i-1]
+	}
+	t.preds = make([]*Block, t.off[len(t.off)-1])
+	for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
+		b := f.Blocks[bi]
+		succs := b.Succs()
+		for si := len(succs) - 1; si >= 0; si-- {
+			if i := t.num(succs[si]); i >= 0 {
+				t.off[i]--
+				t.preds[t.off[i]] = b
+			}
+		}
+	}
+	return t
+}
+
+// num returns b's number, or -1 when the function does not hold b.
+func (t *predTable) num(b *Block) int {
+	if b != nil {
+		if i := int(b.ID); i >= 0 && i < len(t.blocks) && t.blocks[i] == b {
+			return i
+		}
+	}
+	return -1
+}
+
+// of returns b's predecessors; none when the function does not hold b.
+func (t *predTable) of(b *Block) []*Block {
+	i := t.num(b)
+	if i < 0 {
+		return nil
+	}
+	return t.preds[t.off[i]:t.off[i+1]]
+}
+
+// inside checks that every target of branch in is a block of the function.
+func (t *predTable) inside(in *Instr) error {
+	for _, s := range in.Blocks {
+		if s == nil {
+			return fmt.Errorf("nil branch target")
+		}
+		if t.num(s) < 0 {
+			return fmt.Errorf("branch to %%%s outside the function", s.Name)
+		}
+	}
+	return nil
+}
+
+func verifyInstr(in *Instr, preds *predTable) error {
 	want := func(n int) error {
 		if len(in.Args) != n {
 			return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
@@ -173,7 +239,7 @@ func verifyInstr(in *Instr, preds map[*Block][]*Block) error {
 			return fmt.Errorf("phi args/blocks length mismatch")
 		}
 		if in.Parent != nil {
-			ps := preds[in.Parent]
+			ps := preds.of(in.Parent)
 			if len(ps) != len(in.Blocks) {
 				return fmt.Errorf("phi has %d incoming, block has %d predecessors",
 					len(in.Blocks), len(ps))
@@ -200,6 +266,7 @@ func verifyInstr(in *Instr, preds map[*Block][]*Block) error {
 		if len(in.Blocks) != 1 {
 			return fmt.Errorf("br needs one target")
 		}
+		return preds.inside(in)
 	case OpCondBr:
 		if err := want(1); err != nil {
 			return err
@@ -210,6 +277,7 @@ func verifyInstr(in *Instr, preds map[*Block][]*Block) error {
 		if !in.Args[0].Type().Equal(I1()) {
 			return fmt.Errorf("branch condition must be i1")
 		}
+		return preds.inside(in)
 	case OpCall:
 		if in.Callee == "" {
 			return fmt.Errorf("call without callee")

@@ -9,12 +9,16 @@ type Value struct {
 	Ty *Type
 	// Def is the defining op (nil for block arguments).
 	Def *Op
-	// ResNo is the result index within Def.
-	ResNo int
 	// Owner is the owning block for block arguments (nil for results).
 	Owner *Block
+	// ResNo is the result index within Def.
+	ResNo int32
 	// ArgNo is the argument index within Owner.
-	ArgNo int
+	ArgNo int32
+
+	// scope is the number of the verifier walk that has the value in
+	// scope, or 0 (see verifyFunc).
+	scope uint64
 }
 
 // Type returns the value's type.
@@ -58,7 +62,7 @@ func NewOp(name string, operands []*Value, resultTypes []*Type) *Op {
 		vals := make([]Value, len(resultTypes))
 		op.Results = make([]*Value, len(resultTypes))
 		for i, t := range resultTypes {
-			vals[i] = Value{Ty: t, Def: op, ResNo: i}
+			vals[i] = Value{Ty: t, Def: op, ResNo: int32(i)}
 			op.Results[i] = &vals[i]
 		}
 	}
@@ -163,7 +167,7 @@ func NewBlock(argTypes ...*Type) *Block {
 
 // AddArg appends a new block argument of type t and returns it.
 func (b *Block) AddArg(t *Type) *Value {
-	v := &Value{Ty: t, Owner: b, ArgNo: len(b.Args)}
+	v := &Value{Ty: t, Owner: b, ArgNo: int32(len(b.Args))}
 	b.Args = append(b.Args, v)
 	return v
 }

@@ -61,6 +61,37 @@ module {
 	roundTrip(t, m)
 }
 
+// TestVerifyRejectsEscapedLoopValues moves the loop body's store after the
+// affine.for of TestParseSimpleFunc: it then uses the body's %2 and the
+// induction variable outside their region, which structural dominance
+// forbids.
+func TestVerifyRejectsEscapedLoopValues(t *testing.T) {
+	src := `
+module {
+  func.func @axpy(%arg0: memref<8xf32>, %arg1: memref<8xf32>) {
+    %0 = arith.constant 2.0 : f32
+    affine.for %1 = 0 to 8 step 1 {
+      %2 = affine.load %arg0[%1] : memref<8xf32>
+      %3 = arith.mulf %0, %2 : f32
+      %4 = affine.load %arg1[%1] : memref<8xf32>
+      %5 = arith.addf %3, %4 : f32
+      affine.store %5, %arg1[%1] : memref<8xf32>
+    }
+    affine.store %2, %arg1[%1] : memref<8xf32>
+    func.return
+  }
+}
+`
+	m, err := Parse(src)
+	if err != nil {
+		t.Fatalf("parse failed: %v", err)
+	}
+	err = m.Verify()
+	if err == nil || !strings.Contains(err.Error(), "does not dominate use") {
+		t.Fatalf("Verify = %v, want a value that does not dominate its use", err)
+	}
+}
+
 func TestParseAttrsAndDirectives(t *testing.T) {
 	src := `
 module {

@@ -2,6 +2,7 @@ package mlir
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // VerifyError describes a structural violation found by Verify.
@@ -18,97 +19,122 @@ func (e *VerifyError) Error() string {
 // Verify checks structural invariants of the module: parent links, block
 // terminators, operand/result typing for known ops, and def-before-use
 // (structural dominance for single-block regions, CFG dominance for
-// multi-block regions).
+// multi-block regions). It stamps the values it walks, so it needs the
+// same exclusive access to the module as a pass.
 func (m *Module) Verify() error {
-	var errs []error
-	for _, f := range m.Funcs() {
-		errs = append(errs, verifyFunc(f)...)
-	}
-	if len(errs) > 0 {
-		return errs[0]
+	for _, f := range m.Body().Ops {
+		if f.Name != OpFunc {
+			continue
+		}
+		if errs := verifyFunc(f); len(errs) > 0 {
+			return errs[0]
+		}
 	}
 	return nil
 }
 
+// walks counts verifier walks. A walk stamps each value with its own
+// number while the value is in scope, so a stamp of another walk, or one
+// cleared when the walk left the value's region, reads as out of scope.
+// A walk needs only a number no other walk has, so walks over different
+// modules share the counter from any goroutine.
+var walks atomic.Uint64
+
+// verifier is one walk over a function.
+type verifier struct {
+	walk uint64
+	errs []error
+}
+
 func verifyFunc(f *Op) []error {
-	var errs []error
-	fail := func(op *Op, format string, args ...any) {
-		errs = append(errs, &VerifyError{Op: op, Msg: fmt.Sprintf(format, args...)})
+	v := verifier{walk: walks.Add(1)}
+	if len(f.Regions) != 1 {
+		v.fail(f, "func.func must have exactly one region")
+		return v.errs
 	}
+	v.region(f.Regions[0])
+	return v.errs
+}
 
-	// Collect the set of visible values at each op via a scoped walk.
-	scope := map[*Value]bool{}
-	var visitRegion func(r *Region)
+func (v *verifier) fail(op *Op, format string, args ...any) {
+	v.errs = append(v.errs, &VerifyError{Op: op, Msg: fmt.Sprintf(format, args...)})
+}
 
-	visitBlockOps := func(b *Block) {
-		for i, op := range b.Ops {
-			if op.parent != b {
-				fail(op, "parent link broken")
-			}
-			for oi, v := range op.Operands {
-				if v == nil {
-					fail(op, "nil operand %d", oi)
-					continue
-				}
-				if !scope[v] {
-					fail(op, "operand %d does not dominate use", oi)
-				}
-			}
-			if op.IsTerminator() && i != len(b.Ops)-1 {
-				fail(op, "terminator %s not at end of block", op.Name)
-			}
-			errs = append(errs, verifyOpTyping(op)...)
-			for _, r := range op.Regions {
-				if r.parent != op {
-					fail(op, "region parent link broken")
-				}
-				visitRegion(r)
-			}
-			for _, res := range op.Results {
-				scope[res] = true
-			}
+// enter brings vs into the walk's scope; leave takes them out again.
+func (v *verifier) enter(vs []*Value) {
+	for _, x := range vs {
+		if x != nil {
+			x.scope = v.walk
 		}
 	}
+}
 
-	visitRegion = func(r *Region) {
-		if len(r.Blocks) == 0 {
-			return
+func leave(vs []*Value) {
+	for _, x := range vs {
+		if x != nil {
+			x.scope = 0
 		}
-		if len(r.Blocks) == 1 {
-			b := r.Blocks[0]
-			for _, a := range b.Args {
-				scope[a] = true
-			}
-			visitBlockOps(b)
-			return
-		}
+	}
+}
+
+// region checks r's blocks; its block arguments and results are in scope
+// inside r only.
+func (v *verifier) region(r *Region) {
+	if len(r.Blocks) == 1 {
+		b := r.Blocks[0]
+		v.enter(b.Args)
+		v.blockOps(b)
+	} else if len(r.Blocks) > 1 {
 		// Multi-block (cf-level) region: approximate dominance by making
 		// every block's args and all op results visible region-wide, then
 		// separately check CFG properties.
 		for _, b := range r.Blocks {
-			for _, a := range b.Args {
-				scope[a] = true
-			}
+			v.enter(b.Args)
 			for _, op := range b.Ops {
-				for _, res := range op.Results {
-					scope[res] = true
-				}
+				v.enter(op.Results)
 			}
 		}
 		for _, b := range r.Blocks {
 			if t := b.Terminator(); t == nil || !t.IsTerminator() {
-				fail(r.parent, "block lacks terminator")
+				v.fail(r.parent, "block lacks terminator")
 			}
-			visitBlockOps(b)
+			v.blockOps(b)
 		}
 	}
-
-	if len(f.Regions) != 1 {
-		fail(f, "func.func must have exactly one region")
-		return errs
+	for _, b := range r.Blocks {
+		leave(b.Args)
+		for _, op := range b.Ops {
+			leave(op.Results)
+		}
 	}
-	visitRegion(f.Regions[0])
-	return errs
+}
+
+func (v *verifier) blockOps(b *Block) {
+	for i, op := range b.Ops {
+		if op.parent != b {
+			v.fail(op, "parent link broken")
+		}
+		for oi, x := range op.Operands {
+			if x == nil {
+				v.fail(op, "nil operand %d", oi)
+				continue
+			}
+			if x.scope != v.walk {
+				v.fail(op, "operand %d does not dominate use", oi)
+			}
+		}
+		if op.IsTerminator() && i != len(b.Ops)-1 {
+			v.fail(op, "terminator %s not at end of block", op.Name)
+		}
+		v.errs = append(v.errs, verifyOpTyping(op)...)
+		for _, r := range op.Regions {
+			if r.parent != op {
+				v.fail(op, "region parent link broken")
+			}
+			v.region(r)
+		}
+		v.enter(op.Results)
+	}
 }
 
 func verifyOpTyping(op *Op) []error {

@@ -254,6 +254,31 @@ func (x *xlate) address(mem *mlir.Value, idxs []*mlir.Value) (llvm.Value, *llvm.
 	return gep, elem, nil
 }
 
+// binaryOpcode maps an arith binary op to its LLVM opcode.
+func binaryOpcode(name string) llvm.Opcode {
+	switch name {
+	case mlir.OpAddI:
+		return llvm.OpAdd
+	case mlir.OpSubI:
+		return llvm.OpSub
+	case mlir.OpMulI:
+		return llvm.OpMul
+	case mlir.OpDivSI:
+		return llvm.OpSDiv
+	case mlir.OpRemSI:
+		return llvm.OpSRem
+	case mlir.OpAddF:
+		return llvm.OpFAdd
+	case mlir.OpSubF:
+		return llvm.OpFSub
+	case mlir.OpMulF:
+		return llvm.OpFMul
+	case mlir.OpDivF:
+		return llvm.OpFDiv
+	}
+	return ""
+}
+
 func (x *xlate) op(op *mlir.Op) error {
 	b := x.b
 	switch op.Name {
@@ -267,12 +292,9 @@ func (x *xlate) op(op *mlir.Op) error {
 		}
 		return nil
 
-	case mlir.OpAddI, mlir.OpSubI, mlir.OpMulI, mlir.OpDivSI, mlir.OpRemSI:
-		opc := map[string]llvm.Opcode{
-			mlir.OpAddI: llvm.OpAdd, mlir.OpSubI: llvm.OpSub, mlir.OpMulI: llvm.OpMul,
-			mlir.OpDivSI: llvm.OpSDiv, mlir.OpRemSI: llvm.OpSRem,
-		}[op.Name]
-		x.vmap[op.Result(0)] = b.Binary(opc, x.val(op.Operands[0]), x.val(op.Operands[1]))
+	case mlir.OpAddI, mlir.OpSubI, mlir.OpMulI, mlir.OpDivSI, mlir.OpRemSI,
+		mlir.OpAddF, mlir.OpSubF, mlir.OpMulF, mlir.OpDivF:
+		x.vmap[op.Result(0)] = b.Binary(binaryOpcode(op.Name), x.val(op.Operands[0]), x.val(op.Operands[1]))
 		return nil
 
 	case mlir.OpMinSI, mlir.OpMaxSI:
@@ -283,14 +305,6 @@ func (x *xlate) op(op *mlir.Op) error {
 		l, r := x.val(op.Operands[0]), x.val(op.Operands[1])
 		c := b.ICmp(pred, l, r)
 		x.vmap[op.Result(0)] = b.Select(c, l, r)
-		return nil
-
-	case mlir.OpAddF, mlir.OpSubF, mlir.OpMulF, mlir.OpDivF:
-		opc := map[string]llvm.Opcode{
-			mlir.OpAddF: llvm.OpFAdd, mlir.OpSubF: llvm.OpFSub,
-			mlir.OpMulF: llvm.OpFMul, mlir.OpDivF: llvm.OpFDiv,
-		}[op.Name]
-		x.vmap[op.Result(0)] = b.Binary(opc, x.val(op.Operands[0]), x.val(op.Operands[1]))
 		return nil
 
 	case mlir.OpNegF:
