@@ -9,8 +9,10 @@
 package repro_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -373,6 +375,54 @@ func BenchmarkSynthesize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompileJobMix runs the compile-pairs job mix through one engine
+// per iteration: every polybench kernel at SMALL under every dse.Space()
+// configuration and both flows, 612 jobs, oracle and cache off. Besides
+// the per-batch figures it reports wall time, bytes and allocations per
+// job.
+func BenchmarkCompileJobMix(b *testing.B) {
+	var jobs []engine.Job
+	for _, k := range polybench.All() {
+		s, err := k.SizeOf("SMALL")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range dse.Space() {
+			for _, kind := range []engine.Kind{engine.KindAdaptor, engine.KindCxx} {
+				jobs = append(jobs, engine.Job{Label: k.Name + "/" + c.Label + "/" + string(kind),
+					Kind: kind, Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name,
+					Directives: c.D, Target: hls.DefaultTarget(), CacheScope: s.Name})
+			}
+		}
+	}
+	run := func() {
+		rs, err := engine.New(engine.Options{ContinueOnError: true}).RunBatch(context.Background(), jobs,
+			engine.BatchOptions{ContinueOnError: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.Err != nil {
+				b.Fatalf("%s: %v", r.Label, r.Err)
+			}
+		}
+	}
+	run() // warm the pools and the heap
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(jobs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/job")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/job")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/job")
 }
 
 // BenchmarkIRChecks measures the checks every flow repeats per function:

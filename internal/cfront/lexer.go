@@ -8,6 +8,7 @@ package cfront
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -28,9 +29,11 @@ type token struct {
 	line int
 }
 
-func lex(src string) ([]token, error) {
+// lex appends the tokens of src to toks and returns the extended slice,
+// also with an error, so the caller keeps its storage.
+func lex(toks []token, src string) ([]token, error) {
 	// Emitted C runs three to four and a half bytes per token.
-	toks := make([]token, 0, len(src)/3+1)
+	toks = slices.Grow(toks, len(src)/3+1)
 	line := 1
 	i := 0
 	n := len(src)
@@ -116,7 +119,7 @@ func lex(src string) ([]token, error) {
 					toks = append(toks, token{kind: tPunct, text: string(c), line: line})
 					i++
 				default:
-					return nil, fmt.Errorf("cfront: line %d: unexpected character %q", line, string(c))
+					return toks, fmt.Errorf("cfront: line %d: unexpected character %q", line, string(c))
 				}
 			}
 		}

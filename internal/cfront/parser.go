@@ -4,16 +4,39 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
+
+// tokenBuf is a parse's token buffer. Tokens hold substrings of the
+// source, and the AST keeps only those substrings, never a token.
+type tokenBuf struct {
+	toks []token
+}
+
+// tokenBufs holds the token buffers of finished parses.
+var tokenBufs sync.Pool
 
 // ParseC parses C-subset source text.
 func ParseC(src string) (*File, error) {
-	toks, err := lex(src)
+	buf, _ := tokenBufs.Get().(*tokenBuf)
+	if buf == nil {
+		buf = &tokenBuf{}
+	}
+	defer buf.release()
+	toks, err := lex(buf.toks[:0], src)
+	buf.toks = toks
 	if err != nil {
 		return nil, err
 	}
 	p := &cparser{toks: toks}
 	return p.parseFile()
+}
+
+// release empties the buffer, so the pool pins no source, and pools it.
+func (b *tokenBuf) release() {
+	clear(b.toks)
+	b.toks = b.toks[:0]
+	tokenBufs.Put(b)
 }
 
 type cparser struct {

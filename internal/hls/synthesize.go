@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/absint"
 	"repro/internal/deptest"
@@ -106,7 +107,10 @@ func Synthesize(m *llvm.Module, top string, tgt Target) (*Report, error) {
 	if f == nil {
 		return nil, fmt.Errorf("hls: top function @%s not found", top)
 	}
-	return newSynth(f, tgt).run(), nil
+	s := newSynth(f, tgt)
+	rep := s.run()
+	s.release()
+	return rep, nil
 }
 
 // synth is one synthesis run. newSynth numbers the function's blocks and
@@ -120,19 +124,9 @@ type synth struct {
 	li  *analysis.LoopInfo
 
 	// Blocks and instructions carry the layout numbers the CFG had f
-	// write: block b holds instructions first[b] through first[b+1]-1,
-	// and instrs[i] is instruction i.
-	instrs []*llvm.Instr
-	first  []int32
-	// Per instruction: its cost with address folding and inferred widths
-	// applied, its operands' numbers (-1 for anything but an instruction of
-	// f) in args[argOff[i]:argOff[i+1]], its load/store base number (-1
-	// otherwise) and its interned area key (-1 when it has no area).
-	cost   []OpCost
-	argOff []int32
-	args   []int32
-	base   []int32
-	area   []int32
+	// write: block b holds instructions first[b] through first[b+1]-1.
+	first []int32
+	*synthTables
 	// part holds each parameter's partition directive; ports is each base's
 	// effective port count.
 	part  []partition
@@ -151,12 +145,10 @@ type synth struct {
 	pts *absint.PointsToResult
 	dep *deptest.Engine
 
-	// Scheduler state: finish times valid when stamped with the current
-	// generation, and per-base memory state valid when stamped with the
-	// current call.
+	// Scheduler state: finish times (in synthTables) valid when stamped
+	// with the current generation, and per-base memory state valid when
+	// stamped with the current call.
 	gen, call  uint32
-	stamp      []uint32
-	finish     []float64
 	baseCall   []uint32
 	lastStore  []float64
 	lastAccess []float64
@@ -188,6 +180,58 @@ type synth struct {
 	maxChain float64
 }
 
+// synthTables is a synthesis run's per-instruction scratch, taken from
+// synthScratch by newSynth and returned by Synthesize once the report is
+// built. instrs[i] is instruction i. Per instruction: its cost with
+// address folding and inferred widths applied, its operands' numbers (-1
+// for anything but an instruction of f) in args[argOff[i]:argOff[i+1]],
+// its load/store base number (-1 otherwise), its interned area key (-1
+// when it has no area), and the scheduler's finish time, valid when
+// stamped with the current generation.
+type synthTables struct {
+	instrs []*llvm.Instr
+	cost   []OpCost
+	argOff []int32
+	args   []int32
+	base   []int32
+	area   []int32
+	stamp  []uint32
+	finish []float64
+}
+
+// synthScratch holds the tables of finished synthesis runs.
+var synthScratch sync.Pool
+
+// takeSynthTables returns tables for n instructions with nargs operands in
+// all. Every table but stamp is written before it is read; stamp starts
+// at generation zero, which no schedule uses.
+func takeSynthTables(n, nargs int) *synthTables {
+	t, _ := synthScratch.Get().(*synthTables)
+	if t == nil {
+		t = &synthTables{}
+	}
+	t.instrs = slices.Grow(t.instrs[:0], n)
+	t.args = slices.Grow(t.args[:0], nargs)
+	t.cost = slices.Grow(t.cost[:0], n)[:n]
+	t.argOff = slices.Grow(t.argOff[:0], n+1)[:n+1]
+	t.base = slices.Grow(t.base[:0], n)[:n]
+	t.area = slices.Grow(t.area[:0], n)[:n]
+	t.stamp = slices.Grow(t.stamp[:0], n)[:n]
+	t.finish = slices.Grow(t.finish[:0], n)[:n]
+	clear(t.stamp)
+	return t
+}
+
+// release empties the tables of the instructions they reference and pools
+// them. The synth must not be used afterwards.
+func (s *synth) release() {
+	t := s.synthTables
+	s.synthTables = nil
+	clear(t.instrs)
+	t.instrs = t.instrs[:0]
+	synthScratch.Put(t)
+}
+
 // partition is a parameter's parsed hls.array_partition.argN directive.
 type partition struct {
 	kind   string
@@ -215,10 +259,8 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 		}
 	}
 	nb := len(f.Blocks)
-	s.instrs = make([]*llvm.Instr, 0, n)
+	s.synthTables = takeSynthTables(n, nargs)
 	s.first = make([]int32, nb+1)
-	s.argOff = make([]int32, n+1)
-	s.args = make([]int32, 0, nargs)
 	for bi, b := range f.Blocks {
 		s.first[bi] = int32(len(s.instrs))
 		s.instrs = append(s.instrs, b.Instrs...)
@@ -254,8 +296,6 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 	if nl > 0 {
 		s.reports = make([]LoopReport, 0, nl)
 	}
-	s.stamp = make([]uint32, n)
-	s.finish = make([]float64, n)
 	s.memoPass = make([]uint32, nb+nl)
 	s.memo = make([]int64, nb+nl)
 	s.visiting = make([]bool, nb+nl)
@@ -266,9 +306,6 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 // per-base port counts.
 func (s *synth) price() {
 	addrOnly := s.addrOnly()
-	s.cost = make([]OpCost, len(s.instrs))
-	s.base = make([]int32, len(s.instrs))
-	s.area = make([]int32, len(s.instrs))
 	bases := map[llvm.Value]int32{}
 	baseNum := func(v llvm.Value) int32 {
 		v = baseOf(v)

@@ -66,7 +66,12 @@ func NewCFG(f *llvm.Function) *CFG {
 	for i := 1; i <= nb; i++ {
 		c.predOff[i] += c.predOff[i-1]
 	}
-	c.preds = make([]*llvm.Block, edges)
+	// The predecessor lists and the postorder share one allocation: the
+	// postorder, later Order, takes the nb slots after the edges, and
+	// appending past them (blocks reached through a block outside f)
+	// moves it out.
+	buf := make([]*llvm.Block, edges+nb)
+	c.preds = buf[:edges:edges]
 	for bi := n - 1; bi >= 0; bi-- {
 		b := f.Blocks[bi]
 		succs := b.Succs()
@@ -82,7 +87,7 @@ func NewCFG(f *llvm.Function) *CFG {
 	// Reverse postorder via iterative DFS; rpo marks the blocks seen with
 	// -2 until the numbering below overwrites it.
 	const seen = -2
-	post := make([]*llvm.Block, 0, nb)
+	post := buf[edges:edges]
 	type frame struct{ b, i int32 }
 	if entry := f.Entry(); entry != nil {
 		stack := make([]frame, 1, nb)

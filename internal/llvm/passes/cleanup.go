@@ -1,6 +1,9 @@
 package passes
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 )
@@ -12,7 +15,9 @@ func DCE(f *llvm.Function) {
 	// uses counts the operand uses of each pure instruction, by number;
 	// removed marks one removed and impure one that is not pure.
 	const removed, impure = -1, -2
-	instrs := numberInstrs(f)
+	snap := numberInstrs(f)
+	defer snap.release()
+	instrs := snap.instrs
 	uses := make([]int32, len(instrs))
 	for _, in := range instrs {
 		if !isPure(in) {
@@ -66,14 +71,34 @@ func DCE(f *llvm.Function) {
 	}
 }
 
-// numberInstrs renumbers f and returns its instructions indexed by number:
-// the snapshot a table over instruction numbers checks identity against.
-func numberInstrs(f *llvm.Function) []*llvm.Instr {
-	instrs := make([]*llvm.Instr, 0, f.Renumber())
-	for _, b := range f.Blocks {
-		instrs = append(instrs, b.Instrs...)
+// instrSnapshot is f's instructions indexed by number: the snapshot a
+// table over instruction numbers checks identity against.
+type instrSnapshot struct {
+	instrs []*llvm.Instr
+}
+
+// instrSnapshots holds the snapshots of finished passes.
+var instrSnapshots sync.Pool
+
+// numberInstrs renumbers f and returns its snapshot, which the pass hands
+// back with release when it is done.
+func numberInstrs(f *llvm.Function) *instrSnapshot {
+	s, _ := instrSnapshots.Get().(*instrSnapshot)
+	if s == nil {
+		s = &instrSnapshot{}
 	}
-	return instrs
+	s.instrs = slices.Grow(s.instrs[:0], f.Renumber())
+	for _, b := range f.Blocks {
+		s.instrs = append(s.instrs, b.Instrs...)
+	}
+	return s
+}
+
+// release empties the snapshot, so the pool pins no module, and pools it.
+func (s *instrSnapshot) release() {
+	clear(s.instrs)
+	s.instrs = s.instrs[:0]
+	instrSnapshots.Put(s)
 }
 
 // instrNum returns in's number in the snapshot instrs, or -1 when instrs
@@ -386,33 +411,12 @@ func b2i(b bool) int64 {
 func CSE(f *llvm.Function) {
 	cfg := analysis.NewCFG(f)
 	dt := analysis.NewDomTree(cfg)
-	instrs := numberInstrs(f)
-	type key struct {
-		op   llvm.Opcode
-		pred string
-		a0   llvm.Value
-		a1   llvm.Value
-		a2   llvm.Value
-	}
-	n := 0
-	for _, in := range instrs {
-		if cseKeyable(in) {
-			n++
-		}
-	}
-	// kept lists the instructions kept under some key; avail maps a key to
-	// the first and last of its instructions, chained through next in the
-	// order they were kept.
-	type link struct {
-		in   *llvm.Instr
-		next int32
-	}
-	type chain struct{ first, last int32 }
-	kept := make([]link, 0, n)
-	avail := make(map[key]chain, n)
-	// subst maps each eliminated instruction, by number, to the dominating
-	// equivalent that replaces it, which is never eliminated itself.
-	subst := make([]*llvm.Instr, len(instrs))
+	snap := numberInstrs(f)
+	defer snap.release()
+	instrs := snap.instrs
+	t := takeCSETables(len(instrs))
+	defer t.release()
+	kept, avail, subst := t.kept, t.avail, t.subst
 	eliminated := false
 	// canon gives an operand its key form: an eliminated instruction its
 	// replacement, and a constant the first equal literal seen, since
@@ -460,8 +464,8 @@ func CSE(f *llvm.Function) {
 		canonConsts[k] = v
 		return v
 	}
-	mk := func(in *llvm.Instr) key {
-		k := key{op: in.Op, pred: in.Pred}
+	mk := func(in *llvm.Instr) cseKey {
+		k := cseKey{op: in.Op, pred: in.Pred}
 		if len(in.Args) > 0 {
 			k.a0 = canon(in.Args[0])
 		}
@@ -496,16 +500,17 @@ func CSE(f *llvm.Function) {
 					kept[c.last].next = int32(len(kept))
 					c.last = int32(len(kept))
 				} else {
-					c = chain{int32(len(kept)), int32(len(kept))}
+					c = cseChain{int32(len(kept)), int32(len(kept))}
 				}
 				avail[k] = c
-				kept = append(kept, link{in, -1})
+				kept = append(kept, cseLink{in, -1})
 			}
 			keep = append(keep, in)
 		}
 		clear(b.Instrs[len(keep):])
 		b.Instrs = keep
 	}
+	t.kept = kept
 	if !eliminated {
 		return
 	}
@@ -520,6 +525,65 @@ func CSE(f *llvm.Function) {
 			}
 		}
 	}
+}
+
+// cseKey identifies the instructions CSE merges: opcode, predicate and up
+// to three operands in key form.
+type cseKey struct {
+	op   llvm.Opcode
+	pred string
+	a0   llvm.Value
+	a1   llvm.Value
+	a2   llvm.Value
+}
+
+// cseLink is a kept instruction and the number of the next one kept under
+// its key, or -1.
+type cseLink struct {
+	in   *llvm.Instr
+	next int32
+}
+
+// cseChain holds the numbers of the first and last instructions kept under
+// a key.
+type cseChain struct{ first, last int32 }
+
+// cseTables is CSE's scratch. kept lists the instructions kept under some
+// key; avail maps a key to the first and last of its instructions, chained
+// through next in the order they were kept. subst maps each eliminated
+// instruction, by number, to the dominating equivalent that replaces it,
+// which is never eliminated itself.
+type cseTables struct {
+	kept  []cseLink
+	avail map[cseKey]cseChain
+	subst []*llvm.Instr
+}
+
+// cseScratch holds the tables of finished CSE runs.
+var cseScratch sync.Pool
+
+// takeCSETables returns empty tables for a function of n instructions.
+func takeCSETables(n int) *cseTables {
+	t, _ := cseScratch.Get().(*cseTables)
+	if t == nil {
+		t = &cseTables{avail: map[cseKey]cseChain{}}
+	}
+	// A run that panicked may have pooled filled tables.
+	clear(t.avail)
+	t.kept = t.kept[:0]
+	t.subst = slices.Grow(t.subst[:0], n)[:n]
+	clear(t.subst)
+	return t
+}
+
+// release empties the tables of everything that references the function
+// and pools them.
+func (t *cseTables) release() {
+	clear(t.avail)
+	clear(t.kept)
+	clear(t.subst)
+	t.kept, t.subst = t.kept[:0], t.subst[:0]
+	cseScratch.Put(t)
 }
 
 // cseKeyable reports whether CSE may merge in with an equal instruction:

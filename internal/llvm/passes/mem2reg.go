@@ -6,7 +6,9 @@
 package passes
 
 import (
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
@@ -65,6 +67,51 @@ func (p *phiSlot) uniqueIncoming() (uniq llvm.Value, sawUndef bool) {
 	return uniq, sawUndef
 }
 
+// mem2regTables is Mem2Reg's scratch: slot by instruction number, the
+// phi slots of the dense placement, the slab their incomings are cut from,
+// and the variable environment of every block in reverse postorder.
+type mem2regTables struct {
+	slot  []int32
+	slots []phiSlot
+	args  []llvm.Value
+	env   []llvm.Value
+}
+
+// mem2regScratch holds the tables of finished Mem2Reg runs.
+var mem2regScratch sync.Pool
+
+// takeMem2RegTables returns tables whose slot covers n instructions;
+// Mem2Reg writes every slot entry before it reads one.
+func takeMem2RegTables(n int) *mem2regTables {
+	t, _ := mem2regScratch.Get().(*mem2regTables)
+	if t == nil {
+		t = &mem2regTables{}
+	}
+	t.slot = slices.Grow(t.slot[:0], n)[:n]
+	return t
+}
+
+// size gives the phi slots, the incoming slab and the environment their
+// lengths. The slab and the environment read nil as undef, so they start
+// empty; every phi slot is written before it is read.
+func (t *mem2regTables) size(slots, args, env int) {
+	t.slots = slices.Grow(t.slots[:0], slots)[:slots]
+	t.args = slices.Grow(t.args[:0], args)[:args]
+	t.env = slices.Grow(t.env[:0], env)[:env]
+	clear(t.args)
+	clear(t.env)
+}
+
+// release empties the tables of everything that references the function
+// and pools them.
+func (t *mem2regTables) release() {
+	clear(t.slots)
+	clear(t.args)
+	clear(t.env)
+	t.slot, t.slots, t.args, t.env = t.slot[:0], t.slots[:0], t.args[:0], t.env[:0]
+	mem2regScratch.Put(t)
+}
+
 // Mem2Reg promotes scalar allocas whose only uses are loads and stores into
 // SSA values. It places a phi per variable at every join (dense insertion),
 // renames over reverse postorder, then folds trivial phis and drops dead
@@ -76,8 +123,12 @@ func Mem2Reg(f *llvm.Function) {
 	// loaded from or stored to. slot holds, by instruction number, an
 	// alloca's variable and, once renaming replaces it, a load's entry in
 	// sub; -1 otherwise.
-	instrs := numberInstrs(f)
-	slot := make([]int32, len(instrs))
+	snap := numberInstrs(f)
+	defer snap.release()
+	instrs := snap.instrs
+	t := takeMem2RegTables(len(instrs))
+	defer t.release()
+	slot := t.slot
 	var vars []*llvm.Instr
 	for _, in := range instrs {
 		slot[in.ID] = -1
@@ -156,8 +207,8 @@ func Mem2Reg(f *llvm.Function) {
 		}
 		ordinal++
 	}
-	slots := make([]phiSlot, len(joins)*nv)
-	argSlab := make([]llvm.Value, nargs)
+	t.size(len(joins)*nv, nargs, len(cfg.Order)*nv)
+	slots, argSlab := t.slots, t.args
 	for k, b := range joins {
 		n := len(cfg.Preds(b))
 		for v, a := range vars {
@@ -171,7 +222,7 @@ func Mem2Reg(f *llvm.Function) {
 	// environment in one slice of env; what a block leaves there is its end
 	// state. A single-predecessor block inherits its predecessor's end
 	// state (back edges only reach joins, which start from their phis).
-	env := make([]llvm.Value, len(cfg.Order)*nv)
+	env := t.env
 	sub := make([]llvm.Value, 0, loads) // promoted load → value
 	loaded := func(x llvm.Value) llvm.Value {
 		if l, ok := x.(*llvm.Instr); ok && l.Op == llvm.OpLoad {

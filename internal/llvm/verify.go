@@ -1,6 +1,9 @@
 package llvm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Verify checks structural invariants: every block has a terminator,
 // branches stay inside the function, phis match their predecessors,
@@ -19,13 +22,22 @@ func (m *Module) Verify() error {
 	return nil
 }
 
+// nameSets holds the SSA-name sets of finished verifications.
+var nameSets sync.Pool
+
 // Verify checks one function.
 func (f *Function) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	n := len(f.Params) + f.Renumber()
-	names := make(map[string]bool, n)
+	f.Renumber()
+	names, _ := nameSets.Get().(map[string]bool)
+	if names == nil {
+		names = map[string]bool{}
+	}
+	// A verification that panicked may have pooled a filled set.
+	clear(names)
+	defer nameSets.Put(names)
 	for _, p := range f.Params {
 		if names[p.Name] {
 			return fmt.Errorf("duplicate parameter name %%%s", p.Name)

@@ -2,6 +2,7 @@ package mlir
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Value is an SSA value: either the result of an op or a block argument.
@@ -342,33 +343,84 @@ func (m *Module) FindFunc(name string) *Op {
 	return nil
 }
 
+// walkStack holds the op lists of the blocks a walk is inside: entering a
+// block pushes a snapshot of its ops, so callbacks may erase or insert ops
+// without disturbing the walk, and leaving it pops them. hi is the highest
+// length the stack reached, the range the walk clears before pooling so the
+// pool pins no module.
+type walkStack struct {
+	ops []*Op
+	hi  int
+}
+
+// walkStacks holds idle walk stacks. A walk nested in a callback takes a
+// stack of its own.
+var walkStacks sync.Pool
+
+// takeWalkStack returns an empty stack. A walk whose callback panics never
+// returns its stack to the pool.
+func takeWalkStack() *walkStack {
+	s, _ := walkStacks.Get().(*walkStack)
+	if s == nil {
+		s = &walkStack{}
+	}
+	s.ops, s.hi = s.ops[:0], 0
+	return s
+}
+
+func (s *walkStack) release() {
+	clear(s.ops[:s.hi])
+	s.ops = s.ops[:0]
+	walkStacks.Put(s)
+}
+
+// push appends a snapshot of b's ops and returns the range it occupies.
+func (s *walkStack) push(b *Block) (lo, hi int) {
+	lo = len(s.ops)
+	s.ops = append(s.ops, b.Ops...)
+	hi = len(s.ops)
+	s.hi = max(s.hi, hi)
+	return lo, hi
+}
+
 // Walk visits op and all nested ops in pre-order. Returning false from fn
 // skips the op's regions (but continues with siblings).
 func Walk(op *Op, fn func(*Op) bool) {
+	s := takeWalkStack()
+	s.pre(op, fn)
+	s.release()
+}
+
+func (s *walkStack) pre(op *Op, fn func(*Op) bool) {
 	if !fn(op) {
 		return
 	}
 	for _, r := range op.Regions {
 		for _, b := range r.Blocks {
-			// Copy: callbacks may mutate the op list.
-			ops := make([]*Op, len(b.Ops))
-			copy(ops, b.Ops)
-			for _, o := range ops {
-				Walk(o, fn)
+			lo, hi := s.push(b)
+			for i := lo; i < hi; i++ {
+				s.pre(s.ops[i], fn)
 			}
+			s.ops = s.ops[:lo]
 		}
 	}
 }
 
 // WalkPost visits op and all nested ops in post-order.
 func WalkPost(op *Op, fn func(*Op)) {
+	s := takeWalkStack()
+	s.post(op, fn)
+	s.release()
+}
+
+func (s *walkStack) post(op *Op, fn func(*Op)) {
 	for _, r := range op.Regions {
 		for _, b := range r.Blocks {
-			ops := make([]*Op, len(b.Ops))
-			copy(ops, b.Ops)
-			for _, o := range ops {
-				WalkPost(o, fn)
+			lo, hi := s.push(b)
+			for i := lo; i < hi; i++ {
+				s.post(s.ops[i], fn)
 			}
+			s.ops = s.ops[:lo]
 		}
 	}
 	fn(op)

@@ -16,45 +16,43 @@ import (
 // scf.for ops.
 func AffineToSCF(m *mlir.Module) error {
 	for _, f := range m.Funcs() {
-		if err := lowerAffineInFunc(f); err != nil {
+		if err := lowerAffineIn(f); err != nil {
 			return err
 		}
 	}
 	return m.Verify()
 }
 
-func lowerAffineInFunc(f *mlir.Op) error {
-	// Repeatedly find and lower the first affine op; lowering may create
-	// nested structures that are themselves visited on later rounds.
-	for {
-		var target *mlir.Op
-		mlir.Walk(f, func(op *mlir.Op) bool {
-			if target != nil {
-				return false
+// lowerAffineIn lowers the affine ops nested in op in one pre-order
+// pass that meets each op once. Lowering an op only inserts ops before it
+// in its block, so the pass steps over them; an affine.for's body moves
+// into the scf.for that replaces it and is lowered there.
+func lowerAffineIn(op *mlir.Op) error {
+	for _, r := range op.Regions {
+		for _, b := range r.Blocks {
+			for i := 0; i < len(b.Ops); i++ {
+				o, n := b.Ops[i], len(b.Ops)
+				var err error
+				switch o.Name {
+				case mlir.OpAffineFor:
+					o, err = lowerAffineFor(o)
+				case mlir.OpAffineLoad, mlir.OpAffineStore:
+					err = lowerAffineAccess(o)
+				case mlir.OpAffineApply:
+					err = lowerAffineApply(o)
+				}
+				if err != nil {
+					return err
+				}
+				// Step to the last op the lowering left in o's place.
+				i += len(b.Ops) - n
+				if err := lowerAffineIn(o); err != nil {
+					return err
+				}
 			}
-			switch op.Name {
-			case mlir.OpAffineFor, mlir.OpAffineLoad, mlir.OpAffineStore, mlir.OpAffineApply:
-				target = op
-				return false
-			}
-			return true
-		})
-		if target == nil {
-			return nil
-		}
-		var err error
-		switch target.Name {
-		case mlir.OpAffineFor:
-			err = lowerAffineFor(target)
-		case mlir.OpAffineLoad, mlir.OpAffineStore:
-			err = lowerAffineAccess(target)
-		case mlir.OpAffineApply:
-			err = lowerAffineApply(target)
-		}
-		if err != nil {
-			return err
 		}
 	}
+	return nil
 }
 
 // expandExpr materializes an affine expression as arith ops inserted before
@@ -117,11 +115,13 @@ func expandMap(m *mlir.AffineMap, operands []*mlir.Value, blk *mlir.Block, ref *
 	return out
 }
 
-func lowerAffineFor(op *mlir.Op) error {
+// lowerAffineFor replaces op with an scf.for that takes over its body, and
+// returns the scf.for.
+func lowerAffineFor(op *mlir.Op) (*mlir.Op, error) {
 	fv := mlir.AffineForView{Op: op}
 	blk := op.Block()
 	if blk == nil {
-		return fmt.Errorf("lower: detached affine.for")
+		return nil, fmt.Errorf("lower: detached affine.for")
 	}
 	lb := expandMap(fv.LowerMap(), fv.LowerOperands(), blk, op)[0]
 	ub := expandMap(fv.UpperMap(), fv.UpperOperands(), blk, op)[0]
@@ -149,23 +149,23 @@ func lowerAffineFor(op *mlir.Op) error {
 	op.Regions = nil
 	blk.InsertBefore(scfFor, op)
 	op.Erase()
-	return nil
+	return scfFor, nil
 }
 
+// lowerAffineAccess expands the access map before op. An affine.load
+// becomes a memref.load in place, keeping its result and so its uses; an
+// affine.store is replaced by a memref.store.
 func lowerAffineAccess(op *mlir.Op) error {
 	v := mlir.AffineAccessView{Op: op}
 	blk := op.Block()
 	idxs := expandMap(v.Map(), v.MapOperands(), blk, op)
-	f := mlir.EnclosingFunc(op)
 	if op.Name == mlir.OpAffineLoad {
-		load := mlir.NewOp(mlir.OpLoad, append([]*mlir.Value{v.MemRef()}, idxs...),
-			[]*mlir.Type{op.Result(0).Type()})
-		blk.InsertBefore(load, op)
-		mlir.ReplaceAllUses(f, op.Result(0), load.Result(0))
-	} else {
-		store := mlir.NewOp(mlir.OpStore, append([]*mlir.Value{v.StoredValue(), v.MemRef()}, idxs...), nil)
-		blk.InsertBefore(store, op)
+		op.Operands = append([]*mlir.Value{v.MemRef()}, idxs...)
+		op.Name, op.Attrs = mlir.OpLoad, nil
+		return nil
 	}
+	store := mlir.NewOp(mlir.OpStore, append([]*mlir.Value{v.StoredValue(), v.MemRef()}, idxs...), nil)
+	blk.InsertBefore(store, op)
 	op.Erase()
 	return nil
 }

@@ -20,6 +20,7 @@
 //
 //	200  evaluated (or served from cache/store/dedup)
 //	400  malformed request (unknown kernel, bad JSON, missing top)
+//	413  request body over 1 MiB
 //	422  the evaluation itself failed — a real compile error, not a
 //	     server condition; never retried
 //	429  client's queue is full, Retry-After set

@@ -5,9 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -446,5 +450,55 @@ func kernelFor(t *testing.T, name, size string) testKernel {
 		build: func() *mlir.Module { return k.Build(s) },
 		top:   k.Name,
 		tgt:   hls.DefaultTarget(),
+	}
+}
+
+// TestOversizedBodiesRejected sends each endpoint a request whose MLIR
+// field pushes the body past maxRequestBytes: it gets 413 with the usual
+// JSON error before admission, so nothing is journaled or counted, and the
+// next valid request is served.
+func TestOversizedBodiesRejected(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{StoreDir: dir})
+	journalLines := func() int {
+		b, err := os.ReadFile(filepath.Join(dir, "pending.jsonl"))
+		if errors.Is(err, os.ErrNotExist) {
+			return 0
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(b, []byte("\n"))
+	}
+	huge := strings.Repeat(" ", maxRequestBytes)
+	for _, tc := range []struct {
+		path      string
+		oversized any
+		valid     any
+	}{
+		{"/v1/eval", EvalRequest{Client: "big", MLIR: huge, Top: "gemm"}, miniEval("big")},
+		{"/v1/sweep", SweepRequest{Client: "big", MLIR: huge, Top: "gemm"},
+			SweepRequest{Client: "big", Kernel: "gemm", Size: "MINI"}},
+	} {
+		lines, admitted := journalLines(), s.Stats().Requests
+		resp := postJSON(t, ts.URL+tc.path, tc.oversized)
+		var body map[string]string
+		err := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || body["err"] == "" {
+			t.Fatalf("%s oversized: status %d, body %v (%v), want 413 with an err", tc.path, resp.StatusCode, body, err)
+		}
+		if got := journalLines(); got != lines {
+			t.Fatalf("%s oversized: journal grew from %d to %d lines", tc.path, lines, got)
+		}
+		if got := s.Stats().Requests; got != admitted {
+			t.Fatalf("%s oversized: %d requests admitted, want %d", tc.path, got, admitted)
+		}
+		resp = postJSON(t, ts.URL+tc.path, tc.valid)
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s valid after oversized: status %d", tc.path, resp.StatusCode)
+		}
 	}
 }
