@@ -99,14 +99,14 @@ func BenchmarkDSEParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	build := func() *mlir.Module { return k.Build(s) }
+	in := engine.Input{Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name}
 	tgt := hls.DefaultTarget()
 	base := dse.Options{Precheck: *benchPrecheck}
 
 	// Serial baseline for the speedup metric (median-free, but the sweep
 	// is long enough to be stable).
 	t0 := time.Now()
-	serialRes, err := dse.ExploreWith(build, k.Name, tgt,
+	serialRes, err := dse.ExploreWith(in, tgt,
 		dse.Options{Engine: engine.New(engine.Options{Workers: 1}), Precheck: base.Precheck})
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +118,7 @@ func BenchmarkDSEParallel(b *testing.B) {
 			opts := base
 			opts.Engine = engine.New(engine.Options{Workers: w})
 			for i := 0; i < b.N; i++ {
-				if _, err := dse.ExploreWith(build, k.Name, tgt, opts); err != nil {
+				if _, err := dse.ExploreWith(in, tgt, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,13 +132,14 @@ func BenchmarkDSEParallel(b *testing.B) {
 		eng := engine.New(engine.Options{Workers: 4, Cache: true})
 		opts := base
 		opts.Engine = eng
-		opts.CacheScope = "MINI"
-		if _, err := dse.ExploreWith(build, k.Name, tgt, opts); err != nil {
+		scoped := in
+		scoped.Scope = "MINI"
+		if _, err := dse.ExploreWith(scoped, tgt, opts); err != nil {
 			b.Fatal(err) // warm the cache outside the timed region
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.ExploreWith(build, k.Name, tgt, opts); err != nil {
+			if _, err := dse.ExploreWith(scoped, tgt, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -37,8 +37,7 @@ func main() {
 	quarantine := flag.String("quarantine", "", "directory for repro bundles of failing evaluations (re-execute with hls-adaptor -replay)")
 	retries := flag.Int("retries", 0, "re-executions granted per evaluation for transient failures")
 	verify := flag.Bool("verify-semantics", false, "run every evaluation under the differential semantic oracle (a pass that changes results fails as a localized miscompile)")
-	incremental := flag.Bool("incremental", false, "memoize pipeline units so repeated evaluations replay unchanged prefixes instead of recompiling")
-	incrStore := flag.String("incr-store", "", "directory for the on-disk incremental store (implies -incremental); table regeneration warm-starts across processes")
+	incrStore := flag.String("incr-store", "", "directory for the on-disk incremental store: pipeline units memoize across processes, so regenerating after a directive or target edit replays unchanged prefixes")
 	server := flag.String("server", "", "hls-serve daemon URL; evaluations run remotely with embedded fallback when it is unreachable or shedding")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -61,16 +60,13 @@ func main() {
 		Fallback:   *fallback,
 		Quarantine: *quarantine,
 	}
-	switch {
-	case *incrStore != "":
+	if *incrStore != "" {
 		st, err := incr.OpenDiskStore(*incrStore)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flowbench:", err)
 			os.Exit(1)
 		}
 		eopts.IncrStore = st
-	case *incremental:
-		eopts.IncrStore = incr.NewMemStore()
 	}
 	if *server != "" {
 		client := serve.NewClient(*server, "flowbench")

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -39,9 +38,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hls"
 	"repro/internal/incr"
-	"repro/internal/mlir"
-	"repro/internal/mlir/parser"
-	"repro/internal/polybench"
 	"repro/internal/prof"
 	"repro/internal/resilience"
 	"repro/internal/serve"
@@ -54,7 +50,6 @@ func main() {
 	clock := flag.Float64("clock", 10.0, "target clock period in ns")
 	costModel := flag.String("cost-model", "declared", "operator width source: declared (type widths) or inferred (bitwidth analysis)")
 	workers := flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", false, "reuse results for identical configurations")
 	timeout := flag.Duration("timeout", 0, "per-configuration timeout (0 = none)")
 	failfast := flag.Bool("failfast", false, "abort the sweep on the first failing configuration")
 	precheck := flag.Bool("precheck", false, "prune II-infeasible pipeline points before the sweep (never changes the frontier)")
@@ -63,12 +58,10 @@ func main() {
 	fallback := flag.Bool("fallback", false, "degrade configurations whose direct-IR path fails to the C++ baseline flow (marked degraded, exit 2)")
 	quarantine := flag.String("quarantine", "", "directory for self-contained repro bundles of failing configurations (re-execute with hls-adaptor -replay)")
 	retries := flag.Int("retries", 0, "re-executions granted per configuration for transient failures (timeouts)")
-	seed := flag.Int64("seed", 0, "seed for the retry backoff jitter")
 	injectPanic := flag.String("inject-panic", "", "chaos hook: panic inside `config:stage/pass` of the direct path, exercising isolation/fallback/quarantine end to end")
 	oracleRate := flag.Int("oracle", 0, "sample the differential semantic oracle on every Nth configuration (1 = every point, 0 = off)")
 	injectMiscompile := flag.String("inject-miscompile", "", "chaos hook: corrupt the IR inside `config:stage/pass`, exercising oracle detection/localization/quarantine end to end")
-	incremental := flag.Bool("incremental", false, "memoize pipeline units so repeated or edited sweeps replay unchanged prefixes instead of recompiling")
-	incrStore := flag.String("incr-store", "", "directory for the on-disk incremental store (implies -incremental); sweeps warm-start across processes")
+	incrStore := flag.String("incr-store", "", "directory for the on-disk incremental store: pipeline units memoize across processes, so a re-sweep after a directive or target edit replays unchanged prefixes")
 	server := flag.String("server", "", "hls-serve daemon URL; points evaluate remotely with embedded fallback when it is unreachable or shedding")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -93,63 +86,31 @@ func main() {
 		fatal(fmt.Errorf("unknown -cost-model %q (want declared or inferred)", *costModel))
 	}
 
-	var build func() *mlir.Module
-	var name, scope string
-	var spec *engine.RemoteSpec
-	switch {
-	case *kernel != "":
-		k := polybench.Get(*kernel)
-		if k == nil {
-			fatal(fmt.Errorf("unknown kernel %q", *kernel))
-		}
-		s, err := k.SizeOf(*size)
-		if err != nil {
-			fatal(err)
-		}
-		build = func() *mlir.Module { return k.Build(s) }
-		name = k.Name
-		scope = *size
-		spec = &engine.RemoteSpec{Kernel: *kernel, Size: *size}
-	case flag.Arg(0) != "":
+	spec := engine.RemoteSpec{Kernel: *kernel, Size: *size, Top: *top}
+	if *kernel == "" && flag.NArg() > 0 {
 		src, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		if *top == "" {
-			fatal(fmt.Errorf("-top is required for MLIR-file input"))
-		}
-		build = func() *mlir.Module {
-			m, err := parser.Parse(string(src))
-			if err != nil {
-				fatal(err)
-			}
-			return m
-		}
-		name = *top
-		// Scope the cache to the file's content, not its path.
-		scope = fmt.Sprintf("%x", sha256.Sum256(src))
-		spec = &engine.RemoteSpec{MLIR: string(src)}
-	default:
-		fatal(fmt.Errorf("pass -kernel NAME or an input.mlir with -top"))
+		spec.MLIR = string(src)
+	}
+	in, err := spec.Resolve()
+	if err != nil {
+		fatal(err)
 	}
 
 	eopts := engine.Options{
 		Workers:    *workers,
-		Cache:      *cache,
 		Retries:    *retries,
-		Seed:       *seed,
 		Fallback:   *fallback,
 		Quarantine: *quarantine,
 	}
-	switch {
-	case *incrStore != "":
+	if *incrStore != "" {
 		st, err := incr.OpenDiskStore(*incrStore)
 		if err != nil {
 			fatal(err)
 		}
 		eopts.IncrStore = st
-	case *incremental:
-		eopts.IncrStore = incr.NewMemStore()
 	}
 	if spec := *injectPanic; spec != "" {
 		label, unit, ok := strings.Cut(spec, ":")
@@ -176,11 +137,10 @@ func main() {
 		}
 	}
 	opts := dse.Options{
-		FailFast:   *failfast,
-		Timeout:    *timeout,
-		CacheScope: scope,
-		Precheck:   *precheck,
-		Oracle:     *oracleRate,
+		FailFast: *failfast,
+		Timeout:  *timeout,
+		Precheck: *precheck,
+		Oracle:   *oracleRate,
 	}
 	if *server != "" {
 		client := serve.NewClient(*server, "hls-dse")
@@ -188,7 +148,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hls-dse: server %s not ready; evaluating embedded\n", *server)
 		}
 		eopts.Remote = client.Remote()
-		opts.RemoteSpec = spec
 	}
 	opts.Engine = engine.New(eopts)
 	var journal *resilience.Journal
@@ -202,7 +161,7 @@ func main() {
 	}
 
 	t0 := time.Now()
-	res, err := dse.ExploreWith(build, name, tgt, opts)
+	res, err := dse.ExploreWith(in, tgt, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -214,7 +173,7 @@ func main() {
 			degraded++
 		}
 	}
-	fmt.Printf("explored %d configurations of %s", len(res.Points), name)
+	fmt.Printf("explored %d configurations of %s", len(res.Points), in.Top)
 	if res.Resumed > 0 {
 		fmt.Printf(" (%d resumed from %s)", res.Resumed, *journalPath)
 	}

@@ -467,7 +467,7 @@ func refineICmp(env *ienv, cmp *llvm.Instr, taken bool) bool {
 	ia, ib := env.get(a), env.get(b)
 	pred := cmp.Pred
 	if !taken {
-		pred = negatePred(pred)
+		pred = NegatePred(pred)
 	}
 	na, nb := ia, ib
 	switch pred {
@@ -552,7 +552,9 @@ func trimPoint(iv Interval, c int64) Interval {
 	return iv
 }
 
-func negatePred(pred string) string {
+// NegatePred returns the icmp predicate that holds exactly when pred does
+// not: the predicate a compare's false edge refines by.
+func NegatePred(pred string) string {
 	switch pred {
 	case "eq":
 		return "ne"

@@ -251,7 +251,7 @@ func (d kbDomain) FlowEdge(from, to *llvm.Block, out *kenv) (*kenv, bool) {
 func refineICmpKB(env *kenv, cmp *llvm.Instr, taken bool) bool {
 	pred := cmp.Pred
 	if !taken {
-		pred = negatePred(pred)
+		pred = absint.NegatePred(pred)
 	}
 	a, b := cmp.Args[0], cmp.Args[1]
 	switch pred {
@@ -351,32 +351,6 @@ func setFact(env *kenv, v llvm.Value, kb KnownBits) bool {
 		env.m[v] = kb
 	}
 	return true
-}
-
-func negatePred(pred string) string {
-	switch pred {
-	case "eq":
-		return "ne"
-	case "ne":
-		return "eq"
-	case "slt":
-		return "sge"
-	case "sle":
-		return "sgt"
-	case "sgt":
-		return "sle"
-	case "sge":
-		return "slt"
-	case "ult":
-		return "uge"
-	case "ule":
-		return "ugt"
-	case "ugt":
-		return "ule"
-	case "uge":
-		return "ult"
-	}
-	return pred
 }
 
 // KnownBitsResult exposes one function's solved known-bits facts.

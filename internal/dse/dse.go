@@ -130,9 +130,6 @@ type Options struct {
 	FailFast bool
 	// Timeout bounds each configuration's wall time (0 = none).
 	Timeout time.Duration
-	// CacheScope salts the cache key for inputs whose identity is not
-	// captured by the top name alone (size presets, file hashes).
-	CacheScope string
 	// Engine evaluates the jobs, sharing its caches and stats with every
 	// other batch it runs; nil means engine.New(engine.Options{}).
 	Engine *engine.Engine
@@ -155,11 +152,6 @@ type Options struct {
 	// kept representative of each pruned group evaluates to the identical
 	// report. Off by default.
 	Precheck bool
-	// RemoteSpec, when non-nil, stamps every job with the serializable
-	// identity of the swept input, so an engine configured with
-	// Options.Remote can ship points to a compile-service daemon and fall
-	// back to embedded evaluation when it is unreachable.
-	RemoteSpec *engine.RemoteSpec
 	// Oracle samples the differential semantic oracle across the sweep:
 	// when N > 0, every Nth configuration by space index (idx % N == 0)
 	// runs with Job.VerifySemantics, re-executing the IR after
@@ -171,17 +163,19 @@ type Options struct {
 	Oracle int
 }
 
-// Explore evaluates the whole directive space for a kernel in parallel.
-// build must return a fresh module per call (flows mutate their input; the
-// engine enforces this). Failing configurations are recorded in
+// Explore evaluates the whole directive space for an input in parallel.
+// in.Build must return a fresh module per call (flows mutate their input;
+// the engine enforces this). Every job carries the input's scope and spec,
+// so an engine configured with Options.Remote can ship points to a
+// compile-service daemon. Failing configurations are recorded in
 // Result.Errors and the sweep continues; the returned error is non-nil
 // only when nothing evaluated successfully.
-func Explore(build func() *mlir.Module, top string, tgt hls.Target) (*Result, error) {
-	return ExploreWith(build, top, tgt, Options{})
+func Explore(in engine.Input, tgt hls.Target) (*Result, error) {
+	return ExploreWith(in, tgt, Options{})
 }
 
 // ExploreWith is Explore with explicit options.
-func ExploreWith(build func() *mlir.Module, top string, tgt hls.Target, opts Options) (*Result, error) {
+func ExploreWith(in engine.Input, tgt hls.Target, opts Options) (*Result, error) {
 	eng := opts.Engine
 	if eng == nil {
 		eng = engine.New(engine.Options{})
@@ -189,7 +183,7 @@ func ExploreWith(build func() *mlir.Module, top string, tgt hls.Target, opts Opt
 	space := Space()
 	var pruned []PrunedPoint
 	if opts.Precheck {
-		space, pruned = pruneInfeasible(space, build, top, tgt)
+		space, pruned = pruneInfeasible(space, in.Build, in.Top, tgt)
 	}
 	res := &Result{Pruned: pruned}
 	// slots holds each configuration's point at its space index, whether it
@@ -200,16 +194,8 @@ func ExploreWith(build func() *mlir.Module, top string, tgt hls.Target, opts Opt
 	var jobs []engine.Job
 	var jobSlot []int
 	for i, cfg := range space {
-		job := engine.Job{
-			Label:      cfg.Label,
-			Kind:       engine.KindAdaptor,
-			Build:      build,
-			Top:        top,
-			Directives: cfg.D,
-			Target:     tgt,
-			CacheScope: opts.CacheScope,
-			Spec:       opts.RemoteSpec,
-		}
+		job := in.Job(engine.KindAdaptor, cfg.D, tgt)
+		job.Label = cfg.Label
 		if opts.Oracle > 0 && i%opts.Oracle == 0 {
 			job.VerifySemantics = true
 		}
@@ -341,18 +327,10 @@ func pruneInfeasible(space []Config, build func() *mlir.Module, top string, tgt 
 		}
 		return floor, rec, res
 	}
+	// A group is the normal form with the requested II left out.
 	groupKey := func(d flow.Directives) string {
-		part := ""
-		if d.Partition != nil {
-			part = fmt.Sprintf("%s,%d,%d", d.Partition.Kind, d.Partition.Factor, d.Partition.Dim)
-		}
-		return fmt.Sprintf("u%d|p%s|f%v|df%v", d.Unroll, part, d.Flatten, d.Dataflow)
-	}
-	reqII := func(d flow.Directives) int {
-		if d.II <= 0 {
-			return 1
-		}
-		return d.II
+		d.II = 1
+		return d.Key()
 	}
 	keepII := map[string]int{}
 	for _, cfg := range space {
@@ -360,19 +338,20 @@ func pruneInfeasible(space []Config, build func() *mlir.Module, top string, tgt 
 			continue
 		}
 		floor, _, _ := groupFloor(cfg.D)
-		if reqII(cfg.D) > floor {
+		ii := cfg.D.Canon().II
+		if ii > floor {
 			continue
 		}
 		k := groupKey(cfg.D)
-		if cur, seen := keepII[k]; !seen || reqII(cfg.D) < cur {
-			keepII[k] = reqII(cfg.D)
+		if cur, seen := keepII[k]; !seen || ii < cur {
+			keepII[k] = ii
 		}
 	}
 	var kept []Config
 	var pruned []PrunedPoint
 	for _, cfg := range space {
 		if cfg.D.Pipeline {
-			ii := reqII(cfg.D)
+			ii := cfg.D.Canon().II
 			floor, rec, res := groupFloor(cfg.D)
 			if m, seen := keepII[groupKey(cfg.D)]; seen && ii <= floor && ii > m {
 				reason := fmt.Sprintf("requested II=%d is below the dependence-implied floor RecMII=%d; schedule identical to the kept II=%d point",

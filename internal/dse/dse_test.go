@@ -3,6 +3,7 @@ package dse
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hls"
 	"repro/internal/mlir"
 	"repro/internal/polybench"
@@ -15,7 +16,7 @@ func explore(t *testing.T, kernel string) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(func() *mlir.Module { return k.Build(s) }, k.Name, hls.DefaultTarget())
+	res, err := Explore(engine.Input{Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name}, hls.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 4} {
-		got, err := ExploreWith(build, k.Name, tgt, Options{Engine: engine.New(engine.Options{Workers: w})})
+		got, err := ExploreWith(engine.Input{Build: build, Top: k.Name}, tgt, Options{Engine: engine.New(engine.Options{Workers: w})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	// Cached: second run must be served from the cache and stay identical.
 	eng := engine.New(engine.Options{Workers: 4, Cache: true})
 	for run := 0; run < 2; run++ {
-		got, err := ExploreWith(build, k.Name, tgt, Options{Engine: eng, CacheScope: "MINI"})
+		got, err := ExploreWith(engine.Input{Build: build, Top: k.Name, Scope: "MINI"}, tgt, Options{Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestExplorePartialFailure(t *testing.T) {
 		}
 		return k.Build(s)
 	}
-	res, err := ExploreWith(build, k.Name, hls.DefaultTarget(), Options{Engine: engine.New(engine.Options{Workers: 1})})
+	res, err := ExploreWith(engine.Input{Build: build, Top: k.Name}, hls.DefaultTarget(), Options{Engine: engine.New(engine.Options{Workers: 1})})
 	if err != nil {
 		t.Fatalf("partial failure must not abort the sweep: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestExplorePartialFailure(t *testing.T) {
 // failure instead of returning an empty result.
 func TestExploreAllFail(t *testing.T) {
 	build := func() *mlir.Module { return nil }
-	_, err := Explore(build, "nope", hls.DefaultTarget())
+	_, err := Explore(engine.Input{Build: build, Top: "nope"}, hls.DefaultTarget())
 	if err == nil || !strings.Contains(err.Error(), "no configuration evaluated") {
 		t.Errorf("want total-failure error, got %v", err)
 	}

@@ -15,7 +15,7 @@ func TestIncrementalWarmSweepMatchesCold(t *testing.T) {
 	store := incr.NewMemStore()
 	sweep := func() (string, engine.Stats) {
 		eng := engine.New(engine.Options{Workers: 1, IncrStore: store})
-		res := exploreOpts(t, "jacobi1d", Options{Engine: eng, CacheScope: "MINI", FailFast: true, Precheck: true})
+		res := exploreOpts(t, "jacobi1d", Options{Engine: eng, FailFast: true, Precheck: true})
 		return paretoSig(res), eng.Stats()
 	}
 	cold, _ := sweep()

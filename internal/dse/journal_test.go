@@ -35,7 +35,7 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 	tgt := hls.DefaultTarget()
 
 	// Reference: one uninterrupted sweep, no journal.
-	ref, err := ExploreWith(build, "gemm", tgt, Options{})
+	ref, err := ExploreWith(engine.Input{Build: build, Top: "gemm"}, tgt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 			return nil
 		},
 	})
-	r1, err := ExploreWith(build, "gemm", tgt, Options{Engine: eng, Journal: j1})
+	r1, err := ExploreWith(engine.Input{Build: build, Top: "gemm"}, tgt, Options{Engine: eng, Journal: j1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 	if j2.Len() != len(r1.Points) {
 		t.Fatalf("reopened journal lost entries: %d vs %d", j2.Len(), len(r1.Points))
 	}
-	r2, err := ExploreWith(build, "gemm", tgt, Options{Journal: j2})
+	r2, err := ExploreWith(engine.Input{Build: build, Top: "gemm"}, tgt, Options{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestJournalResumeByteIdenticalFrontier(t *testing.T) {
 		}
 	}
 	// Third run: everything resumes, nothing evaluates.
-	r3, err := ExploreWith(build, "gemm", tgt, Options{Journal: j2})
+	r3, err := ExploreWith(engine.Input{Build: build, Top: "gemm"}, tgt, Options{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDegradedPointsAreMarked(t *testing.T) {
 			return nil
 		},
 	})
-	res, err := ExploreWith(build, "gemm", hls.DefaultTarget(), Options{Engine: eng})
+	res, err := ExploreWith(engine.Input{Build: build, Top: "gemm"}, hls.DefaultTarget(), Options{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

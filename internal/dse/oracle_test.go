@@ -22,11 +22,11 @@ func TestOracleSamplingCleanSweep(t *testing.T) {
 	}
 	build := func() *mlir.Module { return k.Build(s) }
 	tgt := hls.DefaultTarget()
-	plain, err := ExploreWith(build, k.Name, tgt, Options{})
+	plain, err := ExploreWith(engine.Input{Build: build, Top: k.Name}, tgt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ExploreWith(build, k.Name, tgt, Options{Oracle: 4})
+	sampled, err := ExploreWith(engine.Input{Build: build, Top: k.Name}, tgt, Options{Oracle: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestOracleCatchesMiscompileMidSweep(t *testing.T) {
 			return ""
 		},
 	})
-	res, err := ExploreWith(func() *mlir.Module { return k.Build(s) }, k.Name,
+	res, err := ExploreWith(engine.Input{Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name},
 		hls.DefaultTarget(), Options{Engine: eng, Oracle: 1})
 	if err != nil {
 		t.Fatal(err)

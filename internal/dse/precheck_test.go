@@ -6,23 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/absint"
+	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/hls"
 	"repro/internal/lint"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
-	"repro/internal/mlir"
 	"repro/internal/polybench"
 )
 
 func exploreOpts(t *testing.T, kernel string, opts Options) *Result {
 	t.Helper()
-	k := polybench.Get(kernel)
-	s, err := k.SizeOf("MINI")
+	in, err := engine.RemoteSpec{Kernel: kernel, Size: "MINI"}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExploreWith(func() *mlir.Module { return k.Build(s) }, k.Name, hls.DefaultTarget(), opts)
+	res, err := ExploreWith(in, hls.DefaultTarget(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

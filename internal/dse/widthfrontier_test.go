@@ -3,6 +3,7 @@ package dse
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hls"
 	"repro/internal/llvm"
 	"repro/internal/mlir"
@@ -20,14 +21,14 @@ func TestDeclaredFrontierUnchangedByWidthMachinery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() *mlir.Module { return k.Build(s) }
+	in := engine.Input{Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name}
 
-	plain, err := Explore(build, k.Name, hls.DefaultTarget())
+	plain, err := Explore(in, hls.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A non-empty width map that can never match a real instruction.
-	carrying, err := Explore(build, k.Name,
+	carrying, err := Explore(in,
 		hls.DefaultTarget().WithInferredWidths(map[*llvm.Instr]int{{}: 7}))
 	if err != nil {
 		t.Fatal(err)
@@ -58,15 +59,15 @@ func TestInferredModelExploresCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() *mlir.Module { return k.Build(s) }
+	in := engine.Input{Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name}
 
-	declared, err := Explore(build, k.Name, hls.DefaultTarget())
+	declared, err := Explore(in, hls.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tgt := hls.DefaultTarget()
 	tgt.CostModel = hls.CostInferred
-	inferred, err := Explore(build, k.Name, tgt)
+	inferred, err := Explore(in, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,60 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
-
-	"repro/internal/flow"
-	"repro/internal/hls"
 )
 
 // Key derives the content-addressed cache key for a job: a stable hash of
 // the job's semantic identity — flow kind, top function, caller scope
-// (kernel size preset or input-content hash), canonicalized directives,
-// and the target's cost-model parameters. Two jobs with equal keys are
-// assumed to synthesize identical reports, so labels and build closures
-// deliberately do not participate.
+// (kernel size preset or input-content hash), the directives' normal form
+// (flow.Directives.Key), and the target's cost-model parameters
+// (hls.Target.Canon). Two jobs with equal keys are assumed to synthesize
+// identical reports, so labels, build closures and specs deliberately do
+// not participate.
 func Key(job Job) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "kind=%s|top=%s|scope=%s|%s|%s|verify=%t",
-		job.Kind, job.Top, job.CacheScope,
-		canonDirectives(job.Directives), canonTarget(job.Target),
+		job.Kind, job.Top, job.CacheScope, job.Directives.Key(), job.Target.Canon(),
 		job.VerifySemantics)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// canonDirectives renders directives in the normal form the flows actually
-// consume: II only matters when pipelining (and floors at 1), an unroll
-// factor <= 1 is off, and a nil partition is "none".
-func canonDirectives(d flow.Directives) string {
-	var sb strings.Builder
-	if d.Pipeline {
-		ii := d.II
-		if ii <= 0 {
-			ii = 1
-		}
-		fmt.Fprintf(&sb, "pipe=%d", ii)
-	} else {
-		sb.WriteString("pipe=off")
-	}
-	if d.Unroll > 1 {
-		fmt.Fprintf(&sb, "|unroll=%d", d.Unroll)
-	} else {
-		sb.WriteString("|unroll=off")
-	}
-	if p := d.Partition; p != nil {
-		fmt.Fprintf(&sb, "|part=%s/%d/%d", p.Kind, p.Factor, p.Dim)
-	} else {
-		sb.WriteString("|part=none")
-	}
-	fmt.Fprintf(&sb, "|flat=%t|dataflow=%t", d.Flatten, d.Dataflow)
-	return sb.String()
-}
-
-// canonTarget renders the target's cost-model parameters — the same
-// canonical form the incremental layer keys synthesis records by.
-func canonTarget(t hls.Target) string {
-	return t.Canon()
 }
 
 // cache is the concurrent result store. Entries hold completed JobResults

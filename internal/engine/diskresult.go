@@ -25,13 +25,11 @@ type storedResult struct {
 }
 
 // storable reports whether a result belongs in the persistent store:
-// clean, non-degraded adaptor/cxx results with a report. Degraded results
-// are stand-ins for failed runs (persisting one would mask the direct
-// path recovering), and raw-flow results carry a live LLVM module rather
-// than a report.
-func storable(job Job, r JobResult) bool {
-	return r.Err == nil && !r.Degraded && job.Kind != KindRaw &&
-		r.Res != nil && r.Res.Report != nil
+// clean, non-degraded results with a report. Degraded results are
+// stand-ins for failed runs (persisting one would mask the direct path
+// recovering).
+func storable(r JobResult) bool {
+	return r.Err == nil && !r.Degraded && r.Res != nil && r.Res.Report != nil
 }
 
 // loadStored serves a job from the persistent result store. A record that

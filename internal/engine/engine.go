@@ -1,6 +1,6 @@
 // Package engine is the parallel flow-evaluation engine behind the
 // design-space explorer and the experiments package: a bounded worker pool
-// that fans AdaptorFlow/CxxFlow/RawFlow jobs across goroutines with
+// that fans AdaptorFlow/CxxFlow jobs — design points — across goroutines with
 // deterministic result ordering, configurable first-error cancellation, and
 // an optional content-addressed result cache keyed by the job's semantic
 // identity (top function, directives, target, flow kind, caller scope).
@@ -20,6 +20,7 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sync"
@@ -29,8 +30,9 @@ import (
 	"repro/internal/flow"
 	"repro/internal/hls"
 	"repro/internal/incr"
-	"repro/internal/llvm"
 	"repro/internal/mlir"
+	"repro/internal/mlir/parser"
+	"repro/internal/polybench"
 	"repro/internal/resilience"
 )
 
@@ -40,10 +42,9 @@ type Kind string
 const (
 	KindAdaptor Kind = "adaptor" // flow.AdaptorFlow
 	KindCxx     Kind = "cxx"     // flow.CxxFlow
-	KindRaw     Kind = "raw"     // flow.RawFlow (gate-violation check)
 )
 
-// Job describes one flow evaluation.
+// Job describes one flow evaluation: a design point of an input.
 type Job struct {
 	// Label identifies the job in results and error messages.
 	Label string
@@ -68,35 +69,92 @@ type Job struct {
 	// participates in the cache key — a verified result and an unverified
 	// one are distinct artifacts.
 	VerifySemantics bool
-	// Spec, when non-nil, serializably identifies the module Build
-	// constructs, making the job shippable to a compile-service daemon
-	// through Options.Remote. It never participates in the cache key —
-	// (Kind, Top, CacheScope, Directives, Target) already are the
+	// Spec, when non-nil, is the input Build, Top and CacheScope were
+	// resolved from, which makes the job shippable to a compile-service
+	// daemon through Options.Remote. It never participates in the cache
+	// key — (Kind, Top, CacheScope, Directives, Target) already are the
 	// identity; Spec is transport, not semantics.
 	Spec *RemoteSpec
 }
 
-// RemoteSpec is the wire-format identity of a job's input module: either
-// a registered polybench kernel at a size preset, or raw MLIR text. A
-// thin client sends it with the job's directives and target so the server
-// can rebuild the same module; jobs without a spec always run locally.
+// RemoteSpec is the one description of a job's input module: either a
+// registered polybench kernel at a size preset (Kernel+Size), or raw MLIR
+// text and its top function (MLIR+Top). Resolve turns it into the builder,
+// top name and cache scope every job on that input shares; a thin client
+// ships it with the job's directives and target, and the daemon resolves
+// the same input from it. Jobs without a spec always run locally.
 type RemoteSpec struct {
 	Kernel string `json:"kernel,omitempty"`
 	Size   string `json:"size,omitempty"`
 	MLIR   string `json:"mlir,omitempty"`
+	Top    string `json:"top,omitempty"`
+}
+
+// Input is a resolved job input: the module builder, the top function and
+// the cache scope every job on it shares, and the spec it was resolved
+// from (nil for a builder made by hand).
+type Input struct {
+	Build func() *mlir.Module
+	Top   string
+	Scope string
+	Spec  *RemoteSpec
+}
+
+// Resolve validates the spec. A kernel input defaults to the SMALL preset
+// and is scoped by its size name; MLIR input needs Top, must parse, and is
+// scoped by the sha256 of its text, so the scope follows content, not the
+// file it came from. The returned input's Spec is s with the default size
+// filled in.
+func (s RemoteSpec) Resolve() (Input, error) {
+	switch {
+	case s.Kernel != "":
+		k := polybench.Get(s.Kernel)
+		if k == nil {
+			return Input{}, fmt.Errorf("unknown kernel %q", s.Kernel)
+		}
+		if s.Size == "" {
+			s.Size = "SMALL"
+		}
+		sz, err := k.SizeOf(s.Size)
+		if err != nil {
+			return Input{}, err
+		}
+		return Input{Build: func() *mlir.Module { return k.Build(sz) }, Top: k.Name, Scope: s.Size, Spec: &s}, nil
+	case s.MLIR != "":
+		if s.Top == "" {
+			return Input{}, fmt.Errorf("top is required for MLIR input")
+		}
+		if _, err := parser.Parse(s.MLIR); err != nil {
+			return Input{}, fmt.Errorf("mlir: %w", err)
+		}
+		text := s.MLIR
+		build := func() *mlir.Module {
+			m, err := parser.Parse(text)
+			if err != nil {
+				return nil
+			}
+			return m
+		}
+		return Input{Build: build, Top: s.Top, Scope: fmt.Sprintf("%x", sha256.Sum256([]byte(text))), Spec: &s}, nil
+	}
+	return Input{}, fmt.Errorf("request needs kernel or mlir")
+}
+
+// Job returns the job that evaluates directives d of the input through
+// kind's flow under tgt, labelled with the top function's name.
+func (in Input) Job(kind Kind, d flow.Directives, tgt hls.Target) Job {
+	return Job{Label: in.Top, Kind: kind, Build: in.Build, Top: in.Top, Directives: d,
+		Target: tgt, CacheScope: in.Scope, Spec: in.Spec}
 }
 
 // JobResult is one job's outcome, at the job's index in the input slice.
 type JobResult struct {
 	Label string
 	Kind  Kind
-	// Res holds the flow result for adaptor/cxx jobs (nil on error). A
-	// cached Res is shared between hits and must be treated as read-only.
+	// Res holds the flow result (nil on error). A cached Res is shared
+	// between hits and must be treated as read-only.
 	Res *flow.Result
-	// Violations and LLVM hold the raw-flow outcome for KindRaw jobs.
-	Violations []hls.Violation
-	LLVM       *llvm.Module
-	Err        error
+	Err error
 	// CacheHit reports whether the result was served from the in-memory
 	// cache; DiskHit, from the persistent result store; Remote, from a
 	// compile-service daemon via Options.Remote. At most one is set.
@@ -134,11 +192,9 @@ type Options struct {
 	// failure is transient (timeout, cancellation, or an injected fault
 	// wrapping one); deterministic failures (panics, verify violations,
 	// ordinary errors) never retry. Retries back off from
-	// resilience.DefaultBase, doubling per attempt with seeded jitter.
+	// resilience.DefaultBase, doubling per attempt, with a jitter derived
+	// from the job's Key and the attempt (resilience.Backoff).
 	Retries int
-	// Seed makes the retry jitter (and anything else randomized in the
-	// engine) reproducible across runs.
-	Seed int64
 	// Fallback degrades failed adaptor jobs to the C++ baseline flow:
 	// instead of a job error, the result carries the C++ report tagged
 	// Degraded with the direct-path failure attached.
@@ -166,8 +222,7 @@ type Options struct {
 	// the digest-verified on-disk store under their engine.Key and served
 	// back — across engines, processes, and restarts — before any flow
 	// executes. Multiple daemons and CLIs may share one directory; a
-	// corrupt record is quarantined and counted, never returned. Raw-flow
-	// jobs never persist.
+	// corrupt record is quarantined and counted, never returned.
 	ResultStore *castore.Store
 	// Remote, when non-nil, is consulted for jobs carrying a Spec after
 	// the in-memory cache and the persistent store both miss: the thin-
@@ -283,9 +338,8 @@ func (s Stats) String() string {
 // Engine is a reusable evaluator; its cache and stats persist across Run
 // calls, so batches issued through one engine share results.
 type Engine struct {
-	opts    Options
-	cache   *cache
-	backoff *resilience.Backoff
+	opts  Options
+	cache *cache
 
 	mu    sync.Mutex
 	stats Stats
@@ -294,10 +348,7 @@ type Engine struct {
 // New builds an engine. The zero Options value gives a GOMAXPROCS-wide
 // pool with no cache, no timeout, no retries, and fail-fast cancellation.
 func New(opts Options) *Engine {
-	e := &Engine{
-		opts:    opts,
-		backoff: &resilience.Backoff{Seed: opts.Seed},
-	}
+	e := &Engine{opts: opts}
 	if opts.Cache {
 		e.cache = newCache()
 	}
@@ -456,7 +507,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, opts BatchOptions) ([
 // failed run, and storing it would mask the direct path recovering on a
 // later batch.
 func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]string, seenMu *sync.Mutex) JobResult {
-	useStore := e.opts.ResultStore != nil && job.Kind != KindRaw
+	useStore := e.opts.ResultStore != nil
 	var key string
 	if e.cache != nil || useStore {
 		key = Key(job)
@@ -481,7 +532,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]st
 			return r
 		}
 	}
-	if e.opts.Remote != nil && job.Spec != nil && job.Kind != KindRaw && !e.faultHooked() {
+	if e.opts.Remote != nil && job.Spec != nil && !e.faultHooked() {
 		if r, ok := e.opts.Remote(job); ok {
 			r.Label = job.Label
 			r.Kind = job.Kind
@@ -499,7 +550,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]st
 		if e.cache != nil {
 			e.cache.put(key, res)
 		}
-		if useStore && storable(job, res) {
+		if useStore && storable(res) {
 			e.saveStored(key, res)
 		}
 	}
@@ -513,7 +564,7 @@ func (e *Engine) faultHooked() bool {
 }
 
 // execute runs a job's attempt loop: transient failures (timeouts,
-// cancellations) are retried up to Options.Retries with seeded jittered
+// cancellations) are retried up to Options.Retries with the job's jittered
 // backoff; deterministic failures (panics, verify violations, plain
 // errors) fail immediately — re-running identical input through
 // deterministic code cannot help. After the final attempt, a surviving
@@ -527,7 +578,7 @@ func (e *Engine) execute(job Job, timeout time.Duration, seen map[*mlir.Module]s
 		if res.Err == nil || attempt > e.opts.Retries || !resilience.Transient(res.Err) {
 			break
 		}
-		time.Sleep(e.backoff.Delay(attempt))
+		time.Sleep(resilience.Backoff(Key(job), attempt))
 	}
 	e.quarantine(job, &res)
 	return res
@@ -654,8 +705,6 @@ func (e *Engine) runFlow(ctx context.Context, job Job, seen map[*mlir.Module]str
 		out.Res, out.Err = flow.AdaptorFlowWith(m, job.Top, job.Directives, job.Target, fopts)
 	case KindCxx:
 		out.Res, out.Err = flow.CxxFlowWith(m, job.Top, job.Directives, job.Target, fopts)
-	case KindRaw:
-		out.Violations, out.LLVM, out.Err = flow.RawFlowWith(m, job.Top, job.Directives, fopts)
 	default:
 		out.Err = fmt.Errorf("job %q: unknown kind %q", job.Label, job.Kind)
 	}

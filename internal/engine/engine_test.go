@@ -259,18 +259,3 @@ func TestExternalCancellation(t *testing.T) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
 }
-
-func TestRawKind(t *testing.T) {
-	job := kernelJob(t, "gemm", flow.Directives{})
-	job.Kind = KindRaw
-	rs, err := New(Options{}).Run(context.Background(), []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs[0].Violations) == 0 {
-		t.Error("raw flow should report gate violations")
-	}
-	if rs[0].LLVM == nil {
-		t.Error("raw flow should return the translated module")
-	}
-}

@@ -19,13 +19,13 @@ import (
 func firstUnit(stage, pass string) bool { return stage == "mlir-opt" && pass == "hls-mark-top" }
 
 // TestRetryRecoversTransientFault: an injected transient fault consumes
-// attempts until it clears; the job succeeds and the retries are counted.
+// attempts until it clears; the job succeeds, the retries are counted, and
+// the engine paused for the job's own backoff before each retry.
 func TestRetryRecoversTransientFault(t *testing.T) {
 	jobs := []Job{kernelJob(t, "gemm", flow.Directives{})}
 	var calls atomic.Int32
 	e := New(Options{
 		Retries: 3,
-		Seed:    1,
 		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
 			if firstUnit(stage, pass) && calls.Add(1) <= 2 {
 				return fmt.Errorf("injected: %w", context.DeadlineExceeded)
@@ -33,12 +33,25 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 			return nil
 		},
 	})
+	start := time.Now()
 	rs, err := e.Run(context.Background(), jobs)
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs[0].Err != nil || rs[0].Res == nil {
 		t.Fatalf("retries should have recovered the job: %+v", rs[0])
+	}
+	var paused time.Duration
+	for attempt := 1; attempt <= 2; attempt++ {
+		d := resilience.Backoff(Key(jobs[0]), attempt)
+		if step := resilience.DefaultBase << (attempt - 1); d < step || d >= step*3/2 {
+			t.Errorf("attempt %d: delay %s outside [%s, %s)", attempt, d, step, step*3/2)
+		}
+		paused += d
+	}
+	if wall < paused {
+		t.Errorf("batch took %s, less than the job's two backoff delays (%s)", wall, paused)
 	}
 	if rs[0].Attempts != 3 {
 		t.Errorf("want 3 attempts (2 faults + 1 success), got %d", rs[0].Attempts)
@@ -224,7 +237,6 @@ func TestConcurrentStatsUnderDegradedAndRetriedJobs(t *testing.T) {
 		Workers:         4,
 		ContinueOnError: true,
 		Retries:         2,
-		Seed:            7,
 		Fallback:        true,
 		FlowFaultHook: func(job Job, flowName, stage, pass string) error {
 			if v, ok := faults.Load(job.Label); ok && firstUnit(stage, pass) && v.(*atomic.Int32).Add(-1) >= 0 {

@@ -33,8 +33,8 @@ type Config struct {
 	Engine *engine.Engine
 	// Verify runs every adaptor and C++ evaluation under the differential
 	// semantic oracle: it sets Job.VerifySemantics, so it reaches the
-	// cache key and a compile-service daemon too. Raw jobs never run the
-	// oracle.
+	// cache key and a compile-service daemon too. Table 2's raw
+	// translations never run the oracle.
 	Verify bool
 }
 
@@ -115,29 +115,26 @@ type Pair struct {
 	Cxx     *flow.Result
 }
 
+// input resolves a kernel at the configured size. The kernel+size pair is
+// the full input identity, so every table evaluation can ship to a
+// compile-service daemon.
+func (c Config) input(k *polybench.Kernel) (engine.Input, error) {
+	return engine.RemoteSpec{Kernel: k.Name, Size: c.SizeName}.Resolve()
+}
+
 // pairJobs emits the adaptor+cxx job pair for one kernel.
 func pairJobs(k *polybench.Kernel, cfg Config, d flow.Directives) ([]engine.Job, error) {
-	s, err := k.SizeOf(cfg.SizeName)
+	in, err := cfg.input(k)
 	if err != nil {
 		return nil, err
 	}
-	build := func() *mlir.Module { return k.Build(s) }
-	mk := func(kind engine.Kind, tag string) engine.Job {
-		return engine.Job{
-			Label:           k.Name + " " + tag,
-			Kind:            kind,
-			Build:           build,
-			Top:             k.Name,
-			Directives:      d,
-			Target:          cfg.Target,
-			CacheScope:      cfg.SizeName,
-			VerifySemantics: cfg.Verify,
-			// The kernel+size pair is the job's full input identity, so
-			// every table evaluation can ship to a compile-service daemon.
-			Spec: &engine.RemoteSpec{Kernel: k.Name, Size: cfg.SizeName},
-		}
+	mk := func(kind engine.Kind) engine.Job {
+		job := in.Job(kind, d, cfg.Target)
+		job.Label = k.Name + " " + string(kind)
+		job.VerifySemantics = cfg.Verify
+		return job
 	}
-	return []engine.Job{mk(engine.KindAdaptor, "adaptor"), mk(engine.KindCxx, "cxx")}, nil
+	return []engine.Job{mk(engine.KindAdaptor), mk(engine.KindCxx)}, nil
 }
 
 // pairsFromResults zips engine results (two per kernel, in kernel order)
@@ -211,7 +208,9 @@ func Table1(cfg Config) (*Table, error) {
 }
 
 // Table2 reports the version gap: HLS-gate violations of the raw translated
-// IR versus the fixes the adaptor applies to close them.
+// IR versus the fixes the adaptor applies to close them. The raw
+// translation is a gate check, not a design point, so it runs here; only
+// the adaptor runs go through the engine.
 func Table2(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "Table 2",
@@ -221,25 +220,26 @@ func Table2(cfg Config) (*Table, error) {
 		Note: "every kernel's raw IR is rejected by the HLS frontend; the adaptor makes the direct path viable",
 	}
 	kernels := polybench.All()
-	var jobs []engine.Job
-	for _, k := range kernels {
-		s, err := k.SizeOf(cfg.SizeName)
+	jobs := make([]engine.Job, len(kernels))
+	violations := make([][]hls.Violation, len(kernels))
+	for i, k := range kernels {
+		in, err := cfg.input(k)
 		if err != nil {
 			return nil, err
 		}
-		build := func() *mlir.Module { return k.Build(s) }
-		jobs = append(jobs,
-			engine.Job{Label: k.Name + " raw", Kind: engine.KindRaw, Build: build,
-				Top: k.Name, Target: cfg.Target, CacheScope: cfg.SizeName},
-			engine.Job{Label: k.Name + " adaptor", Kind: engine.KindAdaptor, Build: build,
-				Top: k.Name, Target: cfg.Target, CacheScope: cfg.SizeName, VerifySemantics: cfg.Verify})
+		if violations[i], _, err = flow.RawFlow(in.Build(), in.Top, flow.Directives{}); err != nil {
+			return nil, fmt.Errorf("%s raw: %w", k.Name, err)
+		}
+		jobs[i] = in.Job(engine.KindAdaptor, flow.Directives{}, cfg.Target)
+		jobs[i].Label = k.Name + " adaptor"
+		jobs[i].VerifySemantics = cfg.Verify
 	}
 	rs, err := cfg.engine().RunBatch(context.Background(), jobs, engine.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
 	for i, k := range kernels {
-		vs := rs[2*i].Violations
+		vs := violations[i]
 		kinds := map[string]bool{}
 		for _, v := range vs {
 			kinds[v.Kind] = true
@@ -250,7 +250,7 @@ func Table2(cfg Config) (*Table, error) {
 		}
 		sort.Strings(kindList)
 
-		rep := rs[2*i+1].Res.Adaptor
+		rep := rs[i].Res.Adaptor
 		t.Rows = append(t.Rows, []string{
 			k.Name,
 			fmt.Sprintf("%d", len(vs)),
@@ -496,20 +496,18 @@ func Fig8(cfg Config) (*Table, error) {
 		Note:   "non-dominated latency/area points from the full directive space",
 	}
 	for _, name := range []string{"gemm", "jacobi2d", "conv2d"} {
-		k := polybench.Get(name)
-		s, err := k.SizeOf(cfg.SizeName)
+		in, err := cfg.input(polybench.Get(name))
 		if err != nil {
 			return nil, err
 		}
 		// Precheck prunes pipeline points whose requested II sits below the
 		// kernel's dependence-implied floor; the frontier is provably
 		// unchanged, so the golden table is too.
-		opts := dse.Options{Engine: cfg.engine(), CacheScope: cfg.SizeName, FailFast: true, Precheck: true,
-			RemoteSpec: &engine.RemoteSpec{Kernel: k.Name, Size: cfg.SizeName}}
+		opts := dse.Options{Engine: cfg.engine(), FailFast: true, Precheck: true}
 		if cfg.Verify {
 			opts.Oracle = 1
 		}
-		res, err := dse.ExploreWith(func() *mlir.Module { return k.Build(s) }, k.Name, cfg.Target, opts)
+		res, err := dse.ExploreWith(in, cfg.Target, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -20,6 +20,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cfront"
@@ -142,6 +143,46 @@ type Directives struct {
 	Dataflow bool
 }
 
+// Canon returns d in the normal form the flows consume: II matters only
+// when pipelining and floors at 1, and an unroll factor <= 1 is off (0).
+// Directives with equal normal forms run the same units.
+func (d Directives) Canon() Directives {
+	switch {
+	case !d.Pipeline:
+		d.II = 0
+	case d.II < 1:
+		d.II = 1
+	}
+	if d.Unroll <= 1 {
+		d.Unroll = 0
+	}
+	return d
+}
+
+// Key renders the normal form, the directives' part of a design point's
+// cache key: equal keys mean equal normal forms.
+func (d Directives) Key() string {
+	c := d.Canon()
+	var sb strings.Builder
+	if c.Pipeline {
+		fmt.Fprintf(&sb, "pipe=%d", c.II)
+	} else {
+		sb.WriteString("pipe=off")
+	}
+	if c.Unroll > 0 {
+		fmt.Fprintf(&sb, "|unroll=%d", c.Unroll)
+	} else {
+		sb.WriteString("|unroll=off")
+	}
+	if p := c.Partition; p != nil {
+		fmt.Fprintf(&sb, "|part=%s/%d/%d", p.Kind, p.Factor, p.Dim)
+	} else {
+		sb.WriteString("|part=none")
+	}
+	fmt.Fprintf(&sb, "|flat=%t|dataflow=%t", c.Flatten, c.Dataflow)
+	return sb.String()
+}
+
 // Result is the outcome of one flow run.
 type Result struct {
 	Flow    string
@@ -179,15 +220,12 @@ func (r *runner) mlirOpt(units []unit, d Directives, materializeUnroll bool) []u
 			in: mlirIR, out: mlirIR, checks: checkVerify | checkEach | checkOracle,
 			run: func() error { return p.Run(r.m) }})
 	}
+	d = d.Canon()
 	add(passes.MarkTop(r.top))
 	if d.Pipeline {
-		ii := d.II
-		if ii <= 0 {
-			ii = 1
-		}
-		add(passes.PipelineInnermost(ii))
+		add(passes.PipelineInnermost(d.II))
 	}
-	if d.Unroll > 1 {
+	if d.Unroll > 0 {
 		add(passes.MarkUnroll(d.Unroll))
 		if materializeUnroll {
 			add(passes.LoopUnroll(0, true))

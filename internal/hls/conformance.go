@@ -84,9 +84,7 @@ func conformFunc(m *llvm.Module, f *llvm.Function) diag.Diagnostics {
 	}
 
 	for _, p := range f.Params {
-		if strings.HasSuffix(p.Name, "_base") || strings.HasSuffix(p.Name, "_aligned") ||
-			strings.HasSuffix(p.Name, "_offset") || strings.Contains(p.Name, "_size") ||
-			strings.Contains(p.Name, "_stride") {
+		if descriptorParam(p.Name) {
 			fnDiag("conformance-descriptor-param",
 				fmt.Sprintf("parameter %%%s is a memref-descriptor leftover", p.Name),
 				"the adaptor's descriptor-to-array rewrite did not fire for this argument")

@@ -69,13 +69,20 @@ func Check(m *llvm.Module) []Violation {
 	return out
 }
 
+// descriptorParam reports whether a parameter name comes from a memref
+// descriptor expansion: the base, aligned and offset fields and the
+// per-dimension sizes and strides.
+func descriptorParam(name string) bool {
+	return strings.HasSuffix(name, "_aligned") || strings.HasSuffix(name, "_base") ||
+		strings.HasSuffix(name, "_offset") || strings.Contains(name, "_stride") ||
+		strings.Contains(name, "_size")
+}
+
 func checkFunc(m *llvm.Module, f *llvm.Function) []Violation {
 	var out []Violation
 	// Descriptor ABI leftovers: grouped base/aligned/offset params.
 	for _, p := range f.Params {
-		if strings.HasSuffix(p.Name, "_aligned") || strings.HasSuffix(p.Name, "_base") ||
-			strings.HasSuffix(p.Name, "_offset") || strings.Contains(p.Name, "_stride") ||
-			strings.Contains(p.Name, "_size") {
+		if descriptorParam(p.Name) {
 			out = append(out, Violation{Func: f.Name, Kind: VDescriptor,
 				Detail: fmt.Sprintf("parameter %%%s belongs to a memref descriptor expansion", p.Name)})
 			continue

@@ -108,14 +108,14 @@ func (b *Builder) Store(val, ptr Value) *Instr {
 
 // GEP emits getelementptr with the given source element type.
 func (b *Builder) GEP(srcElem *Type, ptr Value, idxs ...Value) *Instr {
-	resElem := gepResultElem(srcElem, len(idxs))
+	resElem := GEPResultElem(srcElem, len(idxs))
 	return b.emit(&Instr{Op: OpGEP, Ty: Ptr(resElem), SrcElem: srcElem,
 		Args: append([]Value{ptr}, idxs...)})
 }
 
-// gepResultElem computes the pointee type after stepping through n indices
+// GEPResultElem computes the pointee type after stepping through n indices
 // (first index steps the pointer itself).
-func gepResultElem(src *Type, n int) *Type {
+func GEPResultElem(src *Type, n int) *Type {
 	t := src
 	for i := 1; i < n; i++ {
 		switch {

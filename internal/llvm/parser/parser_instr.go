@@ -212,7 +212,7 @@ func (p *llParser) parseInstr(f *llvm.Function, blk *llvm.Block) error {
 				return err
 			}
 		}
-		in.Ty = llvm.Ptr(gepResultType(src, len(in.Args)-1))
+		in.Ty = llvm.Ptr(llvm.GEPResultElem(src, len(in.Args)-1))
 		register(in)
 		return nil
 
@@ -412,21 +412,6 @@ func (p *llParser) maybeLoopMD(in *llvm.Instr) {
 			p.mdUses = append(p.mdUses, mdUse{in: in, id: id.text})
 		}
 	}
-}
-
-func gepResultType(src *llvm.Type, nIdx int) *llvm.Type {
-	t := src
-	for i := 1; i < nIdx; i++ {
-		switch {
-		case t.IsArray():
-			t = t.Elem
-		case t.IsStruct():
-			if len(t.Fields) > 0 {
-				t = t.Fields[0]
-			}
-		}
-	}
-	return t
 }
 
 func extractType(agg *llvm.Type, idxs []int) *llvm.Type {

@@ -15,11 +15,12 @@ import (
 	"repro/internal/polybench"
 )
 
-// affineGoldenReport digests the printed module AffineToSCF leaves behind
-// in the adaptor flow's front half (the IR entering scf-to-cf) for every
-// polybench kernel × dse.Space() at MINI and SMALL and every kgen corpus
-// kernel × dse.Space().
-func affineGoldenReport(t *testing.T) string {
+// loweringGoldenReport digests the printed module entering the unit
+// (stage, pass) in the adaptor flow's front half for every polybench
+// kernel × dse.Space() at MINI and SMALL and every kgen corpus kernel ×
+// dse.Space(): entering lowering/scf-to-cf is what AffineToSCF leaves,
+// entering translate/translate what SCFToCF leaves.
+func loweringGoldenReport(t *testing.T, stage, pass string) string {
 	t.Helper()
 	type kernel struct {
 		group, top string
@@ -42,8 +43,8 @@ func affineGoldenReport(t *testing.T) string {
 	for _, k := range kernels {
 		for _, c := range dse.Space() {
 			var lowered string
-			observe := func(stage, pass, ir string) {
-				if stage == "lowering" && pass == "scf-to-cf" {
+			observe := func(s, p, ir string) {
+				if s == stage && p == pass {
 					lowered = ir
 				}
 			}
@@ -51,7 +52,7 @@ func affineGoldenReport(t *testing.T) string {
 				t.Fatalf("%s %s %s: %v", k.group, k.top, c.Label, err)
 			}
 			if lowered == "" {
-				t.Fatalf("%s %s %s: scf-to-cf never ran", k.group, k.top, c.Label)
+				t.Fatalf("%s %s %s: %s/%s never ran", k.group, k.top, c.Label, stage, pass)
 			}
 			sum := sha256.Sum256([]byte(lowered))
 			fmt.Fprintf(&sb, "%s %s %s %x\n", k.group, k.top, c.Label, sum[:12])
@@ -66,8 +67,20 @@ func affineGoldenReport(t *testing.T) string {
 // the one-pass lowering must leave byte-identical IR, so the golden is a
 // fixed record with no regenerate switch.
 func TestAffineLoweringGolden(t *testing.T) {
-	got := affineGoldenReport(t)
-	want, err := os.ReadFile(filepath.Join("testdata", "affine_golden.txt"))
+	checkLoweringGolden(t, loweringGoldenReport(t, "lowering", "scf-to-cf"), "affine_golden.txt")
+}
+
+// TestSCFToCFLoweringGolden pins the printed module after SCFToCF to
+// digests recorded with the lowering that rescanned the function from its
+// first block after every op it lowered and replaced each loop's induction
+// variable across the whole function. No regenerate switch.
+func TestSCFToCFLoweringGolden(t *testing.T) {
+	checkLoweringGolden(t, loweringGoldenReport(t, "translate", "translate"), "scftocf_golden.txt")
+}
+
+func checkLoweringGolden(t *testing.T, got, file string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +94,8 @@ func TestAffineLoweringGolden(t *testing.T) {
 			if i < len(wl) {
 				w = wl[i]
 			}
-			t.Fatalf("affine lowering golden drift at line %d:\n got  %s\n want %s", i+1, gl[i], w)
+			t.Fatalf("%s drift at line %d:\n got  %s\n want %s", file, i+1, gl[i], w)
 		}
 	}
-	t.Fatalf("affine lowering golden has %d lines, report %d", len(wl), len(gl))
+	t.Fatalf("%s has %d lines, report %d", file, len(wl), len(gl))
 }

@@ -21,39 +21,29 @@ func SCFToCF(m *mlir.Module) error {
 	return m.Verify()
 }
 
+// lowerSCFInFunc lowers the function's scf ops in one scan of its
+// top-level blocks. Lowering an op ends its block with a branch and
+// inserts the op's blocks (and the split-off rest of the block) right
+// after it, so the scan resumes at the next block: nested scf ops surface
+// there as outer ones are lowered, and no block before it holds one.
 func lowerSCFInFunc(f *mlir.Op) error {
 	region := f.Regions[0]
-	for iter := 0; ; iter++ {
-		if iter > 10000 {
-			return fmt.Errorf("lower: scf-to-cf did not converge")
-		}
-		var target *mlir.Op
-		// Only scan top-level blocks of the function region: nested scf ops
-		// surface into these blocks as outer ones are lowered.
-		for _, b := range region.Blocks {
-			for _, op := range b.Ops {
-				if op.Name == mlir.OpSCFFor || op.Name == mlir.OpSCFIf {
-					target = op
-					break
+	for i := 0; i < len(region.Blocks); i++ {
+		for _, op := range region.Blocks[i].Ops {
+			if op.Name != mlir.OpSCFFor && op.Name != mlir.OpSCFIf {
+				continue
+			}
+			if op.Name == mlir.OpSCFFor {
+				if err := lowerSCFFor(op); err != nil {
+					return err
 				}
+			} else {
+				lowerSCFIf(op)
 			}
-			if target != nil {
-				break
-			}
-		}
-		if target == nil {
-			return nil
-		}
-		var err error
-		if target.Name == mlir.OpSCFFor {
-			err = lowerSCFFor(f, target)
-		} else {
-			err = lowerSCFIf(f, target)
-		}
-		if err != nil {
-			return err
+			break
 		}
 	}
+	return nil
 }
 
 // lowerSCFFor rewrites
@@ -66,7 +56,7 @@ func lowerSCFInFunc(f *mlir.Op) error {
 //	header(%iv): %c = cmpi slt %iv,%ub ; cf.cond_br %c, body, cont
 //	body:    ...; %next = addi %iv,%st ; cf.br header(%next)   <- loop attrs
 //	cont:    after
-func lowerSCFFor(f, op *mlir.Op) error {
+func lowerSCFFor(op *mlir.Op) error {
 	blk := op.Block()
 	region := blk.Region()
 	lb, ub, st := op.Operands[0], op.Operands[1], op.Operands[2]
@@ -74,16 +64,16 @@ func lowerSCFFor(f, op *mlir.Op) error {
 	cont := blk.SplitBlock(op)
 	blk.Remove(op) // detach the scf.for itself
 
-	header := mlir.NewBlock(mlir.Index())
-	region.InsertBlockAfter(header, blk)
-	iv := header.Args[0]
-
+	// The body block keeps its ops; its induction variable, used only
+	// inside the body, becomes the header's index argument.
 	bodyBlk := op.Regions[0].Blocks[0]
-	region.InsertBlockAfter(bodyBlk, header)
-	// The body block keeps its ops; rewire its argument to the header arg.
-	oldIV := bodyBlk.Args[0]
-	mlir.ReplaceAllUses(f, oldIV, iv)
+	iv := bodyBlk.Args[0]
 	bodyBlk.Args = nil
+	header := mlir.NewBlock()
+	iv.Ty, iv.Owner, iv.ArgNo = mlir.Index(), header, 0
+	header.Args = []*mlir.Value{iv}
+	region.InsertBlockAfter(header, blk)
+	region.InsertBlockAfter(bodyBlk, header)
 
 	// before -> header(lb)
 	br := mlir.NewOp(mlir.OpBr, []*mlir.Value{lb}, nil)
@@ -119,7 +109,7 @@ func lowerSCFFor(f, op *mlir.Op) error {
 }
 
 // lowerSCFIf rewrites scf.if into cond_br/then/else/cont blocks.
-func lowerSCFIf(f, op *mlir.Op) error {
+func lowerSCFIf(op *mlir.Op) {
 	blk := op.Block()
 	region := blk.Region()
 	cond := op.Operands[0]
@@ -144,8 +134,6 @@ func lowerSCFIf(f, op *mlir.Op) error {
 	cbr.SetAttr(mlir.AttrTrueCount, mlir.I(0))
 	cbr.SetAttr(mlir.AttrFalseCount, mlir.I(0))
 	blk.Append(cbr)
-	_ = f
-	return nil
 }
 
 func replaceYieldWithBr(b *mlir.Block, dest *mlir.Block) {

@@ -1,21 +1,10 @@
 package resilience
 
 import (
-	"math/rand"
-	"sync"
+	"fmt"
+	"hash/fnv"
 	"time"
 )
-
-// Backoff computes retry delays: exponential doubling from DefaultBase
-// with a deterministic seeded jitter in [0, 50%) of the step, capped at
-// DefaultMax. Seeding makes retry schedules reproducible across runs — the
-// same property the engine's fault-injection tests rely on.
-type Backoff struct {
-	Seed int64
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
 
 // Default backoff parameters.
 const (
@@ -23,9 +12,13 @@ const (
 	DefaultMax  = 2 * time.Second
 )
 
-// Delay returns the pause before retry attempt (1-based): attempt 1 is the
-// first retry after the initial failure.
-func (b *Backoff) Delay(attempt int) time.Duration {
+// Backoff returns the pause before retry attempt (1-based; attempt 1 is
+// the first retry after the initial failure) of the work named key: the
+// step doubles from DefaultBase up to DefaultMax, plus a jitter in
+// [0, 50%) of the step drawn from a hash of (key, attempt). The delay is a
+// function of its arguments alone, so a job's retry schedule is the same
+// whichever worker runs it and whatever else retries beside it.
+func Backoff(key string, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
@@ -36,11 +29,7 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 	if d > DefaultMax {
 		d = DefaultMax
 	}
-	b.mu.Lock()
-	if b.rng == nil {
-		b.rng = rand.New(rand.NewSource(b.Seed))
-	}
-	jitter := time.Duration(b.rng.Int63n(int64(d)/2 + 1))
-	b.mu.Unlock()
-	return d + jitter
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d", key, attempt)
+	return d + time.Duration(h.Sum64()%uint64(d/2))
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -131,27 +132,50 @@ func TestBundleRejectsFutureVersion(t *testing.T) {
 	}
 }
 
+// TestBackoffDeterministicAndBounded: a delay is a function of (key,
+// attempt) alone — the same in any call order, from any goroutine — and
+// stays within [step, 1.5*step) of its doubling step, capped at
+// DefaultMax.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	mk := func() *Backoff { return &Backoff{Seed: 42} }
-	a, b := mk(), mk()
+	keys := []string{"", "a", "job-1", "job-2", strings.Repeat("k", 64)}
 	// DefaultBase doubles past DefaultMax by attempt 9, so the later
 	// attempts exercise the cap.
-	for attempt := 1; attempt <= 10; attempt++ {
-		da, db := a.Delay(attempt), b.Delay(attempt)
-		if da != db {
-			t.Fatalf("attempt %d: same seed diverged: %s vs %s", attempt, da, db)
+	const attempts = 10
+	want := map[string][]time.Duration{}
+	for _, k := range keys {
+		for a := 1; a <= attempts; a++ {
+			d := Backoff(k, a)
+			step := DefaultBase
+			for i := 1; i < a && step < DefaultMax; i++ {
+				step *= 2
+			}
+			if step > DefaultMax {
+				step = DefaultMax
+			}
+			if d < step || d >= step*3/2 {
+				t.Errorf("key %q attempt %d: delay %s outside [%s, %s)", k, a, d, step, step*3/2)
+			}
+			want[k] = append(want[k], d)
 		}
-		if da < DefaultBase || da > DefaultMax*3/2 {
-			t.Errorf("attempt %d: delay %s outside [base, 1.5*max]", attempt, da)
-		}
 	}
-	if mk().Delay(1) == (&Backoff{Seed: 7}).Delay(3) && mk().Delay(1) == (&Backoff{Seed: 7}).Delay(1) {
-		t.Log("seeds may collide on one sample; not a failure")
+	if Backoff("a", 0) != Backoff("a", 1) {
+		t.Error("attempt 0 should clamp to attempt 1")
 	}
-	var zero Backoff
-	if d := zero.Delay(1); d < DefaultBase {
-		t.Errorf("zero-value backoff returned %s < base", d)
+	// Reverse order, concurrently: every goroutine must see the delays the
+	// forward pass saw.
+	var wg sync.WaitGroup
+	for _, k := range keys {
+		wg.Add(1)
+		go func(k string) {
+			defer wg.Done()
+			for a := attempts; a >= 1; a-- {
+				if d := Backoff(k, a); d != want[k][a-1] {
+					t.Errorf("key %q attempt %d: %s, earlier %s", k, a, d, want[k][a-1])
+				}
+			}
+		}(k)
 	}
+	wg.Wait()
 }
 
 type point struct {

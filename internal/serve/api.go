@@ -126,8 +126,9 @@ func TargetFrom(tgt hls.Target) *TargetSpec {
 
 // EvalRequest asks the server to evaluate one design point. The input
 // module is either a registered polybench kernel at a size preset
-// (Kernel+Size) or raw MLIR text (MLIR+Top) — the same identity
-// engine.RemoteSpec ships.
+// (Kernel+Size) or raw MLIR text (MLIR+Top): the fields of the
+// engine.RemoteSpec that resolves it. The pending journal records the
+// request as received.
 type EvalRequest struct {
 	// Client identifies the requester for fair admission; empty means the
 	// shared "anon" queue.
@@ -138,8 +139,7 @@ type EvalRequest struct {
 	MLIR   string `json:"mlir,omitempty"`
 	Top    string `json:"top,omitempty"`
 
-	// Kind selects the flow: "adaptor" (default) or "cxx". The raw flow's
-	// result is a live LLVM module and is not served remotely.
+	// Kind selects the flow: "adaptor" (default) or "cxx".
 	Kind       string         `json:"kind,omitempty"`
 	Directives DirectivesSpec `json:"directives"`
 	Target     *TargetSpec    `json:"target,omitempty"`

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/dse"
+	"repro/internal/engine"
 )
 
 // TestHelperServeDaemon is not a test: it is the subprocess body for the
@@ -173,7 +174,7 @@ func TestChaosKillMidSweepRestart(t *testing.T) {
 	// Byte-identical recovery: the frontier matches an uninterrupted
 	// embedded exploration of the same input exactly.
 	k := kernelFor(t, "gemm", "MINI")
-	ref, err := dse.Explore(k.build, k.top, k.tgt)
+	ref, err := dse.Explore(engine.Input{Build: k.build, Top: k.top}, k.tgt)
 	if err != nil {
 		t.Fatal(err)
 	}

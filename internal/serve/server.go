@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,9 +15,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/incr"
-	"repro/internal/mlir"
-	"repro/internal/mlir/parser"
-	"repro/internal/polybench"
 	"repro/internal/resilience"
 )
 
@@ -174,20 +170,15 @@ func (s *Server) recoverPending() {
 			if s.draining.Load() {
 				return
 			}
-			in, err := buildInput(r.e.Req.Kernel, r.e.Req.Size, r.e.Req.MLIR, r.e.Req.Top)
+			job, err := evalJob(r.e.Req)
 			if err != nil {
 				// Unbuildable request (kernel renamed, garbage entry): mark
 				// done so it is not re-admitted forever.
 				_ = s.pending.Put(r.key, pendingEntry{Req: r.e.Req, Done: true})
 				continue
 			}
-			job, err := evalJob(in, r.e.Req)
-			if err != nil {
-				_ = s.pending.Put(r.key, pendingEntry{Req: r.e.Req, Done: true})
-				continue
-			}
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
-			if _, _, err := s.runJob(ctx, r.e.Req.Client, job); err == nil {
+			if _, _, err := s.runJob(ctx, r.e.Req, job); err == nil {
 				// runJob marked engine.Key(job) done; the original entry may
 				// have been journaled under a different key — mark it too.
 				_ = s.pending.Put(r.key, pendingEntry{Req: r.e.Req, Done: true})
@@ -197,59 +188,13 @@ func (s *Server) recoverPending() {
 	}()
 }
 
-// input is a validated evaluation input: a module builder plus the
-// identity fields every job derives from it.
-type input struct {
-	build func() *mlir.Module
-	top   string
-	scope string
-	name  string
-}
-
-// buildInput resolves the kernel+size / MLIR+top pair shared by eval and
-// sweep requests.
-func buildInput(kernel, size, mlirText, top string) (*input, error) {
-	switch {
-	case kernel != "":
-		k := polybench.Get(kernel)
-		if k == nil {
-			return nil, fmt.Errorf("unknown kernel %q", kernel)
-		}
-		if size == "" {
-			size = "SMALL"
-		}
-		sz, err := k.SizeOf(size)
-		if err != nil {
-			return nil, err
-		}
-		return &input{
-			build: func() *mlir.Module { return k.Build(sz) },
-			top:   k.Name, scope: size, name: k.Name,
-		}, nil
-	case mlirText != "":
-		if top == "" {
-			return nil, fmt.Errorf("top is required for MLIR input")
-		}
-		if _, err := parser.Parse(mlirText); err != nil {
-			return nil, fmt.Errorf("mlir: %w", err)
-		}
-		return &input{
-			build: func() *mlir.Module {
-				m, err := parser.Parse(mlirText)
-				if err != nil {
-					return nil
-				}
-				return m
-			},
-			top: top, scope: fmt.Sprintf("%x", sha256.Sum256([]byte(mlirText))), name: top,
-		}, nil
-	default:
-		return nil, fmt.Errorf("request needs kernel or mlir")
+// evalJob assembles the engine job for one eval request, its input
+// resolved by engine.RemoteSpec and the spec stamped on the job.
+func evalJob(req EvalRequest) (engine.Job, error) {
+	in, err := engine.RemoteSpec{Kernel: req.Kernel, Size: req.Size, MLIR: req.MLIR, Top: req.Top}.Resolve()
+	if err != nil {
+		return engine.Job{}, err
 	}
-}
-
-// evalJob assembles the engine job for one eval request.
-func evalJob(in *input, req EvalRequest) (engine.Job, error) {
 	kind := engine.KindAdaptor
 	switch req.Kind {
 	case "", "adaptor":
@@ -262,16 +207,9 @@ func evalJob(in *input, req EvalRequest) (engine.Job, error) {
 	if err != nil {
 		return engine.Job{}, err
 	}
-	return engine.Job{
-		Label:           in.name,
-		Kind:            kind,
-		Build:           in.build,
-		Top:             in.top,
-		Directives:      req.Directives.Flow(),
-		Target:          tgt,
-		CacheScope:      in.scope,
-		VerifySemantics: req.Verify,
-	}, nil
+	job := in.Job(kind, req.Directives.Flow(), tgt)
+	job.VerifySemantics = req.Verify
+	return job, nil
 }
 
 // deadline resolves a request's evaluation budget.
@@ -282,16 +220,18 @@ func (s *Server) deadline(ms int64) time.Duration {
 	return s.cfg.DefaultDeadline
 }
 
-// runJob evaluates one job on the shared engine, deduplicating identical
-// in-flight requests and feeding the circuit breaker. The returned shared
-// flag reports dedup; the error is an admission/breaker condition, never
-// an evaluation outcome (that travels inside the JobResult).
-func (s *Server) runJob(ctx context.Context, client string, job engine.Job) (engine.JobResult, bool, error) {
+// runJob evaluates req's job on the shared engine, deduplicating
+// identical in-flight requests and feeding the circuit breaker. The
+// pending journal records req itself, as received, so a restarted daemon
+// re-admits exactly what the client sent. The returned shared flag
+// reports dedup; the error is an admission/breaker condition, never an
+// evaluation outcome (that travels inside the JobResult).
+func (s *Server) runJob(ctx context.Context, req EvalRequest, job engine.Job) (engine.JobResult, bool, error) {
 	if err := s.brk.Allow(string(job.Kind)); err != nil {
 		s.breakerOpen.Add(1)
 		return engine.JobResult{}, false, err
 	}
-	release, err := s.adm.Acquire(ctx, client)
+	release, err := s.adm.Acquire(ctx, req.Client)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.shed.Add(1)
@@ -303,7 +243,7 @@ func (s *Server) runJob(ctx context.Context, client string, job engine.Job) (eng
 
 	key := engine.Key(job)
 	if s.pending != nil {
-		_ = s.pending.Put(key, pendingEntry{Req: requestOf(job), Done: false})
+		_ = s.pending.Put(key, pendingEntry{Req: req, Done: false})
 	}
 	v, _, shared := s.sf.Do(key, func() (any, error) {
 		timeout := s.cfg.DefaultDeadline
@@ -327,29 +267,9 @@ func (s *Server) runJob(ctx context.Context, client string, job engine.Job) (eng
 	}
 	r := v.(engine.JobResult)
 	if s.pending != nil {
-		_ = s.pending.Put(key, pendingEntry{Req: requestOf(job), Done: true})
+		_ = s.pending.Put(key, pendingEntry{Req: req, Done: true})
 	}
 	return r, shared, nil
-}
-
-// requestOf reconstructs the journalable request for a job. Only jobs
-// built from requests reach the journal, so every field round-trips.
-func requestOf(job engine.Job) EvalRequest {
-	req := EvalRequest{
-		Kind:       string(job.Kind),
-		Directives: DirectivesFrom(job.Directives),
-		Target:     TargetFrom(job.Target),
-		Verify:     job.VerifySemantics,
-	}
-	if job.Spec != nil {
-		req.Kernel, req.Size, req.MLIR = job.Spec.Kernel, job.Spec.Size, job.Spec.MLIR
-		if req.MLIR != "" {
-			req.Top = job.Top
-		}
-	} else if polybench.Get(job.Top) != nil {
-		req.Kernel, req.Size = job.Top, job.CacheScope
-	}
-	return req
 }
 
 // source maps a job result's provenance flags to the wire Source field.
@@ -426,26 +346,18 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	in, err := buildInput(req.Kernel, req.Size, req.MLIR, req.Top)
+	job, err := evalJob(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"err": err.Error()})
 		return
 	}
-	job, err := evalJob(in, req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"err": err.Error()})
-		return
-	}
-	// Preserve the wire identity so the pending journal can re-admit the
-	// job after a restart.
-	job.Spec = &engine.RemoteSpec{Kernel: req.Kernel, Size: req.Size, MLIR: req.MLIR}
 
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMs))
 	defer cancel()
 
-	res, shared, err := s.runJob(ctx, req.Client, job)
+	res, shared, err := s.runJob(ctx, req, job)
 	if err != nil {
 		s.writeAdmissionError(w, req.Client, string(job.Kind), err)
 		return
@@ -478,7 +390,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	in, err := buildInput(req.Kernel, req.Size, req.MLIR, req.Top)
+	in, err := engine.RemoteSpec{Kernel: req.Kernel, Size: req.Size, MLIR: req.MLIR, Top: req.Top}.Resolve()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"err": err.Error()})
 		return
@@ -529,15 +441,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	space := dse.Space()
 	jobs := make([]engine.Job, len(space))
 	for i, cfg := range space {
-		jobs[i] = engine.Job{
-			Label:      cfg.Label,
-			Kind:       engine.KindAdaptor,
-			Build:      in.build,
-			Top:        in.top,
-			Directives: cfg.D,
-			Target:     tgt,
-			CacheScope: in.scope,
-		}
+		jobs[i] = in.Job(engine.KindAdaptor, cfg.D, tgt)
+		jobs[i].Label = cfg.Label
 	}
 	rs, _ := s.eng.RunBatch(ctx, jobs, engine.BatchOptions{
 		ContinueOnError: true,

@@ -368,7 +368,7 @@ func TestSweepStreamsAndMatchesEmbeddedFrontier(t *testing.T) {
 	}
 
 	k := kernelFor(t, "gemm", "MINI")
-	ref, err := dse.Explore(k.build, k.top, k.tgt)
+	ref, err := dse.Explore(engine.Input{Build: k.build, Top: k.top}, k.tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
