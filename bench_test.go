@@ -383,10 +383,16 @@ func BenchmarkSynthesize(b *testing.B) {
 // configuration and both flows, 612 jobs, oracle and cache off. Besides
 // the per-batch figures it reports wall time, bytes and allocations per
 // job.
-func BenchmarkCompileJobMix(b *testing.B) {
+func BenchmarkCompileJobMix(b *testing.B) { jobMixBench(b, "SMALL", false) }
+
+// BenchmarkVerifiedJobMix runs the verified-pairs job mix the same way: the
+// same 612 jobs at MINI with the semantic oracle on.
+func BenchmarkVerifiedJobMix(b *testing.B) { jobMixBench(b, "MINI", true) }
+
+func jobMixBench(b *testing.B, size string, verify bool) {
 	var jobs []engine.Job
 	for _, k := range polybench.All() {
-		s, err := k.SizeOf("SMALL")
+		s, err := k.SizeOf(size)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -394,7 +400,8 @@ func BenchmarkCompileJobMix(b *testing.B) {
 			for _, kind := range []engine.Kind{engine.KindAdaptor, engine.KindCxx} {
 				jobs = append(jobs, engine.Job{Label: k.Name + "/" + c.Label + "/" + string(kind),
 					Kind: kind, Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name,
-					Directives: c.D, Target: hls.DefaultTarget(), CacheScope: s.Name})
+					Directives: c.D, Target: hls.DefaultTarget(), CacheScope: s.Name,
+					VerifySemantics: verify})
 			}
 		}
 	}

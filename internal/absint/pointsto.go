@@ -2,6 +2,7 @@ package absint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,38 +28,87 @@ const ElemUnknown = int64(-1)
 // parameters; HLS interface arrays are physically disjoint memories, so
 // distinct roots never alias — the same per-base model the scheduler's
 // MemAccesses/port accounting already assumes.
+//
+// Each pointer value has a node holding its location set as a short slice.
+// Parameter nodes come first, in parameter order; an instruction's node is
+// found through slot, indexed by its layout number.
 type PointsToResult struct {
-	sets map[llvm.Value]map[Loc]bool
-	// escapes maps a root to the first reason its address left the
-	// function's view (callee argument, stored as a value, ptrtoint, ...).
-	escapes map[llvm.Value]string
-	// unknown marks pointer values with no computable target set (loaded
-	// pointers, inttoptr); they may alias anything.
-	unknown map[llvm.Value]bool
-	// rootName gives roots deterministic names for Describe output.
-	rootName map[llvm.Value]string
+	f       *llvm.Function
+	nodes   []ptsNode
+	nParams int     // nodes[:nParams] are the pointer parameters
+	slot    []int32 // instruction number -> node index + 1, or 0
+
+	// roots holds, per node, a root's escape reason and name. Only lint
+	// reads them, so they are worked out on the first call that needs
+	// them; synthesis builds the relation for MayAlias alone.
+	roots                  []rootInfo
+	escapesDone, namesDone bool
+}
+
+// ptsNode is one pointer value's state.
+type ptsNode struct {
+	v    llvm.Value
+	locs []Loc
+	// unknown marks a pointer with no computable target set (a loaded
+	// pointer, inttoptr); it may alias anything.
+	unknown bool
+}
+
+// rootInfo is what lint reads of a root: the first reason its address left
+// the function's view (callee argument, stored as a value, ptrtoint, ...)
+// and its name for Describe output.
+type rootInfo struct {
+	escape  string
+	escaped bool
+	name    string
+}
+
+// isPtrNode reports whether in gets a node: every pointer-typed value, and
+// the GEPs and bitcasts whose constraints copy a set.
+func isPtrNode(in *llvm.Instr) bool {
+	return in.Op == llvm.OpGEP || in.Op == llvm.OpBitcast || in.Ty.IsPtr()
 }
 
 // PointsTo computes the points-to relation for f.
 func PointsTo(f *llvm.Function) *PointsToResult {
-	r := &PointsToResult{
-		sets:     map[llvm.Value]map[Loc]bool{},
-		escapes:  map[llvm.Value]string{},
-		unknown:  map[llvm.Value]bool{},
-		rootName: map[llvm.Value]string{},
-	}
-	// Roots: pointer parameters and allocas.
-	for i, p := range f.Params {
+	r := &PointsToResult{f: f, slot: make([]int32, f.Renumber())}
+	n := 0
+	for _, p := range f.Params {
 		if p.Ty.IsPtr() {
-			r.addTarget(p, Loc{Root: p, Elem: 0})
-			r.rootName[p] = fmt.Sprintf("%%%s (arg%d)", p.Name, i)
+			n++
 		}
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == llvm.OpAlloca {
-				r.addTarget(in, Loc{Root: in, Elem: 0})
-				r.rootName[in] = fmt.Sprintf("%%%s (alloca)", in.Name)
+			if isPtrNode(in) {
+				n++
+			}
+		}
+	}
+	// Most sets hold one location, so every node starts with room for one
+	// in a shared array; a second location moves the set to its own.
+	r.nodes = make([]ptsNode, 0, n)
+	first := make([]Loc, n)
+	add := func(v llvm.Value, root bool) {
+		k := len(r.nodes)
+		locs := first[k : k : k+1]
+		if root {
+			locs = append(locs, Loc{Root: v, Elem: 0})
+		}
+		r.nodes = append(r.nodes, ptsNode{v: v, locs: locs})
+	}
+	// Roots: pointer parameters and allocas.
+	for _, p := range f.Params {
+		if p.Ty.IsPtr() {
+			add(p, true)
+		}
+	}
+	r.nParams = len(r.nodes)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if isPtrNode(in) {
+				add(in, in.Op == llvm.OpAlloca)
+				r.slot[in.ID] = int32(len(r.nodes))
 			}
 		}
 	}
@@ -75,32 +125,59 @@ func PointsTo(f *llvm.Function) *PointsToResult {
 			}
 		}
 	}
-	// Escape collection (after sets stabilize, so pointer copies are known).
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			r.collectEscapes(in)
+	return r
+}
+
+// index returns the number of v's node, or -1 when v is no pointer value
+// of the function.
+func (r *PointsToResult) index(v llvm.Value) int {
+	switch v := v.(type) {
+	case *llvm.Instr:
+		if id := int(v.ID); id >= 0 && id < len(r.slot) {
+			if k := int(r.slot[id]) - 1; k >= 0 && r.nodes[k].v == llvm.Value(v) {
+				return k
+			}
+		}
+	case *llvm.Param:
+		for i := range r.nodes[:r.nParams] {
+			if r.nodes[i].v == llvm.Value(v) {
+				return i
+			}
 		}
 	}
-	return r
+	return -1
+}
+
+// node returns v's node, or nil when v is no pointer value of the function.
+func (r *PointsToResult) node(v llvm.Value) *ptsNode {
+	if k := r.index(v); k >= 0 {
+		return &r.nodes[k]
+	}
+	return nil
 }
 
 // applyInstr adds the instruction's points-to constraints; reports change.
 func (r *PointsToResult) applyInstr(in *llvm.Instr) bool {
 	switch in.Op {
 	case llvm.OpGEP:
-		off, known := r.gepOffset(in)
+		dst := r.node(in)
+		src := r.node(in.Args[0])
+		if src == nil {
+			return false
+		}
+		off, known := gepOffset(in)
 		changed := false
-		for l := range r.sets[in.Args[0]] {
+		for _, l := range src.locs {
 			nl := Loc{Root: l.Root, Elem: ElemUnknown}
 			if known && l.Elem != ElemUnknown {
 				nl.Elem = l.Elem + off
 			}
-			if r.addTarget(in, nl) {
+			if dst.add(nl) {
 				changed = true
 			}
 		}
-		if r.unknown[in.Args[0]] && !r.unknown[in] {
-			r.unknown[in] = true
+		if src.unknown && !dst.unknown {
+			dst.unknown = true
 			changed = true
 		}
 		return changed
@@ -122,9 +199,11 @@ func (r *PointsToResult) applyInstr(in *llvm.Instr) bool {
 			return changed
 		}
 	case llvm.OpLoad, llvm.OpIntToPtr, llvm.OpCall, llvm.OpExtractValue:
-		if in.Ty.IsPtr() && !r.unknown[in] {
-			r.unknown[in] = true
-			return true
+		if in.Ty.IsPtr() {
+			if n := r.node(in); !n.unknown {
+				n.unknown = true
+				return true
+			}
 		}
 	}
 	return false
@@ -133,28 +212,23 @@ func (r *PointsToResult) applyInstr(in *llvm.Instr) bool {
 // gepOffset folds a GEP's indices into a flat element offset using the
 // static array shape of its source element type. ok=false when any index is
 // non-constant (the target element is then unknown).
-func (r *PointsToResult) gepOffset(in *llvm.Instr) (int64, bool) {
+func gepOffset(in *llvm.Instr) (int64, bool) {
 	// Leading index steps over whole objects of the source element type;
 	// inner indices walk the array shape row-major.
-	consts := make([]int64, 0, len(in.Args)-1)
-	for _, a := range in.Args[1:] {
+	ty := in.SrcElem
+	off := int64(0)
+	for i, a := range in.Args[1:] {
 		c, ok := a.(*llvm.ConstInt)
 		if !ok {
 			return 0, false
 		}
-		consts = append(consts, c.Val)
-	}
-	if len(consts) == 0 {
-		return 0, true
-	}
-	ty := in.SrcElem
-	off := consts[0] * flatLen(ty)
-	for _, c := range consts[1:] {
-		if ty == nil || !ty.IsArray() {
-			return 0, false // struct GEPs and over-indexing: stay unknown
+		if i > 0 {
+			if ty == nil || !ty.IsArray() {
+				return 0, false // struct GEPs and over-indexing: stay unknown
+			}
+			ty = ty.Elem
 		}
-		ty = ty.Elem
-		off += c * flatLen(ty)
+		off += c.Val * flatLen(ty)
 	}
 	return off, true
 }
@@ -170,37 +244,59 @@ func flatLen(ty *llvm.Type) int64 {
 	return 1
 }
 
-func (r *PointsToResult) addTarget(v llvm.Value, l Loc) bool {
-	s := r.sets[v]
-	if s == nil {
-		s = map[Loc]bool{}
-		r.sets[v] = s
-	}
-	if s[l] {
+// add puts l into n's location set and reports whether it was new.
+func (n *ptsNode) add(l Loc) bool {
+	if slices.Contains(n.locs, l) {
 		return false
 	}
-	s[l] = true
+	n.locs = append(n.locs, l)
 	return true
 }
 
 func (r *PointsToResult) copyFrom(dst llvm.Value, src llvm.Value) bool {
+	s := r.node(src)
+	if s == nil {
+		return false
+	}
+	d := r.node(dst)
 	changed := false
-	for l := range r.sets[src] {
-		if r.addTarget(dst, l) {
+	for _, l := range s.locs {
+		if d.add(l) {
 			changed = true
 		}
 	}
-	if r.unknown[src] && !r.unknown[dst] {
-		r.unknown[dst] = true
+	if s.unknown && !d.unknown {
+		d.unknown = true
 		changed = true
 	}
 	return changed
 }
 
-// collectEscapes records roots whose address flows somewhere this analysis
-// cannot track: callee arguments, stored-as-value, integer casts, returns,
-// aggregate inserts.
-func (r *PointsToResult) collectEscapes(in *llvm.Instr) {
+// info returns the root information of root, a pointer parameter or an
+// alloca of the function, allocating the table on first use.
+func (r *PointsToResult) info(root llvm.Value) *rootInfo {
+	if r.roots == nil {
+		r.roots = make([]rootInfo, len(r.nodes))
+	}
+	return &r.roots[r.index(root)]
+}
+
+// collectEscapes records, once, the roots whose address flows somewhere
+// this analysis cannot track: callee arguments, stored-as-value, integer
+// casts, returns, aggregate inserts.
+func (r *PointsToResult) collectEscapes() {
+	if r.escapesDone {
+		return
+	}
+	r.escapesDone = true
+	for _, b := range r.f.Blocks {
+		for _, in := range b.Instrs {
+			r.collectInstrEscapes(in)
+		}
+	}
+}
+
+func (r *PointsToResult) collectInstrEscapes(in *llvm.Instr) {
 	reason := ""
 	var args []llvm.Value
 	switch in.Op {
@@ -226,30 +322,57 @@ func (r *PointsToResult) collectEscapes(in *llvm.Instr) {
 		if a == nil || a.Type() == nil || !a.Type().IsPtr() {
 			continue
 		}
-		for l := range r.sets[a] {
-			if _, seen := r.escapes[l.Root]; !seen {
-				r.escapes[l.Root] = fmt.Sprintf("%s %s", a.Ident(), reason)
+		n := r.node(a)
+		if n == nil {
+			continue
+		}
+		for _, l := range n.locs {
+			if root := r.info(l.Root); !root.escaped {
+				root.escaped = true
+				root.escape = a.Ident() + " " + reason
 			}
 		}
 	}
 }
 
+// nameRoots gives the roots, once, deterministic names for Targets' order
+// and Describe output.
+func (r *PointsToResult) nameRoots() {
+	if r.namesDone {
+		return
+	}
+	r.namesDone = true
+	for i, p := range r.f.Params {
+		if r.index(p) >= 0 {
+			r.info(p).name = fmt.Sprintf("%%%s (arg%d)", p.Name, i)
+		}
+	}
+	for _, n := range r.nodes[r.nParams:] {
+		if in := n.v.(*llvm.Instr); in.Op == llvm.OpAlloca {
+			r.info(in).name = fmt.Sprintf("%%%s (alloca)", in.Name)
+		}
+	}
+}
+
+// rootName returns a root's name, "" for a value that is no root.
+func (r *PointsToResult) rootName(root llvm.Value) string {
+	if r.index(root) >= 0 {
+		return r.info(root).name
+	}
+	return ""
+}
+
 // Targets returns v's location set; ok=false when v is untracked or may
 // point anywhere (treat as aliasing everything).
 func (r *PointsToResult) Targets(v llvm.Value) ([]Loc, bool) {
-	if r.unknown[v] {
+	n := r.node(v)
+	if n == nil || n.unknown || len(n.locs) == 0 {
 		return nil, false
 	}
-	s := r.sets[v]
-	if len(s) == 0 {
-		return nil, false
-	}
-	out := make([]Loc, 0, len(s))
-	for l := range s {
-		out = append(out, l)
-	}
+	r.nameRoots()
+	out := slices.Clone(n.locs)
 	sort.Slice(out, func(i, j int) bool {
-		ni, nj := r.rootName[out[i].Root], r.rootName[out[j].Root]
+		ni, nj := r.rootName(out[i].Root), r.rootName(out[j].Root)
 		if ni != nj {
 			return ni < nj
 		}
@@ -264,19 +387,19 @@ func (r *PointsToResult) Targets(v llvm.Value) ([]Loc, bool) {
 // model). Same-root locations alias unless both element indices are known
 // and different.
 func (r *PointsToResult) MayAlias(a, b llvm.Value) bool {
-	sa, sb := r.sets[a], r.sets[b]
-	if r.unknown[a] || r.unknown[b] || len(sa) == 0 || len(sb) == 0 {
+	na, nb := r.node(a), r.node(b)
+	if na == nil || nb == nil || na.unknown || nb.unknown || len(na.locs) == 0 || len(nb.locs) == 0 {
 		return true // unknown pointer: assume the worst
 	}
-	for la := range sa {
+	for _, la := range na.locs {
 		if la.Elem != ElemUnknown {
 			// A known element meets the same element or the whole root.
-			if sb[la] || sb[Loc{Root: la.Root, Elem: ElemUnknown}] {
+			if slices.Contains(nb.locs, la) || slices.Contains(nb.locs, Loc{Root: la.Root, Elem: ElemUnknown}) {
 				return true
 			}
 			continue
 		}
-		for lb := range sb {
+		for _, lb := range nb.locs {
 			if lb.Root == la.Root {
 				return true
 			}
@@ -288,8 +411,13 @@ func (r *PointsToResult) MayAlias(a, b llvm.Value) bool {
 // Escaped reports whether the root allocation's address left the function's
 // view, with the reason (empty when it did not escape).
 func (r *PointsToResult) Escaped(root llvm.Value) (string, bool) {
-	reason, ok := r.escapes[root]
-	return reason, ok
+	r.collectEscapes()
+	if r.index(root) >= 0 {
+		if info := r.info(root); info.escaped {
+			return info.escape, true
+		}
+	}
+	return "", false
 }
 
 // DerivedFrom reports whether every location v may point to lies in root
@@ -329,7 +457,7 @@ func (r *PointsToResult) Describe(v llvm.Value) string {
 	}
 	parts := make([]string, 0, len(s))
 	for _, l := range s {
-		name := r.rootName[l.Root]
+		name := r.rootName(l.Root)
 		if name == "" {
 			name = l.Root.Ident()
 		}

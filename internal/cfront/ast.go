@@ -20,11 +20,17 @@ type ParamDecl struct {
 	Dims  []int64 // empty for scalars
 }
 
-// Pragma is a parsed #pragma HLS directive.
+// Pragma is a parsed #pragma HLS directive. Its options hold their text
+// as written, "" when absent; options the flow does not read are dropped.
 type Pragma struct {
-	Kind string            // "pipeline", "unroll", "array_partition", "interface"
-	Var  string            // variable/port operand, if any
-	Opts map[string]string // II, factor, dim, kind ("cyclic"...), mode
+	Kind string // "pipeline", "unroll", "array_partition", "interface"
+	Var  string // variable/port operand, if any
+
+	II        string // pipeline II=
+	Factor    string // unroll or array_partition factor=
+	Dim       string // array_partition dim=
+	Partition string // array_partition kind: "cyclic", "block", "complete"
+	Mode      string // interface mode: "ap_memory", "m_axi", ...
 }
 
 // Stmt is a statement node.
@@ -129,3 +135,14 @@ func (*UnaryExpr) isExpr()  {}
 func (*CondExpr) isExpr()   {}
 func (*CallExpr) isExpr()   {}
 func (*CastExpr) isExpr()   {}
+
+// paramIndex returns the index of the parameter named name, the last one
+// when several share it, or -1.
+func (fd *FuncDecl) paramIndex(name string) int {
+	for i := len(fd.Params) - 1; i >= 0; i-- {
+		if fd.Params[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}

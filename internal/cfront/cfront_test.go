@@ -58,7 +58,7 @@ func TestParseGemm(t *testing.T) {
 	if len(inner.Pragmas) != 1 || inner.Pragmas[0].Kind != "pipeline" {
 		t.Errorf("pipeline pragma not attached to k-loop: %+v", inner.Pragmas)
 	}
-	if inner.Pragmas[0].Opts["ii"] != "1" {
+	if inner.Pragmas[0].II != "1" {
 		t.Error("II option lost")
 	}
 }

@@ -112,31 +112,26 @@ func (g *codegen) genFunc(fd *FuncDecl) (*llvm.Function, error) {
 	}
 
 	// Apply function-level pragmas.
-	argIdx := map[string]int{}
-	for i, pd := range fd.Params {
-		argIdx[pd.Name] = i
-	}
 	for _, pr := range fd.Pragmas {
 		switch pr.Kind {
 		case "dataflow":
 			f.SetAttr("hls.dataflow", "1")
 		case "array_partition":
-			if i, ok := argIdx[pr.Var]; ok {
-				kind := pr.Opts["kind"]
-				factor := pr.Opts["factor"]
+			if i := fd.paramIndex(pr.Var); i >= 0 {
+				factor := pr.Factor
 				if factor == "" {
 					factor = "0"
 				}
 				dim := 0
-				if d, err := strconv.Atoi(pr.Opts["dim"]); err == nil && d > 0 {
+				if d, err := strconv.Atoi(pr.Dim); err == nil && d > 0 {
 					dim = d - 1 // pragma dims are 1-based
 				}
-				f.SetAttr(fmt.Sprintf("hls.array_partition.arg%d", i),
-					fmt.Sprintf("%s,%s,%d", kind, factor, dim))
+				f.SetAttr("hls.array_partition.arg"+strconv.Itoa(i),
+					pr.Partition+","+factor+","+strconv.Itoa(dim))
 			}
 		case "interface":
-			if i, ok := argIdx[pr.Var]; ok {
-				mode := pr.Opts["mode"]
+			if i := fd.paramIndex(pr.Var); i >= 0 {
+				mode := pr.Mode
 				if mode == "" {
 					mode = "ap_memory"
 				}
@@ -335,11 +330,11 @@ func (g *codegen) genFor(st *ForStmt) error {
 		switch pr.Kind {
 		case "pipeline":
 			back.Loop.Pipeline = true
-			if ii, err := strconv.Atoi(pr.Opts["ii"]); err == nil {
+			if ii, err := strconv.Atoi(pr.II); err == nil {
 				back.Loop.II = ii
 			}
 		case "unroll":
-			if fct, err := strconv.Atoi(pr.Opts["factor"]); err == nil {
+			if fct, err := strconv.Atoi(pr.Factor); err == nil {
 				back.Loop.Unroll = fct
 			} else {
 				back.Loop.Unroll = -1 // full
@@ -588,14 +583,31 @@ func (g *codegen) genBinary(x *BinaryExpr) (llvm.Value, string, error) {
 		}
 		return g.b.Binary(opc, l, r), common, nil
 	case "<", "<=", ">", ">=", "==", "!=":
+		fpPred, intPred := cmpPreds(x.Op)
 		if isFP {
-			pred := map[string]string{"<": "olt", "<=": "ole", ">": "ogt",
-				">=": "oge", "==": "oeq", "!=": "one"}[x.Op]
-			return g.b.FCmp(pred, l, r), "bool", nil
+			return g.b.FCmp(fpPred, l, r), "bool", nil
 		}
-		pred := map[string]string{"<": "slt", "<=": "sle", ">": "sgt",
-			">=": "sge", "==": "eq", "!=": "ne"}[x.Op]
-		return g.b.ICmp(pred, l, r), "bool", nil
+		return g.b.ICmp(intPred, l, r), "bool", nil
 	}
 	return nil, "", fmt.Errorf("unsupported operator %q", x.Op)
+}
+
+// cmpPreds returns the LLVM predicates of a C comparison operator: the
+// ordered one for floating operands and the signed one for integers.
+func cmpPreds(op string) (fp, integer string) {
+	switch op {
+	case "<":
+		return "olt", "slt"
+	case "<=":
+		return "ole", "sle"
+	case ">":
+		return "ogt", "sgt"
+	case ">=":
+		return "oge", "sge"
+	case "==":
+		return "oeq", "eq"
+	case "!=":
+		return "one", "ne"
+	}
+	return "", ""
 }

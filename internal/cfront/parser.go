@@ -201,25 +201,32 @@ func parsePragma(text string) (*Pragma, error) {
 	if len(fields) < 3 || !strings.EqualFold(fields[1], "HLS") {
 		return nil, nil
 	}
-	pr := &Pragma{Kind: strings.ToLower(fields[2]), Opts: map[string]string{}}
+	pr := &Pragma{Kind: strings.ToLower(fields[2])}
 	for _, f := range fields[3:] {
 		if eq := strings.IndexByte(f, '='); eq >= 0 {
-			k := strings.ToLower(f[:eq])
 			v := f[eq+1:]
-			switch k {
+			switch strings.ToLower(f[:eq]) {
 			case "variable", "port":
 				pr.Var = v
-			default:
-				pr.Opts[k] = v
+			case "ii":
+				pr.II = v
+			case "factor":
+				pr.Factor = v
+			case "dim":
+				pr.Dim = v
+			case "kind":
+				pr.Partition = v
+			case "mode":
+				pr.Mode = v
 			}
 			continue
 		}
 		// Bare words: interface mode or partition kind.
-		switch strings.ToLower(f) {
+		switch w := strings.ToLower(f); w {
 		case "cyclic", "block", "complete":
-			pr.Opts["kind"] = strings.ToLower(f)
+			pr.Partition = w
 		case "ap_memory", "ap_none", "m_axi", "bram":
-			pr.Opts["mode"] = strings.ToLower(f)
+			pr.Mode = w
 		}
 	}
 	return pr, nil

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/mlir"
 	"repro/internal/mlir/passes"
@@ -21,8 +22,10 @@ func Emit(m *mlir.Module) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("// Generated by emit-hlscpp\n\n")
 	for _, f := range m.Funcs() {
-		e := &emitter{names: map[*mlir.Value]string{}, sb: &sb}
-		if err := e.emitFunc(f); err != nil {
+		e := takeEmitter(&sb)
+		err := e.emitFunc(f)
+		e.release()
+		if err != nil {
 			return "", err
 		}
 		sb.WriteString("\n")
@@ -37,11 +40,30 @@ type emitter struct {
 	indent int
 }
 
+// emitters holds idle emitters. Emit takes one per function and returns
+// it with its name table emptied, so the pool pins no module.
+var emitters sync.Pool
+
+func takeEmitter(sb *strings.Builder) *emitter {
+	e, _ := emitters.Get().(*emitter)
+	if e == nil {
+		e = &emitter{names: map[*mlir.Value]string{}}
+	}
+	e.sb, e.nextID, e.indent = sb, 0, 0
+	return e
+}
+
+func (e *emitter) release() {
+	clear(e.names)
+	e.sb = nil
+	emitters.Put(e)
+}
+
 func (e *emitter) name(v *mlir.Value) string {
 	if n, ok := e.names[v]; ok {
 		return n
 	}
-	n := fmt.Sprintf("v%d", e.nextID)
+	n := "v" + strconv.Itoa(e.nextID)
 	e.nextID++
 	e.names[v] = n
 	return n
@@ -109,7 +131,7 @@ func (e *emitter) emitFunc(f *mlir.Op) error {
 			continue
 		}
 		e.line("#pragma HLS interface ap_memory port=%s", e.name(a))
-		if attr, ok := f.Attrs[passes.PartitionArgAttrKey(i)]; ok {
+		if attr := f.Attr(passes.PartitionArgAttrKey(i)); attr != nil {
 			if spec, ok := passes.ParsePartitionAttr(attr); ok {
 				if spec.Kind == "complete" {
 					e.line("#pragma HLS array_partition variable=%s complete dim=%d",
@@ -210,7 +232,7 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 		if err != nil {
 			return err
 		}
-		switch a := op.Attrs[mlir.AttrValue].(type) {
+		switch a := op.Attr(mlir.AttrValue).(type) {
 		case mlir.IntAttr:
 			e.line("%s %s = %d;", ct, e.name(op.Result(0)), a.Value)
 		case mlir.FloatAttr:
@@ -358,7 +380,7 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 		return nil
 
 	case mlir.OpCall:
-		callee, _ := op.Attrs[mlir.AttrCallee].(mlir.SymbolRefAttr)
+		callee, _ := op.Attr(mlir.AttrCallee).(mlir.SymbolRefAttr)
 		var args []string
 		for _, a := range op.Operands {
 			args = append(args, e.name(a))

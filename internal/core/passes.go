@@ -54,6 +54,7 @@ func descriptorToArray(f *llvm.Function, rep *Report) error {
 		dims     []int64
 		elem     *llvm.Type
 		numElems int64
+		shaped   *llvm.Param // the array pointer replacing the group
 	}
 	var groups []group
 
@@ -85,45 +86,30 @@ func descriptorToArray(f *llvm.Function, rep *Report) error {
 		return nil
 	}
 
+	// repl[i] replaces old parameter i, nil for a parameter that stays:
+	// the shaped param for a group's base and aligned pointers, constants
+	// for its offset (0) and static sizes and strides. gepTo[i] is the
+	// group, plus one, that a GEP on parameter i is retargeted to.
+	repl := make([]llvm.Value, len(f.Params))
+	gepTo := make([]int, len(f.Params))
 	var newParams []*llvm.Param
 	gi := 0
-	gepsRewritten := 0
 	for i := 0; i < len(f.Params); {
 		if gi < len(groups) && groups[gi].start == i {
-			g := groups[gi]
-			arrTy := llvm.ArrayOf(g.numElems, g.elem)
-			np := &llvm.Param{Name: fmt.Sprintf("arg%d", g.argIdx), Ty: llvm.Ptr(arrTy)}
+			g := &groups[gi]
+			g.shaped = &llvm.Param{Name: fmt.Sprintf("arg%d", g.argIdx),
+				Ty: llvm.Ptr(llvm.ArrayOf(g.numElems, g.elem))}
+			np := g.shaped
 			newParams = append(newParams, np)
+			gepTo[i], gepTo[i+1] = gi+1, gi+1
 
-			base := f.Params[i]
-			aligned := f.Params[i+1]
-			offset := f.Params[i+2]
-			// Retarget every GEP on the aligned pointer to the shaped param.
-			for _, blk := range f.Blocks {
-				for _, in := range blk.Instrs {
-					if in.Op == llvm.OpGEP && (in.Args[0] == aligned || in.Args[0] == base) {
-						lin := in.Args[1]
-						in.SrcElem = arrTy
-						in.Args = []llvm.Value{np, llvm.CI(llvm.I64(), 0), lin}
-						in.Ty = llvm.Ptr(g.elem)
-						gepsRewritten++
-					}
-				}
-			}
-			// Any remaining direct uses of the descriptor params become
-			// constants (offset 0, static sizes/strides) or the new param.
-			f.ReplaceAllUses(base, np)
-			f.ReplaceAllUses(aligned, np)
-			f.ReplaceAllUses(offset, llvm.CI(llvm.I64(), 0))
-			strides := make([]int64, g.rank)
+			repl[i], repl[i+1] = np, np
+			repl[i+2] = llvm.CI(llvm.I64(), 0)
 			s := int64(1)
 			for d := g.rank - 1; d >= 0; d-- {
-				strides[d] = s
+				repl[i+3+d] = llvm.CI(llvm.I64(), g.dims[d])
+				repl[i+3+g.rank+d] = llvm.CI(llvm.I64(), s)
 				s *= g.dims[d]
-			}
-			for d := 0; d < g.rank; d++ {
-				f.ReplaceAllUses(f.Params[i+3+d], llvm.CI(llvm.I64(), g.dims[d]))
-				f.ReplaceAllUses(f.Params[i+3+g.rank+d], llvm.CI(llvm.I64(), strides[d]))
 			}
 			// Record the shape for the interface pass.
 			shapeStr := make([]string, g.rank)
@@ -140,12 +126,49 @@ func descriptorToArray(f *llvm.Function, rep *Report) error {
 		newParams = append(newParams, f.Params[i])
 		i++
 	}
+	// One walk retargets every GEP on a group's base or aligned pointer to
+	// the shaped param, and replaces every other use of a descriptor param.
+	gepsRewritten := 0
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
+			if in.Op == llvm.OpGEP {
+				if k := paramIndex(f.Params, in.Args[0]); k >= 0 && gepTo[k] > 0 {
+					g := groups[gepTo[k]-1]
+					lin := in.Args[1]
+					in.SrcElem = g.shaped.Ty.Elem
+					in.Args = []llvm.Value{g.shaped, llvm.CI(llvm.I64(), 0), lin}
+					in.Ty = llvm.Ptr(g.elem)
+					gepsRewritten++
+				}
+			}
+			for j, a := range in.Args {
+				if k := paramIndex(f.Params, a); k >= 0 && repl[k] != nil {
+					in.Args[j] = repl[k]
+				}
+			}
+		}
+	}
 	rep.add(FixDescriptor, f.Name,
 		fmt.Sprintf("collapsed %d descriptor groups (%d params -> %d), rewrote %d geps",
 			len(groups), len(f.Params), len(newParams), gepsRewritten),
 		len(groups)+gepsRewritten)
 	f.Params = newParams
 	return nil
+}
+
+// paramIndex returns the index of v in params, or -1 when v is no
+// parameter of them.
+func paramIndex(params []*llvm.Param, v llvm.Value) int {
+	p, ok := v.(*llvm.Param)
+	if !ok {
+		return -1
+	}
+	for i, q := range params {
+		if q == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // mallocElem is the element type a malloc'd buffer of size bytes becomes an

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/castore"
@@ -402,9 +403,8 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, opts BatchOptions) ([
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// seen enforces the fresh-module contract for this batch.
-	var seenMu sync.Mutex
-	seen := make(map[*mlir.Module]string)
+	// batch names this batch in the fresh-module contract's module claims.
+	batch := batchSeq.Add(1)
 
 	feed := make(chan int)
 	var wg sync.WaitGroup
@@ -413,7 +413,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, opts BatchOptions) ([
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				results[i] = e.runOne(jobs[i], opts.Timeout, seen, &seenMu)
+				results[i] = e.runOne(jobs[i], opts.Timeout, batch)
 				if opts.OnResult != nil {
 					opts.OnResult(i, results[i])
 				}
@@ -506,7 +506,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, opts BatchOptions) ([
 // never cached or persisted: the fallback report is a stand-in for a
 // failed run, and storing it would mask the direct path recovering on a
 // later batch.
-func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]string, seenMu *sync.Mutex) JobResult {
+func (e *Engine) runOne(job Job, timeout time.Duration, batch uint64) JobResult {
 	useStore := e.opts.ResultStore != nil
 	var key string
 	if e.cache != nil || useStore {
@@ -545,7 +545,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, seen map[*mlir.Module]st
 			return r
 		}
 	}
-	res := e.execute(job, timeout, seen, seenMu)
+	res := e.execute(job, timeout, batch)
 	if res.Err == nil && !res.Degraded {
 		if e.cache != nil {
 			e.cache.put(key, res)
@@ -570,10 +570,10 @@ func (e *Engine) faultHooked() bool {
 // deterministic code cannot help. After the final attempt, a surviving
 // direct-path failure is bisected into a quarantine repro bundle when
 // Options.Quarantine is set.
-func (e *Engine) execute(job Job, timeout time.Duration, seen map[*mlir.Module]string, seenMu *sync.Mutex) JobResult {
+func (e *Engine) execute(job Job, timeout time.Duration, batch uint64) JobResult {
 	var res JobResult
 	for attempt := 1; ; attempt++ {
-		res = e.attempt(job, timeout, seen, seenMu)
+		res = e.attempt(job, timeout, batch)
 		res.Attempts = attempt
 		if res.Err == nil || attempt > e.opts.Retries || !resilience.Transient(res.Err) {
 			break
@@ -613,14 +613,14 @@ func (e *Engine) quarantine(job Job, res *JobResult) {
 // context gates the feeder (determinism contract), while this one exists
 // to reclaim the job's goroutine — on timeout the flow observes
 // cancellation at its next pass boundary and unwinds instead of leaking.
-func (e *Engine) attempt(job Job, timeout time.Duration, seen map[*mlir.Module]string, seenMu *sync.Mutex) JobResult {
+func (e *Engine) attempt(job Job, timeout time.Duration, batch uint64) JobResult {
 	if timeout <= 0 {
-		return e.runFlow(context.Background(), job, seen, seenMu)
+		return e.runFlow(context.Background(), job, batch)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	done := make(chan JobResult, 1)
-	go func() { done <- e.runFlow(ctx, job, seen, seenMu) }()
+	go func() { done <- e.runFlow(ctx, job, batch) }()
 	select {
 	case r := <-done:
 		return r
@@ -655,9 +655,31 @@ func (e *Engine) flowOptions(job Job) flow.Options {
 	return fopts
 }
 
+// batchSeq numbers batches for the fresh-module contract, and claimMu
+// serializes module claims across concurrent batches.
+var (
+	batchSeq atomic.Uint64
+	claimMu  sync.Mutex
+)
+
+// claim records on m that job label of batch built it, or returns the
+// error naming the earlier job of the batch that built the same module.
+// The record lives on the module, not in the batch: no result references
+// MLIR, so a finished job's module is garbage, and the check must not keep
+// every module of a batch alive until the batch ends.
+func claim(m *mlir.Module, batch uint64, label string) error {
+	claimMu.Lock()
+	prev, fresh := m.Claim(batch, label)
+	claimMu.Unlock()
+	if !fresh {
+		return fmt.Errorf("job %q: Build returned the same *mlir.Module as job %q; flows mutate their input, so Build must construct a fresh module per call (see internal/mlir/clone.go)", label, prev)
+	}
+	return nil
+}
+
 // runFlow builds the module, enforces the fresh-module contract, and
 // dispatches to the right flow under this attempt's context.
-func (e *Engine) runFlow(ctx context.Context, job Job, seen map[*mlir.Module]string, seenMu *sync.Mutex) (out JobResult) {
+func (e *Engine) runFlow(ctx context.Context, job Job, batch uint64) (out JobResult) {
 	out = JobResult{Label: job.Label, Kind: job.Kind}
 	start := time.Now()
 	defer func() { out.Elapsed = time.Since(start) }()
@@ -666,21 +688,12 @@ func (e *Engine) runFlow(ctx context.Context, job Job, seen map[*mlir.Module]str
 		out.Err = fmt.Errorf("job %q: nil Build", job.Label)
 		return out
 	}
-	register := func(m *mlir.Module, label string) error {
-		seenMu.Lock()
-		defer seenMu.Unlock()
-		if prev, dup := seen[m]; dup {
-			return fmt.Errorf("job %q: Build returned the same *mlir.Module as job %q; flows mutate their input, so Build must construct a fresh module per call (see internal/mlir/clone.go)", label, prev)
-		}
-		seen[m] = label
-		return nil
-	}
 	m := job.Build()
 	if m == nil {
 		out.Err = fmt.Errorf("job %q: Build returned nil module", job.Label)
 		return out
 	}
-	if err := register(m, job.Label); err != nil {
+	if err := claim(m, batch, job.Label); err != nil {
 		out.Err = err
 		return out
 	}
@@ -693,7 +706,7 @@ func (e *Engine) runFlow(ctx context.Context, job Job, seen map[*mlir.Module]str
 			if fm == nil {
 				return nil
 			}
-			if err := register(fm, job.Label+" (fallback)"); err != nil {
+			if err := claim(fm, batch, job.Label+" (fallback)"); err != nil {
 				return nil
 			}
 			return fm

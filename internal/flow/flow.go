@@ -412,9 +412,8 @@ func CxxFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts 
 	err := r.run(r.units("cxx", d, tgt))
 	if err == nil && r.memo != nil {
 		// A replayed tail leaves the module behind the cursor; the Result
-		// must carry the real final module. The cold path runs no verify
-		// after the C frontend, so neither does this.
-		err = r.memo.finalize(&r.lm, false)
+		// must carry the real final module.
+		err = r.memo.finalize(&r.lm)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cxx flow: %w", err)

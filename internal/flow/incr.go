@@ -10,7 +10,6 @@ import (
 	lparser "repro/internal/llvm/parser"
 	"repro/internal/mlir"
 	"repro/internal/mlir/parser"
-	"repro/internal/resilience"
 )
 
 // memoRun threads the incremental store through one flow run as a byte
@@ -189,26 +188,23 @@ func jsonAux[T any](dst **T) *auxCodec {
 	}
 }
 
-// finalModules caches parsed (and, where requested, verified) final
-// modules by content digest, so repeated warm runs of the same design
-// point skip the one parse a replayed tail otherwise costs. Entries are
-// shared across Results: on a memoized run, a Result's LLVM module must be
-// treated as read-only — the same sharing contract the engine's whole-flow
-// cache already imposes on its hits.
-var finalModules sync.Map // digest|verify -> *llvm.Module
+// finalModules caches parsed final modules by content digest, so repeated
+// warm runs of the same design point skip the one parse a replayed tail
+// otherwise costs. Entries are shared across Results: on a memoized run, a
+// Result's LLVM module must be treated as read-only — the same sharing
+// contract the engine's whole-flow cache already imposes on its hits.
+var finalModules sync.Map // digest -> *llvm.Module
 
 // finalize re-materializes the live LLVM module after a replayed tail so
-// the flow's Result carries a real module. verify stands in for the
-// llvm-opt stage's closing verify, which a replayed tail skipped (the
-// adaptor flow sets it; the baseline flow runs no post-frontend verify).
-// The pointer is replaced, never filled in place: a cache hit aliases a
-// shared module that must stay pristine.
-func (r *memoRun) finalize(lmp **llvm.Module, verify bool) error {
+// the flow's Result carries a real module. The parser verifies what it
+// parses, which stands in for the llvm-opt stage's closing verify that a
+// replayed tail skipped. The pointer is replaced, never filled in place: a
+// cache hit aliases a shared module that must stay pristine.
+func (r *memoRun) finalize(lmp **llvm.Module) error {
 	if !r.stale && *lmp != nil {
 		return nil
 	}
-	ck := fmt.Sprintf("%s|v=%t", r.hash, verify)
-	if m, ok := finalModules.Load(ck); ok {
+	if m, ok := finalModules.Load(r.hash); ok {
 		*lmp = m.(*llvm.Module)
 		r.stale = false
 		return nil
@@ -217,12 +213,7 @@ func (r *memoRun) finalize(lmp **llvm.Module, verify bool) error {
 	if err != nil {
 		return fmt.Errorf("incr: materialize final module: %w", err)
 	}
-	if verify {
-		if err := p.Verify(); err != nil {
-			return resilience.NewFailure("llvm-opt", "verify", resilience.KindVerify, err)
-		}
-	}
-	m, _ := finalModules.LoadOrStore(ck, p)
+	m, _ := finalModules.LoadOrStore(r.hash, p)
 	*lmp = m.(*llvm.Module)
 	r.stale = false
 	return nil

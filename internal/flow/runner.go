@@ -240,7 +240,7 @@ func (r *runner) leaveLLVMOpt() error {
 	start := time.Now()
 	err := resilience.Guard("llvm-opt", "verify", func() error {
 		if r.memo != nil && r.memo.stale {
-			return r.memo.finalize(&r.lm, true)
+			return r.memo.finalize(&r.lm)
 		}
 		if err := r.lm.Verify(); err != nil {
 			return resilience.NewFailure("llvm-opt", "verify", resilience.KindVerify, err)

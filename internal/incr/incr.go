@@ -84,19 +84,17 @@ const keyVersion = "incr-v2"
 // rekey on replay). Every field is length-prefixed so no two distinct
 // tuples collide by concatenation.
 func UnitKey(cfg, unit, params, input string) string {
-	h := sha256.New()
-	for _, s := range [...]string{keyVersion, cfg, unit, params} {
-		writeField(h, s)
+	// The fields are short, so the preimage is laid out in one buffer and
+	// hashed at once.
+	var buf [256]byte
+	b := buf[:0]
+	for _, s := range [...]string{keyVersion, cfg, unit, params, input} {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, '|')
+		b = append(b, s...)
 	}
-	writeField(h, input)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func writeField(h interface{ Write([]byte) (int, error) }, s string) {
-	var lenBuf [20]byte
-	h.Write(strconv.AppendInt(lenBuf[:0], int64(len(s)), 10))
-	h.Write([]byte{'|'})
-	h.Write([]byte(s))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // MemStore is the in-memory store: a concurrent map from key to record.

@@ -46,7 +46,8 @@ func MLIRDirectives(m *mlir.Module) diag.Diagnostics {
 				}
 			}
 			if op.Name == mlir.OpFunc {
-				for key, a := range op.Attrs {
+				for _, na := range op.Attrs {
+					key, a := na.Name, na.Value
 					if len(key) > len(mlir.AttrPartition) && key[:len(mlir.AttrPartition)+1] == mlir.AttrPartition+"." {
 						spec, ok := passes.ParsePartitionAttr(a)
 						if !ok {

@@ -30,8 +30,9 @@ type token struct {
 	line int
 }
 
-func lex(src string) ([]token, error) {
-	var toks []token
+// lex appends the tokens of src to toks and returns the extended slice,
+// also with an error, so the caller keeps its storage.
+func lex(toks []token, src string) ([]token, error) {
 	line := 1
 	i, n := 0, len(src)
 	readName := func() string {
@@ -95,14 +96,14 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i >= n {
-				return nil, fmt.Errorf("llvm parser: line %d: unterminated string", line)
+				return toks, fmt.Errorf("llvm parser: line %d: unterminated string", line)
 			}
 			i++
 			text := src[start+1 : i-1]
 			if escaped {
 				s, err := strconv.Unquote(src[start:i])
 				if err != nil {
-					return nil, fmt.Errorf("llvm parser: line %d: bad string %s: %v", line, src[start:i], err)
+					return toks, fmt.Errorf("llvm parser: line %d: bad string %s: %v", line, src[start:i], err)
 				}
 				text = s
 			}
@@ -140,10 +141,10 @@ func lex(src string) ([]token, error) {
 		default:
 			switch c {
 			case '(', ')', '{', '}', '[', ']', '<', '>', ',', '=', '*', ':':
-				toks = append(toks, token{tPunct, string(c), line})
+				toks = append(toks, token{tPunct, src[i : i+1], line})
 				i++
 			default:
-				return nil, fmt.Errorf("llvm parser: line %d: unexpected %q", line, string(c))
+				return toks, fmt.Errorf("llvm parser: line %d: unexpected %q", line, string(c))
 			}
 		}
 	}

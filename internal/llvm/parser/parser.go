@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/llvm"
 )
@@ -10,12 +11,15 @@ import (
 // Parse parses .ll text into a module. The flavor is inferred: any typed
 // pointer in a signature marks the module FlavorHLS, otherwise FlavorModern.
 func Parse(src string) (*llvm.Module, error) {
-	toks, err := lex(src)
+	s := takeScratch()
+	defer s.release()
+	toks, err := lex(s.toks[:0], src)
+	s.toks = toks
 	if err != nil {
 		return nil, err
 	}
-	p := &llParser{toks: toks, attrGroups: map[string]map[string]string{},
-		loopMDs: map[string]*llvm.LoopMD{}}
+	p := &llParser{toks: toks, values: s.values, blocks: s.blocks,
+		attrGroups: map[string]map[string]string{}, loopMDs: map[string]*llvm.LoopMD{}}
 	m, err := p.parseModule()
 	if err != nil {
 		return nil, err
@@ -24,6 +28,35 @@ func Parse(src string) (*llvm.Module, error) {
 		m.Name = name
 	}
 	return m, nil
+}
+
+// scratch is one parse's token buffer and per-function name tables.
+// Tokens hold substrings of the source and the module keeps no token or
+// table, so a finished parse hands them to the next one.
+type scratch struct {
+	toks   []token
+	values map[string]llvm.Value
+	blocks map[string]*llvm.Block
+}
+
+var scratches sync.Pool
+
+func takeScratch() *scratch {
+	s, _ := scratches.Get().(*scratch)
+	if s == nil {
+		s = &scratch{values: map[string]llvm.Value{}, blocks: map[string]*llvm.Block{}}
+	}
+	return s
+}
+
+// release empties the scratch, so the pool pins no source or module, and
+// pools it.
+func (s *scratch) release() {
+	clear(s.toks)
+	s.toks = s.toks[:0]
+	clear(s.values)
+	clear(s.blocks)
+	scratches.Put(s)
 }
 
 // moduleIDComment recovers the module name from the "; ModuleID = '...'"
@@ -262,8 +295,8 @@ func (p *llParser) parseFunc(isDecl bool) (*llvm.Function, error) {
 	}
 	f := llvm.NewFunction(nameTok.text, ret)
 	f.IsDecl = isDecl
-	p.values = map[string]llvm.Value{}
-	p.blocks = map[string]*llvm.Block{}
+	clear(p.values)
+	clear(p.blocks)
 	p.fixups = nil
 
 	for !p.isPunct(")") {

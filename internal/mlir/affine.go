@@ -2,7 +2,7 @@ package mlir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // AffineExprKind discriminates affine expression nodes.
@@ -211,29 +211,39 @@ func (e *AffineExpr) MaxSym() int {
 }
 
 // String renders the expression in MLIR affine syntax.
-func (e *AffineExpr) String() string {
+func (e *AffineExpr) String() string { return string(e.appendTo(nil)) }
+
+// appendTo appends the expression's text to b.
+func (e *AffineExpr) appendTo(b []byte) []byte {
+	op := ""
 	switch e.Kind {
 	case AffineDim:
-		return fmt.Sprintf("d%d", e.Pos)
+		return strconv.AppendInt(append(b, 'd'), int64(e.Pos), 10)
 	case AffineSym:
-		return fmt.Sprintf("s%d", e.Pos)
+		return strconv.AppendInt(append(b, 's'), int64(e.Pos), 10)
 	case AffineConst:
-		return fmt.Sprintf("%d", e.Val)
+		return strconv.AppendInt(b, e.Val, 10)
 	case AffineAdd:
 		if e.RHS.IsConst() && e.RHS.Val < 0 {
-			return fmt.Sprintf("(%s - %d)", e.LHS, -e.RHS.Val)
+			b = e.LHS.appendTo(append(b, '('))
+			b = strconv.AppendInt(append(b, " - "...), -e.RHS.Val, 10)
+			return append(b, ')')
 		}
-		return fmt.Sprintf("(%s + %s)", e.LHS, e.RHS)
+		op = " + "
 	case AffineMul:
-		return fmt.Sprintf("(%s * %s)", e.LHS, e.RHS)
+		op = " * "
 	case AffineMod:
-		return fmt.Sprintf("(%s mod %s)", e.LHS, e.RHS)
+		op = " mod "
 	case AffineFloorDiv:
-		return fmt.Sprintf("(%s floordiv %s)", e.LHS, e.RHS)
+		op = " floordiv "
 	case AffineCeilDiv:
-		return fmt.Sprintf("(%s ceildiv %s)", e.LHS, e.RHS)
+		op = " ceildiv "
+	default:
+		return append(b, "<invalid-affine-expr>"...)
 	}
-	return "<invalid-affine-expr>"
+	b = e.LHS.appendTo(append(b, '('))
+	b = e.RHS.appendTo(append(b, op...))
+	return append(b, ')')
 }
 
 // AffineMap is a multi-result affine map (d0..dN, s0..sM) -> (exprs...).
@@ -322,33 +332,34 @@ func (m *AffineMap) Equal(o *AffineMap) bool {
 }
 
 // String renders the map as (d0, d1)[s0] -> (expr, ...).
-func (m *AffineMap) String() string {
-	var sb strings.Builder
-	sb.WriteString("(")
+func (m *AffineMap) String() string { return string(m.appendTo(nil)) }
+
+// appendTo appends the map's text to b.
+func (m *AffineMap) appendTo(b []byte) []byte {
+	b = append(b, '(')
 	for i := 0; i < m.NumDims; i++ {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&sb, "d%d", i)
+		b = strconv.AppendInt(append(b, 'd'), int64(i), 10)
 	}
-	sb.WriteString(")")
+	b = append(b, ')')
 	if m.NumSyms > 0 {
-		sb.WriteString("[")
+		b = append(b, '[')
 		for i := 0; i < m.NumSyms; i++ {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&sb, "s%d", i)
+			b = strconv.AppendInt(append(b, 's'), int64(i), 10)
 		}
-		sb.WriteString("]")
+		b = append(b, ']')
 	}
-	sb.WriteString(" -> (")
+	b = append(b, " -> ("...)
 	for i, e := range m.Exprs {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(e.String())
+		b = e.appendTo(b)
 	}
-	sb.WriteString(")")
-	return sb.String()
+	return append(b, ')')
 }

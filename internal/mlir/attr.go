@@ -1,8 +1,7 @@
 package mlir
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -27,7 +26,7 @@ func I(v int64) IntAttr { return IntAttr{Value: v} }
 // String implements Attr.
 func (a IntAttr) String() string {
 	if a.Ty != nil && !a.Ty.IsIndex() {
-		return fmt.Sprintf("%d : %s", a.Value, a.Ty)
+		return strconv.FormatInt(a.Value, 10) + " : " + a.Ty.String()
 	}
 	return strconv.FormatInt(a.Value, 10)
 }
@@ -50,12 +49,18 @@ type FloatAttr struct {
 	Ty    *Type
 }
 
-// String implements Attr.
-func (a FloatAttr) String() string {
-	s := strconv.FormatFloat(a.Value, 'g', -1, 64)
+// formatFloat spells a float literal so that it lexes as a float.
+func formatFloat(v float64) string {
+	s := strconv.FormatFloat(v, 'g', -1, 64)
 	if !strings.ContainsAny(s, ".eE") {
 		s += ".0"
 	}
+	return s
+}
+
+// String implements Attr.
+func (a FloatAttr) String() string {
+	s := formatFloat(a.Value)
 	if a.Ty != nil {
 		return s + " : " + a.Ty.String()
 	}
@@ -131,13 +136,7 @@ func (a TypeAttr) EqualAttr(o Attr) bool {
 type ArrayAttr []Attr
 
 // String implements Attr.
-func (a ArrayAttr) String() string {
-	parts := make([]string, len(a))
-	for i, e := range a {
-		parts[i] = e.String()
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
+func (a ArrayAttr) String() string { return string(AppendAttr(nil, a)) }
 
 // EqualAttr implements Attr.
 func (a ArrayAttr) EqualAttr(o Attr) bool {
@@ -157,7 +156,7 @@ func (a ArrayAttr) EqualAttr(o Attr) bool {
 type AffineMapAttr struct{ Map *AffineMap }
 
 // String implements Attr.
-func (a AffineMapAttr) String() string { return "affine_map<" + a.Map.String() + ">" }
+func (a AffineMapAttr) String() string { return string(AppendAttr(nil, a)) }
 
 // EqualAttr implements Attr.
 func (a AffineMapAttr) EqualAttr(o Attr) bool {
@@ -177,26 +176,57 @@ func (a SymbolRefAttr) EqualAttr(o Attr) bool {
 	return ok && a == b
 }
 
-// attrsString renders an attribute dictionary deterministically.
-func attrsString(attrs map[string]Attr, skip map[string]bool) string {
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		if skip != nil && skip[k] {
+// AppendAttr appends a.String() to dst, formatting the common attribute
+// kinds in place.
+func AppendAttr(dst []byte, a Attr) []byte {
+	switch a := a.(type) {
+	case IntAttr:
+		dst = strconv.AppendInt(dst, a.Value, 10)
+		if a.Ty != nil && !a.Ty.IsIndex() {
+			dst = append(dst, " : "...)
+			dst = append(dst, a.Ty.String()...)
+		}
+		return dst
+	case StringAttr:
+		return strconv.AppendQuote(dst, string(a))
+	case ArrayAttr:
+		dst = append(dst, '[')
+		for i, e := range a {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendAttr(dst, e)
+		}
+		return append(dst, ']')
+	case AffineMapAttr:
+		dst = a.Map.appendTo(append(dst, "affine_map<"...))
+		return append(dst, '>')
+	}
+	return append(dst, a.String()...)
+}
+
+// appendAttrDict appends the attributes not named in skip as
+// " {k = v, ...}", in the list's name order; it appends nothing when none
+// remains.
+func appendAttrDict(b []byte, attrs []NamedAttr, skip []string) []byte {
+	n := 0
+	for _, a := range attrs {
+		if slices.Contains(skip, a.Name) {
 			continue
 		}
-		keys = append(keys, k)
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		if _, isUnit := attrs[k].(UnitAttr); isUnit {
-			parts[i] = k
+		if n == 0 {
+			b = append(b, " {"...)
 		} else {
-			parts[i] = k + " = " + attrs[k].String()
+			b = append(b, ", "...)
+		}
+		n++
+		b = append(b, a.Name...)
+		if _, isUnit := a.Value.(UnitAttr); !isUnit {
+			b = AppendAttr(append(b, " = "...), a.Value)
 		}
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	if n > 0 {
+		b = append(b, '}')
+	}
+	return b
 }

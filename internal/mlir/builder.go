@@ -21,10 +21,16 @@ func (b *Builder) Create(name string, operands []*Value, resultTypes []*Type) *O
 	return op
 }
 
+// funcAttrsCap is the attribute capacity a func.func with n arguments is
+// built with: its name and result types, the top and dataflow marks, and
+// an array partition per argument.
+func funcAttrsCap(n int) int { return 4 + n }
+
 // Func creates a func.func in the module body and returns the op and its
 // entry-block argument values.
 func (m *Module) AddFunc(name string, argTypes []*Type, resultTypes []*Type) (*Op, []*Value) {
 	f := NewOp(OpFunc, nil, nil)
+	f.Attrs = make([]NamedAttr, 0, funcAttrsCap(len(argTypes)))
 	f.SetAttr(AttrSymName, StringAttr(name))
 	resAttrs := make(ArrayAttr, len(resultTypes))
 	for i, t := range resultTypes {

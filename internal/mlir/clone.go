@@ -21,9 +21,7 @@ func CloneOp(op *Op, vmap map[*Value]*Value, bmap map[*Block]*Block) *Op {
 		resultTypes[i] = r.Type()
 	}
 	clone := NewOp(op.Name, operands, resultTypes)
-	for k, v := range op.Attrs {
-		clone.SetAttr(k, v)
-	}
+	clone.Attrs = append(clone.Attrs, op.Attrs...)
 	for i, r := range op.Results {
 		vmap[r] = clone.Results[i]
 	}

@@ -496,7 +496,7 @@ func (c *compiler) op(op *Op) {
 	}
 	switch op.Name {
 	case OpConstant:
-		switch a := op.Attrs[AttrValue].(type) {
+		switch a := op.Attr(AttrValue).(type) {
 		case IntAttr:
 			c.emit(minst{op: mConstI, dst: result(), imm: a.Value})
 		case FloatAttr:

@@ -31,12 +31,26 @@ type Op struct {
 	Name     string
 	Operands []*Value
 	Results  []*Value
-	Attrs    map[string]Attr
-	Regions  []*Region
-	Succs    []*Block
+	// Attrs is the attribute dictionary, sorted by name with each name
+	// once, as upstream MLIR's DictionaryAttr stores it. Read and write it
+	// through Attr, SetAttr and RemoveAttr, which keep it sorted.
+	Attrs   []NamedAttr
+	Regions []*Region
+	Succs   []*Block
 
 	parent *Block
 }
+
+// NamedAttr is one entry of an op's attribute dictionary.
+type NamedAttr struct {
+	Name  string
+	Value Attr
+}
+
+// forAttrsCap is the attribute capacity NewOp gives an affine.for: its
+// four bound attributes and the four loop directives (pipeline, II,
+// unroll, flatten), so marking a loop never grows its list.
+const forAttrsCap = 8
 
 // opNode fuses an op, its single result value, and the one-element result
 // slice into one allocation — the dominant op shape (arithmetic, loads,
@@ -47,25 +61,31 @@ type opNode struct {
 	results [1]*Value
 }
 
-// NewOp constructs a detached op with results of the given types. The
-// attribute map is allocated lazily by SetAttr: most ops carry none.
+// NewOp constructs a detached op with results of the given types. Most ops
+// carry no attributes, so their list is allocated by the first SetAttr;
+// an affine.for starts with room for forAttrsCap.
 func NewOp(name string, operands []*Value, resultTypes []*Type) *Op {
+	var op *Op
 	if len(resultTypes) == 1 {
 		n := &opNode{}
 		n.op = Op{Name: name, Operands: operands}
 		n.val = Value{Ty: resultTypes[0], Def: &n.op}
 		n.results[0] = &n.val
 		n.op.Results = n.results[:]
-		return &n.op
-	}
-	op := &Op{Name: name, Operands: operands}
-	if len(resultTypes) > 0 {
-		vals := make([]Value, len(resultTypes))
-		op.Results = make([]*Value, len(resultTypes))
-		for i, t := range resultTypes {
-			vals[i] = Value{Ty: t, Def: op, ResNo: int32(i)}
-			op.Results[i] = &vals[i]
+		op = &n.op
+	} else {
+		op = &Op{Name: name, Operands: operands}
+		if len(resultTypes) > 0 {
+			vals := make([]Value, len(resultTypes))
+			op.Results = make([]*Value, len(resultTypes))
+			for i, t := range resultTypes {
+				vals[i] = Value{Ty: t, Def: op, ResNo: int32(i)}
+				op.Results[i] = &vals[i]
+			}
 		}
+	}
+	if name == OpAffineFor {
+		op.Attrs = make([]NamedAttr, 0, forAttrsCap)
 	}
 	return op
 }
@@ -76,9 +96,19 @@ func (o *Op) Block() *Block { return o.parent }
 // Result returns result i.
 func (o *Op) Result(i int) *Value { return o.Results[i] }
 
+// Attr returns the attribute named key, or nil when the op has none.
+func (o *Op) Attr(key string) Attr {
+	for _, a := range o.Attrs {
+		if a.Name == key {
+			return a.Value
+		}
+	}
+	return nil
+}
+
 // IntAttr returns the int attribute value for key, with ok reporting presence.
 func (o *Op) IntAttr(key string) (int64, bool) {
-	a, ok := o.Attrs[key].(IntAttr)
+	a, ok := o.Attr(key).(IntAttr)
 	if !ok {
 		return 0, false
 	}
@@ -87,7 +117,7 @@ func (o *Op) IntAttr(key string) (int64, bool) {
 
 // StringAttr returns the string attribute for key.
 func (o *Op) StringAttr(key string) (string, bool) {
-	a, ok := o.Attrs[key].(StringAttr)
+	a, ok := o.Attr(key).(StringAttr)
 	if !ok {
 		return "", false
 	}
@@ -96,7 +126,7 @@ func (o *Op) StringAttr(key string) (string, bool) {
 
 // MapAttr returns the affine map attribute for key.
 func (o *Op) MapAttr(key string) (*AffineMap, bool) {
-	a, ok := o.Attrs[key].(AffineMapAttr)
+	a, ok := o.Attr(key).(AffineMapAttr)
 	if !ok {
 		return nil, false
 	}
@@ -105,16 +135,39 @@ func (o *Op) MapAttr(key string) (*AffineMap, bool) {
 
 // HasAttr reports whether key is present.
 func (o *Op) HasAttr(key string) bool {
-	_, ok := o.Attrs[key]
-	return ok
+	for _, a := range o.Attrs {
+		if a.Name == key {
+			return true
+		}
+	}
+	return false
 }
 
-// SetAttr sets an attribute.
+// SetAttr sets the attribute named key, replacing any earlier value.
 func (o *Op) SetAttr(key string, a Attr) {
-	if o.Attrs == nil {
-		o.Attrs = map[string]Attr{}
+	i := 0
+	for ; i < len(o.Attrs) && o.Attrs[i].Name < key; i++ {
 	}
-	o.Attrs[key] = a
+	if i < len(o.Attrs) && o.Attrs[i].Name == key {
+		o.Attrs[i].Value = a
+		return
+	}
+	o.Attrs = append(o.Attrs, NamedAttr{})
+	copy(o.Attrs[i+1:], o.Attrs[i:])
+	o.Attrs[i] = NamedAttr{Name: key, Value: a}
+}
+
+// RemoveAttr deletes the attribute named key, if present.
+func (o *Op) RemoveAttr(key string) {
+	for i, a := range o.Attrs {
+		if a.Name == key {
+			n := len(o.Attrs) - 1
+			copy(o.Attrs[i:], o.Attrs[i+1:])
+			o.Attrs[n] = NamedAttr{}
+			o.Attrs = o.Attrs[:n]
+			return
+		}
+	}
 }
 
 // RemoveFromBlock unlinks the op from its parent block.
@@ -309,6 +362,24 @@ func (o *Op) AddRegion() *Region {
 // holding one block of func.func ops.
 type Module struct {
 	Op *Op
+
+	// claimScope and claimOwner record the last Claim.
+	claimScope uint64
+	claimOwner string
+}
+
+// Claim records owner as the claimant of m within scope, a nonzero number
+// the caller picks, and returns "", true. If m was already claimed in the
+// same scope it keeps that record and returns its owner and false. The
+// engine claims every module a batch's jobs build, to enforce that Build
+// returns a fresh module per call; the record lives on the module, so it
+// keeps nothing alive. Claim is not synchronized.
+func (m *Module) Claim(scope uint64, owner string) (prev string, fresh bool) {
+	if m.claimScope == scope {
+		return m.claimOwner, false
+	}
+	m.claimScope, m.claimOwner = scope, owner
+	return "", true
 }
 
 // NewModule returns an empty module.

@@ -250,3 +250,44 @@ func TestOpNamesUsed(t *testing.T) {
 		t.Errorf("OpNamesUsed = %v", names)
 	}
 }
+
+// TestAttrListOrder checks that the attribute list stays sorted by name
+// with each name once, whatever order attributes are set, replaced and
+// removed in, and that a clone's list is its own.
+func TestAttrListOrder(t *testing.T) {
+	names := func(o *Op) string {
+		var s []string
+		for _, a := range o.Attrs {
+			s = append(s, a.Name)
+		}
+		return strings.Join(s, ",")
+	}
+	op := NewOp("test.op", nil, nil)
+	for _, k := range []string{"step", "hls.ii", "value", "hls.pipeline", "callee", "hls.ii"} {
+		op.SetAttr(k, StringAttr(k))
+	}
+	op.SetAttr("step", I(2))
+	if got, want := names(op), "callee,hls.ii,hls.pipeline,step,value"; got != want {
+		t.Fatalf("attributes %s, want %s", got, want)
+	}
+	if v, ok := op.IntAttr("step"); !ok || v != 2 {
+		t.Errorf("step = %d, %v after replacing it, want 2", v, ok)
+	}
+	op.RemoveAttr("hls.pipeline")
+	op.RemoveAttr("missing")
+	if got, want := names(op), "callee,hls.ii,step,value"; got != want {
+		t.Errorf("attributes %s after removal, want %s", got, want)
+	}
+	if op.Attr("hls.pipeline") != nil || op.HasAttr("hls.pipeline") {
+		t.Error("a removed attribute is still found")
+	}
+	c := CloneOp(op, map[*Value]*Value{}, nil)
+	c.SetAttr("hls.unroll", I(4))
+	c.RemoveAttr("callee")
+	if got, want := names(op), "callee,hls.ii,step,value"; got != want {
+		t.Errorf("editing a clone changed the original's attributes to %s", got)
+	}
+	if got, want := names(c), "hls.ii,hls.unroll,step,value"; got != want {
+		t.Errorf("clone attributes %s, want %s", got, want)
+	}
+}

@@ -130,14 +130,17 @@ func lowerAffineFor(op *mlir.Op) (*mlir.Op, error) {
 	blk.InsertBefore(stepC, op)
 
 	scfFor := mlir.NewOp(mlir.OpSCFFor, []*mlir.Value{lb, ub, stepC.Result(0)}, nil)
-	// Carry HLS directives through.
-	for k, v := range op.Attrs {
-		switch k {
+	// Carry HLS directives through, in the discarded affine.for's list.
+	attrs := op.Attrs[:0]
+	for _, a := range op.Attrs {
+		switch a.Name {
 		case mlir.AttrLowerMap, mlir.AttrUpperMap, mlir.AttrStep, mlir.AttrLBCount:
 		default:
-			scfFor.SetAttr(k, v)
+			attrs = append(attrs, a)
 		}
 	}
+	clear(op.Attrs[len(attrs):])
+	scfFor.Attrs, op.Attrs = attrs, nil
 	// Move the body region wholesale; rewrite the terminator.
 	body := fv.Body()
 	r := scfFor.AddRegion()

@@ -101,9 +101,7 @@ func lowerSCFFor(op *mlir.Op) error {
 	latch := mlir.NewOp(mlir.OpBr, []*mlir.Value{next.Result(0)}, nil)
 	latch.Succs = []*mlir.Block{header}
 	// Loop directives ride on the latch branch.
-	for k, v := range op.Attrs {
-		latch.SetAttr(k, v)
-	}
+	latch.Attrs, op.Attrs = op.Attrs, nil
 	bodyBlk.Append(latch)
 	return nil
 }

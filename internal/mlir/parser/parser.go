@@ -22,12 +22,33 @@ func Parse(src string) (*mlir.Module, error) {
 	return m, nil
 }
 
+// maxNesting bounds how deep regions, array attributes and affine
+// expressions may nest. The parser and the passes after it recurse once per
+// level, so without a bound a megabyte of brackets costs hundreds of
+// megabytes of stack; no kernel comes near it.
+const maxNesting = 256
+
 type parser struct {
 	toks []token
 	pos  int
 
 	values map[string]*mlir.Value
 	blocks map[string]*mlir.Block
+
+	// depth counts the regions and array attributes being parsed.
+	depth int
+	// mapDims and mapSyms are the dimensions and symbols the affine map
+	// being parsed declares.
+	mapDims, mapSyms int
+}
+
+// enter opens one more nesting level, failing beyond maxNesting; the
+// caller closes it with p.depth--.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -49,7 +70,11 @@ func (p *parser) next() token {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	t := p.cur()
+	return errAt(p.cur(), format, args...)
+}
+
+// errAt reports a parse error at token t.
+func errAt(t token, format string, args ...any) error {
 	return fmt.Errorf("parse error at line %d col %d (near %q): %s",
 		t.line, t.col, t.text, fmt.Sprintf(format, args...))
 }
@@ -280,12 +305,8 @@ func (p *parser) parseFunc(m *mlir.Module) error {
 
 	if p.isIdent("attributes") {
 		p.next()
-		attrs, err := p.parseAttrDict()
-		if err != nil {
+		if err := p.parseAttrDict(f); err != nil {
 			return err
-		}
-		for k, v := range attrs {
-			f.SetAttr(k, v)
 		}
 	}
 
@@ -302,6 +323,10 @@ func (p *parser) parseFunc(m *mlir.Module) error {
 // already have an entry block). implicitYield selects the terminator to add
 // when a structured region body omits it.
 func (p *parser) parseRegionInto(r *mlir.Region, implicitYield bool) error {
+	if err := p.enter(); err != nil {
+		return err
+	}
+	defer func() { p.depth-- }()
 	current := r.Entry()
 	for {
 		t := p.cur()
@@ -428,43 +453,37 @@ func (p *parser) maybeAttrDict(op *mlir.Op) error {
 	if !p.isPunct("{") {
 		return nil
 	}
-	attrs, err := p.parseAttrDict()
-	if err != nil {
-		return err
-	}
-	for k, v := range attrs {
-		op.SetAttr(k, v)
-	}
-	return nil
+	return p.parseAttrDict(op)
 }
 
-func (p *parser) parseAttrDict() (map[string]mlir.Attr, error) {
+// parseAttrDict parses {attr, ...} into op's attributes; a repeated name
+// keeps its last value.
+func (p *parser) parseAttrDict(op *mlir.Op) error {
 	if err := p.expectPunct("{"); err != nil {
-		return nil, err
+		return err
 	}
-	out := map[string]mlir.Attr{}
 	for !p.isPunct("}") {
 		key := p.cur()
 		if key.kind != tokIdent && key.kind != tokString {
-			return nil, p.errf("expected attribute key")
+			return p.errf("expected attribute key")
 		}
 		p.next()
 		if p.isPunct("=") {
 			p.next()
 			val, err := p.parseAttrValue()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[key.text] = val
+			op.SetAttr(key.text, val)
 		} else {
-			out[key.text] = mlir.UnitAttr{}
+			op.SetAttr(key.text, mlir.UnitAttr{})
 		}
 		if p.isPunct(",") {
 			p.next()
 		}
 	}
 	p.next()
-	return out, nil
+	return nil
 }
 
 func (p *parser) parseAttrValue() (mlir.Attr, error) {
@@ -524,6 +543,10 @@ func (p *parser) parseAttrValue() (mlir.Attr, error) {
 		}
 		return mlir.AffineMapAttr{Map: m}, nil
 	case t.kind == tokPunct && t.text == "[":
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.next()
 		var arr mlir.ArrayAttr
 		for !p.isPunct("]") {
@@ -550,6 +573,8 @@ func (p *parser) parseAttrValue() (mlir.Attr, error) {
 }
 
 // parseAffineMapLiteral parses affine_map<(d0,...)[s0,...] -> (exprs)>.
+// Expressions must stay affine and within the declared dimensions and
+// symbols; a violation is a parse error at the offending token.
 func (p *parser) parseAffineMapLiteral() (*mlir.AffineMap, error) {
 	if err := p.expectIdent("affine_map"); err != nil {
 		return nil, err
@@ -593,9 +618,10 @@ func (p *parser) parseAffineMapLiteral() (*mlir.AffineMap, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
+	p.mapDims, p.mapSyms = numDims, numSyms
 	var exprs []*mlir.AffineExpr
 	for !p.isPunct(")") {
-		e, err := p.parseAffineExpr()
+		e, _, err := p.parseAffineExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -611,120 +637,153 @@ func (p *parser) parseAffineMapLiteral() (*mlir.AffineMap, error) {
 	return mlir.NewMap(numDims, numSyms, exprs...), nil
 }
 
-func (p *parser) parseAffineExpr() (*mlir.AffineExpr, error) {
-	lhs, err := p.parseAffineTerm()
+// The affine expression parsers return each expression with the depth of
+// its tree, which may not exceed maxNesting: the passes that read a map
+// recurse once per level.
+
+// combine checks the depth of a node over subtrees of depths l and r.
+func (p *parser) combine(l, r int) (int, error) {
+	d := max(l, r) + 1
+	if d > maxNesting {
+		return 0, p.errf("affine expression nested deeper than %d levels", maxNesting)
+	}
+	return d, nil
+}
+
+func (p *parser) parseAffineExpr() (*mlir.AffineExpr, int, error) {
+	lhs, ld, err := p.parseAffineTerm()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
 		switch {
 		case p.isPunct("+"):
 			p.next()
-			rhs, err := p.parseAffineTerm()
+			rhs, rd, err := p.parseAffineTerm()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
+			}
+			if ld, err = p.combine(ld, rd); err != nil {
+				return nil, 0, err
 			}
 			lhs = mlir.Add(lhs, rhs)
 		case p.isPunct("-"):
 			p.next()
-			rhs, err := p.parseAffineTerm()
+			rhs, rd, err := p.parseAffineTerm()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
+			}
+			if ld, err = p.combine(ld, rd+1); err != nil {
+				return nil, 0, err
 			}
 			lhs = mlir.Add(lhs, mlir.Mul(rhs, mlir.Const(-1)))
 		default:
-			return lhs, nil
+			return lhs, ld, nil
 		}
 	}
 }
 
-func (p *parser) parseAffineTerm() (*mlir.AffineExpr, error) {
-	lhs, err := p.parseAffineFactor()
+func (p *parser) parseAffineTerm() (*mlir.AffineExpr, int, error) {
+	lhs, ld, err := p.parseAffineFactor()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
+		opTok := p.cur()
+		op := opTok.text
 		switch {
 		case p.isPunct("*"):
-			p.next()
-			rhs, err := p.parseAffineFactor()
-			if err != nil {
-				return nil, err
+		case p.isIdent("mod"), p.isIdent("floordiv"), p.isIdent("ceildiv"):
+		default:
+			return lhs, ld, nil
+		}
+		p.next()
+		rhs, rd, err := p.parseAffineFactor()
+		if err != nil {
+			return nil, 0, err
+		}
+		if ld, err = p.combine(ld, rd); err != nil {
+			return nil, 0, err
+		}
+		if op == "*" {
+			if !lhs.IsConst() && !rhs.IsConst() {
+				return nil, 0, errAt(opTok, "non-affine product: one factor of * must be a constant")
 			}
 			lhs = mlir.Mul(lhs, rhs)
-		case p.isIdent("mod"):
-			p.next()
-			rhs, err := p.parseAffineFactor()
-			if err != nil {
-				return nil, err
-			}
-			if !rhs.IsConst() {
-				return nil, p.errf("mod by non-constant")
-			}
+			continue
+		}
+		if !rhs.IsConst() {
+			return nil, 0, p.errf("%s by non-constant", op)
+		}
+		if rhs.Val <= 0 {
+			return nil, 0, errAt(opTok, "%s by non-positive constant %d", op, rhs.Val)
+		}
+		switch op {
+		case "mod":
 			lhs = mlir.Mod(lhs, rhs.Val)
-		case p.isIdent("floordiv"):
-			p.next()
-			rhs, err := p.parseAffineFactor()
-			if err != nil {
-				return nil, err
-			}
-			if !rhs.IsConst() {
-				return nil, p.errf("floordiv by non-constant")
-			}
+		case "floordiv":
 			lhs = mlir.FloorDiv(lhs, rhs.Val)
-		case p.isIdent("ceildiv"):
-			p.next()
-			rhs, err := p.parseAffineFactor()
-			if err != nil {
-				return nil, err
-			}
-			if !rhs.IsConst() {
-				return nil, p.errf("ceildiv by non-constant")
-			}
-			lhs = mlir.CeilDiv(lhs, rhs.Val)
 		default:
-			return lhs, nil
+			lhs = mlir.CeilDiv(lhs, rhs.Val)
 		}
 	}
 }
 
-func (p *parser) parseAffineFactor() (*mlir.AffineExpr, error) {
+func (p *parser) parseAffineFactor() (*mlir.AffineExpr, int, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokInt:
 		p.next()
 		v, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad affine constant")
+			return nil, 0, p.errf("bad affine constant")
 		}
-		return mlir.Const(v), nil
+		return mlir.Const(v), 1, nil
 	case t.kind == tokPunct && t.text == "(":
+		if err := p.enter(); err != nil {
+			return nil, 0, err
+		}
+		defer func() { p.depth-- }()
 		p.next()
-		e, err := p.parseAffineExpr()
+		e, d, err := p.parseAffineExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expectPunct(")"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return e, nil
+		return e, d, nil
 	case t.kind == tokPunct && t.text == "-":
-		p.next()
-		e, err := p.parseAffineFactor()
-		if err != nil {
-			return nil, err
+		if err := p.enter(); err != nil {
+			return nil, 0, err
 		}
-		return mlir.Mul(e, mlir.Const(-1)), nil
+		defer func() { p.depth-- }()
+		p.next()
+		e, d, err := p.parseAffineFactor()
+		if err != nil {
+			return nil, 0, err
+		}
+		if d, err = p.combine(d, 1); err != nil {
+			return nil, 0, err
+		}
+		return mlir.Mul(e, mlir.Const(-1)), d, nil
 	case t.kind == tokIdent && len(t.text) > 1 && (t.text[0] == 'd' || t.text[0] == 's'):
 		idx, err := strconv.Atoi(t.text[1:])
 		if err != nil {
-			return nil, p.errf("bad dim/symbol %q", t.text)
+			return nil, 0, p.errf("bad dim/symbol %q", t.text)
+		}
+		if t.text[0] == 'd' {
+			if idx >= p.mapDims {
+				return nil, 0, p.errf("%s is beyond the map's %d dimensions", t.text, p.mapDims)
+			}
+			p.next()
+			return mlir.Dim(idx), 1, nil
+		}
+		if idx >= p.mapSyms {
+			return nil, 0, p.errf("%s is beyond the map's %d symbols", t.text, p.mapSyms)
 		}
 		p.next()
-		if t.text[0] == 'd' {
-			return mlir.Dim(idx), nil
-		}
-		return mlir.Sym(idx), nil
+		return mlir.Sym(idx), 1, nil
 	}
-	return nil, p.errf("expected affine expression")
+	return nil, 0, p.errf("expected affine expression")
 }

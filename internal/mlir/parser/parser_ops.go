@@ -723,12 +723,11 @@ func (p *parser) parseGenericOp(blk *mlir.Block, resultNames []string) error {
 	if err := p.expectPunct(")"); err != nil {
 		return err
 	}
-	var attrs map[string]mlir.Attr
-	if p.isPunct("{") {
-		attrs, err = p.parseAttrDict()
-		if err != nil {
-			return err
-		}
+	// The attributes precede the result types, so they are parsed into a
+	// holder and handed to the op once it exists.
+	var holder mlir.Op
+	if err := p.maybeAttrDict(&holder); err != nil {
+		return err
 	}
 	if err := p.expectPunct(":"); err != nil {
 		return err
@@ -764,9 +763,7 @@ func (p *parser) parseGenericOp(blk *mlir.Block, resultNames []string) error {
 	}
 	p.next()
 	op := mlir.NewOp(name, operands, resTypes)
-	for k, v := range attrs {
-		op.SetAttr(k, v)
-	}
+	op.Attrs = holder.Attrs
 	blk.Append(op)
 	for p.isPunct("{") {
 		p.next()

@@ -358,10 +358,10 @@ module {
 	if len(consts) != 4 {
 		t.Fatalf("want 4 constants, got %d", len(consts))
 	}
-	if a := consts[0].Attrs[mlir.AttrValue].(mlir.IntAttr); a.Value != -5 {
+	if a := consts[0].Attr(mlir.AttrValue).(mlir.IntAttr); a.Value != -5 {
 		t.Errorf("const0 = %d", a.Value)
 	}
-	if a := consts[2].Attrs[mlir.AttrValue].(mlir.FloatAttr); a.Value != 2.5e-06 {
+	if a := consts[2].Attr(mlir.AttrValue).(mlir.FloatAttr); a.Value != 2.5e-06 {
 		t.Errorf("const2 = %g", a.Value)
 	}
 	roundTrip(t, m)

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/mlir"
 )
@@ -28,7 +29,7 @@ func constOperand(v *mlir.Value) (mlir.Attr, bool) {
 	if v.Def == nil || v.Def.Name != mlir.OpConstant {
 		return nil, false
 	}
-	return v.Def.Attrs[mlir.AttrValue], true
+	return v.Def.Attr(mlir.AttrValue), true
 }
 
 func constInt(v *mlir.Value) (int64, bool) {
@@ -259,10 +260,21 @@ func foldFloatBinary(f, op *mlir.Op) bool {
 	return false
 }
 
+// usedSets holds eraseDeadOps' idle used-value tables, emptied on return
+// so the pool pins no module.
+var usedSets sync.Pool
+
 // eraseDeadOps removes pure ops whose results are all unused. Returns true
 // when anything was removed.
 func eraseDeadOps(f *mlir.Op) bool {
-	used := map[*mlir.Value]bool{}
+	used, _ := usedSets.Get().(map[*mlir.Value]bool)
+	if used == nil {
+		used = map[*mlir.Value]bool{}
+	}
+	defer func() {
+		clear(used)
+		usedSets.Put(used)
+	}()
 	mlir.Walk(f, func(op *mlir.Op) bool {
 		for _, v := range op.Operands {
 			used[v] = true

@@ -341,7 +341,7 @@ func TestPartitionDirectives(t *testing.T) {
 	if !f.HasAttr(mlir.AttrTopFunc) {
 		t.Error("top attribute missing")
 	}
-	got, ok := ParsePartitionAttr(f.Attrs[PartitionArgAttrKey(0)])
+	got, ok := ParsePartitionAttr(f.Attr(PartitionArgAttrKey(0)))
 	if !ok || got != spec {
 		t.Errorf("partition attr round trip failed: %+v ok=%v", got, ok)
 	}
@@ -358,7 +358,7 @@ func TestPartitionAllArgs(t *testing.T) {
 	}
 	f := m.FindFunc("matmul")
 	for i := 0; i < 3; i++ {
-		if _, ok := ParsePartitionAttr(f.Attrs[PartitionArgAttrKey(i)]); !ok {
+		if _, ok := ParsePartitionAttr(f.Attr(PartitionArgAttrKey(i))); !ok {
 			t.Errorf("arg %d missing partition attr", i)
 		}
 	}

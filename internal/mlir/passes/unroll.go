@@ -44,7 +44,7 @@ func unrollFunc(f *mlir.Op, factor int, markedOnly bool) error {
 			k = int(kv)
 		}
 		if k <= 1 {
-			delete(loop.Attrs, mlir.AttrUnroll)
+			loop.RemoveAttr(mlir.AttrUnroll)
 			continue
 		}
 		if err := unrollLoop(loop, k); err != nil {
@@ -75,7 +75,7 @@ func unrollLoop(loop *mlir.Op, k int) error {
 	lo, hi, ok := fv.ConstantBounds()
 	if !ok {
 		// Non-constant bounds: drop the directive, keep the loop.
-		delete(loop.Attrs, mlir.AttrUnroll)
+		loop.RemoveAttr(mlir.AttrUnroll)
 		return nil
 	}
 	step := fv.Step()
@@ -125,7 +125,7 @@ func unrollLoop(loop *mlir.Op, k int) error {
 	// Retarget the main loop.
 	loop.SetAttr(mlir.AttrUpperMap, mlir.AffineMapAttr{Map: mlir.ConstantMap(newHi)})
 	loop.SetAttr(mlir.AttrStep, mlir.I(step*int64(k)))
-	delete(loop.Attrs, mlir.AttrUnroll)
+	loop.RemoveAttr(mlir.AttrUnroll)
 	loop.Regions[0].Blocks = nil
 	loop.Regions[0].AddBlock(newBody)
 	return nil

@@ -1,103 +1,211 @@
 package mlir
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Print renders the module in the textual format understood by the parser.
 func (m *Module) Print() string {
 	var sb strings.Builder
 	sb.WriteString("module {\n")
+	p := takePrinter(&sb)
 	for _, op := range m.Body().Ops {
-		p := &printer{sb: &sb, names: map[*Value]string{}, blockNames: map[*Block]string{}}
+		p.reset()
 		p.printOp(op, 1)
 	}
+	p.release()
 	sb.WriteString("}\n")
 	return sb.String()
 }
 
+// printer numbers values and blocks in the order the text first names
+// them, per top-level op. A value's entry is its number, or -(n+1) for a
+// function argument printed as %argn.
 type printer struct {
 	sb         *strings.Builder
-	names      map[*Value]string
-	blockNames map[*Block]string
+	names      map[*Value]int
+	blockNames map[*Block]int
 	nextID     int
 	nextBlock  int
+	buf        []byte // scratch for text formatted before it is written
 }
 
-func (p *printer) name(v *Value) string {
-	if n, ok := p.names[v]; ok {
-		return n
+// printers holds idle printers; their tables are emptied on release, so a
+// pooled printer pins no module.
+var printers sync.Pool
+
+func takePrinter(sb *strings.Builder) *printer {
+	p, _ := printers.Get().(*printer)
+	if p == nil {
+		p = &printer{names: map[*Value]int{}, blockNames: map[*Block]int{}}
 	}
-	n := fmt.Sprintf("%%%d", p.nextID)
-	p.nextID++
-	p.names[v] = n
-	return n
+	p.sb = sb
+	return p
 }
 
-func (p *printer) argName(v *Value) string {
-	if n, ok := p.names[v]; ok {
-		return n
-	}
-	n := fmt.Sprintf("%%arg%d", v.ArgNo)
-	p.names[v] = n
-	return n
+func (p *printer) reset() {
+	clear(p.names)
+	clear(p.blockNames)
+	p.nextID, p.nextBlock = 0, 0
 }
 
-func (p *printer) blockName(b *Block) string {
-	if n, ok := p.blockNames[b]; ok {
-		return n
+func (p *printer) release() {
+	p.reset()
+	p.sb = nil
+	printers.Put(p)
+}
+
+func (p *printer) str(ss ...string) {
+	for _, s := range ss {
+		p.sb.WriteString(s)
 	}
-	n := fmt.Sprintf("^bb%d", p.nextBlock)
-	p.nextBlock++
-	p.blockNames[b] = n
-	return n
+}
+
+func (p *printer) int(v int64) {
+	p.buf = strconv.AppendInt(p.buf[:0], v, 10)
+	p.sb.Write(p.buf)
+}
+
+// affineMap writes "affine_map<m>".
+func (p *printer) affineMap(m *AffineMap) {
+	p.buf = AppendAttr(p.buf[:0], AffineMapAttr{m})
+	p.sb.Write(p.buf)
+}
+
+func (p *printer) typ(t *Type) { p.sb.WriteString(t.String()) }
+
+// name writes v's name, numbering it on first use.
+func (p *printer) name(v *Value) {
+	n, ok := p.names[v]
+	if !ok {
+		n = p.nextID
+		p.nextID++
+		p.names[v] = n
+	}
+	p.writeName(n)
+}
+
+// argName writes a function argument's name, %arg<ArgNo> unless v is
+// already named.
+func (p *printer) argName(v *Value) {
+	n, ok := p.names[v]
+	if !ok {
+		n = -int(v.ArgNo) - 1
+		p.names[v] = n
+	}
+	p.writeName(n)
+}
+
+func (p *printer) writeName(n int) {
+	if n < 0 {
+		p.str("%arg")
+		p.int(int64(-n - 1))
+		return
+	}
+	p.str("%")
+	p.int(int64(n))
+}
+
+func (p *printer) blockName(b *Block) {
+	n, ok := p.blockNames[b]
+	if !ok {
+		n = p.nextBlock
+		p.nextBlock++
+		p.blockNames[b] = n
+	}
+	p.str("^bb")
+	p.int(int64(n))
 }
 
 func (p *printer) indent(depth int) {
 	for i := 0; i < depth; i++ {
-		p.sb.WriteString("  ")
+		p.str("  ")
 	}
 }
 
-func (p *printer) operandList(vals []*Value) string {
-	parts := make([]string, len(vals))
+func (p *printer) operandList(vals []*Value) {
 	for i, v := range vals {
-		parts[i] = p.name(v)
+		if i > 0 {
+			p.str(", ")
+		}
+		p.name(v)
 	}
-	return strings.Join(parts, ", ")
 }
 
-// trailingAttrs renders the non-syntax attributes of op.
-func (p *printer) trailingAttrs(op *Op, skip ...string) string {
-	sk := map[string]bool{}
-	for _, s := range skip {
-		sk[s] = true
+// typeList writes the types of vals, comma separated.
+func (p *printer) typeList(vals []*Value) {
+	for i, v := range vals {
+		if i > 0 {
+			p.str(", ")
+		}
+		p.typ(v.Type())
 	}
-	s := attrsString(op.Attrs, sk)
-	if s == "" {
-		return ""
-	}
-	return " " + s
+}
+
+// trailingAttrs writes the attributes of op other than skip, the ones its
+// syntax already spells, as " {k = v, ...}".
+func (p *printer) trailingAttrs(op *Op, skip ...string) {
+	p.buf = appendAttrDict(p.buf[:0], op.Attrs, skip)
+	p.sb.Write(p.buf)
+}
+
+// result writes "%r = " and the op's name for op's single result.
+func (p *printer) result(op *Op) {
+	p.name(op.Result(0))
+	p.str(" = ", op.Name, " ")
+}
+
+// tail ends an op's line: " : t", its attributes other than skip, and the
+// newline.
+func (p *printer) tail(t *Type, op *Op, skip ...string) {
+	p.str(" : ")
+	p.typ(t)
+	p.end(op, skip...)
+}
+
+// end ends an op's line with its attributes other than skip.
+func (p *printer) end(op *Op, skip ...string) {
+	p.trailingAttrs(op, skip...)
+	p.str("\n")
+}
+
+// indexed writes "%mem[%i, ...]".
+func (p *printer) indexed(mem *Value, idxs []*Value) {
+	p.name(mem)
+	p.str("[")
+	p.operandList(idxs)
+	p.str("]")
+}
+
+// body writes " {", region r's blocks, and the closing brace at depth.
+func (p *printer) body(r *Region, depth int) {
+	p.str(" {\n")
+	p.printRegionBody(r, depth)
+	p.indent(depth)
+	p.str("}")
 }
 
 func (p *printer) printRegionBody(r *Region, depth int) {
 	for _, blk := range r.Blocks {
 		if len(r.Blocks) > 1 {
 			p.indent(depth)
-			p.sb.WriteString(p.blockName(blk))
+			p.blockName(blk)
 			if len(blk.Args) > 0 {
-				p.sb.WriteString("(")
+				p.str("(")
 				for i, a := range blk.Args {
 					if i > 0 {
-						p.sb.WriteString(", ")
+						p.str(", ")
 					}
-					fmt.Fprintf(p.sb, "%s: %s", p.name(a), a.Type())
+					p.name(a)
+					p.str(": ")
+					p.typ(a.Type())
 				}
-				p.sb.WriteString(")")
+				p.str(")")
 			}
-			p.sb.WriteString(":\n")
+			p.str(":\n")
 		}
 		for _, op := range blk.Ops {
 			// Elide trivially-empty implicit terminators.
@@ -110,11 +218,24 @@ func (p *printer) printRegionBody(r *Region, depth int) {
 	}
 }
 
-func (p *printer) mapWithOperands(m *AffineMap, operands []*Value) string {
+func (p *printer) mapWithOperands(m *AffineMap, operands []*Value) {
 	if v, ok := m.IsSingleConstant(); ok && len(operands) == 0 {
-		return fmt.Sprintf("%d", v)
+		p.int(v)
+		return
 	}
-	return fmt.Sprintf("affine_map<%s>(%s)", m, p.operandList(operands))
+	p.affineMap(m)
+	p.str("(")
+	p.operandList(operands)
+	p.str(")")
+}
+
+// accessMap writes " map affine_map<...>" unless m is the identity.
+func (p *printer) accessMap(m *AffineMap) {
+	if m.IsIdentity() {
+		return
+	}
+	p.str(" map ")
+	p.affineMap(m)
 }
 
 func (p *printer) printOp(op *Op, depth int) {
@@ -122,258 +243,229 @@ func (p *printer) printOp(op *Op, depth int) {
 	switch op.Name {
 	case OpFunc:
 		name, _ := op.StringAttr(AttrSymName)
-		fmt.Fprintf(p.sb, "func.func @%s(", name)
-		entry := FuncBody(op)
-		for i, a := range entry.Args {
+		p.str("func.func @", name, "(")
+		for i, a := range FuncBody(op).Args {
 			if i > 0 {
-				p.sb.WriteString(", ")
+				p.str(", ")
 			}
-			fmt.Fprintf(p.sb, "%s: %s", p.argName(a), a.Type())
+			p.argName(a)
+			p.str(": ")
+			p.typ(a.Type())
 		}
-		p.sb.WriteString(")")
-		if res, ok := op.Attrs[AttrResultTypes].(ArrayAttr); ok && len(res) > 0 {
-			parts := make([]string, len(res))
+		p.str(")")
+		if res, ok := op.Attr(AttrResultTypes).(ArrayAttr); ok && len(res) > 0 {
+			p.str(" -> (")
 			for i, r := range res {
-				parts[i] = r.(TypeAttr).Ty.String()
+				if i > 0 {
+					p.str(", ")
+				}
+				p.typ(r.(TypeAttr).Ty)
 			}
-			p.sb.WriteString(" -> (" + strings.Join(parts, ", ") + ")")
+			p.str(")")
 		}
-		extra := p.trailingAttrs(op, AttrSymName, AttrResultTypes)
-		if extra != "" {
-			p.sb.WriteString(" attributes" + extra)
+		if p.buf = appendAttrDict(p.buf[:0], op.Attrs, []string{AttrSymName, AttrResultTypes}); len(p.buf) > 0 {
+			p.str(" attributes")
+			p.sb.Write(p.buf)
 		}
-		p.sb.WriteString(" {\n")
-		p.printRegionBody(op.Regions[0], depth)
-		p.indent(depth)
-		p.sb.WriteString("}\n")
-		return
+		p.body(op.Regions[0], depth)
+		p.str("\n")
 
 	case OpConstant:
-		fmt.Fprintf(p.sb, "%s = arith.constant ", p.name(op.Result(0)))
-		switch a := op.Attrs[AttrValue].(type) {
+		p.result(op)
+		switch a := op.Attr(AttrValue).(type) {
 		case IntAttr:
-			fmt.Fprintf(p.sb, "%d", a.Value)
+			p.int(a.Value)
 		case FloatAttr:
-			s := a.String()
-			// Strip the ": type" suffix; the result type is printed below.
-			if i := strings.Index(s, " : "); i >= 0 {
-				s = s[:i]
-			}
-			p.sb.WriteString(s)
+			// The ": type" suffix is left out; the result type follows.
+			p.str(formatFloat(a.Value))
 		}
-		fmt.Fprintf(p.sb, " : %s%s\n", op.Result(0).Type(), p.trailingAttrs(op, AttrValue))
-		return
+		p.tail(op.Result(0).Type(), op, AttrValue)
 
 	case OpAddI, OpSubI, OpMulI, OpDivSI, OpRemSI, OpAddF, OpSubF, OpMulF, OpDivF,
-		OpMinSI, OpMaxSI:
-		fmt.Fprintf(p.sb, "%s = %s %s : %s%s\n", p.name(op.Result(0)), op.Name,
-			p.operandList(op.Operands), op.Result(0).Type(), p.trailingAttrs(op))
-		return
-
-	case OpNegF, OpMathSqrt, OpMathExp:
-		fmt.Fprintf(p.sb, "%s = %s %s : %s%s\n", p.name(op.Result(0)), op.Name,
-			p.operandList(op.Operands), op.Result(0).Type(), p.trailingAttrs(op))
-		return
+		OpMinSI, OpMaxSI, OpNegF, OpMathSqrt, OpMathExp, OpSelect:
+		p.result(op)
+		p.operandList(op.Operands)
+		p.tail(op.Result(0).Type(), op)
 
 	case OpCmpI, OpCmpF:
 		pred, _ := op.StringAttr(AttrPredicate)
-		fmt.Fprintf(p.sb, "%s = %s %s, %s : %s%s\n", p.name(op.Result(0)), op.Name,
-			pred, p.operandList(op.Operands), op.Operands[0].Type(),
-			p.trailingAttrs(op, AttrPredicate))
-		return
-
-	case OpSelect:
-		fmt.Fprintf(p.sb, "%s = arith.select %s : %s%s\n", p.name(op.Result(0)),
-			p.operandList(op.Operands), op.Result(0).Type(), p.trailingAttrs(op))
-		return
+		p.result(op)
+		p.str(pred, ", ")
+		p.operandList(op.Operands)
+		p.tail(op.Operands[0].Type(), op, AttrPredicate)
 
 	case OpIndexCast, OpSIToFP, OpFPToSI, OpExtF, OpTruncF:
-		fmt.Fprintf(p.sb, "%s = %s %s : %s to %s%s\n", p.name(op.Result(0)), op.Name,
-			p.name(op.Operands[0]), op.Operands[0].Type(), op.Result(0).Type(),
-			p.trailingAttrs(op))
-		return
+		p.result(op)
+		p.name(op.Operands[0])
+		p.str(" : ")
+		p.typ(op.Operands[0].Type())
+		p.str(" to ")
+		p.typ(op.Result(0).Type())
+		p.end(op)
 
 	case OpAlloc, OpAlloca:
-		fmt.Fprintf(p.sb, "%s = %s() : %s%s\n", p.name(op.Result(0)), op.Name,
-			op.Result(0).Type(), p.trailingAttrs(op))
-		return
+		p.name(op.Result(0))
+		p.str(" = ", op.Name, "()")
+		p.tail(op.Result(0).Type(), op)
 
 	case OpDealloc:
-		fmt.Fprintf(p.sb, "memref.dealloc %s : %s%s\n", p.name(op.Operands[0]),
-			op.Operands[0].Type(), p.trailingAttrs(op))
-		return
+		p.str("memref.dealloc ")
+		p.name(op.Operands[0])
+		p.tail(op.Operands[0].Type(), op)
 
 	case OpLoad:
-		fmt.Fprintf(p.sb, "%s = memref.load %s[%s] : %s%s\n", p.name(op.Result(0)),
-			p.name(op.Operands[0]), p.operandList(op.Operands[1:]),
-			op.Operands[0].Type(), p.trailingAttrs(op))
-		return
+		p.result(op)
+		p.indexed(op.Operands[0], op.Operands[1:])
+		p.tail(op.Operands[0].Type(), op)
 
 	case OpStore:
-		fmt.Fprintf(p.sb, "memref.store %s, %s[%s] : %s%s\n", p.name(op.Operands[0]),
-			p.name(op.Operands[1]), p.operandList(op.Operands[2:]),
-			op.Operands[1].Type(), p.trailingAttrs(op))
-		return
+		p.str("memref.store ")
+		p.name(op.Operands[0])
+		p.str(", ")
+		p.indexed(op.Operands[1], op.Operands[2:])
+		p.tail(op.Operands[1].Type(), op)
 
-	case OpAffineLoad:
+	case OpAffineLoad, OpAffineStore:
 		v := AffineAccessView{op}
-		m := v.Map()
-		mapPart := ""
-		if !m.IsIdentity() {
-			mapPart = fmt.Sprintf(" map affine_map<%s>", m)
+		if op.Name == OpAffineLoad {
+			p.result(op)
+		} else {
+			p.str(op.Name, " ")
+			p.name(v.StoredValue())
+			p.str(", ")
 		}
-		fmt.Fprintf(p.sb, "%s = affine.load %s[%s]%s : %s%s\n", p.name(op.Result(0)),
-			p.name(v.MemRef()), p.operandList(v.MapOperands()), mapPart,
-			v.MemRef().Type(), p.trailingAttrs(op, AttrMap))
-		return
-
-	case OpAffineStore:
-		v := AffineAccessView{op}
-		m := v.Map()
-		mapPart := ""
-		if !m.IsIdentity() {
-			mapPart = fmt.Sprintf(" map affine_map<%s>", m)
-		}
-		fmt.Fprintf(p.sb, "affine.store %s, %s[%s]%s : %s%s\n", p.name(v.StoredValue()),
-			p.name(v.MemRef()), p.operandList(v.MapOperands()), mapPart,
-			v.MemRef().Type(), p.trailingAttrs(op, AttrMap))
-		return
+		p.indexed(v.MemRef(), v.MapOperands())
+		p.accessMap(v.Map())
+		p.tail(v.MemRef().Type(), op, AttrMap)
 
 	case OpAffineApply:
 		m, _ := op.MapAttr(AttrMap)
-		fmt.Fprintf(p.sb, "%s = affine.apply affine_map<%s>(%s)%s\n", p.name(op.Result(0)),
-			m, p.operandList(op.Operands), p.trailingAttrs(op, AttrMap))
-		return
+		p.result(op)
+		p.affineMap(m)
+		p.str("(")
+		p.operandList(op.Operands)
+		p.str(")")
+		p.end(op, AttrMap)
 
 	case OpAffineFor:
 		f := AffineForView{op}
-		iv := p.name(f.IV())
-		fmt.Fprintf(p.sb, "affine.for %s = %s to %s step %d {\n", iv,
-			p.mapWithOperands(f.LowerMap(), f.LowerOperands()),
-			p.mapWithOperands(f.UpperMap(), f.UpperOperands()), f.Step())
-		p.printRegionBody(op.Regions[0], depth)
-		p.indent(depth)
-		p.sb.WriteString("}")
-		extra := p.trailingAttrs(op, AttrLowerMap, AttrUpperMap, AttrStep, AttrLBCount)
-		p.sb.WriteString(extra + "\n")
-		return
+		p.str("affine.for ")
+		p.name(f.IV())
+		p.str(" = ")
+		p.mapWithOperands(f.LowerMap(), f.LowerOperands())
+		p.str(" to ")
+		p.mapWithOperands(f.UpperMap(), f.UpperOperands())
+		p.str(" step ")
+		p.int(f.Step())
+		p.body(op.Regions[0], depth)
+		p.end(op, AttrLowerMap, AttrUpperMap, AttrStep, AttrLBCount)
 
 	case OpSCFFor:
-		iv := p.name(op.Regions[0].Blocks[0].Args[0])
-		fmt.Fprintf(p.sb, "scf.for %s = %s to %s step %s {\n", iv,
-			p.name(op.Operands[0]), p.name(op.Operands[1]), p.name(op.Operands[2]))
-		p.printRegionBody(op.Regions[0], depth)
-		p.indent(depth)
-		p.sb.WriteString("}" + p.trailingAttrs(op) + "\n")
-		return
+		p.str("scf.for ")
+		p.name(op.Regions[0].Blocks[0].Args[0])
+		p.str(" = ")
+		p.name(op.Operands[0])
+		p.str(" to ")
+		p.name(op.Operands[1])
+		p.str(" step ")
+		p.name(op.Operands[2])
+		p.body(op.Regions[0], depth)
+		p.end(op)
 
 	case OpSCFIf:
-		fmt.Fprintf(p.sb, "scf.if %s {\n", p.name(op.Operands[0]))
-		p.printRegionBody(op.Regions[0], depth)
-		p.indent(depth)
-		p.sb.WriteString("}")
+		p.str("scf.if ")
+		p.name(op.Operands[0])
+		p.body(op.Regions[0], depth)
 		if len(op.Regions) > 1 {
-			p.sb.WriteString(" else {\n")
-			p.printRegionBody(op.Regions[1], depth)
-			p.indent(depth)
-			p.sb.WriteString("}")
+			p.str(" else")
+			p.body(op.Regions[1], depth)
 		}
-		p.sb.WriteString(p.trailingAttrs(op) + "\n")
-		return
+		p.end(op)
 
 	case OpAffineYield, OpSCFYield:
-		fmt.Fprintf(p.sb, "%s", op.Name)
+		p.str(op.Name)
 		if len(op.Operands) > 0 {
-			p.sb.WriteString(" " + p.operandList(op.Operands))
+			p.str(" ")
+			p.operandList(op.Operands)
 		}
-		p.sb.WriteString(p.trailingAttrs(op) + "\n")
-		return
+		p.end(op)
 
 	case OpReturn:
-		p.sb.WriteString("func.return")
-		if len(op.Operands) > 0 {
-			parts := make([]string, len(op.Operands))
-			for i, v := range op.Operands {
-				parts[i] = fmt.Sprintf("%s : %s", p.name(v), v.Type())
+		p.str("func.return")
+		for i, v := range op.Operands {
+			if i == 0 {
+				p.str(" ")
+			} else {
+				p.str(", ")
 			}
-			p.sb.WriteString(" " + strings.Join(parts, ", "))
+			p.name(v)
+			p.str(" : ")
+			p.typ(v.Type())
 		}
-		p.sb.WriteString(p.trailingAttrs(op) + "\n")
-		return
+		p.end(op)
 
 	case OpCall:
-		callee, _ := op.Attrs[AttrCallee].(SymbolRefAttr)
+		callee, _ := op.Attr(AttrCallee).(SymbolRefAttr)
 		if len(op.Results) > 0 {
-			names := make([]string, len(op.Results))
-			for i, r := range op.Results {
-				names[i] = p.name(r)
-			}
-			p.sb.WriteString(strings.Join(names, ", ") + " = ")
+			p.operandList(op.Results)
+			p.str(" = ")
 		}
-		argTypes := make([]string, len(op.Operands))
-		for i, v := range op.Operands {
-			argTypes[i] = v.Type().String()
-		}
-		resTypes := make([]string, len(op.Results))
-		for i, r := range op.Results {
-			resTypes[i] = r.Type().String()
-		}
-		fmt.Fprintf(p.sb, "func.call @%s(%s) : (%s) -> (%s)%s\n", string(callee),
-			p.operandList(op.Operands), strings.Join(argTypes, ", "),
-			strings.Join(resTypes, ", "), p.trailingAttrs(op, AttrCallee))
-		return
+		p.str("func.call @", string(callee), "(")
+		p.operandList(op.Operands)
+		p.str(") : (")
+		p.typeList(op.Operands)
+		p.str(") -> (")
+		p.typeList(op.Results)
+		p.str(")")
+		p.end(op, AttrCallee)
 
 	case OpBr:
-		fmt.Fprintf(p.sb, "cf.br %s", p.blockName(op.Succs[0]))
-		if len(op.Operands) > 0 {
-			p.sb.WriteString("(" + p.operandList(op.Operands) + ")")
-		}
-		p.sb.WriteString(p.trailingAttrs(op) + "\n")
-		return
+		p.str("cf.br ")
+		p.target(op.Succs[0], op.Operands)
+		p.end(op)
 
 	case OpCondBr:
 		tc, _ := op.IntAttr(AttrTrueCount)
-		tArgs := op.Operands[1 : 1+tc]
-		fArgs := op.Operands[1+tc:]
-		fmt.Fprintf(p.sb, "cf.cond_br %s, %s", p.name(op.Operands[0]), p.blockName(op.Succs[0]))
-		if len(tArgs) > 0 {
-			p.sb.WriteString("(" + p.operandList(tArgs) + ")")
-		}
-		p.sb.WriteString(", " + p.blockName(op.Succs[1]))
-		if len(fArgs) > 0 {
-			p.sb.WriteString("(" + p.operandList(fArgs) + ")")
-		}
-		p.sb.WriteString(p.trailingAttrs(op, AttrTrueCount, AttrFalseCount) + "\n")
-		return
-	}
+		p.str("cf.cond_br ")
+		p.name(op.Operands[0])
+		p.str(", ")
+		p.target(op.Succs[0], op.Operands[1:1+tc])
+		p.str(", ")
+		p.target(op.Succs[1], op.Operands[1+tc:])
+		p.end(op, AttrTrueCount, AttrFalseCount)
 
-	// Generic fallback form: %r = "name"(%ops) {attrs} : (inTypes) -> (outTypes)
-	if len(op.Results) > 0 {
-		names := make([]string, len(op.Results))
-		for i, r := range op.Results {
-			names[i] = p.name(r)
+	default:
+		// Generic form: %r = "name"(%ops) {attrs} : (inTypes) -> (outTypes)
+		if len(op.Results) > 0 {
+			p.operandList(op.Results)
+			p.str(" = ")
 		}
-		p.sb.WriteString(strings.Join(names, ", ") + " = ")
+		p.str(strconv.Quote(op.Name), "(")
+		p.operandList(op.Operands)
+		p.str(")")
+		p.trailingAttrs(op)
+		p.str(" : (")
+		p.typeList(op.Operands)
+		p.str(") -> (")
+		p.typeList(op.Results)
+		p.str(")\n")
+		for _, r := range op.Regions {
+			p.indent(depth)
+			p.str("{\n")
+			p.printRegionBody(r, depth)
+			p.indent(depth)
+			p.str("}\n")
+		}
 	}
-	fmt.Fprintf(p.sb, "%q(%s)", op.Name, p.operandList(op.Operands))
-	if s := attrsString(op.Attrs, nil); s != "" {
-		p.sb.WriteString(" " + s)
-	}
-	inT := make([]string, len(op.Operands))
-	for i, v := range op.Operands {
-		inT[i] = v.Type().String()
-	}
-	outT := make([]string, len(op.Results))
-	for i, r := range op.Results {
-		outT[i] = r.Type().String()
-	}
-	fmt.Fprintf(p.sb, " : (%s) -> (%s)\n", strings.Join(inT, ", "), strings.Join(outT, ", "))
-	for _, r := range op.Regions {
-		p.indent(depth)
-		p.sb.WriteString("{\n")
-		p.printRegionBody(r, depth)
-		p.indent(depth)
-		p.sb.WriteString("}\n")
+}
+
+// target writes a branch target and its arguments, "^bb1(%a, ...)".
+func (p *printer) target(b *Block, args []*Value) {
+	p.blockName(b)
+	if len(args) > 0 {
+		p.str("(")
+		p.operandList(args)
+		p.str(")")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mlir"
+	"repro/internal/mlir/passes"
 	"repro/internal/polybench"
 	"repro/internal/raceflag"
 )
@@ -33,5 +34,33 @@ func TestWalkAllocs(t *testing.T) {
 	}
 	if ops == 0 {
 		t.Fatal("walks visited nothing")
+	}
+}
+
+// TestPrintAllocs bounds Print on gemm at SMALL, pipelined, unrolled and
+// partitioned, to the growth of its output: value and block names, types,
+// affine maps and attributes are written into the output in place, and the
+// printer's name tables come from a pool.
+func TestPrintAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime drops pooled items at random")
+	}
+	k := polybench.Get("gemm")
+	s, err := k.SizeOf("SMALL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := k.Build(s)
+	pm := passes.NewPassManager().Add(passes.MarkTop(k.Name), passes.PipelineInnermost(1),
+		passes.PartitionAllArgs(passes.PartitionSpec{Kind: "cyclic", Factor: 2}), passes.MarkUnroll(2))
+	if err := pm.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	text := m.Print()
+	n := testing.AllocsPerRun(20, func() { m.Print() })
+	t.Logf("%d bytes printed in %.0f allocations", len(text), n)
+	// The output doubles about ten times on its way to its final size.
+	if n > 16 {
+		t.Errorf("Print makes %.0f allocations, want at most 16", n)
 	}
 }

@@ -6,7 +6,6 @@
 package mlir
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,19 +34,24 @@ type Type struct {
 	Width int     // bit width for KindInt and KindFloat
 	Elem  *Type   // element type for KindMemRef
 	Shape []int64 // memref dimensions; DynamicDim marks a dynamic extent
+
+	// text is the type's spelling, set by the constructor that builds the
+	// type and never written after, so printing allocates nothing and
+	// concurrent readers need no lock.
+	text string
 }
 
 // DynamicDim marks a dynamic memref dimension.
 const DynamicDim = int64(-1)
 
 var (
-	i1Type    = &Type{Kind: KindInt, Width: 1}
-	i32Type   = &Type{Kind: KindInt, Width: 32}
-	i64Type   = &Type{Kind: KindInt, Width: 64}
-	f32Type   = &Type{Kind: KindFloat, Width: 32}
-	f64Type   = &Type{Kind: KindFloat, Width: 64}
-	indexType = &Type{Kind: KindIndex}
-	noneType  = &Type{Kind: KindNone}
+	i1Type    = &Type{Kind: KindInt, Width: 1, text: "i1"}
+	i32Type   = &Type{Kind: KindInt, Width: 32, text: "i32"}
+	i64Type   = &Type{Kind: KindInt, Width: 64, text: "i64"}
+	f32Type   = &Type{Kind: KindFloat, Width: 32, text: "f32"}
+	f64Type   = &Type{Kind: KindFloat, Width: 64, text: "f64"}
+	indexType = &Type{Kind: KindIndex, text: "index"}
+	noneType  = &Type{Kind: KindNone, text: "none"}
 )
 
 // I1 returns the 1-bit integer (boolean) type.
@@ -76,7 +80,8 @@ func IntType(width int) *Type {
 	if t, ok := intTypes.Load(width); ok {
 		return t.(*Type)
 	}
-	t, _ := intTypes.LoadOrStore(width, &Type{Kind: KindInt, Width: width})
+	t, _ := intTypes.LoadOrStore(width, &Type{Kind: KindInt, Width: width,
+		text: "i" + strconv.Itoa(width)})
 	return t.(*Type)
 }
 
@@ -124,8 +129,10 @@ func MemRef(shape []int64, elem *Type) *Type {
 	}
 	s := make([]int64, len(shape))
 	copy(s, shape)
-	t, _ := memrefTypes.LoadOrStore(key, &Type{Kind: KindMemRef, Elem: elem, Shape: s})
-	return t.(*Type)
+	t := &Type{Kind: KindMemRef, Elem: elem, Shape: s}
+	t.text = t.spell()
+	u, _ := memrefTypes.LoadOrStore(key, t)
+	return u.(*Type)
 }
 
 // IsInt reports whether t is an integer type.
@@ -201,11 +208,19 @@ func (t *Type) String() string {
 	if t == nil {
 		return "<nil-type>"
 	}
+	if t.text != "" {
+		return t.text
+	}
+	return t.spell()
+}
+
+// spell builds the type's text.
+func (t *Type) spell() string {
 	switch t.Kind {
 	case KindInt:
-		return fmt.Sprintf("i%d", t.Width)
+		return "i" + strconv.Itoa(t.Width)
 	case KindFloat:
-		return fmt.Sprintf("f%d", t.Width)
+		return "f" + strconv.Itoa(t.Width)
 	case KindIndex:
 		return "index"
 	case KindNone:
@@ -217,7 +232,8 @@ func (t *Type) String() string {
 			if d == DynamicDim {
 				sb.WriteString("?x")
 			} else {
-				fmt.Fprintf(&sb, "%dx", d)
+				sb.WriteString(strconv.FormatInt(d, 10))
+				sb.WriteString("x")
 			}
 		}
 		sb.WriteString(t.Elem.String())

@@ -26,6 +26,9 @@ func TestTypeStrings(t *testing.T) {
 		if got := c.ty.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+		if got := c.ty.spell(); got != c.want {
+			t.Errorf("spell() = %q, want %q", got, c.want)
+		}
 	}
 }
 

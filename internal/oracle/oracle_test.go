@@ -211,7 +211,7 @@ func nudgeFirstFloatConstant(t *testing.T, m *mlir.Module) {
 	t.Helper()
 	done := false
 	mlir.Walk(m.Op, func(o *mlir.Op) bool {
-		if a, ok := o.Attrs[mlir.AttrValue].(mlir.FloatAttr); ok && !done && a.Value != 0 {
+		if a, ok := o.Attr(mlir.AttrValue).(mlir.FloatAttr); ok && !done && a.Value != 0 {
 			a.Value = float64(math.Nextafter32(float32(a.Value), float32(math.Inf(1))))
 			o.SetAttr(mlir.AttrValue, a)
 			done = true

@@ -33,6 +33,27 @@ func TestResolveErrors(t *testing.T) {
 		{"unparsable mlir", "", "", "func { }", "f",
 			`mlir: parse error at line 1 col 1 (near "func"): expected keyword "module"`},
 		{"neither input", "", "", "", "", "request needs kernel or mlir"},
+		// Malformed affine maps and over-deep nests are parse errors, not
+		// panics or unbounded recursion.
+		{"dim beyond map", "", "", applySrc("(d0) -> (d1)"), "f",
+			`mlir: parse error at line 3 col 43 (near "d1"): d1 is beyond the map's 1 dimensions`},
+		{"symbol beyond map", "", "", applySrc("(d0)[s0] -> (d0 + s1)"), "f",
+			`mlir: parse error at line 3 col 52 (near "s1"): s1 is beyond the map's 1 symbols`},
+		{"non-affine product", "", "", applySrc("(d0, d1) -> (d0 * d1)"), "f",
+			`mlir: parse error at line 3 col 50 (near "*"): non-affine product: one factor of * must be a constant`},
+		{"mod by zero", "", "", applySrc("(d0) -> (d0 mod 0)"), "f",
+			`mlir: parse error at line 3 col 46 (near "mod"): mod by non-positive constant 0`},
+		{"floordiv by negative", "", "", applySrc("(d0) -> (d0 floordiv -2)"), "f",
+			`mlir: parse error at line 3 col 46 (near "floordiv"): floordiv by non-positive constant -2`},
+		{"ceildiv by zero", "", "", applySrc("(d0) -> (d0 ceildiv 0)"), "f",
+			`mlir: parse error at line 3 col 46 (near "ceildiv"): ceildiv by non-positive constant 0`},
+		{"deep parentheses", "", "", applySrc("(d0) -> (" + strings.Repeat("(", 400) + "d0" + strings.Repeat(")", 400) + ")"), "f",
+			`mlir: parse error at line 3 col 298 (near "("): nesting deeper than 256 levels`},
+		{"deep affine sum", "", "", applySrc("(d0) -> (d0" + strings.Repeat(" + d0", 300) + ")"), "f",
+			`mlir: parse error at line 3 col 1326 (near "+"): affine expression nested deeper than 256 levels`},
+		{"deep loop nest", "", "", "module {\n  func.func @f() {\n" + strings.Repeat("affine.for %i = 0 to 2 {\n", 300) +
+			strings.Repeat("}\n", 300) + "    func.return\n  }\n}\n", "f",
+			`mlir: parse error at line 259 col 1 (near "affine.for"): nesting deeper than 256 levels`},
 	}
 	for _, tc := range cases {
 		for _, ep := range []struct {
@@ -52,6 +73,12 @@ func TestResolveErrors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// applySrc is a function of two index arguments applying affine map m.
+func applySrc(m string) string {
+	return "module {\n  func.func @f(%arg0: index, %arg1: index) {\n    %0 = affine.apply affine_map<" + m +
+		">(%arg0, %arg1)\n    func.return\n  }\n}\n"
 }
 
 // axpySrc is a hand-written MLIR kernel whose function is named top.

@@ -14,7 +14,9 @@ package translate
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/llvm"
 	"repro/internal/mlir"
@@ -55,7 +57,7 @@ func DescriptorParams(rank int) int { return 3 + 2*rank }
 func EncodeShape(t *mlir.Type) string {
 	var parts []string
 	for _, d := range t.Shape {
-		parts = append(parts, fmt.Sprintf("%d", d))
+		parts = append(parts, strconv.FormatInt(d, 10))
 	}
 	parts = append(parts, t.Elem.String())
 	return strings.Join(parts, "x")
@@ -70,7 +72,32 @@ type xlate struct {
 	bmap map[*mlir.Block]*llvm.Block
 
 	// memrefs maps an MLIR memref value to its aligned pointer and type.
-	memrefs map[*mlir.Value]*memrefInfo
+	memrefs map[*mlir.Value]memrefInfo
+}
+
+// xlates holds idle translators. A translateFunc call takes one, and
+// returns it with its tables emptied, so the pool pins no module.
+var xlates sync.Pool
+
+func takeXlate(opts Options, f *llvm.Function) *xlate {
+	x, _ := xlates.Get().(*xlate)
+	if x == nil {
+		x = &xlate{
+			vmap:    map[*mlir.Value]llvm.Value{},
+			bmap:    map[*mlir.Block]*llvm.Block{},
+			memrefs: map[*mlir.Value]memrefInfo{},
+		}
+	}
+	x.opts, x.f = opts, f
+	return x
+}
+
+func (x *xlate) release() {
+	clear(x.vmap)
+	clear(x.bmap)
+	clear(x.memrefs)
+	x.f, x.b = nil, nil
+	xlates.Put(x)
 }
 
 type memrefInfo struct {
@@ -104,13 +131,8 @@ func translateFunc(f *mlir.Op, opts Options) (*llvm.Function, error) {
 	entry := mlir.FuncBody(f)
 
 	lf := llvm.NewFunction(name, llvm.Void())
-	x := &xlate{
-		opts:    opts,
-		f:       lf,
-		vmap:    map[*mlir.Value]llvm.Value{},
-		bmap:    map[*mlir.Block]*llvm.Block{},
-		memrefs: map[*mlir.Value]*memrefInfo{},
-	}
+	x := takeXlate(opts, lf)
+	defer x.release()
 
 	// Expand the signature.
 	for i, a := range entry.Args {
@@ -120,40 +142,41 @@ func translateFunc(f *mlir.Op, opts Options) (*llvm.Function, error) {
 				return nil, fmt.Errorf("dynamic memref arguments unsupported")
 			}
 			rank := len(mt.Shape)
-			base := &llvm.Param{Name: fmt.Sprintf("arg%d_base", i), Ty: llvm.Ptr(elemLLVM(mt.Elem))}
-			aligned := &llvm.Param{Name: fmt.Sprintf("arg%d_aligned", i), Ty: llvm.Ptr(elemLLVM(mt.Elem))}
-			offset := &llvm.Param{Name: fmt.Sprintf("arg%d_offset", i), Ty: llvm.I64()}
+			arg := "arg" + strconv.Itoa(i)
+			base := &llvm.Param{Name: arg + "_base", Ty: llvm.Ptr(elemLLVM(mt.Elem))}
+			aligned := &llvm.Param{Name: arg + "_aligned", Ty: llvm.Ptr(elemLLVM(mt.Elem))}
+			offset := &llvm.Param{Name: arg + "_offset", Ty: llvm.I64()}
 			lf.Params = append(lf.Params, base, aligned, offset)
 			for d := 0; d < rank; d++ {
 				lf.Params = append(lf.Params, &llvm.Param{
-					Name: fmt.Sprintf("arg%d_size%d", i, d), Ty: llvm.I64()})
+					Name: arg + "_size" + strconv.Itoa(d), Ty: llvm.I64()})
 			}
 			for d := 0; d < rank; d++ {
 				lf.Params = append(lf.Params, &llvm.Param{
-					Name: fmt.Sprintf("arg%d_stride%d", i, d), Ty: llvm.I64()})
+					Name: arg + "_stride" + strconv.Itoa(d), Ty: llvm.I64()})
 			}
-			lf.SetAttr(fmt.Sprintf("%s%d", MemRefArgAttr, i), EncodeShape(mt))
-			x.memrefs[a] = &memrefInfo{aligned: aligned, ty: mt}
+			lf.SetAttr(MemRefArgAttr+strconv.Itoa(i), EncodeShape(mt))
+			x.memrefs[a] = memrefInfo{aligned: aligned, ty: mt}
 			x.vmap[a] = aligned
 		} else {
-			p := &llvm.Param{Name: fmt.Sprintf("arg%d", i), Ty: scalarLLVM(a.Type())}
+			p := &llvm.Param{Name: "arg" + strconv.Itoa(i), Ty: scalarLLVM(a.Type())}
 			lf.Params = append(lf.Params, p)
 			x.vmap[a] = p
 		}
 	}
 	// Carry function-level HLS attributes through as LLVM attributes.
-	for k, v := range f.Attrs {
-		switch k {
+	for _, a := range f.Attrs {
+		switch a.Name {
 		case mlir.AttrSymName, mlir.AttrResultTypes:
 		default:
-			lf.SetAttr(k, v.String())
+			lf.SetAttr(a.Name, a.Value.String())
 		}
 	}
 
 	// Create LLVM blocks for every MLIR block.
 	region := f.Regions[0]
 	for bi, mb := range region.Blocks {
-		bname := fmt.Sprintf("bb%d", bi)
+		bname := "bb" + strconv.Itoa(bi)
 		if bi == 0 {
 			bname = "entry"
 		}
@@ -163,7 +186,7 @@ func translateFunc(f *mlir.Op, opts Options) (*llvm.Function, error) {
 		if bi > 0 {
 			for ai, arg := range mb.Args {
 				phi := &llvm.Instr{Op: llvm.OpPhi, Ty: scalarLLVM(arg.Type()),
-					Name: fmt.Sprintf("phi%d_%d", bi, ai)}
+					Name: "phi" + strconv.Itoa(bi) + "_" + strconv.Itoa(ai)}
 				lb.Append(phi)
 				x.vmap[arg] = phi
 			}
@@ -224,8 +247,8 @@ func (x *xlate) val(v *mlir.Value) llvm.Value {
 //	%lin = i0*stride0 + i1*stride1 + ...   (constant strides, row-major)
 //	%ptr = getelementptr elem, ptr %aligned, i64 %lin
 func (x *xlate) address(mem *mlir.Value, idxs []*mlir.Value) (llvm.Value, *llvm.Type, error) {
-	info := x.memrefs[mem]
-	if info == nil {
+	info, ok := x.memrefs[mem]
+	if !ok {
 		return nil, nil, fmt.Errorf("access to unknown memref")
 	}
 	mt := info.ty
@@ -283,7 +306,7 @@ func (x *xlate) op(op *mlir.Op) error {
 	b := x.b
 	switch op.Name {
 	case mlir.OpConstant:
-		switch a := op.Attrs[mlir.AttrValue].(type) {
+		switch a := op.Attr(mlir.AttrValue).(type) {
 		case mlir.IntAttr:
 			ty := scalarLLVM(op.Result(0).Type())
 			x.vmap[op.Result(0)] = llvm.CI(ty, a.Value)
@@ -375,7 +398,7 @@ func (x *xlate) op(op *mlir.Op) error {
 		if x.opts.EmitLifetimeMarkers {
 			b.Call("llvm.lifetime.start.p0", llvm.Void(), llvm.CI(llvm.I64(), bytes), ptr)
 		}
-		x.memrefs[op.Result(0)] = &memrefInfo{aligned: ptr, ty: mt}
+		x.memrefs[op.Result(0)] = memrefInfo{aligned: ptr, ty: mt}
 		x.vmap[op.Result(0)] = ptr
 		return nil
 
@@ -386,7 +409,7 @@ func (x *xlate) op(op *mlir.Op) error {
 		// The pointer to element 0 (decay), as clang would produce.
 		dec := b.GEP(llvm.ArrayOf(mt.NumElements(), elem), a,
 			llvm.CI(llvm.I64(), 0), llvm.CI(llvm.I64(), 0))
-		x.memrefs[op.Result(0)] = &memrefInfo{aligned: dec, ty: mt}
+		x.memrefs[op.Result(0)] = memrefInfo{aligned: dec, ty: mt}
 		x.vmap[op.Result(0)] = dec
 		return nil
 
@@ -429,7 +452,7 @@ func (x *xlate) op(op *mlir.Op) error {
 		return nil
 
 	case mlir.OpCall:
-		callee, _ := op.Attrs[mlir.AttrCallee].(mlir.SymbolRefAttr)
+		callee, _ := op.Attr(mlir.AttrCallee).(mlir.SymbolRefAttr)
 		var args []llvm.Value
 		for _, a := range op.Operands {
 			args = append(args, x.val(a))
@@ -447,9 +470,10 @@ func (x *xlate) op(op *mlir.Op) error {
 	return fmt.Errorf("unsupported op %s at cf level", op.Name)
 }
 
-// loopMDFromAttrs converts latch-branch HLS attrs into LLVM loop metadata.
+// loopMDFromAttrs converts latch-branch HLS attrs into LLVM loop metadata,
+// nil when the branch carries none.
 func loopMDFromAttrs(op *mlir.Op) *llvm.LoopMD {
-	md := &llvm.LoopMD{}
+	var md llvm.LoopMD
 	has := false
 	if op.HasAttr(mlir.AttrPipeline) {
 		md.Pipeline = true
@@ -469,5 +493,7 @@ func loopMDFromAttrs(op *mlir.Op) *llvm.LoopMD {
 	if !has {
 		return nil
 	}
-	return md
+	out := new(llvm.LoopMD)
+	*out = md
+	return out
 }
