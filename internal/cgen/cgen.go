@@ -83,14 +83,26 @@ func ctype(t *mlir.Type) (string, error) {
 		return "float", nil
 	case t.IsFloat():
 		return "double", nil
-	case t.IsIndex(), t.IsInt() && t.Width == 64:
+	case t.IsIndex(), t.IsInt():
 		return "int", nil // C frontends see loop counters as int
-	case t.IsInt() && t.Width == 1:
-		return "int", nil
-	case t.IsInt():
-		return "int", nil
 	}
 	return "", fmt.Errorf("cgen: no C type for %s", t)
+}
+
+// elemCType returns the C type of a memref element. An array keeps its
+// element width through the C frontend, which knows int, float and double,
+// so an element without a C type of its own width is refused rather than
+// read and written at another width.
+func elemCType(t *mlir.Type) (string, error) {
+	switch {
+	case t.IsInt() && t.Width == 32:
+		return "int", nil
+	case t.IsFloat() && t.Width == 32:
+		return "float", nil
+	case t.IsFloat() && t.Width == 64:
+		return "double", nil
+	}
+	return "", fmt.Errorf("cgen: memref element type %s has no C type of the same width", t)
 }
 
 func (e *emitter) emitFunc(f *mlir.Op) error {
@@ -103,7 +115,7 @@ func (e *emitter) emitFunc(f *mlir.Op) error {
 	for _, a := range body.Args {
 		n := e.name(a)
 		if a.Type().IsMemRef() {
-			et, err := ctype(a.Type().Elem)
+			et, err := elemCType(a.Type().Elem)
 			if err != nil {
 				return err
 			}
@@ -341,7 +353,7 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 
 	case mlir.OpAlloc, mlir.OpAlloca:
 		mt := op.Result(0).Type()
-		et, err := ctype(mt.Elem)
+		et, err := elemCType(mt.Elem)
 		if err != nil {
 			return err
 		}

@@ -9,9 +9,10 @@
 //
 // Two layers consume the verdicts: lint's loop-carried-dep and gep-bounds
 // checks (provably independent pairs stop firing and diagnostics report
-// exact distances), and the scheduler's distance-aware RecMII
-// (hls.Target.RecMIIWith: a distance-d recurrence bounds the II at
-// ceil(latency/d) instead of the latency itself).
+// exact distances), and the scheduler's distance-aware RecMII, which lint
+// and the DSE pre-check read through hls.LoopBounds (a distance-d
+// recurrence bounds the II at ceil(latency/d) instead of the latency
+// itself).
 //
 // The engine is strictly conservative: whenever an access is not affine
 // (unrecognized induction variable, chained GEPs, products of variables) the

@@ -2,7 +2,7 @@
 // a severity-tagged, source-located diagnostic record, a deterministic
 // ordering over collections of them, and text/JSON renderers. Producers
 // (internal/lint, the verify-each mode) build Diagnostics;
-// consumers (cmd/hls-lint, tests, the DSE pre-check) sort and render them.
+// consumers (cmd/hls-lint, cmd/hls-adaptor, tests) sort and render them.
 package diag
 
 import (

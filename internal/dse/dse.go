@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/hls"
-	"repro/internal/lint"
 	"repro/internal/mlir"
 	"repro/internal/mlir/passes"
 	"repro/internal/resilience"
@@ -42,15 +41,9 @@ func areaOf(r *hls.Report) float64 {
 }
 
 // Area is the exported scalarization, so external sweep drivers (the
-// compile-service daemon, thin clients reconstructing frontiers) rank
-// points with exactly the ranking Explore uses.
+// compile-service daemon's streamed points, thin clients reconstructing
+// frontiers) rank points with exactly the ranking Explore uses.
 func Area(r *hls.Report) float64 { return areaOf(r) }
-
-// Frontier returns the Pareto frontier of points under the same
-// dominance and ordering rules Explore applies — external drivers that
-// assemble points themselves must go through this to get byte-identical
-// frontiers.
-func Frontier(points []Point) []Point { return paretoFrontier(points) }
 
 // Config is one directive configuration of the design space.
 type Config struct {
@@ -142,10 +135,11 @@ type Options struct {
 	// points are reconstructed in space order regardless of which side of
 	// the crash produced them.
 	Journal *resilience.Journal
-	// Precheck runs the lint feasibility pre-check before the sweep: one
-	// adaptor-flow preparation (no scheduling) computes per-loop II bounds —
-	// the alias-filtered recurrence floor plus memory-access counts priced
-	// into a per-group resource floor under each group's partition widths —
+	// Precheck runs the feasibility pre-check before the sweep: one
+	// adaptor-flow preparation (no synthesis) yields each pipelined loop's
+	// II bounds from hls.LoopBounds — the recurrence floor plus
+	// memory-access counts priced into a per-group resource floor under
+	// each group's partition widths —
 	// and directive points that cannot produce a distinct schedule (pipeline
 	// IIs below their group's floor other than the smallest) are pruned
 	// without evaluation. Pruning never changes the Pareto frontier: the
@@ -180,31 +174,22 @@ func ExploreWith(in engine.Input, tgt hls.Target, opts Options) (*Result, error)
 	if eng == nil {
 		eng = engine.New(engine.Options{})
 	}
-	space := Space()
-	var pruned []PrunedPoint
-	if opts.Precheck {
-		space, pruned = pruneInfeasible(space, in.Build, in.Top, tgt)
-	}
-	res := &Result{Pruned: pruned}
-	// slots holds each configuration's point at its space index, whether it
-	// came from the journal or from this run's engine — reconstruction in
-	// space order is what makes a resumed sweep's frontier byte-identical
-	// to an uninterrupted one.
-	slots := make([]*Point, len(space))
+	sw := NewSweep(in, tgt, opts)
+	// rs holds each job's result at its index, whether it came from the
+	// journal or from this run's engine — assembly in space order is what
+	// makes a resumed sweep's frontier byte-identical to an uninterrupted
+	// one.
+	rs := make([]engine.JobResult, len(sw.Jobs))
 	var jobs []engine.Job
 	var jobSlot []int
-	for i, cfg := range space {
-		job := in.Job(engine.KindAdaptor, cfg.D, tgt)
-		job.Label = cfg.Label
-		if opts.Oracle > 0 && i%opts.Oracle == 0 {
-			job.VerifySemantics = true
-		}
+	resumed := 0
+	for i, job := range sw.Jobs {
 		if opts.Journal != nil {
 			var e journalEntry
 			if ok, jerr := opts.Journal.Get(engine.Key(job), &e); ok && jerr == nil {
-				slots[i] = &Point{Label: cfg.Label, D: cfg.D, Report: e.Report,
-					Area: e.Area, Degraded: e.Degraded}
-				res.Resumed++
+				rs[i] = engine.JobResult{Label: job.Label, Res: &flow.Result{Report: e.Report},
+					Degraded: e.Degraded}
+				resumed++
 				continue
 			}
 		}
@@ -228,24 +213,15 @@ func ExploreWith(in engine.Input, tgt hls.Target, opts Options) (*Result, error)
 			})
 		}
 	}
-	rs, err := eng.RunBatch(context.Background(), jobs, batch)
+	ran, err := eng.RunBatch(context.Background(), jobs, batch)
 	if err != nil {
 		return nil, fmt.Errorf("dse: %w", err)
 	}
-	for pos, r := range rs {
-		i := jobSlot[pos]
-		if r.Err != nil {
-			res.Errors = append(res.Errors, PointError{Label: r.Label, Err: r.Err})
-			continue
-		}
-		slots[i] = &Point{Label: r.Label, D: space[i].D, Report: r.Res.Report,
-			Area: areaOf(r.Res.Report), Degraded: r.Degraded}
+	for pos, r := range ran {
+		rs[jobSlot[pos]] = r
 	}
-	for _, p := range slots {
-		if p != nil {
-			res.Points = append(res.Points, *p)
-		}
-	}
+	res := sw.Collect(rs)
+	res.Resumed = resumed
 	if len(res.Points) == 0 {
 		if len(res.Errors) == 0 {
 			return nil, fmt.Errorf("dse: empty design space")
@@ -253,9 +229,55 @@ func ExploreWith(in engine.Input, tgt hls.Target, opts Options) (*Result, error)
 		first := res.Errors[0]
 		return nil, fmt.Errorf("dse: no configuration evaluated; first failure %s: %w", first.Label, first.Err)
 	}
-	res.Pareto = paretoFrontier(res.Points)
 	res.Stats = eng.Stats()
 	return res, nil
+}
+
+// Sweep is the layout of one design-space sweep: the job of every
+// configuration the pre-check kept, in space order, and the configurations
+// it pruned. ExploreWith runs a sweep through its engine and journal; a
+// caller that runs the jobs in a batch of its own (the compile service,
+// which streams each point as it finishes) hands the results to Collect.
+type Sweep struct {
+	Jobs   []engine.Job
+	Pruned []PrunedPoint
+}
+
+// NewSweep lays out the sweep of in under tgt: one adaptor job per
+// configuration of Space, labelled with it, after the pre-check when
+// opts.Precheck is set, and verified on every opts.Oracle-th kept
+// configuration.
+func NewSweep(in engine.Input, tgt hls.Target, opts Options) Sweep {
+	space := Space()
+	var sw Sweep
+	if opts.Precheck {
+		space, sw.Pruned = pruneInfeasible(space, in.Build, in.Top, tgt)
+	}
+	sw.Jobs = make([]engine.Job, len(space))
+	for i, cfg := range space {
+		job := in.Job(engine.KindAdaptor, cfg.D, tgt)
+		job.Label = cfg.Label
+		job.VerifySemantics = opts.Oracle > 0 && i%opts.Oracle == 0
+		sw.Jobs[i] = job
+	}
+	return sw
+}
+
+// Collect assembles the results of the sweep's jobs, one per job in
+// order: the evaluated points in space order, the failures, and the
+// Pareto frontier.
+func (sw Sweep) Collect(rs []engine.JobResult) *Result {
+	res := &Result{Pruned: sw.Pruned}
+	for i, r := range rs {
+		if r.Err != nil {
+			res.Errors = append(res.Errors, PointError{Label: r.Label, Err: r.Err})
+			continue
+		}
+		res.Points = append(res.Points, Point{Label: r.Label, D: sw.Jobs[i].Directives,
+			Report: r.Res.Report, Area: areaOf(r.Res.Report), Degraded: r.Degraded})
+	}
+	res.Pareto = paretoFrontier(res.Points)
+	return res
 }
 
 // journalEntry is the persisted record of one completed point. The report
@@ -269,60 +291,44 @@ type journalEntry struct {
 }
 
 // pruneInfeasible removes II-infeasible pipeline points from the space: one
-// un-scheduled flow preparation computes per-loop II bounds
-// (lint.PipelineFloors) — the alias-filtered recurrence floor plus raw
-// memory-access counts. From the counts, each directive group (identical
-// configurations except the requested II) gets its own resource floor
-// ceil(accesses/ports) under that group's partition widths, priced with the
-// same formula the scheduler applies. Within a group, every request at or
-// below the group floor max(RecMII, ResMII) except the smallest is pruned —
-// the scheduler would produce byte-identical reports for all of them
-// (achieved II is max(request, RecMII, ResMII)), and keeping the smallest
-// (which comes first in space order) preserves the Pareto frontier's labels
-// under the stable tie-breaking sort. Any pre-check failure keeps the full
-// space: pruning is an optimization, never a gate.
+// un-scheduled flow preparation gives each pipelined loop's bound
+// (hls.LoopBounds) — its recurrence floor and per-base access counts —
+// which prices each directive group (identical configurations except the
+// requested II) at max(RecMII, ResMII) under that group's partition widths,
+// as the scheduler does. Within a group, every request at or below the
+// group floor except the smallest is pruned — the scheduler would produce
+// byte-identical reports for all of them (achieved II is max(request,
+// RecMII, ResMII)), and keeping the smallest (which comes first in space
+// order) preserves the Pareto frontier's labels under the stable
+// tie-breaking sort. Any pre-check failure keeps the full space: pruning is
+// an optimization, never a gate.
 func pruneInfeasible(space []Config, build func() *mlir.Module, top string, tgt hls.Target) ([]Config, []PrunedPoint) {
 	lm, err := flow.PrepareLLVM(build(), top, flow.Directives{Pipeline: true, II: 1})
 	if err != nil {
 		return space, nil
 	}
-	floors, ok := lint.PipelineFloors(lm, top, tgt)
-	if !ok {
+	f := lm.FindFunc(top)
+	if f == nil {
 		return space, nil
 	}
-	// portsFor prices the sweep's uniform all-parameter partition directive
-	// with the scheduler's rule; local allocas always run at the default
-	// width.
-	portsFor := func(d flow.Directives) int {
-		if d.Partition == nil {
-			return tgt.MemPorts
-		}
-		return tgt.PartitionPorts(d.Partition.Kind, d.Partition.Factor)
-	}
+	bounds := hls.LoopBounds(f, tgt)
 	// groupFloor returns min over pipelined loops of max(RecMII, ResMII)
-	// under the group's ports, plus that loop's two components for the
-	// pruning reason. Access counts are partition-independent, so the one
-	// prepared module prices every group.
+	// under the group's uniform all-parameter partition, plus that loop's
+	// two components for the pruning reason; 0 without a pipelined loop,
+	// which prunes nothing.
 	groupFloor := func(d flow.Directives) (floor, rec, res int) {
-		ports := portsFor(d)
-		for _, lf := range floors {
-			r := 1
-			for _, n := range lf.ParamAccesses {
-				if m := (n + ports - 1) / ports; m > r {
-					r = m
-				}
+		var kind string
+		var factor int
+		if p := d.Partition; p != nil {
+			kind, factor = p.Kind, p.Factor
+		}
+		for _, lb := range bounds {
+			if !lb.Pipelined {
+				continue
 			}
-			if n := lf.LocalAccesses; n > 0 {
-				if m := (n + tgt.MemPorts - 1) / tgt.MemPorts; m > r {
-					r = m
-				}
-			}
-			f := lf.RecMII
-			if r > f {
-				f = r
-			}
-			if floor == 0 || f < floor {
-				floor, rec, res = f, lf.RecMII, r
+			r := lb.ResMII(tgt, kind, factor)
+			if f := max(lb.RecMII, r); floor == 0 || f < floor {
+				floor, rec, res = f, lb.RecMII, r
 			}
 		}
 		return floor, rec, res

@@ -9,7 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/hls"
-	"repro/internal/lint"
+	"repro/internal/kgen"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 	"repro/internal/polybench"
@@ -109,11 +109,8 @@ func TestPrecheckResourceFloorPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := flow.PrepareLLVM(k.Build(s), k.Name, flow.Directives{Pipeline: true, II: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recFloor, ok := lint.MinPipelineFloor(lm, k.Name, hls.DefaultTarget())
+	_, bounds := preparedBounds(t, k, s, hls.DefaultTarget())
+	recFloor, ok := minRecMII(bounds)
 	if !ok || recFloor != 1 {
 		t.Fatalf("premise broken: jacobi1d recurrence floor = %d (ok=%v), want 1 "+
 			"(the recurrence-only rule must have pruned nothing)", recFloor, ok)
@@ -141,35 +138,119 @@ func TestPrecheckResourceFloorPrunes(t *testing.T) {
 	}
 }
 
-// TestPrecheckFrontierAllKernels sweeps every kernel with and without the
-// pre-check and asserts two invariants on each: the pruned points partition
-// the space (nothing silently dropped) and the Pareto frontier is identical
-// to the exhaustive sweep's. This is the global soundness statement behind
-// the fig-8 reproduction: pruning only ever removes points whose schedule a
-// kept representative already realises.
+// precheckInput is a sweep input the pre-check's soundness is checked on.
+type precheckInput struct {
+	name string
+	spec engine.RemoteSpec
+}
+
+// precheckInputs are the 18 kernels at MINI and the kgen corpus.
+func precheckInputs() []precheckInput {
+	var ins []precheckInput
+	for _, k := range polybench.All() {
+		ins = append(ins, precheckInput{k.Name, engine.RemoteSpec{Kernel: k.Name, Size: "MINI"}})
+	}
+	for _, k := range kgen.CorpusKernels() {
+		ins = append(ins, precheckInput{k.Name, engine.RemoteSpec{MLIR: k.MLIR, Top: k.Name}})
+	}
+	return ins
+}
+
+// precheckTargets are the targets the pre-check's bounds must match the
+// scheduler under: the default, the inferred cost model (operators priced
+// at analyzed widths), a 5 ns clock (deeper operator latencies, so other
+// recurrences) and single-ported memories (other port floors).
+func precheckTargets() []struct {
+	name string
+	tgt  hls.Target
+} {
+	inferred := hls.DefaultTarget()
+	inferred.CostModel = hls.CostInferred
+	fast := hls.DefaultTarget()
+	fast.ClockNs = 5
+	onePort := hls.DefaultTarget()
+	onePort.MemPorts = 1
+	return []struct {
+		name string
+		tgt  hls.Target
+	}{{"default", hls.DefaultTarget()}, {"inferred", inferred}, {"5ns", fast}, {"1port", onePort}}
+}
+
+// TestPrecheckFrontierAllKernels sweeps every kernel and corpus kernel
+// under each precheck target with and without the pre-check and asserts two
+// invariants on each: the pruned points partition the space (nothing
+// silently dropped) and the Pareto frontier is identical to the exhaustive
+// sweep's. This is the global soundness statement behind the fig-8
+// reproduction: pruning only ever removes points whose schedule a kept
+// representative already realises, which holds only where the pre-check's
+// bounds equal the scheduler's.
 func TestPrecheckFrontierAllKernels(t *testing.T) {
 	if testing.Short() {
-		t.Skip("explores every kernel twice")
+		t.Skip("explores every kernel twice per target")
 	}
-	for _, k := range polybench.All() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			full := exploreOpts(t, k.Name, Options{})
-			pre := exploreOpts(t, k.Name, Options{Precheck: true})
-			if len(pre.Points)+len(pre.Pruned) != len(full.Points) {
-				t.Errorf("points(%d) + pruned(%d) != full space(%d)",
-					len(pre.Points), len(pre.Pruned), len(full.Points))
+	for _, in := range precheckInputs() {
+		in := in
+		t.Run(in.name, func(t *testing.T) {
+			input, err := in.spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := paretoSig(pre), paretoSig(full); got != want {
-				t.Errorf("pre-check changed the Pareto frontier:\n--- full\n%s--- precheck\n%s", want, got)
+			for _, pt := range precheckTargets() {
+				pt := pt
+				t.Run(pt.name, func(t *testing.T) {
+					full, err := ExploreWith(input, pt.tgt, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pre, err := ExploreWith(input, pt.tgt, Options{Precheck: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(pre.Points)+len(pre.Pruned) != len(full.Points) {
+						t.Errorf("points(%d) + pruned(%d) != full space(%d)",
+							len(pre.Points), len(pre.Pruned), len(full.Points))
+					}
+					if got, want := paretoSig(pre), paretoSig(full); got != want {
+						t.Errorf("pre-check changed the Pareto frontier:\n--- full\n%s--- precheck\n%s", want, got)
+					}
+				})
 			}
 		})
 	}
 }
 
+// preparedBounds returns kernel k's top function on the module the
+// pre-check prepares, and the bounds of its pipelined loops.
+func preparedBounds(t *testing.T, k *polybench.Kernel, s polybench.Size, tgt hls.Target) (*llvm.Function, []hls.LoopBound) {
+	t.Helper()
+	lm, err := flow.PrepareLLVM(k.Build(s), k.Name, flow.Directives{Pipeline: true, II: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := lm.FindFunc(k.Name)
+	var out []hls.LoopBound
+	for _, lb := range hls.LoopBounds(f, tgt) {
+		if lb.Pipelined {
+			out = append(out, lb)
+		}
+	}
+	return f, out
+}
+
+// minRecMII is the smallest RecMII over bounds; ok=false when there is no
+// pipelined loop.
+func minRecMII(bounds []hls.LoopBound) (floor int, ok bool) {
+	for _, lb := range bounds {
+		if floor == 0 || lb.RecMII < floor {
+			floor = lb.RecMII
+		}
+	}
+	return floor, floor > 0
+}
+
 // TestDistanceFloorNeverLooser: on every kernel's prepared module, the
-// distance-aware recurrence floor that lint.PipelineFloors reports (the
-// affine dependence engine powering the pre-check) must be at least the
+// distance-aware recurrence floor that hls.LoopBounds reports (the affine
+// dependence engine powering the pre-check) must be at least the
 // structural alias-filtered floor the pre-check used before: exact distances
 // can only discover recurrences the same-address heuristic missed or agree
 // with it (a structural distance-1 recurrence is a ZIV pair the engine pins
@@ -184,15 +265,10 @@ func TestDistanceFloorNeverLooser(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lm, err := flow.PrepareLLVM(k.Build(s), k.Name, flow.Directives{Pipeline: true, II: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			floors, ok := lint.PipelineFloors(lm, k.Name, tgt)
-			if !ok {
+			f, floors := preparedBounds(t, k, s, tgt)
+			if len(floors) == 0 {
 				t.Fatalf("no pipelined loops found in %s", k.Name)
 			}
-			f := lm.FindFunc(k.Name)
 			cfg := analysis.NewCFG(f)
 			loops := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
 			pts := absint.PointsTo(f)
@@ -213,13 +289,13 @@ func TestDistanceFloorNeverLooser(t *testing.T) {
 				}, pts.MayAlias)
 			}
 			for _, lf := range floors {
-				old, found := structural[lf.Header]
+				old, found := structural[lf.Header.Name]
 				if !found {
-					t.Fatalf("loop %%%s missing from the structural recomputation", lf.Header)
+					t.Fatalf("loop %%%s missing from the structural recomputation", lf.Header.Name)
 				}
 				if lf.RecMII < old {
 					t.Errorf("loop %%%s: distance-aware RecMII=%d is looser than structural RecMII=%d",
-						lf.Header, lf.RecMII, old)
+						lf.Header.Name, lf.RecMII, old)
 				}
 			}
 		})
@@ -238,11 +314,8 @@ func TestSeidel2dGainsExactDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := flow.PrepareLLVM(k.Build(s), k.Name, flow.Directives{Pipeline: true, II: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	floor, ok := lint.MinPipelineFloor(lm, k.Name, hls.DefaultTarget())
+	_, bounds := preparedBounds(t, k, s, hls.DefaultTarget())
+	floor, ok := minRecMII(bounds)
 	if !ok {
 		t.Fatal("no pipelined loop found in seidel2d")
 	}

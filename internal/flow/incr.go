@@ -3,7 +3,6 @@ package flow
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/incr"
 	"repro/internal/llvm"
@@ -193,7 +192,11 @@ func jsonAux[T any](dst **T) *auxCodec {
 // otherwise costs. Entries are shared across Results: on a memoized run, a
 // Result's LLVM module must be treated as read-only — the same sharing
 // contract the engine's whole-flow cache already imposes on its hits.
-var finalModules sync.Map // digest -> *llvm.Module
+var finalModules = incr.NewCache[*llvm.Module](finalModuleBound)
+
+// finalModuleBound holds a whole Fig 8 sweep's final modules (51 at MINI)
+// several times over.
+const finalModuleBound = 256
 
 // finalize re-materializes the live LLVM module after a replayed tail so
 // the flow's Result carries a real module. The parser verifies what it
@@ -204,8 +207,8 @@ func (r *memoRun) finalize(lmp **llvm.Module) error {
 	if !r.stale && *lmp != nil {
 		return nil
 	}
-	if m, ok := finalModules.Load(r.hash); ok {
-		*lmp = m.(*llvm.Module)
+	if m, ok := finalModules.Get(r.hash); ok {
+		*lmp = m
 		r.stale = false
 		return nil
 	}
@@ -213,8 +216,7 @@ func (r *memoRun) finalize(lmp **llvm.Module) error {
 	if err != nil {
 		return fmt.Errorf("incr: materialize final module: %w", err)
 	}
-	m, _ := finalModules.LoadOrStore(r.hash, p)
-	*lmp = m.(*llvm.Module)
+	*lmp = finalModules.Add(r.hash, p)
 	r.stale = false
 	return nil
 }

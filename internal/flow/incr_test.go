@@ -341,6 +341,79 @@ func TestIncrementalDiskStoreWarmStart(t *testing.T) {
 	compareRuns(t, "disk warm start", cold, warm)
 }
 
+// TestIncrCachesStayBounded pushes more design points through one process
+// and one DiskStore than either in-process cache holds: every kernel under
+// the directive points of the DSE space at MINI through both flows, cold
+// and then warm — several thousand unit records and a few hundred distinct
+// final modules, each parsed once on its warm replay. The final-module
+// cache never exceeds its bound, and every warm run still replays every
+// unit and matches its cold run, with records the bounded front cache
+// dropped read back from disk.
+func TestIncrCachesStayBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every kernel under 17 directive points twice per flow")
+	}
+	store, err := incr.OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := finalModuleBound
+	ds := []Directives{{}}
+	for _, ii := range []int{1, 2} {
+		for _, part := range []int{0, 2, 4} {
+			for _, flat := range []bool{false, true} {
+				d := Directives{Pipeline: true, II: ii, Flatten: flat}
+				if part > 0 {
+					d.Partition = &passes.PartitionSpec{Kind: "cyclic", Factor: part}
+				}
+				ds = append(ds, d)
+			}
+		}
+	}
+	for _, u := range []int{2, 4} {
+		ds = append(ds, Directives{Unroll: u}, Directives{Unroll: u,
+			Partition: &passes.PartitionSpec{Kind: "cyclic", Factor: u}})
+	}
+	type point struct {
+		kind string
+		k    *polybench.Kernel
+		d    Directives
+	}
+	var points []point
+	for _, kind := range []string{"adaptor", "cxx"} {
+		for _, k := range polybench.All() {
+			for _, d := range ds {
+				points = append(points, point{kind, k, d})
+			}
+		}
+	}
+	cold := make([]*Result, len(points))
+	for i, p := range points {
+		cold[i] = runFlow(t, p.kind, p.k, p.d, Options{IncrStore: store})
+	}
+	finals := map[string]bool{}
+	for i, p := range points {
+		label := p.kind + " " + p.k.Name + " " + p.d.Key()
+		warm := runFlow(t, p.kind, p.k, p.d, Options{IncrStore: store})
+		if warm.UnitMisses != 0 {
+			t.Fatalf("%s: warm run executed %d units", label, warm.UnitMisses)
+		}
+		compareRuns(t, label, cold[i], warm)
+		finals[incr.HashBytes(warm.LLVM.Print())] = true
+		if n := finalModules.Len(); n > bound {
+			t.Fatalf("final-module cache holds %d modules, bound %d", n, bound)
+		}
+	}
+	if len(finals) <= bound {
+		t.Fatalf("only %d distinct final modules replayed; the test needs more than the bound %d", len(finals), bound)
+	}
+	// A DiskStore front-caches at most 1024 records.
+	if store.Len() <= 1024 {
+		t.Fatalf("only %d records stored; the test needs more than the front cache's bound", store.Len())
+	}
+	t.Logf("%d distinct final modules, %d records", len(finals), store.Len())
+}
+
 // TestIncrementalSeededRuns covers the printless cursor: a caller-supplied
 // IncrSeed (the engine derives one per job) skips the pristine print, keys
 // a chain disjoint from content-addressed runs, and still produces results

@@ -252,3 +252,48 @@ func TestOracleCheckHonoursDeadline(t *testing.T) {
 		}
 	}
 }
+
+// addKernelSrc is an element-wise add over two four-element arrays of ty.
+func addKernelSrc(ty string) string {
+	return strings.ReplaceAll(`module {
+  func.func @addk(%arg0: memref<4xTY>, %arg1: memref<4xTY>) {
+    affine.for %i = 0 to 4 {
+      %a = affine.load %arg0[%i] : memref<4xTY>
+      %b = affine.load %arg1[%i] : memref<4xTY>
+      %c = arith.addi %a, %b : TY
+      affine.store %c, %arg0[%i] : memref<4xTY>
+    }
+    func.return
+  }
+}
+`, "TY", ty)
+}
+
+// TestCxxFlowRefusesWideIntArrays: the C frontend knows int, float and
+// double, so an i64 array printed as int would be read and written four
+// bytes at a time — a different program, which the oracle used to blame
+// on c-frontend as a miscompile. emit-hlscpp refuses the element type
+// instead, while the adaptor flow verifies the same kernel and an i32
+// array still goes through the C++ flow clean.
+func TestCxxFlowRefusesWideIntArrays(t *testing.T) {
+	tgt := hls.DefaultTarget()
+	opts := Options{VerifySemantics: true}
+	build := func(ty string) *mlir.Module {
+		m, err := mlirparser.Parse(addKernelSrc(ty))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	_, err := CxxFlowWith(build("i64"), "addk", Directives{}, tgt, opts)
+	f := wantFailure(t, "cxx i64", err, resilience.KindError, "emit-hlscpp", "emit-hlscpp")
+	if !strings.Contains(f.Error(), "memref element type i64 has no C type of the same width") {
+		t.Errorf("cxx i64: error does not name the element type: %v", f)
+	}
+	if _, err := AdaptorFlowWith(build("i64"), "addk", Directives{}, tgt, opts); err != nil {
+		t.Errorf("adaptor i64: %v", err)
+	}
+	if _, err := CxxFlowWith(build("i32"), "addk", Directives{}, tgt, opts); err != nil {
+		t.Errorf("cxx i32: %v", err)
+	}
+}

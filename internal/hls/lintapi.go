@@ -1,67 +1,105 @@
 package hls
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
-	"repro/internal/deptest"
 	"repro/internal/llvm"
-	"repro/internal/llvm/analysis"
 )
 
-// This file exports the scheduler's dependence/address reasoning for the
-// static-analysis layer (internal/lint), so lint diagnostics and the DSE
-// feasibility pre-check agree with the estimator instead of re-deriving a
-// divergent model.
+// This file exports the estimator's II model and its dependence/address
+// reasoning, so lint diagnostics and the DSE feasibility pre-check read
+// what the scheduler computes instead of re-deriving it.
+
+// LoopBound is what bounds the initiation interval of one innermost loop
+// besides the request: its recurrence floor, and one iteration's
+// sequential memory accesses per base. A pipeline's II is the largest of
+// the request, RecMII and ResMII; partition directives change a base's
+// ports but not its accesses, so one bound prices every partitioning.
+type LoopBound struct {
+	Header *llvm.Block
+	// Pipelined marks a loop carrying hls.pipeline.
+	Pipelined bool
+	RecMII    int
+	// ParamAccesses[i] counts parameter i's loads and stores.
+	ParamAccesses []int
+	// LocalAccesses is the busiest local buffer's count (allocas run at
+	// the target's MemPorts).
+	LocalAccesses int
+}
+
+// LoopBounds returns the bound of every innermost loop of f, in loop
+// order, as synthesis computes it for a loop it pipelines: RecMII priced
+// from the estimator's cost table (address folding and inferred widths
+// applied) and the accesses its scheduler tallies.
+func LoopBounds(f *llvm.Function, tgt Target) []LoopBound {
+	if f.IsDecl || len(f.Blocks) == 0 {
+		return nil
+	}
+	s := newSynth(f, tgt)
+	defer s.release()
+	param := make([]int, len(s.ports))
+	for b := range param {
+		param[b] = -1
+	}
+	for i, in := range s.instrs {
+		if b := s.base[i]; b >= 0 && param[b] < 0 {
+			ptr := in.Args[0]
+			if in.Op == llvm.OpStore {
+				ptr = in.Args[1]
+			}
+			v := baseOf(ptr)
+			param[b] = slices.IndexFunc(f.Params, func(p *llvm.Param) bool { return v == llvm.Value(p) })
+		}
+	}
+	var out []LoopBound
+	for _, l := range s.li.Loops {
+		if !l.IsInnermost() {
+			continue
+		}
+		_, _, _, rec := s.iteration(l)
+		lb := LoopBound{Header: l.Header, Pipelined: l.MD != nil && l.MD.Pipeline,
+			RecMII: rec, ParamAccesses: make([]int, len(f.Params))}
+		for _, b := range s.bases {
+			if n := s.accesses[b]; param[b] >= 0 {
+				lb.ParamAccesses[param[b]] = n
+			} else {
+				lb.LocalAccesses = maxInt(lb.LocalAccesses, n)
+			}
+		}
+		out = append(out, lb)
+	}
+	return out
+}
+
+// ResMII returns the loop's port floor when every parameter is partitioned
+// by kind and factor (kind "" for none): the largest ceil(accesses/ports)
+// over its bases, as the scheduler prices it.
+func (lb LoopBound) ResMII(tgt Target, kind string, factor int) int {
+	ports := tgt.PartitionPorts(kind, factor)
+	m := maxInt(1, portMII(lb.LocalAccesses, tgt.MemPorts))
+	for _, n := range lb.ParamAccesses {
+		m = maxInt(m, portMII(n, ports))
+	}
+	return m
+}
 
 // RecMII computes the recurrence-constrained minimum initiation interval of
-// one loop iteration's instruction sequence. ivDependent (may be nil)
-// reports whether a value varies with the loop's induction variable; loads
-// at IV-dependent addresses touch a different location each iteration and do
-// not constrain the II. mayAlias (may be nil) is a points-to oracle used to
-// discard load/store pairs that provably address disjoint memory.
+// one loop iteration's instruction sequence with the structural model alone,
+// priced with CostOf. ivDependent (may be nil) reports whether a value
+// varies with the loop's induction variable; loads at IV-dependent
+// addresses touch a different location each iteration and do not constrain
+// the II. mayAlias (may be nil) is a points-to oracle used to discard
+// load/store pairs that provably address disjoint memory. It is the
+// reference the distance-aware bound of LoopBounds must never fall below.
 func (t Target) RecMII(instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
 	mayAlias func(a, b llvm.Value) bool) int {
 	return recMII(nil, nil, instrs, ivDependent, mayAlias, t.latency)
 }
 
-// RecMIIWith is RecMII with an affine dependence engine: eng's exact
-// distance/direction verdicts for loop l replace the structural
-// same-address heuristic wherever both accesses are affine — a distance-d
-// recurrence bounds the II at ceil(latency/d), and provably independent
-// pairs constrain nothing. Pairs the engine cannot decide fall back to the
-// structural model, so the result is never looser than RecMII.
-func (t Target) RecMIIWith(eng *deptest.Engine, l *analysis.Loop,
-	instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
-	mayAlias func(a, b llvm.Value) bool) int {
-	return recMII(eng, l, instrs, ivDependent, mayAlias, t.latency)
-}
-
 // latency prices an instruction's latency in cycles with CostOf.
 func (t Target) latency(in *llvm.Instr) int { return t.CostOf(in).Latency }
-
-// MemAccessCounts returns the per-base load/store counts of one iteration's
-// instruction sequence, exactly as the port-constrained scheduler tallies
-// them: every sequential (non-zero latency) access. Access counts are
-// independent of port widths and partitioning.
-func (t Target) MemAccessCounts(instrs []*llvm.Instr) map[llvm.Value]int {
-	counts := map[llvm.Value]int{}
-	for _, in := range instrs {
-		var base llvm.Value
-		switch in.Op {
-		case llvm.OpLoad:
-			base = baseOf(in.Args[0])
-		case llvm.OpStore:
-			base = baseOf(in.Args[1])
-		default:
-			continue
-		}
-		if t.CostOf(in).Latency != 0 {
-			counts[base]++
-		}
-	}
-	return counts
-}
 
 // PartitionPorts returns the effective port count of an array partitioned
 // by kind and factor, as in an hls.array_partition.argN directive: complete

@@ -59,12 +59,14 @@ func (s *synth) schedule(blocks []int32, copies int) (cycles int64, resMII int) 
 	}
 	resMII = 1
 	for _, b := range s.bases {
-		if m := (s.accesses[b] + s.ports[b] - 1) / s.ports[b]; m > resMII {
-			resMII = m
-		}
+		resMII = maxInt(resMII, portMII(s.accesses[b], s.ports[b]))
 	}
 	return cycles, resMII
 }
+
+// portMII is the II that a base's accesses per iteration force when it
+// serves ports accesses per cycle: ceil(accesses/ports).
+func portMII(accesses, ports int) int { return (accesses + ports - 1) / ports }
 
 // place schedules instruction i at the earliest time its operands, memory
 // ordering and ports allow, and returns its finish time in ns.

@@ -561,10 +561,8 @@ func (s *synth) synthLoop(idx int32) {
 	}
 
 	if pipelined {
-		body := s.ownBlocks(l)
-		cycles, resMII := s.schedule(body, 1)
+		body, cycles, resMII, rec := s.iteration(l)
 		iterLat = cycles
-		rec := s.recMII(l, body)
 		target := 1
 		if md.II > 0 {
 			target = md.II
@@ -628,7 +626,18 @@ func (s *synth) synthLoop(idx int32) {
 	s.reports = append(s.reports, rep)
 }
 
-// recMII is the recurrence-constrained II of pipelined loop l, whose own
+// iteration schedules one iteration of innermost loop l and returns its
+// own blocks, its schedule length and the two floors its pipeline II
+// cannot go below: the port-implied ResMII and the recurrence-implied
+// RecMII. Each base's sequential accesses stay in s.accesses for s.bases.
+// synthLoop and LoopBounds both bound a loop through it.
+func (s *synth) iteration(l *analysis.Loop) (body []int32, cycles int64, resMII, rec int) {
+	body = s.ownBlocks(l)
+	cycles, resMII = s.schedule(body, 1)
+	return body, cycles, resMII, s.recMII(l, body)
+}
+
+// recMII is the recurrence-constrained II of innermost loop l, whose own
 // blocks are body, priced from the cost table.
 func (s *synth) recMII(l *analysis.Loop, body []int32) int {
 	if s.dep == nil {

@@ -134,6 +134,58 @@ func (s *MemStore) Len() int {
 	return len(s.m)
 }
 
+// Cache is a concurrent in-process map holding at most a fixed number of
+// entries: adding to a full cache first drops an arbitrary entry, so a
+// long-lived process keeps a bounded working set of what it replays. The
+// first value added under a key wins, as in MemStore.
+type Cache[V any] struct {
+	mu    sync.RWMutex
+	m     map[string]V
+	bound int
+}
+
+// NewCache returns an empty cache holding at most bound entries.
+func NewCache[V any](bound int) *Cache[V] {
+	return &Cache[V]{m: make(map[string]V), bound: bound}
+}
+
+// Get returns the value held under key.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	v, ok := c.m[key]
+	return v, ok
+}
+
+// Add stores v under key unless a value is already held there, and returns
+// the value the cache holds under key.
+func (c *Cache[V]) Add(key string, v V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.m[key]; ok {
+		return old
+	}
+	if len(c.m) >= c.bound {
+		for k := range c.m { // map order is unspecified: an arbitrary entry
+			delete(c.m, k)
+			break
+		}
+	}
+	c.m[key] = v
+	return v
+}
+
+// Len returns the number of entries held.
+func (c *Cache[V]) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
+}
+
+// frontRecords bounds a DiskStore's front cache: about a hundred design
+// points' units, a few megabytes of records.
+const frontRecords = 1024
+
 // DiskStore is the on-disk content-addressed store: digest-verified
 // record files managed by castore, written atomically (temp + rename) so
 // a killed writer never leaves a torn record, safe for any number of
@@ -147,7 +199,7 @@ type DiskStore struct {
 	ca *castore.Store
 	// mem front-caches records this process has read or written, so a hot
 	// sweep does not re-read files for every unit of every point.
-	mem *MemStore
+	mem *Cache[Record]
 }
 
 // OpenDiskStore opens (creating if needed) the store rooted at dir.
@@ -156,7 +208,7 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DiskStore{ca: ca, mem: NewMemStore()}, nil
+	return &DiskStore{ca: ca, mem: NewCache[Record](frontRecords)}, nil
 }
 
 // Get implements Store. A missing, torn, foreign, or digest-corrupt file
@@ -180,7 +232,7 @@ func (s *DiskStore) Get(key string) (Record, bool) {
 		s.ca.Quarantine(key)
 		return Record{}, false
 	}
-	s.mem.Put(key, rec)
+	s.mem.Add(key, rec)
 	return rec, true
 }
 
@@ -190,7 +242,7 @@ func (s *DiskStore) Get(key string) (Record, bool) {
 // first either way: within this process the record is good even when the
 // disk is not.
 func (s *DiskStore) Put(key string, rec Record) error {
-	s.mem.Put(key, rec)
+	s.mem.Add(key, rec)
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -204,5 +205,61 @@ func TestStoresAreConcurrencySafe(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
+	}
+}
+
+// TestCacheBounded: a cache never holds more than its bound, keeps the
+// first value added under a key, and still serves the latest additions.
+func TestCacheBounded(t *testing.T) {
+	c := NewCache[int](8)
+	for i := 0; i < 100; i++ {
+		if got := c.Add(strconv.Itoa(i), i); got != i {
+			t.Fatalf("Add(%d) returned %d", i, got)
+		}
+		if got := c.Add(strconv.Itoa(i), -1); got != i {
+			t.Fatalf("second Add under %d replaced the value with %d", i, got)
+		}
+		if c.Len() > 8 {
+			t.Fatalf("cache holds %d entries, bound 8", c.Len())
+		}
+	}
+	if v, ok := c.Get("99"); !ok || v != 99 {
+		t.Fatalf("latest entry lost: %d ok=%v", v, ok)
+	}
+}
+
+// TestDiskStoreFrontCacheBounded pushes twice the front cache's bound of
+// records through one store, written by Put and read back by Get from a
+// second handle: neither front cache exceeds its bound, and every record
+// still reads back, from disk once its front copy is dropped.
+func TestDiskStoreFrontCacheBounded(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 2 * frontRecords
+	key := func(i int) string { return UnitKey("cfg", "u", "p", strconv.Itoa(i)) }
+	for i := 0; i < n; i++ {
+		if err := w.Put(key(i), Record{IR: strconv.Itoa(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if w.mem.Len() > frontRecords {
+			t.Fatalf("front cache holds %d records after %d puts, bound %d", w.mem.Len(), i+1, frontRecords)
+		}
+	}
+	r, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*DiskStore{r, w} {
+		for i := 0; i < n; i++ {
+			if rec, ok := s.Get(key(i)); !ok || rec.IR != strconv.Itoa(i) {
+				t.Fatalf("record %d: %+v ok=%v", i, rec, ok)
+			}
+			if s.mem.Len() > frontRecords {
+				t.Fatalf("front cache holds %d records after %d gets, bound %d", s.mem.Len(), i+1, frontRecords)
+			}
+		}
 	}
 }

@@ -11,29 +11,6 @@ import (
 	"repro/internal/llvm/analysis"
 )
 
-// iterInstrs returns one iteration's instructions of l in reverse postorder,
-// excluding blocks of nested loops.
-func (ctx *FuncContext) iterInstrs(l *analysis.Loop) []*llvm.Instr {
-	var out []*llvm.Instr
-	for _, b := range ctx.CFG.Order {
-		if !l.Contains(b) {
-			continue
-		}
-		nested := false
-		for _, c := range l.Children {
-			if c.Contains(b) {
-				nested = true
-				break
-			}
-		}
-		if nested {
-			continue
-		}
-		out = append(out, b.Instrs...)
-	}
-	return out
-}
-
 // loopMemInstrs returns every load/store inside l in reverse postorder,
 // including nested-loop bodies: an outer loop can carry a dependence through
 // accesses that live in its children.
@@ -50,20 +27,6 @@ func (ctx *FuncContext) loopMemInstrs(l *analysis.Loop) []*llvm.Instr {
 		}
 	}
 	return out
-}
-
-// recMIIOf computes the scheduler's recurrence-constrained minimum II for
-// one loop iteration, using the same dependence model synthesis applies: the
-// affine dependence engine refines distances wherever both accesses are
-// affine, the points-to analysis discards pairs at provably disjoint
-// addresses, and the structural comparison covers the rest. Exactness here
-// matters — the DSE pre-check prunes against this floor, so it must equal
-// the scheduler's.
-func (ctx *FuncContext) recMIIOf(l *analysis.Loop) int {
-	instrs := ctx.iterInstrs(l)
-	return ctx.Target.RecMIIWith(ctx.DepEngine(), l, instrs, func(v llvm.Value) bool {
-		return hls.DependsOnLoopPhi(v, l.Header)
-	}, ctx.PointsTo().MayAlias)
 }
 
 // carriedFinding is the best (most precise) carried-dependence evidence for
@@ -186,7 +149,7 @@ func (ctx *FuncContext) carriedDiag(check string, l *analysis.Loop, base llvm.Va
 	}
 	var msg string
 	if l.IsInnermost() {
-		rec := ctx.recMIIOf(l)
+		rec := ctx.recMII(l)
 		msg = fmt.Sprintf("loop %%%s carries a value through %s across iterations (%sRecMII=%d)",
 			l.Header.Name, base.Ident(), detail, rec)
 	} else {

@@ -60,7 +60,7 @@ func lintLoopMD(ctx *FuncContext, l *analysis.Loop) diag.Diagnostics {
 			"drop one of the two directives"))
 	}
 	if md.Pipeline && l.IsInnermost() {
-		rec := ctx.recMIIOf(l)
+		rec := ctx.recMII(l)
 		want := md.II
 		if want <= 0 {
 			want = 1

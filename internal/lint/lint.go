@@ -3,13 +3,11 @@
 // reasoning against the static shapes HLS synthesis requires, loop-carried
 // dependence detection, and HLS-directive feasibility lints. Checks reuse
 // internal/llvm/analysis (CFG, dominators, loops, induction variables) and
-// the scheduler's dependence model (internal/hls.RecMII), so diagnostics
-// agree with what synthesis will actually do.
+// read each loop's RecMII from the estimator (internal/hls.LoopBounds), so
+// diagnostics agree with what synthesis will actually do.
 //
-// The package is consumed three ways: cmd/hls-lint reports all checks, the
-// verify-each mode runs the invariant subset after every pass, and the DSE
-// feasibility pre-check (MinPipelineFloor) prunes II-infeasible directive
-// points before scheduling.
+// The package is consumed two ways: cmd/hls-lint reports all checks, and
+// the verify-each mode runs the invariant subset after every pass.
 package lint
 
 import (
@@ -198,17 +196,34 @@ type FuncContext struct {
 	sccp      *absint.SCCPResult
 	dep       *deptest.Engine
 	bw        *bitwidth.Analysis
+	bounds    []hls.LoopBound
 }
 
 // DepEngine returns the function's affine dependence-test engine (lazily
-// computed). It is constructed exactly as the synthesis estimator builds its
-// own — same loop info, same points-to oracle — so lint verdicts and
-// scheduler RecMII agree.
+// computed), which supplies the per-pair evidence of carried-dependence
+// findings. It is constructed exactly as the synthesis estimator builds its
+// own — same loop info, same points-to oracle — so lint's verdicts agree
+// with the RecMII the findings report.
 func (ctx *FuncContext) DepEngine() *deptest.Engine {
 	if ctx.dep == nil {
 		ctx.dep = deptest.New(ctx.F, ctx.Loops, ctx.PointsTo().MayAlias)
 	}
 	return ctx.dep
+}
+
+// recMII returns the recurrence floor the scheduler gives innermost loop l.
+// The function's bounds come from hls.LoopBounds, computed on first use;
+// it resolves the target's widths under the inferred cost model.
+func (ctx *FuncContext) recMII(l *analysis.Loop) int {
+	if ctx.bounds == nil {
+		ctx.bounds = hls.LoopBounds(ctx.F, ctx.Target)
+	}
+	for _, b := range ctx.bounds {
+		if b.Header == l.Header {
+			return b.RecMII
+		}
+	}
+	return 1
 }
 
 // Intervals returns the function's value-range analysis (lazily computed).
@@ -242,10 +257,8 @@ func newFuncContext(m *llvm.Module, f *llvm.Function, tgt hls.Target) *FuncConte
 	dom := analysis.NewDomTree(cfg)
 	ctx := &FuncContext{
 		M: m, F: f, CFG: cfg, Dom: dom,
-		Loops: analysis.FindLoops(cfg, dom),
-		// Under the inferred cost model the directive-feasibility floors
-		// price operators at analyzed widths (no-op for the declared model).
-		Target:   tgt.ResolveWidths(f),
+		Loops:    analysis.FindLoops(cfg, dom),
+		Target:   tgt,
 		blockPos: map[*llvm.Block]int{},
 		instrPos: map[*llvm.Instr]int{},
 	}

@@ -126,85 +126,72 @@ func (p *parser) parseModule() (*mlir.Module, error) {
 	return m, nil
 }
 
+// scalarType returns the scalar type spelled s, or nil for a type some
+// layer cannot run: the interpreters, the translation to LLVM IR, the C++
+// emitter and the oracle's memory layout all handle exactly these.
+func scalarType(s string) *mlir.Type {
+	switch s {
+	case "index":
+		return mlir.Index()
+	case "i1":
+		return mlir.I1()
+	case "i32":
+		return mlir.I32()
+	case "i64":
+		return mlir.I64()
+	case "f32":
+		return mlir.F32()
+	case "f64":
+		return mlir.F64()
+	}
+	return nil
+}
+
 func (p *parser) parseType() (*mlir.Type, error) {
 	t := p.cur()
 	if t.kind != tokIdent {
 		return nil, p.errf("expected type")
 	}
-	switch {
-	case t.text == "index":
+	if ty := scalarType(t.text); ty != nil {
 		p.next()
-		return mlir.Index(), nil
-	case t.text == "none":
-		p.next()
-		return mlir.None(), nil
-	case strings.HasPrefix(t.text, "i"):
-		w, err := strconv.Atoi(t.text[1:])
-		if err != nil {
-			return nil, p.errf("bad integer type")
-		}
-		p.next()
-		return mlir.IntType(w), nil
-	case strings.HasPrefix(t.text, "f"):
-		w, err := strconv.Atoi(t.text[1:])
-		if err != nil {
-			return nil, p.errf("bad float type")
-		}
-		p.next()
-		return mlir.FloatType(w), nil
-	case t.text == "memref":
-		p.next()
-		if err := p.expectPunct("<"); err != nil {
-			return nil, err
-		}
-		// Reassemble the shape spelling, e.g. "32x32xf32" or "?x8xf64".
-		var sb strings.Builder
-		for !p.isPunct(">") {
-			if p.cur().kind == tokEOF {
-				return nil, p.errf("unterminated memref type")
-			}
-			sb.WriteString(p.next().text)
-		}
-		p.next() // >
-		parts := strings.Split(sb.String(), "x")
-		if len(parts) < 1 {
-			return nil, p.errf("empty memref type")
-		}
-		elemStr := parts[len(parts)-1]
-		var elem *mlir.Type
-		switch {
-		case elemStr == "index":
-			elem = mlir.Index()
-		case strings.HasPrefix(elemStr, "f"):
-			w, err := strconv.Atoi(elemStr[1:])
-			if err != nil {
-				return nil, p.errf("bad memref element %q", elemStr)
-			}
-			elem = mlir.FloatType(w)
-		case strings.HasPrefix(elemStr, "i"):
-			w, err := strconv.Atoi(elemStr[1:])
-			if err != nil {
-				return nil, p.errf("bad memref element %q", elemStr)
-			}
-			elem = mlir.IntType(w)
-		default:
-			return nil, p.errf("bad memref element %q", elemStr)
-		}
-		var shape []int64
-		for _, d := range parts[:len(parts)-1] {
-			if d == "?" {
-				shape = append(shape, mlir.DynamicDim)
-				continue
-			}
-			n, err := strconv.ParseInt(d, 10, 64)
-			if err != nil {
-				return nil, p.errf("bad memref dim %q", d)
-			}
-			shape = append(shape, n)
-		}
-		return mlir.MemRef(shape, elem), nil
+		return ty, nil
 	}
-	return nil, p.errf("unknown type %q", t.text)
+	if t.text != "memref" {
+		return nil, p.errf("unsupported type %q (scalars are index, i1, i32, i64, f32, f64)", t.text)
+	}
+	p.next()
+	if err := p.expectPunct("<"); err != nil {
+		return nil, err
+	}
+	// Reassemble the shape spelling, e.g. "32x32xf32" or "?x8xf64".
+	var sb strings.Builder
+	for !p.isPunct(">") {
+		if p.cur().kind == tokEOF {
+			return nil, p.errf("unterminated memref type")
+		}
+		sb.WriteString(p.next().text)
+	}
+	p.next() // >
+	parts := strings.Split(sb.String(), "x")
+	// Elements are stored at their own width: index and i1 have no memory
+	// layout every layer agrees on.
+	elem := scalarType(parts[len(parts)-1])
+	if elem == nil || elem.IsIndex() || elem.Width == 1 {
+		return nil, errAt(t, "unsupported memref<%s> (elements are i32, i64, f32, f64)", sb.String())
+	}
+	var shape []int64
+	for _, d := range parts[:len(parts)-1] {
+		if d == "?" {
+			shape = append(shape, mlir.DynamicDim)
+			continue
+		}
+		n, err := strconv.ParseInt(d, 10, 64)
+		if err != nil {
+			return nil, p.errf("bad memref dim %q", d)
+		}
+		shape = append(shape, n)
+	}
+	return mlir.MemRef(shape, elem), nil
 }
 
 func (p *parser) lookupValue(name string) (*mlir.Value, error) {

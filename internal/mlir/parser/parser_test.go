@@ -306,19 +306,51 @@ func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		want string // the error's text, when pinned
 	}{
-		{"missing module", `func.func @x() { func.return }`},
-		{"undefined value", `module { func.func @x() { %0 = arith.addi %9, %9 : i32 func.return } }`},
-		{"unterminated", `module { func.func @x() {`},
-		{"bad type", `module { func.func @x(%arg0: banana) { func.return } }`},
-		{"bad op", `module { func.func @x() { arith.frobnicate } }`},
+		{"missing module", `func.func @x() { func.return }`, ""},
+		{"undefined value", `module { func.func @x() { %0 = arith.addi %9, %9 : i32 func.return } }`, ""},
+		{"unterminated", `module { func.func @x() {`, ""},
+		{"bad type", `module { func.func @x(%arg0: banana) { func.return } }`, ""},
+		{"bad op", `module { func.func @x() { arith.frobnicate } }`, ""},
+	}
+	// Types some layer cannot run are rejected where they are spelled, not
+	// retyped (f16 used to parse as f32) or left to fail downstream.
+	for _, ty := range []string{"f16", "f8", "f0", "f128", "i0", "i8", "i16", "i48", "i65", "i128", "none"} {
+		cases = append(cases, struct{ name, src, want string }{"scalar " + ty,
+			`module { func.func @x(%arg0: ` + ty + `) { func.return } }`,
+			`parse error at line 1 col 30 (near "` + ty + `"): unsupported type "` + ty +
+				`" (scalars are index, i1, i32, i64, f32, f64)`})
+	}
+	for _, ty := range []string{"i1", "i8", "i16", "i48", "i0", "i65", "i128", "index", "f16", "f128"} {
+		cases = append(cases, struct{ name, src, want string }{"memref of " + ty,
+			`module { func.func @x(%arg0: memref<4x` + ty + `>) { func.return } }`,
+			`parse error at line 1 col 30 (near "memref"): unsupported memref<4x` + ty +
+				`> (elements are i32, i64, f32, f64)`})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Parse(c.src); err == nil {
-				t.Errorf("expected parse error for %s", c.name)
+			_, err := Parse(c.src)
+			if err == nil {
+				t.Fatalf("expected parse error for %s", c.name)
+			}
+			if c.want != "" && err.Error() != c.want {
+				t.Errorf("got %q, want %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestParseAcceptedTypes parses every type the stack runs, as a scalar and
+// as a memref element where it may be one, and prints it back unchanged.
+func TestParseAcceptedTypes(t *testing.T) {
+	for _, ty := range []string{"index", "i1", "i32", "i64", "f32", "f64",
+		"memref<4xi32>", "memref<4xi64>", "memref<2x?xf32>", "memref<4xf64>"} {
+		src := "module {\n  func.func @x(%arg0: " + ty + ") {\n    func.return\n  }\n}\n"
+		m := parseOrFatal(t, src)
+		if got := mlir.FuncBody(m.Funcs()[0]).Args[0].Type().String(); got != ty {
+			t.Errorf("%s parsed as %s", ty, got)
+		}
 	}
 }
 

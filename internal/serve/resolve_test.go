@@ -54,6 +54,16 @@ func TestResolveErrors(t *testing.T) {
 		{"deep loop nest", "", "", "module {\n  func.func @f() {\n" + strings.Repeat("affine.for %i = 0 to 2 {\n", 300) +
 			strings.Repeat("}\n", 300) + "    func.return\n  }\n}\n", "f",
 			`mlir: parse error at line 259 col 1 (near "affine.for"): nesting deeper than 256 levels`},
+		// Types some layer cannot run are parse errors where they are
+		// spelled, not retyped or left to fail in the oracle.
+		{"f16 scalar", "", "", typeSrc("f16"), "f",
+			`mlir: parse error at line 2 col 23 (near "f16"): unsupported type "f16" (scalars are index, i1, i32, i64, f32, f64)`},
+		{"i128 scalar", "", "", typeSrc("i128"), "f",
+			`mlir: parse error at line 2 col 23 (near "i128"): unsupported type "i128" (scalars are index, i1, i32, i64, f32, f64)`},
+		{"i8 memref", "", "", typeSrc("memref<4xi8>"), "f",
+			`mlir: parse error at line 2 col 23 (near "memref"): unsupported memref<4xi8> (elements are i32, i64, f32, f64)`},
+		{"i1 memref", "", "", typeSrc("memref<4x4xi1>"), "f",
+			`mlir: parse error at line 2 col 23 (near "memref"): unsupported memref<4x4xi1> (elements are i32, i64, f32, f64)`},
 	}
 	for _, tc := range cases {
 		for _, ep := range []struct {
@@ -73,6 +83,11 @@ func TestResolveErrors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// typeSrc is a function of one argument of type ty.
+func typeSrc(ty string) string {
+	return "module {\n  func.func @f(%arg0: " + ty + ") {\n    func.return\n  }\n}\n"
 }
 
 // applySrc is a function of two index arguments applying affine map m.

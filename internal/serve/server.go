@@ -438,13 +438,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	space := dse.Space()
-	jobs := make([]engine.Job, len(space))
-	for i, cfg := range space {
-		jobs[i] = in.Job(engine.KindAdaptor, cfg.D, tgt)
-		jobs[i].Label = cfg.Label
-	}
-	rs, _ := s.eng.RunBatch(ctx, jobs, engine.BatchOptions{
+	sw := dse.NewSweep(in, tgt, dse.Options{})
+	rs, _ := s.eng.RunBatch(ctx, sw.Jobs, engine.BatchOptions{
 		ContinueOnError: true,
 		OnResult: func(i int, r engine.JobResult) {
 			var pf *resilience.PassFailure
@@ -466,21 +461,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		},
 	})
 
-	var points []dse.Point
-	nerr := 0
-	for i, r := range rs {
-		if r.Err != nil {
-			nerr++
-			continue
-		}
-		points = append(points, dse.Point{
-			Label: r.Label, D: space[i].D, Report: r.Res.Report,
-			Area: dse.Area(r.Res.Report), Degraded: r.Degraded,
-		})
-	}
-	frontier := dse.Frontier(points)
-	done := SweepEvent{Type: "done", Errors: nerr}
-	for _, p := range frontier {
+	res := sw.Collect(rs)
+	done := SweepEvent{Type: "done", Errors: len(res.Errors)}
+	for _, p := range res.Pareto {
 		done.Frontier = append(done.Frontier, SweepPoint{
 			Label: p.Label, Latency: p.Latency(), Area: p.Area, Report: p.Report,
 		})
