@@ -2,12 +2,14 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/hls"
+	"repro/internal/llvm/interp"
 	lparser "repro/internal/llvm/parser"
 	"repro/internal/mlir"
 	mlirparser "repro/internal/mlir/parser"
@@ -250,6 +252,32 @@ func TestOracleCheckHonoursDeadline(t *testing.T) {
 		if elapsed > 2*time.Second {
 			t.Errorf("%s: timed-out check took %v to stop", c.level, elapsed)
 		}
+	}
+}
+
+// TestOversizedAllocFailsReferenceCapture: a memref.alloc past one
+// execution's memory budget inside the kernel fails the reference capture
+// as an oracle limitation, KindError at oracle/reference, before anything
+// of that size is allocated; it is never a miscompile or a panic.
+func TestOversizedAllocFailsReferenceCapture(t *testing.T) {
+	m, err := mlirparser.Parse(`module {
+  func.func @big(%arg0: memref<4xf32>) {
+    %0 = memref.alloc() : memref<1048576x1048576xf64>
+    %1 = arith.constant 0 : index
+    %2 = memref.load %0[%1, %1] : memref<1048576x1048576xf64>
+    %3 = arith.truncf %2 : f64 to f32
+    memref.store %3, %arg0[%1] : memref<4xf32>
+    func.return
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = AdaptorFlowWith(m, "big", Directives{}, hls.DefaultTarget(), Options{VerifySemantics: true})
+	wantFailure(t, "oversized memref.alloc", err, resilience.KindError, "oracle", "reference")
+	if !errors.Is(err, interp.ErrMemLimit) {
+		t.Errorf("reference capture failed with %v, want the memory budget's error", err)
 	}
 }
 

@@ -17,6 +17,28 @@ func CompileFresh(mod *llvm.Module, name string) (*Program, error) {
 	return p, nil
 }
 
+// Equal reports whether p and q execute identically: the same code, slots,
+// constants (floats by bit pattern), GEP strides, call graph and entry ABI.
+// Names, attributes and loop metadata never reach a program. It is the
+// field-by-field reference the tests hold Digest to.
+func (p *Program) Equal(q *Program) bool {
+	if p == q {
+		return true
+	}
+	if p == nil || q == nil || !slices.Equal(p.params, q.params) || len(p.funcs) != len(q.funcs) {
+		return false
+	}
+	for i := range p.funcs {
+		a, b := &p.funcs[i], &q.funcs[i]
+		if a.nparams != b.nparams || a.nslots != b.nslots || a.ntracked != b.ntracked ||
+			!slices.Equal(a.code, b.code) || !slices.Equal(a.consts, b.consts) ||
+			!slices.Equal(a.steps, b.steps) || !slices.Equal(a.args, b.args) {
+			return false
+		}
+	}
+	return true
+}
+
 // Diff names the first field in which p and q differ, the diagnostics
 // included, or returns "" when their contents are identical.
 func Diff(p, q *Program) string {

@@ -66,6 +66,34 @@ func trapf(kind TrapKind, format string, args ...any) error {
 	return &Trap{Kind: kind, Detail: fmt.Sprintf(format, args...)}
 }
 
+// MaxMemBytes is one execution's memory budget: its argument memory and
+// every alloca, malloc and memref.alloc it runs take at most this many
+// bytes together. The largest polybench kernel's arguments take 5,088 B at
+// SMALL (k3mm).
+const MaxMemBytes = 16 << 20
+
+// ErrMemLimit is the error of an allocation past MaxMemBytes, or of one
+// whose size is negative or overflows. It is not a Trap: a program that
+// asks for more memory than an execution may hold is one the oracle cannot
+// run, which says nothing about whether a pass changed its meaning.
+var ErrMemLimit = errors.New("memory budget exceeded")
+
+// MemBudget meters one execution's memory against MaxMemBytes.
+type MemBudget struct{ used int64 }
+
+// Take reserves n bytes for the allocation what names before it is made;
+// a negative n stands for a size that is negative or overflows int64.
+func (b *MemBudget) Take(n int64, what string) error {
+	if n >= 0 && n <= MaxMemBytes-b.used {
+		b.used += n
+		return nil
+	}
+	if n < 0 {
+		return fmt.Errorf("interp: %s size is negative or overflows: %w", what, ErrMemLimit)
+	}
+	return fmt.Errorf("interp: %s of %d bytes with %d in use: %w (%d bytes)", what, n, b.used, ErrMemLimit, MaxMemBytes)
+}
+
 // Mem is one allocation.
 type Mem struct {
 	Bytes []byte
@@ -247,9 +275,10 @@ func (m *Meter) refuel() error {
 
 // runner is one execution of a program.
 type runner struct {
-	p    *Program
-	fuel Meter
-	st   *runState
+	p      *Program
+	fuel   Meter
+	budget MemBudget
+	st     *runState
 
 	obs  func(*llvm.Instr, int64)
 	srcs [][]*llvm.Instr // per function, slot → defining instruction
@@ -298,6 +327,7 @@ func (r *runner) run(args []Arg) (int64, float64, error) {
 	st.mems = append(st.mems[:0], nil)
 	st.regs = grow(st.regs[:0], int(entry.nslots))
 	regs := st.regs
+	var err error
 	for i, a := range args {
 		regs[i] = a.v
 		if a.mem == nil {
@@ -307,11 +337,17 @@ func (r *runner) run(args []Arg) (int64, float64, error) {
 		// pointers) is one allocation.
 		k := slices.Index(st.mems, a.mem)
 		if k < 0 {
+			if err = r.budget.Take(int64(len(a.mem.Bytes)), "argument memory"); err != nil {
+				break
+			}
 			k = int(st.alloc(a.mem))
 		}
 		regs[i].mem = int32(k)
 	}
-	v, err := r.call(0, regs, 0)
+	var v val
+	if err == nil {
+		v, err = r.call(0, regs, 0)
+	}
 	// The table must not pin the caller's memory while pooled.
 	clear(st.mems)
 	st.mems, st.regs, st.defd = st.mems[:0], st.regs[:0], st.defd[:0]
@@ -470,6 +506,9 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 			regs[in.dst] = val{f: regs[in.a].f}
 
 		case opAlloca:
+			if err := r.budget.Take(in.imm, "alloca"); err != nil {
+				return val{}, f.fail(pc-1, err)
+			}
 			regs[in.dst] = val{mem: r.st.alloc(NewMem(in.imm))}
 		case opGEP:
 			base := regs[in.a]
@@ -530,7 +569,11 @@ func (r *runner) call(fi int32, regs []val, depth int) (val, error) {
 		case opFabs32:
 			regs[in.dst] = val{f: float64(float32(math.Abs(regs[in.a].f)))}
 		case opMalloc:
-			regs[in.dst] = val{mem: r.st.alloc(NewMem(regs[in.a].i))}
+			n := regs[in.a].i
+			if err := r.budget.Take(n, "malloc"); err != nil {
+				return val{}, f.fail(pc-1, err)
+			}
+			regs[in.dst] = val{mem: r.st.alloc(NewMem(n))}
 		case opNop:
 			regs[in.dst] = val{}
 		case opMemset:

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -14,7 +16,7 @@ import (
 // functions it calls. It is made only of plain values: instructions name
 // dense register slots, predicates and memory widths are enums, GEPs are
 // offset and stride lists, phis are moves on the edges that feed them, and
-// calls name callees by index. Two programs that compare Equal execute
+// calls name callees by index. Two programs with the same Digest execute
 // identically on identical arguments, so a caller may reuse a verdict
 // reached on one for the other.
 type Program struct {
@@ -48,25 +50,57 @@ func (p *Program) Release() {
 	}
 }
 
-// Equal reports whether p and q execute identically: the same code, slots,
-// constants (floats by bit pattern), GEP strides, call graph and entry ABI.
-// Names, attributes and loop metadata never reach a program.
-func (p *Program) Equal(q *Program) bool {
-	if p == q {
-		return true
+// digestBufs holds the buffers Digest encodes programs into.
+var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Digest returns the SHA-256 of what the program executes: the entry ABI
+// and, per function, the parameter, slot and tracked-value counts, the
+// code, the constants (floats by bit pattern), the GEP strides and the call
+// arguments. Every list is length-prefixed, so two programs have the same
+// digest exactly when those fields are equal. Names and diagnostics are not
+// hashed: they only word an error.
+func (p *Program) Digest() [sha256.Size]byte {
+	bp := digestBufs.Get().(*[]byte)
+	le := binary.LittleEndian
+	b := le.AppendUint32((*bp)[:0], uint32(len(p.params)))
+	for _, k := range p.params {
+		b = append(b, byte(k))
 	}
-	if p == nil || q == nil || !slices.Equal(p.params, q.params) || len(p.funcs) != len(q.funcs) {
-		return false
-	}
+	b = le.AppendUint32(b, uint32(len(p.funcs)))
 	for i := range p.funcs {
-		a, b := &p.funcs[i], &q.funcs[i]
-		if a.nparams != b.nparams || a.nslots != b.nslots || a.ntracked != b.ntracked ||
-			!slices.Equal(a.code, b.code) || !slices.Equal(a.consts, b.consts) ||
-			!slices.Equal(a.steps, b.steps) || !slices.Equal(a.args, b.args) {
-			return false
+		f := &p.funcs[i]
+		b = le.AppendUint32(b, uint32(f.nparams))
+		b = le.AppendUint32(b, uint32(f.nslots))
+		b = le.AppendUint32(b, uint32(f.ntracked))
+		b = le.AppendUint32(b, uint32(len(f.code)))
+		for _, in := range f.code {
+			b = append(b, byte(in.op), in.sub)
+			b = le.AppendUint32(b, uint32(in.dst))
+			b = le.AppendUint32(b, uint32(in.a))
+			b = le.AppendUint32(b, uint32(in.b))
+			b = le.AppendUint32(b, uint32(in.c))
+			b = le.AppendUint64(b, uint64(in.imm))
+		}
+		b = le.AppendUint32(b, uint32(len(f.consts)))
+		for _, c := range f.consts {
+			b = le.AppendUint32(b, uint32(c.slot))
+			b = le.AppendUint64(b, uint64(c.i))
+			b = le.AppendUint64(b, c.f)
+		}
+		b = le.AppendUint32(b, uint32(len(f.steps)))
+		for _, s := range f.steps {
+			b = le.AppendUint32(b, uint32(s.slot))
+			b = le.AppendUint64(b, uint64(s.stride))
+		}
+		b = le.AppendUint32(b, uint32(len(f.args)))
+		for _, a := range f.args {
+			b = le.AppendUint32(b, uint32(a))
 		}
 	}
-	return true
+	sum := sha256.Sum256(b)
+	*bp = b
+	digestBufs.Put(bp)
+	return sum
 }
 
 type opcode uint8

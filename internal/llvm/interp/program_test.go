@@ -2,6 +2,9 @@ package interp
 
 import (
 	"context"
+	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,8 +94,12 @@ func TestProgramDistinguishesExecutionDetails(t *testing.T) {
 		{"branch target", []string{"label %body, label %exit", "label %exit, label %body"}},
 		{"param abi", []string{"i64 %n)", "float* %n)"}},
 	} {
-		if compileText(t, edit(t, c.pairs...)).Equal(base) {
+		p := compileText(t, edit(t, c.pairs...))
+		if p.Equal(base) {
 			t.Errorf("%s: changed module compiles to an equal program", c.name)
+		}
+		if p.Digest() == base.Digest() {
+			t.Errorf("%s: changed module compiles to a program with the base's digest", c.name)
 		}
 	}
 }
@@ -112,9 +119,78 @@ func TestProgramIgnoresNonExecutedDetails(t *testing.T) {
 		{"loop metadata", []string{`!"llvm.loop.pipeline.ii", i32 1`, `!"llvm.loop.pipeline.ii", i32 4`}},
 		{"no loop metadata", []string{", !llvm.loop !0", "", "!0 = distinct !{!0, !\"llvm.loop.pipeline.enable\", i1 true, !\"llvm.loop.pipeline.ii\", i32 1}\n", ""}},
 	} {
-		if !compileText(t, edit(t, c.pairs...)).Equal(base) {
+		p := compileText(t, edit(t, c.pairs...))
+		if !p.Equal(base) {
 			t.Errorf("%s: module compiles to a different program", c.name)
 		}
+		if p.Digest() != base.Digest() {
+			t.Errorf("%s: module compiles to a program with another digest", c.name)
+		}
+	}
+}
+
+// cloneProgram copies p deeply enough that editing one field of the copy
+// leaves p as it is.
+func cloneProgram(p *Program) *Program {
+	q := &Program{params: slices.Clone(p.params)}
+	for _, f := range p.funcs {
+		f.code, f.consts = slices.Clone(f.code), slices.Clone(f.consts)
+		f.steps, f.args = slices.Clone(f.steps), slices.Clone(f.args)
+		q.funcs = append(q.funcs, f)
+	}
+	return q
+}
+
+// TestDigestSeesEveryIdentityField: changing any one field Equal compares
+// — an opcode, a slot, an immediate, a constant's bit pattern (±0.0
+// included), a GEP stride, a parameter class, a count — changes the
+// digest; the diagnostics do not.
+func TestDigestSeesEveryIdentityField(t *testing.T) {
+	base := compileText(t, programBase)
+	f := &base.funcs[0]
+	zero := slices.IndexFunc(f.consts, func(c constSlot) bool { return c.f == 0 && c.i == 0 })
+	if zero < 0 || len(f.steps) == 0 {
+		t.Fatal("base program lacks a +0.0 constant or a GEP step")
+	}
+	gep := slices.IndexFunc(f.code, func(in inst) bool { return in.op == opGEP })
+	for _, c := range []struct {
+		name string
+		edit func(f *function, p *Program)
+	}{
+		{"opcode", func(f *function, _ *Program) { f.code[gep].op = opLoad }},
+		{"sub", func(f *function, _ *Program) { f.code[gep].sub++ }},
+		{"dst slot", func(f *function, _ *Program) { f.code[gep].dst++ }},
+		{"operand slot a", func(f *function, _ *Program) { f.code[gep].a++ }},
+		{"operand b", func(f *function, _ *Program) { f.code[gep].b++ }},
+		{"operand c", func(f *function, _ *Program) { f.code[gep].c++ }},
+		{"imm", func(f *function, _ *Program) { f.code[gep].imm++ }},
+		{"code length", func(f *function, _ *Program) { f.code = append(f.code, inst{op: opNop}) }},
+		{"negative zero", func(f *function, _ *Program) { f.consts[zero].f = math.Float64bits(math.Copysign(0, -1)) }},
+		{"float constant bits", func(f *function, _ *Program) { f.consts[zero].f = 1 }},
+		{"integer constant", func(f *function, _ *Program) { f.consts[zero].i = 1 }},
+		{"constant slot", func(f *function, _ *Program) { f.consts[zero].slot++ }},
+		{"gep stride", func(f *function, _ *Program) { f.steps[0].stride++ }},
+		{"gep step slot", func(f *function, _ *Program) { f.steps[0].slot++ }},
+		{"call args", func(f *function, _ *Program) { f.args = append(f.args, 0) }},
+		{"nparams", func(f *function, _ *Program) { f.nparams++ }},
+		{"nslots", func(f *function, _ *Program) { f.nslots++ }},
+		{"ntracked", func(f *function, _ *Program) { f.ntracked++ }},
+		{"parameter class", func(_ *function, p *Program) { p.params[2] = ParamFloat }},
+		{"callee", func(_ *function, p *Program) { p.funcs = append(p.funcs, function{}) }},
+	} {
+		p := cloneProgram(base)
+		c.edit(&p.funcs[0], p)
+		if p.Equal(base) {
+			t.Errorf("%s: the edited program is still Equal to the base", c.name)
+		}
+		if p.Digest() == base.Digest() {
+			t.Errorf("%s: the edit left the digest unchanged", c.name)
+		}
+	}
+	p := cloneProgram(base)
+	p.funcs[0].name, p.funcs[0].errs = "renamed", append(p.funcs[0].errs, errors.New("unreachable"))
+	if p.Digest() != base.Digest() {
+		t.Error("diagnostics changed the digest")
 	}
 }
 

@@ -15,6 +15,21 @@ func (m *Module) CompileFresh(funcName string) (*Program, error) {
 	return p, nil
 }
 
+// Equal reports whether p and q execute identically: the same code, slots,
+// constants (floats by bit pattern), allocation types and argument types.
+// Attributes the interpreter never reads (hls.* directives) and value names
+// never reach a program. It is the field-by-field reference the tests hold
+// Digest to.
+func (p *Program) Equal(q *Program) bool {
+	if p == q {
+		return true
+	}
+	return p != nil && q != nil && p.nslots == q.nslots &&
+		slices.EqualFunc(p.args, q.args, (*Type).Equal) &&
+		slices.Equal(p.code, q.code) && slices.Equal(p.idx, q.idx) &&
+		slices.Equal(p.consts, q.consts) && slices.EqualFunc(p.types, q.types, (*Type).Equal)
+}
+
 // Diff names the first field in which p and q differ, the diagnostics
 // included, or returns "" when their contents are identical.
 func Diff(p, q *Program) string {

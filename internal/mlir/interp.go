@@ -2,6 +2,8 @@ package mlir
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -27,6 +29,20 @@ type MemBuf struct {
 	Ty *Type
 	F  []float64 // used when the element type is float
 	I  []int64   // used when the element type is int/index
+}
+
+// MemBufBytes returns the bytes NewMemBuf allocates for a static memref
+// type, eight per element, or -1 when a dimension is negative or the size
+// overflows int64 — the form interp.MemBudget.Take expects.
+func MemBufBytes(ty *Type) int64 {
+	n := int64(8)
+	for _, d := range ty.Shape {
+		if d < 0 || (d > 0 && n > math.MaxInt64/d) {
+			return -1
+		}
+		n *= d
+	}
+	return n
 }
 
 // NewMemBuf allocates a zeroed buffer for a static memref type.
@@ -67,8 +83,8 @@ func (m *Module) InterpretWithFuel(funcName string, fuel int64, args ...*MemBuf)
 // values: ops become instructions over dense value slots, predicates are
 // enums, float element widths are resolved, affine maps are flattened into
 // slot arithmetic, structured loops into counted jumps, and cf branches
-// into moves onto their successors' block arguments. Two programs that
-// compare Equal execute identically on identical buffers.
+// into moves onto their successors' block arguments. Two programs with the
+// same Digest execute identically on identical buffers.
 type Program struct {
 	args   []*Type // entry ABI: the argument types
 	nslots int32
@@ -93,18 +109,71 @@ func (p *Program) Release() {
 	}
 }
 
-// Equal reports whether p and q execute identically: the same code, slots,
-// constants (floats by bit pattern), allocation types and argument types.
-// Attributes the interpreter never reads (hls.* directives) and value names
-// never reach a program.
-func (p *Program) Equal(q *Program) bool {
-	if p == q {
-		return true
+// digestBufs holds the buffers Digest encodes programs into.
+var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Digest returns the SHA-256 of what the program executes: the argument
+// types, the slot count, the code, the index lists, the constants (floats
+// by bit pattern, inside the code) and the allocation types. Every list is
+// length-prefixed and a type is encoded by exactly what Type.Equal
+// compares, so two programs have the same digest exactly when those fields
+// are equal. Attributes the interpreter never reads (hls.* directives),
+// value names and diagnostics never reach the digest.
+func (p *Program) Digest() [sha256.Size]byte {
+	bp := digestBufs.Get().(*[]byte)
+	le := binary.LittleEndian
+	b := le.AppendUint32((*bp)[:0], uint32(len(p.args)))
+	for _, t := range p.args {
+		b = appendType(b, t)
 	}
-	return p != nil && q != nil && p.nslots == q.nslots &&
-		slices.EqualFunc(p.args, q.args, (*Type).Equal) &&
-		slices.Equal(p.code, q.code) && slices.Equal(p.idx, q.idx) &&
-		slices.Equal(p.consts, q.consts) && slices.EqualFunc(p.types, q.types, (*Type).Equal)
+	b = le.AppendUint32(b, uint32(p.nslots))
+	b = le.AppendUint32(b, uint32(len(p.code)))
+	for _, in := range p.code {
+		b = append(b, byte(in.op), in.sub)
+		b = le.AppendUint32(b, uint32(in.dst))
+		b = le.AppendUint32(b, uint32(in.a))
+		b = le.AppendUint32(b, uint32(in.b))
+		b = le.AppendUint32(b, uint32(in.c))
+		b = le.AppendUint64(b, uint64(in.imm))
+	}
+	b = le.AppendUint32(b, uint32(len(p.idx)))
+	for _, x := range p.idx {
+		b = le.AppendUint32(b, uint32(x))
+	}
+	b = le.AppendUint32(b, uint32(len(p.consts)))
+	for _, c := range p.consts {
+		b = le.AppendUint32(b, uint32(c.slot))
+		b = le.AppendUint64(b, uint64(c.v))
+	}
+	b = le.AppendUint32(b, uint32(len(p.types)))
+	for _, t := range p.types {
+		b = appendType(b, t)
+	}
+	sum := sha256.Sum256(b)
+	*bp = b
+	digestBufs.Put(bp)
+	return sum
+}
+
+// appendType encodes t by the fields Type.Equal compares: the kind, the
+// width of an integer or float, and a memref's rank, dimensions and element
+// type.
+func appendType(b []byte, t *Type) []byte {
+	if t == nil {
+		return append(b, 0xff)
+	}
+	b = append(b, byte(t.Kind))
+	switch t.Kind {
+	case KindInt, KindFloat:
+		b = binary.LittleEndian.AppendUint32(b, uint32(t.Width))
+	case KindMemRef:
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Shape)))
+		for _, d := range t.Shape {
+			b = binary.LittleEndian.AppendUint64(b, uint64(d))
+		}
+		b = appendType(b, t.Elem)
+	}
+	return b
 }
 
 type mop uint8
@@ -826,9 +895,10 @@ func (p *Program) Run(ctx context.Context, fuel int64, args ...*MemBuf) error {
 }
 
 type runner struct {
-	p    *Program
-	fuel interp.Meter
-	st   *runState
+	p      *Program
+	fuel   interp.Meter
+	budget interp.MemBudget
+	st     *runState
 }
 
 // runState is the storage a run works in: the register file and the
@@ -872,6 +942,9 @@ func (r *runner) exec(args []*MemBuf) error {
 	clear(regs)
 	st.bufs = append(st.bufs[:0], nil)
 	for i, a := range args {
+		if err := r.budget.Take(8*int64(len(a.F)+len(a.I)), "argument memory"); err != nil {
+			return err
+		}
 		regs[i] = interpVal{buf: st.alloc(a)}
 	}
 	for _, k := range p.consts {
@@ -997,7 +1070,11 @@ func (r *runner) exec(args []*MemBuf) error {
 		case mFloatOnly:
 			regs[in.dst] = interpVal{f: regs[in.a].f}
 		case mAlloc:
-			regs[in.dst] = interpVal{buf: st.alloc(NewMemBuf(p.types[in.c]))}
+			t := p.types[in.c]
+			if err := r.budget.Take(MemBufBytes(t), "memref.alloc"); err != nil {
+				return err
+			}
+			regs[in.dst] = interpVal{buf: st.alloc(NewMemBuf(t))}
 
 		case mLoad, mStore:
 			buf := st.bufs[regs[in.b].buf]

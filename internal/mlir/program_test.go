@@ -72,8 +72,12 @@ func TestProgramDistinguishesExecutionDetails(t *testing.T) {
 		{"loop step", []string{"step 1", "step 2"}},
 		{"loop bound", []string{"0 to 8", "0 to 7"}},
 	} {
-		if compileText(t, edit(t, c.pairs...)).Equal(base) {
+		p := compileText(t, edit(t, c.pairs...))
+		if p.Equal(base) {
 			t.Errorf("%s: changed module compiles to an equal program", c.name)
+		}
+		if p.Digest() == base.Digest() {
+			t.Errorf("%s: changed module compiles to a program with the base's digest", c.name)
 		}
 	}
 }
@@ -89,8 +93,12 @@ func TestProgramIgnoresNonExecutedDetails(t *testing.T) {
 		{"hls attributes", []string{" attributes {hls.top}", "", " {hls.ii = 1, hls.pipeline}", " {hls.unroll = 4}"}},
 		{"value names", []string{"%9", "%sum", "%7", "%elem"}},
 	} {
-		if !compileText(t, edit(t, c.pairs...)).Equal(base) {
+		p := compileText(t, edit(t, c.pairs...))
+		if !p.Equal(base) {
 			t.Errorf("%s: module compiles to a different program", c.name)
+		}
+		if p.Digest() != base.Digest() {
+			t.Errorf("%s: module compiles to a program with another digest", c.name)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func TestRecycledProgramsMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := mlir.Diff(got, fresh); d != "" || !got.Equal(fresh) {
+		if d := mlir.Diff(got, fresh); d != "" || !got.Equal(fresh) || got.Digest() != fresh.Digest() {
 			t.Errorf("%s after releasing %s: recycled program differs from a fresh compile: %s", f.label, forms[j].label, d)
 			continue
 		}

@@ -53,29 +53,44 @@ func loadCheckMix() error {
 	return checkMix.err
 }
 
-// BenchmarkOracleCheck measures the oracle's life on one job of the mix,
-// cycling through all of them: the reference capture (New), a covered MLIR
-// check of the pristine module, then the final module checked twice, once
-// executed and once covered. ns/op and allocs/op are per-job averages.
+// BenchmarkOracleCheck measures the oracle's part of a job of the mix,
+// cycling through all of them: New, an MLIR check of the pristine module,
+// then the final module checked twice. ns/op and allocs/op are per-job
+// averages. "cold" empties the shared reference table before every job, so
+// each job runs its reference and executes its final module once, as the
+// first job on a kernel in a process does. "warm" keeps the table, as a
+// long process does: after the first cycle New is a compile and a lookup
+// and every check returns on a recorded verdict.
 func BenchmarkOracleCheck(b *testing.B) {
 	if err := loadCheckMix(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(checkMix.final)
-		h, err := oracle.New(checkMix.pristine[j], checkMix.tops[j])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := h.CheckMLIR(checkMix.pristine[j]); err != nil {
-			b.Fatal(err)
-		}
-		for range 2 {
-			if err := h.CheckLLVM(checkMix.final[j]); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cold bool
+	}{{"cold", true}, {"warm", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			oracle.ResetShared()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.cold {
+					oracle.ResetShared()
+				}
+				j := i % len(checkMix.final)
+				h, err := oracle.New(checkMix.pristine[j], checkMix.tops[j])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := h.CheckMLIR(checkMix.pristine[j]); err != nil {
+					b.Fatal(err)
+				}
+				for range 2 {
+					if err := h.CheckLLVM(checkMix.final[j]); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }

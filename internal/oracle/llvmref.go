@@ -50,7 +50,7 @@ func ShapesOf(f *llvm.Function) ([]*mlir.Type, error) {
 // either ABI CheckLLVM recognizes — under explicit port shapes, for
 // callers that never see the MLIR form (hls-adaptor on a .ll input: shapes
 // come from the adapted signature via ShapesOf, the reference from the
-// pristine pre-adapt module).
+// pristine pre-adapt module). The reference stays private to the harness.
 func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, error) {
 	for i, t := range shapes {
 		if !t.IsMemRef() || !t.HasStaticShape() {
@@ -60,12 +60,17 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 	if ref.FindFunc(top) == nil {
 		return nil, fmt.Errorf("oracle: function @%s not found in reference module", top)
 	}
-	h := newHarness(top, shapes)
+	r, err := newReference(top, shapes)
+	if err != nil {
+		return nil, err
+	}
+	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel, ref: r}
 	p, err := interp.Compile(ref, top)
 	if err != nil {
 		return nil, err
 	}
-	in := h.freshMems()
+	defer p.Release()
+	in := r.freshMems()
 	args, err := h.llvmArgs(p.Params(), in.mems, nil)
 	if err != nil {
 		return nil, err
@@ -73,38 +78,38 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 	if _, _, err := p.Run(context.TODO(), h.Fuel, args...); err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
-	h.refF = make([][]float64, len(in.mems))
-	h.refI = make([][]int64, len(in.mems))
+	r.refF = make([][]float64, len(in.mems))
+	r.refI = make([][]int64, len(in.mems))
 	for ai, mem := range in.mems {
-		h.captureMem(ai, mem)
+		r.captureMem(ai, mem)
 	}
-	h.llvmMem.put(in)
-	h.llvmPassed.remember(p, h.MaxULP, h.Fuel)
+	r.llvmMem.put(in)
+	r.verdicts.add(verdict{level: levelLLVM, digest: p.Digest(), maxULP: h.MaxULP, fuel: h.Fuel})
 	return h, nil
 }
 
 // captureMem records one executed allocation as the reference output for
 // argument ai, at the argument's element precision.
-func (h *Harness) captureMem(ai int, mem *interp.Mem) {
-	t := h.shapes[ai]
+func (r *reference) captureMem(ai int, mem *interp.Mem) {
+	t := r.shapes[ai]
 	n := int(t.NumElements())
 	switch {
 	case t.Elem.IsFloat() && t.Elem.Width == 32:
-		h.refF[ai] = make([]float64, n)
+		r.refF[ai] = make([]float64, n)
 		for i, v := range mem.Float32Slice() {
-			h.refF[ai][i] = float64(v)
+			r.refF[ai][i] = float64(v)
 		}
 	case t.Elem.IsFloat():
-		h.refF[ai] = append([]float64(nil), mem.Float64Slice()...)
+		r.refF[ai] = append([]float64(nil), mem.Float64Slice()...)
 	case t.Elem.Width == 32:
-		h.refI[ai] = make([]int64, n)
+		r.refI[ai] = make([]int64, n)
 		for i, v := range mem.Int32Slice() {
-			h.refI[ai][i] = int64(v)
+			r.refI[ai][i] = int64(v)
 		}
 	default:
-		h.refI[ai] = make([]int64, n)
+		r.refI[ai] = make([]int64, n)
 		for i := 0; i < n; i++ {
-			h.refI[ai][i] = int64(binary.LittleEndian.Uint64(mem.Bytes[i*8:]))
+			r.refI[ai][i] = int64(binary.LittleEndian.Uint64(mem.Bytes[i*8:]))
 		}
 	}
 }

@@ -169,6 +169,22 @@ func TestOracleLimitationIsNotMiscompile(t *testing.T) {
 			t.Errorf("%s: %v classifies as a miscompile, want an oracle limitation", name, err)
 		}
 	}
+	// An allocation past one execution's memory budget, or of a negative
+	// size, fails before it is made, as a limitation.
+	malloc := func(body string) string { return llvmFunc(body) + "\ndeclare ptr @malloc(i64 %n)\n" }
+	for name, err := range map[string]error{
+		"memref.alloc past the budget": runMLIR(t, mlirFunc("    %0 = memref.alloc() : memref<1048576x1048576xf64>\n")),
+		"overflowing memref.alloc":     runMLIR(t, mlirFunc("    %0 = memref.alloc() : memref<4294967296x4294967296xf32>\n")),
+		"alloca past the budget":       runLLVM(t, llvmFunc("  %a = alloca [1099511627776 x double]\n  ret i64 0\n")),
+		"malloc past the budget":       runLLVM(t, malloc("  %p = call ptr @malloc(i64 17179869184)\n  ret i64 0\n")),
+		"malloc of a negative size":    runLLVM(t, malloc("  %p = call ptr @malloc(i64 -8)\n  ret i64 0\n")),
+		"mallocs past the budget together": runLLVM(t, malloc(
+			"  %p = call ptr @malloc(i64 10000000)\n  %q = call ptr @malloc(i64 10000000)\n  ret i64 0\n")),
+	} {
+		if !errors.Is(err, interp.ErrMemLimit) || IsMiscompile(err) {
+			t.Errorf("%s: %v, want a memory-budget error that is not a miscompile", name, err)
+		}
+	}
 }
 
 func TestTrapClassifiesAsMiscompile(t *testing.T) {
@@ -223,8 +239,8 @@ func nudgeFirstFloatConstant(t *testing.T, m *mlir.Module) {
 	}
 }
 
-// TestPassedProgramSkipIsSound shows when a remembered program vouches for
-// a check: equal programs under the same tolerance and fuel skip, and any
+// TestPassedProgramSkipIsSound shows when a recorded verdict vouches for a
+// check: equal programs under the same tolerance and fuel skip, and any
 // in-place change, tolerance change or fuel change executes again.
 func TestPassedProgramSkipIsSound(t *testing.T) {
 	m := gemmModule(t)
@@ -300,18 +316,19 @@ func corruptFirstFAdd(lm *llvm.Module) {
 }
 
 // TestHarnessConcurrentChecks runs every IR level's checks on one harness
-// from several goroutines; under -race it proves the memory of passed
-// programs is the only shared mutable state and is guarded. Each check is
-// made twice in a row, so covered checks (which release their candidate)
-// interleave with executed ones (which release the program they displace)
-// and with compiles that take released storage.
+// from several goroutines; under -race it proves the verdicts and the
+// spare inputs are the only shared mutable state and are guarded. The
+// table starts cold and each check is made twice in a row, so skipped
+// checks interleave with executed ones, every program is released after
+// its check, and compiles take released storage.
 func TestHarnessConcurrentChecks(t *testing.T) {
+	ResetShared()
 	h, err := New(gemmModule(t), "gemm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Half the goroutines check a 1-ULP variant, so the remembered program
-	// keeps changing hands between two passing programs per level.
+	// Half the goroutines check a 1-ULP variant: two passing programs per
+	// level, each executed until some goroutine records its verdict.
 	type work struct {
 		structured, lowered *mlir.Module
 		lm                  *llvm.Module

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,33 @@ module {
 	}))
 	if out.Err != "" || out.Report == nil {
 		t.Fatalf("mlir eval failed: %+v", out)
+	}
+}
+
+// TestEvalOversizedVerifyIs422: a 200-byte verified eval request whose
+// memref asks for terabytes answers 422 with the oracle's memory-budget
+// message, and the daemon allocates less than 64 MB while serving it.
+func TestEvalOversizedVerifyIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := EvalRequest{Top: "k", Verify: true, MLIR: `module {
+  func.func @k(%arg0: memref<1048576x1048576xf64>) {
+    func.return
+  }
+}
+`}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := postJSON(t, ts.URL+"/v1/eval", req)
+	out := decodeEval(t, resp)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %+v", resp.StatusCode, out)
+	}
+	if !strings.Contains(out.Err, "memory budget exceeded") {
+		t.Errorf("error %q does not name the memory budget", out.Err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 64<<20 {
+		t.Errorf("serving the request allocated %d bytes, want less than 64 MB", grown)
 	}
 }
 
