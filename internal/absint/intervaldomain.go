@@ -4,115 +4,23 @@ import (
 	"repro/internal/llvm"
 )
 
-// ienv maps integer-typed SSA values to their intervals. Missing values are
-// implicitly the top of their type. Environments are treated immutably by
-// the solver: every producing operation clones.
-type ienv struct {
-	m map[llvm.Value]Interval
-}
-
-func newIEnv() *ienv { return &ienv{m: map[llvm.Value]Interval{}} }
-
-func (e *ienv) clone() *ienv {
-	n := &ienv{m: make(map[llvm.Value]Interval, len(e.m))}
-	for k, v := range e.m {
-		n.m[k] = v
-	}
-	return n
-}
-
-// get evaluates v under e: constants exactly, tracked values from the map,
-// anything else as the top of its type.
-func (e *ienv) get(v llvm.Value) Interval {
-	if c, ok := v.(*llvm.ConstInt); ok {
-		return Const(c.Val)
-	}
-	if iv, ok := e.m[v]; ok {
-		return iv
-	}
-	return typeTop(v.Type())
-}
-
-// intervalDomain is the value-range client of the generic solver.
+// intervalDomain is the value-range lattice.
 type intervalDomain struct{}
 
-func (intervalDomain) Entry(f *llvm.Function) *ienv { return newIEnv() }
+func (intervalDomain) Top(ty *llvm.Type) Interval         { return typeTop(ty) }
+func (intervalDomain) Const(c int64) Interval             { return Const(c) }
+func (intervalDomain) Join(a, b Interval) Interval        { return a.Union(b) }
+func (intervalDomain) Widen(prev, next Interval) Interval { return next.WidenFrom(prev) }
+func (intervalDomain) Equal(a, b Interval) bool           { return a.Equal(b) }
 
-func (intervalDomain) Join(a, b *ienv) *ienv {
-	out := a.clone()
-	for k, vb := range b.m {
-		if va, ok := out.m[k]; ok {
-			out.m[k] = va.Union(vb)
-		} else {
-			// Present on one path only: any dominated use sees exactly that
-			// path's value (SSA), so keeping it loses nothing.
-			out.m[k] = vb
-		}
-	}
-	return out
+func (intervalDomain) Decides(iv Interval) (nonzero, ok bool) {
+	v, ok := iv.ConstVal()
+	return v != 0, ok
 }
 
-// Widen extrapolates only the values the loop headed by at mutates: its own
-// phis. Everything else joins — a loop-invariant value (an outer induction
-// variable, say) keeps its branch-refined range instead of being blown to
-// infinity by a widening no condition inside this loop could undo. With
-// at == nil every value widens (the solver's irreducible-cycle fallback).
-func (intervalDomain) Widen(at *llvm.Block, prev, next *ienv) *ienv {
-	widenKey := func(k llvm.Value) bool {
-		if at == nil {
-			return true
-		}
-		in, ok := k.(*llvm.Instr)
-		return ok && in.Op == llvm.OpPhi && in.Parent == at
-	}
-	out := next.clone()
-	for k, vn := range next.m {
-		if vp, ok := prev.m[k]; ok {
-			if widenKey(k) {
-				out.m[k] = vn.WidenFrom(vp)
-			} else {
-				out.m[k] = vn.Union(vp)
-			}
-		}
-	}
-	for k, vp := range prev.m {
-		if _, ok := out.m[k]; !ok {
-			out.m[k] = vp
-		}
-	}
-	return out
-}
-
-func (intervalDomain) Equal(a, b *ienv) bool {
-	if len(a.m) != len(b.m) {
-		return false
-	}
-	for k, va := range a.m {
-		vb, ok := b.m[k]
-		if !ok || !va.Equal(vb) {
-			return false
-		}
-	}
-	return true
-}
-
-func (intervalDomain) Transfer(b *llvm.Block, in *ienv) *ienv {
-	out := in.clone()
-	for _, ins := range b.Instrs {
-		if ins.Op == llvm.OpPhi {
-			continue // bound per-edge by FlowEdge; the joined in-state holds it
-		}
-		if ins.Ty == nil || !ins.Ty.IsInt() {
-			continue
-		}
-		out.m[ins] = evalInstr(out, ins)
-	}
-	return out
-}
-
-// evalInstr computes one integer instruction's interval under env.
-func evalInstr(env *ienv, in *llvm.Instr) Interval {
-	arg := func(i int) Interval { return env.get(in.Args[i]) }
+// Transfer computes one integer instruction's interval under env.
+func (intervalDomain) Transfer(env *Env[Interval], in *llvm.Instr) Interval {
+	arg := func(i int) Interval { return env.Get(in.Args[i]) }
 	switch in.Op {
 	case llvm.OpAdd:
 		return clampTy(arg(0).Add(arg(1)), in.Ty)
@@ -424,47 +332,11 @@ func icmpInterval(a, b Interval, pred string) Interval {
 	return Range(0, 1)
 }
 
-// FlowEdge refines the out-state along a conditional branch edge and binds
-// the target block's phis to this edge's incoming values. ok=false when the
-// refined condition is unsatisfiable (the edge cannot be taken).
-func (d intervalDomain) FlowEdge(from, to *llvm.Block, out *ienv) (*ienv, bool) {
-	env := out.clone()
-	term := from.Terminator()
-	if term != nil && term.Op == llvm.OpCondBr && len(term.Blocks) == 2 && term.Blocks[0] != term.Blocks[1] {
-		takenTrue := term.Blocks[0] == to
-		cond := env.get(term.Args[0])
-		if v, ok := cond.ConstVal(); ok && (v != 0) != takenTrue {
-			return nil, false // branch provably goes the other way
-		}
-		if cmp, ok := term.Args[0].(*llvm.Instr); ok && cmp.Op == llvm.OpICmp {
-			if !refineICmp(env, cmp, takenTrue) {
-				return nil, false
-			}
-		}
-	}
-	// Bind the target's phis from this edge's operands (post-refinement, so
-	// a refined operand flows its narrowed interval into the phi).
-	for _, ins := range to.Instrs {
-		if ins.Op != llvm.OpPhi {
-			break
-		}
-		if ins.Ty == nil || !ins.Ty.IsInt() {
-			continue
-		}
-		for i, blk := range ins.Blocks {
-			if blk == from && i < len(ins.Args) {
-				env.m[ins] = env.get(ins.Args[i])
-			}
-		}
-	}
-	return env, true
-}
-
-// refineICmp narrows both compare operands under "cmp is taken-true/false".
+// Refine narrows both compare operands under "cmp is taken-true/false".
 // Returns false when a refined interval is empty (edge infeasible).
-func refineICmp(env *ienv, cmp *llvm.Instr, taken bool) bool {
+func (intervalDomain) Refine(env *Env[Interval], cmp *llvm.Instr, taken bool) bool {
 	a, b := cmp.Args[0], cmp.Args[1]
-	ia, ib := env.get(a), env.get(b)
+	ia, ib := env.Get(a), env.Get(b)
 	pred := cmp.Pred
 	if !taken {
 		pred = NegatePred(pred)
@@ -528,12 +400,8 @@ func refineICmp(env *ienv, cmp *llvm.Instr, taken bool) bool {
 	if na.Empty || nb.Empty {
 		return false
 	}
-	if _, isConst := a.(*llvm.ConstInt); !isConst {
-		env.m[a] = na
-	}
-	if _, isConst := b.(*llvm.ConstInt); !isConst {
-		env.m[b] = nb
-	}
+	env.Set(a, na)
+	env.Set(b, nb)
 	return true
 }
 
@@ -582,33 +450,24 @@ func NegatePred(pred string) string {
 
 // IntervalResult exposes one function's solved value ranges.
 type IntervalResult struct {
-	res *Result[*ienv]
+	facts *Facts[Interval]
 }
 
 // Intervals runs the interval analysis over f.
 func Intervals(f *llvm.Function) *IntervalResult {
-	return &IntervalResult{res: Solve[*ienv](f, intervalDomain{})}
+	return &IntervalResult{facts: Solve[Interval](f, intervalDomain{})}
 }
 
 // At returns v's interval at the program point of block b: the block's
 // out-state for values defined in b, the (branch-refined) in-state
 // otherwise. Unreached blocks yield the empty interval.
 func (r *IntervalResult) At(b *llvm.Block, v llvm.Value) Interval {
-	if !r.res.Reached(b) {
-		return Bottom()
+	if iv, ok := r.facts.At(b, v); ok {
+		return iv
 	}
-	env := r.res.In[b]
-	if in, ok := v.(*llvm.Instr); ok && in.Parent == b {
-		env = r.res.Out[b]
-	}
-	if env == nil {
-		return typeTop(v.Type())
-	}
-	return env.get(v)
+	return Bottom()
 }
 
 // Unreachable reports whether b is CFG-reachable yet provably never
 // executed (every incoming edge's branch condition excludes it).
-func (r *IntervalResult) Unreachable(b *llvm.Block) bool {
-	return r.res.CFG.Reachable(b) && !r.res.Reached(b)
-}
+func (r *IntervalResult) Unreachable(b *llvm.Block) bool { return r.facts.Unreachable(b) }

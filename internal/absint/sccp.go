@@ -11,90 +11,35 @@ type constVal struct {
 	val  int64
 }
 
-// cenv maps SSA values to constant-lattice elements.
-type cenv struct {
-	m map[llvm.Value]constVal
-}
-
-func newCEnv() *cenv { return &cenv{m: map[llvm.Value]constVal{}} }
-
-func (e *cenv) clone() *cenv {
-	n := &cenv{m: make(map[llvm.Value]constVal, len(e.m))}
-	for k, v := range e.m {
-		n.m[k] = v
-	}
-	return n
-}
-
-// get evaluates v: exact for integer constants, overdefined for any other
-// untracked value.
-func (e *cenv) get(v llvm.Value) constVal {
-	if c, ok := v.(*llvm.ConstInt); ok {
-		return constVal{val: c.Val}
-	}
-	if cv, ok := e.m[v]; ok {
-		return cv
-	}
-	return constVal{over: true}
-}
-
-// sccpDomain is the sparse-conditional-constant-propagation client: the
-// finite constant lattice rides the same solver, and the solver's edge
+// sccpDomain is the sparse-conditional-constant-propagation lattice: a flat
+// lattice of height 2 per value, so Widen joins. The solver's edge
 // feasibility (constant branch conditions kill edges) provides the
 // "sparse conditional" part. Its chief product here is the unreachable
 // block set; constant results also feed -explain output.
 type sccpDomain struct{}
 
-func (sccpDomain) Entry(f *llvm.Function) *cenv { return newCEnv() }
+func (sccpDomain) Top(*llvm.Type) constVal              { return constVal{over: true} }
+func (sccpDomain) Const(c int64) constVal               { return constVal{val: c} }
+func (sccpDomain) Equal(a, b constVal) bool             { return a == b }
+func (d sccpDomain) Widen(prev, next constVal) constVal { return d.Join(prev, next) }
 
-func (sccpDomain) Join(a, b *cenv) *cenv {
-	out := a.clone()
-	for k, vb := range b.m {
-		va, ok := out.m[k]
-		switch {
-		case !ok:
-			out.m[k] = vb
-		case va.over || vb.over || va.val != vb.val:
-			out.m[k] = constVal{over: true}
-		}
+func (sccpDomain) Join(a, b constVal) constVal {
+	if a.over || b.over || a.val != b.val {
+		return constVal{over: true}
 	}
-	return out
+	return a
 }
 
-// Widen is Join: the lattice is finite (height 2 per value).
-func (d sccpDomain) Widen(_ *llvm.Block, prev, next *cenv) *cenv { return d.Join(prev, next) }
+// Refine learns nothing from a compare: a constant condition already
+// decides its branch.
+func (sccpDomain) Refine(*Env[constVal], *llvm.Instr, bool) bool { return true }
 
-func (sccpDomain) Equal(a, b *cenv) bool {
-	if len(a.m) != len(b.m) {
-		return false
-	}
-	for k, va := range a.m {
-		vb, ok := b.m[k]
-		if !ok || va != vb {
-			return false
-		}
-	}
-	return true
-}
+func (sccpDomain) Decides(cv constVal) (nonzero, ok bool) { return cv.val != 0, !cv.over }
 
-func (sccpDomain) Transfer(b *llvm.Block, in *cenv) *cenv {
-	out := in.clone()
-	for _, ins := range b.Instrs {
-		if ins.Op == llvm.OpPhi {
-			continue // bound per-edge by FlowEdge
-		}
-		if ins.Ty == nil || !ins.Ty.IsInt() {
-			continue
-		}
-		out.m[ins] = foldInstr(out, ins)
-	}
-	return out
-}
-
-// foldInstr constant-folds one integer instruction.
-func foldInstr(env *cenv, in *llvm.Instr) constVal {
+// Transfer constant-folds one integer instruction.
+func (sccpDomain) Transfer(env *Env[constVal], in *llvm.Instr) constVal {
 	arg := func(i int) (int64, bool) {
-		cv := env.get(in.Args[i])
+		cv := env.Get(in.Args[i])
 		return cv.val, !cv.over
 	}
 	bin := func(f func(a, b int64) (int64, bool)) constVal {
@@ -173,7 +118,7 @@ func foldInstr(env *cenv, in *llvm.Instr) constVal {
 	case llvm.OpSExt, llvm.OpZExt, llvm.OpTrunc:
 		// Width changes on the nonnegative small constants these modules
 		// produce are the identity; anything else goes overdefined.
-		cv := env.get(in.Args[0])
+		cv := env.Get(in.Args[0])
 		if cv.over {
 			return cv
 		}
@@ -192,14 +137,14 @@ func foldInstr(env *cenv, in *llvm.Instr) constVal {
 		}
 		return constVal{over: true}
 	case llvm.OpSelect:
-		c := env.get(in.Args[0])
+		c := env.Get(in.Args[0])
 		if !c.over {
 			if c.val != 0 {
-				return env.get(in.Args[1])
+				return env.Get(in.Args[1])
 			}
-			return env.get(in.Args[2])
+			return env.Get(in.Args[2])
 		}
-		t, f := env.get(in.Args[1]), env.get(in.Args[2])
+		t, f := env.Get(in.Args[1]), env.Get(in.Args[2])
 		if !t.over && !f.over && t.val == f.val {
 			return t
 		}
@@ -245,61 +190,27 @@ func foldICmp(a, b int64, pred string) (int64, bool) {
 	return 0, false
 }
 
-// FlowEdge kills edges whose constant branch condition picks the other arm
-// and binds the target's phis per edge.
-func (sccpDomain) FlowEdge(from, to *llvm.Block, out *cenv) (*cenv, bool) {
-	env := out.clone()
-	term := from.Terminator()
-	if term != nil && term.Op == llvm.OpCondBr && len(term.Blocks) == 2 && term.Blocks[0] != term.Blocks[1] {
-		takenTrue := term.Blocks[0] == to
-		if cv := env.get(term.Args[0]); !cv.over && (cv.val != 0) != takenTrue {
-			return nil, false
-		}
-	}
-	for _, ins := range to.Instrs {
-		if ins.Op != llvm.OpPhi {
-			break
-		}
-		if ins.Ty == nil || !ins.Ty.IsInt() {
-			continue
-		}
-		for i, blk := range ins.Blocks {
-			if blk == from && i < len(ins.Args) {
-				env.m[ins] = env.get(ins.Args[i])
-			}
-		}
-	}
-	return env, true
-}
-
 // SCCPResult exposes one function's sparse conditional constant propagation.
 type SCCPResult struct {
-	res *Result[*cenv]
+	facts *Facts[constVal]
 }
 
 // SCCP runs sparse conditional constant propagation over f.
 func SCCP(f *llvm.Function) *SCCPResult {
-	return &SCCPResult{res: Solve[*cenv](f, sccpDomain{})}
+	return &SCCPResult{facts: Solve[constVal](f, sccpDomain{})}
 }
 
 // Unreachable reports whether b is CFG-reachable but provably never
 // executed: every path to it requires a branch to go against its constant
 // condition.
-func (r *SCCPResult) Unreachable(b *llvm.Block) bool {
-	return r.res.CFG.Reachable(b) && !r.res.Reached(b)
-}
+func (r *SCCPResult) Unreachable(b *llvm.Block) bool { return r.facts.Unreachable(b) }
 
 // ConstOf returns the constant value of v at b's exit, when proven.
 func (r *SCCPResult) ConstOf(b *llvm.Block, v llvm.Value) (int64, bool) {
-	if !r.res.Reached(b) {
-		return 0, false
+	if cv, ok := r.facts.At(b, v); ok && !cv.over {
+		return cv.val, true
 	}
-	env := r.res.Out[b]
-	if env == nil {
-		return 0, false
-	}
-	cv := env.get(v)
-	return cv.val, !cv.over
+	return 0, false
 }
 
 // BranchConst returns the proven constant of b's conditional-branch

@@ -5,97 +5,32 @@ import (
 	"repro/internal/llvm"
 )
 
-// kenv maps integer-typed SSA values to known-bits facts. Missing values are
-// implicitly the top of their type (only the sign-extension replication of
-// the type width is known). Environments are treated immutably by the
-// solver: every producing operation clones.
-type kenv struct {
-	m map[llvm.Value]KnownBits
-}
-
-func newKEnv() *kenv { return &kenv{m: map[llvm.Value]KnownBits{}} }
-
-func (e *kenv) clone() *kenv {
-	n := &kenv{m: make(map[llvm.Value]KnownBits, len(e.m))}
-	for k, v := range e.m {
-		n.m[k] = v
-	}
-	return n
-}
-
 // typeTopKB is the baseline fact of an integer type: nothing known inside
 // the width, the sign-extended top replicated (unknown, since the sign is).
 func typeTopKB(ty *llvm.Type) KnownBits {
 	return TopKB().TruncTy(ty)
 }
 
-func (e *kenv) get(v llvm.Value) KnownBits {
-	if c, ok := v.(*llvm.ConstInt); ok {
-		return ConstKB(c.Val)
-	}
-	if kb, ok := e.m[v]; ok {
-		return kb
-	}
-	return typeTopKB(v.Type())
-}
-
-// kbDomain is the known-bits client of the generic solver. The lattice has
-// finite height (known bits only disappear along joins, 128 bits of state),
-// so Widen can simply join.
+// kbDomain is the known-bits lattice. It has finite height (known bits
+// only disappear along joins, 128 bits of state), so Widen joins.
 type kbDomain struct{}
 
-func (kbDomain) Entry(f *llvm.Function) *kenv { return newKEnv() }
+func (kbDomain) Top(ty *llvm.Type) KnownBits          { return typeTopKB(ty) }
+func (kbDomain) Const(c int64) KnownBits              { return ConstKB(c) }
+func (kbDomain) Join(a, b KnownBits) KnownBits        { return a.Join(b) }
+func (kbDomain) Widen(prev, next KnownBits) KnownBits { return prev.Join(next) }
+func (kbDomain) Equal(a, b KnownBits) bool            { return a.Equal(b) }
 
-func (kbDomain) Join(a, b *kenv) *kenv {
-	out := a.clone()
-	for k, vb := range b.m {
-		if va, ok := out.m[k]; ok {
-			out.m[k] = va.Join(vb)
-		} else {
-			// Present on one path only: any dominated use sees exactly that
-			// path's value (SSA), so keeping it loses nothing.
-			out.m[k] = vb
-		}
-	}
-	return out
+func (kbDomain) Decides(k KnownBits) (nonzero, ok bool) {
+	v, ok := k.IsConst()
+	return v != 0, ok
 }
 
-func (d kbDomain) Widen(at *llvm.Block, prev, next *kenv) *kenv {
-	return d.Join(prev, next)
-}
-
-func (kbDomain) Equal(a, b *kenv) bool {
-	if len(a.m) != len(b.m) {
-		return false
-	}
-	for k, va := range a.m {
-		vb, ok := b.m[k]
-		if !ok || !va.Equal(vb) {
-			return false
-		}
-	}
-	return true
-}
-
-func (kbDomain) Transfer(b *llvm.Block, in *kenv) *kenv {
-	out := in.clone()
-	for _, ins := range b.Instrs {
-		if ins.Op == llvm.OpPhi {
-			continue // bound per-edge by FlowEdge; the joined in-state holds it
-		}
-		if ins.Ty == nil || !ins.Ty.IsInt() {
-			continue
-		}
-		out.m[ins] = evalKB(out, ins)
-	}
-	return out
-}
-
-// evalKB computes one integer instruction's known bits under env. Every
+// Transfer computes one integer instruction's known bits under env. Every
 // arithmetic result passes through TruncTy, mirroring the interpreter's
 // truncInt: the fact always describes the sign-extended representation.
-func evalKB(env *kenv, in *llvm.Instr) KnownBits {
-	arg := func(i int) KnownBits { return env.get(in.Args[i]) }
+func (kbDomain) Transfer(env *absint.Env[KnownBits], in *llvm.Instr) KnownBits {
+	arg := func(i int) KnownBits { return env.Get(in.Args[i]) }
 	switch in.Op {
 	case llvm.OpAdd:
 		return arg(0).Add(arg(1)).TruncTy(in.Ty)
@@ -211,44 +146,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// FlowEdge refines the out-state along a conditional branch edge — the
-// masked-compare patterns `(x & C) == K` and the single-bit `!=` forms give
-// bitwise facts the interval domain cannot represent — and binds the target
-// block's phis to this edge's incoming values.
-func (d kbDomain) FlowEdge(from, to *llvm.Block, out *kenv) (*kenv, bool) {
-	env := out.clone()
-	term := from.Terminator()
-	if term != nil && term.Op == llvm.OpCondBr && len(term.Blocks) == 2 && term.Blocks[0] != term.Blocks[1] {
-		takenTrue := term.Blocks[0] == to
-		cond := env.get(term.Args[0])
-		if v, ok := cond.IsConst(); ok && (v != 0) != takenTrue {
-			return nil, false // branch provably goes the other way
-		}
-		if cmp, ok := term.Args[0].(*llvm.Instr); ok && cmp.Op == llvm.OpICmp {
-			if !refineICmpKB(env, cmp, takenTrue) {
-				return nil, false
-			}
-		}
-	}
-	for _, ins := range to.Instrs {
-		if ins.Op != llvm.OpPhi {
-			break
-		}
-		if ins.Ty == nil || !ins.Ty.IsInt() {
-			continue
-		}
-		for i, blk := range ins.Blocks {
-			if blk == from && i < len(ins.Args) {
-				env.m[ins] = env.get(ins.Args[i])
-			}
-		}
-	}
-	return env, true
-}
-
-// refineICmpKB narrows known bits under "cmp is taken-true/false". Returns
-// false when the refinement is contradictory (edge infeasible).
-func refineICmpKB(env *kenv, cmp *llvm.Instr, taken bool) bool {
+// Refine narrows known bits under "cmp is taken-true/false": the
+// masked-compare patterns `(x & C) == K` and the single-bit `!=` forms
+// give bitwise facts the interval domain cannot represent. Returns false
+// when the refinement is contradictory (edge infeasible).
+func (kbDomain) Refine(env *absint.Env[KnownBits], cmp *llvm.Instr, taken bool) bool {
 	pred := cmp.Pred
 	if !taken {
 		pred = absint.NegatePred(pred)
@@ -258,7 +160,7 @@ func refineICmpKB(env *kenv, cmp *llvm.Instr, taken bool) bool {
 	case "eq":
 		// x == y: both sides meet; through `and x, C` the masked bits of x
 		// become known.
-		ka, kb := env.get(a), env.get(b)
+		ka, kb := env.Get(a), env.Get(b)
 		m, ok := ka.Meet(kb)
 		if !ok {
 			return false
@@ -276,10 +178,10 @@ func refineICmpKB(env *kenv, cmp *llvm.Instr, taken bool) bool {
 		// Only the single-possible-bit forms are informative: (x & C) != 0
 		// with C a power of two pins that bit to one; x != C with exactly one
 		// unknown bit pins it to the other value.
-		if c, ok := env.get(b).IsConst(); ok {
+		if c, ok := env.Get(b).IsConst(); ok {
 			return refineNe(env, a, c)
 		}
-		if c, ok := env.get(a).IsConst(); ok {
+		if c, ok := env.Get(a).IsConst(); ok {
 			return refineNe(env, b, c)
 		}
 	}
@@ -289,7 +191,7 @@ func refineICmpKB(env *kenv, cmp *llvm.Instr, taken bool) bool {
 // refineMaskedEq pushes `v == c` through a mask: when v is `and x, C` with C
 // constant, the bits C selects of x must equal the corresponding bits of c
 // (and c must lie inside C, else the edge is infeasible).
-func refineMaskedEq(env *kenv, v llvm.Value, c int64) bool {
+func refineMaskedEq(env *absint.Env[KnownBits], v llvm.Value, c int64) bool {
 	in, ok := v.(*llvm.Instr)
 	if !ok || in.Op != llvm.OpAnd || len(in.Args) != 2 {
 		return true
@@ -304,7 +206,7 @@ func refineMaskedEq(env *kenv, v llvm.Value, c int64) bool {
 			return false // and with C can never produce bits outside C
 		}
 		x := in.Args[1-i]
-		kx := env.get(x)
+		kx := env.Get(x)
 		refined, ok := kx.Meet(KnownBits{Zero: mask &^ uint64(c), One: mask & uint64(c)})
 		if !ok {
 			return false
@@ -317,8 +219,8 @@ func refineMaskedEq(env *kenv, v llvm.Value, c int64) bool {
 // refineNe handles `v != c` for the bit-exact cases: when all but one bit of
 // v is known and the remaining bit's two completions include c, that bit
 // must take the non-c value.
-func refineNe(env *kenv, v llvm.Value, c int64) bool {
-	kv := env.get(v)
+func refineNe(env *absint.Env[KnownBits], v llvm.Value, c int64) bool {
+	kv := env.Get(v)
 	unknown := ^(kv.Zero | kv.One)
 	if unknown == 0 {
 		if got, _ := kv.IsConst(); got == c {
@@ -342,42 +244,33 @@ func refineNe(env *kenv, v llvm.Value, c int64) bool {
 	return setFact(env, v, kv)
 }
 
-// setFact records a refined fact for a non-constant value.
-func setFact(env *kenv, v llvm.Value, kb KnownBits) bool {
+// setFact records a refined fact, or reports false when it is contradictory.
+func setFact(env *absint.Env[KnownBits], v llvm.Value, kb KnownBits) bool {
 	if kb.Zero&kb.One != 0 {
 		return false
 	}
-	if _, isConst := v.(*llvm.ConstInt); !isConst {
-		env.m[v] = kb
-	}
+	env.Set(v, kb)
 	return true
 }
 
 // KnownBitsResult exposes one function's solved known-bits facts.
 type KnownBitsResult struct {
-	res *absint.Result[*kenv]
+	facts *absint.Facts[KnownBits]
 }
 
 // Known runs the known-bits analysis over f.
 func Known(f *llvm.Function) *KnownBitsResult {
-	return &KnownBitsResult{res: absint.Solve[*kenv](f, kbDomain{})}
+	return &KnownBitsResult{facts: absint.Solve[KnownBits](f, kbDomain{})}
 }
 
 // At returns v's fact at the program point of block b: the block's out-state
 // for values defined in b, the (branch-refined) in-state otherwise.
 func (r *KnownBitsResult) At(b *llvm.Block, v llvm.Value) KnownBits {
-	if !r.res.Reached(b) {
-		return typeTopKB(v.Type())
+	if kb, ok := r.facts.At(b, v); ok {
+		return kb
 	}
-	env := r.res.In[b]
-	if in, ok := v.(*llvm.Instr); ok && in.Parent == b {
-		env = r.res.Out[b]
-	}
-	if env == nil {
-		return typeTopKB(v.Type())
-	}
-	return env.get(v)
+	return typeTopKB(v.Type())
 }
 
 // Reached reports whether the analysis found b reachable.
-func (r *KnownBitsResult) Reached(b *llvm.Block) bool { return r.res.Reached(b) }
+func (r *KnownBitsResult) Reached(b *llvm.Block) bool { return r.facts.Reached(b) }

@@ -211,8 +211,7 @@ func TestHWWidthDeadAndNarrow(t *testing.T) {
 		t.Errorf("dead: hw width %d, want 1", w.Bits)
 	}
 
-	ws := OpWidths(f)
-	if ws[wide] != 4 {
-		t.Errorf("OpWidths[wide] = %d, want 4", ws[wide])
+	if w := a.OpWidth(wide); w != 4 {
+		t.Errorf("wide: op width %d, want 4", w)
 	}
 }

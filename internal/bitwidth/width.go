@@ -196,21 +196,6 @@ func (a *Analysis) OpWidth(in *llvm.Instr) int {
 	return a.HWWidth(in).Bits
 }
 
-// OpWidths computes the per-instruction effective widths of every operator
-// in f — the map the inferred cost model consumes.
-func OpWidths(f *llvm.Function) map[*llvm.Instr]int {
-	a := Analyze(f)
-	out := map[*llvm.Instr]int{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == llvm.OpICmp || (in.Ty != nil && in.Ty.IsInt()) {
-				out[in] = a.OpWidth(in)
-			}
-		}
-	}
-	return out
-}
-
 // ValueReport is one value's row of the deterministic width report.
 type ValueReport struct {
 	Name     string `json:"name"`

@@ -118,16 +118,12 @@ func (g *codegen) genFunc(fd *FuncDecl) (*llvm.Function, error) {
 			f.SetAttr("hls.dataflow", "1")
 		case "array_partition":
 			if i := fd.paramIndex(pr.Var); i >= 0 {
-				factor := pr.Factor
-				if factor == "" {
-					factor = "0"
-				}
-				dim := 0
+				p := llvm.Partition{Kind: pr.Partition}
+				p.Factor, _ = strconv.Atoi(pr.Factor)
 				if d, err := strconv.Atoi(pr.Dim); err == nil && d > 0 {
-					dim = d - 1 // pragma dims are 1-based
+					p.Dim = d - 1 // pragma dims are 1-based
 				}
-				f.SetAttr("hls.array_partition.arg"+strconv.Itoa(i),
-					pr.Partition+","+factor+","+strconv.Itoa(dim))
+				f.SetPartition(i, p)
 			}
 		case "interface":
 			if i := fd.paramIndex(pr.Var); i >= 0 {

@@ -444,19 +444,11 @@ func interfaceAnnotate(f *llvm.Function, rep *Report) {
 		p.Attrs = append(p.Attrs, `"hls.interface=`+mode+`"`)
 		count++
 		// Normalize MLIR partition payloads: `["cyclic", 2, 0]` → cyclic,2,0
-		key := fmt.Sprintf("hls.array_partition.arg%d", i)
-		if raw, ok := f.Attrs[key]; ok {
-			f.Attrs[key] = normalizePartition(raw)
+		if part, ok := f.Partition(i); ok {
+			f.SetPartition(i, part)
 			count++
 		}
 	}
 	f.SetAttr("hls.top", "1")
 	rep.add(FixInterface, f.Name, "annotated interface ports", count)
 }
-
-// partitionPunct strips the printed MLIR ArrayAttr punctuation.
-var partitionPunct = strings.NewReplacer("[", "", "]", "", `"`, "", " ", "")
-
-// normalizePartition converts the printed MLIR ArrayAttr payload into the
-// compact form the backend parses.
-func normalizePartition(raw string) string { return partitionPunct.Replace(raw) }

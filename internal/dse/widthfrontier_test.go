@@ -5,49 +5,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/hls"
-	"repro/internal/llvm"
 	"repro/internal/mlir"
 	"repro/internal/polybench"
 )
-
-// TestDeclaredFrontierUnchangedByWidthMachinery pins the explorer-level
-// compatibility contract of the bitwidth engine: under the declared cost
-// model, attaching a width map to the target moves nothing — every evaluated
-// point and the whole Pareto frontier render byte-identically. Only an
-// explicit -cost-model inferred may change areas.
-func TestDeclaredFrontierUnchangedByWidthMachinery(t *testing.T) {
-	k := polybench.Get("gemm")
-	s, err := k.SizeOf("MINI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := engine.Input{Build: func() *mlir.Module { return k.Build(s) }, Top: k.Name}
-
-	plain, err := Explore(in, hls.DefaultTarget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A non-empty width map that can never match a real instruction.
-	carrying, err := Explore(in,
-		hls.DefaultTarget().WithInferredWidths(map[*llvm.Instr]int{{}: 7}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != carrying.String() {
-		t.Errorf("declared-model frontier changed by an attached width map:\n--- plain\n%s\n--- carrying\n%s",
-			plain, carrying)
-	}
-	if len(plain.Points) != len(carrying.Points) {
-		t.Fatalf("point count diverged: %d vs %d", len(plain.Points), len(carrying.Points))
-	}
-	for i := range plain.Points {
-		p, q := plain.Points[i], carrying.Points[i]
-		if p.Label != q.Label || p.Latency() != q.Latency() || p.Area != q.Area {
-			t.Errorf("point %d diverged: %s lat=%d area=%g vs %s lat=%d area=%g",
-				i, p.Label, p.Latency(), p.Area, q.Label, q.Latency(), q.Area)
-		}
-	}
-}
 
 // TestInferredModelExploresCleanly runs the same sweep under the inferred
 // cost model: every configuration must still evaluate (the width analysis

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 )
 
 // Key derives the content-addressed cache key for a job: a stable hash of
@@ -22,38 +21,13 @@ func Key(job Job) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cache is the concurrent result store. Entries hold completed JobResults
-// (reports, violations, final LLVM module) and are shared between hits, so
-// consumers must treat cached payloads as read-only.
-type cache struct {
-	mu sync.RWMutex
-	m  map[string]JobResult
-}
-
-func newCache() *cache {
-	return &cache{m: make(map[string]JobResult)}
-}
-
-func (c *cache) get(key string) (JobResult, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.m[key]
-	return r, ok
-}
-
-func (c *cache) put(key string, r JobResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Two workers can race on the same key (both missed before either
-	// finished); first write wins so repeated hits stay identical.
-	if _, dup := c.m[key]; !dup {
-		c.m[key] = r
-	}
-}
-
-// Len returns the number of distinct cached results.
-func (c *cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
+// cacheEntries bounds the whole-flow cache (Options.Cache), an incr.Cache:
+// adding to a full cache drops an arbitrary result. The keys have no bound
+// of their own (a float clock, free MLIR text), so without one a
+// long-lived hls-serve would keep every result it computed. The bound is
+// over four times the 612 distinct points (18 kernels × 2 flows × 17
+// dse.Space() configurations) that the largest in-repo caller, perfbench's
+// hls-serve session, sends through one engine; a full flowbench run sends
+// 122. A polybench result at SMALL holds 12–33 KB (20 KB on average), so a
+// full cache holds about 50–85 MB.
+const cacheEntries = 2560

@@ -181,7 +181,8 @@ type JobResult struct {
 type Options struct {
 	// Workers bounds the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Cache enables the content-addressed result cache.
+	// Cache enables the content-addressed result cache, which holds at
+	// most cacheEntries results.
 	Cache bool
 	// ContinueOnError is the default batch policy: record per-job errors
 	// and keep going instead of cancelling the batch on first failure.
@@ -339,8 +340,13 @@ func (s Stats) String() string {
 // Engine is a reusable evaluator; its cache and stats persist across Run
 // calls, so batches issued through one engine share results.
 type Engine struct {
-	opts  Options
-	cache *cache
+	opts Options
+	// cache holds completed results (reports, violations, final LLVM
+	// module) shared between hits, so consumers must treat a cached payload
+	// as read-only. Two workers can race on one key (both missed before
+	// either finished); the first result added wins, so repeated hits stay
+	// identical.
+	cache *incr.Cache[JobResult]
 
 	mu    sync.Mutex
 	stats Stats
@@ -351,7 +357,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	e := &Engine{opts: opts}
 	if opts.Cache {
-		e.cache = newCache()
+		e.cache = incr.NewCache[JobResult](cacheEntries)
 	}
 	return e
 }
@@ -513,7 +519,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, batch uint64) JobResult 
 		key = Key(job)
 	}
 	if e.cache != nil {
-		if hit, ok := e.cache.get(key); ok {
+		if hit, ok := e.cache.Get(key); ok {
 			r := hit
 			r.Label = job.Label
 			r.CacheHit = true
@@ -527,7 +533,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, batch uint64) JobResult 
 	if useStore {
 		if r, ok := e.loadStored(key, job); ok {
 			if e.cache != nil {
-				e.cache.put(key, r)
+				e.cache.Add(key, r)
 			}
 			return r
 		}
@@ -540,7 +546,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, batch uint64) JobResult 
 			r.CacheHit = false
 			r.DiskHit = false
 			if e.cache != nil && r.Err == nil && !r.Degraded {
-				e.cache.put(key, r)
+				e.cache.Add(key, r)
 			}
 			return r
 		}
@@ -548,7 +554,7 @@ func (e *Engine) runOne(job Job, timeout time.Duration, batch uint64) JobResult 
 	res := e.execute(job, timeout, batch)
 	if res.Err == nil && !res.Degraded {
 		if e.cache != nil {
-			e.cache.put(key, res)
+			e.cache.Add(key, res)
 		}
 		if useStore && storable(res) {
 			e.saveStored(key, res)

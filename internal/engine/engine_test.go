@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -257,5 +258,67 @@ func TestExternalCancellation(t *testing.T) {
 	_, err := New(Options{}).Run(ctx, testBatch(t))
 	if err != context.Canceled {
 		t.Errorf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestCacheStaysBounded sends more distinct points (target clocks) through
+// one caching engine than the cache holds: it keeps at most cacheEntries
+// results, and a point added after the overflow still hits with a result
+// byte-identical to its miss.
+func TestCacheStaysBounded(t *testing.T) {
+	in, err := RemoteSpec{Top: "axpy", MLIR: `module {
+  func.func @axpy(%arg0: memref<16xf32>, %arg1: memref<16xf32>) {
+    affine.for %1 = 0 to 16 step 1 {
+      %2 = affine.load %arg0[%1] : memref<16xf32>
+      %3 = affine.load %arg1[%1] : memref<16xf32>
+      %4 = arith.addf %2, %3 : f32
+      affine.store %4, %arg1[%1] : memref<16xf32>
+    }
+    func.return
+  }
+}`}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func(i int) Job {
+		tgt := hls.DefaultTarget()
+		tgt.ClockNs = 10 + float64(i)/1024
+		return in.Job(KindAdaptor, flow.Directives{}, tgt)
+	}
+	jobs := make([]Job, cacheEntries+64)
+	for i := range jobs {
+		jobs[i] = point(i)
+	}
+	e := New(Options{Workers: 2, Cache: true})
+	if _, err := e.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.cache.Len(); n != cacheEntries {
+		t.Fatalf("cache holds %d results after %d distinct points, want its bound %d", n, len(jobs), cacheEntries)
+	}
+	last := []Job{point(len(jobs))}
+	miss, err := e.Run(context.Background(), last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := e.Run(context.Background(), last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss[0].CacheHit || !hit[0].CacheHit {
+		t.Fatalf("want a miss then a hit, got hit=%t then hit=%t", miss[0].CacheHit, hit[0].CacheHit)
+	}
+	render := func(r JobResult) string {
+		js, err := json.Marshal(r.Res.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js) + "\n" + r.Res.Report.String() + "\n" + r.Res.LLVM.Print()
+	}
+	if render(miss[0]) != render(hit[0]) {
+		t.Errorf("hit differs from its miss:\n%s\nvs\n%s", render(miss[0]), render(hit[0]))
+	}
+	if n := e.cache.Len(); n > cacheEntries {
+		t.Errorf("cache holds %d results, bound %d", n, cacheEntries)
 	}
 }

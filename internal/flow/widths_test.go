@@ -235,35 +235,3 @@ func TestInferredModelSemanticsUnchanged(t *testing.T) {
 		})
 	}
 }
-
-// TestDeclaredModelReportUnchangedByWidths pins the compatibility contract:
-// under the declared cost model the width machinery is inert — a target
-// carrying a (bogus) width map produces byte-identical synthesis reports and
-// the same cache key as a pristine one, on every kernel.
-func TestDeclaredModelReportUnchangedByWidths(t *testing.T) {
-	plain := hls.DefaultTarget()
-	// A non-empty width map that can never match a real instruction.
-	carrying := plain.WithInferredWidths(map[*llvm.Instr]int{{}: 7})
-	if plain.Canon() != carrying.Canon() {
-		t.Fatalf("declared-model cache key changed by a width map: %q vs %q",
-			plain.Canon(), carrying.Canon())
-	}
-	for _, k := range polybench.All() {
-		s, err := k.SizeOf("MINI")
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := AdaptorFlow(k.Build(s), k.Name, Directives{Pipeline: true, II: 1}, plain)
-		if err != nil {
-			t.Fatalf("%s plain: %v", k.Name, err)
-		}
-		b, err := AdaptorFlow(k.Build(s), k.Name, Directives{Pipeline: true, II: 1}, carrying)
-		if err != nil {
-			t.Fatalf("%s carrying: %v", k.Name, err)
-		}
-		if a.Report.String() != b.Report.String() {
-			t.Errorf("%s: declared-model report changed by an attached width map:\n--- plain\n%s\n--- carrying\n%s",
-				k.Name, a.Report.String(), b.Report.String())
-		}
-	}
-}

@@ -2,8 +2,6 @@ package hls
 
 import (
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/llvm"
 )
@@ -132,15 +130,4 @@ func BaseOf(v llvm.Value) llvm.Value { return baseOf(v) }
 // given loop header, i.e. whether v varies across that loop's iterations.
 func DependsOnLoopPhi(v llvm.Value, header *llvm.Block) bool {
 	return dependsOnHeaderPhi(v, header, map[llvm.Value]bool{})
-}
-
-// ParsePartitionSpec decodes an array-partition attribute value of the form
-// "kind,factor,dim" (e.g. "cyclic,2,0"; factor and dim optional) as attached
-// by the adaptor under hls.array_partition.argN keys.
-func ParsePartitionSpec(spec string) (kind string, factor, dim int) {
-	kind, factor = parsePartition(spec)
-	if parts := strings.Split(spec, ","); len(parts) > 2 {
-		dim, _ = strconv.Atoi(parts[2])
-	}
-	return kind, factor, dim
 }

@@ -41,12 +41,8 @@ type Target struct {
 
 	// CostModel selects how operator widths are chosen: CostDeclared (the
 	// zero value) takes them from declared types, CostInferred from the
-	// bitwidth analysis (see ResolveWidths).
+	// bitwidth analysis synthesis runs (see CostAt).
 	CostModel CostModel
-
-	// widths holds per-instruction inferred operator widths, consulted only
-	// under CostInferred (set by ResolveWidths / WithInferredWidths).
-	widths map[*llvm.Instr]int
 }
 
 // CostModel names a width source for the operator cost model.
@@ -78,14 +74,15 @@ func DefaultTarget() Target {
 	return Target{ClockNs: 10, BRAMBits: 18 * 1024, MemPorts: 2, MemReadLatency: 2}
 }
 
-// CostOf returns the operator cost for an instruction under the target.
-func (t Target) CostOf(in *llvm.Instr) OpCost { return t.costOf(in, false) }
+// CostOf returns the operator cost for an instruction under the target, at
+// its declared width.
+func (t Target) CostOf(in *llvm.Instr) OpCost { return t.costOf(in, false, 0) }
 
-// costOf is CostOf for an instruction the synthesizer may have classified as
-// address-only (see addrOnly): the address generation units absorb it.
-func (t Target) costOf(in *llvm.Instr, addrOnly bool) OpCost {
+// costOf is CostAt for an instruction the synthesizer may have classified
+// as address-only (see addrOnly): the address generation units absorb it.
+func (t Target) costOf(in *llvm.Instr, addrOnly bool, width int) OpCost {
 	if t.CostModel == CostInferred {
-		if c, ok := t.inferredCostOf(in, addrOnly); ok {
+		if c, ok := t.inferredCostOf(in, addrOnly, width); ok {
 			return c
 		}
 	}

@@ -3,11 +3,11 @@ package hls
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/absint"
+	"repro/internal/bitwidth"
 	"repro/internal/deptest"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
@@ -129,7 +129,7 @@ type synth struct {
 	*synthTables
 	// part holds each parameter's partition directive; ports is each base's
 	// effective port count.
-	part  []partition
+	part  []llvm.Partition
 	ports []int
 
 	// Per loop, numbered in li.Loops order.
@@ -232,12 +232,6 @@ func (s *synth) release() {
 	synthScratch.Put(t)
 }
 
-// partition is a parameter's parsed hls.array_partition.argN directive.
-type partition struct {
-	kind   string
-	factor int
-}
-
 // areaKey groups operators that share one datapath unit kind: calls by
 // callee, everything else by opcode and double precision.
 type areaKey struct {
@@ -247,7 +241,7 @@ type areaKey struct {
 }
 
 func newSynth(f *llvm.Function, tgt Target) *synth {
-	s := &synth{tgt: tgt.ResolveWidths(f), f: f}
+	s := &synth{tgt: tgt, f: f}
 	s.cfg = analysis.NewCFG(f)
 	s.li = analysis.FindLoops(s.cfg, analysis.NewDomTree(s.cfg))
 
@@ -278,11 +272,9 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 	}
 	s.argOff[n] = int32(len(s.args))
 
-	s.part = make([]partition, len(f.Params))
+	s.part = make([]llvm.Partition, len(f.Params))
 	for i := range f.Params {
-		if spec := f.Attrs["hls.array_partition.arg"+strconv.Itoa(i)]; spec != "" {
-			s.part[i].kind, s.part[i].factor = parsePartition(spec)
-		}
+		s.part[i], _ = f.Partition(i)
 	}
 	s.price()
 
@@ -303,7 +295,8 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 }
 
 // price fills the per-instruction cost, base and area-key tables and the
-// per-base port counts.
+// per-base port counts. Under the inferred cost model it runs the bitwidth
+// analysis once and prices each operator at the width it proves.
 func (s *synth) price() {
 	addrOnly := s.addrOnly()
 	bases := map[llvm.Value]int32{}
@@ -317,15 +310,23 @@ func (s *synth) price() {
 		ports := s.tgt.MemPorts
 		for i, p := range s.f.Params {
 			if v == llvm.Value(p) {
-				ports = s.tgt.PartitionPorts(s.part[i].kind, s.part[i].factor)
+				ports = s.tgt.PartitionPorts(s.part[i].Kind, s.part[i].Factor)
 			}
 		}
 		s.ports = append(s.ports, ports)
 		return b
 	}
+	var widths *bitwidth.Analysis
+	if s.tgt.CostModel == CostInferred {
+		widths = bitwidth.Analyze(s.f)
+	}
 	areaKeys := map[areaKey]int32{}
 	for i, in := range s.instrs {
-		c := s.tgt.costOf(in, addrOnly[i])
+		w := 0
+		if widths != nil && narrowable(in) {
+			w = widths.OpWidth(in)
+		}
+		c := s.tgt.costOf(in, addrOnly[i], w)
 		s.cost[i] = c
 		switch in.Op {
 		case llvm.OpLoad:
@@ -867,12 +868,12 @@ func (s *synth) addSharedArea(body []int32) {
 func (s *synth) estimateMemories(rep *Report) {
 	addArray := func(argIdx int, ty *llvm.Type) {
 		bits := ty.SizeBytes() * 8
-		var p partition
+		var p llvm.Partition
 		if argIdx >= 0 {
 			p = s.part[argIdx]
 		}
-		factor := p.factor
-		switch p.kind {
+		factor := p.Factor
+		switch p.Kind {
 		case "complete":
 			// Fully partitioned into registers.
 			rep.FF += int(bits)
@@ -912,20 +913,6 @@ func (s *synth) estimateControl(rep *Report) {
 	rep.FF += 80 * len(s.f.Blocks)
 	rep.LUT += 100 * len(s.li.Loops)
 	rep.FF += 64 * len(s.li.Loops)
-}
-
-// parsePartition decodes "cyclic,2,0" into kind and factor.
-func parsePartition(s string) (string, int) {
-	if s == "" {
-		return "", 0
-	}
-	parts := strings.Split(s, ",")
-	kind := parts[0]
-	factor := 0
-	if len(parts) > 1 {
-		factor, _ = strconv.Atoi(parts[1])
-	}
-	return kind, factor
 }
 
 func maxInt64(a, b int64) int64 {

@@ -1,48 +1,42 @@
 package hls
 
 import (
-	"repro/internal/bitwidth"
 	"repro/internal/llvm"
 )
 
 // Width-exact operator costing: under Target.CostModel == CostInferred the
 // integer datapath is priced at the widths the bitwidth analysis proves
-// sufficient instead of the declared type widths. The formulas are tuned so
-// that an operator at its full declared width (32-bit ops, i1 compares)
-// prices exactly as the declared model does — the inferred model only ever
-// moves costs by narrowing.
+// sufficient (bitwidth.Analysis.OpWidth, which synthesis writes into its
+// per-instruction cost table) instead of the declared type widths. The
+// formulas are tuned so that an operator at its full declared width (32-bit
+// ops, i1 compares) prices exactly as the declared model does — the
+// inferred model only ever moves costs by narrowing.
 
-// WithInferredWidths returns a copy of the target carrying an explicit
-// per-instruction width map (as produced by bitwidth.OpWidths).
-func (t Target) WithInferredWidths(w map[*llvm.Instr]int) Target {
-	t.widths = w
-	return t
+// CostAt returns the operator cost of in built width bits wide, as the
+// inferred cost model prices the width bitwidth.Analysis.OpWidth proves; a
+// nonpositive width is the declared one. The declared model, and the
+// inferred model for an operator it does not narrow, ignore width.
+func (t Target) CostAt(in *llvm.Instr, width int) OpCost { return t.costOf(in, false, width) }
+
+// narrowable reports whether the inferred model prices in by width: the
+// integer ops the width analysis can narrow.
+func narrowable(in *llvm.Instr) bool {
+	switch in.Op {
+	case llvm.OpAdd, llvm.OpSub, llvm.OpMul,
+		llvm.OpAnd, llvm.OpOr, llvm.OpXor,
+		llvm.OpShl, llvm.OpLShr, llvm.OpAShr,
+		llvm.OpICmp, llvm.OpSelect:
+		return in.Ty == nil || in.Ty.IsInt() // float selects keep declared pricing
+	}
+	return false
 }
 
-// ResolveWidths runs the bitwidth analysis over f and attaches the inferred
-// operator widths to the target. A no-op under the declared model, so
-// callers can invoke it unconditionally.
-func (t Target) ResolveWidths(f *llvm.Function) Target {
-	if t.CostModel != CostInferred {
-		return t
-	}
-	merged := map[*llvm.Instr]int{}
-	for k, v := range t.widths {
-		merged[k] = v
-	}
-	for k, v := range bitwidth.OpWidths(f) {
-		merged[k] = v
-	}
-	t.widths = merged
-	return t
-}
-
-// opWidth returns the effective width of in: the inferred width when one was
-// resolved, else the declared width (operand width for comparisons — the
+// opWidth returns the width in's operator is built at: width when
+// positive, else the declared width (operand width for comparisons — the
 // comparator's size, not its i1 result).
-func (t Target) opWidth(in *llvm.Instr) int {
-	if w, ok := t.widths[in]; ok && w > 0 {
-		return w
+func opWidth(in *llvm.Instr, width int) int {
+	if width > 0 {
+		return width
 	}
 	if in.Op == llvm.OpICmp && len(in.Args) > 0 {
 		return intWidthLUT(in.Args[0].Type())
@@ -50,21 +44,13 @@ func (t Target) opWidth(in *llvm.Instr) int {
 	return intWidthLUT(in.Ty)
 }
 
-// inferredCostOf prices the integer ops the width analysis can narrow;
-// ok=false defers every other opcode to the declared model.
-func (t Target) inferredCostOf(in *llvm.Instr, addrOnly bool) (OpCost, bool) {
-	switch in.Op {
-	case llvm.OpAdd, llvm.OpSub, llvm.OpMul,
-		llvm.OpAnd, llvm.OpOr, llvm.OpXor,
-		llvm.OpShl, llvm.OpLShr, llvm.OpAShr,
-		llvm.OpICmp, llvm.OpSelect:
-	default:
+// inferredCostOf prices the narrowable integer ops at width; ok=false
+// defers every other opcode to the declared model.
+func (t Target) inferredCostOf(in *llvm.Instr, addrOnly bool, width int) (OpCost, bool) {
+	if !narrowable(in) {
 		return OpCost{}, false
 	}
-	if in.Ty != nil && !in.Ty.IsInt() {
-		return OpCost{}, false // float selects etc. keep declared pricing
-	}
-	w := lutWidth(t.opWidth(in))
+	w := lutWidth(opWidth(in, width))
 	if addrOnly {
 		// Folded into address generation: LUT-only, but still width-priced.
 		return OpCost{Latency: 0, Delay: 1.8, LUT: w}, true

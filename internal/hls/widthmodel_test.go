@@ -71,30 +71,32 @@ func TestInferredCostCoincidesAtDeclaredWidth(t *testing.T) {
 	}
 }
 
-// TestInferredCostNarrows: an explicit width map shrinks LUT/DSP/delay, and
-// the declared model ignores it entirely.
+// TestInferredCostNarrows: an explicit operator width shrinks LUT/DSP/delay
+// under the inferred model, and the declared model ignores it entirely.
 func TestInferredCostNarrows(t *testing.T) {
 	i32 := llvm.I32()
 	x := llvm.CI(i32, 1)
 	add := &llvm.Instr{Op: llvm.OpAdd, Ty: i32, Args: []llvm.Value{x, x}}
 	mul := &llvm.Instr{Op: llvm.OpMul, Ty: i32, Args: []llvm.Value{x, x}}
-	widths := map[*llvm.Instr]int{add: 8, mul: 9}
 
-	decl := DefaultTarget().WithInferredWidths(widths)
-	if got := decl.CostOf(add); got.LUT != 32 {
-		t.Errorf("declared model consulted the width map: add LUT %d, want 32", got.LUT)
+	decl := DefaultTarget()
+	if got := decl.CostAt(add, 8); got != decl.CostOf(add) {
+		t.Errorf("declared model priced a width: add %+v, want %+v", got, decl.CostOf(add))
 	}
 
-	inf := DefaultTarget().WithInferredWidths(widths)
+	inf := DefaultTarget()
 	inf.CostModel = CostInferred
-	addC := inf.CostOf(add)
+	addC := inf.CostAt(add, 8)
 	if addC.LUT != 8 {
 		t.Errorf("narrowed add LUT = %d, want 8", addC.LUT)
 	}
 	if full := DefaultTarget().CostOf(add); addC.Delay >= full.Delay {
 		t.Errorf("narrowed add delay %.3f not below full-width %.3f", addC.Delay, full.Delay)
 	}
-	mulC := inf.CostOf(mul)
+	if got := inf.CostAt(add, 0); got != inf.CostOf(add) {
+		t.Errorf("width 0 must price the declared width: %+v, want %+v", got, inf.CostOf(add))
+	}
+	mulC := inf.CostAt(mul, 9)
 	if mulC.DSP != 0 {
 		t.Errorf("10-bit-tier mul DSP = %d, want 0 (LUT fabric)", mulC.DSP)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/diag"
-	"repro/internal/hls"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 )
@@ -100,11 +99,11 @@ func lintPartitions(ctx *FuncContext) diag.Diagnostics {
 	var out diag.Diagnostics
 	const check = "hls-directives"
 	for i := range ctx.F.Params {
-		spec := ctx.F.Attrs[fmt.Sprintf("hls.array_partition.arg%d", i)]
-		if spec == "" {
+		p, ok := ctx.F.Partition(i)
+		if !ok {
 			continue
 		}
-		kind, factor, dim := hls.ParsePartitionSpec(spec)
+		kind, factor, dim := p.Kind, p.Factor, p.Dim
 		name := fmt.Sprintf("arg%d", i)
 		switch kind {
 		case "complete":

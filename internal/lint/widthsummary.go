@@ -52,10 +52,9 @@ func WidthSummary(m *llvm.Module, tgt hls.Target) []FuncWidths {
 		}
 		a := bitwidth.Analyze(f)
 		fw := FuncWidths{Func: f.Name, Values: a.Report()}
-		inf := inferred.ResolveWidths(f)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				dc, ic := declared.CostOf(in), inf.CostOf(in)
+				dc, ic := declared.CostOf(in), inferred.CostAt(in, a.OpWidth(in))
 				fw.Declared.LUT += dc.LUT
 				fw.Declared.FF += dc.FF
 				fw.Declared.DSP += dc.DSP

@@ -56,20 +56,8 @@ func (b *Builder) Mul(l, r Value) *Instr { return b.Binary(OpMul, l, r) }
 // SDiv emits sdiv.
 func (b *Builder) SDiv(l, r Value) *Instr { return b.Binary(OpSDiv, l, r) }
 
-// SRem emits srem.
-func (b *Builder) SRem(l, r Value) *Instr { return b.Binary(OpSRem, l, r) }
-
 // FAdd emits fadd.
 func (b *Builder) FAdd(l, r Value) *Instr { return b.Binary(OpFAdd, l, r) }
-
-// FSub emits fsub.
-func (b *Builder) FSub(l, r Value) *Instr { return b.Binary(OpFSub, l, r) }
-
-// FMul emits fmul.
-func (b *Builder) FMul(l, r Value) *Instr { return b.Binary(OpFMul, l, r) }
-
-// FDiv emits fdiv.
-func (b *Builder) FDiv(l, r Value) *Instr { return b.Binary(OpFDiv, l, r) }
 
 // FNeg emits fneg.
 func (b *Builder) FNeg(v Value) *Instr {
@@ -173,14 +161,4 @@ func (b *Builder) Ret(v Value) *Instr {
 // Call emits a call to the named function.
 func (b *Builder) Call(callee string, ret *Type, args ...Value) *Instr {
 	return b.emit(&Instr{Op: OpCall, Ty: ret, Callee: callee, Args: args})
-}
-
-// ExtractValue emits extractvalue.
-func (b *Builder) ExtractValue(agg Value, resTy *Type, idxs ...int) *Instr {
-	return b.emit(&Instr{Op: OpExtractValue, Ty: resTy, Args: []Value{agg}, Indices: idxs})
-}
-
-// InsertValue emits insertvalue.
-func (b *Builder) InsertValue(agg, v Value, idxs ...int) *Instr {
-	return b.emit(&Instr{Op: OpInsertValue, Ty: agg.Type(), Args: []Value{agg, v}, Indices: idxs})
 }

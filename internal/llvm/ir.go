@@ -2,6 +2,7 @@ package llvm
 
 import (
 	"strconv"
+	"strings"
 )
 
 // Value is an SSA value or constant.
@@ -343,6 +344,44 @@ func (f *Function) SetAttr(k, v string) {
 		f.Attrs = map[string]string{}
 	}
 	f.Attrs[k] = v
+}
+
+// Partition is a parameter's array-partition directive, carried as the
+// function attribute hls.array_partition.argN with the value
+// "kind,factor,dim" (e.g. "cyclic,2,0").
+type Partition struct {
+	// Kind is "cyclic", "block" or "complete".
+	Kind string
+	// Factor is the bank count (0 when absent); Dim is the 0-based
+	// dimension partitioned.
+	Factor, Dim int
+}
+
+func partitionKey(i int) string { return "hls.array_partition.arg" + strconv.Itoa(i) }
+
+// SetPartition records parameter i's array-partition directive.
+func (f *Function) SetPartition(i int, p Partition) {
+	f.SetAttr(partitionKey(i), p.Kind+","+strconv.Itoa(p.Factor)+","+strconv.Itoa(p.Dim))
+}
+
+// Partition returns parameter i's array-partition directive; ok=false
+// when it has none. It also reads the printed MLIR array the adaptor
+// translates the value from (["cyclic", 2, 0]). A missing or malformed
+// factor or dim reads as 0.
+func (f *Function) Partition(i int) (p Partition, ok bool) {
+	spec := f.Attrs[partitionKey(i)]
+	if spec == "" {
+		return p, false
+	}
+	field := func() string {
+		var v string
+		v, spec, _ = strings.Cut(spec, ",")
+		return strings.Trim(v, `[]" `)
+	}
+	p.Kind = field()
+	p.Factor, _ = strconv.Atoi(field())
+	p.Dim, _ = strconv.Atoi(field())
+	return p, true
 }
 
 // Module is a translation unit.

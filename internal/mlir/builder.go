@@ -239,18 +239,6 @@ func (b *Builder) Call(callee string, resultTypes []*Type, args ...*Value) *Op {
 	return op
 }
 
-// SCFFor creates scf.for %iv = lo to hi step st (no iter args).
-func (b *Builder) SCFFor(lo, hi, st *Value, body func(*Builder, *Value)) *Op {
-	op := b.Create(OpSCFFor, []*Value{lo, hi, st}, nil)
-	r := op.AddRegion()
-	blk := NewBlock(Index())
-	r.AddBlock(blk)
-	inner := NewBuilder(blk)
-	body(inner, blk.Args[0])
-	inner.Create(OpSCFYield, nil, nil)
-	return op
-}
-
 // SCFIf creates scf.if with then/else regions (no results).
 func (b *Builder) SCFIf(cond *Value, then func(*Builder), els func(*Builder)) *Op {
 	op := b.Create(OpSCFIf, []*Value{cond}, nil)

@@ -64,6 +64,8 @@ var mlirFuzzSeeds = []string{
 	"module {\n  func.func @f(%arg0: index) {\n    %0 = affine.apply affine_map<(d0) -> (d0 floordiv 0)>(%arg0)\n    func.return\n  }\n}\n",
 	"module {\n  func.func @f() {\n" + strings.Repeat("affine.for %i = 0 to 2 {\n", 300) + strings.Repeat("}\n", 300) + "func.return\n}\n}\n",
 	"module {\n  func.func @f(",
+	"module {\n  func.func @f(%arg0: memref<-5xf32>) {\n    func.return\n  }\n}\n",
+	"module {\n  func.func @f(%arg0: memref<4x-1xf32>) {\n    func.return\n  }\n}\n",
 }
 
 // FuzzMLIRParse drives Parse with arbitrary input, which must parse or fail

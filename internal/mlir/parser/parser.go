@@ -189,6 +189,10 @@ func (p *parser) parseType() (*mlir.Type, error) {
 		if err != nil {
 			return nil, p.errf("bad memref dim %q", d)
 		}
+		if n < 0 {
+			// -1 would otherwise read back as mlir.DynamicDim ("?").
+			return nil, errAt(t, "negative dimension %d in memref<%s>", n, sb.String())
+		}
 		shape = append(shape, n)
 	}
 	return mlir.MemRef(shape, elem), nil

@@ -328,6 +328,16 @@ func TestParseErrors(t *testing.T) {
 			`parse error at line 1 col 30 (near "memref"): unsupported memref<4x` + ty +
 				`> (elements are i32, i64, f32, f64)`})
 	}
+	// A negative extent is refused where it is spelled; -1 used to read
+	// back as a dynamic dimension.
+	for _, c := range []struct{ dims, neg string }{
+		{"-5", "-5"}, {"-1", "-1"}, {"4x-1", "-1"}, {"-9223372036854775808x2", "-9223372036854775808"},
+	} {
+		cases = append(cases, struct{ name, src, want string }{"memref dims " + c.dims,
+			`module { func.func @x(%arg0: memref<` + c.dims + `xf32>) { func.return } }`,
+			`parse error at line 1 col 30 (near "memref"): negative dimension ` + c.neg +
+				` in memref<` + c.dims + `xf32>`})
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse(c.src)

@@ -25,8 +25,6 @@ import (
 // is append-only, so everything from the first bad line on is
 // untrustworthy and is truncated away before appending resumes.
 type Journal struct {
-	path string
-
 	mu      sync.Mutex
 	f       *os.File
 	entries map[string]json.RawMessage
@@ -53,7 +51,7 @@ func lineSum(key string, data []byte) string {
 // OpenJournal opens (or creates) the journal at path, loading every intact
 // entry. A later duplicate key overwrites an earlier one.
 func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{path: path, entries: make(map[string]json.RawMessage)}
+	j := &Journal{entries: make(map[string]json.RawMessage)}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -171,9 +169,6 @@ func (j *Journal) Len() int {
 	defer j.mu.Unlock()
 	return len(j.entries)
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close releases the underlying file. Entries stay readable.
 func (j *Journal) Close() error {

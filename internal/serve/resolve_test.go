@@ -64,6 +64,12 @@ func TestResolveErrors(t *testing.T) {
 			`mlir: parse error at line 2 col 23 (near "memref"): unsupported memref<4xi8> (elements are i32, i64, f32, f64)`},
 		{"i1 memref", "", "", typeSrc("memref<4x4xi1>"), "f",
 			`mlir: parse error at line 2 col 23 (near "memref"): unsupported memref<4x4xi1> (elements are i32, i64, f32, f64)`},
+		// A negative extent is a parse error too: -1 used to read back as
+		// a dynamic dimension, -5 reached the conformance gate (422).
+		{"negative memref dim", "", "", typeSrc("memref<-5xf32>"), "f",
+			`mlir: parse error at line 2 col 23 (near "memref"): negative dimension -5 in memref<-5xf32>`},
+		{"minus-one memref dim", "", "", typeSrc("memref<4x-1xf32>"), "f",
+			`mlir: parse error at line 2 col 23 (near "memref"): negative dimension -1 in memref<4x-1xf32>`},
 	}
 	for _, tc := range cases {
 		for _, ep := range []struct {
