@@ -88,7 +88,7 @@ func TestBitOpTransfersEndToEnd(t *testing.T) {
 	b.SetBlock(exit)
 	b.Ret(nil)
 
-	iv := Intervals(f)
+	iv := Intervals(loopsOf(f))
 	want := map[*llvm.Instr]Interval{
 		masked:  Range(0, 96),
 		halved:  Range(0, 48),

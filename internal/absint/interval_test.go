@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
 
 func TestIntervalAlgebra(t *testing.T) {
@@ -41,6 +42,12 @@ func TestIntervalAlgebra(t *testing.T) {
 	if s := (Interval{Lo: negInf, Hi: 4}).String(); s != "[-inf, 4]" {
 		t.Errorf("String: %q", s)
 	}
+}
+
+// loopsOf builds f's CFG and loop nest, what the solves are handed.
+func loopsOf(f *llvm.Function) *analysis.LoopInfo {
+	cfg := analysis.NewCFG(f)
+	return analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
 }
 
 // buildCountedLoop constructs the canonical loop shape both flows emit:
@@ -84,7 +91,7 @@ func buildCountedLoop(t *testing.T, pred string, start, step, bound int64) (*llv
 
 func TestIntervalsCountedLoop(t *testing.T) {
 	f, _, body := buildCountedLoop(t, "slt", 0, 1, 64)
-	r := Intervals(f)
+	r := Intervals(loopsOf(f))
 	iv := f.FindBlock("header").Instrs[0]
 	if got := r.At(body, iv); !got.Equal(Range(0, 63)) {
 		t.Errorf("iv in body: got %s, want [0, 63]", got)
@@ -97,7 +104,7 @@ func TestIntervalsCountedLoop(t *testing.T) {
 
 func TestIntervalsDecrementingLoop(t *testing.T) {
 	f, _, body := buildCountedLoop(t, "sgt", 63, -1, -1)
-	r := Intervals(f)
+	r := Intervals(loopsOf(f))
 	iv := f.FindBlock("header").Instrs[0]
 	if got := r.At(body, iv); !got.Equal(Range(0, 63)) {
 		t.Errorf("iv in body: got %s, want [0, 63]", got)
@@ -106,7 +113,7 @@ func TestIntervalsDecrementingLoop(t *testing.T) {
 
 func TestIntervalsUnsignedLoop(t *testing.T) {
 	f, _, body := buildCountedLoop(t, "ult", 0, 2, 32)
-	r := Intervals(f)
+	r := Intervals(loopsOf(f))
 	iv := f.FindBlock("header").Instrs[0]
 	if got := r.At(body, iv); !got.Equal(Range(0, 31)) {
 		t.Errorf("iv in body: got %s, want [0, 31]", got)
@@ -144,7 +151,7 @@ func TestIntervalsGuardRefinement(t *testing.T) {
 	iv.AddIncoming(llvm.CI(llvm.I64(), 0), entry)
 	iv.AddIncoming(next, latch)
 
-	r := Intervals(f)
+	r := Intervals(loopsOf(f))
 	if got := r.At(guarded, iv); !got.Equal(Range(0, 15)) {
 		t.Errorf("guarded iv: got %s, want [0, 15]", got)
 	}
@@ -169,7 +176,7 @@ func TestIntervalsInfeasibleEdge(t *testing.T) {
 	b.SetBlock(tail)
 	b.Ret(nil)
 
-	r := Intervals(f)
+	r := Intervals(loopsOf(f))
 	if !r.Unreachable(deadB) {
 		t.Error("dead block should be unreachable to the interval analysis")
 	}
@@ -190,7 +197,7 @@ func TestIntervalsNonAffine(t *testing.T) {
 	masked.Name = b.NewName()
 	body.InsertBefore(masked, body.Terminator())
 
-	r := Intervals(f)
+	r := Intervals(loopsOf(f))
 	if got := r.At(body, masked); !got.Equal(Range(0, 15)) {
 		t.Errorf("and-masked: got %s, want [0, 15]", got)
 	}

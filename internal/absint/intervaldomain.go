@@ -2,6 +2,7 @@ package absint
 
 import (
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
 
 // intervalDomain is the value-range lattice.
@@ -453,9 +454,9 @@ type IntervalResult struct {
 	facts *Facts[Interval]
 }
 
-// Intervals runs the interval analysis over f.
-func Intervals(f *llvm.Function) *IntervalResult {
-	return &IntervalResult{facts: Solve[Interval](f, intervalDomain{})}
+// Intervals runs the interval analysis over the function of loops.
+func Intervals(loops *analysis.LoopInfo) *IntervalResult {
+	return &IntervalResult{facts: Solve[Interval](loops, intervalDomain{})}
 }
 
 // At returns v's interval at the program point of block b: the block's

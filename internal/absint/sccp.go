@@ -2,6 +2,7 @@ package absint
 
 import (
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
 
 // constVal is the flat constant lattice: a known integer constant or
@@ -195,9 +196,10 @@ type SCCPResult struct {
 	facts *Facts[constVal]
 }
 
-// SCCP runs sparse conditional constant propagation over f.
-func SCCP(f *llvm.Function) *SCCPResult {
-	return &SCCPResult{facts: Solve[constVal](f, sccpDomain{})}
+// SCCP runs sparse conditional constant propagation over the function of
+// loops.
+func SCCP(loops *analysis.LoopInfo) *SCCPResult {
+	return &SCCPResult{facts: Solve[constVal](loops, sccpDomain{})}
 }
 
 // Unreachable reports whether b is CFG-reachable but provably never

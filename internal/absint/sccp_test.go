@@ -30,7 +30,7 @@ func TestSCCPConstBranch(t *testing.T) {
 	ph.AddIncoming(llvm.CI(llvm.I64(), 222), els)
 	b.Ret(nil)
 
-	r := SCCP(f)
+	r := SCCP(loopsOf(f))
 	if !r.Unreachable(then) {
 		t.Error("then-arm of a constant-false branch should be unreachable")
 	}
@@ -49,7 +49,7 @@ func TestSCCPConstBranch(t *testing.T) {
 // unreachable — the back-edge join overdefines the induction variable.
 func TestSCCPLoopNotUnreachable(t *testing.T) {
 	f, _, body := buildCountedLoop(t, "slt", 0, 1, 64)
-	r := SCCP(f)
+	r := SCCP(loopsOf(f))
 	for _, b := range f.Blocks {
 		if r.Unreachable(b) {
 			t.Errorf("block %%%s falsely unreachable", b.Name)
@@ -73,7 +73,7 @@ func TestSCCPPropagation(t *testing.T) {
 	mix := b.Add(sel, f.Params[0])                             // overdefined
 	b.Ret(nil)
 
-	r := SCCP(f)
+	r := SCCP(loopsOf(f))
 	if v, ok := r.ConstOf(entry, sel); !ok || v != 21 {
 		t.Errorf("select: got %d ok=%v, want 21", v, ok)
 	}

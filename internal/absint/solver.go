@@ -291,16 +291,17 @@ func (r *Facts[F]) At(b *llvm.Block, v llvm.Value) (f F, ok bool) {
 // deeper, and the loop exits early once an entire pass changes nothing.
 const narrowingRounds = 8
 
-// Solve runs the analysis lat to fixpoint over f: an ascending worklist
-// phase in reverse postorder with widening at natural-loop headers (and at
-// any block revisited often enough that an irreducible cycle must be
-// suspected), followed by a bounded narrowing phase. Edge infeasibility
-// propagates: blocks whose every incoming edge is infeasible are never
-// visited and stay !Reached. Block and edge state lives in slices indexed
-// by a block's position in reverse postorder.
-func Solve[F any](f *llvm.Function, lat Lattice[F]) *Facts[F] {
-	cfg := analysis.NewCFG(f)
-	loops := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
+// Solve runs the analysis lat to fixpoint over the function of loops, in
+// the CFG the loops were found in: an ascending worklist phase in reverse
+// postorder with widening at natural-loop headers (and at any block
+// revisited often enough that an irreducible cycle must be suspected),
+// followed by a bounded narrowing phase. Edge infeasibility propagates:
+// blocks whose every incoming edge is infeasible are never visited and
+// stay !Reached. Block and edge state lives in slices indexed by a block's
+// position in reverse postorder.
+func Solve[F any](loops *analysis.LoopInfo, lat Lattice[F]) *Facts[F] {
+	cfg := loops.CFG
+	f := cfg.F
 	sp := &space[F]{lat: lat, params: f.Params}
 	for _, b := range f.Blocks {
 		sp.instrs = append(sp.instrs, b.Instrs...)

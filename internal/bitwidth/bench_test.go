@@ -5,14 +5,16 @@ import (
 
 	"repro/internal/bitwidth"
 	"repro/internal/flow"
+	"repro/internal/hls"
 	"repro/internal/polybench"
 )
 
 // BenchmarkBitwidth measures the full width-oracle cost on the kernel with
-// the deepest loop structure (seidel2d): the known-bits fixpoint with branch
-// refinement, the interval fixpoint it fuses with, the backward
-// demanded-bits pass, and per-instruction width queries, OpWidth (what
-// the inferred cost model prices synthesis at) among them. CI appends the result to the
+// the deepest loop structure (seidel2d): the CFG and loop nest of a fresh
+// analysis set, the known-bits fixpoint with branch refinement, the
+// interval fixpoint it fuses with, the backward demanded-bits pass, and
+// per-instruction width queries, OpWidth (what the inferred cost model
+// prices synthesis at) among them. CI appends the result to the
 // parseprint-bench.txt artifact.
 func BenchmarkBitwidth(b *testing.B) {
 	k := polybench.Get("seidel2d")
@@ -40,7 +42,7 @@ func BenchmarkBitwidth(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := bitwidth.Analyze(f)
+		a := hls.Analyze(f).Bitwidth()
 		var w bitwidth.Width
 		ops := 0
 		for _, blk := range f.Blocks {

@@ -19,40 +19,75 @@ import (
 // demandAll is the demand a sink places on an operand.
 const demandAll = ^uint64(0)
 
-// DemandedBits computes the demanded mask of every integer-typed
-// instruction in f.
-func DemandedBits(f *llvm.Function) map[*llvm.Instr]uint64 {
-	demanded := map[*llvm.Instr]uint64{}
-	// Seed every integer result at zero so a value with no consumers is
-	// explicitly tracked as dead rather than absent.
+// demanded holds the demanded-bits mask of every instruction of one
+// function, by the number Function.Renumber gave it. Only integer results
+// are tracked; every other instruction's mask stays zero.
+type demanded struct {
+	instrs []*llvm.Instr
+	mask   []uint64
+}
+
+// demandedBits computes the demanded mask of every integer-typed
+// instruction of f, whose numbering must be current (the CFG the analyses
+// are handed renumbered it). A worklist propagates each instruction's
+// demand into its operands and queues an operand again when its mask
+// grows. Masks only grow (bitwise or) in a finite lattice and every
+// operand demand is monotone in the result's, so this reaches the least
+// fixpoint sweeping the function until nothing changes would.
+func demandedBits(f *llvm.Function) demanded {
+	n := 0
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.HasResult() && in.Ty != nil && in.Ty.IsInt() {
-				demanded[in] = 0
+		n += len(b.Instrs)
+	}
+	d := demanded{instrs: make([]*llvm.Instr, 0, n), mask: make([]uint64, n)}
+	for _, b := range f.Blocks {
+		d.instrs = append(d.instrs, b.Instrs...)
+	}
+	// Every instruction starts on the worklist, since a sink demands its
+	// operands whatever its own demand is. An instruction is queued again
+	// each time its mask grows, at most once per bit.
+	work := make([]int32, n)
+	for i := range work {
+		work[i] = int32(n - 1 - i)
+	}
+	for len(work) > 0 {
+		i := work[len(work)-1]
+		work = work[:len(work)-1]
+		in := d.instrs[i]
+		for k, a := range in.Args {
+			op, ok := a.(*llvm.Instr)
+			if !ok || op.Ty == nil || !op.Ty.IsInt() {
+				continue
+			}
+			j := d.num(op)
+			if j < 0 {
+				continue
+			}
+			if dm := operandDemand(in, k, d.mask[i]); dm&^d.mask[j] != 0 {
+				d.mask[j] |= dm
+				work = append(work, j)
 			}
 		}
 	}
-	// Fixpoint: demands only grow (bitwise or), the lattice is finite, and
-	// functions are small; iterate until stable.
-	for changed := true; changed; {
-		changed = false
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for i, a := range in.Args {
-					op, ok := a.(*llvm.Instr)
-					if !ok || op.Ty == nil || !op.Ty.IsInt() {
-						continue
-					}
-					d := operandDemand(in, i, demanded[in])
-					if d&^demanded[op] != 0 {
-						demanded[op] |= d
-						changed = true
-					}
-				}
-			}
-		}
+	return d
+}
+
+// num returns in's number, or -1 when in is no instruction of the function.
+func (d demanded) num(in *llvm.Instr) int32 {
+	if i := in.ID; i >= 0 && int(i) < len(d.instrs) && d.instrs[i] == in {
+		return i
 	}
-	return demanded
+	return -1
+}
+
+// of returns in's demanded mask, and whether in is a tracked integer
+// result of the function.
+func (d demanded) of(in *llvm.Instr) (uint64, bool) {
+	i := d.num(in)
+	if i < 0 || !in.HasResult() || in.Ty == nil || !in.Ty.IsInt() {
+		return 0, false
+	}
+	return d.mask[i], true
 }
 
 // operandDemand returns the demand instruction `in` places on its i-th

@@ -3,6 +3,7 @@ package bitwidth
 import (
 	"repro/internal/absint"
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
 
 // typeTopKB is the baseline fact of an integer type: nothing known inside
@@ -258,9 +259,9 @@ type KnownBitsResult struct {
 	facts *absint.Facts[KnownBits]
 }
 
-// Known runs the known-bits analysis over f.
-func Known(f *llvm.Function) *KnownBitsResult {
-	return &KnownBitsResult{facts: absint.Solve[KnownBits](f, kbDomain{})}
+// Known runs the known-bits analysis over the function of loops.
+func Known(loops *analysis.LoopInfo) *KnownBitsResult {
+	return &KnownBitsResult{facts: absint.Solve[KnownBits](loops, kbDomain{})}
 }
 
 // At returns v's fact at the program point of block b: the block's out-state

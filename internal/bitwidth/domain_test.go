@@ -3,8 +3,22 @@ package bitwidth
 import (
 	"testing"
 
+	"repro/internal/absint"
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
+
+// loopsOf builds f's CFG and loop nest, what the analyses are handed.
+func loopsOf(f *llvm.Function) *analysis.LoopInfo {
+	cfg := analysis.NewCFG(f)
+	return analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
+}
+
+// analyze builds f's width oracle from one loop nest and its intervals.
+func analyze(f *llvm.Function) *Analysis {
+	loops := loopsOf(f)
+	return Analyze(loops, absint.Intervals(loops))
+}
 
 // TestKnownBitsBranchRefinement checks the masked-compare edge refinement:
 // inside `if (x & 7) == 5`, the low three bits of x are known.
@@ -30,7 +44,7 @@ func TestKnownBitsBranchRefinement(t *testing.T) {
 	b.SetBlock(exit)
 	b.Ret(nil)
 
-	kb := Known(f)
+	kb := Known(loopsOf(f))
 	kx := kb.At(yes, x)
 	want := KnownBits{Zero: 2, One: 5} // low bits ...101
 	if kx.Zero&7 != want.Zero || kx.One&7 != want.One {
@@ -70,7 +84,7 @@ func TestKnownBitsInfeasibleEdge(t *testing.T) {
 	b.SetBlock(exit)
 	b.Ret(nil)
 
-	kb := Known(f)
+	kb := Known(loopsOf(f))
 	if kb.Reached(dead) {
 		t.Errorf("dead block reached: bit 2 of x is pinned to one on this path")
 	}
@@ -95,16 +109,17 @@ func TestDemandedBits(t *testing.T) {
 	b.Store(hi, f.Params[1])
 	b.Ret(nil)
 
-	d := DemandedBits(f)
-	if got := d[low]; got != demandAll {
+	f.Renumber()
+	d := demandedBits(f)
+	if got, _ := d.of(low); got != demandAll {
 		t.Errorf("demanded[and] = %#x, want all (stored)", got)
 	}
 	// The and masks the store's demand down to the low byte; add/mul demand
 	// low bits only (carries travel upward).
-	if got := d[inc]; got != 0xFF {
+	if got, _ := d.of(inc); got != 0xFF {
 		t.Errorf("demanded[add] = %#x, want 0xff", got)
 	}
-	if got := d[sq]; got != 0xFF {
+	if got, _ := d.of(sq); got != 0xFF {
 		t.Errorf("demanded[mul] = %#x, want 0xff", got)
 	}
 }
@@ -141,7 +156,7 @@ func TestWidthOracle(t *testing.T) {
 	b.SetBlock(exit)
 	b.Ret(nil)
 
-	a := Analyze(f)
+	a := analyze(f)
 	if w := a.ValueWidth(doubled); w != (Width{Bits: 8, Signed: false}) {
 		t.Errorf("doubled: value width %s, want u8", w)
 	}
@@ -200,7 +215,7 @@ func TestHWWidthDeadAndNarrow(t *testing.T) {
 	dead.Name = "dead"
 	b.Ret(nil)
 
-	a := Analyze(f)
+	a := analyze(f)
 	if w := a.ValueWidth(wide); w.Bits != 32 {
 		t.Errorf("wide: value width %d, want 32", w.Bits)
 	}

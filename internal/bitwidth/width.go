@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
 
 // Width is the minimal sound hardware width of a value: Bits datapath bits,
@@ -43,17 +44,15 @@ type Analysis struct {
 	F        *llvm.Function
 	kb       *KnownBitsResult
 	iv       *absint.IntervalResult
-	demanded map[*llvm.Instr]uint64
+	demanded demanded
 }
 
-// Analyze runs the bitwidth analyses over f.
-func Analyze(f *llvm.Function) *Analysis {
-	return &Analysis{
-		F:        f,
-		kb:       Known(f),
-		iv:       absint.Intervals(f),
-		demanded: DemandedBits(f),
-	}
+// Analyze builds the width oracle of the function of loops: it solves
+// known bits over the CFG the loops were found in, fuses them with iv, the
+// intervals solved over the same loops, and adds the demanded bits.
+func Analyze(loops *analysis.LoopInfo, iv *absint.IntervalResult) *Analysis {
+	f := loops.CFG.F
+	return &Analysis{F: f, kb: Known(loops), iv: iv, demanded: demandedBits(f)}
 }
 
 // WidthAt returns the forward-sound width of v observed at block b: the
@@ -79,10 +78,7 @@ func (a *Analysis) KnownAt(b *llvm.Block, v llvm.Value) KnownBits { return a.kb.
 
 // Demanded returns the demanded-bits mask of an instruction's result.
 func (a *Analysis) Demanded(in *llvm.Instr) uint64 {
-	d, ok := a.demanded[in]
-	if !ok && in.HasResult() {
-		return 0
-	}
+	d, _ := a.demanded.of(in)
 	return d
 }
 
@@ -92,7 +88,7 @@ func (a *Analysis) Demanded(in *llvm.Instr) uint64 {
 // exceed it — so only the cost model consumes it.
 func (a *Analysis) HWWidth(in *llvm.Instr) Width {
 	w := a.ValueWidth(in)
-	d, tracked := a.demanded[in]
+	d, tracked := a.demanded.of(in)
 	if !tracked {
 		return w
 	}

@@ -44,7 +44,7 @@ func BenchmarkDepTest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := deptest.New(f, li, pts.MayAlias)
+		eng := deptest.New(li, pts.MayAlias)
 		for _, l := range li.Loops {
 			for _, ld := range mems {
 				if ld.Op != llvm.OpLoad {

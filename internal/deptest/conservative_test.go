@@ -3,12 +3,10 @@ package deptest_test
 import (
 	"testing"
 
-	"repro/internal/absint"
 	"repro/internal/deptest"
 	"repro/internal/flow"
 	"repro/internal/hls"
 	"repro/internal/llvm"
-	"repro/internal/llvm/analysis"
 	"repro/internal/polybench"
 )
 
@@ -56,17 +54,15 @@ func TestNeverLessConservativeThanAlias(t *testing.T) {
 
 func checkConservative(t *testing.T, flowName string, f *llvm.Function, tgt hls.Target) {
 	t.Helper()
-	cfg := analysis.NewCFG(f)
-	li := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
-	pts := absint.PointsTo(f)
-	eng := deptest.New(f, li, pts.MayAlias)
+	a := hls.Analyze(f)
+	pts, eng := a.PointsTo(), a.DepEngine()
 	distanceAware := map[*llvm.Block]int{}
-	for _, lb := range hls.LoopBounds(f, tgt) {
+	for _, lb := range hls.LoopBounds(a, tgt) {
 		distanceAware[lb.Header] = lb.RecMII
 	}
-	for _, l := range li.Loops {
+	for _, l := range a.Loops.Loops {
 		var instrs []*llvm.Instr
-		for _, b := range cfg.Order {
+		for _, b := range a.CFG.Order {
 			if l.Contains(b) {
 				instrs = append(instrs, b.Instrs...)
 			}
@@ -94,8 +90,7 @@ func checkConservative(t *testing.T, flowName string, f *llvm.Function, tgt hls.
 		if !l.IsInnermost() {
 			continue
 		}
-		ivDep := func(v llvm.Value) bool { return hls.DependsOnLoopPhi(v, header) }
-		structural := tgt.RecMII(instrs, ivDep, pts.MayAlias)
+		structural := tgt.RecMII(l, instrs, pts.MayAlias)
 		if rec, ok := distanceAware[header]; !ok || rec < structural {
 			t.Errorf("%s flow, loop %%%s: distance-aware RecMII=%d (found=%v) below structural RecMII=%d",
 				flowName, header.Name, rec, ok, structural)

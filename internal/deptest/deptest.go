@@ -162,27 +162,24 @@ type carriedKey struct {
 // variables, loop nests, decomposed accesses, and carried-dependence
 // verdicts. An Engine is not safe for concurrent use.
 type Engine struct {
-	f        *llvm.Function
 	li       *analysis.LoopInfo
 	mayAlias func(a, b llvm.Value) bool
 
 	ivLoops map[*llvm.Instr]loopIV
 	// trips maps each loop to its constant trip count, -1 when unknown.
 	trips map[*analysis.Loop]int64
-	// nests and pos (each instruction's position in f) are filled on
-	// first use.
+	// nests is filled on first use.
 	nests map[*llvm.Block][]*analysis.Loop
-	pos   map[*llvm.Instr]int
 	acc   map[llvm.Value]accessInfo
 	cache map[carriedKey]CarriedDep
 }
 
-// New builds a dependence engine for f over its loop structure. mayAlias
-// (may be nil) is a points-to oracle consulted before any subscript test:
-// pairs it disproves are Independent outright.
-func New(f *llvm.Function, li *analysis.LoopInfo, mayAlias func(a, b llvm.Value) bool) *Engine {
+// New builds a dependence engine over the loop structure li of a function.
+// mayAlias (may be nil) is a points-to oracle consulted before any
+// subscript test: pairs it disproves are Independent outright.
+func New(li *analysis.LoopInfo, mayAlias func(a, b llvm.Value) bool) *Engine {
 	e := &Engine{
-		f: f, li: li, mayAlias: mayAlias,
+		li: li, mayAlias: mayAlias,
 		ivLoops: map[*llvm.Instr]loopIV{},
 		trips:   map[*analysis.Loop]int64{},
 		nests:   map[*llvm.Block][]*analysis.Loop{},
@@ -213,20 +210,9 @@ func (e *Engine) nestOf(in *llvm.Instr) []*analysis.Loop {
 	return nest
 }
 
-// before reports whether instruction a comes strictly before b in f.
-func (e *Engine) before(a, b *llvm.Instr) bool {
-	if e.pos == nil {
-		e.pos = map[*llvm.Instr]int{}
-		n := 0
-		for _, blk := range e.f.Blocks {
-			for _, in := range blk.Instrs {
-				e.pos[in] = n
-				n++
-			}
-		}
-	}
-	return e.pos[a] < e.pos[b]
-}
+// before reports whether instruction a of f comes strictly before b: the
+// CFG the loops were found in numbered f's instructions in layout order.
+func (e *Engine) before(a, b *llvm.Instr) bool { return a.ID < b.ID }
 
 // pairCtx is the loop context of one access pair: the common nest (loops
 // enclosing both instructions, outermost first) and the loops enclosing
@@ -444,7 +430,7 @@ const maxNestLevels = 6
 // are reported with Res == Independent so consumers can see the precision.
 func (e *Engine) Edges(root *analysis.Loop) []Edge {
 	var mems []*llvm.Instr
-	for _, b := range e.f.Blocks {
+	for _, b := range e.li.CFG.F.Blocks {
 		if !root.Contains(b) {
 			continue
 		}

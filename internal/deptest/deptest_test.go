@@ -59,7 +59,7 @@ func singleLoop(t *testing.T, trip, n int64,
 		t.Fatal("fixture loop not recovered")
 	}
 	return loopFixture{
-		eng:  deptest.New(f, li, nil),
+		eng:  deptest.New(li, nil),
 		loop: l, st: st, ld: ld,
 	}
 }
@@ -282,7 +282,7 @@ func doubleLoop(t *testing.T, trip int64,
 		t.Fatal("fixture nest not recovered")
 	}
 	return nestFixture{
-		eng:   deptest.New(f, li, nil),
+		eng:   deptest.New(li, nil),
 		outer: outer, inner: inner, st: st, ld: ld,
 	}
 }
@@ -365,7 +365,7 @@ func singleLoopMIV(t *testing.T) nestFixture {
 	cfg := analysis.NewCFG(f)
 	li := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
 	return nestFixture{
-		eng:   deptest.New(f, li, nil),
+		eng:   deptest.New(li, nil),
 		outer: li.ByHeader(hi), inner: li.ByHeader(hj), st: st, ld: ld,
 	}
 }

@@ -311,7 +311,7 @@ func pruneInfeasible(space []Config, build func() *mlir.Module, top string, tgt 
 	if f == nil {
 		return space, nil
 	}
-	bounds := hls.LoopBounds(f, tgt)
+	bounds := hls.LoopBounds(hls.Analyze(f), tgt)
 	// groupFloor returns min over pipelined loops of max(RecMII, ResMII)
 	// under the group's uniform all-parameter partition, plus that loop's
 	// two components for the pruning reason; 0 without a pipelined loop,

@@ -5,13 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/absint"
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/hls"
 	"repro/internal/kgen"
 	"repro/internal/llvm"
-	"repro/internal/llvm/analysis"
 	"repro/internal/polybench"
 )
 
@@ -229,7 +227,7 @@ func preparedBounds(t *testing.T, k *polybench.Kernel, s polybench.Size, tgt hls
 	}
 	f := lm.FindFunc(k.Name)
 	var out []hls.LoopBound
-	for _, lb := range hls.LoopBounds(f, tgt) {
+	for _, lb := range hls.LoopBounds(hls.Analyze(f), tgt) {
 		if lb.Pipelined {
 			out = append(out, lb)
 		}
@@ -269,24 +267,19 @@ func TestDistanceFloorNeverLooser(t *testing.T) {
 			if len(floors) == 0 {
 				t.Fatalf("no pipelined loops found in %s", k.Name)
 			}
-			cfg := analysis.NewCFG(f)
-			loops := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
-			pts := absint.PointsTo(f)
+			a := hls.Analyze(f)
 			structural := map[string]int{}
-			for _, l := range loops.Loops {
+			for _, l := range a.Loops.Loops {
 				if !l.IsInnermost() {
 					continue
 				}
 				var instrs []*llvm.Instr
-				for _, b := range cfg.Order {
+				for _, b := range a.CFG.Order {
 					if l.Contains(b) {
 						instrs = append(instrs, b.Instrs...)
 					}
 				}
-				header := l.Header
-				structural[header.Name] = tgt.RecMII(instrs, func(v llvm.Value) bool {
-					return hls.DependsOnLoopPhi(v, header)
-				}, pts.MayAlias)
+				structural[l.Header.Name] = tgt.RecMII(l, instrs, a.PointsTo().MayAlias)
 			}
 			for _, lf := range floors {
 				old, found := structural[lf.Header.Name]

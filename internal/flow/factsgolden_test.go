@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/absint"
 	"repro/internal/bitwidth"
 	"repro/internal/core"
 	"repro/internal/hls"
@@ -45,7 +44,8 @@ func factsDigest(lm *llvm.Module) string {
 		if f.IsDecl || len(f.Blocks) == 0 {
 			continue
 		}
-		iv, kb, cp := absint.Intervals(f), bitwidth.Known(f), absint.SCCP(f)
+		a := hls.Analyze(f)
+		iv, kb, cp := a.Intervals(), bitwidth.Known(a.Loops), a.SCCP()
 		var vals []llvm.Value
 		for _, p := range f.Params {
 			vals = append(vals, p)
@@ -85,11 +85,12 @@ func factsDigest(lm *llvm.Module) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
-// factsGoldenReport digests the solved facts of every polybench kernel at
-// MINI and every generated corpus kernel: both flows' final modules under
-// each execution-golden configuration, and the adaptor flow's module after
-// translate and after the adaptor under the plain configuration.
-func factsGoldenReport(t *testing.T) string {
+// goldenModules calls visit with every module the facts and analysis
+// goldens digest: for every polybench kernel at MINI and every generated
+// corpus kernel, both flows' final modules under each execution-golden
+// configuration, and the adaptor flow's module after translate and after
+// the adaptor under the plain configuration.
+func goldenModules(t *testing.T, visit func(top, label, form string, lm *llvm.Module)) {
 	t.Helper()
 	type kernel struct {
 		top   string
@@ -123,13 +124,9 @@ func factsGoldenReport(t *testing.T) string {
 		}})
 	}
 	tgt := hls.DefaultTarget()
-	var sb strings.Builder
 	for _, k := range kernels {
 		top := k.top
 		for ci, c := range execGoldenConfigs {
-			line := func(form string, lm *llvm.Module) {
-				fmt.Fprintf(&sb, "%s %s %s %s\n", top, c.label, form, factsDigest(lm))
-			}
 			fail := func(form string, err error) {
 				t.Fatalf("%s %s %s: %v", top, c.label, form, err)
 			}
@@ -149,24 +146,34 @@ func factsGoldenReport(t *testing.T) string {
 				if err != nil {
 					fail("translate", err)
 				}
-				line("translated", lm)
+				visit(top, c.label, "translated", lm)
 				if _, err := core.Adapt(lm, core.Options{TopFunc: top}); err != nil {
 					fail("adaptor", err)
 				}
-				line("adapted", lm)
+				visit(top, c.label, "adapted", lm)
 			}
 			ares, err := AdaptorFlow(k.build(), top, c.d, tgt)
 			if err != nil {
 				fail("adaptor flow", err)
 			}
-			line("adaptor-final", ares.LLVM)
+			visit(top, c.label, "adaptor-final", ares.LLVM)
 			cres, err := CxxFlow(k.build(), top, c.d, tgt)
 			if err != nil {
 				fail("cxx flow", err)
 			}
-			line("cxx-final", cres.LLVM)
+			visit(top, c.label, "cxx-final", cres.LLVM)
 		}
 	}
+}
+
+// factsGoldenReport digests the solved facts of every module goldenModules
+// visits.
+func factsGoldenReport(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	goldenModules(t, func(top, label, form string, lm *llvm.Module) {
+		fmt.Fprintf(&sb, "%s %s %s %s\n", top, label, form, factsDigest(lm))
+	})
 	return sb.String()
 }
 
@@ -176,8 +183,14 @@ func factsGoldenReport(t *testing.T) string {
 // is a fixed record with no regenerate switch: a diff means a solved fact
 // changed.
 func TestFactsGoldenAllKernels(t *testing.T) {
-	got := factsGoldenReport(t)
-	want, err := os.ReadFile(filepath.Join("testdata", "facts_golden.txt"))
+	checkGolden(t, "facts", factsGoldenReport(t), "facts_golden.txt")
+}
+
+// checkGolden fails t at the first line where report got differs from the
+// fixed record testdata/file.
+func checkGolden(t *testing.T, what, got, file string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +204,8 @@ func TestFactsGoldenAllKernels(t *testing.T) {
 			if i < len(wl) {
 				w = wl[i]
 			}
-			t.Fatalf("facts golden drift at line %d:\n got  %s\n want %s", i+1, gl[i], w)
+			t.Fatalf("%s golden drift at line %d:\n got  %s\n want %s", what, i+1, gl[i], w)
 		}
 	}
-	t.Fatalf("facts golden has %d lines, report %d", len(wl), len(gl))
+	t.Fatalf("%s golden has %d lines, report %d", what, len(wl), len(gl))
 }

@@ -123,7 +123,21 @@ func TestRawFlowRejectedEverywhere(t *testing.T) {
 			t.Errorf("%s: raw translated IR unexpectedly passed the HLS gate", k.Name)
 		}
 		if lm == nil {
-			t.Errorf("%s: raw flow lost the module", k.Name)
+			t.Fatalf("%s: raw flow lost the module", k.Name)
+		}
+		// Conformance subsumes the gate: it rejects the module, and in
+		// every function the gate names.
+		flagged := map[string]bool{}
+		for _, d := range hls.Conformance(lm) {
+			flagged[d.Func] = true
+		}
+		if len(flagged) == 0 {
+			t.Errorf("%s: conformance accepts the raw module the gate rejects: %v", k.Name, vs)
+		}
+		for _, v := range vs {
+			if v.Func != "" && !flagged[v.Func] {
+				t.Errorf("%s: gate rejects @%s (%s) but conformance flags nothing there", k.Name, v.Func, v)
+			}
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestPrepareLLVMClean(t *testing.T) {
 		t.Errorf("prepared module has lint errors:\n%s", ds.Text())
 	}
 	pipelined := false
-	for _, lb := range hls.LoopBounds(lm.FindFunc(k.Name), hls.DefaultTarget()) {
+	for _, lb := range hls.LoopBounds(hls.Analyze(lm.FindFunc(k.Name)), hls.DefaultTarget()) {
 		pipelined = pipelined || lb.Pipelined
 	}
 	if !pipelined {

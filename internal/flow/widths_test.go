@@ -25,7 +25,7 @@ func moduleWidths(lm *llvm.Module) map[*llvm.Instr]bitwidth.Width {
 		if f.IsDecl || len(f.Blocks) == 0 {
 			continue
 		}
-		a := bitwidth.Analyze(f)
+		a := hls.Analyze(f).Bitwidth()
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Ty != nil && in.Ty.IsInt() {

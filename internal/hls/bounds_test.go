@@ -105,7 +105,7 @@ func TestLoopBoundsSetII(t *testing.T) {
 						t.Fatalf("%s %s %s %s: %v", in.top, c.Label, fl.name, tg.name, err)
 					}
 					bounds := map[string]hls.LoopBound{}
-					for _, lb := range hls.LoopBounds(res.LLVM.FindFunc(in.top), tg.tgt) {
+					for _, lb := range hls.LoopBounds(hls.Analyze(res.LLVM.FindFunc(in.top)), tg.tgt) {
 						bounds[lb.Header.Name] = lb
 					}
 					for _, l := range rep.Loops {

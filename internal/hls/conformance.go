@@ -2,7 +2,6 @@ package hls
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/diag"
 	"repro/internal/llvm"
@@ -131,10 +130,8 @@ func conformFunc(m *llvm.Module, f *llvm.Function) diag.Diagnostics {
 					loc("conformance-predicate", fmt.Sprintf("fcmp predicate %q outside the HLS subset", in.Pred))
 				}
 			case llvm.OpCall:
-				if strings.HasPrefix(in.Callee, "llvm.") {
-					loc("conformance-call", "intrinsic "+in.Callee+" unknown to the HLS LLVM")
-				} else if !supportedCalls[in.Callee] && m.FindFunc(in.Callee) == nil {
-					loc("conformance-call", "call to unknown function @"+in.Callee)
+				if kind, detail := callViolation(m, in.Callee); kind != "" {
+					loc("conformance-call", detail)
 				}
 			case llvm.OpAlloca:
 				if in.SrcElem == nil || !conformantMemType(in.SrcElem) {

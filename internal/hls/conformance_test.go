@@ -135,20 +135,42 @@ func TestConformanceRejectsIntrinsicAndPredicate(t *testing.T) {
 
 func TestConformanceSubsumesCheck(t *testing.T) {
 	// Anything the readable-subset blacklist rejects must also fail the
-	// conformance whitelist.
-	m := conformantKernel()
-	f := m.FindFunc("k")
-	instrs := f.Blocks[0].Instrs
-	ret := instrs[len(instrs)-1]
-	f.Blocks[0].Instrs = instrs[:len(instrs)-1]
-	b := llvm.NewBuilder(f)
-	b.SetBlock(f.Blocks[0])
-	b.Call("malloc", llvm.Ptr(llvm.I8()), llvm.CI(llvm.I64(), 64))
-	f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ret)
-	if vs := Check(m); len(vs) == 0 {
-		t.Fatal("readable check should reject malloc")
-	}
-	if ds := Conformance(m); len(ds) == 0 {
-		t.Fatal("conformance must subsume the readable check")
+	// conformance whitelist, including a dynamic allocation whose callee
+	// the module declares.
+	size := func(*llvm.Function) llvm.Value { return llvm.CI(llvm.I64(), 64) }
+	array := func(f *llvm.Function) llvm.Value { return f.Params[0] }
+	for _, c := range []struct {
+		name    string
+		declare bool
+		callee  string
+		ret     *llvm.Type
+		arg     func(*llvm.Function) llvm.Value
+	}{
+		{"malloc", false, "malloc", llvm.Ptr(llvm.I8()), size},
+		{"declared malloc", true, "malloc", llvm.Ptr(llvm.I8()), size},
+		{"declared free", true, "free", llvm.Void(), array},
+	} {
+		m := conformantKernel()
+		f := m.FindFunc("k")
+		if c.declare {
+			d := llvm.NewFunction(c.callee, c.ret, &llvm.Param{Name: "x", Ty: c.arg(f).Type()})
+			d.IsDecl = true
+			m.AddFunc(d)
+		}
+		instrs := f.Blocks[0].Instrs
+		ret := instrs[len(instrs)-1]
+		f.Blocks[0].Instrs = instrs[:len(instrs)-1]
+		b := llvm.NewBuilder(f)
+		b.SetBlock(f.Blocks[0])
+		b.Call(c.callee, c.ret, c.arg(f))
+		f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ret)
+		vs := Check(m)
+		if len(vs) == 0 || vs[0].Kind != VDynamicAlloc {
+			t.Fatalf("%s: readable check should reject the call as %s: %v", c.name, VDynamicAlloc, vs)
+		}
+		ds := Conformance(m)
+		if len(ds) == 0 || ds[0].Check != "conformance-call" {
+			t.Fatalf("%s: conformance must subsume the readable check; got %v", c.name, ds)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/llvm"
+	"repro/internal/llvm/analysis"
 )
 
 // This file exports the estimator's II model and its dependence/address
@@ -27,15 +28,17 @@ type LoopBound struct {
 	LocalAccesses int
 }
 
-// LoopBounds returns the bound of every innermost loop of f, in loop
-// order, as synthesis computes it for a loop it pipelines: RecMII priced
-// from the estimator's cost table (address folding and inferred widths
-// applied) and the accesses its scheduler tallies.
-func LoopBounds(f *llvm.Function, tgt Target) []LoopBound {
+// LoopBounds returns the bound of every innermost loop of a's function,
+// in loop order, as synthesis under tgt computes it for a loop it
+// pipelines: RecMII priced from the estimator's cost table (address
+// folding and inferred widths applied) and the accesses its scheduler
+// tallies, all from the analyses of the set.
+func LoopBounds(a *Analyses, tgt Target) []LoopBound {
+	f := a.F
 	if f.IsDecl || len(f.Blocks) == 0 {
 		return nil
 	}
-	s := newSynth(f, tgt)
+	s := newSynth(a, tgt)
 	defer s.release()
 	param := make([]int, len(s.ports))
 	for b := range param {
@@ -52,7 +55,7 @@ func LoopBounds(f *llvm.Function, tgt Target) []LoopBound {
 		}
 	}
 	var out []LoopBound
-	for _, l := range s.li.Loops {
+	for _, l := range s.Loops.Loops {
 		if !l.IsInnermost() {
 			continue
 		}
@@ -84,16 +87,13 @@ func (lb LoopBound) ResMII(tgt Target, kind string, factor int) int {
 }
 
 // RecMII computes the recurrence-constrained minimum initiation interval of
-// one loop iteration's instruction sequence with the structural model alone,
-// priced with CostOf. ivDependent (may be nil) reports whether a value
-// varies with the loop's induction variable; loads at IV-dependent
-// addresses touch a different location each iteration and do not constrain
-// the II. mayAlias (may be nil) is a points-to oracle used to discard
-// load/store pairs that provably address disjoint memory. It is the
-// reference the distance-aware bound of LoopBounds must never fall below.
-func (t Target) RecMII(instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
-	mayAlias func(a, b llvm.Value) bool) int {
-	return recMII(nil, nil, instrs, ivDependent, mayAlias, t.latency)
+// one iteration of loop l, whose loads and stores are among instrs, with the
+// structural model alone, priced with CostOf. mayAlias (may be nil) is a
+// points-to oracle used to discard load/store pairs that provably address
+// disjoint memory. It is the reference the distance-aware bound of
+// LoopBounds must never fall below.
+func (t Target) RecMII(l *analysis.Loop, instrs []*llvm.Instr, mayAlias func(a, b llvm.Value) bool) int {
+	return recMII(nil, l, instrs, mayAlias, t.latency)
 }
 
 // latency prices an instruction's latency in cycles with CostOf.

@@ -167,7 +167,8 @@ func TestPropertyMorePortsNeverSlower(t *testing.T) {
 		tgt := DefaultTarget()
 		var widePorts = tgt
 		widePorts.MemPorts = tgt.MemPorts * 4
-		narrowSynth, wideSynth := newSynth(f, tgt), newSynth(f, widePorts)
+		a := Analyze(f)
+		narrowSynth, wideSynth := newSynth(a, tgt), newSynth(a, widePorts)
 		for b := range f.Blocks {
 			narrow, _ := narrowSynth.schedule([]int32{int32(b)}, 1)
 			wide, _ := wideSynth.schedule([]int32{int32(b)}, 1)
@@ -187,7 +188,7 @@ func TestPropertyCriticalPathBound(t *testing.T) {
 		m := randomKernel(r)
 		lm := adapted(t, m)
 		f := lm.FindFunc("rk")
-		s := newSynth(f, DefaultTarget())
+		s := newSynth(Analyze(f), DefaultTarget())
 		for b, blk := range f.Blocks {
 			cycles, _ := s.schedule([]int32{int32(b)}, 1)
 			// Longest chain in cycles via per-instruction latencies.

@@ -52,6 +52,24 @@ var supportedCalls = map[string]bool{
 	"fabs": true, "fabsf": true,
 }
 
+// callViolation returns the kind and detail of the reason the HLS frontend
+// rejects a call to callee in m, or kind "" when it accepts the call: a
+// dynamic allocation (even one m declares), an intrinsic, or a function m
+// neither defines nor declares outside the supported math calls. Check and
+// Conformance both read it, so the conformance whitelist rejects every call
+// Check rejects.
+func callViolation(m *llvm.Module, callee string) (kind, detail string) {
+	switch {
+	case callee == "malloc" || callee == "free":
+		return VDynamicAlloc, "dynamic allocation (" + callee + ") cannot be synthesized"
+	case strings.HasPrefix(callee, "llvm."):
+		return VIntrinsic, "intrinsic " + callee + " unknown to the HLS LLVM"
+	case !supportedCalls[callee] && m.FindFunc(callee) == nil:
+		return VIntrinsic, "call to unknown function @" + callee
+	}
+	return "", ""
+}
+
 // Check returns every readability violation in the module. An empty result
 // means the HLS frontend accepts the IR.
 func Check(m *llvm.Module) []Violation {
@@ -101,16 +119,8 @@ func checkFunc(m *llvm.Module, f *llvm.Function) []Violation {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case llvm.OpCall:
-				switch {
-				case in.Callee == "malloc" || in.Callee == "free":
-					out = append(out, Violation{Func: f.Name, Kind: VDynamicAlloc,
-						Detail: "dynamic allocation (" + in.Callee + ") cannot be synthesized"})
-				case strings.HasPrefix(in.Callee, "llvm."):
-					out = append(out, Violation{Func: f.Name, Kind: VIntrinsic,
-						Detail: "intrinsic " + in.Callee + " unknown to the HLS LLVM"})
-				case !supportedCalls[in.Callee] && m.FindFunc(in.Callee) == nil:
-					out = append(out, Violation{Func: f.Name, Kind: VIntrinsic,
-						Detail: "call to unknown function @" + in.Callee})
+				if kind, detail := callViolation(m, in.Callee); kind != "" {
+					out = append(out, Violation{Func: f.Name, Kind: kind, Detail: detail})
 				}
 			case llvm.OpRet:
 				rets++

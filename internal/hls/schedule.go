@@ -161,68 +161,79 @@ func (s *synth) inCopy(i int32, copies int) bool {
 	return copies == 1 || in.Op != llvm.OpPhi && !in.IsTerminator()
 }
 
-// recMII computes the recurrence-constrained minimum initiation interval of
-// a loop iteration. With a dependence engine (eng and l non-nil) it is
-// distance-aware: a loop-carried flow dependence of exact distance d bounds
-// the II at ceil(latency/d) — the cycle closes every d iterations, so its
-// latency amortizes over d initiations — and pairs the engine proves
-// independent constrain nothing. Without the engine (or when a pair's
-// accesses are non-affine) it falls back to the structural model: a load
-// that reads a location stored at a loop-INVARIANT address (the classic
-// accumulation recurrence C[i][j] += ... in a k-loop) is a distance-1
-// recurrence; addresses varying with the induction variable are assumed
-// recurrence-free.
-// ivDependent reports whether a value depends on the loop's induction phi.
-// mayAlias (may be nil) is a points-to oracle: pairs it disproves carry no
-// dependence and are skipped before any dependence test.
-// lat prices an instruction's latency in cycles.
-func recMII(eng *deptest.Engine, l *analysis.Loop,
-	instrs []*llvm.Instr, ivDependent func(llvm.Value) bool,
-	mayAlias func(a, b llvm.Value) bool, lat func(*llvm.Instr) int) int {
-	rec := 1
-	for _, ld := range instrs {
+// CarriedPair is a store→load pair of one loop whose store may reach the
+// load in a later iteration: a recurrence that bounds the loop's pipeline
+// II.
+type CarriedPair struct {
+	Ld, St *llvm.Instr
+	// Dep is the dependence engine's verdict: Dependent, or Unknown for a
+	// Structural pair.
+	Dep deptest.CarriedDep
+	// Structural marks a pair the engine could not decide whose addresses
+	// are structurally the same and loop-invariant: a distance-1
+	// recurrence.
+	Structural bool
+}
+
+// carried classifies every store→load pair among mems at loop l and calls
+// yield for each that carries a value across l's iterations. A pair
+// mayAlias (may be nil) separates is skipped; the dependence engine eng
+// decides the rest, and a pair it leaves Unknown falls back to the
+// structural model: a load from a location stored at a loop-INVARIANT
+// address (the classic accumulation recurrence C[i][j] += ... in a k-loop)
+// is a distance-1 recurrence, while addresses varying with l's induction
+// phis are assumed recurrence-free. With eng nil every pair goes to the
+// structural model.
+func carried(eng *deptest.Engine, l *analysis.Loop, mems []*llvm.Instr,
+	mayAlias func(a, b llvm.Value) bool, yield func(CarriedPair)) {
+	for _, ld := range mems {
 		if ld.Op != llvm.OpLoad {
 			continue
 		}
-		for _, st := range instrs {
-			if st.Op != llvm.OpStore {
+		for _, st := range mems {
+			if st.Op != llvm.OpStore || mayAlias != nil && !mayAlias(ld.Args[0], st.Args[1]) {
 				continue
 			}
-			if mayAlias != nil && !mayAlias(ld.Args[0], st.Args[1]) {
+			p := CarriedPair{Ld: ld, St: st}
+			if eng != nil {
+				p.Dep = eng.Carried(l, st, ld)
+			}
+			switch p.Dep.Res {
+			case deptest.Independent:
 				continue
-			}
-			dist := int64(0) // 0: undecided, fall back to the structural model
-			if eng != nil && l != nil {
-				switch cd := eng.Carried(l, st, ld); cd.Res {
-				case deptest.Independent:
-					continue
-				case deptest.Dependent:
-					dist = 1
-					if cd.Exact {
-						dist = cd.Dist
-					}
-				}
-			}
-			if dist == 0 {
-				if !sameAddress(ld.Args[0], st.Args[1]) {
+			case deptest.Unknown:
+				if !sameAddress(ld.Args[0], st.Args[1]) ||
+					dependsOnHeaderPhi(ld.Args[0], l.Header, map[llvm.Value]bool{}) {
 					continue
 				}
-				if ivDependent != nil && ivDependent(ld.Args[0]) {
-					continue
-				}
-				dist = 1
+				p.Structural = true
 			}
-			// Path from the load to the stored value through def-use edges.
-			if depth, ok := pathLatency(ld, st.Args[0], lat); ok {
-				// The recurrence is load -> compute -> store -> (next load),
-				// closed every dist iterations.
-				total := (int64(depth) + 1 + dist - 1) / dist // +1 for the store write
-				if int(total) > rec {
-					rec = int(total)
-				}
-			}
+			yield(p)
 		}
 	}
+}
+
+// recMII computes the recurrence-constrained minimum initiation interval of
+// a loop iteration from the pairs carried finds among instrs: a recurrence
+// of distance d whose load reaches the stored value through def-use edges
+// bounds the II at ceil(latency/d) — the cycle closes every d iterations,
+// so its latency amortizes over d initiations. lat prices an
+// instruction's latency in cycles.
+func recMII(eng *deptest.Engine, l *analysis.Loop, instrs []*llvm.Instr,
+	mayAlias func(a, b llvm.Value) bool, lat func(*llvm.Instr) int) int {
+	rec := 1
+	carried(eng, l, instrs, mayAlias, func(p CarriedPair) {
+		if depth, ok := pathLatency(p.Ld, p.St.Args[0], lat); ok {
+			// The recurrence is load -> compute -> store -> (next load),
+			// closed every dist iterations (the exact distance when the
+			// engine pins one, else 1); +1 for the store write.
+			dist := int64(1)
+			if p.Dep.Exact {
+				dist = p.Dep.Dist
+			}
+			rec = max(rec, int((int64(depth)+1+dist-1)/dist))
+		}
+	})
 	return rec
 }
 

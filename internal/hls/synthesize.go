@@ -6,9 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/absint"
 	"repro/internal/bitwidth"
-	"repro/internal/deptest"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 )
@@ -107,7 +105,7 @@ func Synthesize(m *llvm.Module, top string, tgt Target) (*Report, error) {
 	if f == nil {
 		return nil, fmt.Errorf("hls: top function @%s not found", top)
 	}
-	s := newSynth(f, tgt)
+	s := newSynth(Analyze(f), tgt)
 	rep := s.run()
 	s.release()
 	return rep, nil
@@ -118,12 +116,9 @@ func Synthesize(m *llvm.Module, top string, tgt Target) (*Report, error) {
 // those numbers.
 type synth struct {
 	tgt Target
-	f   *llvm.Function
+	*Analyses
 
-	cfg *analysis.CFG
-	li  *analysis.LoopInfo
-
-	// Blocks and instructions carry the layout numbers the CFG had f
+	// Blocks and instructions carry the layout numbers the CFG had F
 	// write: block b holds instructions first[b] through first[b+1]-1.
 	first []int32
 	*synthTables
@@ -132,18 +127,10 @@ type synth struct {
 	part  []llvm.Partition
 	ports []int
 
-	// Per loop, numbered in li.Loops order.
-	loopIdx map[*analysis.Loop]int32
+	// Per loop, numbered in Loops.Loops order.
 	loopLat []int64
 	loopRep []LoopReport
 	reports []LoopReport
-
-	// pts disproves load/store dependences at provably disjoint addresses
-	// before the recurrence-II search considers them; dep refines that
-	// search with exact affine distance/direction verdicts wherever both
-	// accesses are affine. Both are built for the first pipelined loop.
-	pts *absint.PointsToResult
-	dep *deptest.Engine
 
 	// Scheduler state: finish times (in synthTables) valid when stamped
 	// with the current generation, and per-base memory state valid when
@@ -240,10 +227,12 @@ type areaKey struct {
 	double bool
 }
 
-func newSynth(f *llvm.Function, tgt Target) *synth {
-	s := &synth{tgt: tgt, f: f}
-	s.cfg = analysis.NewCFG(f)
-	s.li = analysis.FindLoops(s.cfg, analysis.NewDomTree(s.cfg))
+// newSynth prepares a synthesis of a's function under tgt. It reads the
+// set's CFG and loops, its points-to relation and dependence engine for
+// the first pipelined loop, and under CostInferred its widths.
+func newSynth(a *Analyses, tgt Target) *synth {
+	s := &synth{tgt: tgt, Analyses: a}
+	f := a.F
 
 	n, nargs := 0, 0
 	for _, b := range f.Blocks {
@@ -278,11 +267,7 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 	}
 	s.price()
 
-	nl := len(s.li.Loops)
-	s.loopIdx = make(map[*analysis.Loop]int32, nl)
-	for i, l := range s.li.Loops {
-		s.loopIdx[l] = int32(i)
-	}
+	nl := len(s.Loops.Loops)
 	s.loopLat = make([]int64, nl)
 	s.loopRep = make([]LoopReport, nl)
 	if nl > 0 {
@@ -295,8 +280,8 @@ func newSynth(f *llvm.Function, tgt Target) *synth {
 }
 
 // price fills the per-instruction cost, base and area-key tables and the
-// per-base port counts. Under the inferred cost model it runs the bitwidth
-// analysis once and prices each operator at the width it proves.
+// per-base port counts. Under the inferred cost model it prices each
+// operator at the width the set's bitwidth analysis proves.
 func (s *synth) price() {
 	addrOnly := s.addrOnly()
 	bases := map[llvm.Value]int32{}
@@ -308,7 +293,7 @@ func (s *synth) price() {
 		b := int32(len(s.ports))
 		bases[v] = b
 		ports := s.tgt.MemPorts
-		for i, p := range s.f.Params {
+		for i, p := range s.F.Params {
 			if v == llvm.Value(p) {
 				ports = s.tgt.PartitionPorts(s.part[i].Kind, s.part[i].Factor)
 			}
@@ -318,7 +303,7 @@ func (s *synth) price() {
 	}
 	var widths *bitwidth.Analysis
 	if s.tgt.CostModel == CostInferred {
-		widths = bitwidth.Analyze(s.f)
+		widths = s.Bitwidth()
 	}
 	areaKeys := map[areaKey]int32{}
 	for i, in := range s.instrs {
@@ -373,14 +358,9 @@ func (s *synth) instrNum(in *llvm.Instr) int32 {
 	return -1
 }
 
-// blockNum returns b's number, or 0 for a block f does not hold (a branch
-// target outside f, which the verifier rejects).
-func (s *synth) blockNum(b *llvm.Block) int32 {
-	if i := b.ID; i >= 0 && int(i) < len(s.f.Blocks) && s.f.Blocks[i] == b {
-		return i
-	}
-	return 0
-}
+// blockNum returns b's number, or 0 for a block F does not hold (a branch
+// target outside F, which the verifier rejects).
+func (s *synth) blockNum(b *llvm.Block) int32 { return int32(s.BlockPos(b)) }
 
 // operands returns the numbers of instruction i's operands.
 func (s *synth) operands(i int32) []int32 { return s.args[s.argOff[i]:s.argOff[i+1]] }
@@ -395,25 +375,25 @@ func (s *synth) latency(in *llvm.Instr) int {
 
 func (s *synth) run() *Report {
 	// Synthesize loops innermost-first.
-	ordered := make([]int32, len(s.li.Loops))
+	ordered := make([]int32, len(s.Loops.Loops))
 	for i := range ordered {
 		ordered[i] = int32(i)
 	}
 	slices.SortStableFunc(ordered, func(a, b int32) int {
-		return s.li.Loops[b].Depth() - s.li.Loops[a].Depth()
+		return s.Loops.Loops[b].Depth() - s.Loops.Loops[a].Depth()
 	})
 	for _, l := range ordered {
 		s.synthLoop(l)
 	}
 
-	latency := s.longestPath(-1, s.f.Entry())
-	if s.f.Attrs["hls.dataflow"] != "" {
+	latency := s.longestPath(-1, s.F.Entry())
+	if s.F.Attrs["hls.dataflow"] != "" {
 		if dfLat, ok := s.dataflowLatency(latency); ok {
 			latency = dfLat
 		}
 	}
 	rep := &Report{
-		Top:            s.f.Name,
+		Top:            s.F.Name,
 		ClockNs:        s.tgt.ClockNs,
 		CriticalPathNs: s.maxChain,
 		LatencyCycles:  latency,
@@ -436,7 +416,7 @@ func (s *synth) run() *Report {
 // silently keeping the sequential schedule.
 func (s *synth) dataflowLatency(seqLatency int64) (int64, bool) {
 	var tops []int32
-	for i, l := range s.li.Loops {
+	for i, l := range s.Loops.Loops {
 		if l.Parent == nil {
 			tops = append(tops, int32(i))
 		}
@@ -461,7 +441,7 @@ func (s *synth) dataflowLatency(seqLatency int64) (int64, bool) {
 	}
 	accs := make([]access, len(tops))
 	for i, l := range tops {
-		accs[i] = accOf(s.li.Loops[l])
+		accs[i] = accOf(s.Loops.Loops[l])
 	}
 	for i := range tops {
 		for j := range tops {
@@ -512,7 +492,7 @@ func (s *synth) tripOf(l *analysis.Loop) (int64, bool) {
 func (s *synth) ownBlocks(l *analysis.Loop) []int32 {
 	body := s.body[:0]
 outer:
-	for _, b := range s.cfg.Order {
+	for _, b := range s.CFG.Order {
 		if !l.Contains(b) {
 			continue
 		}
@@ -528,7 +508,7 @@ outer:
 }
 
 func (s *synth) synthLoop(idx int32) {
-	l := s.li.Loops[idx]
+	l := s.Loops.Loops[idx]
 	trip, estimated := s.tripOf(l)
 	md := l.MD
 	pipelined := md != nil && md.Pipeline && l.IsInnermost()
@@ -541,7 +521,7 @@ func (s *synth) synthLoop(idx int32) {
 	// when the nest level is perfect — the inner pipeline keeps issuing
 	// across outer iterations instead of refilling.
 	if !pipelined && md != nil && md.Flatten && len(l.Children) == 1 {
-		child := &s.loopRep[s.loopIdx[l.Children[0]]]
+		child := &s.loopRep[s.loopNum(l.Children[0])]
 		if (child.Pipelined || child.Flattened) &&
 			s.perfectNestLevel(l, l.Children[0]) && trip > 0 && child.Trip > 0 {
 			flattened = true
@@ -641,10 +621,6 @@ func (s *synth) iteration(l *analysis.Loop) (body []int32, cycles int64, resMII,
 // recMII is the recurrence-constrained II of innermost loop l, whose own
 // blocks are body, priced from the cost table.
 func (s *synth) recMII(l *analysis.Loop, body []int32) int {
-	if s.dep == nil {
-		s.pts = absint.PointsTo(s.f)
-		s.dep = deptest.New(s.f, s.li, s.pts.MayAlias)
-	}
 	mems := s.mems[:0]
 	for _, b := range body {
 		for i := s.first[b]; i < s.first[b+1]; i++ {
@@ -654,9 +630,7 @@ func (s *synth) recMII(l *analysis.Loop, body []int32) int {
 		}
 	}
 	s.mems = mems
-	return recMII(s.dep, l, mems, func(v llvm.Value) bool {
-		return dependsOnHeaderPhi(v, l.Header, map[llvm.Value]bool{})
-	}, s.pts.MayAlias, s.latency)
+	return recMII(s.DepEngine(), l, mems, s.PointsTo().MayAlias, s.latency)
 }
 
 // perfectNestLevel reports whether l's body consists only of the child loop
@@ -712,22 +686,25 @@ func (s *synth) longestPath(self int32, start *llvm.Block) int64 {
 	return s.longestFrom(s.nodeOf(s.blockNum(start), self), self)
 }
 
+// loopNum returns l's number: its position in Loops.Loops.
+func (s *synth) loopNum(l *analysis.Loop) int32 { return int32(slices.Index(s.Loops.Loops, l)) }
+
 // nodeOf returns block b's node in self's DAG: the last loop nested directly
 // in self that holds b, else b itself.
 func (s *synth) nodeOf(b, self int32) int32 {
-	blk := s.f.Blocks[b]
+	blk := s.F.Blocks[b]
 	node := b
 	if self >= 0 {
-		for _, c := range s.li.Loops[self].Children {
+		for _, c := range s.Loops.Loops[self].Children {
 			if c.Contains(blk) {
-				node = int32(len(s.f.Blocks)) + s.loopIdx[c]
+				node = int32(len(s.F.Blocks)) + s.loopNum(c)
 			}
 		}
 		return node
 	}
-	for i, l := range s.li.Loops {
+	for i, l := range s.Loops.Loops {
 		if l.Parent == nil && l.Contains(blk) {
-			node = int32(len(s.f.Blocks) + i)
+			node = int32(len(s.F.Blocks) + i)
 		}
 	}
 	return node
@@ -742,10 +719,10 @@ func (s *synth) longestFrom(n, self int32) int64 {
 	}
 	s.visiting[n] = true
 	best := int64(0)
-	nb := int32(len(s.f.Blocks))
+	nb := int32(len(s.F.Blocks))
 	var lat int64
 	if n < nb {
-		for _, sb := range s.f.Blocks[n].Succs() {
+		for _, sb := range s.F.Blocks[n].Succs() {
 			if v := s.edgeTo(n, sb, self); v > best {
 				best = v
 			}
@@ -753,8 +730,8 @@ func (s *synth) longestFrom(n, self int32) int64 {
 		cycles, _ := s.schedule([]int32{n}, 1)
 		lat = maxInt64(cycles, 1)
 	} else {
-		for _, sb := range s.exitsOf(s.li.Loops[n-nb]) {
-			if v := s.edgeTo(n, s.f.Blocks[sb], self); v > best {
+		for _, sb := range s.exitsOf(s.Loops.Loops[n-nb]) {
+			if v := s.edgeTo(n, s.F.Blocks[sb], self); v > best {
 				best = v
 			}
 		}
@@ -772,7 +749,7 @@ func (s *synth) longestFrom(n, self int32) int64 {
 // of n itself.
 func (s *synth) edgeTo(n int32, sb *llvm.Block, self int32) int64 {
 	if self >= 0 {
-		if l := s.li.Loops[self]; !l.Contains(sb) || sb == l.Header {
+		if l := s.Loops.Loops[self]; !l.Contains(sb) || sb == l.Header {
 			return 0
 		}
 	}
@@ -788,7 +765,7 @@ func (s *synth) edgeTo(n int32, sb *llvm.Block, self int32) int64 {
 // are appended to one buffer as they are needed.
 func (s *synth) exitsOf(l *analysis.Loop) []int32 {
 	start := len(s.exits)
-	for _, b := range s.f.Blocks {
+	for _, b := range s.F.Blocks {
 		if !l.Contains(b) {
 			continue
 		}
@@ -893,12 +870,12 @@ func (s *synth) estimateMemories(rep *Report) {
 			}
 		}
 	}
-	for i, p := range s.f.Params {
+	for i, p := range s.F.Params {
 		if p.Ty.IsPtr() && p.Ty.Elem != nil && p.Ty.Elem.IsArray() {
 			addArray(i, p.Ty.Elem)
 		}
 	}
-	for _, b := range s.f.Blocks {
+	for _, b := range s.F.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == llvm.OpAlloca && in.SrcElem.IsArray() {
 				addArray(-1, in.SrcElem)
@@ -909,10 +886,10 @@ func (s *synth) estimateMemories(rep *Report) {
 
 // estimateControl adds FSM and loop-control overhead.
 func (s *synth) estimateControl(rep *Report) {
-	rep.LUT += 50 * len(s.f.Blocks)
-	rep.FF += 80 * len(s.f.Blocks)
-	rep.LUT += 100 * len(s.li.Loops)
-	rep.FF += 64 * len(s.li.Loops)
+	rep.LUT += 50 * len(s.F.Blocks)
+	rep.FF += 80 * len(s.F.Blocks)
+	rep.LUT += 100 * len(s.Loops.Loops)
+	rep.FF += 64 * len(s.Loops.Loops)
 }
 
 func maxInt64(a, b int64) int64 {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/deptest"
+	"repro/internal/hls"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 )
@@ -43,29 +43,27 @@ type FuncDeps struct {
 	Nests []DepNest `json:"nests"`
 }
 
-// DependenceSummary runs the dependence engine over every defined function
-// of m and collects the per-nest edges.
+// DependenceSummary runs the dependence engine of every defined function's
+// analysis set over m and collects the per-nest edges.
 func DependenceSummary(m *llvm.Module) []FuncDeps {
 	var out []FuncDeps
 	for _, f := range m.Funcs {
 		if f.IsDecl || len(f.Blocks) == 0 {
 			continue
 		}
-		cfg := analysis.NewCFG(f)
-		li := analysis.FindLoops(cfg, analysis.NewDomTree(cfg))
-		eng := deptest.New(f, li, absintMayAlias(f))
+		a := hls.Analyze(f)
 		fd := FuncDeps{Func: f.Name}
-		for _, l := range li.Loops {
+		for _, l := range a.Loops.Loops {
 			if l.Parent != nil {
 				continue // one summary per top-level nest
 			}
 			nest := DepNest{Root: l.Header.Name}
-			for _, nl := range li.Loops {
+			for _, nl := range a.Loops.Loops {
 				if nl == l || nestedIn(nl, l) {
 					nest.Loops = append(nest.Loops, nl.Header.Name)
 				}
 			}
-			for _, ed := range eng.Edges(l) {
+			for _, ed := range a.DepEngine().Edges(l) {
 				de := DepEdge{
 					Src:   instrRef(ed.Src),
 					Dst:   instrRef(ed.Dst),
@@ -105,13 +103,6 @@ func instrRef(in *llvm.Instr) string {
 		return fmt.Sprintf("%%%s@%%%s", label, in.Parent.Name)
 	}
 	return "%" + label
-}
-
-// absintMayAlias builds the points-to oracle the engine consults, matching
-// the construction lint and synthesis use.
-func absintMayAlias(f *llvm.Function) func(a, b llvm.Value) bool {
-	ctx := &FuncContext{F: f}
-	return func(a, b llvm.Value) bool { return ctx.PointsTo().MayAlias(a, b) }
 }
 
 // WriteDependenceText renders the summary for terminals.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/diag"
+	"repro/internal/hls"
 	"repro/internal/llvm"
 	"repro/internal/llvm/analysis"
 )
@@ -19,14 +20,17 @@ import (
 // inconsistent with the arrays' static shapes.
 func checkDirectives(ctx *FuncContext) diag.Diagnostics {
 	var out diag.Diagnostics
+	var bounds []hls.LoopBound
 	for _, l := range ctx.Loops.Loops {
-		out = append(out, lintLoopMD(ctx, l)...)
+		out = append(out, lintLoopMD(ctx, &bounds, l)...)
 	}
 	out = append(out, lintPartitions(ctx)...)
 	return out
 }
 
-func lintLoopMD(ctx *FuncContext, l *analysis.Loop) diag.Diagnostics {
+// lintLoopMD lints loop l's directives; bounds holds the function's loop
+// bounds once a pipelined loop needs its RecMII.
+func lintLoopMD(ctx *FuncContext, bounds *[]hls.LoopBound, l *analysis.Loop) diag.Diagnostics {
 	var out diag.Diagnostics
 	const check = "hls-directives"
 	if len(l.Latches) > 1 {
@@ -59,7 +63,7 @@ func lintLoopMD(ctx *FuncContext, l *analysis.Loop) diag.Diagnostics {
 			"drop one of the two directives"))
 	}
 	if md.Pipeline && l.IsInnermost() {
-		rec := ctx.recMII(l)
+		rec := ctx.recMII(bounds, l)
 		want := md.II
 		if want <= 0 {
 			want = 1

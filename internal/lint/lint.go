@@ -1,19 +1,18 @@
 // Package lint implements the static analyses of the hls-lint subsystem:
 // SSA and memory-safety invariants over the LLVM-like IR, array-bounds
 // reasoning against the static shapes HLS synthesis requires, loop-carried
-// dependence detection, and HLS-directive feasibility lints. Checks reuse
-// internal/llvm/analysis (CFG, dominators, loops, induction variables) and
-// read each loop's RecMII from the estimator (internal/hls.LoopBounds), so
-// diagnostics agree with what synthesis will actually do.
+// dependence detection, and HLS-directive feasibility lints. The checks of
+// one function share one analysis set (internal/hls.Analyses: CFG,
+// dominators, loops, intervals, SCCP, points-to, widths and the dependence
+// engine) and read each loop's RecMII from the estimator run on that set
+// (hls.LoopBounds), so diagnostics agree with what synthesis will actually
+// do.
 //
 // The package is consumed two ways: cmd/hls-lint reports all checks, and
 // the verify-each mode runs the invariant subset after every pass.
 package lint
 
 import (
-	"repro/internal/absint"
-	"repro/internal/bitwidth"
-	"repro/internal/deptest"
 	"repro/internal/diag"
 	"repro/internal/hls"
 	"repro/internal/llvm"
@@ -177,98 +176,28 @@ type Options struct {
 	Target hls.Target
 }
 
-// FuncContext carries one function's analyses, shared by every check.
+// FuncContext carries one function's analysis set, shared by every check:
+// the CFG, dominator tree and loop nest as fields, the other analyses built
+// on a check's first call.
 type FuncContext struct {
-	M      *llvm.Module
-	F      *llvm.Function
-	CFG    *analysis.CFG
-	Dom    *analysis.DomTree
-	Loops  *analysis.LoopInfo
+	M *llvm.Module
+	*hls.Analyses
 	Target hls.Target
-
-	blockPos map[*llvm.Block]int
-	instrPos map[*llvm.Instr]int
-
-	// Abstract-interpretation results, computed on first use so checks that
-	// do not need them cost nothing.
-	intervals *absint.IntervalResult
-	pts       *absint.PointsToResult
-	sccp      *absint.SCCPResult
-	dep       *deptest.Engine
-	bw        *bitwidth.Analysis
-	bounds    []hls.LoopBound
 }
 
-// DepEngine returns the function's affine dependence-test engine (lazily
-// computed), which supplies the per-pair evidence of carried-dependence
-// findings. It is constructed exactly as the synthesis estimator builds its
-// own — same loop info, same points-to oracle — so lint's verdicts agree
-// with the RecMII the findings report.
-func (ctx *FuncContext) DepEngine() *deptest.Engine {
-	if ctx.dep == nil {
-		ctx.dep = deptest.New(ctx.F, ctx.Loops, ctx.PointsTo().MayAlias)
+// recMII returns the recurrence floor the scheduler gives innermost loop l,
+// filling bounds from the estimator (hls.LoopBounds, on the context's own
+// analyses) on first use.
+func (ctx *FuncContext) recMII(bounds *[]hls.LoopBound, l *analysis.Loop) int {
+	if *bounds == nil {
+		*bounds = hls.LoopBounds(ctx.Analyses, ctx.Target)
 	}
-	return ctx.dep
-}
-
-// recMII returns the recurrence floor the scheduler gives innermost loop l.
-// The function's bounds come from hls.LoopBounds, computed on first use;
-// it resolves the target's widths under the inferred cost model.
-func (ctx *FuncContext) recMII(l *analysis.Loop) int {
-	if ctx.bounds == nil {
-		ctx.bounds = hls.LoopBounds(ctx.F, ctx.Target)
-	}
-	for _, b := range ctx.bounds {
+	for _, b := range *bounds {
 		if b.Header == l.Header {
 			return b.RecMII
 		}
 	}
 	return 1
-}
-
-// Intervals returns the function's value-range analysis (lazily computed).
-func (ctx *FuncContext) Intervals() *absint.IntervalResult {
-	if ctx.intervals == nil {
-		ctx.intervals = absint.Intervals(ctx.F)
-	}
-	return ctx.intervals
-}
-
-// PointsTo returns the function's points-to analysis (lazily computed).
-func (ctx *FuncContext) PointsTo() *absint.PointsToResult {
-	if ctx.pts == nil {
-		ctx.pts = absint.PointsTo(ctx.F)
-	}
-	return ctx.pts
-}
-
-// SCCP returns the function's conditional constant propagation (lazily
-// computed).
-func (ctx *FuncContext) SCCP() *absint.SCCPResult {
-	if ctx.sccp == nil {
-		ctx.sccp = absint.SCCP(ctx.F)
-	}
-	return ctx.sccp
-}
-
-// newFuncContext computes the shared analyses for f.
-func newFuncContext(m *llvm.Module, f *llvm.Function, tgt hls.Target) *FuncContext {
-	cfg := analysis.NewCFG(f)
-	dom := analysis.NewDomTree(cfg)
-	ctx := &FuncContext{
-		M: m, F: f, CFG: cfg, Dom: dom,
-		Loops:    analysis.FindLoops(cfg, dom),
-		Target:   tgt,
-		blockPos: map[*llvm.Block]int{},
-		instrPos: map[*llvm.Instr]int{},
-	}
-	for bi, b := range f.Blocks {
-		ctx.blockPos[b] = bi
-		for ii, in := range b.Instrs {
-			ctx.instrPos[in] = ii
-		}
-	}
-	return ctx
 }
 
 // diag builds a located diagnostic. b and in may be nil for function- and
@@ -281,14 +210,14 @@ func (ctx *FuncContext) diag(sev diag.Severity, check string, b *llvm.Block, in 
 	}
 	if b != nil {
 		d.Block = b.Name
-		d.BlockPos = ctx.blockPos[b]
+		d.BlockPos = ctx.BlockPos(b)
 	}
 	if in != nil {
 		d.Instr = instrLabel(in)
-		d.InstrPos = ctx.instrPos[in]
+		d.InstrPos = ctx.InstrPos(in)
 		if in.Parent != nil && b == nil {
 			d.Block = in.Parent.Name
-			d.BlockPos = ctx.blockPos[in.Parent]
+			d.BlockPos = ctx.BlockPos(in.Parent)
 		}
 	}
 	return d
@@ -303,17 +232,6 @@ func instrLabel(in *llvm.Instr) string {
 	return string(in.Op)
 }
 
-// loopOf returns the innermost loop containing b, or nil.
-func (ctx *FuncContext) loopOf(b *llvm.Block) *analysis.Loop {
-	var best *analysis.Loop
-	for _, l := range ctx.Loops.Loops {
-		if l.Contains(b) && (best == nil || l.Depth() > best.Depth()) {
-			best = l
-		}
-	}
-	return best
-}
-
 // Module runs the selected checks over every defined function and returns
 // the sorted findings.
 func Module(m *llvm.Module, opts Options) diag.Diagnostics {
@@ -326,7 +244,7 @@ func Module(m *llvm.Module, opts Options) diag.Diagnostics {
 		if f.IsDecl || len(f.Blocks) == 0 {
 			continue
 		}
-		ctx := newFuncContext(m, f, tgt)
+		ctx := &FuncContext{M: m, Analyses: hls.Analyze(f), Target: tgt}
 		for _, c := range registry {
 			if opts.Enabled != nil && !opts.Enabled[c.Name] {
 				continue

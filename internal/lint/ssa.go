@@ -54,7 +54,7 @@ func checkSSADominance(ctx *FuncContext) diag.Diagnostics {
 					continue
 				}
 				if db == b {
-					if ctx.instrPos[d] >= ctx.instrPos[in] {
+					if ctx.InstrPos(d) >= ctx.InstrPos(in) {
 						out = append(out, ctx.diag(diag.SevError, check, b, in,
 							fmt.Sprintf("operand %s is used before its definition later in %%%s",
 								d.Ident(), b.Name), ""))

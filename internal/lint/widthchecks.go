@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 
-	"repro/internal/bitwidth"
 	"repro/internal/diag"
 	"repro/internal/llvm"
 )
@@ -12,14 +11,6 @@ import (
 // fused with intervals, plus backward demanded bits). They follow the house
 // rule of the other value-range checks — silent when the analysis proves
 // nothing, so data-dependent code never drowns in "unknown" findings.
-
-// Bitwidth returns the function's bitwidth analysis (lazily computed).
-func (ctx *FuncContext) Bitwidth() *bitwidth.Analysis {
-	if ctx.bw == nil {
-		ctx.bw = bitwidth.Analyze(ctx.F)
-	}
-	return ctx.bw
-}
 
 // typeRange returns the signed value range of an integer type in the 64-bit
 // representation.

@@ -50,7 +50,7 @@ func WidthSummary(m *llvm.Module, tgt hls.Target) []FuncWidths {
 		if f.IsDecl || len(f.Blocks) == 0 {
 			continue
 		}
-		a := bitwidth.Analyze(f)
+		a := hls.Analyze(f).Bitwidth()
 		fw := FuncWidths{Func: f.Name, Values: a.Report()}
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {

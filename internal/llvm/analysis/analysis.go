@@ -312,8 +312,10 @@ func (l *Loop) Blocks() []*llvm.Block {
 // IsInnermost reports whether the loop has no children.
 func (l *Loop) IsInnermost() bool { return len(l.Children) == 0 }
 
-// LoopInfo is the set of natural loops of a function.
+// LoopInfo is the set of natural loops of a function, with the CFG they
+// were found in.
 type LoopInfo struct {
+	CFG   *CFG
 	Loops []*Loop // all loops, outer before inner
 }
 
@@ -330,7 +332,7 @@ func (li *LoopInfo) ByHeader(h *llvm.Block) *Loop {
 // FindLoops detects natural loops via back edges (latch -> header where
 // header dominates latch) and nests them by block containment.
 func FindLoops(c *CFG, d *DomTree) *LoopInfo {
-	li := &LoopInfo{}
+	li := &LoopInfo{CFG: c}
 	words := (len(c.blocks) + 63) / 64
 	var stack []int
 	for _, b := range c.Order {

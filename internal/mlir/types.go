@@ -6,9 +6,11 @@
 package mlir
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // TypeKind discriminates the supported type constructors.
@@ -105,34 +107,36 @@ func Index() *Type { return indexType }
 // None returns the unit type.
 func None() *Type { return noneType }
 
-// memrefTypes interns memref types by element identity and shape. Scalars
-// are singletons, so structurally equal memrefs built through this
-// package's constructors share one node — a kernel's parse touches the
-// same handful of buffer types thousands of times.
-var memrefTypes sync.Map // memrefKey -> *Type
+// memrefTypes caches memref types by element and shape: a kernel's parse
+// touches the same handful of buffer types thousands of times, and a hit
+// allocates nothing. Types compare with Equal, so the table is only a
+// cache: it has a fixed number of slots, each holding the last type hashed
+// to it, and MLIR from an untrusted client cannot grow it.
+var memrefTypes [memrefSlots]atomic.Pointer[Type]
 
-type memrefKey struct {
-	elem  *Type
-	shape string
-}
+// memrefSlots is the size of the memref type cache.
+const memrefSlots = 256
 
 // MemRef returns the memref type with the given shape and element type.
 func MemRef(shape []int64, elem *Type) *Type {
-	var sb strings.Builder
+	// FNV-1a over the element's kind and width and the dimensions.
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	mix(uint64(elem.Kind))
+	mix(uint64(elem.Width))
 	for _, d := range shape {
-		sb.WriteString(strconv.FormatInt(d, 10))
-		sb.WriteByte('x')
+		mix(uint64(d))
 	}
-	key := memrefKey{elem: elem, shape: sb.String()}
-	if t, ok := memrefTypes.Load(key); ok {
-		return t.(*Type)
+	slot := &memrefTypes[h%memrefSlots]
+	if t := slot.Load(); t != nil && t.Elem == elem && slices.Equal(t.Shape, shape) {
+		return t
 	}
 	s := make([]int64, len(shape))
 	copy(s, shape)
 	t := &Type{Kind: KindMemRef, Elem: elem, Shape: s}
 	t.text = t.spell()
-	u, _ := memrefTypes.LoadOrStore(key, t)
-	return u.(*Type)
+	slot.Store(t)
+	return t
 }
 
 // IsInt reports whether t is an integer type.

@@ -1,6 +1,7 @@
 package mlir
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +126,44 @@ func TestTypeEqualQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemRefTableBounded builds far more distinct memref types than the
+// type cache has slots, as a long-lived service fed untrusted MLIR does:
+// the cache must keep its fixed size and hold on to no more than that many
+// types, while a repeated shape still hits and an evicted one is rebuilt
+// equal.
+func TestMemRefTableBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 20000
+	first := MemRef([]int64{1 << 40}, F32())
+	for i := 0; i < n; i++ {
+		MemRef([]int64{int64(i) + 1, 7}, F32())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// At a few hundred bytes per type, keeping all of them would hold
+	// several megabytes.
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Errorf("%d distinct memref types left %d more live heap bytes", n, grown)
+	}
+	held := 0
+	for i := range memrefTypes {
+		if memrefTypes[i].Load() != nil {
+			held++
+		}
+	}
+	if held > memrefSlots {
+		t.Errorf("cache holds %d types, more than its %d slots", held, memrefSlots)
+	}
+	again := MemRef([]int64{1 << 40}, F32())
+	if !again.Equal(first) || again.String() != "memref<1099511627776xf32>" {
+		t.Errorf("rebuilt type %s differs from %s", again, first)
+	}
+	if MemRef([]int64{1 << 40}, F32()) != again {
+		t.Error("a repeated shape missed the cache")
 	}
 }
