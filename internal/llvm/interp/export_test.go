@@ -20,7 +20,7 @@ func CompileFresh(mod *llvm.Module, name string) (*Program, error) {
 // Equal reports whether p and q execute identically: the same code, slots,
 // constants (floats by bit pattern), GEP strides, call graph and entry ABI.
 // Names, attributes and loop metadata never reach a program. It is the
-// field-by-field reference the tests hold Digest to.
+// field-by-field reference the tests hold ProgramKey to.
 func (p *Program) Equal(q *Program) bool {
 	if p == q {
 		return true

@@ -2,8 +2,6 @@ package interp
 
 import (
 	"cmp"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -16,9 +14,10 @@ import (
 // functions it calls. It is made only of plain values: instructions name
 // dense register slots, predicates and memory widths are enums, GEPs are
 // offset and stride lists, phis are moves on the edges that feed them, and
-// calls name callees by index. Two programs with the same Digest execute
-// identically on identical arguments, so a caller may reuse a verdict
-// reached on one for the other.
+// calls name callees by index. Two Equal programs execute identically on
+// identical arguments, and ProgramKey names the program a module compiles
+// to without building it, so a caller may reuse a verdict reached on one
+// module for another with the same key.
 type Program struct {
 	params []ParamKind
 	funcs  []function // funcs[0] is the entry function
@@ -48,59 +47,6 @@ func (p *Program) Release() {
 	if p != nil {
 		programs.Put(p)
 	}
-}
-
-// digestBufs holds the buffers Digest encodes programs into.
-var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// Digest returns the SHA-256 of what the program executes: the entry ABI
-// and, per function, the parameter, slot and tracked-value counts, the
-// code, the constants (floats by bit pattern), the GEP strides and the call
-// arguments. Every list is length-prefixed, so two programs have the same
-// digest exactly when those fields are equal. Names and diagnostics are not
-// hashed: they only word an error.
-func (p *Program) Digest() [sha256.Size]byte {
-	bp := digestBufs.Get().(*[]byte)
-	le := binary.LittleEndian
-	b := le.AppendUint32((*bp)[:0], uint32(len(p.params)))
-	for _, k := range p.params {
-		b = append(b, byte(k))
-	}
-	b = le.AppendUint32(b, uint32(len(p.funcs)))
-	for i := range p.funcs {
-		f := &p.funcs[i]
-		b = le.AppendUint32(b, uint32(f.nparams))
-		b = le.AppendUint32(b, uint32(f.nslots))
-		b = le.AppendUint32(b, uint32(f.ntracked))
-		b = le.AppendUint32(b, uint32(len(f.code)))
-		for _, in := range f.code {
-			b = append(b, byte(in.op), in.sub)
-			b = le.AppendUint32(b, uint32(in.dst))
-			b = le.AppendUint32(b, uint32(in.a))
-			b = le.AppendUint32(b, uint32(in.b))
-			b = le.AppendUint32(b, uint32(in.c))
-			b = le.AppendUint64(b, uint64(in.imm))
-		}
-		b = le.AppendUint32(b, uint32(len(f.consts)))
-		for _, c := range f.consts {
-			b = le.AppendUint32(b, uint32(c.slot))
-			b = le.AppendUint64(b, uint64(c.i))
-			b = le.AppendUint64(b, c.f)
-		}
-		b = le.AppendUint32(b, uint32(len(f.steps)))
-		for _, s := range f.steps {
-			b = le.AppendUint32(b, uint32(s.slot))
-			b = le.AppendUint64(b, uint64(s.stride))
-		}
-		b = le.AppendUint32(b, uint32(len(f.args)))
-		for _, a := range f.args {
-			b = le.AppendUint32(b, uint32(a))
-		}
-	}
-	sum := sha256.Sum256(b)
-	*bp = b
-	digestBufs.Put(bp)
-	return sum
 }
 
 type opcode uint8
@@ -372,14 +318,11 @@ func (p *Program) compile(mod *llvm.Module, name string, withSrcs bool) ([][]*ll
 	}
 	fc, _ := compilers.Get().(*funcCompiler)
 	if fc == nil {
-		fc = &funcCompiler{bidx: map[*llvm.Block]int32{}, slots: map[*llvm.Instr]int32{},
-			track: map[llvm.Value]int32{}, consts: map[[2]uint64]int32{},
-			mc: modCompiler{index: map[*llvm.Function]int32{}}}
+		fc = &funcCompiler{consts: map[[2]uint64]int32{}}
 	}
 	defer fc.release()
 	mc := &fc.mc
 	mc.mod = mod
-	mc.index[f] = 0
 	mc.queue = append(mc.queue, f)
 	p.funcs = p.funcs[:0]
 	var srcs [][]*llvm.Instr
@@ -409,18 +352,15 @@ func (p *Program) nextFunc() *function {
 // modCompiler numbers the functions a program calls.
 type modCompiler struct {
 	mod   *llvm.Module
-	index map[*llvm.Function]int32
 	queue []*llvm.Function
 }
 
 func (mc *modCompiler) funcIndex(f *llvm.Function) int32 {
-	if i, ok := mc.index[f]; ok {
-		return i
+	if i := slices.Index(mc.queue, f); i >= 0 {
+		return int32(i)
 	}
-	i := int32(len(mc.queue))
-	mc.index[f] = i
 	mc.queue = append(mc.queue, f)
-	return i
+	return int32(len(mc.queue) - 1)
 }
 
 // compilers holds function compilers whose tables the next compile reuses.
@@ -428,23 +368,26 @@ var compilers sync.Pool
 
 // funcCompiler compiles the functions of one program, one at a time. Its
 // tables are scratch: start resets them for each function, and release
-// empties them before pooling so they pin no module.
+// empties them before pooling so they pin no module. Blocks, instructions
+// and parameters are looked up by their numbers in the function's layout.
 type funcCompiler struct {
-	mc modCompiler
-	f  *llvm.Function
-	fn *function
+	mc  modCompiler
+	f   *llvm.Function
+	fn  *function
+	lay layout
 
-	bidx map[*llvm.Block]int32
 	nphi []int   // leading phis per block
 	term []int   // index of the first terminator per block, or len(Instrs)
 	idom []int32 // -1: unreachable
 
-	slots  map[*llvm.Instr]int32 // instruction results (parameters: slotOf)
-	defBlk []int32               // per slot: defining block (-1: parameter)
-	defIdx []int                 // per slot: index in its block (-1: leading phi)
-	track  map[llvm.Value]int32  // tracked values → tracked index
-	consts map[[2]uint64]int32
-	junk   int32
+	islot   []int32 // per instruction number: result slot + 1, or 0 (parameters: slotOf)
+	defBlk  []int32 // per slot: defining block (-1: parameter)
+	defIdx  []int   // per slot: index in its block (-1: leading phi)
+	itrack  []int32 // per instruction number: tracked index + 1, or 0
+	ptrack  []int32 // per parameter: tracked index + 1, or 0
+	foreign []foreignTrack
+	consts  map[[2]uint64]int32
+	junk    int32
 
 	blockPC []int32 // empty until the blocks are compiled
 	patches []patch
@@ -464,6 +407,12 @@ type funcCompiler struct {
 	post, num     []int32
 }
 
+// foreignTrack is a tracked value outside the function: reads of it trap.
+type foreignTrack struct {
+	v llvm.Value
+	k int32
+}
+
 // patch records a branch field to fill with an edge's program counter.
 type patch struct {
 	pc    int32
@@ -476,16 +425,15 @@ type patch struct {
 func (fc *funcCompiler) start(f *llvm.Function, fn *function, withSrcs bool) {
 	fc.f, fc.fn, fc.wantSrc = f, fn, withSrcs
 	fn.reset(f.Name, int32(len(f.Params)))
-	clear(fc.bidx)
-	clear(fc.slots)
-	clear(fc.track)
+	ni := fc.lay.number(f)
+	fc.islot, fc.itrack = grow(fc.islot[:0], ni), grow(fc.itrack[:0], ni)
+	fc.ptrack = grow(fc.ptrack[:0], len(f.Params))
+	clear(fc.foreign)
+	fc.foreign = fc.foreign[:0]
 	clear(fc.consts)
 	// Size the tables once: every instruction defines at most one slot and
 	// compiles to a handful of program instructions.
-	n := len(f.Params)
-	for _, b := range f.Blocks {
-		n += len(b.Instrs)
-	}
+	n := len(f.Params) + ni
 	fn.code = slices.Grow(fn.code, n+2*len(f.Blocks))
 	fc.defBlk, fc.defIdx = slices.Grow(fc.defBlk[:0], n), slices.Grow(fc.defIdx[:0], n)
 	for range f.Params {
@@ -504,13 +452,11 @@ func (fc *funcCompiler) start(f *llvm.Function, fn *function, withSrcs bool) {
 // release empties the compiler's tables of everything that references the
 // compiled module and pools it.
 func (fc *funcCompiler) release() {
-	clear(fc.bidx)
-	clear(fc.slots)
-	clear(fc.track)
-	clear(fc.mc.index)
+	fc.lay.release()
+	clear(fc.foreign)
 	clear(fc.mc.queue[:cap(fc.mc.queue)])
 	clear(fc.patches[:cap(fc.patches)])
-	fc.mc.queue, fc.patches = fc.mc.queue[:0], fc.patches[:0]
+	fc.mc.queue, fc.patches, fc.foreign = fc.mc.queue[:0], fc.patches[:0], fc.foreign[:0]
 	fc.mc.mod, fc.f, fc.fn, fc.srcs = nil, nil, nil, nil
 	compilers.Put(fc)
 }
@@ -531,11 +477,9 @@ func (fc *funcCompiler) compile() {
 		fc.emitError(fmt.Errorf("interp: @%s has no body", f.Name), false, "")
 		return
 	}
-	for i, b := range f.Blocks {
-		fc.bidx[b] = int32(i)
-	}
 	fc.nphi = grow(fc.nphi[:0], len(f.Blocks))
 	fc.term = grow(fc.term[:0], len(f.Blocks))
+	num := 0 // the instruction number Renumber gave b.Instrs[j]
 	for bi, b := range f.Blocks {
 		for fc.nphi[bi] < len(b.Instrs) && b.Instrs[fc.nphi[bi]].Op == llvm.OpPhi {
 			fc.nphi[bi]++
@@ -549,7 +493,7 @@ func (fc *funcCompiler) compile() {
 		}
 		for j, in := range b.Instrs {
 			if in.HasResult() {
-				fc.slots[in] = fc.newSlot(in)
+				fc.islot[num] = fc.newSlot(in) + 1
 				fc.defBlk = append(fc.defBlk, int32(bi))
 				idx := j
 				if j < fc.nphi[bi] {
@@ -557,6 +501,7 @@ func (fc *funcCompiler) compile() {
 				}
 				fc.defIdx = append(fc.defIdx, idx)
 			}
+			num++
 		}
 	}
 	fc.junk = fc.newSlot(nil)
@@ -610,7 +555,7 @@ func (fc *funcCompiler) dominators() {
 	for bi, b := range fc.f.Blocks {
 		if fc.term[bi] < len(b.Instrs) {
 			for _, s := range b.Instrs[fc.term[bi]].Blocks {
-				if si, ok := fc.bidx[s]; ok {
+				if si := fc.lay.block(s); si >= 0 {
 					fc.succ = append(fc.succ, si)
 				}
 			}
@@ -731,9 +676,8 @@ func (fc *funcCompiler) findTracked() {
 		if fc.defined(v, b, j) {
 			return
 		}
-		if _, ok := fc.track[v]; !ok {
-			fc.track[v] = fc.fn.ntracked
-			fc.fn.ntracked++
+		if _, ok := fc.tracked(v); !ok {
+			fc.track(v)
 			fc.fn.undef = append(fc.fn.undef, v.Ident())
 		}
 	}
@@ -749,7 +693,7 @@ func (fc *funcCompiler) findTracked() {
 					case in.Blocks[k] == nil && bi == 0:
 						note(v, 0, -1) // the entry edge
 					default:
-						if p, ok := fc.bidx[in.Blocks[k]]; ok {
+						if p := fc.lay.block(in.Blocks[k]); p >= 0 {
 							note(v, p, len(fc.f.Blocks[p].Instrs))
 						}
 					}
@@ -812,8 +756,56 @@ func (fc *funcCompiler) tracked(v llvm.Value) (int32, bool) {
 	if fc.fn.ntracked == 0 {
 		return 0, false
 	}
-	k, ok := fc.track[v]
-	return k, ok
+	k := int32(0)
+	switch x := v.(type) {
+	case *llvm.ConstInt, *llvm.ConstFloat, *llvm.Undef:
+		return 0, false
+	case *llvm.Instr:
+		if i := fc.lay.instr(x); i >= 0 {
+			k = fc.itrack[i]
+			break
+		}
+		k = fc.trackedForeign(v)
+	case *llvm.Param:
+		if i := fc.lay.param(x); i >= 0 {
+			k = fc.ptrack[i]
+			break
+		}
+		k = fc.trackedForeign(v)
+	default:
+		k = fc.trackedForeign(v)
+	}
+	return k - 1, k > 0
+}
+
+// trackedForeign returns the tracked index + 1 of a value outside the
+// function, or 0.
+func (fc *funcCompiler) trackedForeign(v llvm.Value) int32 {
+	for _, t := range fc.foreign {
+		if t.v == v {
+			return t.k + 1
+		}
+	}
+	return 0
+}
+
+// track gives v the next tracked index.
+func (fc *funcCompiler) track(v llvm.Value) {
+	k := fc.fn.ntracked
+	fc.fn.ntracked++
+	switch x := v.(type) {
+	case *llvm.Instr:
+		if i := fc.lay.instr(x); i >= 0 {
+			fc.itrack[i] = k + 1
+			return
+		}
+	case *llvm.Param:
+		if i := fc.lay.param(x); i >= 0 {
+			fc.ptrack[i] = k + 1
+			return
+		}
+	}
+	fc.foreign = append(fc.foreign, foreignTrack{v, k})
 }
 
 // slotOf returns the slot of a parameter or instruction result of this
@@ -821,13 +813,12 @@ func (fc *funcCompiler) tracked(v llvm.Value) (int32, bool) {
 func (fc *funcCompiler) slotOf(v llvm.Value) (int32, bool) {
 	switch x := v.(type) {
 	case *llvm.Instr:
-		s, ok := fc.slots[x]
-		return s, ok
+		if i := fc.lay.instr(x); i >= 0 && fc.islot[i] > 0 {
+			return fc.islot[i] - 1, true
+		}
 	case *llvm.Param:
-		for i, p := range fc.f.Params {
-			if p == x {
-				return int32(i), true
-			}
+		if i := fc.lay.param(x); i >= 0 {
+			return i, true
 		}
 	}
 	return 0, false
@@ -871,7 +862,7 @@ func constVal(v llvm.Value) (int64, bool) {
 // result returns the slot an instruction's value goes to (the junk slot
 // when it defines none).
 func (fc *funcCompiler) result(in *llvm.Instr) int32 {
-	if s, ok := fc.slots[in]; ok {
+	if s, ok := fc.slotOf(in); ok {
 		return s
 	}
 	return fc.junk
@@ -944,8 +935,8 @@ func (fc *funcCompiler) terminator(bi int32, j int, in *llvm.Instr) {
 // into to: the parallel moves that bind to's phis, then a jump. It returns
 // the program counter to branch to.
 func (fc *funcCompiler) edge(from int32, to *llvm.Block) int32 {
-	ti, ok := fc.bidx[to]
-	if !ok {
+	ti := fc.lay.block(to)
+	if ti < 0 {
 		if to == nil {
 			return fc.emitError(fmt.Errorf("interp: fell off block"), false, "")
 		}
@@ -1310,70 +1301,81 @@ func (fc *funcCompiler) gep(bi int32, j int, in *llvm.Instr, dst int32) {
 	fc.emitSite(x, in)
 }
 
+// intrinsicOp returns the opcode a call to callee compiles to when callee
+// is a math or memory intrinsic: the operands it reads and its sub field.
+// free and the lifetime markers compile to opNop with n < 0: they read
+// nothing.
+func intrinsicOp(callee string) (op opcode, n int, sub uint8, ok bool) {
+	switch callee {
+	case "llvm.sqrt.f64", "sqrt":
+		return opSqrt64, 1, 0, true
+	case "llvm.sqrt.f32", "sqrtf":
+		return opSqrt32, 1, 0, true
+	case "llvm.exp.f64", "exp":
+		return opExp64, 1, 0, true
+	case "llvm.exp.f32", "expf":
+		return opExp32, 1, 0, true
+	case "llvm.fmuladd.f64", "fma":
+		return opFma64, 3, 0, true
+	case "llvm.fmuladd.f32", "fmaf":
+		return opFma32, 3, 0, true
+	case "llvm.fabs.f64", "fabs":
+		return opFabs64, 1, 0, true
+	case "llvm.fabs.f32", "fabsf":
+		return opFabs32, 1, 0, true
+	case "malloc":
+		return opMalloc, 1, 0, true
+	case "free", "llvm.lifetime.start.p0", "llvm.lifetime.end.p0":
+		return opNop, -1, 0, true
+	case "llvm.memset.p0.i64":
+		return opMemset, 3, 0, true
+	case "memset":
+		return opMemset, 3, 1, true
+	case "llvm.memcpy.p0.p0.i64":
+		return opMemcpy, 3, 2, true
+	case "memcpy":
+		return opMemcpy, 3, 3, true
+	}
+	return 0, 0, 0, false
+}
+
 // call compiles a call: a math or memory intrinsic becomes its own opcode,
 // a defined function a call into the program.
 func (fc *funcCompiler) call(in *llvm.Instr, ops []int32, dst int32) {
-	intrinsic := func(op opcode, n int, sub uint8) {
-		if len(ops) < n {
-			fc.emitError(fmt.Errorf("call to @%s takes %d arguments, has %d", in.Callee, n, len(ops)), true, in.Name)
-			return
-		}
-		x := inst{op: op, sub: sub, dst: dst}
-		for k, s := range ops[:n] {
-			switch k {
-			case 0:
-				x.a = s
-			case 1:
-				x.b = s
-			default:
-				x.c = s
+	if op, n, sub, ok := intrinsicOp(in.Callee); ok {
+		switch {
+		case n < 0:
+			if dst != fc.junk {
+				fc.emit(inst{op: opNop, dst: dst})
 			}
+		case len(ops) < n:
+			fc.emitError(fmt.Errorf("call to @%s takes %d arguments, has %d", in.Callee, n, len(ops)), true, in.Name)
+		default:
+			x := inst{op: op, sub: sub, dst: dst}
+			for k, s := range ops[:n] {
+				switch k {
+				case 0:
+					x.a = s
+				case 1:
+					x.b = s
+				default:
+					x.c = s
+				}
+			}
+			fc.emitSite(x, in)
 		}
-		fc.emitSite(x, in)
+		return
 	}
-	switch in.Callee {
-	case "llvm.sqrt.f64", "sqrt":
-		intrinsic(opSqrt64, 1, 0)
-	case "llvm.sqrt.f32", "sqrtf":
-		intrinsic(opSqrt32, 1, 0)
-	case "llvm.exp.f64", "exp":
-		intrinsic(opExp64, 1, 0)
-	case "llvm.exp.f32", "expf":
-		intrinsic(opExp32, 1, 0)
-	case "llvm.fmuladd.f64", "fma":
-		intrinsic(opFma64, 3, 0)
-	case "llvm.fmuladd.f32", "fmaf":
-		intrinsic(opFma32, 3, 0)
-	case "llvm.fabs.f64", "fabs":
-		intrinsic(opFabs64, 1, 0)
-	case "llvm.fabs.f32", "fabsf":
-		intrinsic(opFabs32, 1, 0)
-	case "malloc":
-		intrinsic(opMalloc, 1, 0)
-	case "free", "llvm.lifetime.start.p0", "llvm.lifetime.end.p0":
-		if dst != fc.junk {
-			fc.emit(inst{op: opNop, dst: dst})
-		}
-	case "llvm.memset.p0.i64":
-		intrinsic(opMemset, 3, 0)
-	case "memset":
-		intrinsic(opMemset, 3, 1)
-	case "llvm.memcpy.p0.p0.i64":
-		intrinsic(opMemcpy, 3, 2)
-	case "memcpy":
-		intrinsic(opMemcpy, 3, 3)
-	default:
-		callee := fc.mc.mod.FindFunc(in.Callee)
-		if callee == nil || callee.IsDecl {
+	callee := callTarget(fc.mc.mod, in)
+	if callee == nil {
+		if c := fc.mc.mod.FindFunc(in.Callee); c != nil && !c.IsDecl {
+			fc.emitError(fmt.Errorf("call to @%s passes %d arguments for %d parameters", in.Callee, len(ops), len(c.Params)), true, in.Name)
+		} else {
 			fc.emitError(fmt.Errorf("call to unknown function @%s", in.Callee), true, in.Name)
-			return
 		}
-		if len(ops) < len(callee.Params) {
-			fc.emitError(fmt.Errorf("call to @%s passes %d arguments for %d parameters", in.Callee, len(ops), len(callee.Params)), true, in.Name)
-			return
-		}
-		x := inst{op: opCall, dst: dst, a: fc.mc.funcIndex(callee), b: int32(len(fc.fn.args))}
-		fc.fn.args = append(fc.fn.args, ops...)
-		fc.emitSite(x, in)
+		return
 	}
+	x := inst{op: opCall, dst: dst, a: fc.mc.funcIndex(callee), b: int32(len(fc.fn.args))}
+	fc.fn.args = append(fc.fn.args, ops...)
+	fc.emitSite(x, in)
 }

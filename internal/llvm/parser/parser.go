@@ -231,6 +231,11 @@ func (p *llParser) parseType() (*llvm.Type, error) {
 		if err != nil {
 			return nil, p.errf("bad integer type")
 		}
+		// Every layer computes in 64-bit words: a wider or empty integer
+		// is rejected before IntT interns its width.
+		if bits < 1 || bits > 64 {
+			return nil, p.errf("integer type %s: width must be 1 to 64 bits", t.text)
+		}
 		p.next()
 		base = llvm.IntT(bits)
 	case t.kind == tPunct && t.text == "[":

@@ -83,11 +83,12 @@ func TestRoundTripAdaptedIR(t *testing.T) {
 	}
 }
 
-// TestParsedModuleSharedReadOnly synthesizes and verifies one parsed
-// module from several goroutines at once, as warm runs do with a module
-// from the flow's final-module cache. The parser leaves the module
-// numbered and Renumber stores only numbers that differ, so under the race
-// detector this shows that analyses of such a module only read it.
+// TestParsedModuleSharedReadOnly synthesizes, verifies, keys and compiles
+// one parsed module from several goroutines at once, as warm runs do with
+// a module from the flow's final-module cache. The parser leaves the
+// module numbered and Renumber stores only numbers that differ, so under
+// the race detector this shows that analyses, program keys and the
+// interpreter's compiler only read such a module.
 func TestParsedModuleSharedReadOnly(t *testing.T) {
 	k := polybench.Get("gemm")
 	s, _ := k.SizeOf("MINI")
@@ -111,6 +112,15 @@ func TestParsedModuleSharedReadOnly(t *testing.T) {
 			if _, err := hls.Synthesize(m, k.Name, hls.DefaultTarget()); err != nil {
 				t.Error(err)
 			}
+			if _, err := interp.ProgramKey(m, k.Name); err != nil {
+				t.Error(err)
+			}
+			p, err := interp.Compile(m, k.Name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.Release()
 		}()
 	}
 	wg.Wait()

@@ -19,7 +19,7 @@ func (m *Module) CompileFresh(funcName string) (*Program, error) {
 // constants (floats by bit pattern), allocation types and argument types.
 // Attributes the interpreter never reads (hls.* directives) and value names
 // never reach a program. It is the field-by-field reference the tests hold
-// Digest to.
+// ProgramKey to.
 func (p *Program) Equal(q *Program) bool {
 	if p == q {
 		return true

@@ -2,8 +2,6 @@ package mlir
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -83,8 +81,9 @@ func (m *Module) InterpretWithFuel(funcName string, fuel int64, args ...*MemBuf)
 // values: ops become instructions over dense value slots, predicates are
 // enums, float element widths are resolved, affine maps are flattened into
 // slot arithmetic, structured loops into counted jumps, and cf branches
-// into moves onto their successors' block arguments. Two programs with the
-// same Digest execute identically on identical buffers.
+// into moves onto their successors' block arguments. Two Equal programs
+// execute identically on identical buffers, and ProgramKey names the
+// program a module compiles to without building it.
 type Program struct {
 	args   []*Type // entry ABI: the argument types
 	nslots int32
@@ -107,73 +106,6 @@ func (p *Program) Release() {
 	if p != nil {
 		programs.Put(p)
 	}
-}
-
-// digestBufs holds the buffers Digest encodes programs into.
-var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// Digest returns the SHA-256 of what the program executes: the argument
-// types, the slot count, the code, the index lists, the constants (floats
-// by bit pattern, inside the code) and the allocation types. Every list is
-// length-prefixed and a type is encoded by exactly what Type.Equal
-// compares, so two programs have the same digest exactly when those fields
-// are equal. Attributes the interpreter never reads (hls.* directives),
-// value names and diagnostics never reach the digest.
-func (p *Program) Digest() [sha256.Size]byte {
-	bp := digestBufs.Get().(*[]byte)
-	le := binary.LittleEndian
-	b := le.AppendUint32((*bp)[:0], uint32(len(p.args)))
-	for _, t := range p.args {
-		b = appendType(b, t)
-	}
-	b = le.AppendUint32(b, uint32(p.nslots))
-	b = le.AppendUint32(b, uint32(len(p.code)))
-	for _, in := range p.code {
-		b = append(b, byte(in.op), in.sub)
-		b = le.AppendUint32(b, uint32(in.dst))
-		b = le.AppendUint32(b, uint32(in.a))
-		b = le.AppendUint32(b, uint32(in.b))
-		b = le.AppendUint32(b, uint32(in.c))
-		b = le.AppendUint64(b, uint64(in.imm))
-	}
-	b = le.AppendUint32(b, uint32(len(p.idx)))
-	for _, x := range p.idx {
-		b = le.AppendUint32(b, uint32(x))
-	}
-	b = le.AppendUint32(b, uint32(len(p.consts)))
-	for _, c := range p.consts {
-		b = le.AppendUint32(b, uint32(c.slot))
-		b = le.AppendUint64(b, uint64(c.v))
-	}
-	b = le.AppendUint32(b, uint32(len(p.types)))
-	for _, t := range p.types {
-		b = appendType(b, t)
-	}
-	sum := sha256.Sum256(b)
-	*bp = b
-	digestBufs.Put(bp)
-	return sum
-}
-
-// appendType encodes t by the fields Type.Equal compares: the kind, the
-// width of an integer or float, and a memref's rank, dimensions and element
-// type.
-func appendType(b []byte, t *Type) []byte {
-	if t == nil {
-		return append(b, 0xff)
-	}
-	b = append(b, byte(t.Kind))
-	switch t.Kind {
-	case KindInt, KindFloat:
-		b = binary.LittleEndian.AppendUint32(b, uint32(t.Width))
-	case KindMemRef:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Shape)))
-		for _, d := range t.Shape {
-			b = binary.LittleEndian.AppendUint64(b, uint64(d))
-		}
-		b = appendType(b, t.Elem)
-	}
-	return b
 }
 
 type mop uint8
@@ -318,7 +250,9 @@ type interpVal struct {
 
 // Compile compiles the named function. It fails only when the function or
 // its body does not exist; an op the interpreter cannot execute compiles
-// to an instruction that reports the error when it is reached.
+// to an instruction that reports the error when it is reached. It numbers
+// the values it compiles by stamping them, so like Verify it needs the
+// same exclusive access to the module as a pass.
 func (m *Module) Compile(funcName string) (*Program, error) {
 	p, _ := programs.Get().(*Program)
 	if p == nil {
@@ -333,13 +267,9 @@ func (m *Module) Compile(funcName string) (*Program, error) {
 
 // compile fills p with the named function, reusing p's storage.
 func (m *Module) compile(p *Program, funcName string) error {
-	f := m.FindFunc(funcName)
-	if f == nil {
-		return fmt.Errorf("interp: function %q not found", funcName)
-	}
-	body := FuncBody(f)
-	if body == nil {
-		return fmt.Errorf("interp: function %q has no body", funcName)
+	f, body, err := m.funcToCompile(funcName)
+	if err != nil {
+		return err
 	}
 	c := newCompiler(p, funcName, countOps(f))
 	defer c.release()
@@ -374,15 +304,17 @@ func countOps(op *Op) int {
 }
 
 // compiler builds one Program. Its tables are scratch, reused through
-// compilers.
+// compilers. Values are looked up by the numbers nums stamps on them, in
+// the order the compiler first reads them.
 type compiler struct {
-	p      *Program
-	slots  map[*Value]int32
-	consts map[int64]int32
+	p       *Program
+	nums    numbering
+	slots   []int32 // per value number: its slot
+	nilSlot int32   // the slot of a nil value, or -1
+	consts  map[int64]int32
 
-	// cfg's tables: block indices, branch fields to patch, block labels,
-	// and the moves of the edge being compiled.
-	index      map[*Block]int
+	// cfg's tables: branch fields to patch, block labels, and the moves of
+	// the edge being compiled.
 	patches    []cfgPatch
 	labels     []int32
 	srcs, dsts []int32
@@ -411,17 +343,18 @@ func newCompiler(p *Program, name string, n int) *compiler {
 	}
 	c, _ := compilers.Get().(*compiler)
 	if c == nil {
-		c = &compiler{slots: map[*Value]int32{}, consts: map[int64]int32{}, index: map[*Block]int{}}
+		c = &compiler{consts: map[int64]int32{}}
 	}
 	c.p = p
+	c.nums.reset()
+	c.slots, c.nilSlot = c.slots[:0], -1
+	clear(c.consts)
 	return c
 }
 
-// release empties the compiler's tables and pools it.
+// release empties the compiler's tables of everything that references the
+// compiled module and pools it.
 func (c *compiler) release() {
-	clear(c.slots)
-	clear(c.consts)
-	clear(c.index)
 	clear(c.patches[:cap(c.patches)])
 	c.p, c.patches = nil, c.patches[:0]
 	compilers.Put(c)
@@ -429,11 +362,17 @@ func (c *compiler) release() {
 
 // slot returns v's value slot, allocating it on first sight.
 func (c *compiler) slot(v *Value) int32 {
-	if s, ok := c.slots[v]; ok {
-		return s
+	if v == nil {
+		if c.nilSlot < 0 {
+			c.nilSlot = c.fresh()
+		}
+		return c.nilSlot
+	}
+	if n, first := c.nums.number(v); !first {
+		return c.slots[n]
 	}
 	s := c.fresh()
-	c.slots[v] = s
+	c.slots = append(c.slots, s)
 	return s
 }
 
@@ -797,12 +736,10 @@ func (c *compiler) scfIf(op *Op) {
 // last runs in order, and the last transfers control, binding its operands
 // to the successor's block arguments (the SSA form of phi nodes).
 func (c *compiler) cfg(blocks []*Block) {
-	for i, b := range blocks {
-		c.index[b] = i
-	}
+	numberBlocks(blocks)
 	// edge binds the operands to the target's arguments and jumps there.
 	edge := func(to *Block, operands []*Value) {
-		if _, ok := c.index[to]; !ok {
+		if blockIndex(blocks, to) < 0 {
 			c.fail("interp: branch to a block outside the function")
 			return
 		}
@@ -869,7 +806,7 @@ func (c *compiler) cfg(blocks []*Block) {
 		}
 	}
 	for _, pt := range c.patches {
-		c.p.code[pt.pc].a = c.labels[c.index[pt.to]]
+		c.p.code[pt.pc].a = c.labels[blockIndex(blocks, pt.to)]
 	}
 }
 

@@ -18,7 +18,8 @@ type Value struct {
 	ArgNo int32
 
 	// scope is the number of the verifier walk that has the value in
-	// scope, or 0 (see verifyFunc).
+	// scope (see verifyFunc), a numbering walk's stamp (see numbering), or
+	// 0. Both draw on one counter, so neither reads the other's as its own.
 	scope uint64
 }
 
@@ -208,6 +209,10 @@ type Block struct {
 	Ops  []*Op
 
 	parent *Region
+	// num is the block's index in its function's region, written by the
+	// walks that number it (see numberBlocks) and trusted only after an
+	// identity check.
+	num int32
 }
 
 // NewBlock constructs a detached block with arguments of the given types.

@@ -30,17 +30,23 @@ const programBase = `module {
 }
 `
 
-func compileText(t *testing.T, src string) *mlir.Program {
+// compileKeyed compiles @k of src and returns the program with the
+// module's program key.
+func compileKeyed(t *testing.T, src string) (*mlir.Program, [32]byte) {
 	t.Helper()
 	m, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
+	key, err := m.ProgramKey("k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := m.Compile("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, key
 }
 
 func edit(t *testing.T, pairs ...string) string {
@@ -56,9 +62,10 @@ func edit(t *testing.T, pairs ...string) string {
 }
 
 // TestProgramDistinguishesExecutionDetails: changing any one detail that
-// execution depends on yields a program that is not Equal to the base.
+// execution depends on yields a program that is not Equal to the base, and
+// a module with another program key.
 func TestProgramDistinguishesExecutionDetails(t *testing.T) {
-	base := compileText(t, programBase)
+	base, baseKey := compileKeyed(t, programBase)
 	for _, c := range []struct {
 		name  string
 		pairs []string
@@ -72,20 +79,20 @@ func TestProgramDistinguishesExecutionDetails(t *testing.T) {
 		{"loop step", []string{"step 1", "step 2"}},
 		{"loop bound", []string{"0 to 8", "0 to 7"}},
 	} {
-		p := compileText(t, edit(t, c.pairs...))
+		p, key := compileKeyed(t, edit(t, c.pairs...))
 		if p.Equal(base) {
 			t.Errorf("%s: changed module compiles to an equal program", c.name)
 		}
-		if p.Digest() == base.Digest() {
-			t.Errorf("%s: changed module compiles to a program with the base's digest", c.name)
+		if key == baseKey {
+			t.Errorf("%s: changed module has the base's program key", c.name)
 		}
 	}
 }
 
 // TestProgramIgnoresNonExecutedDetails: hls.* directive attributes and the
-// textual value names never reach a program.
+// textual value names never reach a program or its key.
 func TestProgramIgnoresNonExecutedDetails(t *testing.T) {
-	base := compileText(t, programBase)
+	base, baseKey := compileKeyed(t, programBase)
 	for _, c := range []struct {
 		name  string
 		pairs []string
@@ -93,12 +100,12 @@ func TestProgramIgnoresNonExecutedDetails(t *testing.T) {
 		{"hls attributes", []string{" attributes {hls.top}", "", " {hls.ii = 1, hls.pipeline}", " {hls.unroll = 4}"}},
 		{"value names", []string{"%9", "%sum", "%7", "%elem"}},
 	} {
-		p := compileText(t, edit(t, c.pairs...))
+		p, key := compileKeyed(t, edit(t, c.pairs...))
 		if !p.Equal(base) {
 			t.Errorf("%s: module compiles to a different program", c.name)
 		}
-		if p.Digest() != base.Digest() {
-			t.Errorf("%s: module compiles to a program with another digest", c.name)
+		if key != baseKey {
+			t.Errorf("%s: module has another program key", c.name)
 		}
 	}
 }

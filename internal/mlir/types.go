@@ -110,16 +110,26 @@ func None() *Type { return noneType }
 // memrefTypes caches memref types by element and shape: a kernel's parse
 // touches the same handful of buffer types thousands of times, and a hit
 // allocates nothing. Types compare with Equal, so the table is only a
-// cache: it has a fixed number of slots, each holding the last type hashed
-// to it, and MLIR from an untrusted client cannot grow it.
+// cache: it has a fixed number of slots, and MLIR from an untrusted client
+// cannot grow it. The slots form memrefSets sets of memrefWays; a type
+// hashes to one set and takes an empty way there, or the set's next way in
+// turn, so up to memrefWays types that share a set stay resident together.
 var memrefTypes [memrefSlots]atomic.Pointer[Type]
 
-// memrefSlots is the size of the memref type cache.
-const memrefSlots = 256
+// memrefNext is each set's next way to replace when the set is full.
+var memrefNext [memrefSets]atomic.Uint32
 
-// MemRef returns the memref type with the given shape and element type.
-func MemRef(shape []int64, elem *Type) *Type {
-	// FNV-1a over the element's kind and width and the dimensions.
+// The memref type cache's shape.
+const (
+	memrefSlots = 256
+	memrefWays  = 4
+	memrefSets  = memrefSlots / memrefWays
+)
+
+// memrefSet returns the set a memref type hashes to: FNV-1a over the
+// element's kind and width and the dimensions, finalized (murmur3's fmix64)
+// so every bit of every dimension reaches the set index.
+func memrefSet(shape []int64, elem *Type) int {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
 	mix(uint64(elem.Kind))
@@ -127,15 +137,33 @@ func MemRef(shape []int64, elem *Type) *Type {
 	for _, d := range shape {
 		mix(uint64(d))
 	}
-	slot := &memrefTypes[h%memrefSlots]
-	if t := slot.Load(); t != nil && t.Elem == elem && slices.Equal(t.Shape, shape) {
-		return t
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h % memrefSets)
+}
+
+// MemRef returns the memref type with the given shape and element type.
+func MemRef(shape []int64, elem *Type) *Type {
+	set := memrefSet(shape, elem)
+	ways := memrefTypes[set*memrefWays : (set+1)*memrefWays]
+	for i := range ways {
+		if t := ways[i].Load(); t != nil && t.Elem == elem && slices.Equal(t.Shape, shape) {
+			return t
+		}
 	}
 	s := make([]int64, len(shape))
 	copy(s, shape)
 	t := &Type{Kind: KindMemRef, Elem: elem, Shape: s}
 	t.text = t.spell()
-	slot.Store(t)
+	for i := range ways {
+		if ways[i].CompareAndSwap(nil, t) {
+			return t
+		}
+	}
+	ways[memrefNext[set].Add(1)%memrefWays].Store(t)
 	return t
 }
 

@@ -8,3 +8,7 @@ func ResetShared() {
 	clear(shared.refs)
 	shared.bytes = 0
 }
+
+// Compiles returns how many programs harnesses have compiled in this
+// process; every one was compiled to execute.
+func Compiles() int64 { return compiles.Load() }

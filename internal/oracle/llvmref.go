@@ -65,7 +65,11 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 		return nil, err
 	}
 	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel, ref: r}
-	p, err := interp.Compile(ref, top)
+	key, err := interp.ProgramKey(ref, top)
+	if err != nil {
+		return nil, err
+	}
+	p, err := compileLLVM(ref, top)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +88,7 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 		r.captureMem(ai, mem)
 	}
 	r.llvmMem.put(in)
-	r.verdicts.add(verdict{level: levelLLVM, digest: p.Digest(), maxULP: h.MaxULP, fuel: h.Fuel})
+	r.verdicts.add(verdict{level: levelLLVM, key: key, maxULP: h.MaxULP, fuel: h.Fuel})
 	return h, nil
 }
 

@@ -10,25 +10,27 @@
 // breaks a structural invariant, the oracle localizes the first unit that
 // computes the wrong answer while the IR still verifies and schedules.
 //
-// Each check first compiles the module into an execution program
-// (mlir.Program, interp.Program) and hashes it (Digest). A kernel's
-// reference lives in one process-wide table, keyed by the top function and
-// the digest of its pristine program and bounded in entries and bytes, so
-// every job on an equal pristine program shares one reference run. Beside
-// it the reference keeps a bounded set of verdicts, each an IR level, a
-// program digest, a tolerance and a fuel budget under which that program
-// passed. A check whose verdict any harness on the reference has recorded
-// returns without executing: an equal program run on the reference's fixed
-// inputs under the same fuel and tolerance computes the same memory, so its
-// verdict cannot differ. Units that leave the executed program unchanged —
-// directive passes, no-op cleanups, synthesis — and programs another job
-// already ran skip execution.
+// Each check first takes the module's program key (mlir.Module.ProgramKey,
+// interp.ProgramKey): one walk over the IR that hashes exactly what the
+// interpreter's compiler reads, so equal keys compile to Equal programs. A
+// kernel's reference lives in one process-wide table, keyed by the top
+// function and the key of its pristine module and bounded in entries and
+// bytes, so every job on an equal pristine program shares one reference
+// run. Beside it the reference keeps a bounded set of verdicts, each an IR
+// level, a program key, a tolerance and a fuel budget under which that
+// program passed. A check whose verdict any harness on the reference has
+// recorded returns without compiling or executing: an equal program run on
+// the reference's fixed inputs under the same fuel and tolerance computes
+// the same memory, so its verdict cannot differ. Units that leave the
+// executed program unchanged — directive passes, no-op cleanups, synthesis
+// — and programs another job already ran skip execution.
 //
-// Checks reuse storage instead of allocating it. Every compiled program is
-// released as soon as its check is done with it, so the next compile fills
-// its storage; the harness keeps digests, never programs. Inputs are copied
-// from templates filled once per reference, into buffers handed from check
-// to check, and outputs are compared in place.
+// Checks reuse storage instead of allocating it. A check compiles only on
+// a verdict miss, to execute, and releases the program as soon as it has
+// run, so the next compile fills its storage; the harness keeps keys, never
+// programs. Inputs are copied from templates filled once per reference,
+// into buffers handed from check to check, and outputs are compared in
+// place.
 package oracle
 
 import (
@@ -39,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/llvm"
 	"repro/internal/llvm/interp"
@@ -174,6 +177,21 @@ func (s *spare[T]) put(x T) {
 	}
 }
 
+// compiles counts the programs harnesses compiled, each to execute it; the
+// tests and BenchmarkOracleCheck read it.
+var compiles atomic.Int64
+
+// compileMLIR and compileLLVM compile a program to execute it.
+func compileMLIR(m *mlir.Module, top string) (*mlir.Program, error) {
+	compiles.Add(1)
+	return m.Compile(top)
+}
+
+func compileLLVM(lm *llvm.Module, top string) (*interp.Program, error) {
+	compiles.Add(1)
+	return interp.Compile(lm, top)
+}
+
 // irLevel is the IR level a program was compiled from.
 type irLevel uint8
 
@@ -183,12 +201,13 @@ const (
 )
 
 // verdict records one passed check: a program of one IR level, named by
-// its digest, matched the reference within maxULP under a fuel budget. A
-// program with the same digest executes identically on the reference's
-// fixed inputs under the same budget, so its check would pass again.
+// its module's program key, matched the reference within maxULP under a
+// fuel budget. A module with the same key compiles to an Equal program,
+// which executes identically on the reference's fixed inputs under the
+// same budget, so its check would pass again.
 type verdict struct {
 	level  irLevel
-	digest [sha256.Size]byte
+	key    [sha256.Size]byte
 	maxULP uint64
 	fuel   int64
 }
@@ -239,13 +258,13 @@ const (
 	maxSpares = 4
 )
 
-// refKey names a reference: the top function and the digest of the
-// pristine program it was executed from. The digest covers the argument
-// types the inputs are derived from, so an equal key is an equal
-// reference execution.
+// refKey names a reference: the top function and the program key of the
+// pristine module it was executed from. The key covers the argument types
+// the inputs are derived from, so an equal refKey is an equal reference
+// execution.
 type refKey struct {
-	top    string
-	digest [sha256.Size]byte
+	top string
+	key [sha256.Size]byte
 }
 
 // refTable is the process-wide table of shared references.
@@ -291,9 +310,10 @@ func (t *refTable) add(k refKey, r *reference) *reference {
 
 // New returns a harness on the reference execution of top in m. The module
 // must be in its pre-pipeline form; callers own making the call before any
-// pass mutates it. When a reference for an equal pristine program is in
-// the shared table, New costs one compile and one lookup; otherwise it
-// runs the reference and shares it.
+// pass mutates it, and like every check New needs exclusive access to the
+// module, whose key walk stamps it. When a reference for an equal pristine
+// program is in the shared table, New costs one key walk and one lookup;
+// otherwise it compiles and runs the reference and shares it.
 func New(m *mlir.Module, top string) (*Harness, error) {
 	f := m.FindFunc(top)
 	if f == nil {
@@ -307,20 +327,22 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 		}
 		shapes = append(shapes, t)
 	}
-	p, err := m.Compile(top)
+	pk, err := m.ProgramKey(top)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
 	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel}
-	key := refKey{top: top, digest: p.Digest()}
+	key := refKey{top: top, key: pk}
 	if h.ref = shared.get(key); h.ref != nil {
-		p.Release()
 		return h, nil
 	}
 	r, err := newReference(top, shapes)
 	if err != nil {
-		p.Release()
 		return nil, err
+	}
+	p, err := compileMLIR(m, top)
+	if err != nil {
+		return nil, fmt.Errorf("oracle: reference execution: %w", err)
 	}
 	bufs := r.freshMLIRBufs()
 	err = p.Run(context.TODO(), h.Fuel, bufs...)
@@ -336,7 +358,7 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 		r.refF[i] = b.F
 		r.refI[i] = b.I
 	}
-	r.verdicts.add(verdict{level: levelMLIR, digest: key.digest, maxULP: h.MaxULP, fuel: h.Fuel})
+	r.verdicts.add(verdict{level: levelMLIR, key: pk, maxULP: h.MaxULP, fuel: h.Fuel})
 	h.ref = shared.add(key, r)
 	return h, nil
 }
@@ -426,18 +448,22 @@ func (h *Harness) CheckMLIR(m *mlir.Module) error {
 
 // CheckMLIRContext is CheckMLIR under ctx: a done context stops the
 // execution and the check returns the context's error. It returns without
-// executing when the reference holds a verdict for the compiled program
-// under the harness's tolerance and fuel.
+// compiling or executing when the reference holds a verdict for the
+// module's program key under the harness's tolerance and fuel. The check
+// needs exclusive access to m, whose key walk stamps it.
 func (h *Harness) CheckMLIRContext(ctx context.Context, m *mlir.Module) error {
-	p, err := m.Compile(h.Top)
+	key, err := m.ProgramKey(h.Top)
 	if err != nil {
 		return err
 	}
 	r := h.ref
-	v := verdict{level: levelMLIR, digest: p.Digest(), maxULP: h.MaxULP, fuel: h.Fuel}
+	v := verdict{level: levelMLIR, key: key, maxULP: h.MaxULP, fuel: h.Fuel}
 	if r.verdicts.has(v) {
-		p.Release()
 		return nil
+	}
+	p, err := compileMLIR(m, h.Top)
+	if err != nil {
+		return err
 	}
 	bufs := r.freshMLIRBufs()
 	err = p.Run(ctx, v.fuel, bufs...)
@@ -481,22 +507,27 @@ func (h *Harness) CheckLLVM(lm *llvm.Module) error {
 
 // CheckLLVMContext is CheckLLVM under ctx: a done context stops the
 // execution and the check returns the context's error. It returns without
-// executing when the reference holds a verdict for the compiled program —
-// which includes the entry ABI the arguments are synthesized for — under
-// the harness's tolerance and fuel.
+// compiling or executing when the reference holds a verdict for the
+// module's program key — which covers the entry ABI the arguments are
+// synthesized for — under the harness's tolerance and fuel. The check
+// needs exclusive access to lm, whose key walk renumbers it when its
+// numbering is stale.
 func (h *Harness) CheckLLVMContext(ctx context.Context, lm *llvm.Module) error {
 	if lm.FindFunc(h.Top) == nil {
 		return fmt.Errorf("oracle: function @%s not found in LLVM module", h.Top)
 	}
-	p, err := interp.Compile(lm, h.Top)
+	key, err := interp.ProgramKey(lm, h.Top)
 	if err != nil {
 		return err
 	}
 	r := h.ref
-	v := verdict{level: levelLLVM, digest: p.Digest(), maxULP: h.MaxULP, fuel: h.Fuel}
+	v := verdict{level: levelLLVM, key: key, maxULP: h.MaxULP, fuel: h.Fuel}
 	if r.verdicts.has(v) {
-		p.Release()
 		return nil
+	}
+	p, err := compileLLVM(lm, h.Top)
+	if err != nil {
+		return err
 	}
 	in := r.freshMems()
 	err = h.runLLVM(ctx, p, v, in)
