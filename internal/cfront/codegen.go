@@ -3,6 +3,7 @@ package cfront
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/llvm"
 	lpasses "repro/internal/llvm/passes"
@@ -23,8 +24,9 @@ func Compile(src string, opts Options) (*llvm.Module, error) {
 	}
 	m := llvm.NewModule("cfront")
 	m.Flavor = llvm.FlavorHLS
+	g := takeCodegen()
+	defer g.release()
 	for _, fd := range file.Funcs {
-		g := &codegen{mod: m}
 		f, err := g.genFunc(fd)
 		if err != nil {
 			return nil, fmt.Errorf("cfront: @%s: %w", fd.Name, err)
@@ -43,20 +45,80 @@ func Compile(src string, opts Options) (*llvm.Module, error) {
 	return m, nil
 }
 
-// cvar is a named C variable: either an addressable slot (alloca/param
-// array) or a parameter value copied to a slot.
+// cvar is a named C variable: its storage (an alloca, or an array
+// parameter), its C type and, for an array, its dimensions with the LLVM
+// array type and element pointer type of every access, resolved once.
 type cvar struct {
-	ptr   llvm.Value // pointer to storage (alloca or array param)
-	ctype string
-	dims  []int64
+	ptr     llvm.Value
+	ctype   string
+	dims    []int64
+	arrTy   *llvm.Type
+	elemPtr *llvm.Type
 }
 
 type codegen struct {
-	mod  *llvm.Module
-	f    *llvm.Function
-	b    *llvm.Builder
-	vars map[string]*cvar
-	blk  int
+	f *llvm.Function
+	b *llvm.Builder
+	// vars holds the function's variables in declaration order, and scope
+	// maps a name to the one it denotes at this point of the function.
+	vars  []cvar
+	scope map[string]int32
+	blk   int
+	// ints and floats are the unused rest of the constant slabs: a
+	// module's constants share its lifetime.
+	ints   []llvm.ConstInt
+	floats []llvm.ConstFloat
+}
+
+// codegens holds the variable tables of finished compiles.
+var codegens sync.Pool
+
+func takeCodegen() *codegen {
+	g, _ := codegens.Get().(*codegen)
+	if g == nil {
+		g = &codegen{scope: map[string]int32{}}
+	}
+	return g
+}
+
+// release empties the tables, so the pool pins no module, and pools them.
+func (g *codegen) release() {
+	clear(g.vars)
+	clear(g.scope)
+	*g = codegen{vars: g.vars[:0], scope: g.scope}
+	codegens.Put(g)
+}
+
+// declare makes name denote a new variable from here on.
+func (g *codegen) declare(name string, v cvar) {
+	if len(v.dims) > 0 {
+		v.arrTy = arrayType(v.ctype, v.dims)
+		v.elemPtr = llvm.Ptr(scalarType(v.ctype))
+	}
+	g.scope[name] = int32(len(g.vars))
+	g.vars = append(g.vars, v)
+}
+
+// ci returns a new integer constant cut from the module's slab.
+func (g *codegen) ci(ty *llvm.Type, v int64) *llvm.ConstInt {
+	if len(g.ints) == 0 {
+		g.ints = make([]llvm.ConstInt, 16)
+	}
+	c := &g.ints[0]
+	g.ints = g.ints[1:]
+	*c = llvm.ConstInt{Ty: ty, Val: v}
+	return c
+}
+
+// cf returns a new floating-point constant cut from the module's slab.
+func (g *codegen) cf(ty *llvm.Type, v float64) *llvm.ConstFloat {
+	if len(g.floats) == 0 {
+		g.floats = make([]llvm.ConstFloat, 8)
+	}
+	c := &g.floats[0]
+	g.floats = g.floats[1:]
+	*c = llvm.ConstFloat{Ty: ty, Val: v}
+	return c
 }
 
 func scalarType(ct string) *llvm.Type {
@@ -85,15 +147,22 @@ func (g *codegen) newBlock(prefix string) *llvm.Block {
 
 func (g *codegen) genFunc(fd *FuncDecl) (*llvm.Function, error) {
 	f := llvm.NewFunction(fd.Name, llvm.Void())
-	g.f = f
-	g.vars = map[string]*cvar{}
-	for _, pd := range fd.Params {
+	params := make([]llvm.Param, len(fd.Params))
+	if len(params) > 0 {
+		f.Params = make([]*llvm.Param, len(params))
+	}
+	for i, pd := range fd.Params {
 		ty := scalarType(pd.CType)
 		if len(pd.Dims) > 0 {
 			ty = llvm.Ptr(arrayType(pd.CType, pd.Dims))
 		}
-		f.Params = append(f.Params, &llvm.Param{Name: pd.Name, Ty: ty})
+		params[i] = llvm.Param{Name: pd.Name, Ty: ty}
+		f.Params[i] = &params[i]
 	}
+	g.f, g.blk = f, 0
+	clear(g.vars)
+	clear(g.scope)
+	g.vars = g.vars[:0]
 	entry := f.AddBlock("entry")
 	g.b = llvm.NewBuilder(f)
 	g.b.SetBlock(entry)
@@ -102,13 +171,13 @@ func (g *codegen) genFunc(fd *FuncDecl) (*llvm.Function, error) {
 	// Clang emits) that mem2reg later promotes.
 	for i, pd := range fd.Params {
 		if len(pd.Dims) > 0 {
-			g.vars[pd.Name] = &cvar{ptr: f.Params[i], ctype: pd.CType, dims: pd.Dims}
+			g.declare(pd.Name, cvar{ptr: f.Params[i], ctype: pd.CType, dims: pd.Dims})
 			continue
 		}
 		slot := g.b.Alloca(scalarType(pd.CType))
 		slot.Name = pd.Name + "_addr"
 		g.b.Store(f.Params[i], slot)
-		g.vars[pd.Name] = &cvar{ptr: slot, ctype: pd.CType}
+		g.declare(pd.Name, cvar{ptr: slot, ctype: pd.CType})
 	}
 
 	// Apply function-level pragmas.
@@ -160,12 +229,12 @@ func (g *codegen) genStmt(s Stmt) error {
 		if len(st.Dims) > 0 {
 			arr := g.b.Alloca(arrayType(st.CType, st.Dims))
 			arr.Name = st.Name + "_addr"
-			g.vars[st.Name] = &cvar{ptr: arr, ctype: st.CType, dims: st.Dims}
+			g.declare(st.Name, cvar{ptr: arr, ctype: st.CType, dims: st.Dims})
 			return nil
 		}
 		slot := g.b.Alloca(scalarType(st.CType))
 		slot.Name = st.Name + "_addr"
-		g.vars[st.Name] = &cvar{ptr: slot, ctype: st.CType}
+		g.declare(st.Name, cvar{ptr: slot, ctype: st.CType})
 		if st.Init != nil {
 			v, vt, err := g.genExpr(st.Init)
 			if err != nil {
@@ -201,10 +270,11 @@ func (g *codegen) genStmt(s Stmt) error {
 // elemPtr computes the address of target (variable or array element) and
 // returns the element's C type.
 func (g *codegen) elemPtr(target *IndexExpr) (llvm.Value, string, error) {
-	v, ok := g.vars[target.Base]
+	i, ok := g.scope[target.Base]
 	if !ok {
 		return nil, "", fmt.Errorf("undefined variable %q", target.Base)
 	}
+	v := g.vars[i]
 	if len(target.Idxs) == 0 {
 		if len(v.dims) > 0 {
 			return nil, "", fmt.Errorf("array %q used without subscripts", target.Base)
@@ -215,19 +285,18 @@ func (g *codegen) elemPtr(target *IndexExpr) (llvm.Value, string, error) {
 		return nil, "", fmt.Errorf("%q expects %d subscripts, got %d",
 			target.Base, len(v.dims), len(target.Idxs))
 	}
-	idxs := []llvm.Value{llvm.CI(llvm.I64(), 0)}
-	for _, ie := range target.Idxs {
+	ops := make([]llvm.Value, 2+len(target.Idxs))
+	ops[0], ops[1] = v.ptr, g.ci(llvm.I64(), 0)
+	for k, ie := range target.Idxs {
 		iv, it, err := g.genExpr(ie)
 		if err != nil {
 			return nil, "", err
 		}
 		iv = g.convert(iv, it, "int")
 		// C subscripts sign-extend to the pointer width.
-		idxs = append(idxs, g.b.Cast(llvm.OpSExt, iv, llvm.I64()))
+		ops[2+k] = g.b.Cast(llvm.OpSExt, iv, llvm.I64())
 	}
-	arrTy := arrayType(v.ctype, v.dims)
-	gep := g.b.GEP(arrTy, v.ptr, idxs...)
-	return gep, v.ctype, nil
+	return g.b.GEPOperands(v.arrTy, v.elemPtr, ops), v.ctype, nil
 }
 
 func (g *codegen) genAssign(st *AssignStmt) error {
@@ -276,8 +345,8 @@ func (g *codegen) genFor(st *ForStmt) error {
 	// Counter slot.
 	slot := g.b.Alloca(llvm.I32())
 	slot.Name = st.IV + "_addr"
-	outerVar, shadowed := g.vars[st.IV]
-	g.vars[st.IV] = &cvar{ptr: slot, ctype: "int"}
+	outer, shadowed := g.scope[st.IV]
+	g.declare(st.IV, cvar{ptr: slot, ctype: "int"})
 
 	init, it, err := g.genExpr(st.Init)
 	if err != nil {
@@ -315,7 +384,7 @@ func (g *codegen) genFor(st *ForStmt) error {
 
 	g.b.SetBlock(latch)
 	iv2 := g.b.Load(llvm.I32(), slot)
-	next := g.b.Add(iv2, llvm.CI(llvm.I32(), st.Step))
+	next := g.b.Add(iv2, g.ci(llvm.I32(), st.Step))
 	g.b.Store(next, slot)
 	back := g.b.Br(header)
 	// Loop pragmas become latch metadata.
@@ -342,9 +411,9 @@ func (g *codegen) genFor(st *ForStmt) error {
 
 	g.b.SetBlock(exit)
 	if shadowed {
-		g.vars[st.IV] = outerVar
+		g.scope[st.IV] = outer
 	} else {
-		delete(g.vars, st.IV)
+		delete(g.scope, st.IV)
 	}
 	return nil
 }
@@ -424,21 +493,21 @@ func (g *codegen) toBool(v llvm.Value, ct string) llvm.Value {
 		return v
 	}
 	if ct == "float" || ct == "double" {
-		return g.b.FCmp("one", v, llvm.CF(scalarType(ct), 0))
+		return g.b.FCmp("one", v, g.cf(scalarType(ct), 0))
 	}
-	return g.b.ICmp("ne", v, llvm.CI(scalarType(ct), 0))
+	return g.b.ICmp("ne", v, g.ci(scalarType(ct), 0))
 }
 
 // genExpr returns (value, C type). Comparisons return "bool" (i1).
 func (g *codegen) genExpr(e Expr) (llvm.Value, string, error) {
 	switch x := e.(type) {
 	case *IntLit:
-		return llvm.CI(llvm.I32(), x.V), "int", nil
+		return g.ci(llvm.I32(), x.V), "int", nil
 	case *FloatLit:
 		if x.IsF32 {
-			return llvm.CF(llvm.FloatT(), x.V), "float", nil
+			return g.cf(llvm.FloatT(), x.V), "float", nil
 		}
-		return llvm.CF(llvm.DoubleT(), x.V), "double", nil
+		return g.cf(llvm.DoubleT(), x.V), "double", nil
 	case *IndexExpr:
 		ptr, ct, err := g.elemPtr(x)
 		if err != nil {
@@ -453,13 +522,13 @@ func (g *codegen) genExpr(e Expr) (llvm.Value, string, error) {
 		}
 		if x.Op == "!" {
 			b := g.toBool(v, ct)
-			one := llvm.CI(llvm.I1(), 1)
+			one := g.ci(llvm.I1(), 1)
 			return g.b.Binary(llvm.OpXor, b, one), "bool", nil
 		}
 		if ct == "float" || ct == "double" {
 			return g.b.FNeg(v), ct, nil
 		}
-		return g.b.Sub(llvm.CI(llvm.I32(), 0), v), ct, nil
+		return g.b.Sub(g.ci(llvm.I32(), 0), v), ct, nil
 	case *CastExpr:
 		v, ct, err := g.genExpr(x.X)
 		if err != nil {

@@ -116,7 +116,7 @@ func lex(toks []token, src string) ([]token, error) {
 				switch c {
 				case '(', ')', '{', '}', '[', ']', ';', ',', '=', '<', '>', '+',
 					'-', '*', '/', '%', '?', ':', '!', '&', '|':
-					toks = append(toks, token{kind: tPunct, text: string(c), line: line})
+					toks = append(toks, token{kind: tPunct, text: src[i : i+1], line: line})
 					i++
 				default:
 					return toks, fmt.Errorf("cfront: line %d: unexpected character %q", line, string(c))

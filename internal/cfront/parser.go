@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // tokenBuf is a parse's token buffer. Tokens hold substrings of the
@@ -42,6 +44,62 @@ func (b *tokenBuf) release() {
 type cparser struct {
 	toks []token
 	pos  int
+	fn   *FuncDecl // the function being parsed, which collects its pragmas
+
+	// The AST's nodes and lists are cut from slabs: a file's nodes share
+	// its lifetime, so a few chunk allocations replace one per node.
+	idxs   slab[IndexExpr]
+	bins   slab[BinaryExpr]
+	ints   slab[IntLit]
+	decls  slab[DeclStmt]
+	assign slab[AssignStmt]
+	exprs  lists[Expr]
+	stmts  lists[Stmt]
+}
+
+// slab hands out values cut from chunks that start at 8 values and double
+// up to 64, so a small file wastes little of its last chunk.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+func (s *slab[T]) next() *T {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, 8), 64)
+		s.free = make([]T, s.size)
+	}
+	x := &s.free[0]
+	s.free = s.free[1:]
+	return x
+}
+
+// lists gathers each list on a stack and, once it is complete, cuts it to
+// its length from chunks of at least 64 values. A nested list pushes above
+// the one it interrupts and is cut before that one resumes.
+type lists[T any] struct {
+	stack []T
+	free  []T
+}
+
+// push appends x to the list being gathered.
+func (l *lists[T]) push(x T) { l.stack = append(l.stack, x) }
+
+// cut pops the values pushed since the stack held from and returns them
+// as one list, nil when there are none.
+func (l *lists[T]) cut(from int) []T {
+	n := len(l.stack) - from
+	if n == 0 {
+		return nil
+	}
+	if len(l.free) < n {
+		l.free = make([]T, max(n, 64))
+	}
+	out := l.free[:n:n]
+	l.free = l.free[n:]
+	copy(out, l.stack[from:])
+	l.stack = l.stack[:from]
+	return out
 }
 
 func (p *cparser) cur() token { return p.toks[p.pos] }
@@ -153,56 +211,55 @@ func (p *cparser) parseFunc() (*FuncDecl, error) {
 	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
-	body, pragmas, err := p.parseBlock(fn)
+	p.fn = fn
+	body, err := p.parseBlock()
 	if err != nil {
 		return nil, err
 	}
 	fn.Body = body
-	fn.Pragmas = append(fn.Pragmas, pragmas...)
 	return fn, nil
 }
 
-// parseBlock parses statements until '}'. Loop-scoped pragmas inside for
-// bodies attach to the loop; others bubble up to the function.
-func (p *cparser) parseBlock(fn *FuncDecl) ([]Stmt, []Pragma, error) {
-	var stmts []Stmt
-	var funcPragmas []Pragma
+// parseBlock parses statements until '}'. Its pragmas, and those of the
+// statements in it that no loop claims, go to the function in source
+// order.
+func (p *cparser) parseBlock() ([]Stmt, error) {
+	from := len(p.stmts.stack)
 	for !p.isPunct("}") {
 		if p.cur().kind == tEOF {
-			return nil, nil, p.errf("unexpected EOF in block")
+			return nil, p.errf("unexpected EOF in block")
 		}
 		if p.cur().kind == tPragma {
-			pr, err := parsePragma(p.next().text)
-			if err != nil {
-				return nil, nil, err
-			}
-			if pr != nil {
-				funcPragmas = append(funcPragmas, *pr)
+			if pr, ok := parsePragma(p.next().text); ok {
+				p.fn.Pragmas = append(p.fn.Pragmas, pr)
 			}
 			continue
 		}
-		s, prs, err := p.parseStmt(fn)
+		s, err := p.parseStmt()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		funcPragmas = append(funcPragmas, prs...)
-		if s != nil {
-			stmts = append(stmts, s)
-		}
+		p.stmts.push(s)
 	}
 	p.next() // }
-	return stmts, funcPragmas, nil
+	return p.stmts.cut(from), nil
 }
 
-// parsePragma decodes "#pragma HLS ...". Unknown pragmas return nil.
-func parsePragma(text string) (*Pragma, error) {
-	fields := strings.Fields(text)
-	// fields[0] == "#pragma"
-	if len(fields) < 3 || !strings.EqualFold(fields[1], "HLS") {
-		return nil, nil
+// parsePragma decodes "#pragma HLS ...": its fields are split as
+// strings.Fields splits them. ok is false for any other pragma.
+func parsePragma(text string) (pr Pragma, ok bool) {
+	_, rest := nextField(text) // "#pragma"
+	hls, rest := nextField(rest)
+	kind, rest := nextField(rest)
+	if kind == "" || !strings.EqualFold(hls, "HLS") {
+		return pr, false
 	}
-	pr := &Pragma{Kind: strings.ToLower(fields[2])}
-	for _, f := range fields[3:] {
+	pr.Kind = strings.ToLower(kind)
+	for {
+		var f string
+		if f, rest = nextField(rest); f == "" {
+			return pr, true
+		}
 		if eq := strings.IndexByte(f, '='); eq >= 0 {
 			v := f[eq+1:]
 			switch strings.ToLower(f[:eq]) {
@@ -229,132 +286,159 @@ func parsePragma(text string) (*Pragma, error) {
 			pr.Mode = w
 		}
 	}
-	return pr, nil
 }
 
-func (p *cparser) parseStmt(fn *FuncDecl) (Stmt, []Pragma, error) {
+// nextField returns the first run of non-space characters in s, as
+// unicode.IsSpace tells them apart, and what follows it; field is "" when
+// s holds none.
+func nextField(s string) (field, rest string) {
+	start := -1
+	for i := 0; i < len(s); {
+		c, n := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, n = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(c) {
+			if start >= 0 {
+				return s[start:i], s[i:]
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += n
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+func (p *cparser) parseStmt() (Stmt, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tIdent && t.text == "for":
-		return p.parseFor(fn)
+		return p.parseFor()
 	case t.kind == tIdent && t.text == "if":
-		return p.parseIf(fn)
+		return p.parseIf()
 	case t.kind == tIdent && t.text == "return":
 		p.next()
 		if err := p.expect(";"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &ReturnStmt{}, nil, nil
+		return &ReturnStmt{}, nil
 	case t.kind == tIdent && isTypeName(t.text):
 		return p.parseDecl()
 	default:
 		// Assignment or expression statement.
 		lhs, err := p.parseExpr()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if p.isPunct("=") || p.isPunct("+=") || p.isPunct("-=") ||
 			p.isPunct("*=") || p.isPunct("/=") {
 			op := p.next().text
 			rhs, err := p.parseExpr()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if err := p.expect(";"); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			target, ok := lhs.(*IndexExpr)
 			if !ok {
-				return nil, nil, p.errf("assignment target must be a variable or element")
+				return nil, p.errf("assignment target must be a variable or element")
 			}
-			return &AssignStmt{Target: target, Op: op, RHS: rhs}, nil, nil
+			st := p.assign.next()
+			*st = AssignStmt{Target: target, Op: op, RHS: rhs}
+			return st, nil
 		}
 		if err := p.expect(";"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &ExprStmt{X: lhs}, nil, nil
+		return &ExprStmt{X: lhs}, nil
 	}
 }
 
-func (p *cparser) parseDecl() (Stmt, []Pragma, error) {
+func (p *cparser) parseDecl() (Stmt, error) {
 	ct := p.next().text
 	name := p.cur()
 	if name.kind != tIdent {
-		return nil, nil, p.errf("expected declaration name")
+		return nil, p.errf("expected declaration name")
 	}
 	p.next()
-	d := &DeclStmt{Name: name.text, CType: ct}
+	d := p.decls.next()
+	*d = DeclStmt{Name: name.text, CType: ct}
 	for p.isPunct("[") {
 		p.next()
 		dim := p.cur()
 		if dim.kind != tInt {
-			return nil, nil, p.errf("expected constant dimension")
+			return nil, p.errf("expected constant dimension")
 		}
 		p.next()
 		v, _ := strconv.ParseInt(dim.text, 10, 64)
 		d.Dims = append(d.Dims, v)
 		if err := p.expect("]"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if p.isPunct("=") {
 		p.next()
 		init, err := p.parseExpr()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		d.Init = init
 	}
 	if err := p.expect(";"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d, nil, nil
+	return d, nil
 }
 
-func (p *cparser) parseFor(fn *FuncDecl) (Stmt, []Pragma, error) {
+func (p *cparser) parseFor() (Stmt, error) {
 	p.next() // for
 	if err := p.expect("("); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !p.isIdent("int") {
-		return nil, nil, p.errf("for loops must declare an int counter")
+		return nil, p.errf("for loops must declare an int counter")
 	}
 	p.next()
 	iv := p.cur()
 	if iv.kind != tIdent {
-		return nil, nil, p.errf("expected loop counter name")
+		return nil, p.errf("expected loop counter name")
 	}
 	p.next()
 	if err := p.expect("="); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	init, err := p.parseExpr()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := p.expect(";"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cn := p.cur()
 	if cn.kind != tIdent || cn.text != iv.text {
-		return nil, nil, p.errf("loop condition must test the counter")
+		return nil, p.errf("loop condition must test the counter")
 	}
 	p.next()
 	cmp := p.cur().text
 	if cmp != "<" && cmp != "<=" {
-		return nil, nil, p.errf("loop condition must be < or <=")
+		return nil, p.errf("loop condition must be < or <=")
 	}
 	p.next()
 	bound, err := p.parseExpr()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := p.expect(";"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	in := p.cur()
 	if in.kind != tIdent || in.text != iv.text {
-		return nil, nil, p.errf("loop increment must update the counter")
+		return nil, p.errf("loop increment must update the counter")
 	}
 	p.next()
 	step := int64(1)
@@ -363,7 +447,7 @@ func (p *cparser) parseFor(fn *FuncDecl) (Stmt, []Pragma, error) {
 		p.next()
 		st := p.cur()
 		if st.kind != tInt {
-			return nil, nil, p.errf("loop step must be a constant")
+			return nil, p.errf("loop step must be a constant")
 		}
 		p.next()
 		step, _ = strconv.ParseInt(st.text, 10, 64)
@@ -371,95 +455,86 @@ func (p *cparser) parseFor(fn *FuncDecl) (Stmt, []Pragma, error) {
 		p.next()
 		p.next()
 	default:
-		return nil, nil, p.errf("loop increment must be += or ++")
+		return nil, p.errf("loop increment must be += or ++")
 	}
 	if err := p.expect(")"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := p.expect("{"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	f := &ForStmt{IV: iv.text, Init: init, Bound: bound, Cmp: cmp, Step: step}
-	// Loop pragmas: leading pragmas in the body attach to this loop.
-	var bodyStmts []Stmt
-	var funcPragmas []Pragma
+	// Loop pragmas in the body attach to this loop; others go to the
+	// function.
+	from := len(p.stmts.stack)
 	for !p.isPunct("}") {
 		if p.cur().kind == tEOF {
-			return nil, nil, p.errf("unexpected EOF in loop body")
+			return nil, p.errf("unexpected EOF in loop body")
 		}
 		if p.cur().kind == tPragma {
-			pr, err := parsePragma(p.next().text)
-			if err != nil {
-				return nil, nil, err
-			}
-			if pr == nil {
-				continue
-			}
-			switch pr.Kind {
-			case "pipeline", "unroll", "loop_flatten":
-				f.Pragmas = append(f.Pragmas, *pr)
+			pr, ok := parsePragma(p.next().text)
+			switch {
+			case !ok:
+			case pr.Kind == "pipeline" || pr.Kind == "unroll" || pr.Kind == "loop_flatten":
+				f.Pragmas = append(f.Pragmas, pr)
 			default:
-				funcPragmas = append(funcPragmas, *pr)
+				p.fn.Pragmas = append(p.fn.Pragmas, pr)
 			}
 			continue
 		}
-		s, prs, err := p.parseStmt(fn)
+		s, err := p.parseStmt()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		funcPragmas = append(funcPragmas, prs...)
-		if s != nil {
-			bodyStmts = append(bodyStmts, s)
-		}
+		p.stmts.push(s)
 	}
 	p.next() // }
-	f.Body = bodyStmts
-	return f, funcPragmas, nil
+	f.Body = p.stmts.cut(from)
+	return f, nil
 }
 
-func (p *cparser) parseIf(fn *FuncDecl) (Stmt, []Pragma, error) {
+func (p *cparser) parseIf() (Stmt, error) {
 	p.next() // if
 	if err := p.expect("("); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := p.expect(")"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := p.expect("{"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	then, prs, err := p.parseBlock(fn)
+	then, err := p.parseBlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st := &IfStmt{Cond: cond, Then: then}
 	if p.isIdent("else") {
 		p.next()
 		if err := p.expect("{"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		els, prs2, err := p.parseBlock(fn)
+		els, err := p.parseBlock()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		st.Else = els
-		prs = append(prs, prs2...)
 	}
-	return st, prs, nil
+	return st, nil
 }
 
-// Expression grammar: ternary > or > and > equality > relational > additive
-// > multiplicative > unary > postfix > primary.
+// Expression grammar: ternary > binary operators by precedence > unary >
+// postfix > primary.
 
 func (p *cparser) parseExpr() (Expr, error) { return p.parseTernary() }
 
 func (p *cparser) parseTernary() (Expr, error) {
-	c, err := p.parseBinary(0)
+	c, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
 	}
@@ -481,40 +556,51 @@ func (p *cparser) parseTernary() (Expr, error) {
 	return &CondExpr{C: c, T: t, F: f}, nil
 }
 
-var precLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binaryPrec returns how tightly the binary operator t binds, from 1 (||)
+// to 6 (* / %), or 0 when t is not one.
+func binaryPrec(t token) int {
+	if t.kind != tPunct {
+		return 0
+	}
+	switch t.text {
+	case "||":
+		return 1
+	case "&&":
+		return 2
+	case "==", "!=":
+		return 3
+	case "<", "<=", ">", ">=":
+		return 4
+	case "+", "-":
+		return 5
+	case "*", "/", "%":
+		return 6
+	}
+	return 0
 }
 
-func (p *cparser) parseBinary(level int) (Expr, error) {
-	if level >= len(precLevels) {
-		return p.parseUnary()
-	}
-	lhs, err := p.parseBinary(level + 1)
+// parseBinary parses a chain of operands joined by binary operators that
+// bind at least as tightly as minPrec, by precedence climbing: every
+// operator is left-associative, so its right operand takes only operators
+// that bind more tightly.
+func (p *cparser) parseBinary(minPrec int) (Expr, error) {
+	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range precLevels[level] {
-			if p.isPunct(op) {
-				p.next()
-				rhs, err := p.parseBinary(level + 1)
-				if err != nil {
-					return nil, err
-				}
-				lhs = &BinaryExpr{Op: op, L: lhs, R: rhs}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		prec := binaryPrec(p.cur())
+		if prec == 0 || prec < minPrec {
 			return lhs, nil
 		}
+		op := p.next().text
+		rhs, err := p.parseBinary(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		b := p.bins.next()
+		*b = BinaryExpr{Op: op, L: lhs, R: rhs}
+		lhs = b
 	}
 }
 
@@ -551,7 +637,9 @@ func (p *cparser) parsePostfix() (Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad integer literal")
 		}
-		return &IntLit{V: v}, nil
+		lit := p.ints.next()
+		lit.V = v
+		return lit, nil
 	case tFloat:
 		p.next()
 		txt := t.text
@@ -570,21 +658,21 @@ func (p *cparser) parsePostfix() (Expr, error) {
 		// Call?
 		if p.isPunct("(") {
 			p.next()
-			var args []Expr
+			from := len(p.exprs.stack)
 			for !p.isPunct(")") {
 				a, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				args = append(args, a)
+				p.exprs.push(a)
 				if p.isPunct(",") {
 					p.next()
 				}
 			}
 			p.next()
-			return &CallExpr{Name: t.text, Args: args}, nil
+			return &CallExpr{Name: t.text, Args: p.exprs.cut(from)}, nil
 		}
-		ix := &IndexExpr{Base: t.text}
+		from := len(p.exprs.stack)
 		for p.isPunct("[") {
 			p.next()
 			e, err := p.parseExpr()
@@ -594,8 +682,10 @@ func (p *cparser) parsePostfix() (Expr, error) {
 			if err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			ix.Idxs = append(ix.Idxs, e)
+			p.exprs.push(e)
 		}
+		ix := p.idxs.next()
+		*ix = IndexExpr{Base: t.text, Idxs: p.exprs.cut(from)}
 		return ix, nil
 	case tPunct:
 		if t.text == "(" {

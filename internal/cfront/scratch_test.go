@@ -104,3 +104,33 @@ func TestParseCRecycledTokens(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCompileAllocs pins the allocations of one compile of gemm's emitted
+// C at SMALL, pipelined: the AST and the constants are cut from slabs, an
+// instruction is one allocation with its operand list, names come from a
+// shared table and the tables from pools.
+func TestCompileAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime drops pooled items at random")
+	}
+	k := polybench.Get("gemm")
+	s, err := k.SizeOf("SMALL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := flow.CxxFlow(k.Build(s), k.Name, flow.Directives{Pipeline: true, II: 1}, hls.DefaultTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() {
+		if _, err := cfront.Compile(res.CSource, cfront.Options{Top: k.Name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile()
+	n := testing.AllocsPerRun(20, compile)
+	t.Logf("%d source bytes compiled in %.0f allocations", len(res.CSource), n)
+	if n > 320 {
+		t.Errorf("Compile makes %.0f allocations, want at most 320", n)
+	}
+}

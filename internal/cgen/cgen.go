@@ -10,7 +10,6 @@ package cgen
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/mlir"
@@ -19,62 +18,97 @@ import (
 
 // Emit renders the module as HLS C++ source.
 func Emit(m *mlir.Module) (string, error) {
-	var sb strings.Builder
-	sb.WriteString("// Generated by emit-hlscpp\n\n")
+	e := takeEmitter()
+	defer e.release()
+	e.w("// Generated by emit-hlscpp\n\n")
 	for _, f := range m.Funcs() {
-		e := takeEmitter(&sb)
-		err := e.emitFunc(f)
-		e.release()
-		if err != nil {
+		clear(e.names)
+		e.nextID, e.indent = 0, 0
+		if err := e.emitFunc(f); err != nil {
 			return "", err
 		}
-		sb.WriteString("\n")
+		e.w("\n")
 	}
-	return sb.String(), nil
+	return string(e.buf), nil
 }
 
+// emitter appends a module's C to buf a piece at a time. A value is named
+// v<n> by the order it is first seen in its function.
 type emitter struct {
-	sb     *strings.Builder
-	names  map[*mlir.Value]string
-	nextID int
+	buf    []byte
+	names  map[*mlir.Value]int32
+	ids    []int32 // the operand names of the expression being rendered
+	nextID int32
 	indent int
 }
 
-// emitters holds idle emitters. Emit takes one per function and returns
-// it with its name table emptied, so the pool pins no module.
+// emitters holds idle emitters. Emit takes one per module and returns it
+// with its name table emptied, so the pool pins no module.
 var emitters sync.Pool
 
-func takeEmitter(sb *strings.Builder) *emitter {
+func takeEmitter() *emitter {
 	e, _ := emitters.Get().(*emitter)
 	if e == nil {
-		e = &emitter{names: map[*mlir.Value]string{}}
+		e = &emitter{names: map[*mlir.Value]int32{}}
 	}
-	e.sb, e.nextID, e.indent = sb, 0, 0
+	e.buf = e.buf[:0]
 	return e
 }
 
 func (e *emitter) release() {
 	clear(e.names)
-	e.sb = nil
 	emitters.Put(e)
 }
 
-func (e *emitter) name(v *mlir.Value) string {
+// id returns v's name number, numbering it on first sight.
+func (e *emitter) id(v *mlir.Value) int32 {
 	if n, ok := e.names[v]; ok {
 		return n
 	}
-	n := "v" + strconv.Itoa(e.nextID)
+	n := e.nextID
 	e.nextID++
 	e.names[v] = n
 	return n
 }
 
-func (e *emitter) line(format string, args ...any) {
+// line starts a line at the current indentation.
+func (e *emitter) line() *emitter {
 	for i := 0; i < e.indent; i++ {
-		e.sb.WriteString("  ")
+		e.buf = append(e.buf, "  "...)
 	}
-	fmt.Fprintf(e.sb, format, args...)
-	e.sb.WriteString("\n")
+	return e
+}
+
+// w appends s.
+func (e *emitter) w(s string) *emitter {
+	e.buf = append(e.buf, s...)
+	return e
+}
+
+// n appends x in decimal.
+func (e *emitter) n(x int64) *emitter {
+	e.buf = strconv.AppendInt(e.buf, x, 10)
+	return e
+}
+
+// v appends v's name.
+func (e *emitter) v(v *mlir.Value) *emitter { return e.vn(e.id(v)) }
+
+// vn appends the name numbered id.
+func (e *emitter) vn(id int32) *emitter {
+	e.buf = strconv.AppendInt(append(e.buf, 'v'), int64(id), 10)
+	return e
+}
+
+// end closes a line.
+func (e *emitter) end() { e.buf = append(e.buf, '\n') }
+
+// dims appends one [n] per dimension.
+func (e *emitter) dims(shape []int64) *emitter {
+	for _, d := range shape {
+		e.w("[").n(d).w("]")
+	}
+	return e
 }
 
 func ctype(t *mlir.Type) (string, error) {
@@ -111,47 +145,46 @@ func (e *emitter) emitFunc(f *mlir.Op) error {
 	if len(f.Regions[0].Blocks) != 1 {
 		return fmt.Errorf("cgen: %s must be structured (affine level)", name)
 	}
-	var params []string
-	for _, a := range body.Args {
-		n := e.name(a)
+	e.line().w("void ").w(name).w("(")
+	for i, a := range body.Args {
+		if i > 0 {
+			e.w(", ")
+		}
+		n := e.id(a)
 		if a.Type().IsMemRef() {
 			et, err := elemCType(a.Type().Elem)
 			if err != nil {
 				return err
 			}
-			dims := ""
-			for _, d := range a.Type().Shape {
-				dims += fmt.Sprintf("[%d]", d)
-			}
-			params = append(params, fmt.Sprintf("%s %s%s", et, n, dims))
+			e.w(et).w(" ").vn(n).dims(a.Type().Shape)
 		} else {
 			st, err := ctype(a.Type())
 			if err != nil {
 				return err
 			}
-			params = append(params, fmt.Sprintf("%s %s", st, n))
+			e.w(st).w(" ").vn(n)
 		}
 	}
-	e.line("void %s(%s) {", name, strings.Join(params, ", "))
+	e.w(") {").end()
 	e.indent++
 	// Function-level pragmas.
 	if f.HasAttr(mlir.AttrDataflow) {
-		e.line("#pragma HLS dataflow")
+		e.line().w("#pragma HLS dataflow").end()
 	}
 	for i, a := range body.Args {
 		if !a.Type().IsMemRef() {
 			continue
 		}
-		e.line("#pragma HLS interface ap_memory port=%s", e.name(a))
+		e.line().w("#pragma HLS interface ap_memory port=").v(a).end()
 		if attr := f.Attr(passes.PartitionArgAttrKey(i)); attr != nil {
 			if spec, ok := passes.ParsePartitionAttr(attr); ok {
+				e.line().w("#pragma HLS array_partition variable=").v(a)
 				if spec.Kind == "complete" {
-					e.line("#pragma HLS array_partition variable=%s complete dim=%d",
-						e.name(a), spec.Dim+1)
+					e.w(" complete")
 				} else {
-					e.line("#pragma HLS array_partition variable=%s %s factor=%d dim=%d",
-						e.name(a), spec.Kind, spec.Factor, spec.Dim+1)
+					e.w(" ").w(spec.Kind).w(" factor=").n(int64(spec.Factor))
 				}
+				e.w(" dim=").n(int64(spec.Dim + 1)).end()
 			}
 		}
 	}
@@ -159,7 +192,7 @@ func (e *emitter) emitFunc(f *mlir.Op) error {
 		return err
 	}
 	e.indent--
-	e.line("}")
+	e.line().w("}").end()
 	return nil
 }
 
@@ -172,51 +205,78 @@ func (e *emitter) emitBlock(b *mlir.Block) error {
 	return nil
 }
 
-// affineExprToC renders an affine expression with operand names substituted.
-func affineExprToC(ex *mlir.AffineExpr, dims, syms []string) string {
-	switch ex.Kind {
-	case mlir.AffineDim:
-		return dims[ex.Pos]
-	case mlir.AffineSym:
-		return syms[ex.Pos]
-	case mlir.AffineConst:
-		return strconv.FormatInt(ex.Val, 10)
-	case mlir.AffineAdd:
-		if ex.RHS.IsConst() && ex.RHS.Val < 0 {
-			return fmt.Sprintf("(%s - %d)", affineExprToC(ex.LHS, dims, syms), -ex.RHS.Val)
-		}
-		return fmt.Sprintf("(%s + %s)", affineExprToC(ex.LHS, dims, syms), affineExprToC(ex.RHS, dims, syms))
-	case mlir.AffineMul:
-		return fmt.Sprintf("(%s * %s)", affineExprToC(ex.LHS, dims, syms), affineExprToC(ex.RHS, dims, syms))
-	case mlir.AffineMod:
-		return fmt.Sprintf("(%s %% %s)", affineExprToC(ex.LHS, dims, syms), affineExprToC(ex.RHS, dims, syms))
-	case mlir.AffineFloorDiv, mlir.AffineCeilDiv:
-		// C integer division: correct for the non-negative indices HLS
-		// kernels use; ceildiv additionally biases the numerator.
-		if ex.Kind == mlir.AffineCeilDiv {
-			return fmt.Sprintf("((%s + %d) / %d)", affineExprToC(ex.LHS, dims, syms),
-				ex.RHS.Val-1, ex.RHS.Val)
-		}
-		return fmt.Sprintf("(%s / %s)", affineExprToC(ex.LHS, dims, syms), affineExprToC(ex.RHS, dims, syms))
+// operandIDs names ops in order and returns their name numbers, which
+// stay valid until the next call.
+func (e *emitter) operandIDs(ops []*mlir.Value) []int32 {
+	e.ids = e.ids[:0]
+	for _, o := range ops {
+		e.ids = append(e.ids, e.id(o))
 	}
-	return "<?>"
+	return e.ids
 }
 
-// accessIndices renders one C subscript per map result.
-func (e *emitter) accessIndices(v mlir.AffineAccessView) string {
+// affine appends an affine expression with its dims and symbols named by
+// the numbers in dims and syms.
+func (e *emitter) affine(ex *mlir.AffineExpr, dims, syms []int32) {
+	switch ex.Kind {
+	case mlir.AffineDim:
+		e.vn(dims[ex.Pos])
+	case mlir.AffineSym:
+		e.vn(syms[ex.Pos])
+	case mlir.AffineConst:
+		e.n(ex.Val)
+	case mlir.AffineAdd:
+		e.w("(")
+		e.affine(ex.LHS, dims, syms)
+		if ex.RHS.IsConst() && ex.RHS.Val < 0 {
+			e.w(" - ").n(-ex.RHS.Val)
+		} else {
+			e.w(" + ")
+			e.affine(ex.RHS, dims, syms)
+		}
+		e.w(")")
+	case mlir.AffineMul, mlir.AffineMod, mlir.AffineFloorDiv:
+		e.w("(")
+		e.affine(ex.LHS, dims, syms)
+		switch ex.Kind {
+		case mlir.AffineMul:
+			e.w(" * ")
+		case mlir.AffineMod:
+			e.w(" % ")
+		default:
+			// C integer division: correct for the non-negative indices
+			// HLS kernels use.
+			e.w(" / ")
+		}
+		e.affine(ex.RHS, dims, syms)
+		e.w(")")
+	case mlir.AffineCeilDiv:
+		// C integer division with the numerator biased up.
+		e.w("((")
+		e.affine(ex.LHS, dims, syms)
+		e.w(" + ").n(ex.RHS.Val - 1).w(") / ").n(ex.RHS.Val).w(")")
+	default:
+		e.w("<?>")
+	}
+}
+
+// bound appends the first result of an affine map over operands.
+func (e *emitter) bound(m *mlir.AffineMap, operands []*mlir.Value) {
+	ids := e.operandIDs(operands)
+	e.affine(m.Exprs[0], ids[:m.NumDims], ids[m.NumDims:])
+}
+
+// access appends an access's memref and one C subscript per map result.
+func (e *emitter) access(v mlir.AffineAccessView) *emitter {
+	e.v(v.MemRef())
 	m := v.Map()
-	ops := v.MapOperands()
-	names := make([]string, len(ops))
-	for i, o := range ops {
-		names[i] = e.name(o)
-	}
-	dims := names[:m.NumDims]
-	syms := names[m.NumDims:]
-	var sb strings.Builder
+	ids := e.operandIDs(v.MapOperands())
 	for _, ex := range m.Exprs {
-		sb.WriteString("[" + affineExprToC(ex, dims, syms) + "]")
+		e.w("[")
+		e.affine(ex, ids[:m.NumDims], ids[m.NumDims:])
+		e.w("]")
 	}
-	return sb.String()
+	return e
 }
 
 func cmpOpC(pred string) string {
@@ -237,7 +297,37 @@ func cmpOpC(pred string) string {
 	return "/*?*/"
 }
 
+// binarySym returns the C operator of a binary arithmetic op, or "".
+func binarySym(name string) string {
+	switch name {
+	case mlir.OpAddI, mlir.OpAddF:
+		return "+"
+	case mlir.OpSubI, mlir.OpSubF:
+		return "-"
+	case mlir.OpMulI, mlir.OpMulF:
+		return "*"
+	case mlir.OpDivSI, mlir.OpDivF:
+		return "/"
+	case mlir.OpRemSI:
+		return "%"
+	}
+	return ""
+}
+
+// def starts the declaration of op's result: its C type and name.
+func (e *emitter) def(ct string, op *mlir.Op) *emitter {
+	return e.line().w(ct).w(" ").v(op.Result(0)).w(" = ")
+}
+
 func (e *emitter) emitOp(op *mlir.Op) error {
+	if sym := binarySym(op.Name); sym != "" {
+		ct, err := ctype(op.Result(0).Type())
+		if err != nil {
+			return err
+		}
+		e.def(ct, op).v(op.Operands[0]).w(" ").w(sym).w(" ").v(op.Operands[1]).w(";").end()
+		return nil
+	}
 	switch op.Name {
 	case mlir.OpConstant:
 		ct, err := ctype(op.Result(0).Type())
@@ -246,72 +336,47 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 		}
 		switch a := op.Attr(mlir.AttrValue).(type) {
 		case mlir.IntAttr:
-			e.line("%s %s = %d;", ct, e.name(op.Result(0)), a.Value)
+			e.def(ct, op).n(a.Value).w(";").end()
 		case mlir.FloatAttr:
-			e.line("%s %s = %s;", ct, e.name(op.Result(0)),
-				strconv.FormatFloat(a.Value, 'g', -1, 64))
+			e.def(ct, op)
+			e.buf = strconv.AppendFloat(e.buf, a.Value, 'g', -1, 64)
+			e.w(";").end()
 		}
-		return nil
-
-	case mlir.OpAddI, mlir.OpAddF, mlir.OpSubI, mlir.OpSubF, mlir.OpMulI,
-		mlir.OpMulF, mlir.OpDivSI, mlir.OpDivF, mlir.OpRemSI:
-		var sym string
-		switch op.Name {
-		case mlir.OpAddI, mlir.OpAddF:
-			sym = "+"
-		case mlir.OpSubI, mlir.OpSubF:
-			sym = "-"
-		case mlir.OpMulI, mlir.OpMulF:
-			sym = "*"
-		case mlir.OpDivSI, mlir.OpDivF:
-			sym = "/"
-		case mlir.OpRemSI:
-			sym = "%"
-		}
-		ct, err := ctype(op.Result(0).Type())
-		if err != nil {
-			return err
-		}
-		e.line("%s %s = %s %s %s;", ct, e.name(op.Result(0)),
-			e.name(op.Operands[0]), sym, e.name(op.Operands[1]))
 		return nil
 
 	case mlir.OpNegF:
 		ct, _ := ctype(op.Result(0).Type())
-		e.line("%s %s = -%s;", ct, e.name(op.Result(0)), e.name(op.Operands[0]))
+		e.def(ct, op).w("-").v(op.Operands[0]).w(";").end()
 		return nil
 
 	case mlir.OpMinSI, mlir.OpMaxSI:
-		cmp := "<"
+		cmp := " < "
 		if op.Name == mlir.OpMaxSI {
-			cmp = ">"
+			cmp = " > "
 		}
 		ct, _ := ctype(op.Result(0).Type())
-		e.line("%s %s = %s %s %s ? %s : %s;", ct, e.name(op.Result(0)),
-			e.name(op.Operands[0]), cmp, e.name(op.Operands[1]),
-			e.name(op.Operands[0]), e.name(op.Operands[1]))
+		a, b := op.Operands[0], op.Operands[1]
+		e.def(ct, op).v(a).w(cmp).v(b).w(" ? ").v(a).w(" : ").v(b).w(";").end()
 		return nil
 
 	case mlir.OpCmpI, mlir.OpCmpF:
 		pred, _ := op.StringAttr(mlir.AttrPredicate)
-		e.line("int %s = %s %s %s;", e.name(op.Result(0)),
-			e.name(op.Operands[0]), cmpOpC(pred), e.name(op.Operands[1]))
+		e.def("int", op).v(op.Operands[0]).w(" ").w(cmpOpC(pred)).w(" ").v(op.Operands[1]).w(";").end()
 		return nil
 
 	case mlir.OpSelect:
 		ct, _ := ctype(op.Result(0).Type())
-		e.line("%s %s = %s ? %s : %s;", ct, e.name(op.Result(0)),
-			e.name(op.Operands[0]), e.name(op.Operands[1]), e.name(op.Operands[2]))
+		e.def(ct, op).v(op.Operands[0]).w(" ? ").v(op.Operands[1]).w(" : ").v(op.Operands[2]).w(";").end()
 		return nil
 
 	case mlir.OpIndexCast:
 		ct, _ := ctype(op.Result(0).Type())
-		e.line("%s %s = %s;", ct, e.name(op.Result(0)), e.name(op.Operands[0]))
+		e.def(ct, op).v(op.Operands[0]).w(";").end()
 		return nil
 
 	case mlir.OpSIToFP, mlir.OpExtF, mlir.OpTruncF, mlir.OpFPToSI:
 		ct, _ := ctype(op.Result(0).Type())
-		e.line("%s %s = (%s)%s;", ct, e.name(op.Result(0)), ct, e.name(op.Operands[0]))
+		e.def(ct, op).w("(").w(ct).w(")").v(op.Operands[0]).w(";").end()
 		return nil
 
 	case mlir.OpMathSqrt, mlir.OpMathExp:
@@ -319,36 +384,33 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 		if op.Name == mlir.OpMathExp {
 			fn = "exp"
 		}
-		if op.Result(0).Type().Width == 32 {
-			fn += "f"
-		}
 		ct, _ := ctype(op.Result(0).Type())
-		e.line("%s %s = %s(%s);", ct, e.name(op.Result(0)), fn, e.name(op.Operands[0]))
+		e.def(ct, op).w(fn)
+		if op.Result(0).Type().Width == 32 {
+			e.w("f")
+		}
+		e.w("(").v(op.Operands[0]).w(");").end()
 		return nil
 
 	case mlir.OpAffineLoad:
-		v := mlir.AffineAccessView{Op: op}
 		ct, err := ctype(op.Result(0).Type())
 		if err != nil {
 			return err
 		}
-		e.line("%s %s = %s%s;", ct, e.name(op.Result(0)),
-			e.name(v.MemRef()), e.accessIndices(v))
+		e.def(ct, op).access(mlir.AffineAccessView{Op: op}).w(";").end()
 		return nil
 
 	case mlir.OpAffineStore:
 		v := mlir.AffineAccessView{Op: op}
-		e.line("%s%s = %s;", e.name(v.MemRef()), e.accessIndices(v), e.name(v.StoredValue()))
+		e.line().access(v).w(" = ").v(v.StoredValue()).w(";").end()
 		return nil
 
 	case mlir.OpAffineApply:
 		m, _ := op.MapAttr(mlir.AttrMap)
-		names := make([]string, len(op.Operands))
-		for i, o := range op.Operands {
-			names[i] = e.name(o)
-		}
-		e.line("int %s = %s;", e.name(op.Result(0)),
-			affineExprToC(m.Exprs[0], names[:m.NumDims], names[m.NumDims:]))
+		ids := e.operandIDs(op.Operands)
+		e.def("int", op)
+		e.affine(m.Exprs[0], ids[:m.NumDims], ids[m.NumDims:])
+		e.w(";").end()
 		return nil
 
 	case mlir.OpAlloc, mlir.OpAlloca:
@@ -357,11 +419,7 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 		if err != nil {
 			return err
 		}
-		dims := ""
-		for _, d := range mt.Shape {
-			dims += fmt.Sprintf("[%d]", d)
-		}
-		e.line("%s %s%s;", et, e.name(op.Result(0)), dims)
+		e.line().w(et).w(" ").v(op.Result(0)).dims(mt.Shape).w(";").end()
 		return nil
 
 	case mlir.OpDealloc:
@@ -371,21 +429,21 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 		return e.emitFor(op)
 
 	case mlir.OpSCFIf:
-		e.line("if (%s) {", e.name(op.Operands[0]))
+		e.line().w("if (").v(op.Operands[0]).w(") {").end()
 		e.indent++
 		if err := e.emitBlock(op.Regions[0].Blocks[0]); err != nil {
 			return err
 		}
 		e.indent--
 		if len(op.Regions) > 1 {
-			e.line("} else {")
+			e.line().w("} else {").end()
 			e.indent++
 			if err := e.emitBlock(op.Regions[1].Blocks[0]); err != nil {
 				return err
 			}
 			e.indent--
 		}
-		e.line("}")
+		e.line().w("}").end()
 		return nil
 
 	case mlir.OpAffineYield, mlir.OpSCFYield, mlir.OpReturn:
@@ -393,17 +451,20 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 
 	case mlir.OpCall:
 		callee, _ := op.Attr(mlir.AttrCallee).(mlir.SymbolRefAttr)
-		var args []string
-		for _, a := range op.Operands {
-			args = append(args, e.name(a))
-		}
+		e.operandIDs(op.Operands)
+		e.line()
 		if len(op.Results) > 0 {
 			ct, _ := ctype(op.Result(0).Type())
-			e.line("%s %s = %s(%s);", ct, e.name(op.Result(0)), string(callee),
-				strings.Join(args, ", "))
-		} else {
-			e.line("%s(%s);", string(callee), strings.Join(args, ", "))
+			e.w(ct).w(" ").v(op.Result(0)).w(" = ")
 		}
+		e.w(string(callee)).w("(")
+		for i, id := range e.ids {
+			if i > 0 {
+				e.w(", ")
+			}
+			e.vn(id)
+		}
+		e.w(");").end()
 		return nil
 	}
 	return fmt.Errorf("cgen: cannot emit op %s", op.Name)
@@ -411,36 +472,30 @@ func (e *emitter) emitOp(op *mlir.Op) error {
 
 func (e *emitter) emitFor(op *mlir.Op) error {
 	f := mlir.AffineForView{Op: op}
-	iv := e.name(f.IV())
-
-	boundToC := func(m *mlir.AffineMap, operands []*mlir.Value) string {
-		names := make([]string, len(operands))
-		for i, o := range operands {
-			names[i] = e.name(o)
-		}
-		return affineExprToC(m.Exprs[0], names[:m.NumDims], names[m.NumDims:])
-	}
-	lo := boundToC(f.LowerMap(), f.LowerOperands())
-	hi := boundToC(f.UpperMap(), f.UpperOperands())
-	e.line("for (int %s = %s; %s < %s; %s += %d) {", iv, lo, iv, hi, iv, f.Step())
+	iv := e.id(f.IV())
+	e.line().w("for (int ").vn(iv).w(" = ")
+	e.bound(f.LowerMap(), f.LowerOperands())
+	e.w("; ").vn(iv).w(" < ")
+	e.bound(f.UpperMap(), f.UpperOperands())
+	e.w("; ").vn(iv).w(" += ").n(f.Step()).w(") {").end()
 	e.indent++
 	if op.HasAttr(mlir.AttrPipeline) {
+		e.line().w("#pragma HLS pipeline")
 		if ii, ok := op.IntAttr(mlir.AttrII); ok && ii > 0 {
-			e.line("#pragma HLS pipeline II=%d", ii)
-		} else {
-			e.line("#pragma HLS pipeline")
+			e.w(" II=").n(ii)
 		}
+		e.end()
 	}
 	if u, ok := op.IntAttr(mlir.AttrUnroll); ok && u > 1 {
-		e.line("#pragma HLS unroll factor=%d", u)
+		e.line().w("#pragma HLS unroll factor=").n(u).end()
 	}
 	if op.HasAttr(mlir.AttrFlatten) {
-		e.line("#pragma HLS loop_flatten")
+		e.line().w("#pragma HLS loop_flatten").end()
 	}
 	if err := e.emitBlock(f.Body()); err != nil {
 		return err
 	}
 	e.indent--
-	e.line("}")
+	e.line().w("}").end()
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hls"
 	"repro/internal/incr"
+	mlirparser "repro/internal/mlir/parser"
 	"repro/internal/mlir/passes"
 	"repro/internal/polybench"
 	"repro/internal/raceflag"
@@ -313,6 +314,55 @@ func TestIncrementalRebuildsTranslateRecord(t *testing.T) {
 				k.Name, warm.UnitHits, warm.UnitMisses)
 		}
 		compareRuns(t, k.Name, cold, warm)
+	}
+}
+
+// scalarKernel has no pointer parameter, so nothing in its printed LLVM
+// but the header's flavor line says it is HLS-flavored.
+const scalarKernel = `module { func.func @k(%a: i32, %b: i32) { %c = arith.addi %a, %b : i32  func.return } }`
+
+// TestIncrementalKeepsFlavorOfPointerFreeKernel replays scalarKernel from
+// stored text: a plain warm rerun, and a rerun at another clock that
+// replays the prefix and runs synthesis live on the module parsed back
+// from the store. Both flows must match a cold run at the same target; a
+// parse that read the module as modern failed the adaptor flow's
+// conformance gate and the C++ flow's synthesis.
+func TestIncrementalKeepsFlavorOfPointerFreeKernel(t *testing.T) {
+	run := func(kind string, tgt hls.Target, opts Options) *Result {
+		t.Helper()
+		m, err := mlirparser.Parse(scalarKernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		if kind == "adaptor" {
+			res, err = AdaptorFlowWith(m, "k", Directives{}, tgt, opts)
+		} else {
+			res, err = CxxFlowWith(m, "k", Directives{}, tgt, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s at %g ns: %v", kind, tgt.ClockNs, err)
+		}
+		return res
+	}
+	slow := hls.DefaultTarget()
+	fast := slow
+	fast.ClockNs = 5
+	for _, kind := range []string{"adaptor", "cxx"} {
+		store := incr.NewMemStore()
+		cold := run(kind, slow, Options{})
+		compareRuns(t, kind+" first", cold, run(kind, slow, Options{IncrStore: store}))
+		warm := run(kind, slow, Options{IncrStore: store})
+		compareRuns(t, kind+" warm", cold, warm)
+		if warm.UnitMisses != 0 {
+			t.Fatalf("%s: warm rerun executed %d units", kind, warm.UnitMisses)
+		}
+		replay := run(kind, fast, Options{IncrStore: store})
+		compareRuns(t, kind+" replay at 5 ns", run(kind, fast, Options{}), replay)
+		if replay.UnitHits == 0 || replay.UnitMisses == 0 {
+			t.Fatalf("%s at 5 ns: %d hits / %d misses, want the prefix replayed and synthesis live",
+				kind, replay.UnitHits, replay.UnitMisses)
+		}
 	}
 }
 

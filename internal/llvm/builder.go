@@ -2,17 +2,17 @@ package llvm
 
 import "strconv"
 
-// Builder constructs instructions at the end of a block.
+// Builder constructs instructions at the end of a block. Each instruction
+// is one allocation that also holds its operand and branch target lists.
 type Builder struct {
 	fn  *Function
 	blk *Block
-	ctr *int
+	ctr int
 }
 
 // NewBuilder returns a builder for fn, initially without a block.
 func NewBuilder(fn *Function) *Builder {
-	ctr := 0
-	return &Builder{fn: fn, ctr: &ctr}
+	return &Builder{fn: fn}
 }
 
 // SetBlock retargets the builder.
@@ -24,11 +24,34 @@ func (b *Builder) Block() *Block { return b.blk }
 // Func returns the function under construction.
 func (b *Builder) Func() *Function { return b.fn }
 
+// tempNames holds the first fresh names, t0 to t4095, as substrings of
+// one string, so naming an instruction allocates nothing.
+var tempNames = func() []string {
+	const n = 4096
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		buf = strconv.AppendInt(append(buf, 't'), int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		names[i] = all[start:end]
+		start = end
+	}
+	return names
+}()
+
 // NewName returns a fresh SSA name.
 func (b *Builder) NewName() string {
-	n := "t" + strconv.Itoa(*b.ctr)
-	*b.ctr++
-	return n
+	i := b.ctr
+	b.ctr++
+	if i < len(tempNames) {
+		return tempNames[i]
+	}
+	return "t" + strconv.Itoa(i)
 }
 
 func (b *Builder) emit(in *Instr) *Instr {
@@ -39,9 +62,50 @@ func (b *Builder) emit(in *Instr) *Instr {
 	return in
 }
 
+// Instructions allocated together with their lists: the lists die with
+// the instruction, and a node with up to three operands fits the size
+// class just above a bare one.
+type (
+	instr1 struct {
+		Instr
+		ops [1]Value
+	}
+	instr2 struct {
+		Instr
+		ops [2]Value
+	}
+	instr3 struct {
+		Instr
+		ops [3]Value
+	}
+	branch struct {
+		Instr
+		targets [1]*Block
+	}
+	condBranch struct {
+		Instr
+		ops     [1]Value
+		targets [2]*Block
+	}
+)
+
+func newInstr1(op Opcode, ty *Type, x Value) *Instr {
+	n := &instr1{}
+	n.ops[0] = x
+	n.Op, n.Ty, n.Args = op, ty, n.ops[:]
+	return &n.Instr
+}
+
+func newInstr2(op Opcode, ty *Type, x, y Value) *Instr {
+	n := &instr2{}
+	n.ops[0], n.ops[1] = x, y
+	n.Op, n.Ty, n.Args = op, ty, n.ops[:]
+	return &n.Instr
+}
+
 // Binary emits a binary arithmetic instruction.
 func (b *Builder) Binary(op Opcode, l, r Value) *Instr {
-	return b.emit(&Instr{Op: op, Ty: l.Type(), Args: []Value{l, r}})
+	return b.emit(newInstr2(op, l.Type(), l, r))
 }
 
 // Add emits add.
@@ -61,44 +125,63 @@ func (b *Builder) FAdd(l, r Value) *Instr { return b.Binary(OpFAdd, l, r) }
 
 // FNeg emits fneg.
 func (b *Builder) FNeg(v Value) *Instr {
-	return b.emit(&Instr{Op: OpFNeg, Ty: v.Type(), Args: []Value{v}})
+	return b.emit(newInstr1(OpFNeg, v.Type(), v))
 }
 
 // ICmp emits icmp with the given predicate.
 func (b *Builder) ICmp(pred string, l, r Value) *Instr {
-	return b.emit(&Instr{Op: OpICmp, Ty: I1(), Pred: pred, Args: []Value{l, r}})
+	in := newInstr2(OpICmp, I1(), l, r)
+	in.Pred = pred
+	return b.emit(in)
 }
 
 // FCmp emits fcmp with the given predicate.
 func (b *Builder) FCmp(pred string, l, r Value) *Instr {
-	return b.emit(&Instr{Op: OpFCmp, Ty: I1(), Pred: pred, Args: []Value{l, r}})
+	in := newInstr2(OpFCmp, I1(), l, r)
+	in.Pred = pred
+	return b.emit(in)
 }
 
 // Select emits select.
 func (b *Builder) Select(c, t, f Value) *Instr {
-	return b.emit(&Instr{Op: OpSelect, Ty: t.Type(), Args: []Value{c, t, f}})
+	n := &instr3{}
+	n.ops[0], n.ops[1], n.ops[2] = c, t, f
+	n.Op, n.Ty, n.Args = OpSelect, t.Type(), n.ops[:]
+	return b.emit(&n.Instr)
 }
 
 // Cast emits a conversion instruction to the target type.
 func (b *Builder) Cast(op Opcode, v Value, to *Type) *Instr {
-	return b.emit(&Instr{Op: op, Ty: to, Args: []Value{v}})
+	return b.emit(newInstr1(op, to, v))
 }
 
 // Load emits a typed load through ptr.
 func (b *Builder) Load(elem *Type, ptr Value) *Instr {
-	return b.emit(&Instr{Op: OpLoad, Ty: elem, SrcElem: elem, Args: []Value{ptr}})
+	in := newInstr1(OpLoad, elem, ptr)
+	in.SrcElem = elem
+	return b.emit(in)
 }
 
 // Store emits a store of val through ptr.
 func (b *Builder) Store(val, ptr Value) *Instr {
-	return b.emit(&Instr{Op: OpStore, SrcElem: val.Type(), Args: []Value{val, ptr}})
+	in := newInstr2(OpStore, nil, val, ptr)
+	in.SrcElem = val.Type()
+	return b.emit(in)
 }
 
 // GEP emits getelementptr with the given source element type.
 func (b *Builder) GEP(srcElem *Type, ptr Value, idxs ...Value) *Instr {
-	resElem := GEPResultElem(srcElem, len(idxs))
-	return b.emit(&Instr{Op: OpGEP, Ty: Ptr(resElem), SrcElem: srcElem,
-		Args: append([]Value{ptr}, idxs...)})
+	ops := make([]Value, 1+len(idxs))
+	ops[0] = ptr
+	copy(ops[1:], idxs)
+	return b.GEPOperands(srcElem, Ptr(GEPResultElem(srcElem, len(idxs))), ops)
+}
+
+// GEPOperands emits getelementptr with the given source element type and
+// result type over ops, the pointer and then the indices. The instruction
+// keeps ops, so a caller that builds the list hands it over whole.
+func (b *Builder) GEPOperands(srcElem, ty *Type, ops []Value) *Instr {
+	return b.emit(&Instr{Op: OpGEP, Ty: ty, SrcElem: srcElem, Args: ops})
 }
 
 // GEPResultElem computes the pointee type after stepping through n indices
@@ -141,21 +224,27 @@ func (in *Instr) AddIncoming(v Value, blk *Block) {
 
 // Br emits an unconditional branch.
 func (b *Builder) Br(dest *Block) *Instr {
-	return b.emit(&Instr{Op: OpBr, Blocks: []*Block{dest}})
+	n := &branch{}
+	n.targets[0] = dest
+	n.Op, n.Blocks = OpBr, n.targets[:]
+	return b.emit(&n.Instr)
 }
 
 // CondBr emits a conditional branch.
 func (b *Builder) CondBr(cond Value, t, f *Block) *Instr {
-	return b.emit(&Instr{Op: OpCondBr, Args: []Value{cond}, Blocks: []*Block{t, f}})
+	n := &condBranch{}
+	n.ops[0] = cond
+	n.targets[0], n.targets[1] = t, f
+	n.Op, n.Args, n.Blocks = OpCondBr, n.ops[:], n.targets[:]
+	return b.emit(&n.Instr)
 }
 
 // Ret emits a return (v may be nil for void).
 func (b *Builder) Ret(v Value) *Instr {
-	in := &Instr{Op: OpRet}
-	if v != nil {
-		in.Args = []Value{v}
+	if v == nil {
+		return b.emit(&Instr{Op: OpRet})
 	}
-	return b.emit(in)
+	return b.emit(newInstr1(OpRet, nil, v))
 }
 
 // Call emits a call to the named function.

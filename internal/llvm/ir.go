@@ -284,11 +284,16 @@ func NewFunction(name string, ret *Type, params ...*Param) *Function {
 	return &Function{Name: name, Ret: ret, Params: params, Attrs: map[string]string{}}
 }
 
-// AddBlock appends a new named block.
+// AddBlock appends a new named block. The block comes with room for its
+// first eight instructions, allocated with it.
 func (f *Function) AddBlock(name string) *Block {
-	b := &Block{Name: name, Parent: f}
-	f.Blocks = append(f.Blocks, b)
-	return b
+	x := &struct {
+		Block
+		room [8]*Instr
+	}{}
+	x.Block = Block{Name: name, Parent: f, Instrs: x.room[:0]}
+	f.Blocks = append(f.Blocks, &x.Block)
+	return &x.Block
 }
 
 // Entry returns the entry block.

@@ -185,3 +185,45 @@ e:
 	}
 	roundTrip(t, m)
 }
+
+// TestParseHonoursFlavorLine parses a module whose signatures name no
+// pointer, so only its printed "; Flavor:" line carries its flavor: both
+// flavors must survive print → parse, and text without the line still has
+// its flavor inferred.
+func TestParseHonoursFlavorLine(t *testing.T) {
+	for _, flavor := range []string{llvm.FlavorHLS, llvm.FlavorModern} {
+		m := llvm.NewModule("scalar")
+		m.Flavor = flavor
+		i32 := llvm.I32()
+		f := m.AddFunc(llvm.NewFunction("k", llvm.Void(), &llvm.Param{Name: "a", Ty: i32}))
+		b := llvm.NewBuilder(f)
+		b.SetBlock(f.AddBlock("entry"))
+		b.Add(f.Params[0], llvm.CI(i32, 1))
+		b.Ret(nil)
+		text := m.Print()
+		back, err := parser.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Flavor != flavor {
+			t.Errorf("%s module parsed back as %s", flavor, back.Flavor)
+		}
+		if got := back.Print(); got != text {
+			t.Errorf("%s module prints differently after parsing:\n%s\nvs\n%s", flavor, got, text)
+		}
+	}
+	for src, want := range map[string]string{
+		"define void @k(i32 %a) {\nentry:\n  ret void\n}\n":                   llvm.FlavorModern,
+		"define void @k(i32* %a) {\nentry:\n  ret void\n}\n":                  llvm.FlavorHLS,
+		"; Flavor: bogus\ndefine void @k(i32* %a) {\nentry:\n  ret void\n}\n": llvm.FlavorHLS,
+		"define void @k(i32 %a) {\nentry:\n; Flavor: hls\n  ret void\n}\n":    llvm.FlavorModern,
+	} {
+		m, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Flavor != want {
+			t.Errorf("%q parsed as %s, want %s", src, m.Flavor, want)
+		}
+	}
+}

@@ -3,13 +3,16 @@ package parser
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/llvm"
 )
 
-// Parse parses .ll text into a module. The flavor is inferred: any typed
-// pointer in a signature marks the module FlavorHLS, otherwise FlavorModern.
+// Parse parses .ll text into a module. The flavor is the one a "; Flavor:"
+// line in the header comments names, as Module.Print writes it; text
+// without one is FlavorHLS when a signature has a typed pointer and
+// FlavorModern otherwise.
 func Parse(src string) (*llvm.Module, error) {
 	s := takeScratch()
 	defer s.release()
@@ -27,7 +30,31 @@ func Parse(src string) (*llvm.Module, error) {
 	if name, ok := moduleIDComment(src); ok {
 		m.Name = name
 	}
+	if flavor, ok := flavorComment(src); ok {
+		m.Flavor = flavor
+	}
 	return m, nil
+}
+
+// flavorComment returns the flavor a "; Flavor: <flavor>" line among the
+// comment lines that open src names, when it is one of llvm's flavors.
+func flavorComment(src string) (string, bool) {
+	const marker = "; Flavor: "
+	for {
+		src = strings.TrimLeft(src, " \t\r\n")
+		if !strings.HasPrefix(src, ";") {
+			return "", false
+		}
+		line, rest, _ := strings.Cut(src, "\n")
+		if v, ok := strings.CutPrefix(line, marker); ok {
+			switch v = strings.TrimSpace(v); v {
+			case llvm.FlavorHLS, llvm.FlavorModern:
+				return v, true
+			}
+			return "", false
+		}
+		src = rest
+	}
 }
 
 // scratch is one parse's token buffer and per-function name tables.

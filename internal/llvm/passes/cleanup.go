@@ -416,19 +416,11 @@ func CSE(f *llvm.Function) {
 	instrs := snap.instrs
 	t := takeCSETables(len(instrs))
 	defer t.release()
-	kept, avail, subst := t.kept, t.avail, t.subst
+	kept, avail, subst, canonConsts := t.kept, t.avail, t.subst, t.consts
 	eliminated := false
 	// canon gives an operand its key form: an eliminated instruction its
 	// replacement, and a constant the first equal literal seen, since
-	// constants are not interned in the IR. Literals are told apart by
-	// value and by the type their printed form names.
-	type constKey struct {
-		kind llvm.TypeKind
-		bits int
-		ty   string // printed type, for aggregates only
-		i    int64
-		f    float64
-	}
+	// constants are not interned in the IR.
 	typeKey := func(ty *llvm.Type) constKey {
 		switch {
 		case ty == nil:
@@ -440,7 +432,6 @@ func CSE(f *llvm.Function) {
 		}
 		return constKey{kind: ty.Kind}
 	}
-	canonConsts := map[constKey]llvm.Value{}
 	canon := func(v llvm.Value) llvm.Value {
 		var k constKey
 		switch c := v.(type) {
@@ -527,6 +518,16 @@ func CSE(f *llvm.Function) {
 	}
 }
 
+// constKey tells literals apart by value and by the type their printed
+// form names.
+type constKey struct {
+	kind llvm.TypeKind
+	bits int
+	ty   string // printed type, for aggregates only
+	i    int64
+	f    float64
+}
+
 // cseKey identifies the instructions CSE merges: opcode, predicate and up
 // to three operands in key form.
 type cseKey struct {
@@ -552,11 +553,13 @@ type cseChain struct{ first, last int32 }
 // key; avail maps a key to the first and last of its instructions, chained
 // through next in the order they were kept. subst maps each eliminated
 // instruction, by number, to the dominating equivalent that replaces it,
-// which is never eliminated itself.
+// which is never eliminated itself. consts maps a literal's key to the
+// first equal literal seen.
 type cseTables struct {
-	kept  []cseLink
-	avail map[cseKey]cseChain
-	subst []*llvm.Instr
+	kept   []cseLink
+	avail  map[cseKey]cseChain
+	subst  []*llvm.Instr
+	consts map[constKey]llvm.Value
 }
 
 // cseScratch holds the tables of finished CSE runs.
@@ -566,10 +569,11 @@ var cseScratch sync.Pool
 func takeCSETables(n int) *cseTables {
 	t, _ := cseScratch.Get().(*cseTables)
 	if t == nil {
-		t = &cseTables{avail: map[cseKey]cseChain{}}
+		t = &cseTables{avail: map[cseKey]cseChain{}, consts: map[constKey]llvm.Value{}}
 	}
 	// A run that panicked may have pooled filled tables.
 	clear(t.avail)
+	clear(t.consts)
 	t.kept = t.kept[:0]
 	t.subst = slices.Grow(t.subst[:0], n)[:n]
 	clear(t.subst)
@@ -580,6 +584,7 @@ func takeCSETables(n int) *cseTables {
 // and pools them.
 func (t *cseTables) release() {
 	clear(t.avail)
+	clear(t.consts)
 	clear(t.kept)
 	clear(t.subst)
 	t.kept, t.subst = t.kept[:0], t.subst[:0]

@@ -14,8 +14,8 @@ import (
 	"repro/internal/llvm/analysis"
 )
 
-// phiSlot is one phi of the dense placement while pruning decides whether
-// it survives. It stands in for the phi as a value and never reaches the
+// phiSlot is one phi of the semi-pruned placement while pruning decides
+// whether it survives. It stands in for the phi as a value and never reaches the
 // IR: the final rewrite replaces it with its materialized instruction or
 // with the value it folded to.
 type phiSlot struct {
@@ -68,14 +68,33 @@ func (p *phiSlot) uniqueIncoming() (uniq llvm.Value, sawUndef bool) {
 }
 
 // mem2regTables is Mem2Reg's scratch: slot by instruction number, the
-// phi slots of the dense placement, the slab their incomings are cut from,
-// and the variable environment of every block in reverse postorder.
+// variables with each one's last storing block and flags and its value
+// while a block is renamed, the live-in variables, the joins with their
+// ordinals and positions, the phi slots of the semi-pruned placement, the
+// slab their incomings are cut from, the live-in variables' environment of
+// every block in reverse postorder, and what each promoted load became.
 type mem2regTables struct {
-	slot  []int32
-	slots []phiSlot
-	args  []llvm.Value
-	env   []llvm.Value
+	slot      []int32
+	vars      []*llvm.Instr
+	lastStore []int32
+	flags     []uint8
+	cur       []llvm.Value
+	live      []int
+	joinAt    []int
+	joins     []*llvm.Block
+	ordinals  []int
+	slots     []phiSlot
+	args      []llvm.Value
+	env       []llvm.Value
+	sub       []llvm.Value
 }
+
+// Variable flags: its address escapes, or some block loads it before
+// storing it (it is live into that block, so it needs phis).
+const (
+	varEscaped uint8 = 1 << iota
+	varLiveIn
+)
 
 // mem2regScratch holds the tables of finished Mem2Reg runs.
 var mem2regScratch sync.Pool
@@ -89,6 +108,19 @@ func takeMem2RegTables(n int) *mem2regTables {
 	}
 	t.slot = slices.Grow(t.slot[:0], n)[:n]
 	return t
+}
+
+// sizeVars gives the per-variable tables room for nv variables: no store
+// seen, no flag set and no value.
+func (t *mem2regTables) sizeVars(nv int) {
+	t.lastStore = slices.Grow(t.lastStore[:0], nv)[:nv]
+	t.flags = slices.Grow(t.flags[:0], nv)[:nv]
+	t.cur = slices.Grow(t.cur[:0], nv)[:nv]
+	for i := range t.lastStore {
+		t.lastStore[i] = -1
+	}
+	clear(t.flags)
+	clear(t.cur)
 }
 
 // size gives the phi slots, the incoming slab and the environment their
@@ -105,19 +137,26 @@ func (t *mem2regTables) size(slots, args, env int) {
 // release empties the tables of everything that references the function
 // and pools them.
 func (t *mem2regTables) release() {
+	clear(t.vars)
+	clear(t.cur)
+	clear(t.joins)
 	clear(t.slots)
 	clear(t.args)
 	clear(t.env)
-	t.slot, t.slots, t.args, t.env = t.slot[:0], t.slots[:0], t.args[:0], t.env[:0]
+	clear(t.sub)
+	t.slot, t.vars, t.cur, t.live, t.joins, t.ordinals, t.slots, t.args, t.env, t.sub = t.slot[:0],
+		t.vars[:0], t.cur[:0], t.live[:0], t.joins[:0], t.ordinals[:0], t.slots[:0], t.args[:0], t.env[:0], t.sub[:0]
 	mem2regScratch.Put(t)
 }
 
 // Mem2Reg promotes scalar allocas whose only uses are loads and stores into
-// SSA values. It places a phi per variable at every join (dense insertion),
-// renames over reverse postorder, then folds trivial phis and drops dead
-// ones. Replaced loads and folded phis go into one substitution table that
-// every operand is resolved through in a single final rewrite, and each
-// block is compacted once, so no step rescans the function per change.
+// SSA values. It places a phi at every join for each variable some block
+// loads before storing it (semi-pruned insertion; a variable every block
+// stores before it loads never reads a phi), renames over reverse
+// postorder, then folds trivial phis and drops dead ones. Replaced loads
+// and folded phis go into one substitution table that every operand is
+// resolved through in a single final rewrite, and each block is compacted
+// once, so no step rescans the function per change.
 func Mem2Reg(f *llvm.Function) {
 	// Number the promotable variables: scalar allocas whose address is only
 	// loaded from or stored to. slot holds, by instruction number, an
@@ -128,8 +167,7 @@ func Mem2Reg(f *llvm.Function) {
 	instrs := snap.instrs
 	t := takeMem2RegTables(len(instrs))
 	defer t.release()
-	slot := t.slot
-	var vars []*llvm.Instr
+	slot, vars := t.slot, t.vars
 	for _, in := range instrs {
 		slot[in.ID] = -1
 		if in.Op == llvm.OpAlloca && !in.SrcElem.IsArray() && !in.SrcElem.IsStruct() {
@@ -137,6 +175,7 @@ func Mem2Reg(f *llvm.Function) {
 			vars = append(vars, in)
 		}
 	}
+	t.vars = vars
 	if len(vars) == 0 {
 		return
 	}
@@ -151,28 +190,38 @@ func Mem2Reg(f *llvm.Function) {
 		}
 		return int(slot[j]), true
 	}
-	escaped := make([]bool, len(vars))
+	// Walking the blocks in order, a load reads a value stored in its own
+	// block exactly when the variable's last store so far sits there.
+	t.sizeVars(len(vars))
+	lastStore, flags := t.lastStore, t.flags
 	loads := 0
-	for _, in := range instrs {
-		for ai, a := range in.Args {
-			v, ok := promoted(a)
-			switch {
-			case !ok:
-			case in.Op == llvm.OpLoad && ai == 0:
-				loads++
-			case in.Op == llvm.OpStore && ai == 1:
-			default:
-				escaped[v] = true
+	for bi, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for ai, a := range in.Args {
+				v, ok := promoted(a)
+				switch {
+				case !ok:
+				case in.Op == llvm.OpLoad && ai == 0:
+					loads++
+					if lastStore[v] != int32(bi) {
+						flags[v] |= varLiveIn
+					}
+				case in.Op == llvm.OpStore && ai == 1:
+					lastStore[v] = int32(bi)
+				default:
+					flags[v] |= varEscaped
+				}
 			}
 		}
 	}
 	kept := vars[:0]
 	for v, a := range vars {
-		if escaped[v] {
+		if flags[v]&varEscaped != 0 {
 			slot[a.ID] = -1
 			continue
 		}
 		slot[a.ID] = int32(len(kept))
+		flags[len(kept)] = flags[v]
 		kept = append(kept, a)
 	}
 	vars = kept
@@ -180,18 +229,29 @@ func Mem2Reg(f *llvm.Function) {
 		return
 	}
 	nv := len(vars)
+	// live lists the live-in variables, whose phi slots and environment
+	// columns are numbered by their position in it.
+	live := t.live
+	for v := range vars {
+		if flags[v]&varLiveIn != 0 {
+			live = append(live, v)
+		}
+	}
+	t.live = live
+	nl := len(live)
 
-	// Dense placement: one phi per variable at every block with two or more
-	// predecessors. Joins are numbered in block order, and the numbering
-	// names the phis. An unreachable join keeps its ordinal but gets no
-	// slots: its phis could only merge undefs, and nothing would use them.
+	// Semi-pruned placement: one phi per live-in variable at every block
+	// with two or more predecessors. Joins are numbered in block order, and
+	// the numbering names the phis as if every variable had one, so a phi's
+	// name does not depend on which variables are live in. An unreachable
+	// join keeps its ordinal but gets no slots: its phis could only merge
+	// undefs, and nothing would use them.
 	cfg := analysis.NewCFG(f)
-	joinAt := make([]int, len(cfg.Order)) // RPO position → join index, or -1
+	joinAt := slices.Grow(t.joinAt[:0], len(cfg.Order))[:len(cfg.Order)] // RPO position → join index, or -1
 	for i := range joinAt {
 		joinAt[i] = -1
 	}
-	var joins []*llvm.Block
-	var ordinals []int
+	joins, ordinals := t.joins, t.ordinals
 	nargs := 0
 	ordinal := 0
 	for _, b := range f.Blocks {
@@ -203,27 +263,31 @@ func Mem2Reg(f *llvm.Function) {
 			joinAt[r] = len(joins)
 			joins = append(joins, b)
 			ordinals = append(ordinals, ordinal)
-			nargs += len(preds) * nv
+			nargs += len(preds) * nl
 		}
 		ordinal++
 	}
-	t.size(len(joins)*nv, nargs, len(cfg.Order)*nv)
+	t.joinAt, t.joins, t.ordinals = joinAt, joins, ordinals
+	t.size(len(joins)*nl, nargs, len(cfg.Order)*nl)
 	slots, argSlab := t.slots, t.args
 	for k, b := range joins {
 		n := len(cfg.Preds(b))
-		for v, a := range vars {
-			slots[k*nv+v] = phiSlot{v: v, name: ordinals[k]*nv + v, block: b, ty: a.SrcElem,
+		for c, v := range live {
+			slots[k*nl+c] = phiSlot{v: v, name: ordinals[k]*nv + v, block: b, ty: vars[v].SrcElem,
 				args: argSlab[:n:n]}
 			argSlab = argSlab[n:]
 		}
 	}
 
-	// Rename over reverse postorder, keeping each block's variable
-	// environment in one slice of env; what a block leaves there is its end
-	// state. A single-predecessor block inherits its predecessor's end
-	// state (back edges only reach joins, which start from their phis).
-	env := t.env
-	sub := make([]llvm.Value, 0, loads) // promoted load → value
+	// Rename over reverse postorder. cur holds every variable's value while
+	// a block is renamed; the live-in variables' values also start from,
+	// and end in, the block's slice of env, so what a block leaves there is
+	// its end state. A single-predecessor block inherits its predecessor's
+	// end state (back edges only reach joins, which start from their phis).
+	// Any other variable is stored in a block before that block loads it,
+	// so its value never crosses a block boundary.
+	env, cur := t.env, t.cur
+	sub := slices.Grow(t.sub, loads) // promoted load → value
 	loaded := func(x llvm.Value) llvm.Value {
 		if l, ok := x.(*llvm.Instr); ok && l.Op == llvm.OpLoad {
 			if j := instrNum(instrs, l); j >= 0 && slot[j] >= 0 {
@@ -233,14 +297,24 @@ func Mem2Reg(f *llvm.Function) {
 		return x
 	}
 	for r, b := range cfg.Order {
-		cur := env[r*nv : (r+1)*nv]
-		if k := joinAt[r]; k >= 0 {
-			for v := range cur {
-				cur[v] = &slots[k*nv+v]
+		end := env[r*nl : (r+1)*nl]
+		switch k := joinAt[r]; {
+		case k >= 0:
+			for c, v := range live {
+				cur[v] = &slots[k*nl+c]
 			}
-		} else if preds := cfg.Preds(b); len(preds) == 1 {
-			if pr := cfg.Index(preds[0]); pr >= 0 && pr < r {
-				copy(cur, env[pr*nv:(pr+1)*nv])
+		default:
+			var in []llvm.Value
+			if preds := cfg.Preds(b); len(preds) == 1 {
+				if pr := cfg.Index(preds[0]); pr >= 0 && pr < r {
+					in = env[pr*nl : (pr+1)*nl]
+				}
+			}
+			for c, v := range live {
+				cur[v] = nil
+				if in != nil {
+					cur[v] = in[c]
+				}
 			}
 		}
 		keep := b.Instrs[:0]
@@ -275,7 +349,11 @@ func Mem2Reg(f *llvm.Function) {
 		}
 		clear(b.Instrs[len(keep):])
 		b.Instrs = keep
+		for c, v := range live {
+			end[c] = cur[v]
+		}
 	}
+	t.sub = sub
 	for _, a := range vars {
 		if a.Parent != nil { // an alloca in an unreachable block
 			a.Parent.Remove(a)
@@ -287,8 +365,8 @@ func Mem2Reg(f *llvm.Function) {
 			if pr < 0 {
 				continue // undef from an unreachable predecessor
 			}
-			for v := 0; v < nv; v++ {
-				slots[k*nv+v].args[i] = env[pr*nv+v]
+			for c := 0; c < nl; c++ {
+				slots[k*nl+c].args[i] = env[pr*nl+c]
 			}
 		}
 	}
@@ -321,8 +399,8 @@ func Mem2Reg(f *llvm.Function) {
 	for changed := true; changed; {
 		changed = false
 		for k := range joins {
-			for v := nv - 1; v >= 0; v-- {
-				p := &slots[k*nv+v]
+			for c := nl - 1; c >= 0; c-- {
+				p := &slots[k*nl+c]
 				if p.repl != nil {
 					continue
 				}
@@ -356,7 +434,9 @@ func Mem2Reg(f *llvm.Function) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for i, a := range in.Args {
-				in.Args[i] = use(a)
+				if x := use(a); x != a {
+					in.Args[i] = x
+				}
 			}
 		}
 	}
@@ -377,20 +457,23 @@ func Mem2Reg(f *llvm.Function) {
 	// Live phis open their block in reverse variable order.
 	for k, b := range joins {
 		n := 0
-		for v := 0; v < nv; v++ {
-			if slots[k*nv+v].instr != nil {
+		for c := 0; c < nl; c++ {
+			if slots[k*nl+c].instr != nil {
 				n++
 			}
 		}
 		if n == 0 {
 			continue
 		}
-		instrs := make([]*llvm.Instr, 0, n+len(b.Instrs))
-		for v := nv - 1; v >= 0; v-- {
-			if in := slots[k*nv+v].instr; in != nil {
-				instrs = append(instrs, in)
+		m := len(b.Instrs)
+		b.Instrs = slices.Grow(b.Instrs, n)[:m+n]
+		copy(b.Instrs[n:], b.Instrs[:m])
+		i := 0
+		for c := nl - 1; c >= 0; c-- {
+			if in := slots[k*nl+c].instr; in != nil {
+				b.Instrs[i] = in
+				i++
 			}
 		}
-		b.Instrs = append(instrs, b.Instrs...)
 	}
 }

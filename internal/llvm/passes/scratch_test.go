@@ -11,9 +11,9 @@ import (
 )
 
 // TestCSEAllocs pins CSE's allocations on the pipelined adaptor flow's
-// final gemm module at SMALL: its instruction snapshot, key map, chains
-// and substitution table come from pools, so what is left is the CFG, the
-// dominator tree and the literal table.
+// final gemm module at SMALL: its instruction snapshot, key map, literal
+// table, chains and substitution table come from pools, so what is left is
+// the CFG and the dominator tree.
 func TestCSEAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime drops pooled items at random")

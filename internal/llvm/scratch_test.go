@@ -85,3 +85,37 @@ func TestVerifyRecycledNameSet(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyDuplicateNames checks each way a name can repeat: two
+// parameters, an instruction and a parameter, and one instruction listed
+// twice. The name set keeps only hashes, so each report also needs the
+// earlier name found.
+func TestVerifyDuplicateNames(t *testing.T) {
+	i32 := llvm.I32()
+	build := func(second string, twice bool) *llvm.Function {
+		f := llvm.NewFunction("f", llvm.Void(), &llvm.Param{Name: "x", Ty: i32}, &llvm.Param{Name: second, Ty: i32})
+		b := llvm.NewBuilder(f)
+		b.SetBlock(f.AddBlock("entry"))
+		in := b.Add(f.Params[0], llvm.CI(i32, 1))
+		if twice {
+			f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, in)
+		}
+		b.Ret(nil)
+		return f
+	}
+	for _, c := range []struct {
+		second string
+		twice  bool
+		want   string
+	}{
+		{"y", false, ""},
+		{"x", false, "duplicate parameter name %x"},
+		{"t0", false, "duplicate SSA name %t0"},
+		{"y", true, "duplicate SSA name %t0"},
+	} {
+		err := build(c.second, c.twice).Verify()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("parameters x, %s, add listed twice %v: got %v, want %q", c.second, c.twice, err, c.want)
+		}
+	}
+}

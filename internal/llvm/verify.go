@@ -2,6 +2,8 @@ package llvm
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
 )
 
@@ -22,29 +24,88 @@ func (m *Module) Verify() error {
 	return nil
 }
 
-// nameSets holds the SSA-name sets of finished verifications.
+// nameSet is a verification's set of SSA names, kept as their hashes in
+// an open-addressing table sized for the function at hand: filling and
+// clearing it costs what that function's names cost, and it holds no
+// pointer. A name whose hash the set holds already is a duplicate only
+// when an earlier name equals it, which the caller checks.
+type nameSet struct {
+	slots []uint64 // a name's hash with the low bit set; 0 is empty
+}
+
+// nameSets holds the name sets of finished verifications.
 var nameSets sync.Pool
+
+// nameSeed keys the table's hash, so no input can choose its collisions.
+var nameSeed = maphash.MakeSeed()
+
+// takeNameSet returns an empty set with room for n names.
+func takeNameSet(n int) *nameSet {
+	s, _ := nameSets.Get().(*nameSet)
+	if s == nil {
+		s = &nameSet{}
+	}
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	// A verification that panicked may have pooled a filled set.
+	s.slots = slices.Grow(s.slots[:0], size)[:size]
+	clear(s.slots)
+	return s
+}
+
+// add records name and reports whether the set held its hash already.
+func (s *nameSet) add(name string) (seen bool) {
+	h := maphash.String(nameSeed, name) | 1
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = h
+			return false
+		case h:
+			return true
+		}
+	}
+}
+
+// namedBefore reports whether a parameter, or one of the first k
+// instructions in block order, is named name.
+func (f *Function) namedBefore(name string, k int) bool {
+	for _, p := range f.Params {
+		if p.Name == name {
+			return true
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, x := range b.Instrs {
+			if k == 0 {
+				return false
+			}
+			k--
+			if x.HasResult() && x.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Verify checks one function.
 func (f *Function) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	f.Renumber()
-	names, _ := nameSets.Get().(map[string]bool)
-	if names == nil {
-		names = map[string]bool{}
-	}
-	// A verification that panicked may have pooled a filled set.
-	clear(names)
+	names := takeNameSet(len(f.Params) + f.Renumber())
 	defer nameSets.Put(names)
-	for _, p := range f.Params {
-		if names[p.Name] {
+	for i, p := range f.Params {
+		if names.add(p.Name) && slices.ContainsFunc(f.Params[:i], func(q *Param) bool { return q.Name == p.Name }) {
 			return fmt.Errorf("duplicate parameter name %%%s", p.Name)
 		}
-		names[p.Name] = true
 	}
 	preds := newPredTable(f)
+	k := 0 // instructions checked so far
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil {
@@ -58,14 +119,14 @@ func (f *Function) Verify() error {
 				if in.Name == "" {
 					return fmt.Errorf("unnamed result in block %%%s (op %s)", b.Name, in.Op)
 				}
-				if names[in.Name] {
+				if names.add(in.Name) && f.namedBefore(in.Name, k) {
 					return fmt.Errorf("duplicate SSA name %%%s", in.Name)
 				}
-				names[in.Name] = true
 			}
 			if err := verifyInstr(in, &preds); err != nil {
 				return fmt.Errorf("block %%%s: %s: %w", b.Name, in.Op, err)
 			}
+			k++
 		}
 	}
 	return nil

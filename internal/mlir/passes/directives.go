@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mlir"
 )
@@ -90,7 +91,7 @@ func ParsePartitionAttr(a mlir.Attr) (PartitionSpec, bool) {
 // PartitionArgAttrKey returns the function attribute key carrying the
 // partition spec for argument i.
 func PartitionArgAttrKey(i int) string {
-	return fmt.Sprintf("%s.arg%d", mlir.AttrPartition, i)
+	return mlir.AttrPartition + ".arg" + strconv.Itoa(i)
 }
 
 // PartitionArg returns a pass that attaches an array-partition directive to
